@@ -108,23 +108,6 @@ def fill_negative_subtree(views, su: BoundArray, boundary: int) -> None:
                 j -= 1
 
 
-def subtree_utilities(views, n_periods: int, n_items: int, boundary: int) -> BoundArray:
-    """Standalone subtree-bound computation (the search uses the fused pass)."""
-    su = BoundArray(n_periods, n_items)
-    lu = BoundArray(n_periods, n_items)
-    fill_subtree_and_local(views, su, lu, boundary)
-    return su
-
-
-def local_utilities(views, n_periods: int, n_items: int, boundary: int) -> BoundArray:
-    """Standalone local-bound computation (the search uses the fused pass)."""
-    su = BoundArray(n_periods, n_items)
-    lu = BoundArray(n_periods, n_items)
-    fill_subtree_and_local(views, su, lu, boundary)
-    lu.seen[:] = su.seen
-    return lu
-
-
 def select_primary_secondary(
     su: BoundArray,
     lu: BoundArray,

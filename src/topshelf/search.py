@@ -229,7 +229,12 @@ class _Miner:
                 self._negative_search(child, ext2, deeper, depth + 1, scratch, stats)
 
 
-def _raise_recursion_headroom(working) -> None:
+def _raise_recursion_headroom(working) -> int | None:
+    """Lift the interpreter's recursion limit to what this search needs.
+
+    Returns the caller's limit if it was raised, so it can be restored, and
+    None if it was already high enough.
+    """
     # Depth is bounded by the longest transaction (every prefix needs a
     # containing row), not by the item count.
     longest = 0
@@ -238,8 +243,11 @@ def _raise_recursion_headroom(working) -> None:
             if len(row[0]) > longest:
                 longest = len(row[0])
     needed = longest * 2 + 500
-    if sys.getrecursionlimit() < needed:
-        sys.setrecursionlimit(needed)
+    previous = sys.getrecursionlimit()
+    if previous >= needed:
+        return None
+    sys.setrecursionlimit(needed)
+    return previous
 
 
 def mine_top_k(
@@ -276,7 +284,6 @@ def mine_top_k(
     order = build_item_order(twu, db.item_signs, secondary0, kept_negative)
     working, root_merges = build_working_database(db, order, merge=merge)
     stats.merges += root_merges
-    _raise_recursion_headroom(working)
 
     miner = _Miner(
         working, collector, merge=merge, su_prune=su_prune, lu_prune=lu_prune
@@ -292,19 +299,24 @@ def mine_top_k(
         su, lu, range(miner.boundary), scaled, t_den, su_prune, False
     )
 
-    if parallel and len(primary0) > 1:
-        def run_root(z: int) -> SearchStats:
-            local = SearchStats()
-            miner.expand(root, (), z, secondary0_dense, 0, miner.scratch(), local)
-            return local
+    previous_limit = _raise_recursion_headroom(working)
+    try:
+        if parallel and len(primary0) > 1:
+            def run_root(z: int) -> SearchStats:
+                local = SearchStats()
+                miner.expand(root, (), z, secondary0_dense, 0, miner.scratch(), local)
+                return local
 
-        workers = max_workers or min(8, len(primary0))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for local in pool.map(run_root, primary0):
-                stats.absorb(local)
-    else:
-        for z in primary0:
-            miner.expand(root, (), z, secondary0_dense, 0, scratch, stats)
+            workers = max_workers or min(8, len(primary0))
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                for local in pool.map(run_root, primary0):
+                    stats.absorb(local)
+        else:
+            for z in primary0:
+                miner.expand(root, (), z, secondary0_dense, 0, scratch, stats)
+    finally:
+        if previous_limit is not None:
+            sys.setrecursionlimit(previous_limit)
 
     patterns = collector.result()
     stats.patterns = len(patterns)

@@ -1,11 +1,21 @@
 """Projections: narrowing, per-period utility accounting, view merging."""
 
 import random
+from array import array
+from itertools import accumulate
+
+import pytest
 
 from conftest import pipeline
 from topshelf.dataset import parse_database
+from topshelf.generator import GeneratorParams, generate
 from topshelf.oracle import itemset_periods, itemset_utility
-from topshelf.projection import merge_projected, project
+from topshelf.projection import (
+    ProjectedDatabase,
+    _typecode,
+    merge_projected,
+    project,
+)
 
 A, B, C, D, E = 1, 2, 3, 4, 5
 
@@ -115,3 +125,85 @@ def test_merge_projected_preserves_period_accounting(corpus):
         # merging never changes total multiplicity, only row count
         assert [sum(v[4] for v in plist) for plist in pd.views] == before_weight
     assert checked > 0  # the sweep actually exercised fusion somewhere
+
+
+def assert_index_matches_scan(root, n_items):
+    """Index-backed root projections equal the scan over the same views:
+    same views in the same order, sharing the stored buffers, and the same
+    per-period utility sums."""
+    assert root.index is not None
+    scan = ProjectedDatabase(
+        views=root.views, utility_by_period=root.utility_by_period
+    )
+    for z in range(n_items):
+        got = project(root, z)
+        want = project(scan, z)
+        assert got.views == want.views, z
+        for gv, wv in zip(got.views, want.views):
+            assert all(g[0] is w[0] and g[1] is w[1] for g, w in zip(gv, wv))
+        assert got.utility_by_period == want.utility_by_period, z
+        assert got.index is None
+
+
+@pytest.mark.parametrize("merge", [True, False])
+def test_indexed_root_projection_matches_scan_on_running_example(
+    running_example, merge
+):
+    order, _, root = pipeline(running_example, merge=merge)
+    assert_index_matches_scan(root, len(order))
+    # e never sells in period 0: its projection leaves that block empty
+    pd = project(root, order.position[E])
+    assert pd.views[0] == [] and pd.utility_by_period[0] == 0
+    assert pd.occupied_periods == [1, 2]
+
+
+@pytest.mark.parametrize("merge", [True, False])
+def test_indexed_root_projection_matches_scan_on_random_databases(merge):
+    rng = random.Random(8128)
+    for seed in range(1, 31):
+        params = GeneratorParams(
+            transactions=rng.randint(20, 200),
+            items=rng.randint(5, 40),
+            periods=rng.randint(1, 6),
+            avg_len=rng.randint(2, 5),
+            neg_frac=rng.choice((0.0, 0.2, 0.4)),
+            max_qty=rng.randint(1, 3),
+            seed=seed,
+        )
+        order, working, root = pipeline(parse_database(generate(params)), merge=merge)
+        assert len(root.index.rows) == sum(
+            len(row[0]) for block in working.blocks for row in block
+        )
+        assert_index_matches_scan(root, len(order))
+
+
+def test_indexed_root_projection_matches_scan_over_365_periods():
+    params = GeneratorParams(
+        transactions=900, items=30, avg_len=4, neg_frac=0.0, seed=3
+    )
+    # re-deal the rows round-robin so that every period holds two or three
+    lines = [
+        line.rsplit(":", 1)[0] + f":{t % 365}"
+        for t, line in enumerate(generate(params).splitlines())
+    ]
+    db = parse_database("\n".join(lines) + "\n")
+    order, _, root = pipeline(db)
+    assert len(root.views) == 365
+    block_sizes = [len(block) for block in root.views]
+    assert list(root.index.period_starts) == [0, *accumulate(block_sizes)]
+    assert_index_matches_scan(root, len(order))
+
+
+def test_index_typecodes_hold_every_legal_count():
+    # row ids, period offsets and item offsets never exceed the row or
+    # occurrence count, so 4 bytes hold them below 2**32 and 8 from there
+    for largest in (0, 365, 2**16, 2**32 - 1):
+        code = _typecode(largest)
+        assert array(code).itemsize == 4
+        assert array(code, [largest])[0] == largest
+    for largest in (2**32, 2**63, 2**64 - 1):
+        code = _typecode(largest)
+        assert array(code).itemsize == 8
+        assert array(code, [largest])[0] == largest
+    with pytest.raises(OverflowError):
+        _typecode(2**64)

@@ -10,7 +10,7 @@ from topshelf.dataset import database_from_quantities, parse_database
 from topshelf.domain import Pattern
 from topshelf.errors import InvalidK, TooManyItems
 from topshelf.oracle import enumerate_patterns, oracle_top_k, relative_utility
-from topshelf.search import TopKCollector, mine_top_k, stats_json
+from topshelf.search import TopKCollector, _Miner, mine_top_k, stats_json
 
 
 def make_pattern(items, u, to):
@@ -182,20 +182,43 @@ def test_flag_combinations_agree(running_example):
         assert got == reference, flags
 
 
+def one_long_transaction(n):
+    ids = " ".join(str(i) for i in range(1, n + 1))
+    utils = " ".join("1" for _ in range(n))
+    return parse_database(f"{ids}:{n}:{utils}:0\n")
+
+
 def test_long_transaction_does_not_hit_recursion_limit():
     # one 300-item transaction forces a 300-deep leftmost descent; the miner
     # must lift a deliberately starved interpreter limit by itself
     n = 300
-    ids = " ".join(str(i) for i in range(1, n + 1))
-    utils = " ".join("1" for _ in range(n))
-    db = parse_database(f"{ids}:{n}:{utils}:0\n")
+    db = one_long_transaction(n)
     before = sys.getrecursionlimit()
     sys.setrecursionlimit(120)
     try:
         mined, stats = mine_top_k(db, 1)
+        # the lifted limit is handed back once mining is done
+        assert sys.getrecursionlimit() == 120
     finally:
         sys.setrecursionlimit(before)
     assert stats.max_depth == n
     assert len(mined) == 1
     assert mined[0].items == tuple(range(1, n + 1))
     assert mined[0].relative_utility == 1
+
+
+def test_recursion_limit_is_restored_when_mining_raises(monkeypatch):
+    db = one_long_transaction(300)
+
+    def fail(*args):
+        raise RuntimeError("search failed")
+
+    monkeypatch.setattr(_Miner, "expand", fail)
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(120)
+    try:
+        with pytest.raises(RuntimeError):
+            mine_top_k(db, 1)
+        assert sys.getrecursionlimit() == 120
+    finally:
+        sys.setrecursionlimit(before)
