@@ -1,7 +1,7 @@
 """Benchmark harness.
 
 Each (k, variant, repeat) cell runs in a forked child process so one cell's
-allocations and timing cannot leak into the next, the peak RSS is read per
+allocations and timing cannot leak into the next, the peak memory is read per
 cell, and a runaway configuration can be killed without taking the parent
 down. Reported time comes from the miner itself and excludes parsing.
 """
@@ -13,6 +13,7 @@ import dataclasses
 import multiprocessing
 import os
 import resource
+import sys
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -56,13 +57,34 @@ def reassign_periods(db: OnShelfDatabase, n_periods: int) -> OnShelfDatabase:
     return parse_database(database_text(shell))
 
 
+def _status_kb(field: str) -> int | None:
+    """A kB field of this process's /proc/self/status, such as VmRSS
+    (resident now) or VmHWM (peak resident), or None where /proc is
+    absent."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith(field + ":"):
+                    return int(line.split()[1])
+    except OSError:
+        return None
+    return None
+
+
 def _cell_worker(conn, db: OnShelfDatabase, k: int, flags: dict) -> None:
+    start_kb = _status_kb("VmRSS")
     patterns, stats = mine_top_k(db, k, **flags)
-    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peak_kb = _status_kb("VmHWM")
+    if start_kb is not None and peak_kb is not None:
+        peak_bytes = (peak_kb - start_kb) * 1024
+    else:
+        # ru_maxrss is in bytes on macOS and in kB elsewhere.
+        maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        peak_bytes = maxrss if sys.platform == "darwin" else maxrss * 1024
     conn.send(
         {
             "elapsed_ms": int(round(stats.elapsed_ms)),
-            "peak_mem_bytes": peak_kb * 1024,
+            "peak_mem_bytes": peak_bytes,
             "candidates": stats.candidates,
             "patterns": len(patterns),
         }
@@ -72,8 +94,13 @@ def _cell_worker(conn, db: OnShelfDatabase, k: int, flags: dict) -> None:
 
 def _run_cell(db, k, flags, timeout_ms):
     """One mining run in a forked child. Returns (result dict | None if the
-    deadline passed). Child RSS inherits the parent's footprint at fork, so
-    the peak reading overstates slightly; never understates."""
+    deadline passed).
+
+    The forked child starts out resident with the parent's footprint, so
+    its peak memory is the peak resident size (VmHWM) minus the resident
+    size (VmRSS) read as the child starts: what the run itself added. Where
+    /proc is absent it falls back to ru_maxrss, which includes the parent's
+    footprint and so overstates."""
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
     proc = ctx.Process(target=_cell_worker, args=(send, db, k, flags))

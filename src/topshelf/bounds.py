@@ -19,7 +19,11 @@ Both are >= the true utility of anything they prune (dominance is property
 tested), and remaining sums count positive items only, which is what keeps
 them valid when negative items are present.
 
-One pair of arrays is allocated per search task and reset per node; the
+One pair of arrays is allocated per search task. Each node resets only the
+rows of the periods its projection occupies and records them on the array;
+the fills write only the rows of periods that hold views, which are those
+same rows, and the selection helpers test only those rows. Rows of other
+periods may hold stale sums from earlier nodes, which nothing reads. The
 selection helpers turn cells into plain lists before any recursion reuses
 the arrays.
 """
@@ -28,21 +32,29 @@ from __future__ import annotations
 
 
 class BoundArray:
-    """Dense period x item accumulator with an occurrence flag per item."""
+    """Dense period x item accumulator with an occurrence flag per item.
 
-    __slots__ = ("cells", "seen", "_zero_row", "_zero_seen")
+    periods lists the rows that hold the current node's sums: the periods
+    passed to the last reset, and none before the first.
+    """
+
+    __slots__ = ("cells", "seen", "periods", "_zero_row")
 
     def __init__(self, n_periods: int, n_items: int):
         self.cells = [[0] * n_items for _ in range(n_periods)]
         self.seen = [0] * n_items
+        self.periods: list[int] = []
         self._zero_row = [0] * n_items
-        self._zero_seen = [0] * n_items
 
-    def reset(self) -> None:
+    def reset(self, periods: list[int]) -> None:
+        """Zero the occurrence flags and the rows of periods, and make those
+        the rows the selection helpers test."""
         zero = self._zero_row
-        for row in self.cells:
-            row[:] = zero
-        self.seen[:] = self._zero_seen
+        cells = self.cells
+        for p in periods:
+            cells[p][:] = zero
+        self.seen[:] = zero
+        self.periods = periods
 
 
 def fill_subtree_and_local(views, su: BoundArray, lu: BoundArray, boundary: int) -> None:
@@ -119,11 +131,14 @@ def select_primary_secondary(
 ) -> tuple[list[int], list[int]]:
     """Split candidate items into (primary, secondary) per the bound tests.
 
-    A candidate is secondary if some period's local bound reaches the
-    threshold, primary if some period's subtree bound does. Items that never
-    occurred in the projection are excluded even at threshold zero. Disabled
-    pruning degrades the test to occurrence only. Primary is always a subset
-    of secondary (the local bound dominates the subtree bound cell-wise for
+    A candidate is secondary if some live period's local bound reaches the
+    threshold, primary if some live period's subtree bound does; each
+    array's live periods are those it was last reset for. Items that never
+    occurred in the projection are excluded even at threshold zero, and an
+    item that occurred has a cell of at least zero in a live period, so
+    skipping the other periods changes no decision. Disabled pruning
+    degrades the test to occurrence only. Primary is always a subset of
+    secondary (the local bound dominates the subtree bound cell-wise for
     positive candidates).
     """
     primary: list[int] = []
@@ -131,13 +146,14 @@ def select_primary_secondary(
     seen = su.seen
     su_cells = su.cells
     lu_cells = lu.cells
-    n_periods = len(scaled_totals)
+    su_periods = su.periods
+    lu_periods = lu.periods
     for z in candidates:
         if not seen[z]:
             continue
         if lu_prune:
             ok = False
-            for p in range(n_periods):
+            for p in lu_periods:
                 if lu_cells[p][z] * t_den >= scaled_totals[p]:
                     ok = True
                     break
@@ -145,7 +161,7 @@ def select_primary_secondary(
                 continue
         secondary.append(z)
         if su_prune:
-            for p in range(n_periods):
+            for p in su_periods:
                 if su_cells[p][z] * t_den >= scaled_totals[p]:
                     primary.append(z)
                     break
@@ -162,18 +178,18 @@ def select_negative_candidates(
     su_prune: bool,
 ) -> list[int]:
     """Negative items whose clipped subtree bound reaches the threshold in
-    some period (boundary equality counts), occurrence required."""
+    some live period of su (boundary equality counts), occurrence required."""
     out: list[int] = []
     seen = su.seen
     su_cells = su.cells
-    n_periods = len(scaled_totals)
+    periods = su.periods
     for z in candidates:
         if not seen[z]:
             continue
         if not su_prune:
             out.append(z)
             continue
-        for p in range(n_periods):
+        for p in periods:
             if su_cells[p][z] * t_den >= scaled_totals[p]:
                 out.append(z)
                 break

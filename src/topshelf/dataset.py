@@ -74,7 +74,6 @@ def parse_database(source: str | TextIO | Iterable[str]) -> OnShelfDatabase:
     """
     transactions: list[Transaction] = []
     signs: dict[int, int] = {}
-    sign_origin: dict[int, int] = {}  # item -> first line that fixed its sign
     period_totals: dict[int, Money] = {}
     tu_by_tid: dict[int, Money] = {}
 
@@ -119,7 +118,6 @@ def parse_database(source: str | TextIO | Iterable[str]) -> OnShelfDatabase:
             prior = signs.get(item)
             if prior is None:
                 signs[item] = sign
-                sign_origin[item] = lineno
             elif prior != sign:
                 raise InconsistentProfitSign(lineno, item)
 

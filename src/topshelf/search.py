@@ -46,7 +46,8 @@ class SearchStats:
     """Counters for one mining run. candidates counts ratio evaluations,
     projections counts database narrowings, merges counts rows or views
     eliminated by fusion (root build included), max_depth is the longest
-    prefix reached. patterns is the final result size."""
+    prefix reached. patterns is the final result size. threshold_rises
+    counts the offers that raised the admission threshold."""
 
     k: int = 0
     patterns: int = 0
@@ -57,6 +58,7 @@ class SearchStats:
     elapsed_ms: float = 0.0
     threshold_num: int = 0
     threshold_den: int = 1
+    threshold_rises: int = 0
 
     def absorb(self, other: "SearchStats") -> None:
         self.candidates += other.candidates
@@ -76,6 +78,7 @@ def stats_json(stats: SearchStats) -> dict:
         "projections": stats.projections,
         "merges": stats.merges,
         "max_depth": stats.max_depth,
+        "threshold_rises": stats.threshold_rises,
         "elapsed_ms": stats.elapsed_ms,
     }
 
@@ -89,15 +92,17 @@ class TopKCollector:
     non-decreasing. It is stored as an immutable (num, den) tuple so readers
     need no lock; mutation happens under one. Ties at the threshold are
     resolved by the full ranking key against the current worst entry.
+    rises counts the offers that raised the threshold.
     """
 
-    __slots__ = ("k", "threshold", "_entries", "_lock")
+    __slots__ = ("k", "threshold", "rises", "_entries", "_lock")
 
     def __init__(self, k: int, initial: Fraction):
         if k < 1:
             raise InvalidK(k)
         self.k = k
         self.threshold = (initial.numerator, initial.denominator)
+        self.rises = 0
         self._entries: list[tuple[tuple, Pattern]] = []
         self._lock = threading.Lock()
 
@@ -123,7 +128,10 @@ class TopKCollector:
                 insort(entries, entry)
             if len(entries) >= self.k:
                 kth = entries[-1][1].relative_utility
-                self.threshold = (kth.numerator, kth.denominator)
+                raised = (kth.numerator, kth.denominator)
+                if raised != self.threshold:
+                    self.threshold = raised
+                    self.rises += 1
             return True
 
     def result(self) -> list[Pattern]:
@@ -144,6 +152,7 @@ class _Miner:
         self.period_totals = working.period_totals
         self.period_labels = working.period_labels
         self.ext_id = working.order.sequence
+        self._scaled: tuple[tuple[int, int] | None, list[int]] = (None, [])
 
     def scratch(self) -> tuple[BoundArray, BoundArray]:
         return (
@@ -152,12 +161,20 @@ class _Miner:
         )
 
     def _scaled_totals(self) -> tuple[list[int], int]:
-        num, den = self.collector.threshold
-        return [num * total for total in self.period_totals], den
+        """Threshold numerator times each period total, and the denominator.
 
-    def _emit(self, pd, prefix_ext, depth, stats) -> None:
-        """Score the prefix over its projection and offer it."""
-        occupied = pd.occupied_periods
+        Rebuilt only when the threshold has risen since the last call.
+        """
+        threshold = self.collector.threshold
+        cached, scaled = self._scaled
+        if cached != threshold:
+            scaled = [threshold[0] * total for total in self.period_totals]
+            self._scaled = (threshold, scaled)
+        return scaled, threshold[1]
+
+    def _emit(self, pd, occupied, prefix_ext, depth, stats) -> None:
+        """Score the prefix over its projection, whose occupied periods are
+        given, and offer it."""
         utility = sum(pd.utility_by_period[p] for p in occupied)
         period_total = sum(self.period_totals[p] for p in occupied)
         stats.candidates += 1
@@ -183,10 +200,11 @@ class _Miner:
         if self.merge:
             stats.merges += merge_projected(child)
         ext2 = prefix_ext + (self.ext_id[z],)
-        self._emit(child, ext2, depth + 1, stats)
+        occupied = child.occupied_periods
+        self._emit(child, occupied, ext2, depth + 1, stats)
 
         su, lu = scratch
-        su.reset()
+        su.reset(occupied)
         fill_negative_subtree(child.views, su, self.boundary)
         scaled, t_den = self._scaled_totals()
         negatives = select_negative_candidates(
@@ -199,8 +217,8 @@ class _Miner:
         candidates = secondary[after:]
         if not candidates:
             return
-        su.reset()
-        lu.reset()
+        su.reset(occupied)
+        lu.reset(occupied)
         fill_subtree_and_local(child.views, su, lu, self.boundary)
         scaled, t_den = self._scaled_totals()
         primary2, secondary2 = select_primary_secondary(
@@ -217,11 +235,12 @@ class _Miner:
             if self.merge:
                 stats.merges += merge_projected(child)
             ext2 = prefix_ext + (self.ext_id[z],)
-            self._emit(child, ext2, depth + 1, stats)
+            occupied = child.occupied_periods
+            self._emit(child, occupied, ext2, depth + 1, stats)
             rest = candidates[idx + 1 :]
             if not rest:
                 continue
-            su.reset()
+            su.reset(occupied)
             fill_negative_subtree(child.views, su, self.boundary)
             scaled, t_den = self._scaled_totals()
             deeper = select_negative_candidates(su, rest, scaled, t_den, self.su_prune)
@@ -291,8 +310,11 @@ def mine_top_k(
     root = root_projection(working)
     scratch = miner.scratch()
     su, lu = scratch
+    root_periods = root.occupied_periods
+    su.reset(root_periods)
+    lu.reset(root_periods)
     fill_subtree_and_local(root.views, su, lu, miner.boundary)
-    scaled = [t_num * total for total in working.period_totals]
+    scaled, t_den = miner._scaled_totals()
     # Root secondary came from the TWU test already; the root pass only
     # filters primary, so the local-bound test is off here.
     primary0, secondary0_dense = select_primary_secondary(
@@ -321,5 +343,6 @@ def mine_top_k(
     patterns = collector.result()
     stats.patterns = len(patterns)
     stats.threshold_num, stats.threshold_den = collector.threshold
+    stats.threshold_rises = collector.rises
     stats.elapsed_ms = (perf_counter() - start) * 1000.0
     return patterns, stats

@@ -4,8 +4,10 @@ clipped negative bracket, and candidate selection."""
 import itertools
 import random
 
+import pytest
 from conftest import pipeline
 
+from topshelf.bench import reassign_periods
 from topshelf.bounds import (
     BoundArray,
     fill_negative_subtree,
@@ -13,7 +15,9 @@ from topshelf.bounds import (
     select_negative_candidates,
     select_primary_secondary,
 )
-from topshelf.dataset import database_from_quantities
+from topshelf.dataset import database_from_quantities, parse_database
+from topshelf.errors import InfeasibleParams, NonPositivePeriodTotal
+from topshelf.generator import GeneratorParams, generate
 from topshelf.oracle import (
     itemset_utility,
     local_bound,
@@ -211,14 +215,25 @@ def test_bound_array_reset_clears_state():
     arr = BoundArray(2, 3)
     arr.cells[1][2] = 9
     arr.seen[0] = 1
-    arr.reset()
+    arr.reset([0, 1])
     assert arr.cells == [[0, 0, 0], [0, 0, 0]]
     assert arr.seen == [0, 0, 0]
+    assert arr.periods == [0, 1]
+    # only the given periods' rows are zeroed; the flags always are
+    arr.cells[0][1] = 4
+    arr.cells[1][2] = 9
+    arr.seen[2] = 1
+    arr.reset([1])
+    assert arr.cells == [[0, 4, 0], [0, 0, 0]]
+    assert arr.seen == [0, 0, 0]
+    assert arr.periods == [1]
 
 
 def _arrays(su_cells, lu_cells, seen):
     su = BoundArray(len(su_cells), len(seen))
     lu = BoundArray(len(lu_cells), len(seen))
+    su.reset(list(range(len(su_cells))))
+    lu.reset(list(range(len(lu_cells))))
     for p, row in enumerate(su_cells):
         su.cells[p][:] = row
     for p, row in enumerate(lu_cells):
@@ -256,6 +271,7 @@ def test_selection_boundary_equality_counts():
 
 def test_negative_candidate_selection():
     su = BoundArray(1, 4)
+    su.reset([0])
     su.cells[0][:] = [0, 7, 3, 9]
     su.seen[:] = [0, 1, 1, 0]
     picked = select_negative_candidates(
@@ -266,3 +282,84 @@ def test_negative_candidate_selection():
         su, range(4), scaled_totals=[10], t_den=2, su_prune=False
     )
     assert unpruned == [1, 2]
+
+
+def test_selection_ignores_stale_rows_outside_live_periods():
+    """A row left over from an earlier node is never read: an item whose only
+    qualifying cell is stale is not picked by either selection."""
+    su = BoundArray(3, 3)
+    lu = BoundArray(3, 3)
+    su.reset([0, 1, 2])
+    lu.reset([0, 1, 2])
+    su.cells[2][1] = lu.cells[2][1] = 10**9  # an earlier node's sums
+    su.reset([0, 1])
+    lu.reset([0, 1])
+    su.cells[0][:] = lu.cells[0][:] = [9, 1, 9]
+    su.seen[:] = lu.seen[:] = [1, 1, 0]
+    primary, secondary = select_primary_secondary(
+        su, lu, range(3), scaled_totals=[5, 5, 5], t_den=1, su_prune=True, lu_prune=True
+    )
+    assert primary == secondary == [0]
+    picked = select_negative_candidates(
+        su, range(3), scaled_totals=[5, 5, 5], t_den=1, su_prune=True
+    )
+    assert picked == [0]
+
+
+def _many_period_databases(n_periods, transactions, count, seed):
+    """Seeded random databases at oracle size, re-dealt round-robin into
+    n_periods periods; draws whose re-dealt periods are not all profitable
+    are skipped."""
+    rng = random.Random(seed)
+    out = []
+    draw = 0
+    while len(out) < count:
+        draw += 1
+        params = GeneratorParams(
+            transactions=rng.randint(*transactions),
+            items=rng.randint(4, 10),
+            periods=rng.randint(1, 4),
+            avg_len=rng.randint(2, 5),
+            neg_frac=(0.0, 0.2, 0.4)[draw % 3],
+            max_qty=rng.randint(1, 5),
+            max_profit=rng.randint(1, 10),
+            seed=seed * 1000 + draw,
+        )
+        try:
+            db = reassign_periods(parse_database(generate(params)), n_periods)
+        except (InfeasibleParams, NonPositivePeriodTotal):
+            continue
+        out.append(db)
+    return out
+
+
+@pytest.mark.parametrize(
+    "n_periods, transactions", [(30, (40, 240)), (365, (400, 1100))]
+)
+def test_many_periods_match_oracle_and_full_grid_reset(
+    monkeypatch, n_periods, transactions
+):
+    """Stale rows outside the live periods change no result and no pruning
+    decision: the miner matches the oracle, and its counters match a run
+    whose every reset zeroes the whole grid."""
+    databases = _many_period_databases(n_periods, transactions, 6, n_periods)
+    runs = []
+    for db in databases:
+        for k in (3, 25):
+            mined, stats = mine_top_k(db, k)
+            assert mined == oracle_top_k(db, k)
+            runs.append((stats.candidates, stats.projections))
+
+    live_only = BoundArray.reset
+
+    def reset_full_grid(self, periods):
+        live_only(self, list(range(len(self.cells))))
+        self.periods = periods
+
+    monkeypatch.setattr(BoundArray, "reset", reset_full_grid)
+    reference = []
+    for db in databases:
+        for k in (3, 25):
+            _, stats = mine_top_k(db, k)
+            reference.append((stats.candidates, stats.projections))
+    assert runs == reference

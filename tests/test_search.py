@@ -162,12 +162,52 @@ def test_stats_json_shape(running_example):
         "projections",
         "merges",
         "max_depth",
+        "threshold_rises",
         "elapsed_ms",
     }
     assert payload["k"] == 3
     assert payload["patterns"] == 3
     assert payload["candidates"] >= 3
     assert payload["max_depth"] >= 1
+
+
+def test_threshold_rises_are_counted(running_example, corpus):
+    # a rise is an offer that moves the threshold, not one that keeps it
+    col = TopKCollector(1, Fraction(0))
+    col.offer(make_pattern((2,), 1, 2))
+    col.offer(make_pattern((1,), 1, 2))  # wins the tie, same ratio
+    col.offer(make_pattern((3,), 3, 4))
+    assert col.rises == 2
+
+    # k above the pattern count: the collector never fills, nothing rises
+    _, stats = mine_top_k(running_example, 10_000)
+    assert stats.threshold_rises == 0
+    _, stats = mine_top_k(running_example, 2)
+    assert stats.threshold_rises > 0
+    assert stats_json(stats)["threshold_rises"] == stats.threshold_rises
+    for db in [running_example, *corpus[:20]]:
+        counts = {mine_top_k(db, 3)[1].threshold_rises for _ in range(3)}
+        assert len(counts) == 1
+
+
+def test_scaled_totals_follow_the_threshold(monkeypatch, corpus):
+    """The per-period cutoffs are cached between threshold rises; every
+    read must still match the collector's current threshold."""
+    cached = _Miner._scaled_totals
+    reads = []
+
+    def checked(self):
+        scaled, den = cached(self)
+        num, want_den = self.collector.threshold
+        assert den == want_den
+        assert scaled == [num * total for total in self.period_totals]
+        reads.append(num)
+        return scaled, den
+
+    monkeypatch.setattr(_Miner, "_scaled_totals", checked)
+    for db in corpus[:20]:
+        mine_top_k(db, 3)
+    assert len(set(reads)) > 1
 
 
 def test_flag_combinations_agree(running_example):

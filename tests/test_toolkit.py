@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from topshelf.bench import reassign_periods, run_bench
+from topshelf.bench import _status_kb, reassign_periods, run_bench
 from topshelf.cli import main
 from topshelf.dataset import parse_database
 from topshelf.errors import InfeasibleParams
@@ -113,6 +113,21 @@ def test_run_bench_grid_shape(tmp_path, running_text):
         assert r.candidates >= r.patterns
         assert r.peak_mem_bytes > 0
         assert not r.timed_out
+
+
+def test_run_bench_peak_is_the_childs_own(tmp_path):
+    """A forked child starts out resident with the parent's anonymous
+    memory. The reported peak is what the run added on top, so mining a
+    small database stays below that inherited footprint."""
+    parent_kb = _status_kb("RssAnon")
+    if parent_kb is None:
+        pytest.skip("no /proc: the ru_maxrss fallback includes the parent")
+    path = tmp_path / "mid.db"
+    path.write_text(
+        generate(GeneratorParams(transactions=2000, items=60, seed=5)), encoding="utf-8"
+    )
+    records, _ = run_bench(str(path), [20])
+    assert 0 < records[0].peak_mem_bytes < parent_kb * 1024
 
 
 def test_run_bench_ablations_do_more_work(tmp_path, running_text):
