@@ -22,7 +22,7 @@ from .dataset import (
     write_database,
     write_patterns,
 )
-from .domain import Item, Pattern, Transaction
+from .domain import Pattern, Transaction
 from .errors import (
     DatasetError,
     EmptyDatabase,
@@ -45,7 +45,6 @@ __all__ = [
     "GeneratorParams",
     "InfeasibleParams",
     "InvalidK",
-    "Item",
     "OnShelfDatabase",
     "OracleLimits",
     "Pattern",

@@ -113,7 +113,11 @@ def _run_cell(db, k, flags, timeout_ms):
         proc.join()
         recv.close()
         return None
-    result = recv.recv() if recv.poll() else None
+    # poll() is also true at end of file, when the child died unsent.
+    try:
+        result = recv.recv() if recv.poll() else None
+    except EOFError:
+        result = None
     recv.close()
     if result is None:
         raise RuntimeError(f"benchmark child died with exit code {proc.exitcode}")

@@ -19,7 +19,7 @@ Both are >= the true utility of anything they prune (dominance is property
 tested), and remaining sums count positive items only, which is what keeps
 them valid when negative items are present.
 
-One pair of arrays is allocated per search task. Each node resets only the
+One pair of arrays is allocated per run. Each node resets only the
 rows of the periods its projection occupies and records them on the array;
 the fills write only the rows of periods that hold views, which are those
 same rows, and the selection helpers test only those rows. Rows of other
@@ -74,7 +74,7 @@ def fill_subtree_and_local(views, su: BoundArray, lu: BoundArray, boundary: int)
             continue
         su_row = su_cells[p]
         lu_row = lu_cells[p]
-        for items, utils, off, prefix, _w in plist:
+        for items, utils, off, prefix in plist:
             suffix = 0
             j = len(items) - 1
             while j >= off:
@@ -107,7 +107,7 @@ def fill_negative_subtree(views, su: BoundArray, boundary: int) -> None:
         if not plist:
             continue
         su_row = su_cells[p]
-        for items, utils, off, prefix, _w in plist:
+        for items, utils, off, prefix in plist:
             j = len(items) - 1
             while j >= off:
                 item = items[j]

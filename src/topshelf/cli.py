@@ -53,9 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
     mine.add_argument(
         "--no-lu-prune", action="store_true", help="disable local-bound pruning"
     )
-    mine.add_argument(
-        "--parallel", action="store_true", help="fan root branches out over threads"
-    )
 
     verify = sub.add_parser("verify", help="compare miner output to enumeration")
     verify.add_argument("-i", "--input", required=True, help="database file")
@@ -103,7 +100,6 @@ def _cmd_mine(args) -> int:
         merge=not args.no_merge,
         su_prune=not args.no_su_prune,
         lu_prune=not args.no_lu_prune,
-        parallel=args.parallel,
     )
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -153,6 +149,18 @@ def _cmd_bench(args) -> int:
         return EXIT_BAD_INPUT
     if not k_list:
         print("error: empty k list", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    problem = None
+    if min(k_list) < 1:
+        problem = f"k values must be >= 1, got {min(k_list)}"
+    elif args.repeat < 1:
+        problem = f"--repeat must be >= 1, got {args.repeat}"
+    elif args.reperiod is not None and args.reperiod < 1:
+        problem = f"--reperiod must be >= 1, got {args.reperiod}"
+    elif args.timeout_ms is not None and args.timeout_ms < 1:
+        problem = f"--timeout-ms must be >= 1, got {args.timeout_ms}"
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
         return EXIT_BAD_INPUT
     records, any_timeout = run_bench(
         args.input,

@@ -49,7 +49,6 @@ class OnShelfDatabase:
     item_signs: dict[int, int]
     periods: frozenset[int]
     period_totals: dict[int, Money]
-    transaction_utilities: dict[int, Money]
 
     @property
     def item_ids(self) -> tuple[int, ...]:
@@ -75,7 +74,6 @@ def parse_database(source: str | TextIO | Iterable[str]) -> OnShelfDatabase:
     transactions: list[Transaction] = []
     signs: dict[int, int] = {}
     period_totals: dict[int, Money] = {}
-    tu_by_tid: dict[int, Money] = {}
 
     for lineno, raw in enumerate(_lines_of(source), start=1):
         line = raw.strip()
@@ -129,7 +127,6 @@ def parse_database(source: str | TextIO | Iterable[str]) -> OnShelfDatabase:
         transactions.append(
             Transaction(tid=tid, period=period, items=tuple(ids), utilities=tuple(utils))
         )
-        tu_by_tid[tid] = actual_tu
         period_totals[period] = period_totals.get(period, 0) + actual_tu
 
     if not transactions:
@@ -143,7 +140,6 @@ def parse_database(source: str | TextIO | Iterable[str]) -> OnShelfDatabase:
         item_signs=signs,
         periods=frozenset(period_totals),
         period_totals=period_totals,
-        transaction_utilities=tu_by_tid,
     )
 
 
@@ -151,12 +147,13 @@ def write_database(db: OnShelfDatabase, sink: TextIO) -> None:
     """Serialize a database in the input format, one transaction per line.
 
     Items keep their stored order, so parse(write(db)) reproduces the
-    database exactly.
+    database exactly. The TU field is the sum of the item utilities, which
+    parsing has already checked against the declared value.
     """
     for t in db.transactions:
         ids = " ".join(str(i) for i in t.items)
         utils = " ".join(str(u) for u in t.utilities)
-        sink.write(f"{ids}:{db.transaction_utilities[t.tid]}:{utils}:{t.period}\n")
+        sink.write(f"{ids}:{sum(t.utilities)}:{utils}:{t.period}\n")
 
 
 def database_text(db: OnShelfDatabase) -> str:

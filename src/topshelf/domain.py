@@ -1,14 +1,13 @@
-"""Core value types and the exact arithmetic they rely on.
+"""Core value types and the utility sums defined on them.
 
 Money is a plain Python int (arbitrary precision, so sums never overflow)
 and every utility in the system is Money. Ratios of Money values are kept
 exact as fractions.Fraction; nothing is converted to float before display.
 
 INVARIANTS
-    - item profits are nonzero; quantities are >= 1
+    - item utilities are nonzero, and an item keeps one sign everywhere
     - a transaction never lists the same item twice
-    - transaction weight is >= 1 (merge multiplicity; 1 before merging)
-    - Rational denominators are positive
+    - a pattern's period_total is positive
 """
 
 from __future__ import annotations
@@ -17,47 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 Money = int
-Rational = Fraction
-
-
-def ratio(numerator: int, denominator: int) -> Fraction:
-    """Exact rational with a validated positive denominator."""
-    if denominator <= 0:
-        raise ValueError(f"denominator must be positive, got {denominator}")
-    return Fraction(numerator, denominator)
-
-
-def compare_rational(a: Fraction, b: Fraction) -> int:
-    """Three-way compare by cross multiplication: -1, 0, or 1.
-
-    Denominators are positive after Fraction normalization, so the
-    cross products order the same way the rationals do. Exact for any
-    operand size; this is the comparison the mining loops inline.
-    """
-    left = a.numerator * b.denominator
-    right = b.numerator * a.denominator
-    return (left > right) - (left < right)
-
-
-@dataclass(frozen=True, slots=True)
-class Item:
-    """One sellable item: external id, signed unit profit, position in the
-    mining order (dense_index is assigned during preprocessing)."""
-
-    external_id: int
-    profit: Money
-    dense_index: int | None = None
-
-    def __post_init__(self):
-        if self.external_id <= 0:
-            raise ValueError(f"item ids must be positive, got {self.external_id}")
-        if self.profit == 0:
-            raise ValueError(f"item {self.external_id} has zero profit")
 
 
 @dataclass(frozen=True, slots=True)
 class Transaction:
-    """One purchase: parallel tuples of item ids and their signed utilities.
+    """One purchase: item ids and their signed utilities, position by position.
 
     Utilities are per-occurrence totals u(i, T) = profit * quantity, which is
     what the file format carries; unit profit and quantity are not stored
@@ -68,7 +31,6 @@ class Transaction:
     period: int
     items: tuple[int, ...]
     utilities: tuple[Money, ...]
-    weight: int = 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,20 +54,9 @@ class Pattern:
         return (-self.relative_utility, len(self.items), self.items)
 
 
-def item_utility(item: Item, quantity: int) -> Money:
-    """u(i, T): unit profit times purchase quantity."""
-    if quantity < 1:
-        raise ValueError(f"quantity must be >= 1, got {quantity}")
-    return item.profit * quantity
-
-
 def transaction_utility(t: Transaction) -> Money:
-    """TU(T): sum of all item utilities, times merge weight.
-
-    Only meaningful for unmerged rows (weight 1); merged rows already carry
-    element-wise summed utilities.
-    """
-    return t.weight * sum(t.utilities)
+    """TU(T): sum of all item utilities."""
+    return sum(t.utilities)
 
 
 def positive_transaction_utility(t: Transaction) -> Money:
@@ -114,7 +65,7 @@ def positive_transaction_utility(t: Transaction) -> Money:
     Quantities are positive, so an entry's utility sign equals its profit
     sign. PTU is always >= 0 and >= TU.
     """
-    return t.weight * sum(u for u in t.utilities if u > 0)
+    return sum(u for u in t.utilities if u > 0)
 
 
 def itemset_utility_in(t: Transaction, itemset) -> Money | None:
@@ -127,19 +78,14 @@ def itemset_utility_in(t: Transaction, itemset) -> Money | None:
         if u is None:
             return None
         total += u
-    return total * t.weight
+    return total
 
 
 # Names the rest of the package imports from here.
 __all__ = [
     "Money",
-    "Rational",
-    "ratio",
-    "compare_rational",
-    "Item",
     "Transaction",
     "Pattern",
-    "item_utility",
     "transaction_utility",
     "positive_transaction_utility",
     "itemset_utility_in",

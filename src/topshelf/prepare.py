@@ -138,7 +138,7 @@ def negative_keep(db: OnShelfDatabase, secondary: set[int]) -> set[int]:
 class WorkingDatabase:
     """Trimmed, reindexed, sorted (and optionally merged) transaction store.
 
-    rows are [items, utilities, weight] lists per period block, items being
+    rows are [items, utilities] lists per period block, items being
     ascending dense indices. Within a block, rows are sorted so that rows
     sharing an identical trailing item sequence are adjacent, which is what
     lets projections merge by adjacency later. period_totals keeps the
@@ -164,8 +164,8 @@ def _suffix_sort_key(items: list[int]):
 def merge_adjacent_rows(rows: list[list]) -> int:
     """Fuse runs of rows with identical item sequences in place.
 
-    Utilities add element-wise, weights add. Returns the number of rows
-    eliminated. Rows must already be sorted by _suffix_sort_key.
+    Utilities add element-wise. Returns the number of rows eliminated.
+    Rows must already be sorted by _suffix_sort_key.
     """
     if len(rows) < 2:
         return 0
@@ -179,13 +179,10 @@ def merge_adjacent_rows(rows: list[list]) -> int:
             run_end += 1
         if run_end > idx + 1:
             utils = list(base[1])
-            weight = base[2]
             for j in range(idx + 1, run_end):
-                other = rows[j]
-                for e, u in enumerate(other[1]):
+                for e, u in enumerate(rows[j][1]):
                     utils[e] += u
-                weight += other[2]
-            out.append([base[0], utils, weight])
+            out.append([base[0], utils])
             dropped += run_end - idx - 1
         else:
             out.append(base)
@@ -217,7 +214,7 @@ def build_working_database(
         if not entries:
             continue
         blocks[label_index[t.period]].append(
-            [[d for d, _ in entries], [u for _, u in entries], 1]
+            [[d for d, _ in entries], [u for _, u in entries]]
         )
     merged = 0
     for block in blocks:

@@ -1,8 +1,8 @@
 """Pseudo-projection of the working database onto successive prefix items.
 
-A view is a tuple (items, utilities, offset, prefix_utility, weight): a
-window into a stored transaction starting just past the projected item,
-plus the prefix's accumulated utility inside that transaction. Projection
+A view is a tuple (items, utilities, offset, prefix_utility): a window
+into a stored transaction starting just past the projected item, plus the
+prefix's accumulated utility inside that transaction. Projection
 never copies transaction content; only merging materializes a fused buffer,
 and from then on the buffer plays the role of the transaction.
 
@@ -26,7 +26,7 @@ from itertools import accumulate
 from .prepare import WorkingDatabase
 
 # View tuple layout, by index: 0 items, 1 utilities, 2 offset, 3 prefix
-# utility, 4 weight.
+# utility.
 
 
 def _typecode(largest: int) -> str:
@@ -106,7 +106,7 @@ def root_projection(working: WorkingDatabase) -> ProjectedDatabase:
     """The empty-prefix projection: every row, offset 0, prefix utility 0,
     with the occurrence index over the rows."""
     views = [
-        [(row[0], row[1], 0, 0, row[2]) for row in block]
+        [(row[0], row[1], 0, 0) for row in block]
         for block in working.blocks
     ]
     return ProjectedDatabase(
@@ -138,7 +138,7 @@ def project(parent: ProjectedDatabase, z: int) -> ProjectedDatabase:
             j = bisect_left(items, z, view[2])
             if j < len(items) and items[j] == z:
                 prefix = view[3] + view[1][j]
-                rows.append((items, view[1], j + 1, prefix, view[4]))
+                rows.append((items, view[1], j + 1, prefix))
                 total += prefix
         out_views.append(rows)
         out_u.append(total)
@@ -163,7 +163,7 @@ def _project_indexed(views, index: OccurrenceIndex, z: int) -> ProjectedDatabase
                 items = view[0]
                 j = bisect_left(items, z, view[2])
                 prefix = view[3] + view[1][j]
-                rows.append((items, view[1], j + 1, prefix, view[4]))
+                rows.append((items, view[1], j + 1, prefix))
                 total += prefix
             lo = hi
         out_views.append(rows)
@@ -174,8 +174,8 @@ def _project_indexed(views, index: OccurrenceIndex, z: int) -> ProjectedDatabase
 def merge_projected(pd: ProjectedDatabase) -> int:
     """Fuse adjacent views whose remaining item sequences are identical.
 
-    Fused views get element-wise summed utilities, summed prefix utilities
-    and summed weights, in a fresh buffer with offset 0. Only item indices
+    Fused views get element-wise summed utilities and summed prefix
+    utilities, in a fresh buffer with offset 0. Only item indices
     decide identity; utilities may differ. Returns the number of views
     eliminated. Mining results are invariant under this operation.
     """
@@ -203,7 +203,6 @@ def merge_projected(pd: ProjectedDatabase) -> int:
                 fused_items = items[off:]
                 fused_utils = utils[off:]
                 prefix = view[3]
-                weight = view[4]
                 for j in range(idx + 1, run_end):
                     other = plist[j]
                     ou, oo = other[1], other[2]
@@ -211,8 +210,7 @@ def merge_projected(pd: ProjectedDatabase) -> int:
                         a + ou[oo + e] for e, a in enumerate(fused_utils)
                     ]
                     prefix += other[3]
-                    weight += other[4]
-                out.append((fused_items, fused_utils, 0, prefix, weight))
+                out.append((fused_items, fused_utils, 0, prefix))
                 dropped_here += run_end - idx - 1
             idx = run_end
         if dropped_here:

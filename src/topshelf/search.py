@@ -11,9 +11,7 @@ force would return.
 from __future__ import annotations
 
 import sys
-import threading
 from bisect import bisect_right, insort
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from time import perf_counter
@@ -60,12 +58,6 @@ class SearchStats:
     threshold_den: int = 1
     threshold_rises: int = 0
 
-    def absorb(self, other: "SearchStats") -> None:
-        self.candidates += other.candidates
-        self.projections += other.projections
-        self.merges += other.merges
-        self.max_depth = max(self.max_depth, other.max_depth)
-
 
 def stats_json(stats: SearchStats) -> dict:
     """The stats payload the CLI writes with --stats."""
@@ -89,13 +81,12 @@ class TopKCollector:
 
     The threshold starts at the initial value (never negative), becomes the
     k-th best ratio once k patterns are held, and is monotonically
-    non-decreasing. It is stored as an immutable (num, den) tuple so readers
-    need no lock; mutation happens under one. Ties at the threshold are
-    resolved by the full ranking key against the current worst entry.
-    rises counts the offers that raised the threshold.
+    non-decreasing. It is stored as an immutable (num, den) tuple. Ties at
+    the threshold are resolved by the full ranking key against the current
+    worst entry. rises counts the offers that raised the threshold.
     """
 
-    __slots__ = ("k", "threshold", "rises", "_entries", "_lock")
+    __slots__ = ("k", "threshold", "rises", "_entries")
 
     def __init__(self, k: int, initial: Fraction):
         if k < 1:
@@ -104,7 +95,6 @@ class TopKCollector:
         self.threshold = (initial.numerator, initial.denominator)
         self.rises = 0
         self._entries: list[tuple[tuple, Pattern]] = []
-        self._lock = threading.Lock()
 
     def clears_threshold(self, utility: int, period_total: int) -> bool:
         num, den = self.threshold
@@ -112,34 +102,34 @@ class TopKCollector:
 
     def offer(self, pattern: Pattern) -> bool:
         """Admit the pattern if it ranks among the best k; report acceptance."""
-        with self._lock:
-            num, den = self.threshold
-            ru = pattern.relative_utility
-            if ru.numerator * den < num * ru.denominator:
+        num, den = self.threshold
+        ru = pattern.relative_utility
+        if ru.numerator * den < num * ru.denominator:
+            return False
+        entry = (pattern.sort_key(), pattern)
+        entries = self._entries
+        if len(entries) >= self.k:
+            if entry[0] >= entries[-1][0]:
                 return False
-            entry = (pattern.sort_key(), pattern)
-            entries = self._entries
-            if len(entries) >= self.k:
-                if entry[0] >= entries[-1][0]:
-                    return False
-                insort(entries, entry)
-                entries.pop()
-            else:
-                insort(entries, entry)
-            if len(entries) >= self.k:
-                kth = entries[-1][1].relative_utility
-                raised = (kth.numerator, kth.denominator)
-                if raised != self.threshold:
-                    self.threshold = raised
-                    self.rises += 1
-            return True
+            insort(entries, entry)
+            entries.pop()
+        else:
+            insort(entries, entry)
+        if len(entries) >= self.k:
+            kth = entries[-1][1].relative_utility
+            raised = (kth.numerator, kth.denominator)
+            if raised != self.threshold:
+                self.threshold = raised
+                self.rises += 1
+        return True
 
     def result(self) -> list[Pattern]:
         return [p for _, p in self._entries]
 
 
 class _Miner:
-    """Shared read-only search state plus the recursion."""
+    """Search state plus the recursion. su and lu are the one pair of bound
+    arrays every node reuses."""
 
     def __init__(self, working, collector, *, merge, su_prune, lu_prune):
         self.collector = collector
@@ -148,17 +138,13 @@ class _Miner:
         self.lu_prune = lu_prune
         self.boundary = working.order.boundary
         self.n_items = len(working.order)
-        self.n_periods = len(working.period_labels)
+        n_periods = len(working.period_labels)
+        self.su = BoundArray(n_periods, self.n_items)
+        self.lu = BoundArray(n_periods, self.n_items)
         self.period_totals = working.period_totals
         self.period_labels = working.period_labels
         self.ext_id = working.order.sequence
         self._scaled: tuple[tuple[int, int] | None, list[int]] = (None, [])
-
-    def scratch(self) -> tuple[BoundArray, BoundArray]:
-        return (
-            BoundArray(self.n_periods, self.n_items),
-            BoundArray(self.n_periods, self.n_items),
-        )
 
     def _scaled_totals(self) -> tuple[list[int], int]:
         """Threshold numerator times each period total, and the denominator.
@@ -192,7 +178,7 @@ class _Miner:
                 )
             )
 
-    def expand(self, pd, prefix_ext, z, secondary, depth, scratch, stats):
+    def expand(self, pd, prefix_ext, z, secondary, depth, stats):
         """Grow the prefix by positive item z: score it, chase its negative
         extensions, then recurse into surviving positive candidates."""
         stats.projections += 1
@@ -203,7 +189,7 @@ class _Miner:
         occupied = child.occupied_periods
         self._emit(child, occupied, ext2, depth + 1, stats)
 
-        su, lu = scratch
+        su, lu = self.su, self.lu
         su.reset(occupied)
         fill_negative_subtree(child.views, su, self.boundary)
         scaled, t_den = self._scaled_totals()
@@ -211,7 +197,7 @@ class _Miner:
             su, range(self.boundary, self.n_items), scaled, t_den, self.su_prune
         )
         if negatives:
-            self._negative_search(child, ext2, negatives, depth + 1, scratch, stats)
+            self._negative_search(child, ext2, negatives, depth + 1, stats)
 
         after = bisect_right(secondary, z)
         candidates = secondary[after:]
@@ -225,10 +211,10 @@ class _Miner:
             su, lu, candidates, scaled, t_den, self.su_prune, self.lu_prune
         )
         for nxt in primary2:
-            self.expand(child, ext2, nxt, secondary2, depth + 1, scratch, stats)
+            self.expand(child, ext2, nxt, secondary2, depth + 1, stats)
 
-    def _negative_search(self, pd, prefix_ext, candidates, depth, scratch, stats):
-        su = scratch[0]
+    def _negative_search(self, pd, prefix_ext, candidates, depth, stats):
+        su = self.su
         for idx, z in enumerate(candidates):
             stats.projections += 1
             child = project(pd, z)
@@ -245,7 +231,7 @@ class _Miner:
             scaled, t_den = self._scaled_totals()
             deeper = select_negative_candidates(su, rest, scaled, t_den, self.su_prune)
             if deeper:
-                self._negative_search(child, ext2, deeper, depth + 1, scratch, stats)
+                self._negative_search(child, ext2, deeper, depth + 1, stats)
 
 
 def _raise_recursion_headroom(working) -> int | None:
@@ -276,13 +262,11 @@ def mine_top_k(
     merge: bool = True,
     su_prune: bool = True,
     lu_prune: bool = True,
-    parallel: bool = False,
-    max_workers: int | None = None,
 ) -> tuple[list[Pattern], SearchStats]:
     """Mine the k highest relative-utility itemsets.
 
     Returns the ranked pattern list and the run's counters. The debug knobs
-    (merge, su_prune, lu_prune, parallel) change work done, never results.
+    (merge, su_prune, lu_prune) change work done, never results.
     """
     if not isinstance(k, int) or k < 1:
         raise InvalidK(k)
@@ -308,8 +292,7 @@ def mine_top_k(
         working, collector, merge=merge, su_prune=su_prune, lu_prune=lu_prune
     )
     root = root_projection(working)
-    scratch = miner.scratch()
-    su, lu = scratch
+    su, lu = miner.su, miner.lu
     root_periods = root.occupied_periods
     su.reset(root_periods)
     lu.reset(root_periods)
@@ -323,19 +306,8 @@ def mine_top_k(
 
     previous_limit = _raise_recursion_headroom(working)
     try:
-        if parallel and len(primary0) > 1:
-            def run_root(z: int) -> SearchStats:
-                local = SearchStats()
-                miner.expand(root, (), z, secondary0_dense, 0, miner.scratch(), local)
-                return local
-
-            workers = max_workers or min(8, len(primary0))
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for local in pool.map(run_root, primary0):
-                    stats.absorb(local)
-        else:
-            for z in primary0:
-                miner.expand(root, (), z, secondary0_dense, 0, scratch, stats)
+        for z in primary0:
+            miner.expand(root, (), z, secondary0_dense, 0, stats)
     finally:
         if previous_limit is not None:
             sys.setrecursionlimit(previous_limit)

@@ -33,7 +33,7 @@ from topshelf.oracle import (
     twu,
 )
 from topshelf.prepare import build_item_order, compute_period_twu, singleton_threshold
-from topshelf.search import mine_top_k
+from topshelf.search import mine_top_k, stats_json
 
 A, B, C, D, E = 1, 2, 3, 4, 5
 
@@ -273,11 +273,14 @@ def test_pruning_row_dominates_in_bench_csv(tmp_path):
 # -- 8: byte-identical reruns ---------------------------------------------------
 
 
-def _render(db, k, **kwargs):
-    patterns, _ = mine_top_k(db, k, **kwargs)
+def _render(db, k):
+    """The pattern file's bytes and every counter of the run but its time."""
+    patterns, stats = mine_top_k(db, k)
     sink = io.StringIO()
     write_patterns(patterns, sink)
-    return sink.getvalue().encode("utf-8")
+    counters = stats_json(stats)
+    del counters["elapsed_ms"]
+    return sink.getvalue().encode("utf-8"), counters
 
 
 @pytest.mark.criterion(8, "deterministic output")
@@ -285,5 +288,3 @@ def test_reruns_are_byte_identical(corpus, running_example):
     for db in [running_example, *corpus[:12]]:
         first = _render(db, 8)
         assert _render(db, 8) == first
-        assert _render(db, 8, parallel=True) == first
-        assert _render(db, 8, parallel=True, max_workers=3) == first

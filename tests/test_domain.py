@@ -6,63 +6,18 @@ from fractions import Fraction
 import pytest
 
 from topshelf.domain import (
-    Item,
     Pattern,
     Transaction,
-    compare_rational,
-    item_utility,
     itemset_utility_in,
     positive_transaction_utility,
-    ratio,
     transaction_utility,
 )
-
-
-def test_ratio_requires_positive_denominator():
-    assert ratio(3, 6) == Fraction(1, 2)
-    with pytest.raises(ValueError):
-        ratio(1, 0)
-    with pytest.raises(ValueError):
-        ratio(1, -4)
-
-
-def test_compare_rational_agrees_with_fraction_ordering():
-    rng = random.Random(99)
-    for _ in range(20_000):
-        a = Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**9))
-        b = Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**9))
-        got = compare_rational(a, b)
-        want = (a > b) - (a < b)
-        assert got == want, (a, b)
-
-
-def test_compare_rational_equality_across_representations():
-    assert compare_rational(Fraction(28, 154), Fraction(2, 11)) == 0
-    assert compare_rational(Fraction(0, 5), Fraction(0, 7)) == 0
-
-
-def test_item_rejects_bad_fields():
-    Item(external_id=3, profit=-2)
-    with pytest.raises(ValueError):
-        Item(external_id=0, profit=4)
-    with pytest.raises(ValueError):
-        Item(external_id=1, profit=0)
-
-
-def test_item_utility_follows_profit_sign():
-    assert item_utility(Item(1, 5), 3) == 15
-    assert item_utility(Item(2, -3), 2) == -6
-    with pytest.raises(ValueError):
-        item_utility(Item(1, 5), 0)
 
 
 def test_transaction_utilities_respect_weight():
     t = Transaction(tid=1, period=0, items=(2, 3, 4), utilities=(-3, -4, 36))
     assert transaction_utility(t) == 29
     assert positive_transaction_utility(t) == 36
-    doubled = Transaction(tid=1, period=0, items=(2, 3), utilities=(-3, 8), weight=2)
-    assert transaction_utility(doubled) == 10
-    assert positive_transaction_utility(doubled) == 16
 
 
 def test_positive_utility_dominates_signed_utility():

@@ -77,18 +77,18 @@ def test_negative_keep_requires_cooccurrence(running_example):
 
 def test_merge_adjacent_rows_fuses_runs():
     rows = [
-        [[0, 1], [3, 4], 1],
-        [[0, 1], [6, 8], 1],
-        [[0, 1], [1, 1], 2],
-        [[0, 2], [5, 5], 1],
+        [[0, 1], [3, 4]],
+        [[0, 1], [6, 8]],
+        [[0, 1], [1, 1]],
+        [[0, 2], [5, 5]],
     ]
     dropped = merge_adjacent_rows(rows)
     assert dropped == 2
-    assert rows == [[[0, 1], [10, 13], 4], [[0, 2], [5, 5], 1]]
+    assert rows == [[[0, 1], [10, 13]], [[0, 2], [5, 5]]]
 
 
 def test_merge_adjacent_rows_leaves_distinct_rows_alone():
-    rows = [[[0], [3], 1], [[1], [4], 1]]
+    rows = [[[0], [3]], [[1], [4]]]
     assert merge_adjacent_rows(rows) == 0
     assert len(rows) == 2
 
@@ -104,10 +104,9 @@ def test_working_database_layout(running_example):
     assert working.transaction_count == 8
     # every row: ascending dense indices, negatives (>= boundary) at the tail
     for block in working.blocks:
-        for items, utils, weight in block:
+        for items, utils in block:
             assert list(items) == sorted(items)
             assert len(items) == len(utils)
-            assert weight == 1
             tail = [d for d in items if d >= order.boundary]
             assert items[len(items) - len(tail):] == tail
     # suffix-adjacent sort: period 1 holds {a,d}, {a,b,d,e}, {b,c,d} in
@@ -124,8 +123,8 @@ def test_working_database_merges_identical_rows():
     order = build_item_order(table, db.item_signs, {1, 2}, set())
     working, merged = build_working_database(db, order)
     assert merged == 1
-    assert working.blocks[0] == [[[0, 1], [9, 12], 2]]
-    assert working.blocks[1] == [[[0, 1], [3, 4], 1]]
+    assert working.blocks[0] == [[[0, 1], [9, 12]]]
+    assert working.blocks[1] == [[[0, 1], [3, 4]]]
     unmerged, count = build_working_database(db, order, merge=False)
     assert count == 0
     assert unmerged.transaction_count == 3
@@ -139,7 +138,7 @@ def test_working_database_drops_unordered_items(running_example):
     # only item d survives; T4 and T6 (no d) disappear entirely
     assert working.transaction_count == 5
     for block in working.blocks:
-        for items, utils, _ in block:
+        for items, utils in block:
             assert items == [0]
     # frozen period totals are kept even though utilities were trimmed
     assert working.period_totals == [39, 85, 69]

@@ -26,8 +26,8 @@ def test_root_projection_covers_every_row(running_example):
     assert root.utility_by_period == [0, 0, 0]
     assert root.occupied_periods == [0, 1, 2]
     for plist in root.views:
-        for items, utils, off, prefix, weight in plist:
-            assert off == 0 and prefix == 0 and weight == 1
+        for items, utils, off, prefix in plist:
+            assert off == 0 and prefix == 0
 
 
 def test_project_narrows_to_containing_transactions(running_example):
@@ -40,7 +40,7 @@ def test_project_narrows_to_containing_transactions(running_example):
     assert [v[3] for v in pd.views[1]] == [30, 12, 24]
     assert pd.utility_by_period == [36, 66, 36]
     for plist in pd.views:
-        for items, utils, off, prefix, weight in plist:
+        for items, utils, off, prefix in plist:
             assert items[off - 1] == order.position[D]
 
 
@@ -85,9 +85,8 @@ def test_merge_projected_fuses_identical_suffixes():
     dropped = merge_projected(pd)
     assert dropped == 1
     assert pd.view_count() == 1
-    items, utils, off, prefix, weight = pd.views[0][0]
+    items, utils, off, prefix = pd.views[0][0]
     assert off == 0
-    assert weight == 2
     assert prefix == 9  # u(2, T1) + u(2, T2)
     assert [order.sequence[d] for d in items] == [3]
     assert utils == [5 + 6]
@@ -117,13 +116,13 @@ def test_merge_projected_preserves_period_accounting(corpus):
         pd = project(root, z)
         before_u = pd.utility_by_period[:]
         before_occupied = pd.occupied_periods
-        before_weight = [sum(v[4] for v in plist) for plist in pd.views]
         dropped = merge_projected(pd)
         checked += dropped
         assert pd.utility_by_period == before_u
         assert pd.occupied_periods == before_occupied
-        # merging never changes total multiplicity, only row count
-        assert [sum(v[4] for v in plist) for plist in pd.views] == before_weight
+        # fused views carry the summed prefix utility of the views they
+        # replace, so each period's views still add up to its sum
+        assert [sum(v[3] for v in plist) for plist in pd.views] == before_u
     assert checked > 0  # the sweep actually exercised fusion somewhere
 
 

@@ -131,17 +131,6 @@ def test_results_are_rank_sorted(running_example):
     assert keys == sorted(keys)
 
 
-def test_parallel_equals_sequential(corpus):
-    for db in corpus[:25]:
-        seq, seq_stats = mine_top_k(db, 8)
-        par, par_stats = mine_top_k(db, 8, parallel=True, max_workers=4)
-        assert seq == par
-        assert seq_stats.patterns == par_stats.patterns
-        assert Fraction(seq_stats.threshold_num, seq_stats.threshold_den) == Fraction(
-            par_stats.threshold_num, par_stats.threshold_den
-        )
-
-
 def test_final_threshold_equals_kth_ratio(corpus):
     for db in corpus[:40]:
         for k in (1, 3, 10):

@@ -140,6 +140,14 @@ def test_run_bench_ablations_do_more_work(tmp_path, running_text):
     assert by_variant["no_prune"].candidates >= by_variant["default"].candidates
 
 
+def test_run_bench_reports_a_dead_child(tmp_path, running_text):
+    # k=0 makes the child raise before it sends anything
+    path = tmp_path / "toy.db"
+    path.write_text(running_text, encoding="utf-8")
+    with pytest.raises(RuntimeError, match="benchmark child died"):
+        run_bench(str(path), [0])
+
+
 # -- command line ------------------------------------------------------------
 
 
@@ -174,7 +182,7 @@ def test_cli_mine_flag_matrix_agrees(tmp_path, running_text):
     db = tmp_path / "toy.db"
     db.write_text(running_text, encoding="utf-8")
     outputs = set()
-    for extra in ((), ("--no-merge",), ("--no-su-prune", "--no-lu-prune"), ("--parallel",)):
+    for extra in ((), ("--no-merge",), ("--no-su-prune", "--no-lu-prune")):
         out = tmp_path / f"out{len(outputs)}.txt"
         assert run_cli("mine", "-i", str(db), "-k", "6", "-o", str(out), *extra) == 0
         outputs.add(out.read_bytes())
@@ -228,6 +236,10 @@ def test_cli_gen_round_trip(tmp_path):
         ("mine", "-i", "SELF", "-k", "0"),
         ("bench", "-i", "SELF", "--k-list", "1,zebra"),
         ("bench", "-i", "SELF", "--k-list", ""),
+        ("bench", "-i", "SELF", "--k-list", "0"),
+        ("bench", "-i", "SELF", "--k-list", "2", "--reperiod", "0"),
+        ("bench", "-i", "SELF", "--k-list", "2", "--timeout-ms", "-5"),
+        ("bench", "-i", "SELF", "--k-list", "2", "--repeat", "0"),
         ("gen", "--transactions", "0", "-o", "/dev/null"),
     ],
 )
