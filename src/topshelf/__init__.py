@@ -27,6 +27,7 @@ from .errors import (
     DatasetError,
     EmptyDatabase,
     InfeasibleParams,
+    InvalidBenchParams,
     InvalidK,
     TooLargeForOracle,
     TooManyItems,
@@ -44,6 +45,7 @@ __all__ = [
     "EmptyDatabase",
     "GeneratorParams",
     "InfeasibleParams",
+    "InvalidBenchParams",
     "InvalidK",
     "OnShelfDatabase",
     "OracleLimits",

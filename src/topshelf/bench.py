@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import TextIO
 
 from .dataset import OnShelfDatabase, database_text, parse_database
+from .errors import InvalidBenchParams
 from .search import mine_top_k
 
 # Flag sets keyed by the variant column value.
@@ -137,8 +138,23 @@ def run_bench(
 
     Returns the records plus a flag telling whether any cell hit the
     timeout budget; timed-out rows carry the budget as elapsed_ms and zero
-    counters.
+    counters. Raises InvalidBenchParams before reading the database if
+    k_list is empty or holds a k below 1, or if repeat, reperiod or
+    timeout_ms is below 1.
     """
+    problem = None
+    if not k_list:
+        problem = "k list is empty"
+    elif min(k_list) < 1:
+        problem = f"k values must be >= 1, got {min(k_list)}"
+    elif repeat < 1:
+        problem = f"repeat must be >= 1, got {repeat}"
+    elif reperiod is not None and reperiod < 1:
+        problem = f"reperiod must be >= 1, got {reperiod}"
+    elif timeout_ms is not None and timeout_ms < 1:
+        problem = f"timeout_ms must be >= 1, got {timeout_ms}"
+    if problem:
+        raise InvalidBenchParams(problem)
     with open(db_path, encoding="utf-8") as fh:
         db = parse_database(fh)
     if reperiod is not None:

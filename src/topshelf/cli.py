@@ -18,7 +18,13 @@ import sys
 
 from .bench import run_bench, write_records
 from .dataset import parse_database, write_patterns
-from .errors import DatasetError, InfeasibleParams, InvalidK, TooLargeForOracle
+from .errors import (
+    DatasetError,
+    InfeasibleParams,
+    InvalidBenchParams,
+    InvalidK,
+    TooLargeForOracle,
+)
 from .generator import GeneratorParams, generate
 from .oracle import oracle_top_k
 from .search import mine_top_k, stats_json
@@ -43,9 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
     mine.add_argument("-o", "--output", help="pattern file (default stdout)")
     mine.add_argument(
         "--stats", action="store_true", help="print run statistics as JSON to stderr"
-    )
-    mine.add_argument(
-        "--no-merge", action="store_true", help="disable transaction merging"
     )
     mine.add_argument(
         "--no-su-prune", action="store_true", help="disable subtree-bound pruning"
@@ -97,7 +100,6 @@ def _cmd_mine(args) -> int:
     patterns, stats = mine_top_k(
         db,
         args.k,
-        merge=not args.no_merge,
         su_prune=not args.no_su_prune,
         lu_prune=not args.no_lu_prune,
     )
@@ -147,21 +149,6 @@ def _cmd_bench(args) -> int:
     except ValueError:
         print(f"error: bad k list {args.k_list!r}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    if not k_list:
-        print("error: empty k list", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    problem = None
-    if min(k_list) < 1:
-        problem = f"k values must be >= 1, got {min(k_list)}"
-    elif args.repeat < 1:
-        problem = f"--repeat must be >= 1, got {args.repeat}"
-    elif args.reperiod is not None and args.reperiod < 1:
-        problem = f"--reperiod must be >= 1, got {args.reperiod}"
-    elif args.timeout_ms is not None and args.timeout_ms < 1:
-        problem = f"--timeout-ms must be >= 1, got {args.timeout_ms}"
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     records, any_timeout = run_bench(
         args.input,
         k_list,
@@ -188,7 +175,7 @@ def main(argv: list[str] | None = None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (DatasetError, InvalidK, InfeasibleParams) as exc:
+    except (DatasetError, InvalidK, InfeasibleParams, InvalidBenchParams) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except TooLargeForOracle as exc:

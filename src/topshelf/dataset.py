@@ -50,10 +50,6 @@ class OnShelfDatabase:
     periods: frozenset[int]
     period_totals: dict[int, Money]
 
-    @property
-    def item_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self.item_signs))
-
     def __len__(self) -> int:
         return len(self.transactions)
 

@@ -54,31 +54,13 @@ class Pattern:
         return (-self.relative_utility, len(self.items), self.items)
 
 
-def transaction_utility(t: Transaction) -> Money:
-    """TU(T): sum of all item utilities."""
-    return sum(t.utilities)
-
-
 def positive_transaction_utility(t: Transaction) -> Money:
-    """PTU(T): like transaction_utility but only positive-profit items count.
+    """PTU(T): the sum of the positive-profit items' utilities.
 
     Quantities are positive, so an entry's utility sign equals its profit
-    sign. PTU is always >= 0 and >= TU.
+    sign. PTU is always >= 0 and >= TU(T), the sum of all utilities.
     """
     return sum(u for u in t.utilities if u > 0)
-
-
-def itemset_utility_in(t: Transaction, itemset) -> Money | None:
-    """u(X, T): summed utilities of X's items in T, or None if X is not
-    contained in T."""
-    lookup = dict(zip(t.items, t.utilities))
-    total = 0
-    for item in itemset:
-        u = lookup.get(item)
-        if u is None:
-            return None
-        total += u
-    return total
 
 
 # Names the rest of the package imports from here.
@@ -86,7 +68,5 @@ __all__ = [
     "Money",
     "Transaction",
     "Pattern",
-    "transaction_utility",
     "positive_transaction_utility",
-    "itemset_utility_in",
 ]

@@ -92,3 +92,8 @@ class TooLargeForOracle(TopshelfError):
 
 class InfeasibleParams(TopshelfError, ValueError):
     """Generator parameters cannot produce a valid database."""
+
+
+class InvalidBenchParams(TopshelfError, ValueError):
+    """Benchmark arguments out of range: no k values, a k below 1, or a
+    repeat count, period count or time budget below 1."""

@@ -136,13 +136,13 @@ def negative_keep(db: OnShelfDatabase, secondary: set[int]) -> set[int]:
 
 @dataclass(slots=True)
 class WorkingDatabase:
-    """Trimmed, reindexed, sorted (and optionally merged) transaction store.
+    """Trimmed, reindexed and fused transaction store.
 
     rows are [items, utilities] lists per period block, items being
-    ascending dense indices. Within a block, rows are sorted so that rows
-    sharing an identical trailing item sequence are adjacent, which is what
-    lets projections merge by adjacency later. period_totals keeps the
-    frozen original pto for each dense period index.
+    ascending dense indices. Within a block, rows keep their input order,
+    and rows with identical item lists have been fused into the first of
+    them (unless built with merge off). period_totals keeps the frozen
+    original pto for each dense period index.
     """
 
     period_labels: tuple[int, ...]
@@ -155,39 +155,19 @@ class WorkingDatabase:
         return sum(len(b) for b in self.blocks)
 
 
-def _suffix_sort_key(items: list[int]):
-    # Compare last items first; a transaction that is a strict extension of
-    # another's tail sorts after it. Keeps shared suffixes adjacent.
-    return tuple(reversed(items))
+def fuse_identical_rows(rows: list[list]) -> int:
+    """Fuse rows with identical item lists in place, wherever they stand.
 
-
-def merge_adjacent_rows(rows: list[list]) -> int:
-    """Fuse runs of rows with identical item sequences in place.
-
-    Utilities add element-wise. Returns the number of rows eliminated.
-    Rows must already be sorted by _suffix_sort_key.
+    Each group keeps its first row's position; utilities add element-wise.
+    Returns the number of rows eliminated.
     """
-    if len(rows) < 2:
-        return 0
-    out = []
-    dropped = 0
-    idx = 0
-    while idx < len(rows):
-        base = rows[idx]
-        run_end = idx + 1
-        while run_end < len(rows) and rows[run_end][0] == base[0]:
-            run_end += 1
-        if run_end > idx + 1:
-            utils = list(base[1])
-            for j in range(idx + 1, run_end):
-                for e, u in enumerate(rows[j][1]):
-                    utils[e] += u
-            out.append([base[0], utils])
-            dropped += run_end - idx - 1
-        else:
-            out.append(base)
-        idx = run_end
-    rows[:] = out
+    fused: dict[tuple[int, ...], list] = {}
+    for row in rows:
+        kept = fused.setdefault(tuple(row[0]), row)
+        if kept is not row:
+            kept[1] = [a + b for a, b in zip(kept[1], row[1])]
+    dropped = len(rows) - len(fused)
+    rows[:] = fused.values()
     return dropped
 
 
@@ -199,9 +179,10 @@ def build_working_database(
     """Project the database onto the retained items and lay it out for search.
 
     Transactions lose items outside the order, are re-expressed in dense
-    indices, sorted for suffix adjacency, and (when merge is on) fused when
-    identical. Returns the working database and the number of rows merged
-    away. Period totals are copied from the original database untouched.
+    indices and (when merge is on) fused with earlier rows of the same
+    period that hold the same items. Returns the working database and the
+    number of rows fused away. Period totals are copied from the original
+    database untouched.
     """
     labels = tuple(sorted(db.periods))
     label_index = {h: d for d, h in enumerate(labels)}
@@ -217,10 +198,9 @@ def build_working_database(
             [[d for d, _ in entries], [u for _, u in entries]]
         )
     merged = 0
-    for block in blocks:
-        block.sort(key=lambda row: _suffix_sort_key(row[0]))
-        if merge:
-            merged += merge_adjacent_rows(block)
+    if merge:
+        for block in blocks:
+            merged += fuse_identical_rows(block)
     working = WorkingDatabase(
         period_labels=labels,
         period_totals=[db.period_totals[h] for h in labels],

@@ -2,9 +2,10 @@
 
 A view is a tuple (items, utilities, offset, prefix_utility): a window
 into a stored transaction starting just past the projected item, plus the
-prefix's accumulated utility inside that transaction. Projection
-never copies transaction content; only merging materializes a fused buffer,
-and from then on the buffer plays the role of the transaction.
+prefix's accumulated utility inside that transaction. Projection never
+copies transaction content: a view's items and utilities are always the
+stored row's own lists. Identical rows are fused once, when the working
+database is built (see prepare.py), and never below the root.
 
 The root projection also carries an occurrence index, built once, so that
 projecting a root item visits only the rows that contain it instead of
@@ -67,9 +68,6 @@ class ProjectedDatabase:
     def occupied_periods(self) -> list[int]:
         return [p for p, v in enumerate(self.views) if v]
 
-    def view_count(self) -> int:
-        return sum(len(v) for v in self.views)
-
 
 def _occurrence_index(blocks: list[list[list]], n_items: int) -> OccurrenceIndex:
     # Two counting passes fill the flat array in place: count occurrences
@@ -121,9 +119,8 @@ def project(parent: ProjectedDatabase, z: int) -> ProjectedDatabase:
 
     Each surviving view starts just past z and adds u(z, T) to its prefix
     utility. Per-period utility sums and occupancy fall out of the same
-    walk. View order is inherited from the parent, so suffix-identical
-    views stay adjacent. With an index, only the views of rows that
-    contain z are visited, in the same order.
+    walk. View order is inherited from the parent. With an index, only
+    the views of rows that contain z are visited, in the same order.
     """
     index = parent.index
     if index is not None:
@@ -169,51 +166,3 @@ def _project_indexed(views, index: OccurrenceIndex, z: int) -> ProjectedDatabase
         out_views.append(rows)
         out_u.append(total)
     return ProjectedDatabase(views=out_views, utility_by_period=out_u)
-
-
-def merge_projected(pd: ProjectedDatabase) -> int:
-    """Fuse adjacent views whose remaining item sequences are identical.
-
-    Fused views get element-wise summed utilities and summed prefix
-    utilities, in a fresh buffer with offset 0. Only item indices
-    decide identity; utilities may differ. Returns the number of views
-    eliminated. Mining results are invariant under this operation.
-    """
-    dropped = 0
-    for p, plist in enumerate(pd.views):
-        if len(plist) < 2:
-            continue
-        out = []
-        dropped_here = 0
-        idx = 0
-        n = len(plist)
-        while idx < n:
-            view = plist[idx]
-            items, utils, off = view[0], view[1], view[2]
-            rem = len(items) - off
-            run_end = idx + 1
-            while run_end < n:
-                nxt = plist[run_end]
-                if len(nxt[0]) - nxt[2] != rem or nxt[0][nxt[2]:] != items[off:]:
-                    break
-                run_end += 1
-            if run_end == idx + 1:
-                out.append(view)
-            else:
-                fused_items = items[off:]
-                fused_utils = utils[off:]
-                prefix = view[3]
-                for j in range(idx + 1, run_end):
-                    other = plist[j]
-                    ou, oo = other[1], other[2]
-                    fused_utils = [
-                        a + ou[oo + e] for e, a in enumerate(fused_utils)
-                    ]
-                    prefix += other[3]
-                out.append((fused_items, fused_utils, 0, prefix))
-                dropped_here += run_end - idx - 1
-            idx = run_end
-        if dropped_here:
-            pd.views[p] = out
-            dropped += dropped_here
-    return dropped

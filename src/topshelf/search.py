@@ -34,7 +34,7 @@ from .prepare import (
     negative_keep,
     singleton_threshold,
 )
-from .projection import merge_projected, project, root_projection
+from .projection import project, root_projection
 
 MAX_DISTINCT_ITEMS = 2**16
 
@@ -42,8 +42,8 @@ MAX_DISTINCT_ITEMS = 2**16
 @dataclass
 class SearchStats:
     """Counters for one mining run. candidates counts ratio evaluations,
-    projections counts database narrowings, merges counts rows or views
-    eliminated by fusion (root build included), max_depth is the longest
+    projections counts database narrowings, merges counts the rows fused
+    away when the working database was built, max_depth is the longest
     prefix reached. patterns is the final result size. threshold_rises
     counts the offers that raised the admission threshold."""
 
@@ -131,9 +131,8 @@ class _Miner:
     """Search state plus the recursion. su and lu are the one pair of bound
     arrays every node reuses."""
 
-    def __init__(self, working, collector, *, merge, su_prune, lu_prune):
+    def __init__(self, working, collector, *, su_prune, lu_prune):
         self.collector = collector
-        self.merge = merge
         self.su_prune = su_prune
         self.lu_prune = lu_prune
         self.boundary = working.order.boundary
@@ -183,8 +182,6 @@ class _Miner:
         extensions, then recurse into surviving positive candidates."""
         stats.projections += 1
         child = project(pd, z)
-        if self.merge:
-            stats.merges += merge_projected(child)
         ext2 = prefix_ext + (self.ext_id[z],)
         occupied = child.occupied_periods
         self._emit(child, occupied, ext2, depth + 1, stats)
@@ -218,8 +215,6 @@ class _Miner:
         for idx, z in enumerate(candidates):
             stats.projections += 1
             child = project(pd, z)
-            if self.merge:
-                stats.merges += merge_projected(child)
             ext2 = prefix_ext + (self.ext_id[z],)
             occupied = child.occupied_periods
             self._emit(child, occupied, ext2, depth + 1, stats)
@@ -259,14 +254,13 @@ def mine_top_k(
     db: OnShelfDatabase,
     k: int,
     *,
-    merge: bool = True,
     su_prune: bool = True,
     lu_prune: bool = True,
 ) -> tuple[list[Pattern], SearchStats]:
     """Mine the k highest relative-utility itemsets.
 
     Returns the ranked pattern list and the run's counters. The debug knobs
-    (merge, su_prune, lu_prune) change work done, never results.
+    (su_prune, lu_prune) change work done, never results.
     """
     if not isinstance(k, int) or k < 1:
         raise InvalidK(k)
@@ -285,12 +279,9 @@ def mine_top_k(
         secondary0 = {i for i, s in db.item_signs.items() if s > 0 and i in twu}
     kept_negative = negative_keep(db, secondary0)
     order = build_item_order(twu, db.item_signs, secondary0, kept_negative)
-    working, root_merges = build_working_database(db, order, merge=merge)
-    stats.merges += root_merges
+    working, stats.merges = build_working_database(db, order)
 
-    miner = _Miner(
-        working, collector, merge=merge, su_prune=su_prune, lu_prune=lu_prune
-    )
+    miner = _Miner(working, collector, su_prune=su_prune, lu_prune=lu_prune)
     root = root_projection(working)
     su, lu = miner.su, miner.lu
     root_periods = root.occupied_periods

@@ -131,9 +131,10 @@ def test_depth_one_bounds_match_definitions(corpus):
 
 
 def test_merged_views_tighten_but_never_break_the_bound(corpus, narrow_corpus):
-    """Clipping a fused view bounds the whole fused group at once, so the
-    merged subtree cell may drop below the per-transaction definitional sum
-    but must stay an upper bound on everything reachable in the subtree."""
+    """Rows fused when the working database is built are clipped as one
+    row, which bounds the whole fused group at once, so a subtree cell may
+    drop below the per-transaction definitional sum but must stay an upper
+    bound on everything reachable in the subtree."""
     rng = random.Random(9292)
     tightened = 0
     for db in corpus[:80]:
@@ -157,7 +158,7 @@ def test_merged_views_tighten_but_never_break_the_bound(corpus, narrow_corpus):
     assert tightened > 0
 
     # exhaustive dominance on the narrow databases: every itemset reachable
-    # below (prefix, z) stays under the merged cell
+    # below (prefix, z) stays under the cell filled from fused rows
     for db in narrow_corpus:
         order, working, root = pipeline(db)
         n = len(order)

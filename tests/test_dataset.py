@@ -30,7 +30,6 @@ def test_parse_worked_example(running_example):
     assert len(db) == 8
     assert db.periods == frozenset({0, 1, 2})
     assert db.period_totals == {0: 39, 1: 85, 2: 69}
-    assert db.item_ids == (1, 2, 3, 4, 5)
     assert db.item_signs == {1: 1, 2: -1, 3: -1, 4: 1, 5: 1}
     # tids are 1-based line ordinals
     assert [t.tid for t in db.transactions] == list(range(1, 9))

@@ -5,18 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from topshelf.domain import (
-    Pattern,
-    Transaction,
-    itemset_utility_in,
-    positive_transaction_utility,
-    transaction_utility,
-)
+from topshelf.domain import Pattern, Transaction, positive_transaction_utility
 
 
 def test_transaction_utilities_respect_weight():
     t = Transaction(tid=1, period=0, items=(2, 3, 4), utilities=(-3, -4, 36))
-    assert transaction_utility(t) == 29
+    assert sum(t.utilities) == 29
     assert positive_transaction_utility(t) == 36
 
 
@@ -26,15 +20,8 @@ def test_positive_utility_dominates_signed_utility():
         n = rng.randint(1, 8)
         utils = tuple(rng.choice([-1, 1]) * rng.randint(1, 50) for _ in range(n))
         t = Transaction(tid=1, period=0, items=tuple(range(1, n + 1)), utilities=utils)
-        assert positive_transaction_utility(t) >= transaction_utility(t)
+        assert positive_transaction_utility(t) >= sum(t.utilities)
         assert positive_transaction_utility(t) >= 0
-
-
-def test_itemset_utility_in_transaction():
-    t = Transaction(tid=5, period=2, items=(2, 3, 4, 5), utilities=(-3, -4, 36, 10))
-    assert itemset_utility_in(t, (2, 5)) == 7
-    assert itemset_utility_in(t, (2, 6)) is None
-    assert itemset_utility_in(t, ()) == 0
 
 
 def test_pattern_sort_key_ranks_ratio_then_size_then_items():

@@ -7,8 +7,8 @@ from topshelf.prepare import (
     build_item_order,
     build_working_database,
     compute_period_twu,
+    fuse_identical_rows,
     initial_secondary,
-    merge_adjacent_rows,
     negative_keep,
     singleton_threshold,
 )
@@ -75,22 +75,34 @@ def test_negative_keep_requires_cooccurrence(running_example):
     assert negative_keep(db, {1, 2}) == {3}
 
 
-def test_merge_adjacent_rows_fuses_runs():
+def test_fuse_identical_rows_fuses_duplicates_anywhere():
     rows = [
         [[0, 1], [3, 4]],
         [[0, 1], [6, 8]],
         [[0, 1], [1, 1]],
         [[0, 2], [5, 5]],
     ]
-    dropped = merge_adjacent_rows(rows)
+    dropped = fuse_identical_rows(rows)
     assert dropped == 2
     assert rows == [[[0, 1], [10, 13]], [[0, 2], [5, 5]]]
+    # duplicates apart from each other fuse into the first one's position;
+    # an item list that is a suffix of another is a different row
+    rows = [
+        [[1, 2], [1, 2]],
+        [[0, 2], [5, 5]],
+        [[2], [7]],
+        [[1, 2], [10, 20]],
+        [[0, 2], [1, 1]],
+        [[1, 2], [100, 200]],
+    ]
+    assert fuse_identical_rows(rows) == 3
+    assert rows == [[[1, 2], [111, 222]], [[0, 2], [6, 6]], [[2], [7]]]
 
 
-def test_merge_adjacent_rows_leaves_distinct_rows_alone():
-    rows = [[[0], [3]], [[1], [4]]]
-    assert merge_adjacent_rows(rows) == 0
-    assert len(rows) == 2
+def test_fuse_identical_rows_leaves_distinct_rows_alone():
+    rows = [[[0], [3]], [[1], [4]], [[0, 1], [5, 6]]]
+    assert fuse_identical_rows(rows) == 0
+    assert rows == [[[0], [3]], [[1], [4]], [[0, 1], [5, 6]]]
 
 
 def test_working_database_layout(running_example):
@@ -109,11 +121,10 @@ def test_working_database_layout(running_example):
             assert len(items) == len(utils)
             tail = [d for d in items if d >= order.boundary]
             assert items[len(items) - len(tail):] == tail
-    # suffix-adjacent sort: period 1 holds {a,d}, {a,b,d,e}, {b,c,d} in
-    # dense terms [0,2], [0,1,2,4], [2,3,4]; last-item-first comparison
-    # orders them exactly that way
+    # rows keep input order: period 1 holds T1 {a,b,d,e}, T3 {a,d} and
+    # T8 {b,c,d}, in dense terms [0,1,2,4], [0,2], [2,3,4]
     period1 = [row[0] for row in working.blocks[1]]
-    assert period1 == [[0, 2], [0, 1, 2, 4], [2, 3, 4]]
+    assert period1 == [[0, 1, 2, 4], [0, 2], [2, 3, 4]]
 
 
 def test_working_database_merges_identical_rows():

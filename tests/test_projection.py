@@ -1,4 +1,4 @@
-"""Projections: narrowing, per-period utility accounting, view merging."""
+"""Projections: narrowing, per-period utility accounting, the root index."""
 
 import random
 from array import array
@@ -13,16 +13,19 @@ from topshelf.oracle import itemset_periods, itemset_utility
 from topshelf.projection import (
     ProjectedDatabase,
     _typecode,
-    merge_projected,
     project,
 )
 
 A, B, C, D, E = 1, 2, 3, 4, 5
 
 
+def view_total(pd):
+    return sum(len(v) for v in pd.views)
+
+
 def test_root_projection_covers_every_row(running_example):
     _, working, root = pipeline(running_example)
-    assert root.view_count() == working.transaction_count
+    assert view_total(root) == working.transaction_count
     assert root.utility_by_period == [0, 0, 0]
     assert root.occupied_periods == [0, 1, 2]
     for plist in root.views:
@@ -35,9 +38,9 @@ def test_project_narrows_to_containing_transactions(running_example):
     pd = project(root, order.position[D])
     # d sits in T2 (period 0), T1/T3/T8 (period 1), T5 (period 2)
     assert [len(v) for v in pd.views] == [1, 3, 1]
-    assert pd.view_count() == 5
-    # prefix utilities are u(d, T); period-1 view order follows the layout
-    assert [v[3] for v in pd.views[1]] == [30, 12, 24]
+    assert view_total(pd) == 5
+    # prefix utilities are u(d, T); period-1 views keep input order: T1, T3, T8
+    assert [v[3] for v in pd.views[1]] == [12, 30, 24]
     assert pd.utility_by_period == [36, 66, 36]
     for plist in pd.views:
         for items, utils, off, prefix in plist:
@@ -49,7 +52,7 @@ def test_project_missing_item_leaves_nothing(running_example):
     pd = project(root, order.position[E])
     sub = project(pd, order.position[B])  # {e, b}: T1, T5, T6
     none = project(sub, order.position[B])  # already consumed
-    assert none.view_count() == 0
+    assert view_total(none) == 0
     assert none.occupied_periods == []
 
 
@@ -73,57 +76,6 @@ def test_projection_chain_matches_definitions(corpus):
             ]
             assert pd.utility_by_period == want_by_period
             assert [labels[p] for p in pd.occupied_periods] == sorted(prd)
-
-
-def test_merge_projected_fuses_identical_suffixes():
-    # both transactions end with the same two items after the first is consumed
-    text = "1 2 3:12:3 4 5:0\n2 3:11:5 6:0\n"
-    db = parse_database(text)
-    order, _, root = pipeline(db, merge=False)
-    pd = project(root, order.position[2])
-    assert pd.view_count() == 2
-    dropped = merge_projected(pd)
-    assert dropped == 1
-    assert pd.view_count() == 1
-    items, utils, off, prefix = pd.views[0][0]
-    assert off == 0
-    assert prefix == 9  # u(2, T1) + u(2, T2)
-    assert [order.sequence[d] for d in items] == [3]
-    assert utils == [5 + 6]
-
-
-def test_merge_projected_keeps_views_with_distinct_tails():
-    # singleton rows push items 2 and 3 later in the order, so projecting
-    # item 1 leaves tails [2] and [3]: no fusion
-    text = "1 2:5:2 3:0\n1 3:6:2 4:0\n2:9:9:0\n3:10:10:0\n"
-    db = parse_database(text)
-    order, _, root = pipeline(db, merge=False)
-    assert order.position[1] == 0
-    pd = project(root, 0)
-    before = pd.utility_by_period[:]
-    assert merge_projected(pd) == 0
-    assert pd.view_count() == 2
-    assert pd.utility_by_period == before
-
-
-def test_merge_projected_preserves_period_accounting(corpus):
-    rng = random.Random(6040)
-    checked = 0
-    for db in corpus[:60]:
-        order, _, root = pipeline(db)
-        n = len(order)
-        z = rng.randrange(n)
-        pd = project(root, z)
-        before_u = pd.utility_by_period[:]
-        before_occupied = pd.occupied_periods
-        dropped = merge_projected(pd)
-        checked += dropped
-        assert pd.utility_by_period == before_u
-        assert pd.occupied_periods == before_occupied
-        # fused views carry the summed prefix utility of the views they
-        # replace, so each period's views still add up to its sum
-        assert [sum(v[3] for v in plist) for plist in pd.views] == before_u
-    assert checked > 0  # the sweep actually exercised fusion somewhere
 
 
 def assert_index_matches_scan(root, n_items):

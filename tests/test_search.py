@@ -202,10 +202,9 @@ def test_scaled_totals_follow_the_threshold(monkeypatch, corpus):
 def test_flag_combinations_agree(running_example):
     reference, _ = mine_top_k(running_example, 7)
     for flags in (
-        {"merge": False},
         {"su_prune": False},
         {"lu_prune": False},
-        {"su_prune": False, "lu_prune": False, "merge": False},
+        {"su_prune": False, "lu_prune": False},
     ):
         got, _ = mine_top_k(running_example, 7, **flags)
         assert got == reference, flags

@@ -2,15 +2,17 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from topshelf import bench
 from topshelf.bench import _status_kb, reassign_periods, run_bench
 from topshelf.cli import main
 from topshelf.dataset import parse_database
-from topshelf.errors import InfeasibleParams
+from topshelf.errors import InfeasibleParams, InvalidBenchParams
 from topshelf.generator import GeneratorParams, generate
 
 
@@ -140,12 +142,35 @@ def test_run_bench_ablations_do_more_work(tmp_path, running_text):
     assert by_variant["no_prune"].candidates >= by_variant["default"].candidates
 
 
-def test_run_bench_reports_a_dead_child(tmp_path, running_text):
-    # k=0 makes the child raise before it sends anything
+def test_run_bench_reports_a_dead_child(tmp_path, running_text, monkeypatch):
+    # the forked child exits before it sends anything
+    monkeypatch.setattr(bench, "_cell_worker", lambda *args: os._exit(1))
     path = tmp_path / "toy.db"
     path.write_text(running_text, encoding="utf-8")
-    with pytest.raises(RuntimeError, match="benchmark child died"):
-        run_bench(str(path), [0])
+    with pytest.raises(RuntimeError, match="benchmark child died with exit code 1"):
+        run_bench(str(path), [2])
+
+
+@pytest.mark.parametrize(
+    "k_list, kwargs",
+    [
+        ([], {}),
+        ([0], {}),
+        ([3, -1], {}),
+        ([2], {"repeat": 0}),
+        ([2], {"reperiod": 0}),
+        ([2], {"timeout_ms": 0}),
+        ([2], {"timeout_ms": -5}),
+    ],
+)
+def test_run_bench_rejects_bad_arguments(monkeypatch, k_list, kwargs):
+    # checked before the database is read or any child is forked
+    def no_fork(*args):
+        raise AssertionError("run_bench forked a child")
+
+    monkeypatch.setattr(bench, "_run_cell", no_fork)
+    with pytest.raises(InvalidBenchParams):
+        run_bench("/nonexistent/path.db", k_list, **kwargs)
 
 
 # -- command line ------------------------------------------------------------
@@ -182,7 +207,7 @@ def test_cli_mine_flag_matrix_agrees(tmp_path, running_text):
     db = tmp_path / "toy.db"
     db.write_text(running_text, encoding="utf-8")
     outputs = set()
-    for extra in ((), ("--no-merge",), ("--no-su-prune", "--no-lu-prune")):
+    for extra in ((), ("--no-su-prune",), ("--no-su-prune", "--no-lu-prune")):
         out = tmp_path / f"out{len(outputs)}.txt"
         assert run_cli("mine", "-i", str(db), "-k", "6", "-o", str(out), *extra) == 0
         outputs.add(out.read_bytes())
@@ -241,13 +266,19 @@ def test_cli_gen_round_trip(tmp_path):
         ("bench", "-i", "SELF", "--k-list", "2", "--timeout-ms", "-5"),
         ("bench", "-i", "SELF", "--k-list", "2", "--repeat", "0"),
         ("gen", "--transactions", "0", "-o", "/dev/null"),
+        ("mine", "-i", "SELF", "-k", "3", "--no-merge"),
     ],
 )
 def test_cli_bad_inputs_exit_2(tmp_path, running_text, argv, capsys):
     db = tmp_path / "toy.db"
     db.write_text(running_text, encoding="utf-8")
     argv = [str(db) if a == "SELF" else a for a in argv]
-    assert run_cli(*argv) == 2
+    # argparse rejects unknown options by exiting with code 2
+    try:
+        code = run_cli(*argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
     assert "error" in capsys.readouterr().err
 
 
