@@ -19,104 +19,164 @@ Both are >= the true utility of anything they prune (dominance is property
 tested), and remaining sums count positive items only, which is what keeps
 them valid when negative items are present.
 
-One pair of arrays is allocated per run. Each node resets only the
-rows of the periods its projection occupies and records them on the array;
-the fills write only the rows of periods that hold views, which are those
-same rows, and the selection helpers test only those rows. Rows of other
-periods may hold stale sums from earlier nodes, which nothing reads. The
-selection helpers turn cells into plain lists before any recursion reuses
-the arrays.
+A run allocates three arrays and every node reuses them: su and lu hold the
+subtree and local bounds of the positive items (columns 0..boundary-1), and
+neg holds the clipped subtree bounds of the kept negative items (columns
+boundary..n_items-1 only, so the three together are no larger than one
+full-width pair). fill_subtree_and_local fills all three in one walk of a
+node's views; fill_negative_subtree fills neg alone. Keeping the negatives
+apart lets a positive node search its negative extensions, which reuse neg,
+between its one fill and its positive selection.
+
+Between nodes every cell and every flag is zero. The fills keep a
+first-touch record: the first time an array's cell for an item is written,
+the item's flag in seen is set and the item is appended to touched. lu is
+written only at positives that su has seen, so it keeps no flags and shares
+su's touched list. reset(periods) zeroes the previous fill's rows (the
+periods given to the previous reset) at the touched items, clears their
+flags and the record, and makes periods the rows the next fill writes and
+the selection helpers test; a fill writes only rows of periods that hold
+views, which are those periods. Where the touched items are more than a
+fifth of the row width, reset zeroes those rows whole instead, which is
+then the cheaper way. The selection helpers turn cells into plain lists
+before any recursion reuses the arrays.
 """
 
 from __future__ import annotations
 
+# reset zeroes rows whole once touched items exceed 1/SPARSE_RESET_SHARE of
+# the row width. Zeroing one cell in a Python loop costs four to five times
+# what it costs inside a slice assignment of the whole row: timeit on
+# CPython 3.11 puts the break-even at a quarter to a fifth of the width for
+# rows of 100, 300 and 2000 cells.
+SPARSE_RESET_SHARE = 5
+
 
 class BoundArray:
-    """Dense period x item accumulator with an occurrence flag per item.
+    """Period x item accumulator with a first-touch record.
 
-    periods lists the rows that hold the current node's sums: the periods
-    passed to the last reset, and none before the first.
+    Column c holds item base + c. periods lists the rows that hold the
+    current node's sums: the periods passed to the last reset, and none
+    before the first. seen flags and touched lists the items written since
+    the last reset; an array made with flags=False keeps no flags and takes
+    its touched list from the fill that writes it.
     """
 
-    __slots__ = ("cells", "seen", "periods", "_zero_row")
+    __slots__ = ("cells", "seen", "touched", "periods", "base", "_zero_row")
 
-    def __init__(self, n_periods: int, n_items: int):
-        self.cells = [[0] * n_items for _ in range(n_periods)]
-        self.seen = [0] * n_items
+    def __init__(self, n_periods: int, width: int, base: int = 0, *, flags: bool = True):
+        self.cells = [[0] * width for _ in range(n_periods)]
+        self.seen = [0] * width if flags else None
+        self.touched: list[int] = []
         self.periods: list[int] = []
-        self._zero_row = [0] * n_items
+        self.base = base
+        self._zero_row = [0] * width
 
     def reset(self, periods: list[int]) -> None:
-        """Zero the occurrence flags and the rows of periods, and make those
-        the rows the selection helpers test."""
-        zero = self._zero_row
-        cells = self.cells
-        for p in periods:
-            cells[p][:] = zero
-        self.seen[:] = zero
+        """Zero every cell and flag the last fill wrote, and make periods
+        the rows the next fill writes and the selection helpers test."""
+        touched = self.touched
+        if touched:
+            cells = self.cells
+            seen = self.seen
+            zero = self._zero_row
+            if len(touched) * SPARSE_RESET_SHARE > len(zero):
+                for p in self.periods:
+                    cells[p][:] = zero
+                if seen is not None:
+                    seen[:] = zero
+            else:
+                base = self.base
+                cols = [z - base for z in touched] if base else touched
+                for p in self.periods:
+                    row = cells[p]
+                    for c in cols:
+                        row[c] = 0
+                if seen is not None:
+                    for c in cols:
+                        seen[c] = 0
+            self.touched = []
         self.periods = periods
 
 
-def fill_subtree_and_local(views, su: BoundArray, lu: BoundArray, boundary: int) -> None:
-    """One backward walk per view fills both bound arrays.
+def fill_subtree_and_local(views, su: BoundArray, lu: BoundArray, neg: BoundArray) -> None:
+    """One backward walk per view fills all three bound arrays.
 
-    Walking from the tail, the running positive suffix is exactly the
-    positive remaining utility after the current entry; negatives come
-    first in the walk (they sort last) and contribute clipped brackets to
-    their own subtree cells only. A short second walk adds the local bound
-    for the positive entries, whose bracket does not depend on position.
+    Negatives come first in the walk (they sort last) and add clipped
+    brackets to their neg cells. Then running, the prefix utility plus the
+    positive entries walked so far, is at each positive entry exactly its
+    subtree bracket: prefix + u + the positive remaining utility after it.
+    At the end of the walk it is the local bracket, which does not depend
+    on position, and a short second walk adds it for every positive entry.
     """
+    boundary = neg.base
     seen = su.seen
+    touched = su.touched
+    neg_seen = neg.seen
+    neg_touched = neg.touched
     su_cells = su.cells
     lu_cells = lu.cells
+    neg_cells = neg.cells
     for p, plist in enumerate(views):
         if not plist:
             continue
         su_row = su_cells[p]
         lu_row = lu_cells[p]
-        for items, utils, off, prefix in plist:
-            suffix = 0
-            j = len(items) - 1
-            while j >= off:
-                item = items[j]
-                u = utils[j]
-                if item >= boundary:
-                    bracket = prefix + u
-                    if bracket > 0:
-                        su_row[item] += bracket
-                else:
-                    su_row[item] += prefix + u + suffix
-                    suffix += u
-                seen[item] = 1
-                j -= 1
-            if suffix:
-                total = prefix + suffix
-                for j in range(off, len(items)):
-                    item = items[j]
-                    if item >= boundary:
-                        break
-                    lu_row[item] += total
-
-
-def fill_negative_subtree(views, su: BoundArray, boundary: int) -> None:
-    """Subtree cells for negative candidates only: walk each view's negative
-    tail, accumulating max(prefix + u(n, T), 0)."""
-    seen = su.seen
-    su_cells = su.cells
-    for p, plist in enumerate(views):
-        if not plist:
-            continue
-        su_row = su_cells[p]
+        neg_row = neg_cells[p]
         for items, utils, off, prefix in plist:
             j = len(items) - 1
             while j >= off:
                 item = items[j]
                 if item < boundary:
                     break
+                col = item - boundary
                 bracket = prefix + utils[j]
                 if bracket > 0:
-                    su_row[item] += bracket
-                seen[item] = 1
+                    neg_row[col] += bracket
+                if not neg_seen[col]:
+                    neg_seen[col] = 1
+                    neg_touched.append(item)
+                j -= 1
+            last = j
+            running = prefix
+            while j >= off:
+                item = items[j]
+                running += utils[j]
+                su_row[item] += running
+                if not seen[item]:
+                    seen[item] = 1
+                    touched.append(item)
+                j -= 1
+            if last >= off:
+                for item in items[off : last + 1]:
+                    lu_row[item] += running
+    lu.touched = touched
+
+
+def fill_negative_subtree(views, neg: BoundArray) -> None:
+    """Clipped subtree cells for negative candidates only: walk each view's
+    negative tail, accumulating max(prefix + u(n, T), 0)."""
+    boundary = neg.base
+    seen = neg.seen
+    touched = neg.touched
+    cells = neg.cells
+    for p, plist in enumerate(views):
+        if not plist:
+            continue
+        row = cells[p]
+        for items, utils, off, prefix in plist:
+            j = len(items) - 1
+            while j >= off:
+                item = items[j]
+                if item < boundary:
+                    break
+                col = item - boundary
+                bracket = prefix + utils[j]
+                if bracket > 0:
+                    row[col] += bracket
+                if not seen[col]:
+                    seen[col] = 1
+                    touched.append(item)
                 j -= 1
 
 
@@ -129,17 +189,18 @@ def select_primary_secondary(
     su_prune: bool,
     lu_prune: bool,
 ) -> tuple[list[int], list[int]]:
-    """Split candidate items into (primary, secondary) per the bound tests.
+    """Split positive candidate items into (primary, secondary) per the
+    bound tests.
 
     A candidate is secondary if some live period's local bound reaches the
     threshold, primary if some live period's subtree bound does; each
     array's live periods are those it was last reset for. Items that never
-    occurred in the projection are excluded even at threshold zero, and an
-    item that occurred has a cell of at least zero in a live period, so
-    skipping the other periods changes no decision. Disabled pruning
-    degrades the test to occurrence only. Primary is always a subset of
-    secondary (the local bound dominates the subtree bound cell-wise for
-    positive candidates).
+    occurred in the projection are excluded even at threshold zero (su's
+    flags tell). An item that occurred has a cell of at least zero in a
+    live period, and every cell outside the live periods is zero, so
+    skipping the other periods changes no decision. Disabled pruning degrades the test to
+    occurrence only. Primary is always a subset of secondary (the local
+    bound dominates the subtree bound cell-wise for positive candidates).
     """
     primary: list[int] = []
     secondary: list[int] = []
@@ -171,26 +232,28 @@ def select_primary_secondary(
 
 
 def select_negative_candidates(
-    su: BoundArray,
+    neg: BoundArray,
     candidates,
     scaled_totals: list[int],
     t_den: int,
     su_prune: bool,
 ) -> list[int]:
     """Negative items whose clipped subtree bound reaches the threshold in
-    some live period of su (boundary equality counts), occurrence required."""
+    some live period of neg (boundary equality counts), occurrence required."""
     out: list[int] = []
-    seen = su.seen
-    su_cells = su.cells
-    periods = su.periods
+    base = neg.base
+    seen = neg.seen
+    cells = neg.cells
+    periods = neg.periods
     for z in candidates:
-        if not seen[z]:
+        col = z - base
+        if not seen[col]:
             continue
         if not su_prune:
             out.append(z)
             continue
         for p in periods:
-            if su_cells[p][z] * t_den >= scaled_totals[p]:
+            if cells[p][col] * t_den >= scaled_totals[p]:
                 out.append(z)
                 break
     return out

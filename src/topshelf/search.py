@@ -128,18 +128,20 @@ class TopKCollector:
 
 
 class _Miner:
-    """Search state plus the recursion. su and lu are the one pair of bound
-    arrays every node reuses."""
+    """Search state plus the recursion. su and lu hold the subtree and local
+    bounds of positive candidates, neg the clipped subtree bounds of
+    negative ones; every node reuses these three arrays (see bounds.py)."""
 
     def __init__(self, working, collector, *, su_prune, lu_prune):
         self.collector = collector
         self.su_prune = su_prune
         self.lu_prune = lu_prune
-        self.boundary = working.order.boundary
-        self.n_items = len(working.order)
+        self.boundary = boundary = working.order.boundary
+        n_items = len(working.order)
         n_periods = len(working.period_labels)
-        self.su = BoundArray(n_periods, self.n_items)
-        self.lu = BoundArray(n_periods, self.n_items)
+        self.su = BoundArray(n_periods, boundary)
+        self.lu = BoundArray(n_periods, boundary, flags=False)
+        self.neg = BoundArray(n_periods, n_items - boundary, boundary)
         self.period_totals = working.period_totals
         self.period_labels = working.period_labels
         self.ext_id = working.order.sequence
@@ -179,30 +181,36 @@ class _Miner:
 
     def expand(self, pd, prefix_ext, z, secondary, depth, stats):
         """Grow the prefix by positive item z: score it, chase its negative
-        extensions, then recurse into surviving positive candidates."""
+        extensions, then recurse into surviving positive candidates.
+
+        With positive candidates left, one walk of the child's views fills
+        su, lu and neg; otherwise it fills neg alone. The negatives are
+        picked from the ones the fill touched and searched, which reuses
+        neg only, before the positive selection reads su and lu.
+        """
         stats.projections += 1
         child = project(pd, z)
         ext2 = prefix_ext + (self.ext_id[z],)
         occupied = child.occupied_periods
         self._emit(child, occupied, ext2, depth + 1, stats)
 
-        su, lu = self.su, self.lu
-        su.reset(occupied)
-        fill_negative_subtree(child.views, su, self.boundary)
+        candidates = secondary[bisect_right(secondary, z) :]
+        su, lu, neg = self.su, self.lu, self.neg
+        neg.reset(occupied)
+        if candidates:
+            su.reset(occupied)
+            lu.reset(occupied)
+            fill_subtree_and_local(child.views, su, lu, neg)
+        else:
+            fill_negative_subtree(child.views, neg)
         scaled, t_den = self._scaled_totals()
         negatives = select_negative_candidates(
-            su, range(self.boundary, self.n_items), scaled, t_den, self.su_prune
+            neg, sorted(neg.touched), scaled, t_den, self.su_prune
         )
         if negatives:
             self._negative_search(child, ext2, negatives, depth + 1, stats)
-
-        after = bisect_right(secondary, z)
-        candidates = secondary[after:]
         if not candidates:
             return
-        su.reset(occupied)
-        lu.reset(occupied)
-        fill_subtree_and_local(child.views, su, lu, self.boundary)
         scaled, t_den = self._scaled_totals()
         primary2, secondary2 = select_primary_secondary(
             su, lu, candidates, scaled, t_den, self.su_prune, self.lu_prune
@@ -211,7 +219,7 @@ class _Miner:
             self.expand(child, ext2, nxt, secondary2, depth + 1, stats)
 
     def _negative_search(self, pd, prefix_ext, candidates, depth, stats):
-        su = self.su
+        neg = self.neg
         for idx, z in enumerate(candidates):
             stats.projections += 1
             child = project(pd, z)
@@ -221,10 +229,10 @@ class _Miner:
             rest = candidates[idx + 1 :]
             if not rest:
                 continue
-            su.reset(occupied)
-            fill_negative_subtree(child.views, su, self.boundary)
+            neg.reset(occupied)
+            fill_negative_subtree(child.views, neg)
             scaled, t_den = self._scaled_totals()
-            deeper = select_negative_candidates(su, rest, scaled, t_den, self.su_prune)
+            deeper = select_negative_candidates(neg, rest, scaled, t_den, self.su_prune)
             if deeper:
                 self._negative_search(child, ext2, deeper, depth + 1, stats)
 
@@ -283,11 +291,12 @@ def mine_top_k(
 
     miner = _Miner(working, collector, su_prune=su_prune, lu_prune=lu_prune)
     root = root_projection(working)
-    su, lu = miner.su, miner.lu
+    su, lu, neg = miner.su, miner.lu, miner.neg
     root_periods = root.occupied_periods
     su.reset(root_periods)
     lu.reset(root_periods)
-    fill_subtree_and_local(root.views, su, lu, miner.boundary)
+    neg.reset(root_periods)
+    fill_subtree_and_local(root.views, su, lu, neg)
     scaled, t_den = miner._scaled_totals()
     # Root secondary came from the TWU test already; the root pass only
     # filters primary, so the local-bound test is off here.

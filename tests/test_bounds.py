@@ -3,12 +3,14 @@ clipped negative bracket, and candidate selection."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from conftest import pipeline
 
 from topshelf.bench import reassign_periods
 from topshelf.bounds import (
+    SPARSE_RESET_SHARE,
     BoundArray,
     fill_negative_subtree,
     fill_subtree_and_local,
@@ -26,7 +28,7 @@ from topshelf.oracle import (
     twu,
 )
 from topshelf.projection import project
-from topshelf.search import mine_top_k
+from topshelf.search import TopKCollector, _Miner, mine_top_k
 
 A, B, C, D, E = 1, 2, 3, 4, 5
 
@@ -88,19 +90,48 @@ def _external(order, dense_items):
     return tuple(sorted(order.sequence[d] for d in dense_items))
 
 
+def _miner_arrays(working):
+    """The su, lu and neg arrays a run over this working database uses."""
+    miner = _Miner(working, TopKCollector(1, Fraction(0)), su_prune=True, lu_prune=True)
+    return miner.su, miner.lu, miner.neg
+
+
+def _subtree_cell(su, neg, z, p):
+    """Subtree bound of dense item z in period row p: su holds the
+    positives, neg the negatives from its base on."""
+    if z < neg.base:
+        return su.cells[p][z]
+    return neg.cells[p][z - neg.base]
+
+
+def _assert_record_matches(views, su, lu, neg):
+    """The first-touch record lists each item the views hold once, split
+    at the boundary; lu shares su's list and keeps no flags."""
+    boundary = neg.base
+    held = {items[j] for plist in views for items, _, off, _ in plist for j in range(off, len(items))}
+    assert len(su.touched) == len(set(su.touched))
+    assert len(neg.touched) == len(set(neg.touched))
+    assert set(su.touched) == {z for z in held if z < boundary}
+    assert set(neg.touched) == {z for z in held if z >= boundary}
+    assert su.seen == [int(z in held) for z in range(boundary)]
+    assert neg.seen == [int(boundary + c in held) for c in range(len(neg.seen))]
+    assert lu.touched is su.touched and lu.seen is None
+
+
 def test_root_bounds_match_definitions(corpus):
     for db in corpus[:30]:
         order, working, root = pipeline(db, merge=False)
         n = len(order)
-        n_periods = len(working.period_labels)
-        su = BoundArray(n_periods, n)
-        lu = BoundArray(n_periods, n)
-        fill_subtree_and_local(root.views, su, lu, order.boundary)
+        su, lu, neg = _miner_arrays(working)
+        assert len(su.seen) == order.boundary and neg.base == order.boundary
+        assert len(neg.seen) == n - order.boundary
+        fill_subtree_and_local(root.views, su, lu, neg)
+        _assert_record_matches(root.views, su, lu, neg)
         for z in range(n):
             z_ext = order.sequence[z]
             for p, h in enumerate(working.period_labels):
                 want_su = subtree_bound(db, (), z_ext, h, order.position, clip=True)
-                assert su.cells[p][z] == want_su, (db, z_ext, h)
+                assert _subtree_cell(su, neg, z, p) == want_su, (db, z_ext, h)
                 if z < order.boundary:
                     assert lu.cells[p][z] == local_bound(db, (), z_ext, h, order.position)
 
@@ -116,15 +147,15 @@ def test_depth_one_bounds_match_definitions(corpus):
             continue
         z0 = rng.randrange(order.boundary)
         pd = project(root, z0)
-        su = BoundArray(len(working.period_labels), n)
-        lu = BoundArray(len(working.period_labels), n)
-        fill_subtree_and_local(pd.views, su, lu, order.boundary)
+        su, lu, neg = _miner_arrays(working)
+        fill_subtree_and_local(pd.views, su, lu, neg)
+        _assert_record_matches(pd.views, su, lu, neg)
         prefix = (order.sequence[z0],)
         for z in range(z0 + 1, n):
             z_ext = order.sequence[z]
             for p, h in enumerate(working.period_labels):
                 want = subtree_bound(db, prefix, z_ext, h, order.position, clip=True)
-                assert su.cells[p][z] == want, (prefix, z_ext, h)
+                assert _subtree_cell(su, neg, z, p) == want, (prefix, z_ext, h)
                 if z < order.boundary:
                     want_lu = local_bound(db, prefix, z_ext, h, order.position)
                     assert lu.cells[p][z] == want_lu, (prefix, z_ext, h)
@@ -144,16 +175,16 @@ def test_merged_views_tighten_but_never_break_the_bound(corpus, narrow_corpus):
             continue
         z0 = rng.randrange(order.boundary)
         pd = project(root, z0)
-        su = BoundArray(len(working.period_labels), n)
-        lu = BoundArray(len(working.period_labels), n)
-        fill_subtree_and_local(pd.views, su, lu, order.boundary)
+        su, lu, neg = _miner_arrays(working)
+        fill_subtree_and_local(pd.views, su, lu, neg)
         prefix = (order.sequence[z0],)
         for z in range(z0 + 1, n):
             z_ext = order.sequence[z]
             for p, h in enumerate(working.period_labels):
                 reference = subtree_bound(db, prefix, z_ext, h, order.position, clip=True)
-                assert su.cells[p][z] <= reference
-                if su.cells[p][z] < reference:
+                cell = _subtree_cell(su, neg, z, p)
+                assert cell <= reference
+                if cell < reference:
                     tightened += 1
     assert tightened > 0
 
@@ -166,9 +197,8 @@ def test_merged_views_tighten_but_never_break_the_bound(corpus, narrow_corpus):
             continue
         for z0 in range(order.boundary):
             pd = project(root, z0)
-            su = BoundArray(len(working.period_labels), n)
-            lu = BoundArray(len(working.period_labels), n)
-            fill_subtree_and_local(pd.views, su, lu, order.boundary)
+            su, lu, neg = _miner_arrays(working)
+            fill_subtree_and_local(pd.views, su, lu, neg)
             prefix = (order.sequence[z0],)
             for z in range(z0 + 1, n):
                 z_ext = order.sequence[z]
@@ -179,7 +209,7 @@ def test_merged_views_tighten_but_never_break_the_bound(corpus, narrow_corpus):
                         for p, h in enumerate(working.period_labels):
                             if _occurs_in_period(db, target, h):
                                 u = itemset_utility(db, target, period=h)
-                                assert su.cells[p][z] >= u, (target, h)
+                                assert _subtree_cell(su, neg, z, p) >= u, (target, h)
 
 
 def _occurs_in_period(db, itemset, h):
@@ -188,6 +218,9 @@ def _occurs_in_period(db, itemset, h):
 
 
 def test_negative_tail_fill_matches_definitions(corpus):
+    """fill_negative_subtree alone leaves the same neg cells and record as
+    the one walk that also fills su and lu, and both equal the clipped
+    definitional sums."""
     rng = random.Random(2727)
     checked = 0
     for db in corpus:
@@ -198,60 +231,105 @@ def test_negative_tail_fill_matches_definitions(corpus):
             continue
         z0 = rng.randrange(order.boundary)
         pd = project(root, z0)
-        su = BoundArray(len(working.period_labels), n)
-        fill_negative_subtree(pd.views, su, order.boundary)
+        _, _, neg = _miner_arrays(working)
+        fill_negative_subtree(pd.views, neg)
+        su, lu, walked = _miner_arrays(working)
+        fill_subtree_and_local(pd.views, su, lu, walked)
+        _assert_record_matches(pd.views, su, lu, walked)
+        assert neg.cells == walked.cells
+        assert neg.seen == walked.seen and neg.touched == walked.touched
         prefix = (order.sequence[z0],)
         for z in negatives:
             z_ext = order.sequence[z]
             for p, h in enumerate(working.period_labels):
                 want = subtree_bound(db, prefix, z_ext, h, order.position, clip=True)
-                assert su.cells[p][z] == want, (prefix, z_ext, h)
+                assert neg.cells[p][z - order.boundary] == want, (prefix, z_ext, h)
                 checked += 1
         if checked > 400:
             break
     assert checked > 100
 
 
+def _three_arrays(n_periods, boundary, n_items):
+    return (
+        BoundArray(n_periods, boundary),
+        BoundArray(n_periods, boundary, flags=False),
+        BoundArray(n_periods, n_items - boundary, boundary),
+    )
+
+
+def _all_zero(arr):
+    return not any(map(any, arr.cells)) and (arr.seen is None or not any(arr.seen))
+
+
 def test_bound_array_reset_clears_state():
-    arr = BoundArray(2, 3)
-    arr.cells[1][2] = 9
-    arr.seen[0] = 1
-    arr.reset([0, 1])
-    assert arr.cells == [[0, 0, 0], [0, 0, 0]]
-    assert arr.seen == [0, 0, 0]
-    assert arr.periods == [0, 1]
-    # only the given periods' rows are zeroed; the flags always are
-    arr.cells[0][1] = 4
-    arr.cells[1][2] = 9
-    arr.seen[2] = 1
-    arr.reset([1])
-    assert arr.cells == [[0, 4, 0], [0, 0, 0]]
-    assert arr.seen == [0, 0, 0]
-    assert arr.periods == [1]
+    # Positives 0 and 1, negatives 2 and 3; views (items, utilities,
+    # offset, prefix utility) in periods 0 and 2 of three.
+    su, lu, neg = _three_arrays(3, 2, 4)
+    for arr in (su, lu, neg):
+        arr.reset([0, 2])
+    views = [[([0, 1, 3], [4, 5, -2], 0, 6)], [], [([1, 2], [3, -9], 0, 6)]]
+    fill_subtree_and_local(views, su, lu, neg)
+    assert su.cells == [[15, 11], [0, 0], [0, 9]]
+    assert lu.cells == [[15, 15], [0, 0], [0, 9]]
+    assert neg.cells == [[0, 4], [0, 0], [0, 0]]  # 6 - 9 < 0 is clipped
+    assert su.seen == [1, 1] and su.touched == [1, 0]
+    assert neg.seen == [1, 1] and neg.touched == [3, 2]
+    assert lu.touched is su.touched
+
+    # reset zeroes the rows of the periods given to the previous reset,
+    # not those it is given now
+    for arr in (su, lu, neg):
+        arr.reset([1])
+        assert _all_zero(arr) and arr.touched == [] and arr.periods == [1]
+    fill_subtree_and_local([[], [([0, 2], [1, 5], 0, 0)], []], su, lu, neg)
+    assert su.cells[1] == [1, 0] and neg.cells[1] == [5, 0]
+    for arr in (su, lu, neg):
+        arr.reset([0])
+        assert _all_zero(arr) and arr.touched == [] and arr.periods == [0]
+
+    # one touched item of a wide row is zeroed cell by cell, at its column
+    wide = BoundArray(2, 6 * SPARSE_RESET_SHARE, 10)
+    wide.reset([0, 1])
+    fill_negative_subtree([[([0, 17], [9, -1], 0, 9)], [([17], [-2], 0, 5)]], wide)
+    assert wide.cells[0][7] == 8 and wide.cells[1][7] == 3 and wide.touched == [17]
+    wide.reset([])
+    assert _all_zero(wide) and wide.touched == []
 
 
 def _arrays(su_cells, lu_cells, seen):
-    su = BoundArray(len(su_cells), len(seen))
-    lu = BoundArray(len(lu_cells), len(seen))
-    su.reset(list(range(len(su_cells))))
-    lu.reset(list(range(len(lu_cells))))
-    for p, row in enumerate(su_cells):
-        su.cells[p][:] = row
-    for p, row in enumerate(lu_cells):
-        lu.cells[p][:] = row
+    """su and lu holding the given rows for live periods 0..n-1, with the
+    record a fill would leave: the seen items flagged and touched. A fill
+    never writes an item it has not seen, so neither may the rows."""
+    for rows in (su_cells, lu_cells):
+        assert all(row[z] == 0 for row in rows for z, s in enumerate(seen) if not s)
+    n_periods = len(su_cells)
+    su = BoundArray(n_periods, len(seen))
+    lu = BoundArray(n_periods, len(seen), flags=False)
+    periods = list(range(n_periods))
+    su.reset(periods)
+    lu.reset(periods)
+    for p in periods:
+        su.cells[p][:] = su_cells[p]
+        lu.cells[p][:] = lu_cells[p]
     su.seen[:] = seen
-    lu.seen[:] = seen
+    su.touched = lu.touched = [z for z, s in enumerate(seen) if s]
     return su, lu
 
 
 def test_selection_applies_both_bound_tests():
     # one period, threshold 1/2 of a period total of 10 -> cutoff 5
-    su, lu = _arrays([[10, 2, 9]], [[10, 4, 9]], seen=[1, 1, 0])
+    su, lu = _arrays([[10, 2, 0]], [[10, 4, 0]], seen=[1, 1, 0])
     primary, secondary = select_primary_secondary(
         su, lu, range(3), scaled_totals=[5], t_den=2, su_prune=True, lu_prune=True
     )
     assert primary == [0]        # item 1 fails the subtree test (4 < 5)
-    assert secondary == [0, 1]   # item 2 never occurred, out despite big cells
+    assert secondary == [0, 1]
+    # at threshold zero every cell passes, but item 2 never occurred
+    primary, secondary = select_primary_secondary(
+        su, lu, range(3), scaled_totals=[0], t_den=1, su_prune=True, lu_prune=True
+    )
+    assert primary == secondary == [0, 1]
 
 
 def test_selection_degrades_to_occurrence_when_disabled():
@@ -271,40 +349,104 @@ def test_selection_boundary_equality_counts():
 
 
 def test_negative_candidate_selection():
-    su = BoundArray(1, 4)
-    su.reset([0])
-    su.cells[0][:] = [0, 7, 3, 9]
-    su.seen[:] = [0, 1, 1, 0]
-    picked = select_negative_candidates(
-        su, range(4), scaled_totals=[10], t_den=2, su_prune=True
-    )
-    assert picked == [1]  # 7*2 >= 10; 3*2 < 10; unseen items never qualify
-    unpruned = select_negative_candidates(
-        su, range(4), scaled_totals=[10], t_den=2, su_prune=False
-    )
-    assert unpruned == [1, 2]
+    # negatives are items 3..6, in columns 0..3 of a negative-only array
+    neg = BoundArray(1, 4, 3)
+    neg.reset([0])
+    views = [[([1, 4, 5], [10, -3, -7], 1, 10), ([1, 6], [1, -5], 1, 1)]]
+    fill_negative_subtree(views, neg)
+    assert neg.cells == [[0, 7, 3, 0]]  # item 6: 1 - 5 < 0 is clipped
+    assert neg.seen == [0, 1, 1, 1]
+    touched = sorted(neg.touched)
+    assert touched == [4, 5, 6]
+    for candidates in (touched, range(3, 7)):
+        picked = select_negative_candidates(
+            neg, candidates, scaled_totals=[10], t_den=2, su_prune=True
+        )
+        assert picked == [4]  # 7*2 >= 10; 3*2 < 10; item 3 never occurred
+        unpruned = select_negative_candidates(
+            neg, candidates, scaled_totals=[10], t_den=2, su_prune=False
+        )
+        assert unpruned == [4, 5, 6]
+        at_zero = select_negative_candidates(
+            neg, candidates, scaled_totals=[0], t_den=1, su_prune=True
+        )
+        assert at_zero == [4, 5, 6]
 
 
-def test_selection_ignores_stale_rows_outside_live_periods():
-    """A row left over from an earlier node is never read: an item whose only
-    qualifying cell is stale is not picked by either selection."""
-    su = BoundArray(3, 3)
-    lu = BoundArray(3, 3)
-    su.reset([0, 1, 2])
-    lu.reset([0, 1, 2])
-    su.cells[2][1] = lu.cells[2][1] = 10**9  # an earlier node's sums
-    su.reset([0, 1])
-    lu.reset([0, 1])
-    su.cells[0][:] = lu.cells[0][:] = [9, 1, 9]
-    su.seen[:] = lu.seen[:] = [1, 1, 0]
+def test_selection_reads_only_live_periods():
+    """Selection tests only the rows of the periods the arrays were last
+    reset for: a large cell in another period's row, which no fill writes,
+    changes no pick."""
+    su, lu, neg = _three_arrays(3, 3, 6)
+    for arr in (su, lu, neg):
+        arr.reset([0, 1])
+    views = [[([0, 3], [8, -1], 0, 0), ([1], [1], 0, 0)], [], []]
+    fill_subtree_and_local(views, su, lu, neg)
+    assert su.cells[0] == lu.cells[0] == [8, 1, 0] and neg.cells[0] == [0, 0, 0]
+    su.cells[2][1] = lu.cells[2][1] = neg.cells[2][0] = 10**9
     primary, secondary = select_primary_secondary(
         su, lu, range(3), scaled_totals=[5, 5, 5], t_den=1, su_prune=True, lu_prune=True
     )
     assert primary == secondary == [0]
     picked = select_negative_candidates(
-        su, range(3), scaled_totals=[5, 5, 5], t_den=1, su_prune=True
+        neg, [3], scaled_totals=[5, 5, 5], t_den=1, su_prune=True
     )
-    assert picked == [0]
+    assert picked == []
+
+
+def test_fills_without_kept_negatives():
+    """With no kept negatives neg has width 0: the fill, the negative
+    selection and reset all work on it, and mining matches the oracle."""
+    su, lu, neg = _three_arrays(2, 3, 3)
+    assert neg.cells == [[], []] and neg.seen == []
+    for arr in (su, lu, neg):
+        arr.reset([0, 1])
+    fill_subtree_and_local([[([0, 2], [2, 3], 0, 0)], [([1], [4], 0, 0)]], su, lu, neg)
+    assert su.cells == [[5, 0, 3], [0, 4, 0]] and lu.cells == [[5, 0, 5], [0, 4, 0]]
+    assert neg.touched == []
+    assert select_negative_candidates(neg, sorted(neg.touched), [0, 0], 1, True) == []
+    for arr in (su, lu, neg):
+        arr.reset([])
+        assert _all_zero(arr)
+
+    profits = {1: 4, 2: 3, 3: 1}
+    rows = [(0, [(1, 1), (2, 2)]), (0, [(2, 1), (3, 3)]), (1, [(1, 2), (3, 1)])]
+    db = database_from_quantities(profits, rows)
+    order, working, _ = pipeline(db)
+    assert len(_miner_arrays(working)[2].seen) == 0
+    for k in (1, 3, 50):
+        assert mine_top_k(db, k)[0] == oracle_top_k(db, k)
+
+
+def test_fills_with_only_negatives():
+    """Views that hold only negatives leave su and lu untouched and fill
+    neg alone; a database whose one profitable item heads only negative
+    extensions matches the oracle."""
+    su, lu, neg = _three_arrays(1, 1, 4)
+    for arr in (su, lu, neg):
+        arr.reset([0])
+    fill_subtree_and_local([[([0, 1, 3], [9, -2, -4], 1, 9), ([0, 2], [9, -1], 1, 9)]], su, lu, neg)
+    assert su.touched == [] and lu.touched is su.touched
+    assert _all_zero(su) and _all_zero(lu)
+    assert neg.cells == [[7, 8, 5]] and neg.touched == [3, 1, 2]
+    picked = select_negative_candidates(neg, sorted(neg.touched), [14], 2, True)
+    assert picked == [1, 2]  # 7*2 == 14 counts; 8*2 >= 14; 5*2 < 14
+    for arr in (su, lu, neg):
+        arr.reset([])
+        assert _all_zero(arr) and arr.touched == []
+
+    profits = {1: 10, 2: -1, 3: -2, 4: -3}
+    rows = [
+        (0, [(1, 2), (2, 1), (3, 2)]),
+        (0, [(1, 1), (3, 1), (4, 1)]),
+        (1, [(1, 3), (2, 2), (4, 2)]),
+        (1, [(1, 1), (2, 1), (3, 1), (4, 1)]),
+    ]
+    db = database_from_quantities(profits, rows)
+    for k in (1, 4, 50):
+        mined, stats = mine_top_k(db, k)
+        assert mined == oracle_top_k(db, k)
+    assert stats.projections > 1  # the negative extensions were searched
 
 
 def _many_period_databases(n_periods, transactions, count, seed):
@@ -340,27 +482,56 @@ def _many_period_databases(n_periods, transactions, count, seed):
 def test_many_periods_match_oracle_and_full_grid_reset(
     monkeypatch, n_periods, transactions
 ):
-    """Stale rows outside the live periods change no result and no pruning
-    decision: the miner matches the oracle, and its counters match a run
-    whose every reset zeroes the whole grid."""
+    """Zeroing only what the last fill touched changes no result and no
+    pruning decision: the miner matches the oracle, and its counters match
+    a run whose every reset zeroes the whole grid and every flag."""
     databases = _many_period_databases(n_periods, transactions, 6, n_periods)
     runs = []
     for db in databases:
         for k in (3, 25):
             mined, stats = mine_top_k(db, k)
             assert mined == oracle_top_k(db, k)
-            runs.append((stats.candidates, stats.projections))
+            runs.append((stats.candidates, stats.projections, stats.threshold_rises))
 
-    live_only = BoundArray.reset
-
-    def reset_full_grid(self, periods):
-        live_only(self, list(range(len(self.cells))))
+    def reset_whole_grid(self, periods):
+        for row in self.cells:
+            row[:] = [0] * len(row)
+        if self.seen is not None:
+            self.seen[:] = [0] * len(self.seen)
+        self.touched = []
         self.periods = periods
 
-    monkeypatch.setattr(BoundArray, "reset", reset_full_grid)
+    monkeypatch.setattr(BoundArray, "reset", reset_whole_grid)
     reference = []
     for db in databases:
         for k in (3, 25):
             _, stats = mine_top_k(db, k)
-            reference.append((stats.candidates, stats.projections))
+            reference.append((stats.candidates, stats.projections, stats.threshold_rises))
     assert runs == reference
+
+
+@pytest.mark.parametrize(
+    "n_periods, transactions", [(30, (40, 240)), (365, (400, 1100))]
+)
+def test_every_cell_and_flag_is_zero_after_each_reset(
+    monkeypatch, n_periods, transactions
+):
+    """Through whole mining runs, each array is all zero right after each
+    of its resets, and both ways of zeroing are taken."""
+    databases = _many_period_databases(n_periods, transactions, 6, n_periods)
+    reset = BoundArray.reset
+    ways = {"rows": 0, "cells": 0}
+
+    def checked_reset(self, periods):
+        if self.touched:
+            wide = len(self.touched) * SPARSE_RESET_SHARE > len(self.cells[0])
+            ways["rows" if wide else "cells"] += 1
+        reset(self, periods)
+        assert _all_zero(self), (self.base, periods)
+        assert self.touched == [] and self.periods is periods
+
+    monkeypatch.setattr(BoundArray, "reset", checked_reset)
+    for db in databases:
+        for k in (3, 25):
+            mine_top_k(db, k)
+    assert ways["rows"] > 0 and ways["cells"] > 0, ways

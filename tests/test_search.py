@@ -9,6 +9,7 @@ import pytest
 from topshelf.dataset import database_from_quantities, parse_database
 from topshelf.domain import Pattern
 from topshelf.errors import InvalidK, TooManyItems
+from topshelf.generator import GeneratorParams, generate
 from topshelf.oracle import enumerate_patterns, oracle_top_k, relative_utility
 from topshelf.search import TopKCollector, _Miner, mine_top_k, stats_json
 
@@ -197,6 +198,35 @@ def test_scaled_totals_follow_the_threshold(monkeypatch, corpus):
     for db in corpus[:20]:
         mine_top_k(db, 3)
     assert len(set(reads)) > 1
+
+
+# Recorded (candidates, projections, threshold_rises, max_depth) of seeded
+# generated databases mined at k. Each selection runs against the
+# threshold of its moment, and the threshold rises as the search goes, so
+# reordering a fill, a selection or a negative search against the offers
+# changes these counts even where the result stays the same.
+PINNED_COUNTERS = [
+    (dict(transactions=300, items=30, periods=3, avg_len=5, neg_frac=0.3, seed=11), 40,
+     (693, 693, 174, 7)),
+    (dict(transactions=500, items=60, periods=4, avg_len=6, neg_frac=0.2, seed=12), 80,
+     (1732, 1732, 330, 8)),
+    (dict(transactions=1200, items=40, periods=30, avg_len=5, neg_frac=0.25, seed=13), 60,
+     (1368, 1368, 385, 7)),
+    (dict(transactions=300, items=24, periods=2, avg_len=9, neg_frac=0.4, seed=14), 100,
+     (2115, 2115, 508, 11)),
+    (dict(transactions=2000, items=150, periods=4, avg_len=6, neg_frac=0.3, seed=15), 200,
+     (4488, 4488, 535, 8)),
+]
+
+
+@pytest.mark.parametrize(
+    "params, k, counters", PINNED_COUNTERS, ids=[f"seed{p['seed']}" for p, _, _ in PINNED_COUNTERS]
+)
+def test_search_counters_are_pinned(params, k, counters):
+    db = parse_database(generate(GeneratorParams(**params)))
+    _, stats = mine_top_k(db, k)
+    got = (stats.candidates, stats.projections, stats.threshold_rises, stats.max_depth)
+    assert got == counters
 
 
 def test_flag_combinations_agree(running_example):
