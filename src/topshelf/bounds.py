@@ -39,7 +39,7 @@ the selection helpers test; a fill writes only rows of periods that hold
 views, which are those periods. Where the touched items are more than a
 fifth of the row width, reset zeroes those rows whole instead, which is
 then the cheaper way. The selection helpers turn cells into plain lists
-before any recursion reuses the arrays.
+before a deeper node reuses the arrays.
 """
 
 from __future__ import annotations

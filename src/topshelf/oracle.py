@@ -22,7 +22,6 @@ class OracleLimits:
     """Feasibility guard: refuse databases whose enumeration would blow up."""
 
     max_items: int = 20
-    max_itemset_size: int | None = None
 
 
 def enumerate_patterns(
@@ -38,7 +37,6 @@ def enumerate_patterns(
     distinct = len(db.item_signs)
     if distinct > limits.max_items:
         raise TooLargeForOracle(distinct, limits.max_items)
-    cap = limits.max_itemset_size or distinct
 
     utility: dict[tuple[int, ...], int] = {}
     periods: dict[tuple[int, ...], set[int]] = {}
@@ -55,8 +53,7 @@ def enumerate_patterns(
                 total = base_u + u
                 utility[itemset] = utility.get(itemset, 0) + total
                 periods.setdefault(itemset, set()).add(h)
-                if len(itemset) < cap:
-                    grow(j + 1, itemset, total)
+                grow(j + 1, itemset, total)
 
         grow(0, (), 0)
 

@@ -2,15 +2,18 @@
 
 Positive items are explored first (only they can head a worthwhile prefix),
 and each positive prefix additionally sprouts a chain of negative-item
-extensions. The collector's threshold only ever rises, and it can never
-exceed the true k-th best ratio, so bound-based pruning (see bounds.py)
-never discards a member of the true top-k: the result is exactly what brute
-force would return.
+extensions. The walk is one loop over an explicit stack, so the depth of the
+tree (up to the longest transaction) never meets the interpreter's recursion
+limit. A positive node's negative subtree is searched before its positive
+children are selected, against the threshold of that moment; this is sound
+because negative nodes write only the negative bound array. The collector's
+threshold only ever rises, and it can never exceed the true k-th best ratio,
+so bound-based pruning (see bounds.py) never discards a member of the true
+top-k: the result is exactly what brute force would return.
 """
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
@@ -128,8 +131,8 @@ class TopKCollector:
 
 
 class _Miner:
-    """Search state plus the recursion. su and lu hold the subtree and local
-    bounds of positive candidates, neg the clipped subtree bounds of
+    """Search state plus the search loop. su and lu hold the subtree and
+    local bounds of positive candidates, neg the clipped subtree bounds of
     negative ones; every node reuses these three arrays (see bounds.py)."""
 
     def __init__(self, working, collector, *, su_prune, lu_prune):
@@ -159,103 +162,85 @@ class _Miner:
             self._scaled = (threshold, scaled)
         return scaled, threshold[1]
 
-    def _emit(self, pd, occupied, prefix_ext, depth, stats) -> None:
-        """Score the prefix over its projection, whose occupied periods are
-        given, and offer it."""
-        utility = sum(pd.utility_by_period[p] for p in occupied)
-        period_total = sum(self.period_totals[p] for p in occupied)
-        stats.candidates += 1
-        if depth > stats.max_depth:
-            stats.max_depth = depth
-        collector = self.collector
-        if collector.clears_threshold(utility, period_total):
-            collector.offer(
-                Pattern(
-                    items=tuple(sorted(prefix_ext)),
-                    utility=utility,
-                    periods=frozenset(self.period_labels[p] for p in occupied),
-                    period_total=period_total,
-                    relative_utility=Fraction(utility, period_total),
-                )
-            )
+    def search(self, root, primary, secondary, stats) -> None:
+        """Walk the set-enumeration tree below root depth first.
 
-    def expand(self, pd, prefix_ext, z, secondary, depth, stats):
-        """Grow the prefix by positive item z: score it, chase its negative
-        extensions, then recurse into surviving positive candidates.
+        The stack holds one frame per node whose children are still
+        pending: [projection, prefix, depth, picks, secondary, next], where
+        picks are the node's selected children in order and next indexes
+        the first one not yet searched. A positive frame's secondary is the
+        alphabet its children extend from; a negative frame's is None, and
+        each of its children extends from the picks after it.
 
-        With positive candidates left, one walk of the child's views fills
-        su, lu and neg; otherwise it fills neg alone. The negatives are
-        picked from the ones the fill touched and searched, which reuses
-        neg only, before the positive selection reads su and lu.
+        Each child is projected, scored and offered. A positive child then
+        fills neg, and su and lu too while later secondary items remain; a
+        negative child with later picks fills neg alone. The negatives it
+        picks go on the stack above a deferred frame (picks None) that
+        selects its positive children from su and lu once the negative
+        subtree is done, against the threshold of that moment. Negative
+        nodes write only neg, so su and lu still hold the positive child's
+        fill when the deferred selection runs.
         """
-        stats.projections += 1
-        child = project(pd, z)
-        ext2 = prefix_ext + (self.ext_id[z],)
-        occupied = child.occupied_periods
-        self._emit(child, occupied, ext2, depth + 1, stats)
-
-        candidates = secondary[bisect_right(secondary, z) :]
         su, lu, neg = self.su, self.lu, self.neg
-        neg.reset(occupied)
-        if candidates:
-            su.reset(occupied)
-            lu.reset(occupied)
-            fill_subtree_and_local(child.views, su, lu, neg)
-        else:
-            fill_negative_subtree(child.views, neg)
-        scaled, t_den = self._scaled_totals()
-        negatives = select_negative_candidates(
-            neg, sorted(neg.touched), scaled, t_den, self.su_prune
-        )
-        if negatives:
-            self._negative_search(child, ext2, negatives, depth + 1, stats)
-        if not candidates:
-            return
-        scaled, t_den = self._scaled_totals()
-        primary2, secondary2 = select_primary_secondary(
-            su, lu, candidates, scaled, t_den, self.su_prune, self.lu_prune
-        )
-        for nxt in primary2:
-            self.expand(child, ext2, nxt, secondary2, depth + 1, stats)
+        su_prune, lu_prune = self.su_prune, self.lu_prune
+        collector = self.collector
+        period_totals = self.period_totals
+        period_labels = self.period_labels
+        ext_id = self.ext_id
+        stack = [[root, (), 0, primary, secondary, 0]]
+        while stack:
+            frame = stack[-1]
+            pd, prefix, depth, picks, later, i = frame
+            if picks is None:
+                scaled, t_den = self._scaled_totals()
+                picks, later = select_primary_secondary(
+                    su, lu, later, scaled, t_den, su_prune, lu_prune
+                )
+                frame[3], frame[4] = picks, later
+            if i == len(picks):
+                stack.pop()
+                continue
+            z = picks[i]
+            i += 1
+            frame[5] = i
+            depth += 1  # the child's, from here on
 
-    def _negative_search(self, pd, prefix_ext, candidates, depth, stats):
-        neg = self.neg
-        for idx, z in enumerate(candidates):
             stats.projections += 1
             child = project(pd, z)
-            ext2 = prefix_ext + (self.ext_id[z],)
+            ext = prefix + (ext_id[z],)
             occupied = child.occupied_periods
-            self._emit(child, occupied, ext2, depth + 1, stats)
-            rest = candidates[idx + 1 :]
-            if not rest:
-                continue
+            utility = sum(child.utility_by_period[p] for p in occupied)
+            period_total = sum(period_totals[p] for p in occupied)
+            stats.candidates += 1
+            if depth > stats.max_depth:
+                stats.max_depth = depth
+            if collector.clears_threshold(utility, period_total):
+                collector.offer(
+                    Pattern(
+                        items=tuple(sorted(ext)),
+                        utility=utility,
+                        periods=frozenset(period_labels[p] for p in occupied),
+                        period_total=period_total,
+                        relative_utility=Fraction(utility, period_total),
+                    )
+                )
+
+            if later is None and i == len(picks):
+                continue  # the last negative pick has no later one to add
             neg.reset(occupied)
-            fill_negative_subtree(child.views, neg)
+            candidates = None if later is None else later[bisect_right(later, z) :]
+            if candidates:
+                su.reset(occupied)
+                lu.reset(occupied)
+                fill_subtree_and_local(child.views, su, lu, neg)
+                stack.append([child, ext, depth, None, candidates, 0])
+            else:
+                fill_negative_subtree(child.views, neg)
+            rest = picks[i:] if later is None else sorted(neg.touched)
             scaled, t_den = self._scaled_totals()
-            deeper = select_negative_candidates(neg, rest, scaled, t_den, self.su_prune)
-            if deeper:
-                self._negative_search(child, ext2, deeper, depth + 1, stats)
-
-
-def _raise_recursion_headroom(working) -> int | None:
-    """Lift the interpreter's recursion limit to what this search needs.
-
-    Returns the caller's limit if it was raised, so it can be restored, and
-    None if it was already high enough.
-    """
-    # Depth is bounded by the longest transaction (every prefix needs a
-    # containing row), not by the item count.
-    longest = 0
-    for block in working.blocks:
-        for row in block:
-            if len(row[0]) > longest:
-                longest = len(row[0])
-    needed = longest * 2 + 500
-    previous = sys.getrecursionlimit()
-    if previous >= needed:
-        return None
-    sys.setrecursionlimit(needed)
-    return previous
+            negatives = select_negative_candidates(neg, rest, scaled, t_den, su_prune)
+            if negatives:
+                stack.append([child, ext, depth, negatives, None, 0])
 
 
 def mine_top_k(
@@ -304,13 +289,7 @@ def mine_top_k(
         su, lu, range(miner.boundary), scaled, t_den, su_prune, False
     )
 
-    previous_limit = _raise_recursion_headroom(working)
-    try:
-        for z in primary0:
-            miner.expand(root, (), z, secondary0_dense, 0, stats)
-    finally:
-        if previous_limit is not None:
-            sys.setrecursionlimit(previous_limit)
+    miner.search(root, primary0, secondary0_dense, stats)
 
     patterns = collector.result()
     stats.patterns = len(patterns)

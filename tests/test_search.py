@@ -246,16 +246,21 @@ def one_long_transaction(n):
     return parse_database(f"{ids}:{n}:{utils}:0\n")
 
 
-def test_long_transaction_does_not_hit_recursion_limit():
-    # one 300-item transaction forces a 300-deep leftmost descent; the miner
-    # must lift a deliberately starved interpreter limit by itself
+def test_long_transaction_does_not_hit_recursion_limit(monkeypatch):
+    # one 300-item transaction forces a 300-deep leftmost descent; the search
+    # runs on its own stack, under a starved interpreter limit it never touches
     n = 300
     db = one_long_transaction(n)
     before = sys.getrecursionlimit()
     sys.setrecursionlimit(120)
     try:
-        mined, stats = mine_top_k(db, 1)
-        # the lifted limit is handed back once mining is done
+        with monkeypatch.context() as patched:
+
+            def refuse(limit):
+                raise AssertionError(f"mining set the recursion limit to {limit}")
+
+            patched.setattr(sys, "setrecursionlimit", refuse)
+            mined, stats = mine_top_k(db, 1)
         assert sys.getrecursionlimit() == 120
     finally:
         sys.setrecursionlimit(before)
@@ -263,20 +268,3 @@ def test_long_transaction_does_not_hit_recursion_limit():
     assert len(mined) == 1
     assert mined[0].items == tuple(range(1, n + 1))
     assert mined[0].relative_utility == 1
-
-
-def test_recursion_limit_is_restored_when_mining_raises(monkeypatch):
-    db = one_long_transaction(300)
-
-    def fail(*args):
-        raise RuntimeError("search failed")
-
-    monkeypatch.setattr(_Miner, "expand", fail)
-    before = sys.getrecursionlimit()
-    sys.setrecursionlimit(120)
-    try:
-        with pytest.raises(RuntimeError):
-            mine_top_k(db, 1)
-        assert sys.getrecursionlimit() == 120
-    finally:
-        sys.setrecursionlimit(before)
