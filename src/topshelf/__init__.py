@@ -30,6 +30,7 @@ from .errors import (
     InvalidBenchParams,
     InvalidK,
     TooLargeForOracle,
+    TooManyBoundCells,
     TooManyItems,
     TopshelfError,
 )
@@ -52,6 +53,7 @@ __all__ = [
     "Pattern",
     "SearchStats",
     "TooLargeForOracle",
+    "TooManyBoundCells",
     "TooManyItems",
     "TopshelfError",
     "Transaction",

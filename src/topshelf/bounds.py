@@ -24,9 +24,10 @@ subtree and local bounds of the positive items (columns 0..boundary-1), and
 neg holds the clipped subtree bounds of the kept negative items (columns
 boundary..n_items-1 only, so the three together are no larger than one
 full-width pair). fill_subtree_and_local fills all three in one walk of a
-node's views; fill_negative_subtree fills neg alone. Keeping the negatives
-apart lets a positive node search its negative extensions, which reuse neg,
-between its one fill and its positive selection.
+node's projection; fill_negative_subtree fills neg alone. Both walk only
+the periods the projection occupies. Keeping the negatives apart lets a
+positive node search its negative extensions, which reuse neg, between its
+one fill and its positive selection.
 
 Between nodes every cell and every flag is zero. The fills keep a
 first-touch record: the first time an array's cell for an item is written,
@@ -35,10 +36,10 @@ written only at positives that su has seen, so it keeps no flags and shares
 su's touched list. reset(periods) zeroes the previous fill's rows (the
 periods given to the previous reset) at the touched items, clears their
 flags and the record, and makes periods the rows the next fill writes and
-the selection helpers test; a fill writes only rows of periods that hold
-views, which are those periods. Where the touched items are more than a
-fifth of the row width, reset zeroes those rows whole instead, which is
-then the cheaper way. The selection helpers turn cells into plain lists
+the selection helpers test; a node resets for the periods its projection
+occupies, and a fill writes only the rows of those periods. Where the
+touched items are more than a fifth of the row width, reset zeroes those
+rows whole instead, which is then the cheaper way. The selection helpers turn cells into plain lists
 before a deeper node reuses the arrays.
 """
 
@@ -99,8 +100,9 @@ class BoundArray:
         self.periods = periods
 
 
-def fill_subtree_and_local(views, su: BoundArray, lu: BoundArray, neg: BoundArray) -> None:
-    """One backward walk per view fills all three bound arrays.
+def fill_subtree_and_local(pd, su: BoundArray, lu: BoundArray, neg: BoundArray) -> None:
+    """One backward walk per view of projection pd fills all three bound
+    arrays, in the rows of the periods pd occupies.
 
     Negatives come first in the walk (they sort last) and add clipped
     brackets to their neg cells. Then running, the prefix utility plus the
@@ -117,9 +119,7 @@ def fill_subtree_and_local(views, su: BoundArray, lu: BoundArray, neg: BoundArra
     su_cells = su.cells
     lu_cells = lu.cells
     neg_cells = neg.cells
-    for p, plist in enumerate(views):
-        if not plist:
-            continue
+    for p, plist in zip(pd.periods, pd.views):
         su_row = su_cells[p]
         lu_row = lu_cells[p]
         neg_row = neg_cells[p]
@@ -153,16 +153,15 @@ def fill_subtree_and_local(views, su: BoundArray, lu: BoundArray, neg: BoundArra
     lu.touched = touched
 
 
-def fill_negative_subtree(views, neg: BoundArray) -> None:
-    """Clipped subtree cells for negative candidates only: walk each view's
-    negative tail, accumulating max(prefix + u(n, T), 0)."""
+def fill_negative_subtree(pd, neg: BoundArray) -> None:
+    """Clipped subtree cells for negative candidates only: walk the
+    negative tail of each view of projection pd, accumulating
+    max(prefix + u(n, T), 0)."""
     boundary = neg.base
     seen = neg.seen
     touched = neg.touched
     cells = neg.cells
-    for p, plist in enumerate(views):
-        if not plist:
-            continue
+    for p, plist in zip(pd.periods, pd.views):
         row = cells[p]
         for items, utils, off, prefix in plist:
             j = len(items) - 1

@@ -72,6 +72,17 @@ class TooManyItems(DatasetError):
         self.limit = limit
 
 
+class TooManyBoundCells(DatasetError):
+    """The search's dense period x item bound arrays would exceed the cap."""
+
+    def __init__(self, count: int, limit: int):
+        super().__init__(
+            f"bound arrays need {count} period x item cells, limit is {limit}"
+        )
+        self.count = count
+        self.limit = limit
+
+
 class InvalidK(TopshelfError, ValueError):
     def __init__(self, k: int):
         super().__init__(f"k must be a positive integer, got {k}")

@@ -7,20 +7,27 @@ copies transaction content: a view's items and utilities are always the
 stored row's own lists. Identical rows are fused once, when the working
 database is built (see prepare.py), and never below the root.
 
+A projection is period-sparse: it stores only the periods it occupies,
+ascending, with their views and prefix utility sums aligned to them. A
+node's projection therefore costs what the prefix's sales cost, not the
+length of the shelf calendar; an itemset is only ever judged over the
+periods it sells in.
+
 The root projection also carries an occurrence index, built once, so that
 projecting a root item visits only the rows that contain it instead of
 bisecting every row. The index is in compressed sparse row form: one flat
 array of row ids grouped by dense item (ascending within each item, rows
-numbered block after block in period order), per-item offsets into it, and
-the first row id of each period. It costs 4 bytes per item occurrence plus
-4 bytes per item and per period for the offsets, and holds no second copy
-of the views. Projections below the root scan their parent's views.
+numbered block after block through the root's occupied periods), per-item
+offsets into it, and the first row id of each block. It costs 4 bytes per
+item occurrence plus 4 bytes per item and per block for the offsets, and
+holds no second copy of the views. Projections below the root scan their
+parent's views.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -44,8 +51,9 @@ class OccurrenceIndex:
     """Rows containing each dense item, in the order a scan would keep them.
 
     rows[item_starts[z]:item_starts[z + 1]] are the ids of the rows that
-    contain z, ascending. Row ids number the root's period blocks one after
-    another; period p holds ids period_starts[p] up to period_starts[p + 1].
+    contain z, ascending. Row ids number the root's blocks, one per
+    occupied period, one after another; block b holds ids period_starts[b]
+    up to period_starts[b + 1], and no block is empty.
     """
 
     rows: array
@@ -55,18 +63,18 @@ class OccurrenceIndex:
 
 @dataclass(slots=True)
 class ProjectedDatabase:
-    """Views per dense period index, with per-period prefix utility sums.
+    """Views and prefix utility sums of the periods a projection occupies.
 
-    Only the root projection has an index; project() uses it when present.
+    periods lists, ascending, the dense period indices that hold at least
+    one view; views[i] and utility_by_period[i] belong to periods[i], and
+    no views list is empty. Only the root projection has an index;
+    project() uses it when present.
     """
 
+    periods: list[int]
     views: list[list[tuple]]
     utility_by_period: list[int]
     index: OccurrenceIndex | None = None
-
-    @property
-    def occupied_periods(self) -> list[int]:
-        return [p for p, v in enumerate(self.views) if v]
 
 
 def _occurrence_index(blocks: list[list[list]], n_items: int) -> OccurrenceIndex:
@@ -102,15 +110,15 @@ def _occurrence_index(blocks: list[list[list]], n_items: int) -> OccurrenceIndex
 
 def root_projection(working: WorkingDatabase) -> ProjectedDatabase:
     """The empty-prefix projection: every row, offset 0, prefix utility 0,
-    with the occurrence index over the rows."""
-    views = [
-        [(row[0], row[1], 0, 0) for row in block]
-        for block in working.blocks
-    ]
+    with the occurrence index over the rows. A period whose rows all lost
+    every item to the order holds no row and is left out."""
+    periods = [p for p, block in enumerate(working.blocks) if block]
+    blocks = [working.blocks[p] for p in periods]
     return ProjectedDatabase(
-        views=views,
-        utility_by_period=[0] * len(views),
-        index=_occurrence_index(working.blocks, len(working.order)),
+        periods=periods,
+        views=[[(row[0], row[1], 0, 0) for row in block] for block in blocks],
+        utility_by_period=[0] * len(periods),
+        index=_occurrence_index(blocks, len(working.order)),
     )
 
 
@@ -119,15 +127,17 @@ def project(parent: ProjectedDatabase, z: int) -> ProjectedDatabase:
 
     Each surviving view starts just past z and adds u(z, T) to its prefix
     utility. Per-period utility sums and occupancy fall out of the same
-    walk. View order is inherited from the parent. With an index, only
-    the views of rows that contain z are visited, in the same order.
+    walk, which visits only the parent's periods. View order is inherited
+    from the parent. With an index, only the views of rows that contain z
+    are visited, in the same order.
     """
     index = parent.index
     if index is not None:
-        return _project_indexed(parent.views, index, z)
+        return _project_indexed(parent, index, z)
+    out_periods = []
     out_views = []
     out_u = []
-    for plist in parent.views:
+    for p, plist in zip(parent.periods, parent.views):
         rows = []
         total = 0
         for view in plist:
@@ -137,32 +147,43 @@ def project(parent: ProjectedDatabase, z: int) -> ProjectedDatabase:
                 prefix = view[3] + view[1][j]
                 rows.append((items, view[1], j + 1, prefix))
                 total += prefix
-        out_views.append(rows)
-        out_u.append(total)
-    return ProjectedDatabase(views=out_views, utility_by_period=out_u)
+        if rows:
+            out_periods.append(p)
+            out_views.append(rows)
+            out_u.append(total)
+    return ProjectedDatabase(periods=out_periods, views=out_views, utility_by_period=out_u)
 
 
-def _project_indexed(views, index: OccurrenceIndex, z: int) -> ProjectedDatabase:
-    occurrences = index.rows
+def _project_indexed(parent: ProjectedDatabase, index: OccurrenceIndex, z: int) -> ProjectedDatabase:
+    # One walk over z's row ids. They ascend, so a row id at or past the
+    # current block's end opens the next block that holds z, found by
+    # bisecting the block starts.
     period_starts = index.period_starts
-    lo = index.item_starts[z]
-    stop = index.item_starts[z + 1]
+    parent_periods = parent.periods
+    parent_views = parent.views
+    out_periods = []
     out_views = []
     out_u = []
-    for p, plist in enumerate(views):
-        hi = bisect_left(occurrences, period_starts[p + 1], lo, stop)
-        rows = []
-        total = 0
-        if hi > lo:
-            base = period_starts[p]
-            for r in occurrences[lo:hi]:
-                view = plist[r - base]
-                items = view[0]
-                j = bisect_left(items, z, view[2])
-                prefix = view[3] + view[1][j]
-                rows.append((items, view[1], j + 1, prefix))
-                total += prefix
-            lo = hi
-        out_views.append(rows)
+    end = 0
+    total = 0
+    for r in index.rows[index.item_starts[z] : index.item_starts[z + 1]]:
+        if r >= end:
+            if out_views:
+                out_u.append(total)
+            b = bisect_right(period_starts, r) - 1
+            base = period_starts[b]
+            end = period_starts[b + 1]
+            plist = parent_views[b]
+            rows = []
+            total = 0
+            out_periods.append(parent_periods[b])
+            out_views.append(rows)
+        view = plist[r - base]
+        items = view[0]
+        j = bisect_left(items, z, view[2])
+        prefix = view[3] + view[1][j]
+        rows.append((items, view[1], j + 1, prefix))
+        total += prefix
+    if out_views:
         out_u.append(total)
-    return ProjectedDatabase(views=out_views, utility_by_period=out_u)
+    return ProjectedDatabase(periods=out_periods, views=out_views, utility_by_period=out_u)

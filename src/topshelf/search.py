@@ -28,7 +28,7 @@ from .bounds import (
 )
 from .dataset import OnShelfDatabase
 from .domain import Pattern
-from .errors import InvalidK, TooManyItems
+from .errors import InvalidK, TooManyBoundCells, TooManyItems
 from .prepare import (
     build_item_order,
     build_working_database,
@@ -40,6 +40,9 @@ from .prepare import (
 from .projection import project, root_projection
 
 MAX_DISTINCT_ITEMS = 2**16
+# Cells of the three dense bound arrays together, periods x (2 x positives +
+# kept negatives): 2**26 list slots take about 0.5 GB on a 64-bit build.
+MAX_BOUND_CELLS = 2**26
 
 
 @dataclass
@@ -142,6 +145,9 @@ class _Miner:
         self.boundary = boundary = working.order.boundary
         n_items = len(working.order)
         n_periods = len(working.period_labels)
+        cells = n_periods * (boundary + n_items)
+        if cells > MAX_BOUND_CELLS:
+            raise TooManyBoundCells(cells, MAX_BOUND_CELLS)
         self.su = BoundArray(n_periods, boundary)
         self.lu = BoundArray(n_periods, boundary, flags=False)
         self.neg = BoundArray(n_periods, n_items - boundary, boundary)
@@ -208,8 +214,8 @@ class _Miner:
             stats.projections += 1
             child = project(pd, z)
             ext = prefix + (ext_id[z],)
-            occupied = child.occupied_periods
-            utility = sum(child.utility_by_period[p] for p in occupied)
+            occupied = child.periods
+            utility = sum(child.utility_by_period)
             period_total = sum(period_totals[p] for p in occupied)
             stats.candidates += 1
             if depth > stats.max_depth:
@@ -232,10 +238,10 @@ class _Miner:
             if candidates:
                 su.reset(occupied)
                 lu.reset(occupied)
-                fill_subtree_and_local(child.views, su, lu, neg)
+                fill_subtree_and_local(child, su, lu, neg)
                 stack.append([child, ext, depth, None, candidates, 0])
             else:
-                fill_negative_subtree(child.views, neg)
+                fill_negative_subtree(child, neg)
             rest = picks[i:] if later is None else sorted(neg.touched)
             scaled, t_den = self._scaled_totals()
             negatives = select_negative_candidates(neg, rest, scaled, t_den, su_prune)
@@ -277,11 +283,10 @@ def mine_top_k(
     miner = _Miner(working, collector, su_prune=su_prune, lu_prune=lu_prune)
     root = root_projection(working)
     su, lu, neg = miner.su, miner.lu, miner.neg
-    root_periods = root.occupied_periods
-    su.reset(root_periods)
-    lu.reset(root_periods)
-    neg.reset(root_periods)
-    fill_subtree_and_local(root.views, su, lu, neg)
+    su.reset(root.periods)
+    lu.reset(root.periods)
+    neg.reset(root.periods)
+    fill_subtree_and_local(root, su, lu, neg)
     scaled, t_den = miner._scaled_totals()
     # Root secondary came from the TWU test already; the root pass only
     # filters primary, so the local-bound test is off here.

@@ -12,11 +12,12 @@ from topshelf.prepare import build_item_order, build_working_database, compute_p
 from topshelf.projection import root_projection
 
 
-def pipeline(db, merge=True):
-    """Order over every item, working layout, and the root projection."""
+def pipeline(db, merge=True, drop=()):
+    """Order over every item but those in drop, working layout, and the
+    root projection."""
     table = compute_period_twu(db)
-    positives = {i for i, s in db.item_signs.items() if s > 0}
-    negatives = {i for i, s in db.item_signs.items() if s < 0}
+    positives = {i for i, s in db.item_signs.items() if s > 0 and i not in drop}
+    negatives = {i for i, s in db.item_signs.items() if s < 0 and i not in drop}
     order = build_item_order(table, db.item_signs, positives, negatives)
     working, _ = build_working_database(db, order, merge=merge)
     return order, working, root_projection(working)

@@ -27,7 +27,7 @@ from topshelf.oracle import (
     subtree_bound,
     twu,
 )
-from topshelf.projection import project
+from topshelf.projection import ProjectedDatabase, project
 from topshelf.search import TopKCollector, _Miner, mine_top_k
 
 A, B, C, D, E = 1, 2, 3, 4, 5
@@ -125,7 +125,7 @@ def test_root_bounds_match_definitions(corpus):
         su, lu, neg = _miner_arrays(working)
         assert len(su.seen) == order.boundary and neg.base == order.boundary
         assert len(neg.seen) == n - order.boundary
-        fill_subtree_and_local(root.views, su, lu, neg)
+        fill_subtree_and_local(root, su, lu, neg)
         _assert_record_matches(root.views, su, lu, neg)
         for z in range(n):
             z_ext = order.sequence[z]
@@ -148,7 +148,7 @@ def test_depth_one_bounds_match_definitions(corpus):
         z0 = rng.randrange(order.boundary)
         pd = project(root, z0)
         su, lu, neg = _miner_arrays(working)
-        fill_subtree_and_local(pd.views, su, lu, neg)
+        fill_subtree_and_local(pd, su, lu, neg)
         _assert_record_matches(pd.views, su, lu, neg)
         prefix = (order.sequence[z0],)
         for z in range(z0 + 1, n):
@@ -176,7 +176,7 @@ def test_merged_views_tighten_but_never_break_the_bound(corpus, narrow_corpus):
         z0 = rng.randrange(order.boundary)
         pd = project(root, z0)
         su, lu, neg = _miner_arrays(working)
-        fill_subtree_and_local(pd.views, su, lu, neg)
+        fill_subtree_and_local(pd, su, lu, neg)
         prefix = (order.sequence[z0],)
         for z in range(z0 + 1, n):
             z_ext = order.sequence[z]
@@ -198,7 +198,7 @@ def test_merged_views_tighten_but_never_break_the_bound(corpus, narrow_corpus):
         for z0 in range(order.boundary):
             pd = project(root, z0)
             su, lu, neg = _miner_arrays(working)
-            fill_subtree_and_local(pd.views, su, lu, neg)
+            fill_subtree_and_local(pd, su, lu, neg)
             prefix = (order.sequence[z0],)
             for z in range(z0 + 1, n):
                 z_ext = order.sequence[z]
@@ -232,9 +232,9 @@ def test_negative_tail_fill_matches_definitions(corpus):
         z0 = rng.randrange(order.boundary)
         pd = project(root, z0)
         _, _, neg = _miner_arrays(working)
-        fill_negative_subtree(pd.views, neg)
+        fill_negative_subtree(pd, neg)
         su, lu, walked = _miner_arrays(working)
-        fill_subtree_and_local(pd.views, su, lu, walked)
+        fill_subtree_and_local(pd, su, lu, walked)
         _assert_record_matches(pd.views, su, lu, walked)
         assert neg.cells == walked.cells
         assert neg.seen == walked.seen and neg.touched == walked.touched
@@ -248,6 +248,17 @@ def test_negative_tail_fill_matches_definitions(corpus):
         if checked > 400:
             break
     assert checked > 100
+
+
+def _projection(views_by_period):
+    """A projection holding hand-written views, keyed by period."""
+    periods = sorted(views_by_period)
+    views = [views_by_period[p] for p in periods]
+    return ProjectedDatabase(
+        periods=periods,
+        views=views,
+        utility_by_period=[sum(view[3] for view in plist) for plist in views],
+    )
 
 
 def _three_arrays(n_periods, boundary, n_items):
@@ -268,8 +279,8 @@ def test_bound_array_reset_clears_state():
     su, lu, neg = _three_arrays(3, 2, 4)
     for arr in (su, lu, neg):
         arr.reset([0, 2])
-    views = [[([0, 1, 3], [4, 5, -2], 0, 6)], [], [([1, 2], [3, -9], 0, 6)]]
-    fill_subtree_and_local(views, su, lu, neg)
+    pd = _projection({0: [([0, 1, 3], [4, 5, -2], 0, 6)], 2: [([1, 2], [3, -9], 0, 6)]})
+    fill_subtree_and_local(pd, su, lu, neg)
     assert su.cells == [[15, 11], [0, 0], [0, 9]]
     assert lu.cells == [[15, 15], [0, 0], [0, 9]]
     assert neg.cells == [[0, 4], [0, 0], [0, 0]]  # 6 - 9 < 0 is clipped
@@ -282,7 +293,7 @@ def test_bound_array_reset_clears_state():
     for arr in (su, lu, neg):
         arr.reset([1])
         assert _all_zero(arr) and arr.touched == [] and arr.periods == [1]
-    fill_subtree_and_local([[], [([0, 2], [1, 5], 0, 0)], []], su, lu, neg)
+    fill_subtree_and_local(_projection({1: [([0, 2], [1, 5], 0, 0)]}), su, lu, neg)
     assert su.cells[1] == [1, 0] and neg.cells[1] == [5, 0]
     for arr in (su, lu, neg):
         arr.reset([0])
@@ -291,7 +302,9 @@ def test_bound_array_reset_clears_state():
     # one touched item of a wide row is zeroed cell by cell, at its column
     wide = BoundArray(2, 6 * SPARSE_RESET_SHARE, 10)
     wide.reset([0, 1])
-    fill_negative_subtree([[([0, 17], [9, -1], 0, 9)], [([17], [-2], 0, 5)]], wide)
+    fill_negative_subtree(
+        _projection({0: [([0, 17], [9, -1], 0, 9)], 1: [([17], [-2], 0, 5)]}), wide
+    )
     assert wide.cells[0][7] == 8 and wide.cells[1][7] == 3 and wide.touched == [17]
     wide.reset([])
     assert _all_zero(wide) and wide.touched == []
@@ -352,8 +365,8 @@ def test_negative_candidate_selection():
     # negatives are items 3..6, in columns 0..3 of a negative-only array
     neg = BoundArray(1, 4, 3)
     neg.reset([0])
-    views = [[([1, 4, 5], [10, -3, -7], 1, 10), ([1, 6], [1, -5], 1, 1)]]
-    fill_negative_subtree(views, neg)
+    pd = _projection({0: [([1, 4, 5], [10, -3, -7], 1, 10), ([1, 6], [1, -5], 1, 1)]})
+    fill_negative_subtree(pd, neg)
     assert neg.cells == [[0, 7, 3, 0]]  # item 6: 1 - 5 < 0 is clipped
     assert neg.seen == [0, 1, 1, 1]
     touched = sorted(neg.touched)
@@ -380,8 +393,8 @@ def test_selection_reads_only_live_periods():
     su, lu, neg = _three_arrays(3, 3, 6)
     for arr in (su, lu, neg):
         arr.reset([0, 1])
-    views = [[([0, 3], [8, -1], 0, 0), ([1], [1], 0, 0)], [], []]
-    fill_subtree_and_local(views, su, lu, neg)
+    pd = _projection({0: [([0, 3], [8, -1], 0, 0), ([1], [1], 0, 0)]})
+    fill_subtree_and_local(pd, su, lu, neg)
     assert su.cells[0] == lu.cells[0] == [8, 1, 0] and neg.cells[0] == [0, 0, 0]
     su.cells[2][1] = lu.cells[2][1] = neg.cells[2][0] = 10**9
     primary, secondary = select_primary_secondary(
@@ -401,7 +414,8 @@ def test_fills_without_kept_negatives():
     assert neg.cells == [[], []] and neg.seen == []
     for arr in (su, lu, neg):
         arr.reset([0, 1])
-    fill_subtree_and_local([[([0, 2], [2, 3], 0, 0)], [([1], [4], 0, 0)]], su, lu, neg)
+    pd = _projection({0: [([0, 2], [2, 3], 0, 0)], 1: [([1], [4], 0, 0)]})
+    fill_subtree_and_local(pd, su, lu, neg)
     assert su.cells == [[5, 0, 3], [0, 4, 0]] and lu.cells == [[5, 0, 5], [0, 4, 0]]
     assert neg.touched == []
     assert select_negative_candidates(neg, sorted(neg.touched), [0, 0], 1, True) == []
@@ -425,7 +439,8 @@ def test_fills_with_only_negatives():
     su, lu, neg = _three_arrays(1, 1, 4)
     for arr in (su, lu, neg):
         arr.reset([0])
-    fill_subtree_and_local([[([0, 1, 3], [9, -2, -4], 1, 9), ([0, 2], [9, -1], 1, 9)]], su, lu, neg)
+    pd = _projection({0: [([0, 1, 3], [9, -2, -4], 1, 9), ([0, 2], [9, -1], 1, 9)]})
+    fill_subtree_and_local(pd, su, lu, neg)
     assert su.touched == [] and lu.touched is su.touched
     assert _all_zero(su) and _all_zero(lu)
     assert neg.cells == [[7, 8, 5]] and neg.touched == [3, 1, 2]

@@ -1,4 +1,5 @@
-"""Projections: narrowing, per-period utility accounting, the root index."""
+"""Projections: the period-sparse layout, narrowing, per-period utility
+accounting, the root index."""
 
 import random
 from array import array
@@ -23,20 +24,46 @@ def view_total(pd):
     return sum(len(v) for v in pd.views)
 
 
+def assert_sparse(pd):
+    """The layout contract: strictly ascending periods, each with a
+    non-empty views list and the sum of those views' prefix utilities."""
+    assert len(pd.views) == len(pd.periods) == len(pd.utility_by_period)
+    assert all(a < b for a, b in zip(pd.periods, pd.periods[1:]))
+    for plist, total in zip(pd.views, pd.utility_by_period):
+        assert plist
+        assert total == sum(view[3] for view in plist)
+
+
 def test_root_projection_covers_every_row(running_example):
     _, working, root = pipeline(running_example)
+    assert_sparse(root)
     assert view_total(root) == working.transaction_count
+    assert root.periods == [0, 1, 2]
     assert root.utility_by_period == [0, 0, 0]
-    assert root.occupied_periods == [0, 1, 2]
     for plist in root.views:
         for items, utils, off, prefix in plist:
             assert off == 0 and prefix == 0
 
 
+def test_root_skips_periods_emptied_by_the_order(running_example):
+    # period 0 sells only a, b, c and d (T2, T7): with e alone in the order
+    # both its rows lose every item, and the root skips the empty block
+    order, working, root = pipeline(running_example, merge=False, drop={A, B, C, D})
+    assert working.blocks[0] == []
+    assert_sparse(root)
+    assert root.periods == [1, 2]
+    assert list(root.index.period_starts) == [0, 1, 4]  # T1; T4, T5, T6
+    pd = project(root, order.position[E])
+    assert_sparse(pd)
+    assert pd.periods == [1, 2] and pd.utility_by_period == [10, 40]
+
+
 def test_project_narrows_to_containing_transactions(running_example):
     order, _, root = pipeline(running_example, merge=False)
     pd = project(root, order.position[D])
+    assert_sparse(pd)
     # d sits in T2 (period 0), T1/T3/T8 (period 1), T5 (period 2)
+    assert pd.periods == [0, 1, 2]
     assert [len(v) for v in pd.views] == [1, 3, 1]
     assert view_total(pd) == 5
     # prefix utilities are u(d, T); period-1 views keep input order: T1, T3, T8
@@ -51,9 +78,9 @@ def test_project_missing_item_leaves_nothing(running_example):
     order, _, root = pipeline(running_example)
     pd = project(root, order.position[E])
     sub = project(pd, order.position[B])  # {e, b}: T1, T5, T6
+    assert_sparse(sub)
     none = project(sub, order.position[B])  # already consumed
-    assert view_total(none) == 0
-    assert none.occupied_periods == []
+    assert none.periods == [] and none.views == [] and none.utility_by_period == []
 
 
 def test_projection_chain_matches_definitions(corpus):
@@ -61,34 +88,36 @@ def test_projection_chain_matches_definitions(corpus):
     for db in corpus[:40]:
         order, _, root = pipeline(db)
         n = len(order)
+        labels = sorted(db.periods)
         for _ in range(6):
             size = rng.randint(1, min(3, n))
             chain = sorted(rng.sample(range(n), size))
             pd = root
             for z in chain:
                 pd = project(pd, z)
+                assert_sparse(pd)
             external = tuple(sorted(order.sequence[z] for z in chain))
-            prd = itemset_periods(db, external)
-            labels = [h for h in sorted(db.periods)]
-            want_by_period = [
-                itemset_utility(db, external, period=h) if h in prd else 0
-                for h in labels
+            prd = sorted(itemset_periods(db, external))
+            assert [labels[p] for p in pd.periods] == prd
+            assert pd.utility_by_period == [
+                itemset_utility(db, external, period=h) for h in prd
             ]
-            assert pd.utility_by_period == want_by_period
-            assert [labels[p] for p in pd.occupied_periods] == sorted(prd)
 
 
 def assert_index_matches_scan(root, n_items):
     """Index-backed root projections equal the scan over the same views:
-    same views in the same order, sharing the stored buffers, and the same
-    per-period utility sums."""
+    same periods, same views in the same order, sharing the stored
+    buffers, and the same per-period utility sums."""
     assert root.index is not None
+    assert_sparse(root)
     scan = ProjectedDatabase(
-        views=root.views, utility_by_period=root.utility_by_period
+        periods=root.periods, views=root.views, utility_by_period=root.utility_by_period
     )
     for z in range(n_items):
         got = project(root, z)
         want = project(scan, z)
+        assert_sparse(got)
+        assert got.periods == want.periods, z
         assert got.views == want.views, z
         for gv, wv in zip(got.views, want.views):
             assert all(g[0] is w[0] and g[1] is w[1] for g, w in zip(gv, wv))
@@ -102,10 +131,10 @@ def test_indexed_root_projection_matches_scan_on_running_example(
 ):
     order, _, root = pipeline(running_example, merge=merge)
     assert_index_matches_scan(root, len(order))
-    # e never sells in period 0: its projection leaves that block empty
+    # e never sells in period 0: its projection leaves that period out
     pd = project(root, order.position[E])
-    assert pd.views[0] == [] and pd.utility_by_period[0] == 0
-    assert pd.occupied_periods == [1, 2]
+    assert pd.periods == [1, 2]
+    assert [len(v) for v in pd.views] == [1, 3]
 
 
 @pytest.mark.parametrize("merge", [True, False])
@@ -128,25 +157,54 @@ def test_indexed_root_projection_matches_scan_on_random_databases(merge):
         assert_index_matches_scan(root, len(order))
 
 
-def test_indexed_root_projection_matches_scan_over_365_periods():
+def round_robin_365(emptied=0):
+    """900 generated rows dealt round-robin into 365 periods, two or three
+    each. Where emptied > 0, every row of each emptied-th period is
+    replaced by one sale of item 99 alone, so that leaving 99 out of the
+    order empties those periods."""
     params = GeneratorParams(
         transactions=900, items=30, avg_len=4, neg_frac=0.0, seed=3
     )
-    # re-deal the rows round-robin so that every period holds two or three
-    lines = [
-        line.rsplit(":", 1)[0] + f":{t % 365}"
-        for t, line in enumerate(generate(params).splitlines())
-    ]
-    db = parse_database("\n".join(lines) + "\n")
-    order, _, root = pipeline(db)
-    assert len(root.views) == 365
+    lines = []
+    for t, line in enumerate(generate(params).splitlines()):
+        period = t % 365
+        if emptied and period % emptied == 0:
+            lines.append(f"99:7:7:{period}")
+        else:
+            lines.append(line.rsplit(":", 1)[0] + f":{period}")
+    return parse_database("\n".join(lines) + "\n")
+
+
+def test_indexed_root_projection_matches_scan_over_365_periods():
+    order, _, root = pipeline(round_robin_365())
+    assert root.periods == list(range(365))
     block_sizes = [len(block) for block in root.views]
     assert list(root.index.period_starts) == [0, *accumulate(block_sizes)]
     assert_index_matches_scan(root, len(order))
 
 
+def test_indexed_root_projection_matches_scan_over_365_periods_with_empty_ones():
+    db = round_robin_365(emptied=5)
+    order, working, root = pipeline(db, drop={99})
+    empty = [p for p, block in enumerate(working.blocks) if not block]
+    assert empty == list(range(0, 365, 5))
+    assert root.periods == [p for p in range(365) if p % 5]
+    block_sizes = [len(block) for block in root.views]
+    assert list(root.index.period_starts) == [0, *accumulate(block_sizes)]
+    assert_index_matches_scan(root, len(order))
+    # below the root the scan walks only the parent's periods
+    labels = sorted(db.periods)
+    rng = random.Random(365)
+    for _ in range(20):
+        chain = sorted(rng.sample(range(len(order)), 2))
+        pd = project(project(root, chain[0]), chain[1])
+        assert_sparse(pd)
+        external = tuple(sorted(order.sequence[z] for z in chain))
+        assert [labels[p] for p in pd.periods] == sorted(itemset_periods(db, external))
+
+
 def test_index_typecodes_hold_every_legal_count():
-    # row ids, period offsets and item offsets never exceed the row or
+    # row ids, block offsets and item offsets never exceed the row or
     # occurrence count, so 4 bytes hold them below 2**32 and 8 from there
     for largest in (0, 365, 2**16, 2**32 - 1):
         code = _typecode(largest)

@@ -6,11 +6,19 @@ from fractions import Fraction
 
 import pytest
 
+from topshelf import search
+from topshelf.cli import main
 from topshelf.dataset import database_from_quantities, parse_database
 from topshelf.domain import Pattern
-from topshelf.errors import InvalidK, TooManyItems
+from topshelf.errors import InvalidK, TooManyBoundCells, TooManyItems
 from topshelf.generator import GeneratorParams, generate
 from topshelf.oracle import enumerate_patterns, oracle_top_k, relative_utility
+from topshelf.prepare import (
+    compute_period_twu,
+    initial_secondary,
+    negative_keep,
+    singleton_threshold,
+)
 from topshelf.search import TopKCollector, _Miner, mine_top_k, stats_json
 
 
@@ -89,6 +97,31 @@ def test_too_many_distinct_items_rejected():
     db = parse_database(f"{ids}:{n}:{utils}:0\n")
     with pytest.raises(TooManyItems):
         mine_top_k(db, 1)
+
+
+def test_too_many_bound_cells_rejected_before_allocating(monkeypatch, tmp_path, running_text, capsys):
+    # at k=50 the threshold starts at zero and every item is kept: 3 periods
+    # x (2 x 3 profitable items a, d, e + 2 loss-making items b, c) cells
+    db = parse_database(running_text)
+    cells = 3 * (2 * 3 + 2)
+    reference, _ = mine_top_k(db, 50)
+    with monkeypatch.context() as patched:
+        patched.setattr(search, "MAX_BOUND_CELLS", cells - 1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated bound arrays over the cap")
+
+        patched.setattr(search, "BoundArray", refuse)
+        with pytest.raises(TooManyBoundCells) as caught:
+            mine_top_k(db, 50)
+        assert (caught.value.count, caught.value.limit) == (cells, cells - 1)
+        path = tmp_path / "toy.db"
+        path.write_text(running_text, encoding="utf-8")
+        assert main(["mine", "-i", str(path), "-k", "50"]) == 2
+        assert "bound arrays need 24" in capsys.readouterr().err
+    # exactly at the cap the arrays are allowed
+    monkeypatch.setattr(search, "MAX_BOUND_CELLS", cells)
+    assert mine_top_k(db, 50)[0] == reference
 
 
 def test_superset_can_outrank_subset():
@@ -216,6 +249,8 @@ PINNED_COUNTERS = [
      (2115, 2115, 508, 11)),
     (dict(transactions=2000, items=150, periods=4, avg_len=6, neg_frac=0.3, seed=15), 200,
      (4488, 4488, 535, 8)),
+    (dict(transactions=2400, items=50, periods=365, avg_len=5, neg_frac=0.2, seed=16), 100,
+     (1181, 1181, 445, 7)),
 ]
 
 
@@ -227,6 +262,47 @@ def test_search_counters_are_pinned(params, k, counters):
     _, stats = mine_top_k(db, k)
     got = (stats.candidates, stats.projections, stats.threshold_rises, stats.max_depth)
     assert got == counters
+
+
+def predicted_merges(db, k):
+    """The rows mine_top_k(db, k) fuses away, counted without it: a row is
+    fused when an earlier row of its period keeps the same items once the
+    items outside the mining order are dropped. The order's items come
+    from the same preparation steps the miner takes."""
+    table = compute_period_twu(db)
+    threshold = singleton_threshold(db, k)
+    positives = initial_secondary(db, table, threshold.numerator, threshold.denominator)
+    retained = positives | negative_keep(db, positives)
+    seen = set()
+    fused = 0
+    for t in db.transactions:
+        kept = frozenset(i for i in t.items if i in retained)
+        if not kept:
+            continue
+        if (t.period, kept) in seen:
+            fused += 1
+        else:
+            seen.add((t.period, kept))
+    return fused
+
+
+def test_merges_match_the_prediction(corpus):
+    predicted_total = 0
+    for db in corpus:
+        for k in (2, 20):
+            predicted = predicted_merges(db, k)
+            assert mine_top_k(db, k)[1].merges == predicted
+            predicted_total += predicted
+    assert predicted_total > 0
+
+    # every row of each period repeats the period's first row
+    profits = {1: 5, 2: 3, 3: -1}
+    basket = [(1, 2), (2, 1), (3, 1)]
+    rows = [(period, basket) for period in range(4) for _ in range(6)]
+    db = database_from_quantities(profits, rows)
+    for k in (1, 7, 50):
+        assert predicted_merges(db, k) == 4 * 5
+        assert mine_top_k(db, k)[1].merges == 4 * 5
 
 
 def test_flag_combinations_agree(running_example):
