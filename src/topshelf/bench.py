@@ -195,33 +195,9 @@ def run_bench(
 
 
 def write_records(records: list[BenchRecord], sink: TextIO) -> None:
+    """One CSV row per record under a header of the BenchRecord field
+    names, in field order; the timed_out flag is written as 0 or 1."""
     writer = csv.writer(sink)
-    writer.writerow(
-        [
-            "dataset",
-            "k",
-            "variant",
-            "repeat",
-            "periods",
-            "elapsed_ms",
-            "peak_mem_bytes",
-            "candidates",
-            "patterns",
-            "timed_out",
-        ]
-    )
+    writer.writerow(field.name for field in dataclasses.fields(BenchRecord))
     for r in records:
-        writer.writerow(
-            [
-                r.dataset,
-                r.k,
-                r.variant,
-                r.repeat,
-                r.periods,
-                r.elapsed_ms,
-                r.peak_mem_bytes,
-                r.candidates,
-                r.patterns,
-                int(r.timed_out),
-            ]
-        )
+        writer.writerow(int(v) if isinstance(v, bool) else v for v in dataclasses.astuple(r))

@@ -24,8 +24,9 @@ subtree and local bounds of the positive items (columns 0..boundary-1), and
 neg holds the clipped subtree bounds of the kept negative items (columns
 boundary..n_items-1 only, so the three together are no larger than one
 full-width pair). fill_subtree_and_local fills all three in one walk of a
-node's projection; fill_negative_subtree fills neg alone. Both walk only
-the periods the projection occupies. Keeping the negatives apart lets a
+node's projection; fill_negative_subtree fills neg alone. Each fill first
+resets the arrays it fills for the periods the projection occupies, then
+walks only those periods. Keeping the negatives apart lets a
 positive node search its negative extensions, which reuse neg, between its
 one fill and its positive selection.
 
@@ -36,11 +37,10 @@ written only at positives that su has seen, so it keeps no flags and shares
 su's touched list. reset(periods) zeroes the previous fill's rows (the
 periods given to the previous reset) at the touched items, clears their
 flags and the record, and makes periods the rows the next fill writes and
-the selection helpers test; a node resets for the periods its projection
-occupies, and a fill writes only the rows of those periods. Where the
-touched items are more than a fifth of the row width, reset zeroes those
-rows whole instead, which is then the cheaper way. The selection helpers turn cells into plain lists
-before a deeper node reuses the arrays.
+the selection helpers test. Where the touched items are more than a fifth
+of the row width, reset zeroes those rows whole instead, which is then the
+cheaper way. The selection helpers turn cells into plain lists before a
+deeper node reuses the arrays.
 """
 
 from __future__ import annotations
@@ -102,7 +102,8 @@ class BoundArray:
 
 def fill_subtree_and_local(pd, su: BoundArray, lu: BoundArray, neg: BoundArray) -> None:
     """One backward walk per view of projection pd fills all three bound
-    arrays, in the rows of the periods pd occupies.
+    arrays, in the rows of the periods pd occupies, after resetting them
+    for those periods.
 
     Negatives come first in the walk (they sort last) and add clipped
     brackets to their neg cells. Then running, the prefix utility plus the
@@ -111,6 +112,10 @@ def fill_subtree_and_local(pd, su: BoundArray, lu: BoundArray, neg: BoundArray) 
     At the end of the walk it is the local bracket, which does not depend
     on position, and a short second walk adds it for every positive entry.
     """
+    periods = pd.periods
+    su.reset(periods)
+    lu.reset(periods)
+    neg.reset(periods)
     boundary = neg.base
     seen = su.seen
     touched = su.touched
@@ -119,7 +124,7 @@ def fill_subtree_and_local(pd, su: BoundArray, lu: BoundArray, neg: BoundArray) 
     su_cells = su.cells
     lu_cells = lu.cells
     neg_cells = neg.cells
-    for p, plist in zip(pd.periods, pd.views):
+    for p, plist in zip(periods, pd.views):
         su_row = su_cells[p]
         lu_row = lu_cells[p]
         neg_row = neg_cells[p]
@@ -154,9 +159,10 @@ def fill_subtree_and_local(pd, su: BoundArray, lu: BoundArray, neg: BoundArray) 
 
 
 def fill_negative_subtree(pd, neg: BoundArray) -> None:
-    """Clipped subtree cells for negative candidates only: walk the
-    negative tail of each view of projection pd, accumulating
-    max(prefix + u(n, T), 0)."""
+    """Clipped subtree cells for negative candidates only: reset neg for
+    the periods projection pd occupies, then walk the negative tail of each
+    view of pd, accumulating max(prefix + u(n, T), 0)."""
+    neg.reset(pd.periods)
     boundary = neg.base
     seen = neg.seen
     touched = neg.touched

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 verify mismatch, 2 bad input or parameters,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -63,14 +64,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a synthetic database")
     gen.add_argument("-o", "--output", help="database file (default stdout)")
-    gen.add_argument("--transactions", type=int, default=1000)
-    gen.add_argument("--items", type=int, default=100)
-    gen.add_argument("--periods", type=int, default=3)
-    gen.add_argument("--avg-len", type=int, default=6)
-    gen.add_argument("--neg-frac", type=float, default=0.2)
-    gen.add_argument("--max-qty", type=int, default=5)
-    gen.add_argument("--max-profit", type=int, default=10)
-    gen.add_argument("--seed", type=int, default=1)
+    # No defaults here: a flag left out takes GeneratorParams' default.
+    gen.add_argument("--transactions", type=int)
+    gen.add_argument("--items", type=int)
+    gen.add_argument("--periods", type=int)
+    gen.add_argument("--avg-len", type=int)
+    gen.add_argument("--neg-frac", type=float)
+    gen.add_argument("--max-qty", type=int)
+    gen.add_argument("--max-profit", type=int)
+    gen.add_argument("--seed", type=int)
 
     bench = sub.add_parser("bench", help="timed runs over a grid of k values")
     bench.add_argument("-i", "--input", required=True, help="database file")
@@ -124,16 +126,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    params = GeneratorParams(
-        transactions=args.transactions,
-        items=args.items,
-        periods=args.periods,
-        avg_len=args.avg_len,
-        neg_frac=args.neg_frac,
-        max_qty=args.max_qty,
-        max_profit=args.max_profit,
-        seed=args.seed,
-    )
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(GeneratorParams)}
+    params = GeneratorParams(**{name: v for name, v in given.items() if v is not None})
     text = generate(params)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:

@@ -119,9 +119,8 @@ def parse_database(source: str | TextIO | Iterable[str]) -> OnShelfDatabase:
         if actual_tu != declared_tu:
             raise TUChecksumMismatch(lineno, declared_tu, actual_tu)
 
-        tid = len(transactions) + 1
         transactions.append(
-            Transaction(tid=tid, period=period, items=tuple(ids), utilities=tuple(utils))
+            Transaction(period=period, items=tuple(ids), utilities=tuple(utils))
         )
         period_totals[period] = period_totals.get(period, 0) + actual_tu
 

@@ -20,14 +20,15 @@ Money = int
 
 @dataclass(frozen=True, slots=True)
 class Transaction:
-    """One purchase: item ids and their signed utilities, position by position.
+    """One purchase in a period: item ids and their signed utilities,
+    position by position.
 
     Utilities are per-occurrence totals u(i, T) = profit * quantity, which is
     what the file format carries; unit profit and quantity are not stored
-    separately. Items keep their input order.
+    separately. Items keep their input order. A transaction carries no id:
+    its place in the database's transaction tuple is its input order.
     """
 
-    tid: int
     period: int
     items: tuple[int, ...]
     utilities: tuple[Money, ...]

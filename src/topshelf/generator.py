@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .dataset import parse_database
 from .errors import InfeasibleParams
 
-# How many fresh period columns to try before declaring the draw infeasible.
+# How many uniform period columns to draw before dealing the rows instead.
 _PERIOD_ATTEMPTS = 1000
 
 
@@ -52,7 +52,8 @@ def generate(params: GeneratorParams) -> str:
     Items are 1..items; a neg_frac share (rounded down) sells at a loss.
     Transaction lengths vary within 2 of avg_len. The period column is drawn
     last and redrawn wholesale until every period occurs and has positive
-    total utility, so the item/quantity draw is stable across redraws.
+    total utility, so the item/quantity draw is stable across redraws. If
+    no redraw succeeds, the rows are dealt to the periods instead (_deal).
     """
     params.validate()
     rng = random.Random(params.seed)
@@ -83,9 +84,7 @@ def generate(params: GeneratorParams) -> str:
         if len(set(column)) == params.periods and all(t > 0 for t in totals):
             break
     else:
-        raise InfeasibleParams(
-            "could not place transactions so every period has positive total"
-        )
+        column = _deal([tu for _, _, tu in rows], params.periods, rng)
 
     lines = []
     for (chosen, utils, tu), h in zip(rows, column):
@@ -96,3 +95,35 @@ def generate(params: GeneratorParams) -> str:
     text = "\n".join(lines) + "\n"
     parse_database(text)  # cheap self-check: emitted text must load cleanly
     return text
+
+
+def _deal(row_totals: list[int], n_periods: int, rng: random.Random) -> list[int]:
+    """A period for each row, such that every period has a positive total.
+
+    In an order shuffled by rng, the first n_periods rows of positive total
+    open one period each and the other positive rows go to random periods.
+    Each remaining row then goes to the period whose total is largest at
+    that moment.
+    """
+    order = list(range(len(row_totals)))
+    rng.shuffle(order)
+    positive = [r for r in order if row_totals[r] > 0]
+    if len(positive) < n_periods:
+        raise InfeasibleParams(
+            f"only {len(positive)} transactions have a positive total, "
+            f"too few to open {n_periods} periods"
+        )
+    column = [0] * len(row_totals)
+    totals = [0] * n_periods
+    for i, r in enumerate(positive + [r for r in order if row_totals[r] <= 0]):
+        if i < n_periods:
+            h = i
+        elif row_totals[r] > 0:
+            h = rng.randrange(n_periods)
+        else:
+            h = max(range(n_periods), key=totals.__getitem__)
+        column[r] = h
+        totals[h] += row_totals[r]
+    if min(totals) <= 0:
+        raise InfeasibleParams("losses leave a period whose total is not positive")
+    return column

@@ -8,10 +8,10 @@ stored row's own lists. Identical rows are fused once, when the working
 database is built (see prepare.py), and never below the root.
 
 A projection is period-sparse: it stores only the periods it occupies,
-ascending, with their views and prefix utility sums aligned to them. A
-node's projection therefore costs what the prefix's sales cost, not the
-length of the shelf calendar; an itemset is only ever judged over the
-periods it sells in.
+ascending, with their views aligned to them, plus one prefix utility sum
+over all its views, u(X). A node's projection therefore costs what the
+prefix's sales cost, not the length of the shelf calendar; an itemset is
+only ever judged over the periods it sells in.
 
 The root projection also carries an occurrence index, built once, so that
 projecting a root item visits only the rows that contain it instead of
@@ -63,17 +63,19 @@ class OccurrenceIndex:
 
 @dataclass(slots=True)
 class ProjectedDatabase:
-    """Views and prefix utility sums of the periods a projection occupies.
+    """Views of the periods a projection occupies, and their prefix
+    utility sum.
 
     periods lists, ascending, the dense period indices that hold at least
-    one view; views[i] and utility_by_period[i] belong to periods[i], and
-    no views list is empty. Only the root projection has an index;
-    project() uses it when present.
+    one view; views[i] belongs to periods[i], and no views list is empty.
+    utility is the sum of every view's prefix utility: the prefix's
+    utility u(X). Only the root projection has an index; project() uses it
+    when present.
     """
 
     periods: list[int]
     views: list[list[tuple]]
-    utility_by_period: list[int]
+    utility: int
     index: OccurrenceIndex | None = None
 
 
@@ -117,7 +119,7 @@ def root_projection(working: WorkingDatabase) -> ProjectedDatabase:
     return ProjectedDatabase(
         periods=periods,
         views=[[(row[0], row[1], 0, 0) for row in block] for block in blocks],
-        utility_by_period=[0] * len(periods),
+        utility=0,
         index=_occurrence_index(blocks, len(working.order)),
     )
 
@@ -126,20 +128,19 @@ def project(parent: ProjectedDatabase, z: int) -> ProjectedDatabase:
     """Narrow the parent's views to transactions containing dense item z.
 
     Each surviving view starts just past z and adds u(z, T) to its prefix
-    utility. Per-period utility sums and occupancy fall out of the same
-    walk, which visits only the parent's periods. View order is inherited
-    from the parent. With an index, only the views of rows that contain z
-    are visited, in the same order.
+    utility. The utility sum and occupancy fall out of the same walk, which
+    visits only the parent's periods. View order is inherited from the
+    parent. With an index, only the views of rows that contain z are
+    visited, in the same order.
     """
     index = parent.index
     if index is not None:
         return _project_indexed(parent, index, z)
     out_periods = []
     out_views = []
-    out_u = []
+    total = 0
     for p, plist in zip(parent.periods, parent.views):
         rows = []
-        total = 0
         for view in plist:
             items = view[0]
             j = bisect_left(items, z, view[2])
@@ -150,8 +151,7 @@ def project(parent: ProjectedDatabase, z: int) -> ProjectedDatabase:
         if rows:
             out_periods.append(p)
             out_views.append(rows)
-            out_u.append(total)
-    return ProjectedDatabase(periods=out_periods, views=out_views, utility_by_period=out_u)
+    return ProjectedDatabase(periods=out_periods, views=out_views, utility=total)
 
 
 def _project_indexed(parent: ProjectedDatabase, index: OccurrenceIndex, z: int) -> ProjectedDatabase:
@@ -163,19 +163,15 @@ def _project_indexed(parent: ProjectedDatabase, index: OccurrenceIndex, z: int) 
     parent_views = parent.views
     out_periods = []
     out_views = []
-    out_u = []
     end = 0
     total = 0
     for r in index.rows[index.item_starts[z] : index.item_starts[z + 1]]:
         if r >= end:
-            if out_views:
-                out_u.append(total)
             b = bisect_right(period_starts, r) - 1
             base = period_starts[b]
             end = period_starts[b + 1]
             plist = parent_views[b]
             rows = []
-            total = 0
             out_periods.append(parent_periods[b])
             out_views.append(rows)
         view = plist[r - base]
@@ -184,6 +180,4 @@ def _project_indexed(parent: ProjectedDatabase, index: OccurrenceIndex, z: int) 
         prefix = view[3] + view[1][j]
         rows.append((items, view[1], j + 1, prefix))
         total += prefix
-    if out_views:
-        out_u.append(total)
-    return ProjectedDatabase(periods=out_periods, views=out_views, utility_by_period=out_u)
+    return ProjectedDatabase(periods=out_periods, views=out_views, utility=total)

@@ -168,15 +168,20 @@ class _Miner:
             self._scaled = (threshold, scaled)
         return scaled, threshold[1]
 
-    def search(self, root, primary, secondary, stats) -> None:
+    def search(self, root, stats) -> None:
         """Walk the set-enumeration tree below root depth first.
 
+        The root pass fills the arrays from root and selects the root's
+        children among all positive items, with the local test off: root
+        secondary came from the TWU test already.
+
         The stack holds one frame per node whose children are still
-        pending: [projection, prefix, depth, picks, secondary, next], where
-        picks are the node's selected children in order and next indexes
-        the first one not yet searched. A positive frame's secondary is the
+        pending: [projection, prefix, picks, secondary, next], where picks
+        are the node's selected children in order and next indexes the
+        first one not yet searched. A positive frame's secondary is the
         alphabet its children extend from; a negative frame's is None, and
-        each of its children extends from the picks after it.
+        each of its children extends from the picks after it. A child's
+        depth is the length of its prefix.
 
         Each child is projected, scored and offered. A positive child then
         fills neg, and su and lu too while later secondary items remain; a
@@ -193,33 +198,37 @@ class _Miner:
         period_totals = self.period_totals
         period_labels = self.period_labels
         ext_id = self.ext_id
-        stack = [[root, (), 0, primary, secondary, 0]]
+        fill_subtree_and_local(root, su, lu, neg)
+        scaled, t_den = self._scaled_totals()
+        primary, secondary = select_primary_secondary(
+            su, lu, range(self.boundary), scaled, t_den, su_prune, False
+        )
+        stack = [[root, (), primary, secondary, 0]]
         while stack:
             frame = stack[-1]
-            pd, prefix, depth, picks, later, i = frame
+            pd, prefix, picks, later, i = frame
             if picks is None:
                 scaled, t_den = self._scaled_totals()
                 picks, later = select_primary_secondary(
                     su, lu, later, scaled, t_den, su_prune, lu_prune
                 )
-                frame[3], frame[4] = picks, later
+                frame[2], frame[3] = picks, later
             if i == len(picks):
                 stack.pop()
                 continue
             z = picks[i]
             i += 1
-            frame[5] = i
-            depth += 1  # the child's, from here on
+            frame[4] = i
 
             stats.projections += 1
             child = project(pd, z)
             ext = prefix + (ext_id[z],)
             occupied = child.periods
-            utility = sum(child.utility_by_period)
+            utility = child.utility
             period_total = sum(period_totals[p] for p in occupied)
             stats.candidates += 1
-            if depth > stats.max_depth:
-                stats.max_depth = depth
+            if len(ext) > stats.max_depth:
+                stats.max_depth = len(ext)
             if collector.clears_threshold(utility, period_total):
                 collector.offer(
                     Pattern(
@@ -233,20 +242,17 @@ class _Miner:
 
             if later is None and i == len(picks):
                 continue  # the last negative pick has no later one to add
-            neg.reset(occupied)
             candidates = None if later is None else later[bisect_right(later, z) :]
             if candidates:
-                su.reset(occupied)
-                lu.reset(occupied)
                 fill_subtree_and_local(child, su, lu, neg)
-                stack.append([child, ext, depth, None, candidates, 0])
+                stack.append([child, ext, None, candidates, 0])
             else:
                 fill_negative_subtree(child, neg)
             rest = picks[i:] if later is None else sorted(neg.touched)
             scaled, t_den = self._scaled_totals()
             negatives = select_negative_candidates(neg, rest, scaled, t_den, su_prune)
             if negatives:
-                stack.append([child, ext, depth, negatives, None, 0])
+                stack.append([child, ext, negatives, None, 0])
 
 
 def mine_top_k(
@@ -281,20 +287,7 @@ def mine_top_k(
     working, stats.merges = build_working_database(db, order)
 
     miner = _Miner(working, collector, su_prune=su_prune, lu_prune=lu_prune)
-    root = root_projection(working)
-    su, lu, neg = miner.su, miner.lu, miner.neg
-    su.reset(root.periods)
-    lu.reset(root.periods)
-    neg.reset(root.periods)
-    fill_subtree_and_local(root, su, lu, neg)
-    scaled, t_den = miner._scaled_totals()
-    # Root secondary came from the TWU test already; the root pass only
-    # filters primary, so the local-bound test is off here.
-    primary0, secondary0_dense = select_primary_secondary(
-        su, lu, range(miner.boundary), scaled, t_den, su_prune, False
-    )
-
-    miner.search(root, primary0, secondary0_dense, stats)
+    miner.search(root_projection(working), stats)
 
     patterns = collector.result()
     stats.patterns = len(patterns)

@@ -257,7 +257,7 @@ def _projection(views_by_period):
     return ProjectedDatabase(
         periods=periods,
         views=views,
-        utility_by_period=[sum(view[3] for view in plist) for plist in views],
+        utility=sum(view[3] for plist in views for view in plist),
     )
 
 
@@ -277,8 +277,6 @@ def test_bound_array_reset_clears_state():
     # Positives 0 and 1, negatives 2 and 3; views (items, utilities,
     # offset, prefix utility) in periods 0 and 2 of three.
     su, lu, neg = _three_arrays(3, 2, 4)
-    for arr in (su, lu, neg):
-        arr.reset([0, 2])
     pd = _projection({0: [([0, 1, 3], [4, 5, -2], 0, 6)], 2: [([1, 2], [3, -9], 0, 6)]})
     fill_subtree_and_local(pd, su, lu, neg)
     assert su.cells == [[15, 11], [0, 0], [0, 9]]
@@ -301,13 +299,53 @@ def test_bound_array_reset_clears_state():
 
     # one touched item of a wide row is zeroed cell by cell, at its column
     wide = BoundArray(2, 6 * SPARSE_RESET_SHARE, 10)
-    wide.reset([0, 1])
     fill_negative_subtree(
         _projection({0: [([0, 17], [9, -1], 0, 9)], 1: [([17], [-2], 0, 5)]}), wide
     )
     assert wide.cells[0][7] == 8 and wide.cells[1][7] == 3 and wide.touched == [17]
     wide.reset([])
     assert _all_zero(wide) and wide.touched == []
+
+
+def _random_projection(rng, periods, boundary, n_items):
+    """One to two views of one to three items in each given period, with
+    positives below boundary and negatives from it on."""
+    views = {}
+    for p in periods:
+        plist = []
+        for _ in range(rng.randint(1, 2)):
+            items = sorted(rng.sample(range(n_items), rng.randint(1, 3)))
+            utils = [rng.randint(1, 9) if z < boundary else -rng.randint(1, 9) for z in items]
+            plist.append((items, utils, rng.randrange(len(items)), rng.randint(0, 9)))
+        views[p] = plist
+    return _projection(views)
+
+
+def _state(arr):
+    return arr.cells, arr.seen, arr.touched, arr.periods
+
+
+@pytest.mark.parametrize("boundary, n_items", [(3, 6), (100, 200)])
+def test_each_fill_clears_what_the_previous_fill_left(boundary, n_items):
+    """Filling projection A and then B, with no reset by hand, leaves the
+    arrays as fresh arrays filled with B alone. A occupies periods B does
+    not; the narrow arrays are zeroed row by row, the wide ones cell by
+    cell."""
+    rng = random.Random(boundary)
+    a = _random_projection(rng, [0, 2, 3], boundary, n_items)
+    b = _random_projection(rng, [1, 3], boundary, n_items)
+    reused = _three_arrays(4, boundary, n_items)
+    fresh = _three_arrays(4, boundary, n_items)
+    fill_subtree_and_local(a, *reused)
+    fill_subtree_and_local(b, *reused)
+    fill_subtree_and_local(b, *fresh)
+    assert [_state(arr) for arr in reused] == [_state(arr) for arr in fresh]
+
+    neg, fresh_neg = reused[2], _three_arrays(4, boundary, n_items)[2]
+    fill_negative_subtree(a, neg)
+    fill_negative_subtree(b, neg)
+    fill_negative_subtree(b, fresh_neg)
+    assert _state(neg) == _state(fresh_neg)
 
 
 def _arrays(su_cells, lu_cells, seen):
@@ -364,7 +402,6 @@ def test_selection_boundary_equality_counts():
 def test_negative_candidate_selection():
     # negatives are items 3..6, in columns 0..3 of a negative-only array
     neg = BoundArray(1, 4, 3)
-    neg.reset([0])
     pd = _projection({0: [([1, 4, 5], [10, -3, -7], 1, 10), ([1, 6], [1, -5], 1, 1)]})
     fill_negative_subtree(pd, neg)
     assert neg.cells == [[0, 7, 3, 0]]  # item 6: 1 - 5 < 0 is clipped
@@ -391,8 +428,6 @@ def test_selection_reads_only_live_periods():
     reset for: a large cell in another period's row, which no fill writes,
     changes no pick."""
     su, lu, neg = _three_arrays(3, 3, 6)
-    for arr in (su, lu, neg):
-        arr.reset([0, 1])
     pd = _projection({0: [([0, 3], [8, -1], 0, 0), ([1], [1], 0, 0)]})
     fill_subtree_and_local(pd, su, lu, neg)
     assert su.cells[0] == lu.cells[0] == [8, 1, 0] and neg.cells[0] == [0, 0, 0]
@@ -412,8 +447,6 @@ def test_fills_without_kept_negatives():
     selection and reset all work on it, and mining matches the oracle."""
     su, lu, neg = _three_arrays(2, 3, 3)
     assert neg.cells == [[], []] and neg.seen == []
-    for arr in (su, lu, neg):
-        arr.reset([0, 1])
     pd = _projection({0: [([0, 2], [2, 3], 0, 0)], 1: [([1], [4], 0, 0)]})
     fill_subtree_and_local(pd, su, lu, neg)
     assert su.cells == [[5, 0, 3], [0, 4, 0]] and lu.cells == [[5, 0, 5], [0, 4, 0]]
@@ -437,8 +470,6 @@ def test_fills_with_only_negatives():
     neg alone; a database whose one profitable item heads only negative
     extensions matches the oracle."""
     su, lu, neg = _three_arrays(1, 1, 4)
-    for arr in (su, lu, neg):
-        arr.reset([0])
     pd = _projection({0: [([0, 1, 3], [9, -2, -4], 1, 9), ([0, 2], [9, -1], 1, 9)]})
     fill_subtree_and_local(pd, su, lu, neg)
     assert su.touched == [] and lu.touched is su.touched

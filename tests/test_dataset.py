@@ -31,8 +31,9 @@ def test_parse_worked_example(running_example):
     assert db.periods == frozenset({0, 1, 2})
     assert db.period_totals == {0: 39, 1: 85, 2: 69}
     assert db.item_signs == {1: 1, 2: -1, 3: -1, 4: 1, 5: 1}
-    # tids are 1-based line ordinals
-    assert [t.tid for t in db.transactions] == list(range(1, 9))
+    # transactions keep input order
+    assert [sum(t.utilities) for t in db.transactions] == [21, 29, 45, 15, 39, 15, 10, 19]
+    assert [t.period for t in db.transactions] == [1, 0, 1, 2, 2, 2, 0, 1]
     assert sum(db.transactions[1].utilities) == 29
     assert db.transactions[4].items == (2, 3, 4, 5)
     assert db.transactions[4].utilities == (-3, -4, 36, 10)
@@ -49,7 +50,7 @@ def test_comments_and_blank_lines_are_skipped():
     text = "# header\n\n% more\n@ attrs\n1 2:7:3 4:0\n"
     db = parse_database(text)
     assert len(db) == 1
-    assert db.transactions[0].tid == 1
+    assert db.transactions[0].items == (1, 2)
 
 
 def test_parse_accepts_file_objects(running_text):

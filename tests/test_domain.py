@@ -9,7 +9,7 @@ from topshelf.domain import Pattern, Transaction, positive_transaction_utility
 
 
 def test_transaction_utilities_respect_weight():
-    t = Transaction(tid=1, period=0, items=(2, 3, 4), utilities=(-3, -4, 36))
+    t = Transaction(period=0, items=(2, 3, 4), utilities=(-3, -4, 36))
     assert sum(t.utilities) == 29
     assert positive_transaction_utility(t) == 36
 
@@ -19,7 +19,7 @@ def test_positive_utility_dominates_signed_utility():
     for _ in range(500):
         n = rng.randint(1, 8)
         utils = tuple(rng.choice([-1, 1]) * rng.randint(1, 50) for _ in range(n))
-        t = Transaction(tid=1, period=0, items=tuple(range(1, n + 1)), utilities=utils)
+        t = Transaction(period=0, items=tuple(range(1, n + 1)), utilities=utils)
         assert positive_transaction_utility(t) >= sum(t.utilities)
         assert positive_transaction_utility(t) >= 0
 

@@ -1,5 +1,5 @@
-"""Projections: the period-sparse layout, narrowing, per-period utility
-accounting, the root index."""
+"""Projections: the period-sparse layout, narrowing, utility accounting,
+the root index."""
 
 import random
 from array import array
@@ -26,12 +26,12 @@ def view_total(pd):
 
 def assert_sparse(pd):
     """The layout contract: strictly ascending periods, each with a
-    non-empty views list and the sum of those views' prefix utilities."""
-    assert len(pd.views) == len(pd.periods) == len(pd.utility_by_period)
+    non-empty views list, and utility the sum of every view's prefix
+    utility."""
+    assert len(pd.views) == len(pd.periods)
     assert all(a < b for a, b in zip(pd.periods, pd.periods[1:]))
-    for plist, total in zip(pd.views, pd.utility_by_period):
-        assert plist
-        assert total == sum(view[3] for view in plist)
+    assert all(pd.views)
+    assert pd.utility == sum(view[3] for plist in pd.views for view in plist)
 
 
 def test_root_projection_covers_every_row(running_example):
@@ -39,7 +39,7 @@ def test_root_projection_covers_every_row(running_example):
     assert_sparse(root)
     assert view_total(root) == working.transaction_count
     assert root.periods == [0, 1, 2]
-    assert root.utility_by_period == [0, 0, 0]
+    assert root.utility == 0
     for plist in root.views:
         for items, utils, off, prefix in plist:
             assert off == 0 and prefix == 0
@@ -55,7 +55,7 @@ def test_root_skips_periods_emptied_by_the_order(running_example):
     assert list(root.index.period_starts) == [0, 1, 4]  # T1; T4, T5, T6
     pd = project(root, order.position[E])
     assert_sparse(pd)
-    assert pd.periods == [1, 2] and pd.utility_by_period == [10, 40]
+    assert pd.periods == [1, 2] and pd.utility == 50
 
 
 def test_project_narrows_to_containing_transactions(running_example):
@@ -68,7 +68,7 @@ def test_project_narrows_to_containing_transactions(running_example):
     assert view_total(pd) == 5
     # prefix utilities are u(d, T); period-1 views keep input order: T1, T3, T8
     assert [v[3] for v in pd.views[1]] == [12, 30, 24]
-    assert pd.utility_by_period == [36, 66, 36]
+    assert pd.utility == 138
     for plist in pd.views:
         for items, utils, off, prefix in plist:
             assert items[off - 1] == order.position[D]
@@ -80,7 +80,7 @@ def test_project_missing_item_leaves_nothing(running_example):
     sub = project(pd, order.position[B])  # {e, b}: T1, T5, T6
     assert_sparse(sub)
     none = project(sub, order.position[B])  # already consumed
-    assert none.periods == [] and none.views == [] and none.utility_by_period == []
+    assert none.periods == [] and none.views == [] and none.utility == 0
 
 
 def test_projection_chain_matches_definitions(corpus):
@@ -99,20 +99,16 @@ def test_projection_chain_matches_definitions(corpus):
             external = tuple(sorted(order.sequence[z] for z in chain))
             prd = sorted(itemset_periods(db, external))
             assert [labels[p] for p in pd.periods] == prd
-            assert pd.utility_by_period == [
-                itemset_utility(db, external, period=h) for h in prd
-            ]
+            assert pd.utility == itemset_utility(db, external)
 
 
 def assert_index_matches_scan(root, n_items):
     """Index-backed root projections equal the scan over the same views:
     same periods, same views in the same order, sharing the stored
-    buffers, and the same per-period utility sums."""
+    buffers, and the same utility sum."""
     assert root.index is not None
     assert_sparse(root)
-    scan = ProjectedDatabase(
-        periods=root.periods, views=root.views, utility_by_period=root.utility_by_period
-    )
+    scan = ProjectedDatabase(periods=root.periods, views=root.views, utility=root.utility)
     for z in range(n_items):
         got = project(root, z)
         want = project(scan, z)
@@ -121,7 +117,7 @@ def assert_index_matches_scan(root, n_items):
         assert got.views == want.views, z
         for gv, wv in zip(got.views, want.views):
             assert all(g[0] is w[0] and g[1] is w[1] for g, w in zip(gv, wv))
-        assert got.utility_by_period == want.utility_by_period, z
+        assert got.utility == want.utility, z
         assert got.index is None
 
 

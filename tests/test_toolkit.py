@@ -1,6 +1,8 @@
 """Generator, benchmark harness, and the command-line entry point."""
 
 import csv
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -9,7 +11,7 @@ import sys
 import pytest
 
 from topshelf import bench
-from topshelf.bench import _status_kb, reassign_periods, run_bench
+from topshelf.bench import BenchRecord, _status_kb, reassign_periods, run_bench, write_records
 from topshelf.cli import main
 from topshelf.dataset import parse_database
 from topshelf.errors import InfeasibleParams, InvalidBenchParams
@@ -80,7 +82,37 @@ def test_generator_gives_up_on_hostile_draws():
     params = GeneratorParams(
         transactions=30, items=8, periods=3, avg_len=3, neg_frac=0.5, seed=77
     )
-    with pytest.raises(InfeasibleParams):
+    with pytest.raises(InfeasibleParams, match="losses leave a period"):
+        generate(params)
+
+
+def test_generator_default_bytes_are_pinned():
+    # a parameter set that a uniform period draw places never reaches the
+    # dealing fallback, so its bytes stay fixed
+    text = generate(GeneratorParams())
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "03d9adc039197db06981b851eee8843586b16d872334b5a1dc4880fed68975a8"
+    )
+
+
+@pytest.mark.parametrize("transactions", [800, 1500])
+def test_generator_deals_rows_when_uniform_draws_leave_a_period_empty(transactions):
+    # 365 periods over 800 or 1500 rows: every uniform draw leaves some
+    # period empty, so the rows are dealt one positive row per period first
+    params = GeneratorParams(transactions=transactions, items=20, periods=365, seed=5)
+    text = generate(params)
+    assert text == generate(params)
+    db = parse_database(text)
+    assert len(db.transactions) == transactions
+    assert db.periods == frozenset(range(365))
+
+
+def test_generator_deal_needs_a_positive_row_per_period():
+    # the hostile draw above has 15 rows of positive total for 30 periods
+    params = GeneratorParams(
+        transactions=30, items=8, periods=30, avg_len=3, neg_frac=0.5, seed=77
+    )
+    with pytest.raises(InfeasibleParams, match="too few to open 30 periods"):
         generate(params)
 
 
@@ -173,6 +205,21 @@ def test_run_bench_rejects_bad_arguments(monkeypatch, k_list, kwargs):
         run_bench("/nonexistent/path.db", k_list, **kwargs)
 
 
+def test_write_records_csv_bytes():
+    records = [
+        BenchRecord("toy.db", 5, "no_lu", 1, 3, 12, 4096, 40, 5, False),
+        BenchRecord("toy.db", 9, "default", 0, 3, 250, 0, 0, 0, True),
+    ]
+    sink = io.StringIO()
+    write_records(records, sink)
+    assert sink.getvalue() == (
+        "dataset,k,variant,repeat,periods,elapsed_ms,peak_mem_bytes,"
+        "candidates,patterns,timed_out\r\n"
+        "toy.db,5,no_lu,1,3,12,4096,40,5,0\r\n"
+        "toy.db,9,default,0,3,250,0,0,0,1\r\n"
+    )
+
+
 # -- command line ------------------------------------------------------------
 
 
@@ -252,6 +299,12 @@ def test_cli_gen_round_trip(tmp_path):
     db = parse_database(out.read_text(encoding="utf-8"))
     assert len(db.transactions) == 25
     assert run_cli("verify", "-i", str(out), "-k", "10") == 0
+
+
+def test_cli_gen_without_flags_writes_the_default_database(tmp_path):
+    out = tmp_path / "default.db"
+    assert run_cli("gen", "-o", str(out)) == 0
+    assert out.read_text(encoding="utf-8") == generate(GeneratorParams())
 
 
 @pytest.mark.parametrize(
