@@ -26,9 +26,10 @@ boundary..n_items-1 only, so the three together are no larger than one
 full-width pair). fill_subtree_and_local fills all three in one walk of a
 node's projection; fill_negative_subtree fills neg alone. Each fill first
 resets the arrays it fills for the periods the projection occupies, then
-walks only those periods. Keeping the negatives apart lets a
-positive node search its negative extensions, which reuse neg, between its
-one fill and its positive selection.
+walks the projection's views once, adding each view into the rows of its
+own period. Keeping the negatives apart lets a positive node search its
+negative extensions, which reuse neg, between its one fill and its
+positive selection.
 
 Between nodes every cell and every flag is zero. The fills keep a
 first-touch record: the first time an array's cell for an item is written,
@@ -40,7 +41,10 @@ flags and the record, and makes periods the rows the next fill writes and
 the selection helpers test. Where the touched items are more than a fifth
 of the row width, reset zeroes those rows whole instead, which is then the
 cheaper way. The selection helpers turn cells into plain lists before a
-deeper node reuses the arrays.
+deeper node reuses the arrays. They test each cell, times the threshold
+denominator, against a per-period cutoff. A pruning rule that is switched
+off cuts at zero, and since every filled cell is at least zero, a zero
+cutoff passes exactly the items that occurred.
 """
 
 from __future__ import annotations
@@ -102,8 +106,8 @@ class BoundArray:
 
 def fill_subtree_and_local(pd, su: BoundArray, lu: BoundArray, neg: BoundArray) -> None:
     """One backward walk per view of projection pd fills all three bound
-    arrays, in the rows of the periods pd occupies, after resetting them
-    for those periods.
+    arrays, each view in the rows of its own period, after resetting them
+    for the periods pd holds.
 
     Negatives come first in the walk (they sort last) and add clipped
     brackets to their neg cells. Then running, the prefix utility plus the
@@ -124,88 +128,89 @@ def fill_subtree_and_local(pd, su: BoundArray, lu: BoundArray, neg: BoundArray) 
     su_cells = su.cells
     lu_cells = lu.cells
     neg_cells = neg.cells
-    for p, plist in zip(periods, pd.views):
+    for items, utils, off, prefix, p in pd.views:
         su_row = su_cells[p]
         lu_row = lu_cells[p]
         neg_row = neg_cells[p]
-        for items, utils, off, prefix in plist:
-            j = len(items) - 1
-            while j >= off:
-                item = items[j]
-                if item < boundary:
-                    break
-                col = item - boundary
-                bracket = prefix + utils[j]
-                if bracket > 0:
-                    neg_row[col] += bracket
-                if not neg_seen[col]:
-                    neg_seen[col] = 1
-                    neg_touched.append(item)
-                j -= 1
-            last = j
-            running = prefix
-            while j >= off:
-                item = items[j]
-                running += utils[j]
-                su_row[item] += running
-                if not seen[item]:
-                    seen[item] = 1
-                    touched.append(item)
-                j -= 1
-            if last >= off:
-                for item in items[off : last + 1]:
-                    lu_row[item] += running
+        j = len(items) - 1
+        while j >= off:
+            item = items[j]
+            if item < boundary:
+                break
+            col = item - boundary
+            bracket = prefix + utils[j]
+            if bracket > 0:
+                neg_row[col] += bracket
+            if not neg_seen[col]:
+                neg_seen[col] = 1
+                neg_touched.append(item)
+            j -= 1
+        last = j
+        running = prefix
+        while j >= off:
+            item = items[j]
+            running += utils[j]
+            su_row[item] += running
+            if not seen[item]:
+                seen[item] = 1
+                touched.append(item)
+            j -= 1
+        if last >= off:
+            for item in items[off : last + 1]:
+                lu_row[item] += running
     lu.touched = touched
 
 
 def fill_negative_subtree(pd, neg: BoundArray) -> None:
     """Clipped subtree cells for negative candidates only: reset neg for
-    the periods projection pd occupies, then walk the negative tail of each
-    view of pd, accumulating max(prefix + u(n, T), 0)."""
+    the periods projection pd holds, then walk the negative tail of each
+    view of pd, accumulating max(prefix + u(n, T), 0) in the row of the
+    view's period."""
     neg.reset(pd.periods)
     boundary = neg.base
     seen = neg.seen
     touched = neg.touched
     cells = neg.cells
-    for p, plist in zip(pd.periods, pd.views):
+    for items, utils, off, prefix, p in pd.views:
         row = cells[p]
-        for items, utils, off, prefix in plist:
-            j = len(items) - 1
-            while j >= off:
-                item = items[j]
-                if item < boundary:
-                    break
-                col = item - boundary
-                bracket = prefix + utils[j]
-                if bracket > 0:
-                    row[col] += bracket
-                if not seen[col]:
-                    seen[col] = 1
-                    touched.append(item)
-                j -= 1
+        j = len(items) - 1
+        while j >= off:
+            item = items[j]
+            if item < boundary:
+                break
+            col = item - boundary
+            bracket = prefix + utils[j]
+            if bracket > 0:
+                row[col] += bracket
+            if not seen[col]:
+                seen[col] = 1
+                touched.append(item)
+            j -= 1
 
 
 def select_primary_secondary(
     su: BoundArray,
     lu: BoundArray,
     candidates,
-    scaled_totals: list[int],
+    su_cut: list[int],
+    lu_cut: list[int],
     t_den: int,
-    su_prune: bool,
-    lu_prune: bool,
 ) -> tuple[list[int], list[int]]:
     """Split positive candidate items into (primary, secondary) per the
     bound tests.
 
-    A candidate is secondary if some live period's local bound reaches the
-    threshold, primary if some live period's subtree bound does; each
-    array's live periods are those it was last reset for. Items that never
-    occurred in the projection are excluded even at threshold zero (su's
-    flags tell). An item that occurred has a cell of at least zero in a
-    live period, and every cell outside the live periods is zero, so
-    skipping the other periods changes no decision. Disabled pruning degrades the test to
-    occurrence only. Primary is always a subset of secondary (the local
-    bound dominates the subtree bound cell-wise for positive candidates).
+    A candidate is secondary if some live period's local bound, times
+    t_den, reaches that period's lu_cut, and primary if some live period's
+    subtree bound does the same against su_cut; each array's live periods
+    are those it was last reset for. A cutoff is the threshold numerator
+    times the period total, or zero for a rule that is off. Items that
+    never occurred in the projection are excluded even at threshold zero
+    (su's flags tell). An item that occurred has a cell of at least zero in
+    a live period, and every cell outside the live periods is zero, so
+    skipping the other periods changes no decision, and a zero cutoff
+    passes exactly the items that occurred. Primary is always a subset of
+    secondary (the local bound dominates the subtree bound cell-wise for
+    positive candidates).
     """
     primary: list[int] = []
     secondary: list[int] = []
@@ -217,34 +222,28 @@ def select_primary_secondary(
     for z in candidates:
         if not seen[z]:
             continue
-        if lu_prune:
-            ok = False
-            for p in lu_periods:
-                if lu_cells[p][z] * t_den >= scaled_totals[p]:
-                    ok = True
-                    break
-            if not ok:
-                continue
-        secondary.append(z)
-        if su_prune:
-            for p in su_periods:
-                if su_cells[p][z] * t_den >= scaled_totals[p]:
-                    primary.append(z)
-                    break
+        for p in lu_periods:
+            if lu_cells[p][z] * t_den >= lu_cut[p]:
+                break
         else:
-            primary.append(z)
+            continue
+        secondary.append(z)
+        for p in su_periods:
+            if su_cells[p][z] * t_den >= su_cut[p]:
+                primary.append(z)
+                break
     return primary, secondary
 
 
 def select_negative_candidates(
     neg: BoundArray,
     candidates,
-    scaled_totals: list[int],
+    cut: list[int],
     t_den: int,
-    su_prune: bool,
 ) -> list[int]:
-    """Negative items whose clipped subtree bound reaches the threshold in
-    some live period of neg (boundary equality counts), occurrence required."""
+    """Negative items whose clipped subtree bound, times t_den, reaches
+    cut in some live period of neg (boundary equality counts), occurrence
+    required. A zero cut passes every item that occurred."""
     out: list[int] = []
     base = neg.base
     seen = neg.seen
@@ -254,11 +253,8 @@ def select_negative_candidates(
         col = z - base
         if not seen[col]:
             continue
-        if not su_prune:
-            out.append(z)
-            continue
         for p in periods:
-            if cells[p][col] * t_den >= scaled_totals[p]:
+            if cells[p][col] * t_den >= cut[p]:
                 out.append(z)
                 break
     return out

@@ -169,7 +169,9 @@ def main(argv: list[str] | None = None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (DatasetError, InvalidK, InfeasibleParams, InvalidBenchParams) as exc:
+    except (
+        DatasetError, InvalidK, InfeasibleParams, InvalidBenchParams, UnicodeDecodeError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except TooLargeForOracle as exc:

@@ -154,6 +154,7 @@ class _Miner:
         self.period_totals = working.period_totals
         self.period_labels = working.period_labels
         self.ext_id = working.order.sequence
+        self.zeros = [0] * n_periods
         self._scaled: tuple[tuple[int, int] | None, list[int]] = (None, [])
 
     def _scaled_totals(self) -> tuple[list[int], int]:
@@ -168,11 +169,19 @@ class _Miner:
             self._scaled = (threshold, scaled)
         return scaled, threshold[1]
 
+    def _cutoffs(self) -> tuple[list[int], list[int], int]:
+        """The subtree and local cutoffs per period, and the threshold
+        denominator. A rule that is on cuts at the scaled totals, a rule
+        that is off at zero, which every item that occurred passes."""
+        scaled, t_den = self._scaled_totals()
+        zeros = self.zeros
+        return scaled if self.su_prune else zeros, scaled if self.lu_prune else zeros, t_den
+
     def search(self, root, stats) -> None:
         """Walk the set-enumeration tree below root depth first.
 
         The root pass fills the arrays from root and selects the root's
-        children among all positive items, with the local test off: root
+        children among all positive items, at a zero local cutoff: root
         secondary came from the TWU test already.
 
         The stack holds one frame per node whose children are still
@@ -193,25 +202,21 @@ class _Miner:
         fill when the deferred selection runs.
         """
         su, lu, neg = self.su, self.lu, self.neg
-        su_prune, lu_prune = self.su_prune, self.lu_prune
         collector = self.collector
         period_totals = self.period_totals
         period_labels = self.period_labels
         ext_id = self.ext_id
         fill_subtree_and_local(root, su, lu, neg)
-        scaled, t_den = self._scaled_totals()
+        su_cut, _, t_den = self._cutoffs()
         primary, secondary = select_primary_secondary(
-            su, lu, range(self.boundary), scaled, t_den, su_prune, False
+            su, lu, range(self.boundary), su_cut, self.zeros, t_den
         )
         stack = [[root, (), primary, secondary, 0]]
         while stack:
             frame = stack[-1]
             pd, prefix, picks, later, i = frame
             if picks is None:
-                scaled, t_den = self._scaled_totals()
-                picks, later = select_primary_secondary(
-                    su, lu, later, scaled, t_den, su_prune, lu_prune
-                )
+                picks, later = select_primary_secondary(su, lu, later, *self._cutoffs())
                 frame[2], frame[3] = picks, later
             if i == len(picks):
                 stack.pop()
@@ -249,8 +254,8 @@ class _Miner:
             else:
                 fill_negative_subtree(child, neg)
             rest = picks[i:] if later is None else sorted(neg.touched)
-            scaled, t_den = self._scaled_totals()
-            negatives = select_negative_candidates(neg, rest, scaled, t_den, su_prune)
+            su_cut, _, t_den = self._cutoffs()
+            negatives = select_negative_candidates(neg, rest, su_cut, t_den)
             if negatives:
                 stack.append([child, ext, negatives, None, 0])
 
@@ -277,11 +282,10 @@ def mine_top_k(
     collector = TopKCollector(k, singleton_threshold(db, k))
 
     twu = compute_period_twu(db)
-    t_num, t_den = collector.threshold
-    if lu_prune:
-        secondary0 = initial_secondary(db, twu, t_num, t_den)
-    else:
-        secondary0 = {i for i, s in db.item_signs.items() if s > 0 and i in twu}
+    # With the local rule off, threshold zero keeps every positive item
+    # that occurs: a TWU is never negative.
+    t_num, t_den = collector.threshold if lu_prune else (0, 1)
+    secondary0 = initial_secondary(db, twu, t_num, t_den)
     kept_negative = negative_keep(db, secondary0)
     order = build_item_order(twu, db.item_signs, secondary0, kept_negative)
     working, stats.merges = build_working_database(db, order)

@@ -108,7 +108,7 @@ def _assert_record_matches(views, su, lu, neg):
     """The first-touch record lists each item the views hold once, split
     at the boundary; lu shares su's list and keeps no flags."""
     boundary = neg.base
-    held = {items[j] for plist in views for items, _, off, _ in plist for j in range(off, len(items))}
+    held = {items[j] for items, _, off, _, _ in views for j in range(off, len(items))}
     assert len(su.touched) == len(set(su.touched))
     assert len(neg.touched) == len(set(neg.touched))
     assert set(su.touched) == {z for z in held if z < boundary}
@@ -251,13 +251,15 @@ def test_negative_tail_fill_matches_definitions(corpus):
 
 
 def _projection(views_by_period):
-    """A projection holding hand-written views, keyed by period."""
+    """A projection holding hand-written views (items, utilities, offset,
+    prefix utility), keyed by period: each view takes its key as its
+    period, in ascending period order."""
     periods = sorted(views_by_period)
-    views = [views_by_period[p] for p in periods]
+    views = [(*view, p) for p in periods for view in views_by_period[p]]
     return ProjectedDatabase(
         periods=periods,
         views=views,
-        utility=sum(view[3] for plist in views for view in plist),
+        utility=sum(view[3] for view in views),
     )
 
 
@@ -372,29 +374,46 @@ def test_selection_applies_both_bound_tests():
     # one period, threshold 1/2 of a period total of 10 -> cutoff 5
     su, lu = _arrays([[10, 2, 0]], [[10, 4, 0]], seen=[1, 1, 0])
     primary, secondary = select_primary_secondary(
-        su, lu, range(3), scaled_totals=[5], t_den=2, su_prune=True, lu_prune=True
+        su, lu, range(3), su_cut=[5], lu_cut=[5], t_den=2
     )
     assert primary == [0]        # item 1 fails the subtree test (4 < 5)
     assert secondary == [0, 1]
     # at threshold zero every cell passes, but item 2 never occurred
     primary, secondary = select_primary_secondary(
-        su, lu, range(3), scaled_totals=[0], t_den=1, su_prune=True, lu_prune=True
+        su, lu, range(3), su_cut=[0], lu_cut=[0], t_den=1
+    )
+    assert primary == secondary == [0, 1]
+    # each rule has its own cutoffs: a zero subtree cutoff passes item 1
+    primary, secondary = select_primary_secondary(
+        su, lu, range(3), su_cut=[0], lu_cut=[5], t_den=2
     )
     assert primary == secondary == [0, 1]
 
 
 def test_selection_degrades_to_occurrence_when_disabled():
+    """A rule that is off cuts at zero, which every item that occurred
+    passes, since every filled cell is at least zero."""
     su, lu = _arrays([[0, 0, 0]], [[0, 0, 0]], seen=[1, 0, 1])
     primary, secondary = select_primary_secondary(
-        su, lu, range(3), scaled_totals=[99], t_den=1, su_prune=False, lu_prune=False
+        su, lu, range(3), su_cut=[0], lu_cut=[0], t_den=99
     )
     assert primary == secondary == [0, 2]
+
+    working = pipeline(parse_database("1 2:5:2 3:0\n2:4:4:1\n"))[1]
+    collector = TopKCollector(1, Fraction(3, 7))
+    scaled = [3 * total for total in working.period_totals]
+    for su_prune, lu_prune in itertools.product((True, False), repeat=2):
+        miner = _Miner(working, collector, su_prune=su_prune, lu_prune=lu_prune)
+        su_cut, lu_cut, t_den = miner._cutoffs()
+        assert su_cut == (scaled if su_prune else [0, 0])
+        assert lu_cut == (scaled if lu_prune else [0, 0])
+        assert t_den == 7
 
 
 def test_selection_boundary_equality_counts():
     su, lu = _arrays([[5]], [[5]], seen=[1])
     primary, secondary = select_primary_secondary(
-        su, lu, [0], scaled_totals=[10], t_den=2, su_prune=True, lu_prune=True
+        su, lu, [0], su_cut=[10], lu_cut=[10], t_den=2
     )
     assert primary == [0] and secondary == [0]
 
@@ -409,17 +428,10 @@ def test_negative_candidate_selection():
     touched = sorted(neg.touched)
     assert touched == [4, 5, 6]
     for candidates in (touched, range(3, 7)):
-        picked = select_negative_candidates(
-            neg, candidates, scaled_totals=[10], t_den=2, su_prune=True
-        )
+        picked = select_negative_candidates(neg, candidates, cut=[10], t_den=2)
         assert picked == [4]  # 7*2 >= 10; 3*2 < 10; item 3 never occurred
-        unpruned = select_negative_candidates(
-            neg, candidates, scaled_totals=[10], t_den=2, su_prune=False
-        )
-        assert unpruned == [4, 5, 6]
-        at_zero = select_negative_candidates(
-            neg, candidates, scaled_totals=[0], t_den=1, su_prune=True
-        )
+        # a zero cut (threshold zero, or the rule off) passes what occurred
+        at_zero = select_negative_candidates(neg, candidates, cut=[0], t_den=2)
         assert at_zero == [4, 5, 6]
 
 
@@ -433,12 +445,10 @@ def test_selection_reads_only_live_periods():
     assert su.cells[0] == lu.cells[0] == [8, 1, 0] and neg.cells[0] == [0, 0, 0]
     su.cells[2][1] = lu.cells[2][1] = neg.cells[2][0] = 10**9
     primary, secondary = select_primary_secondary(
-        su, lu, range(3), scaled_totals=[5, 5, 5], t_den=1, su_prune=True, lu_prune=True
+        su, lu, range(3), su_cut=[5, 5, 5], lu_cut=[5, 5, 5], t_den=1
     )
     assert primary == secondary == [0]
-    picked = select_negative_candidates(
-        neg, [3], scaled_totals=[5, 5, 5], t_den=1, su_prune=True
-    )
+    picked = select_negative_candidates(neg, [3], cut=[5, 5, 5], t_den=1)
     assert picked == []
 
 
@@ -451,7 +461,7 @@ def test_fills_without_kept_negatives():
     fill_subtree_and_local(pd, su, lu, neg)
     assert su.cells == [[5, 0, 3], [0, 4, 0]] and lu.cells == [[5, 0, 5], [0, 4, 0]]
     assert neg.touched == []
-    assert select_negative_candidates(neg, sorted(neg.touched), [0, 0], 1, True) == []
+    assert select_negative_candidates(neg, sorted(neg.touched), [0, 0], 1) == []
     for arr in (su, lu, neg):
         arr.reset([])
         assert _all_zero(arr)
@@ -475,7 +485,7 @@ def test_fills_with_only_negatives():
     assert su.touched == [] and lu.touched is su.touched
     assert _all_zero(su) and _all_zero(lu)
     assert neg.cells == [[7, 8, 5]] and neg.touched == [3, 1, 2]
-    picked = select_negative_candidates(neg, sorted(neg.touched), [14], 2, True)
+    picked = select_negative_candidates(neg, sorted(neg.touched), [14], 2)
     assert picked == [1, 2]  # 7*2 == 14 counts; 8*2 >= 14; 5*2 < 14
     for arr in (su, lu, neg):
         arr.reset([])

@@ -1,9 +1,8 @@
-"""Projections: the period-sparse layout, narrowing, utility accounting,
-the root index."""
+"""Projections: the flat period-ordered layout, narrowing, utility
+accounting, the root index."""
 
 import random
 from array import array
-from itertools import accumulate
 
 import pytest
 
@@ -20,29 +19,40 @@ from topshelf.projection import (
 A, B, C, D, E = 1, 2, 3, 4, 5
 
 
-def view_total(pd):
-    return sum(len(v) for v in pd.views)
+def view_periods(pd):
+    return [view[4] for view in pd.views]
 
 
 def assert_sparse(pd):
-    """The layout contract: strictly ascending periods, each with a
-    non-empty views list, and utility the sum of every view's prefix
-    utility."""
-    assert len(pd.views) == len(pd.periods)
-    assert all(a < b for a, b in zip(pd.periods, pd.periods[1:]))
-    assert all(pd.views)
-    assert pd.utility == sum(view[3] for plist in pd.views for view in plist)
+    """The layout contract: 5-tuple views in ascending period order,
+    periods the distinct view periods in that order, and utility the sum
+    of every view's prefix utility."""
+    assert all(len(view) == 5 for view in pd.views)
+    held = view_periods(pd)
+    assert held == sorted(held)
+    assert pd.periods == sorted(set(held))
+    assert pd.utility == sum(view[3] for view in pd.views)
+
+
+def assert_index_numbers_root_views(root, n_items):
+    """Row id r of the occurrence index is root.views[r]: each item's ids
+    ascend and name exactly the root views that hold the item."""
+    index = root.index
+    for z in range(n_items):
+        ids = list(index.rows[index.item_starts[z] : index.item_starts[z + 1]])
+        assert ids == [r for r, view in enumerate(root.views) if z in view[0]], z
 
 
 def test_root_projection_covers_every_row(running_example):
     _, working, root = pipeline(running_example)
     assert_sparse(root)
-    assert view_total(root) == working.transaction_count
+    assert len(root.views) == working.transaction_count
     assert root.periods == [0, 1, 2]
     assert root.utility == 0
-    for plist in root.views:
-        for items, utils, off, prefix in plist:
-            assert off == 0 and prefix == 0
+    rows = [(row[0], row[1], p) for p, block in enumerate(working.blocks) for row in block]
+    for (items, utils, off, prefix, p), (row_items, row_utils, row_p) in zip(root.views, rows):
+        assert items is row_items and utils is row_utils and p == row_p
+        assert off == 0 and prefix == 0
 
 
 def test_root_skips_periods_emptied_by_the_order(running_example):
@@ -52,7 +62,8 @@ def test_root_skips_periods_emptied_by_the_order(running_example):
     assert working.blocks[0] == []
     assert_sparse(root)
     assert root.periods == [1, 2]
-    assert list(root.index.period_starts) == [0, 1, 4]  # T1; T4, T5, T6
+    assert view_periods(root) == [1, 2, 2, 2]  # T1; T4, T5, T6
+    assert_index_numbers_root_views(root, len(order))
     pd = project(root, order.position[E])
     assert_sparse(pd)
     assert pd.periods == [1, 2] and pd.utility == 50
@@ -64,14 +75,12 @@ def test_project_narrows_to_containing_transactions(running_example):
     assert_sparse(pd)
     # d sits in T2 (period 0), T1/T3/T8 (period 1), T5 (period 2)
     assert pd.periods == [0, 1, 2]
-    assert [len(v) for v in pd.views] == [1, 3, 1]
-    assert view_total(pd) == 5
+    assert view_periods(pd) == [0, 1, 1, 1, 2]
     # prefix utilities are u(d, T); period-1 views keep input order: T1, T3, T8
-    assert [v[3] for v in pd.views[1]] == [12, 30, 24]
+    assert [v[3] for v in pd.views if v[4] == 1] == [12, 30, 24]
     assert pd.utility == 138
-    for plist in pd.views:
-        for items, utils, off, prefix in plist:
-            assert items[off - 1] == order.position[D]
+    for items, utils, off, prefix, p in pd.views:
+        assert items[off - 1] == order.position[D]
 
 
 def test_project_missing_item_leaves_nothing(running_example):
@@ -108,6 +117,7 @@ def assert_index_matches_scan(root, n_items):
     buffers, and the same utility sum."""
     assert root.index is not None
     assert_sparse(root)
+    assert_index_numbers_root_views(root, n_items)
     scan = ProjectedDatabase(periods=root.periods, views=root.views, utility=root.utility)
     for z in range(n_items):
         got = project(root, z)
@@ -115,8 +125,7 @@ def assert_index_matches_scan(root, n_items):
         assert_sparse(got)
         assert got.periods == want.periods, z
         assert got.views == want.views, z
-        for gv, wv in zip(got.views, want.views):
-            assert all(g[0] is w[0] and g[1] is w[1] for g, w in zip(gv, wv))
+        assert all(g[0] is w[0] and g[1] is w[1] for g, w in zip(got.views, want.views))
         assert got.utility == want.utility, z
         assert got.index is None
 
@@ -130,7 +139,7 @@ def test_indexed_root_projection_matches_scan_on_running_example(
     # e never sells in period 0: its projection leaves that period out
     pd = project(root, order.position[E])
     assert pd.periods == [1, 2]
-    assert [len(v) for v in pd.views] == [1, 3]
+    assert view_periods(pd) == [1, 2, 2, 2]
 
 
 @pytest.mark.parametrize("merge", [True, False])
@@ -172,10 +181,9 @@ def round_robin_365(emptied=0):
 
 
 def test_indexed_root_projection_matches_scan_over_365_periods():
-    order, _, root = pipeline(round_robin_365())
+    order, working, root = pipeline(round_robin_365())
     assert root.periods == list(range(365))
-    block_sizes = [len(block) for block in root.views]
-    assert list(root.index.period_starts) == [0, *accumulate(block_sizes)]
+    assert view_periods(root) == [p for p, block in enumerate(working.blocks) for _ in block]
     assert_index_matches_scan(root, len(order))
 
 
@@ -185,8 +193,7 @@ def test_indexed_root_projection_matches_scan_over_365_periods_with_empty_ones()
     empty = [p for p, block in enumerate(working.blocks) if not block]
     assert empty == list(range(0, 365, 5))
     assert root.periods == [p for p in range(365) if p % 5]
-    block_sizes = [len(block) for block in root.views]
-    assert list(root.index.period_starts) == [0, *accumulate(block_sizes)]
+    assert view_periods(root) == [p for p, block in enumerate(working.blocks) for _ in block]
     assert_index_matches_scan(root, len(order))
     # below the root the scan walks only the parent's periods
     labels = sorted(db.periods)
@@ -200,8 +207,7 @@ def test_indexed_root_projection_matches_scan_over_365_periods_with_empty_ones()
 
 
 def test_index_typecodes_hold_every_legal_count():
-    # row ids, block offsets and item offsets never exceed the row or
-    # occurrence count, so 4 bytes hold them below 2**32 and 8 from there
+    # row ids and item offsets never exceed the row or occurrence count, so 4 bytes hold them below 2**32 and 8 from there
     for largest in (0, 365, 2**16, 2**32 - 1):
         code = _typecode(largest)
         assert array(code).itemsize == 4

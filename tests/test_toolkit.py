@@ -320,12 +320,18 @@ def test_cli_gen_without_flags_writes_the_default_database(tmp_path):
         ("bench", "-i", "SELF", "--k-list", "2", "--repeat", "0"),
         ("gen", "--transactions", "0", "-o", "/dev/null"),
         ("mine", "-i", "SELF", "-k", "3", "--no-merge"),
+        ("mine", "-i", "NOT_UTF8", "-k", "1"),
+        ("verify", "-i", "NOT_UTF8", "-k", "1"),
+        ("bench", "-i", "NOT_UTF8", "--k-list", "1"),
     ],
 )
 def test_cli_bad_inputs_exit_2(tmp_path, running_text, argv, capsys):
     db = tmp_path / "toy.db"
     db.write_text(running_text, encoding="utf-8")
-    argv = [str(db) if a == "SELF" else a for a in argv]
+    not_utf8 = tmp_path / "latin.db"
+    not_utf8.write_bytes(b"1 2:5:2 3:0\n\xff:1:1:0\n")
+    paths = {"SELF": str(db), "NOT_UTF8": str(not_utf8)}
+    argv = [paths.get(a, a) for a in argv]
     # argparse rejects unknown options by exiting with code 2
     try:
         code = run_cli(*argv)
