@@ -27,7 +27,7 @@ from .errors import (
     TooLargeForOracle,
 )
 from .generator import GeneratorParams, generate
-from .oracle import oracle_top_k
+from .oracle import check_limits, oracle_top_k
 from .search import mine_top_k, stats_json
 
 EXIT_OK = 0
@@ -117,6 +117,11 @@ def _cmd_mine(args) -> int:
 
 def _cmd_verify(args) -> int:
     db = _load(args.input)
+    # Refuse bad input before mining: mining a database the oracle then
+    # refuses can take seconds.
+    if args.k < 1:
+        raise InvalidK(args.k)
+    check_limits(db)
     mined, _ = mine_top_k(db, args.k)
     expected = oracle_top_k(db, args.k)
     ok = mined == expected

@@ -24,6 +24,14 @@ class OracleLimits:
     max_items: int = 20
 
 
+def check_limits(db: OnShelfDatabase, limits: OracleLimits | None = None) -> None:
+    """Raise TooLargeForOracle if db has too many distinct items to enumerate."""
+    limits = limits or OracleLimits()
+    distinct = len(db.item_signs)
+    if distinct > limits.max_items:
+        raise TooLargeForOracle(distinct, limits.max_items)
+
+
 def enumerate_patterns(
     db: OnShelfDatabase, limits: OracleLimits | None = None
 ) -> list[Pattern]:
@@ -33,11 +41,7 @@ def enumerate_patterns(
     transaction's subsets with running sums. Output is sorted by item tuple
     so it is deterministic.
     """
-    limits = limits or OracleLimits()
-    distinct = len(db.item_signs)
-    if distinct > limits.max_items:
-        raise TooLargeForOracle(distinct, limits.max_items)
-
+    check_limits(db, limits)
     utility: dict[tuple[int, ...], int] = {}
     periods: dict[tuple[int, ...], set[int]] = {}
 

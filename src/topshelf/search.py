@@ -37,7 +37,7 @@ from .prepare import (
     negative_keep,
     singleton_threshold,
 )
-from .projection import project, root_projection
+from .projection import occurrences, project, root_projection
 
 MAX_DISTINCT_ITEMS = 2**16
 # Cells of the three dense bound arrays together, periods x (2 x positives +
@@ -185,21 +185,25 @@ class _Miner:
         secondary came from the TWU test already.
 
         The stack holds one frame per node whose children are still
-        pending: [projection, prefix, picks, secondary, next], where picks
-        are the node's selected children in order and next indexes the
-        first one not yet searched. A positive frame's secondary is the
+        pending: [projection, prefix, picks, secondary, next, rows], where
+        picks are the node's selected children in order and next indexes
+        the first one not yet searched. A positive frame's secondary is the
         alphabet its children extend from; a negative frame's is None, and
         each of its children extends from the picks after it. A child's
-        depth is the length of its prefix.
+        depth is the length of its prefix. rows holds, per pick, the ids of
+        the views that hold it, from one walk of the node's views once its
+        picks are known (see projection.occurrences), or None where the
+        child scans every view.
 
-        Each child is projected, scored and offered. A positive child then
-        fills neg, and su and lu too while later secondary items remain; a
-        negative child with later picks fills neg alone. The negatives it
-        picks go on the stack above a deferred frame (picks None) that
-        selects its positive children from su and lu once the negative
-        subtree is done, against the threshold of that moment. Negative
-        nodes write only neg, so su and lu still hold the positive child's
-        fill when the deferred selection runs.
+        Each child is projected from its rows, scored and offered. A
+        positive child then fills neg, and su and lu too while later
+        secondary items remain; a negative child with later picks fills neg
+        alone. The negatives it picks go on the stack, walked, above a
+        deferred frame (picks None) that selects its positive children from
+        su and lu once the negative subtree is done, against the threshold
+        of that moment, and then walks its views for them. Negative nodes
+        write only neg, so su and lu still hold the positive child's fill
+        when the deferred selection runs.
         """
         su, lu, neg = self.su, self.lu, self.neg
         collector = self.collector
@@ -211,22 +215,22 @@ class _Miner:
         primary, secondary = select_primary_secondary(
             su, lu, range(self.boundary), su_cut, self.zeros, t_den
         )
-        stack = [[root, (), primary, secondary, 0]]
+        stack = [[root, (), primary, secondary, 0, occurrences(root, primary)]]
         while stack:
             frame = stack[-1]
-            pd, prefix, picks, later, i = frame
+            pd, prefix, picks, later, i, rows = frame
             if picks is None:
                 picks, later = select_primary_secondary(su, lu, later, *self._cutoffs())
-                frame[2], frame[3] = picks, later
+                rows = occurrences(pd, picks)
+                frame[2], frame[3], frame[5] = picks, later, rows
             if i == len(picks):
                 stack.pop()
                 continue
             z = picks[i]
-            i += 1
-            frame[4] = i
-
             stats.projections += 1
-            child = project(pd, z)
+            child = project(pd, z, rows[i])
+            frame[4] = i = i + 1
+
             ext = prefix + (ext_id[z],)
             occupied = child.periods
             utility = child.utility
@@ -250,14 +254,14 @@ class _Miner:
             candidates = None if later is None else later[bisect_right(later, z) :]
             if candidates:
                 fill_subtree_and_local(child, su, lu, neg)
-                stack.append([child, ext, None, candidates, 0])
+                stack.append([child, ext, None, candidates, 0, None])
             else:
                 fill_negative_subtree(child, neg)
             rest = picks[i:] if later is None else sorted(neg.touched)
             su_cut, _, t_den = self._cutoffs()
             negatives = select_negative_candidates(neg, rest, su_cut, t_den)
             if negatives:
-                stack.append([child, ext, negatives, None, 0])
+                stack.append([child, ext, negatives, None, 0, occurrences(child, negatives)])
 
 
 def mine_top_k(

@@ -1,8 +1,8 @@
 """Projections: the flat period-ordered layout, narrowing, utility
-accounting, the root index."""
+accounting, the occurrence walk."""
 
 import random
-from array import array
+import tracemalloc
 
 import pytest
 
@@ -10,11 +10,8 @@ from conftest import pipeline
 from topshelf.dataset import parse_database
 from topshelf.generator import GeneratorParams, generate
 from topshelf.oracle import itemset_periods, itemset_utility
-from topshelf.projection import (
-    ProjectedDatabase,
-    _typecode,
-    project,
-)
+from topshelf import projection
+from topshelf.projection import WALK_MIN_BISECTS, occurrences, project
 
 A, B, C, D, E = 1, 2, 3, 4, 5
 
@@ -32,15 +29,6 @@ def assert_sparse(pd):
     assert held == sorted(held)
     assert pd.periods == sorted(set(held))
     assert pd.utility == sum(view[3] for view in pd.views)
-
-
-def assert_index_numbers_root_views(root, n_items):
-    """Row id r of the occurrence index is root.views[r]: each item's ids
-    ascend and name exactly the root views that hold the item."""
-    index = root.index
-    for z in range(n_items):
-        ids = list(index.rows[index.item_starts[z] : index.item_starts[z + 1]])
-        assert ids == [r for r, view in enumerate(root.views) if z in view[0]], z
 
 
 def test_root_projection_covers_every_row(running_example):
@@ -63,7 +51,7 @@ def test_root_skips_periods_emptied_by_the_order(running_example):
     assert_sparse(root)
     assert root.periods == [1, 2]
     assert view_periods(root) == [1, 2, 2, 2]  # T1; T4, T5, T6
-    assert_index_numbers_root_views(root, len(order))
+    assert_walks_match_scans(order, root, 0)
     pd = project(root, order.position[E])
     assert_sparse(pd)
     assert pd.periods == [1, 2] and pd.utility == 50
@@ -111,39 +99,82 @@ def test_projection_chain_matches_definitions(corpus):
             assert pd.utility == itemset_utility(db, external)
 
 
-def assert_index_matches_scan(root, n_items):
-    """Index-backed root projections equal the scan over the same views:
-    same periods, same views in the same order, sharing the stored
-    buffers, and the same utility sum."""
-    assert root.index is not None
-    assert_sparse(root)
-    assert_index_numbers_root_views(root, n_items)
-    scan = ProjectedDatabase(periods=root.periods, views=root.views, utility=root.utility)
-    for z in range(n_items):
-        got = project(root, z)
-        want = project(scan, z)
+def picks_to_walk(order, root, rng):
+    """(projection, picks) pairs as the search forms them, ascending picks
+    after the prefix's last item: at the root, at depth-1 and depth-2
+    nodes, all positive picks, all picks, negative picks alone, a random
+    subset and a single pick."""
+    n, boundary = len(order), order.boundary
+    nodes = [(root, -1)]
+    for z in rng.sample(range(n), min(n, 4)):
+        child = project(root, z)
+        nodes.append((child, z))
+        if z + 1 < n:
+            z2 = rng.randrange(z + 1, n)
+            nodes.append((project(child, z2), z2))
+    for pd, z in nodes:
+        later = list(range(z + 1, n))
+        if not later:
+            continue
+        yield pd, [x for x in later if x < boundary]
+        yield pd, later
+        yield pd, [x for x in later if x >= boundary]
+        yield pd, sorted(rng.sample(later, rng.randint(1, len(later))))
+        yield pd, [rng.choice(later)]
+
+
+@pytest.fixture
+def walk_every_frame(monkeypatch):
+    """Walk every multi-pick frame, however small, so that the small test
+    databases exercise the walk."""
+    monkeypatch.setattr(projection, "WALK_MIN_BISECTS", 0)
+
+
+def assert_walk_matches_scan(pd, picks):
+    """occurrences(pd, picks) gives each pick the ascending ids of exactly
+    the views that hold it (None for a lone pick), and projecting from
+    those ids equals the scan over every view: same periods, same views in
+    the same order sharing the stored buffers, same utility sum."""
+    assert_sparse(pd)
+    rows = occurrences(pd, picks)
+    assert len(rows) == len(picks)
+    for z, ids in zip(picks, rows):
+        if len(picks) == 1:
+            assert ids is None
+        else:
+            assert ids.typecode == "I" and ids.itemsize == 4
+            held = [r for r, (items, _, off, _, _) in enumerate(pd.views) if z in items[off:]]
+            assert list(ids) == held, z
+        got = project(pd, z, ids)
+        want = project(pd, z)
         assert_sparse(got)
-        assert got.periods == want.periods, z
-        assert got.views == want.views, z
+        assert got == want, z
         assert all(g[0] is w[0] and g[1] is w[1] for g, w in zip(got.views, want.views))
-        assert got.utility == want.utility, z
-        assert got.index is None
+
+
+def assert_walks_match_scans(order, root, seed):
+    rng = random.Random(seed)
+    walked = 0
+    for pd, picks in picks_to_walk(order, root, rng):
+        if picks:
+            assert_walk_matches_scan(pd, picks)
+            walked += 1
+    assert walked
 
 
 @pytest.mark.parametrize("merge", [True, False])
-def test_indexed_root_projection_matches_scan_on_running_example(
-    running_example, merge
-):
+def test_walk_matches_scan_on_running_example(running_example, merge, walk_every_frame):
     order, _, root = pipeline(running_example, merge=merge)
-    assert_index_matches_scan(root, len(order))
+    assert_walks_match_scans(order, root, 11)
     # e never sells in period 0: its projection leaves that period out
-    pd = project(root, order.position[E])
+    rows = occurrences(root, list(range(len(order))))
+    pd = project(root, order.position[E], rows[order.position[E]])
     assert pd.periods == [1, 2]
     assert view_periods(pd) == [1, 2, 2, 2]
 
 
 @pytest.mark.parametrize("merge", [True, False])
-def test_indexed_root_projection_matches_scan_on_random_databases(merge):
+def test_walk_matches_scan_on_random_databases(merge, walk_every_frame):
     rng = random.Random(8128)
     for seed in range(1, 31):
         params = GeneratorParams(
@@ -156,10 +187,13 @@ def test_indexed_root_projection_matches_scan_on_random_databases(merge):
             seed=seed,
         )
         order, working, root = pipeline(parse_database(generate(params)), merge=merge)
-        assert len(root.index.rows) == sum(
-            len(row[0]) for block in working.blocks for row in block
-        )
-        assert_index_matches_scan(root, len(order))
+        if len(order) > 1:
+            # at the root, every occurrence of every item is recorded once
+            rows = occurrences(root, list(range(len(order))))
+            assert sum(map(len, rows)) == sum(
+                len(row[0]) for block in working.blocks for row in block
+            )
+        assert_walks_match_scans(order, root, seed)
 
 
 def round_robin_365(emptied=0):
@@ -180,21 +214,21 @@ def round_robin_365(emptied=0):
     return parse_database("\n".join(lines) + "\n")
 
 
-def test_indexed_root_projection_matches_scan_over_365_periods():
+def test_walk_matches_scan_over_365_periods(walk_every_frame):
     order, working, root = pipeline(round_robin_365())
     assert root.periods == list(range(365))
     assert view_periods(root) == [p for p, block in enumerate(working.blocks) for _ in block]
-    assert_index_matches_scan(root, len(order))
+    assert_walks_match_scans(order, root, 365)
 
 
-def test_indexed_root_projection_matches_scan_over_365_periods_with_empty_ones():
+def test_walk_matches_scan_over_365_periods_with_empty_ones(walk_every_frame):
     db = round_robin_365(emptied=5)
     order, working, root = pipeline(db, drop={99})
     empty = [p for p, block in enumerate(working.blocks) if not block]
     assert empty == list(range(0, 365, 5))
     assert root.periods == [p for p in range(365) if p % 5]
     assert view_periods(root) == [p for p, block in enumerate(working.blocks) for _ in block]
-    assert_index_matches_scan(root, len(order))
+    assert_walks_match_scans(order, root, 73)
     # below the root the scan walks only the parent's periods
     labels = sorted(db.periods)
     rng = random.Random(365)
@@ -206,15 +240,34 @@ def test_indexed_root_projection_matches_scan_over_365_periods_with_empty_ones()
         assert [labels[p] for p in pd.periods] == sorted(itemset_periods(db, external))
 
 
-def test_index_typecodes_hold_every_legal_count():
-    # row ids and item offsets never exceed the row or occurrence count, so 4 bytes hold them below 2**32 and 8 from there
-    for largest in (0, 365, 2**16, 2**32 - 1):
-        code = _typecode(largest)
-        assert array(code).itemsize == 4
-        assert array(code, [largest])[0] == largest
-    for largest in (2**32, 2**63, 2**64 - 1):
-        code = _typecode(largest)
-        assert array(code).itemsize == 8
-        assert array(code, [largest])[0] == largest
-    with pytest.raises(OverflowError):
-        _typecode(2**64)
+def test_root_walk_costs_four_bytes_per_occurrence():
+    params = GeneratorParams(transactions=2000, items=40, avg_len=5, seed=11)
+    order, _, root = pipeline(parse_database(generate(params)))
+    picks = list(range(len(order)))
+    tracemalloc.start()
+    try:
+        rows = occurrences(root, picks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    recorded = sum(map(len, rows))
+    assert recorded > 20 * len(picks)
+    # Per pick: the array object (80 bytes), its list slot, its entry in
+    # the walk's lookup table, and the array's growth slack, at most a
+    # sixteenth of its ids plus 7 (under 100 bytes for the at most 300 ids
+    # a pick has here). Ids held in a list would cost 8 bytes a slot, plus
+    # an int object per id above 256.
+    assert peak <= 4 * recorded + 256 * len(picks)
+
+
+def test_frames_below_the_cutover_scan(running_example):
+    # the running example's root: 5 picks x 8 views
+    order, _, root = pipeline(running_example, merge=False)
+    picks = list(range(len(order)))
+    assert len(picks) * len(root.views) < WALK_MIN_BISECTS
+    assert occurrences(root, picks) == [None] * len(picks)
+    # 2 picks x 900 views
+    order, _, root = pipeline(round_robin_365())
+    assert 2 * len(root.views) >= WALK_MIN_BISECTS
+    assert all(ids is not None for ids in occurrences(root, [0, 1]))
+    assert occurrences(root, [0]) == [None]

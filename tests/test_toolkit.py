@@ -268,13 +268,24 @@ def test_cli_verify_pass(tmp_path, running_text, capsys):
     assert capsys.readouterr().out.startswith("VERIFY PASS k=5")
 
 
-def test_cli_verify_refuses_wide_input(tmp_path, capsys):
+def test_cli_verify_refuses_wide_input(tmp_path, capsys, monkeypatch):
     n = 30
     ids = " ".join(str(i) for i in range(1, n + 1))
     utils = " ".join("1" for _ in range(n))
     db = tmp_path / "wide.db"
     db.write_text(f"{ids}:{n}:{utils}:0\n", encoding="utf-8")
     assert run_cli("verify", "-i", str(db), "-k", "1") == 3
+    assert "error" in capsys.readouterr().err
+
+    # the width is checked before anything is mined
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify mined a database the oracle refuses")
+
+    monkeypatch.setattr("topshelf.cli.mine_top_k", refuse)
+    assert run_cli("verify", "-i", str(db), "-k", "1") == 3
+    assert "error" in capsys.readouterr().err
+    # a bad k is still bad input, also on a database too wide to verify
+    assert run_cli("verify", "-i", str(db), "-k", "0") == 2
     assert "error" in capsys.readouterr().err
 
 
