@@ -30,7 +30,6 @@ from .errors import (
     InvalidBenchParams,
     InvalidK,
     TooLargeForOracle,
-    TooManyBoundCells,
     TooManyItems,
     TopshelfError,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "Pattern",
     "SearchStats",
     "TooLargeForOracle",
-    "TooManyBoundCells",
     "TooManyItems",
     "TopshelfError",
     "Transaction",

@@ -1,6 +1,6 @@
 """Upper-bound accumulators that drive the pruning decisions.
 
-Two bounds are maintained per (period, candidate item) cell over the current
+Two bounds are maintained per (period, candidate item) over the current
 prefix's projection:
 
   subtree: prefix utility + the candidate's utility + the positive-profit
@@ -19,242 +19,246 @@ Both are >= the true utility of anything they prune (dominance is property
 tested), and remaining sums count positive items only, which is what keeps
 them valid when negative items are present.
 
-A run allocates three arrays and every node reuses them: su and lu hold the
-subtree and local bounds of the positive items (columns 0..boundary-1), and
-neg holds the clipped subtree bounds of the kept negative items (columns
-boundary..n_items-1 only, so the three together are no larger than one
-full-width pair). fill_subtree_and_local fills all three in one walk of a
-node's projection; fill_negative_subtree fills neg alone. Each fill first
-resets the arrays it fills for the periods the projection occupies, then
-walks the projection's views once, adding each view into the rows of its
-own period. Keeping the negatives apart lets a positive node search its
-negative extensions, which reuse neg, between its one fill and its
-positive selection.
+An item passes a rule if, in some period it sells in, its bound reaches the
+threshold times that period's total. Period totals are positive, so that
+holds exactly when the item's best ratio, the largest bound / total over
+those periods, reaches the threshold. A fill therefore keeps, per item, only
+that best ratio num/den, never a period x item grid.
 
-Between nodes every cell and every flag is zero. The fills keep a
-first-touch record: the first time an array's cell for an item is written,
-the item's flag in seen is set and the item is appended to touched. lu is
-written only at positives that su has seen, so it keeps no flags and shares
-su's touched list. reset(periods) zeroes the previous fill's rows (the
-periods given to the previous reset) at the touched items, clears their
-flags and the record, and makes periods the rows the next fill writes and
-the selection helpers test. Where the touched items are more than a fifth
-of the row width, reset zeroes those rows whole instead, which is then the
-cheaper way. The selection helpers turn cells into plain lists before a
-deeper node reuses the arrays. They test each cell, times the threshold
-denominator, against a per-period cutoff. A pruning rule that is switched
-off cuts at zero, and since every filled cell is at least zero, a zero
-cutoff passes exactly the items that occurred.
+A run allocates three arrays and every node reuses them: su and lu hold the
+bounds of the positive items (dense items 0..boundary-1), neg the clipped
+subtree bounds of the kept negatives, indexed by dense item. Each array is
+one scratch row of sums plus the best ratio per item. A fill walks the
+projection's views, which come in ascending period order, adding each view
+into the row. At the end of each period it folds the cells that period
+wrote into the best ratios against the period's total and zeroes them, so
+every row cell is zero between fills. The fill lists a cell as it first goes
+from zero to non-zero; a negative whose bracket clips to zero is listed too,
+so that its occurrence is recorded. lu is written at exactly the items su
+is, so both fold from one list in one pass, and su's stamps tell for both.
+fill_subtree_and_local fills all three in one walk of a node's projection;
+fill_negative_subtree fills neg alone. Keeping the negatives apart lets a
+positive node search its negative extensions, which reuse neg, between its
+one fill and its positive selection.
+
+Each fill takes a new stamp, and seen[z] holds the stamp of the last fill
+item z occurred in. So nothing is reset between fills: the ratio of an item
+whose stamp is old is stale, and the selectors never read it. They test a
+candidate that occurred once, num * t_den >= t_num * den, against the
+threshold t_num/t_den. A pruning rule that is switched off passes t_num = 0,
+and since every bound here is at least zero, that passes exactly the items
+that occurred.
 """
 
 from __future__ import annotations
 
-# reset zeroes rows whole once touched items exceed 1/SPARSE_RESET_SHARE of
-# the row width. Zeroing one cell in a Python loop costs four to five times
-# what it costs inside a slice assignment of the whole row: timeit on
-# CPython 3.11 puts the break-even at a quarter to a fifth of the width for
-# rows of 100, 300 and 2000 cells.
-SPARSE_RESET_SHARE = 5
+from itertools import groupby
+from operator import itemgetter
+
+_period = itemgetter(4)
 
 
 class BoundArray:
-    """Period x item accumulator with a first-touch record.
+    """One scratch row of per-item sums and, per item, the best ratio
+    num/den of a sum to its period's total over the periods the last fill
+    walked.
 
-    Column c holds item base + c. periods lists the rows that hold the
-    current node's sums: the periods passed to the last reset, and none
-    before the first. seen flags and touched lists the items written since
-    the last reset; an array made with flags=False keeps no flags and takes
-    its touched list from the fill that writes it.
+    Item z occurred in the last fill when seen[z] equals stamp; num[z] and
+    den[z] hold its ratio only then. touched lists those items.
     """
 
-    __slots__ = ("cells", "seen", "touched", "periods", "base", "_zero_row")
+    __slots__ = ("row", "num", "den", "seen", "stamp", "touched")
 
-    def __init__(self, n_periods: int, width: int, base: int = 0, *, flags: bool = True):
-        self.cells = [[0] * width for _ in range(n_periods)]
-        self.seen = [0] * width if flags else None
+    def __init__(self, width: int):
+        self.row = [0] * width
+        self.num = [0] * width
+        self.den = [1] * width
+        self.seen = [0] * width
+        self.stamp = 0
         self.touched: list[int] = []
-        self.periods: list[int] = []
-        self.base = base
-        self._zero_row = [0] * width
 
-    def reset(self, periods: list[int]) -> None:
-        """Zero every cell and flag the last fill wrote, and make periods
-        the rows the next fill writes and the selection helpers test."""
+    def start(self) -> None:
+        """Begin a fill: the new stamp makes every earlier ratio stale."""
+        self.stamp += 1
+        self.touched = []
+
+    def fold(self, written: list[int], total: int) -> None:
+        """Fold the row cells at the written items into their best ratios
+        against one period's total, and zero them. An item listed twice
+        reads zero the second time, which moves no ratio."""
+        row = self.row
+        num = self.num
+        den = self.den
+        seen = self.seen
+        stamp = self.stamp
         touched = self.touched
-        if touched:
-            cells = self.cells
-            seen = self.seen
-            zero = self._zero_row
-            if len(touched) * SPARSE_RESET_SHARE > len(zero):
-                for p in self.periods:
-                    cells[p][:] = zero
-                if seen is not None:
-                    seen[:] = zero
-            else:
-                base = self.base
-                cols = [z - base for z in touched] if base else touched
-                for p in self.periods:
-                    row = cells[p]
-                    for c in cols:
-                        row[c] = 0
-                if seen is not None:
-                    for c in cols:
-                        seen[c] = 0
-            self.touched = []
-        self.periods = periods
+        for z in written:
+            cell = row[z]
+            row[z] = 0
+            if seen[z] != stamp:
+                seen[z] = stamp
+                touched.append(z)
+                num[z] = cell
+                den[z] = total
+            elif cell * den[z] > num[z] * total:
+                num[z] = cell
+                den[z] = total
 
 
-def fill_subtree_and_local(pd, su: BoundArray, lu: BoundArray, neg: BoundArray) -> None:
-    """One backward walk per view of projection pd fills all three bound
-    arrays, each view in the rows of its own period, after resetting them
-    for the periods pd holds.
-
-    Negatives come first in the walk (they sort last) and add clipped
-    brackets to their neg cells. Then running, the prefix utility plus the
-    positive entries walked so far, is at each positive entry exactly its
-    subtree bracket: prefix + u + the positive remaining utility after it.
-    At the end of the walk it is the local bracket, which does not depend
-    on position, and a short second walk adds it for every positive entry.
-    """
-    periods = pd.periods
-    su.reset(periods)
-    lu.reset(periods)
-    neg.reset(periods)
-    boundary = neg.base
+def _fold_positives(su: BoundArray, lu: BoundArray, written: list[int], total: int) -> None:
+    """BoundArray.fold for su and lu in one pass over the items su wrote,
+    which are the items lu wrote. su's stamps and touched list tell for
+    both; lu's stay unused. Folding the two arrays in two passes cost
+    the long-basket perfbench workload a tenth more mining time (CPython
+    3.11 on a 2-core x86-64 VM)."""
+    su_row, su_num, su_den = su.row, su.num, su.den
+    lu_row, lu_num, lu_den = lu.row, lu.num, lu.den
     seen = su.seen
+    stamp = su.stamp
     touched = su.touched
-    neg_seen = neg.seen
-    neg_touched = neg.touched
-    su_cells = su.cells
-    lu_cells = lu.cells
-    neg_cells = neg.cells
-    for items, utils, off, prefix, p in pd.views:
-        su_row = su_cells[p]
-        lu_row = lu_cells[p]
-        neg_row = neg_cells[p]
-        j = len(items) - 1
-        while j >= off:
-            item = items[j]
-            if item < boundary:
-                break
-            col = item - boundary
-            bracket = prefix + utils[j]
-            if bracket > 0:
-                neg_row[col] += bracket
-            if not neg_seen[col]:
-                neg_seen[col] = 1
-                neg_touched.append(item)
-            j -= 1
-        last = j
-        running = prefix
-        while j >= off:
-            item = items[j]
-            running += utils[j]
-            su_row[item] += running
-            if not seen[item]:
-                seen[item] = 1
-                touched.append(item)
-            j -= 1
-        if last >= off:
-            for item in items[off : last + 1]:
-                lu_row[item] += running
-    lu.touched = touched
+    for z in written:
+        cell = su_row[z]
+        local = lu_row[z]
+        su_row[z] = lu_row[z] = 0
+        if seen[z] != stamp:
+            seen[z] = stamp
+            touched.append(z)
+            su_num[z] = cell
+            lu_num[z] = local
+            su_den[z] = lu_den[z] = total
+            continue
+        if cell * su_den[z] > su_num[z] * total:
+            su_num[z] = cell
+            su_den[z] = total
+        if local * lu_den[z] > lu_num[z] * total:
+            lu_num[z] = local
+            lu_den[z] = total
 
 
-def fill_negative_subtree(pd, neg: BoundArray) -> None:
-    """Clipped subtree cells for negative candidates only: reset neg for
-    the periods projection pd holds, then walk the negative tail of each
-    view of pd, accumulating max(prefix + u(n, T), 0) in the row of the
-    view's period."""
-    neg.reset(pd.periods)
-    boundary = neg.base
-    seen = neg.seen
-    touched = neg.touched
-    cells = neg.cells
-    for items, utils, off, prefix, p in pd.views:
-        row = cells[p]
-        j = len(items) - 1
-        while j >= off:
-            item = items[j]
-            if item < boundary:
-                break
-            col = item - boundary
-            bracket = prefix + utils[j]
-            if bracket > 0:
-                row[col] += bracket
-            if not seen[col]:
-                seen[col] = 1
-                touched.append(item)
-            j -= 1
+def fill_subtree_and_local(pd, su: BoundArray, lu: BoundArray, neg: BoundArray, totals) -> None:
+    """One backward walk per view of projection pd fills all three bound
+    arrays, folding each period into the best ratios against its entry of
+    totals.
+
+    Negatives come first in the walk (they sort last, and only they carry
+    negative utilities) and add clipped brackets to their neg cells. Then
+    running, the prefix utility plus the positive entries walked so far, is
+    at each positive entry exactly its subtree bracket: prefix + u + the
+    positive remaining utility after it. At the end of the walk it is the
+    local bracket, which does not depend on position, and a short second
+    walk adds it for every positive entry.
+    """
+    su.start()
+    neg.start()
+    su_row = su.row
+    lu_row = lu.row
+    neg_row = neg.row
+    for p, views in groupby(pd.views, _period):
+        written = []
+        neg_written = []
+        for items, utils, off, prefix, _ in views:
+            j = len(items) - 1
+            while j >= off:
+                u = utils[j]
+                if u > 0:
+                    break
+                item = items[j]
+                cell = neg_row[item]
+                if not cell:
+                    neg_written.append(item)
+                bracket = prefix + u
+                if bracket > 0:
+                    neg_row[item] = cell + bracket
+                j -= 1
+            last = j
+            running = prefix
+            while j >= off:
+                item = items[j]
+                running += utils[j]
+                cell = su_row[item]
+                if not cell:
+                    written.append(item)
+                su_row[item] = cell + running
+                j -= 1
+            if last >= off:
+                for item in items[off : last + 1]:
+                    lu_row[item] += running
+        total = totals[p]
+        _fold_positives(su, lu, written, total)
+        neg.fold(neg_written, total)
+
+
+def fill_negative_subtree(pd, neg: BoundArray, totals) -> None:
+    """Clipped subtree bounds for negative candidates only: walk the
+    negative tail of each view of projection pd, accumulating max(prefix +
+    u(n, T), 0), and fold each period into the best ratios against its
+    entry of totals."""
+    neg.start()
+    row = neg.row
+    for p, views in groupby(pd.views, _period):
+        written = []
+        for items, utils, off, prefix, _ in views:
+            j = len(items) - 1
+            while j >= off:
+                u = utils[j]
+                if u > 0:
+                    break
+                item = items[j]
+                cell = row[item]
+                if not cell:
+                    written.append(item)
+                bracket = prefix + u
+                if bracket > 0:
+                    row[item] = cell + bracket
+                j -= 1
+        neg.fold(written, totals[p])
 
 
 def select_primary_secondary(
     su: BoundArray,
     lu: BoundArray,
     candidates,
-    su_cut: list[int],
-    lu_cut: list[int],
+    su_num: int,
+    lu_num: int,
     t_den: int,
 ) -> tuple[list[int], list[int]]:
     """Split positive candidate items into (primary, secondary) per the
     bound tests.
 
-    A candidate is secondary if some live period's local bound, times
-    t_den, reaches that period's lu_cut, and primary if some live period's
-    subtree bound does the same against su_cut; each array's live periods
-    are those it was last reset for. A cutoff is the threshold numerator
-    times the period total, or zero for a rule that is off. Items that
-    never occurred in the projection are excluded even at threshold zero
-    (su's flags tell). An item that occurred has a cell of at least zero in
-    a live period, and every cell outside the live periods is zero, so
-    skipping the other periods changes no decision, and a zero cutoff
-    passes exactly the items that occurred. Primary is always a subset of
+    A candidate is secondary if its best local ratio reaches lu_num/t_den,
+    and primary if its best subtree ratio reaches su_num/t_den (equality
+    counts). A numerator is the threshold's, or zero for a rule that is
+    off. Items that did not occur in the last fill are excluded even at
+    threshold zero (su's stamps tell). Primary is always a subset of
     secondary (the local bound dominates the subtree bound cell-wise for
     positive candidates).
     """
     primary: list[int] = []
     secondary: list[int] = []
     seen = su.seen
-    su_cells = su.cells
-    lu_cells = lu.cells
-    su_periods = su.periods
-    lu_periods = lu.periods
+    stamp = su.stamp
+    su_num_of, su_den_of = su.num, su.den
+    lu_num_of, lu_den_of = lu.num, lu.den
     for z in candidates:
-        if not seen[z]:
-            continue
-        for p in lu_periods:
-            if lu_cells[p][z] * t_den >= lu_cut[p]:
-                break
-        else:
+        if seen[z] != stamp or lu_num_of[z] * t_den < lu_num * lu_den_of[z]:
             continue
         secondary.append(z)
-        for p in su_periods:
-            if su_cells[p][z] * t_den >= su_cut[p]:
-                primary.append(z)
-                break
+        if su_num_of[z] * t_den >= su_num * su_den_of[z]:
+            primary.append(z)
     return primary, secondary
 
 
 def select_negative_candidates(
     neg: BoundArray,
     candidates,
-    cut: list[int],
+    t_num: int,
     t_den: int,
 ) -> list[int]:
-    """Negative items whose clipped subtree bound, times t_den, reaches
-    cut in some live period of neg (boundary equality counts), occurrence
-    required. A zero cut passes every item that occurred."""
-    out: list[int] = []
-    base = neg.base
+    """Negative items that occurred in neg's last fill and whose best
+    clipped subtree ratio reaches t_num/t_den (equality counts). t_num zero
+    passes every item that occurred."""
     seen = neg.seen
-    cells = neg.cells
-    periods = neg.periods
-    for z in candidates:
-        col = z - base
-        if not seen[col]:
-            continue
-        for p in periods:
-            if cells[p][col] * t_den >= cut[p]:
-                out.append(z)
-                break
-    return out
+    stamp = neg.stamp
+    num = neg.num
+    den = neg.den
+    return [z for z in candidates if seen[z] == stamp and num[z] * t_den >= t_num * den[z]]

@@ -28,7 +28,7 @@ from .bounds import (
 )
 from .dataset import OnShelfDatabase
 from .domain import Pattern
-from .errors import InvalidK, TooManyBoundCells, TooManyItems
+from .errors import InvalidK, TooManyItems
 from .prepare import (
     build_item_order,
     build_working_database,
@@ -40,23 +40,19 @@ from .prepare import (
 from .projection import occurrences, project, root_projection
 
 MAX_DISTINCT_ITEMS = 2**16
-# Cells of the three dense bound arrays together, periods x (2 x positives +
-# kept negatives): 2**26 list slots take about 0.5 GB on a 64-bit build.
-MAX_BOUND_CELLS = 2**26
 
 
 @dataclass
 class SearchStats:
-    """Counters for one mining run. candidates counts ratio evaluations,
-    projections counts database narrowings, merges counts the rows fused
-    away when the working database was built, max_depth is the longest
-    prefix reached. patterns is the final result size. threshold_rises
-    counts the offers that raised the admission threshold."""
+    """Counters for one mining run. candidates counts the nodes projected
+    and scored, merges counts the rows fused away when the working
+    database was built, max_depth is the longest prefix reached. patterns
+    is the final result size. threshold_rises counts the offers that
+    raised the admission threshold."""
 
     k: int = 0
     patterns: int = 0
     candidates: int = 0
-    projections: int = 0
     merges: int = 0
     max_depth: int = 0
     elapsed_ms: float = 0.0
@@ -73,7 +69,6 @@ def stats_json(stats: SearchStats) -> dict:
         "interutil_num": stats.threshold_num,
         "interutil_den": stats.threshold_den,
         "candidates": stats.candidates,
-        "projections": stats.projections,
         "merges": stats.merges,
         "max_depth": stats.max_depth,
         "threshold_rises": stats.threshold_rises,
@@ -134,48 +129,29 @@ class TopKCollector:
 
 
 class _Miner:
-    """Search state plus the search loop. su and lu hold the subtree and
-    local bounds of positive candidates, neg the clipped subtree bounds of
-    negative ones; every node reuses these three arrays (see bounds.py)."""
+    """Search state plus the search loop. su and lu hold the best subtree
+    and local ratios of positive candidates, neg the best clipped subtree
+    ratios of negative ones; every node reuses these three arrays, each one
+    row as wide as its items (see bounds.py)."""
 
     def __init__(self, working, collector, *, su_prune, lu_prune):
         self.collector = collector
         self.su_prune = su_prune
         self.lu_prune = lu_prune
         self.boundary = boundary = working.order.boundary
-        n_items = len(working.order)
-        n_periods = len(working.period_labels)
-        cells = n_periods * (boundary + n_items)
-        if cells > MAX_BOUND_CELLS:
-            raise TooManyBoundCells(cells, MAX_BOUND_CELLS)
-        self.su = BoundArray(n_periods, boundary)
-        self.lu = BoundArray(n_periods, boundary, flags=False)
-        self.neg = BoundArray(n_periods, n_items - boundary, boundary)
+        self.su = BoundArray(boundary)
+        self.lu = BoundArray(boundary)
+        self.neg = BoundArray(len(working.order))
         self.period_totals = working.period_totals
         self.period_labels = working.period_labels
         self.ext_id = working.order.sequence
-        self.zeros = [0] * n_periods
-        self._scaled: tuple[tuple[int, int] | None, list[int]] = (None, [])
 
-    def _scaled_totals(self) -> tuple[list[int], int]:
-        """Threshold numerator times each period total, and the denominator.
-
-        Rebuilt only when the threshold has risen since the last call.
-        """
-        threshold = self.collector.threshold
-        cached, scaled = self._scaled
-        if cached != threshold:
-            scaled = [threshold[0] * total for total in self.period_totals]
-            self._scaled = (threshold, scaled)
-        return scaled, threshold[1]
-
-    def _cutoffs(self) -> tuple[list[int], list[int], int]:
-        """The subtree and local cutoffs per period, and the threshold
-        denominator. A rule that is on cuts at the scaled totals, a rule
-        that is off at zero, which every item that occurred passes."""
-        scaled, t_den = self._scaled_totals()
-        zeros = self.zeros
-        return scaled if self.su_prune else zeros, scaled if self.lu_prune else zeros, t_den
+    def _cutoffs(self) -> tuple[int, int, int]:
+        """The subtree and local threshold numerators, and the threshold
+        denominator. A rule that is off cuts at numerator zero, which every
+        item that occurred passes."""
+        t_num, t_den = self.collector.threshold
+        return t_num if self.su_prune else 0, t_num if self.lu_prune else 0, t_den
 
     def search(self, root, stats) -> None:
         """Walk the set-enumeration tree below root depth first.
@@ -193,7 +169,8 @@ class _Miner:
         depth is the length of its prefix. rows holds, per pick, the ids of
         the views that hold it, from one walk of the node's views once its
         picks are known (see projection.occurrences), or None where the
-        child scans every view.
+        child scans every view; a pick's ids are dropped once its child is
+        projected.
 
         Each child is projected from its rows, scored and offered. A
         positive child then fills neg, and su and lu too while later
@@ -210,10 +187,10 @@ class _Miner:
         period_totals = self.period_totals
         period_labels = self.period_labels
         ext_id = self.ext_id
-        fill_subtree_and_local(root, su, lu, neg)
-        su_cut, _, t_den = self._cutoffs()
+        fill_subtree_and_local(root, su, lu, neg, period_totals)
+        su_num, _, t_den = self._cutoffs()
         primary, secondary = select_primary_secondary(
-            su, lu, range(self.boundary), su_cut, self.zeros, t_den
+            su, lu, range(self.boundary), su_num, 0, t_den
         )
         stack = [[root, (), primary, secondary, 0, occurrences(root, primary)]]
         while stack:
@@ -227,8 +204,8 @@ class _Miner:
                 stack.pop()
                 continue
             z = picks[i]
-            stats.projections += 1
             child = project(pd, z, rows[i])
+            rows[i] = None
             frame[4] = i = i + 1
 
             ext = prefix + (ext_id[z],)
@@ -253,13 +230,13 @@ class _Miner:
                 continue  # the last negative pick has no later one to add
             candidates = None if later is None else later[bisect_right(later, z) :]
             if candidates:
-                fill_subtree_and_local(child, su, lu, neg)
+                fill_subtree_and_local(child, su, lu, neg, period_totals)
                 stack.append([child, ext, None, candidates, 0, None])
             else:
-                fill_negative_subtree(child, neg)
+                fill_negative_subtree(child, neg, period_totals)
             rest = picks[i:] if later is None else sorted(neg.touched)
-            su_cut, _, t_den = self._cutoffs()
-            negatives = select_negative_candidates(neg, rest, su_cut, t_den)
+            su_num, _, t_den = self._cutoffs()
+            negatives = select_negative_candidates(neg, rest, su_num, t_den)
             if negatives:
                 stack.append([child, ext, negatives, None, 0, occurrences(child, negatives)])
 

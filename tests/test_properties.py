@@ -1,7 +1,7 @@
 """Property tests: the miner against brute force on drawn databases.
 
 Each test draws databases of a shape the seeded corpus never produces
-(hundreds of periods, a lone profitable item, nothing but duplicate rows,
+(hundreds or thousands of periods, a lone profitable item, nothing but duplicate rows,
 utilities near the parser's 64-bit limit, k beyond the pattern count) and
 requires mine_top_k to return exactly oracle_top_k's answer. Rows too long
 for the oracle are checked by requiring the pruning ablations to agree.
@@ -67,21 +67,44 @@ def databases(
     order = draw(st.permutations(range(1, n + 1)))
     sign = {item: 1 if rank < n_profitable else -1 for rank, item in enumerate(order)}
     n_periods = draw(periods)
-    lines = []
-    totals: dict[int, int] = {}
+    drawn = []
     for index in range(draw(rows)):
         row = draw(st.permutations(order))[: min(n, draw(lengths))]
         utils = [sign[item] * draw(magnitude) for item in row]
         period = index % n_periods if round_robin else draw(st.integers(0, n_periods - 1))
+        drawn.append((row, utils, period))
+    return database_lines(drawn, order[0], draw(copies))
+
+
+def database_lines(rows, profitable, copies=1):
+    """Database text of rows (items, utilities, period), each written
+    copies times. A period whose total is not positive gets single-item
+    rows of the profitable item until it is."""
+    lines = []
+    totals: dict[int, int] = {}
+    for row, utils, period in rows:
         lines.append(f"{' '.join(map(str, row))}:{sum(utils)}:{' '.join(map(str, utils))}:{period}\n")
         totals[period] = totals.get(period, 0) + sum(utils)
     for period, total in sorted(totals.items()):
         while total <= 0:
             top_up = min(LIMIT, 1 - total)
-            lines.append(f"{order[0]}:{top_up}:{top_up}:{period}\n")
+            lines.append(f"{profitable}:{top_up}:{top_up}:{period}\n")
             total += top_up
-    n_copies = draw(copies)
-    return "".join(line * n_copies for line in lines)
+    return "".join(line * copies for line in lines)
+
+
+@st.composite
+def calendars(draw, periods=st.integers(1000, 5000)):
+    """A small drawn database whose rows are dealt one per period, in
+    turn, over a drawn 1,000 to 5,000 periods: a calendar far longer than
+    the alphabet, every period of it occupied."""
+    db = parse_database(draw(databases(periods=st.just(1), rows=st.integers(1, 12))))
+    base = [(t.items, t.utilities) for t in db.transactions]
+    profitable = min(item for item, sign in db.item_signs.items() if sign > 0)
+    n_periods = draw(periods)
+    return database_lines(
+        [(*base[p % len(base)], p) for p in range(n_periods)], profitable
+    )
 
 
 @st.composite
@@ -126,6 +149,12 @@ def test_one_period_matches_oracle(case):
     )
 )
 def test_up_to_365_periods_match_oracle(case):
+    assert_matches_oracle(case)
+
+
+@deterministic(10)
+@given(cases(calendars()))
+def test_thousands_of_periods_match_oracle(case):
     assert_matches_oracle(case)
 
 

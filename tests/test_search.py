@@ -2,15 +2,17 @@
 
 import random
 import sys
+import tracemalloc
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from topshelf import search
-from topshelf.cli import main
+from topshelf.bounds import select_negative_candidates, select_primary_secondary
 from topshelf.dataset import database_from_quantities, parse_database
 from topshelf.domain import Pattern
-from topshelf.errors import InvalidK, TooManyBoundCells, TooManyItems
+from topshelf.errors import InvalidK, TooManyItems
 from topshelf.generator import GeneratorParams, generate
 from topshelf.oracle import enumerate_patterns, oracle_top_k, relative_utility
 from topshelf.prepare import (
@@ -19,6 +21,7 @@ from topshelf.prepare import (
     negative_keep,
     singleton_threshold,
 )
+from topshelf.projection import occurrences, project
 from topshelf.search import TopKCollector, _Miner, mine_top_k, stats_json
 
 
@@ -99,29 +102,68 @@ def test_too_many_distinct_items_rejected():
         mine_top_k(db, 1)
 
 
-def test_too_many_bound_cells_rejected_before_allocating(monkeypatch, tmp_path, running_text, capsys):
-    # at k=50 the threshold starts at zero and every item is kept: 3 periods
-    # x (2 x 3 profitable items a, d, e + 2 loss-making items b, c) cells
-    db = parse_database(running_text)
-    cells = 3 * (2 * 3 + 2)
-    reference, _ = mine_top_k(db, 50)
-    with monkeypatch.context() as patched:
-        patched.setattr(search, "MAX_BOUND_CELLS", cells - 1)
+def _dealt(n_periods, n_rows=8760, n_items=600, seed=5):
+    """n_rows seeded rows over n_items items, row r in period r modulo
+    n_periods. Every fifth item loses 1 per unit; each row holds a
+    profitable item and at most five others, so every row, and so every
+    period, has a positive total."""
+    rng = random.Random(seed)
+    profits = {i: -1 if i % 5 == 0 else 10 for i in range(1, n_items + 1)}
+    profitable = [i for i, profit in profits.items() if profit > 0]
+    rows = []
+    for r in range(n_rows):
+        items = {rng.choice(profitable), *rng.sample(range(1, n_items + 1), rng.randint(1, 5))}
+        rows.append(
+            (r % n_periods, [(i, 1 if profits[i] < 0 else rng.randint(1, 3)) for i in sorted(items)])
+        )
+    return database_from_quantities(profits, rows)
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("allocated bound arrays over the cap")
 
-        patched.setattr(search, "BoundArray", refuse)
-        with pytest.raises(TooManyBoundCells) as caught:
-            mine_top_k(db, 50)
-        assert (caught.value.count, caught.value.limit) == (cells, cells - 1)
-        path = tmp_path / "toy.db"
-        path.write_text(running_text, encoding="utf-8")
-        assert main(["mine", "-i", str(path), "-k", "50"]) == 2
-        assert "bound arrays need 24" in capsys.readouterr().err
-    # exactly at the cap the arrays are allowed
-    monkeypatch.setattr(search, "MAX_BOUND_CELLS", cells)
-    assert mine_top_k(db, 50)[0] == reference
+def _peak_bytes(db, k):
+    """Peak bytes Python allocates while mining db at k."""
+    tracemalloc.start()
+    try:
+        mine_top_k(db, k)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_hourly_calendar_mines_in_the_memory_of_four_periods():
+    """The same 8,760 rows dealt into 4 periods and into an hourly year of
+    8,760 periods mine within 4 MB of each other (about 4 and 6 MB on
+    CPython 3.11). Bound memory follows the items, not periods x items:
+    dense period x item bound grids peak at about 84 MB on this input."""
+    four = _peak_bytes(_dealt(4), 50)
+    hourly = _peak_bytes(_dealt(8760), 50)
+    assert hourly - four < 4 * 2**20, (four, hourly)
+
+
+def test_each_picks_ids_die_once_its_child_is_built(monkeypatch):
+    """A frame drops a pick's view ids as soon as the pick's child is
+    projected: every id array occurrences() returned is dead by the next
+    projection, not kept until its frame pops."""
+    walked = []
+    projected = []
+
+    def walk(pd, picks):
+        rows = occurrences(pd, picks)
+        walked.extend(weakref.ref(ids) for ids in rows if ids is not None)
+        return rows
+
+    def narrow(parent, z, rows=None):
+        assert all(ref() is None for ref in projected)
+        child = project(parent, z, rows)
+        if rows is not None:
+            projected.append(weakref.ref(rows))
+        return child
+
+    monkeypatch.setattr(search, "occurrences", walk)
+    monkeypatch.setattr(search, "project", narrow)
+    db = parse_database(generate(GeneratorParams(transactions=600, items=40, periods=4, seed=21)))
+    mine_top_k(db, 60)
+    assert len(projected) > 50
+    assert all(ref() is None for ref in walked)
 
 
 def test_superset_can_outrank_subset():
@@ -182,7 +224,6 @@ def test_stats_json_shape(running_example):
         "interutil_num",
         "interutil_den",
         "candidates",
-        "projections",
         "merges",
         "max_depth",
         "threshold_rises",
@@ -213,44 +254,56 @@ def test_threshold_rises_are_counted(running_example, corpus):
         assert len(counts) == 1
 
 
-def test_scaled_totals_follow_the_threshold(monkeypatch, corpus):
-    """The per-period cutoffs are cached between threshold rises; every
-    read must still match the collector's current threshold."""
-    cached = _Miner._scaled_totals
-    reads = []
+def test_selections_read_the_threshold_of_their_moment(monkeypatch, corpus):
+    """Every selection tests against the collector's threshold as it
+    stands when the selection runs, which rises as the search goes; only
+    the root's local test runs at zero (root secondary came from the TWU
+    test)."""
+    miners = []
+    thresholds = set()
+    run = _Miner.search
 
-    def checked(self):
-        scaled, den = cached(self)
-        num, want_den = self.collector.threshold
-        assert den == want_den
-        assert scaled == [num * total for total in self.period_totals]
-        reads.append(num)
-        return scaled, den
+    def searched(self, root, stats):
+        miners.append(self)
+        run(self, root, stats)
 
-    monkeypatch.setattr(_Miner, "_scaled_totals", checked)
+    def split(su, lu, candidates, su_num, lu_num, t_den):
+        t_num, want_den = miners[-1].collector.threshold
+        assert (su_num, t_den) == (t_num, want_den) and lu_num in (0, t_num)
+        thresholds.add(Fraction(t_num, t_den))
+        return select_primary_secondary(su, lu, candidates, su_num, lu_num, t_den)
+
+    def negatives(neg, candidates, t_num, t_den):
+        assert (t_num, t_den) == miners[-1].collector.threshold
+        thresholds.add(Fraction(t_num, t_den))
+        return select_negative_candidates(neg, candidates, t_num, t_den)
+
+    monkeypatch.setattr(_Miner, "search", searched)
+    monkeypatch.setattr(search, "select_primary_secondary", split)
+    monkeypatch.setattr(search, "select_negative_candidates", negatives)
     for db in corpus[:20]:
         mine_top_k(db, 3)
-    assert len(set(reads)) > 1
+    assert len(thresholds) > 1
 
 
-# Recorded (candidates, projections, threshold_rises, max_depth) of seeded
+# Recorded (candidates, threshold_rises, max_depth) of seeded
 # generated databases mined at k. Each selection runs against the
 # threshold of its moment, and the threshold rises as the search goes, so
 # reordering a fill, a selection or a negative search against the offers
 # changes these counts even where the result stays the same.
 PINNED_COUNTERS = [
     (dict(transactions=300, items=30, periods=3, avg_len=5, neg_frac=0.3, seed=11), 40,
-     (693, 693, 174, 7)),
+     (693, 174, 7)),
     (dict(transactions=500, items=60, periods=4, avg_len=6, neg_frac=0.2, seed=12), 80,
-     (1732, 1732, 330, 8)),
+     (1732, 330, 8)),
     (dict(transactions=1200, items=40, periods=30, avg_len=5, neg_frac=0.25, seed=13), 60,
-     (1368, 1368, 385, 7)),
+     (1368, 385, 7)),
     (dict(transactions=300, items=24, periods=2, avg_len=9, neg_frac=0.4, seed=14), 100,
-     (2115, 2115, 508, 11)),
+     (2115, 508, 11)),
     (dict(transactions=2000, items=150, periods=4, avg_len=6, neg_frac=0.3, seed=15), 200,
-     (4488, 4488, 535, 8)),
+     (4488, 535, 8)),
     (dict(transactions=2400, items=50, periods=365, avg_len=5, neg_frac=0.2, seed=16), 100,
-     (1181, 1181, 445, 7)),
+     (1181, 445, 7)),
 ]
 
 
@@ -260,7 +313,7 @@ PINNED_COUNTERS = [
 def test_search_counters_are_pinned(params, k, counters):
     db = parse_database(generate(GeneratorParams(**params)))
     _, stats = mine_top_k(db, k)
-    got = (stats.candidates, stats.projections, stats.threshold_rises, stats.max_depth)
+    got = (stats.candidates, stats.threshold_rises, stats.max_depth)
     assert got == counters
 
 
