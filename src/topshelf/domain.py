@@ -2,7 +2,8 @@
 
 Money is a plain Python int (arbitrary precision, so sums never overflow)
 and every utility in the system is Money. Ratios of Money values are kept
-exact as fractions.Fraction; nothing is converted to float before display.
+exact as fractions.Fraction, or ranked by ratio_rank's exact integer key;
+nothing is converted to float before display.
 
 INVARIANTS
     - item utilities are nonzero, and an item keeps one sign everywhere
@@ -55,6 +56,19 @@ class Pattern:
         return (-self.relative_utility, len(self.items), self.items)
 
 
+def ratio_rank(utility: Money, total: Money, scale: Money) -> int:
+    """An integer that ranks the ratio utility/total exactly, highest first.
+
+    scale must be at least the square of every total ranked against this
+    one. Two distinct ratios with totals T1, T2 <= B differ by at least
+    1/(T1*T2) >= 1/B^2, so scaled by B^2 they differ by at least 1 and
+    their floors keep the same strict order; equal ratios, reduced or not,
+    get equal floors. The floor is negated so that ascending order puts
+    the highest ratio first, as Pattern.sort_key does.
+    """
+    return -(utility * scale // total)
+
+
 def positive_transaction_utility(t: Transaction) -> Money:
     """PTU(T): the sum of the positive-profit items' utilities.
 
@@ -69,5 +83,6 @@ __all__ = [
     "Money",
     "Transaction",
     "Pattern",
+    "ratio_rank",
     "positive_transaction_utility",
 ]

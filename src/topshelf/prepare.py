@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dataset import OnShelfDatabase
-from .domain import positive_transaction_utility
+from .domain import positive_transaction_utility, ratio_rank
 
 
 def compute_period_twu(db: OnShelfDatabase) -> dict[int, dict[int, int]]:
@@ -50,19 +50,22 @@ def singleton_threshold(db: OnShelfDatabase, k: int) -> Fraction:
     provided at least k of those values are non-negative; otherwise 0.
 
     Never negative, so the search never emits a negative-ratio pattern.
+    The non-negative ratios are ranked by ratio_rank, scaled by the square
+    of the summed period totals, which bounds every item's total.
     """
-    ratios = []
-    nonneg = 0
-    for item, (u, pi) in singleton_stats(db).items():
-        to = sum(db.period_totals[h] for h in pi)
-        r = Fraction(u, to)
-        ratios.append(r)
-        if r >= 0:
-            nonneg += 1
-    if nonneg < k:
+    stats = singleton_stats(db)
+    totals = db.period_totals
+    bound = sum(totals.values())
+    scale = bound * bound
+    rank = {
+        item: ratio_rank(u, sum(totals[h] for h in pi), scale)
+        for item, (u, pi) in stats.items()
+        if u >= 0
+    }
+    if len(rank) < k:
         return Fraction(0)
-    ratios.sort(reverse=True)
-    return ratios[k - 1]
+    u, pi = stats[sorted(rank, key=rank.__getitem__)[k - 1]]
+    return Fraction(u, sum(totals[h] for h in pi))
 
 
 @dataclass(frozen=True, slots=True)

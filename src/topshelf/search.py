@@ -10,6 +10,11 @@ because negative nodes write only the negative bound array. The collector's
 threshold only ever rises, and it can never exceed the true k-th best ratio,
 so bound-based pruning (see bounds.py) never discards a member of the true
 top-k: the result is exactly what brute force would return.
+
+The collector ranks raw entries (utility, period total, items, dense
+periods) by an exact integer key (domain.ratio_rank), so each offer costs
+integer and tuple comparisons only; Patterns, with their Fraction and
+period labels, are built once the search ends, for the k survivors.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from time import perf_counter
 
 from .bounds import (
@@ -27,7 +33,7 @@ from .bounds import (
     select_primary_secondary,
 )
 from .dataset import OnShelfDatabase
-from .domain import Pattern
+from .domain import Pattern, ratio_rank
 from .errors import InvalidK, TooManyItems
 from .prepare import (
     build_item_order,
@@ -76,56 +82,95 @@ def stats_json(stats: SearchStats) -> dict:
     }
 
 
+def _check_k(k) -> None:
+    """k must be an int of at least 1; a bool is not a count."""
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise InvalidK(k)
+
+
 class TopKCollector:
-    """Keeps the best k patterns seen so far under the ranking order and
+    """Keeps the best k itemsets offered so far under the ranking order and
     exposes the current admission threshold.
 
+    An entry is raw: (rank, size, items, utility, period total, dense
+    periods), where rank is ratio_rank(utility, period total) at the scale
+    total_bound squared. So entries sort as Pattern.sort_key does, by
+    comparing plain integers and item tuples, and result() builds Patterns
+    for the k survivors only. Each itemset is offered at most once.
+    total_bound must bound every period total offered; offer raises
+    ValueError on one above it rather than risk a wrong rank.
+
     The threshold starts at the initial value (never negative), becomes the
-    k-th best ratio once k patterns are held, and is monotonically
-    non-decreasing. It is stored as an immutable (num, den) tuple. Ties at
-    the threshold are resolved by the full ranking key against the current
-    worst entry. rises counts the offers that raised the threshold.
+    k-th best ratio once k entries are held, and is monotonically
+    non-decreasing. It is stored as a reduced (num, den) tuple, reduced
+    again only when the k-th entry's rank changes. Ties at the threshold
+    are resolved by the full ranking key against the current worst entry.
+    rises counts the offers that raised the threshold.
     """
 
-    __slots__ = ("k", "threshold", "rises", "_entries")
+    __slots__ = ("k", "threshold", "rises", "total_bound", "_scale", "_kth_rank", "_entries")
 
-    def __init__(self, k: int, initial: Fraction):
-        if k < 1:
-            raise InvalidK(k)
+    def __init__(self, k: int, initial: Fraction, total_bound: int):
+        _check_k(k)
         self.k = k
         self.threshold = (initial.numerator, initial.denominator)
         self.rises = 0
-        self._entries: list[tuple[tuple, Pattern]] = []
+        self.total_bound = total_bound
+        self._scale = total_bound * total_bound
+        self._kth_rank = None
+        self._entries: list[tuple] = []
 
     def clears_threshold(self, utility: int, period_total: int) -> bool:
         num, den = self.threshold
         return utility * den >= num * period_total
 
-    def offer(self, pattern: Pattern) -> bool:
-        """Admit the pattern if it ranks among the best k; report acceptance."""
+    def offer(self, utility: int, period_total: int, items: tuple, periods: tuple) -> bool:
+        """Admit the itemset if it ranks among the best k; report acceptance.
+
+        items is its sorted external-id tuple, periods its dense periods;
+        both are kept as they are, so both are tuples."""
+        if period_total > self.total_bound:
+            raise ValueError(
+                f"period total {period_total} exceeds the collector's bound {self.total_bound}"
+            )
         num, den = self.threshold
-        ru = pattern.relative_utility
-        if ru.numerator * den < num * ru.denominator:
+        if utility * den < num * period_total:
             return False
-        entry = (pattern.sort_key(), pattern)
+        rank = ratio_rank(utility, period_total, self._scale)
+        entry = (rank, len(items), items, utility, period_total, periods)
         entries = self._entries
         if len(entries) >= self.k:
-            if entry[0] >= entries[-1][0]:
+            if entry >= entries[-1]:
                 return False
             insort(entries, entry)
             entries.pop()
         else:
             insort(entries, entry)
         if len(entries) >= self.k:
-            kth = entries[-1][1].relative_utility
-            raised = (kth.numerator, kth.denominator)
-            if raised != self.threshold:
-                self.threshold = raised
-                self.rises += 1
+            kth = entries[-1]
+            if kth[0] != self._kth_rank:
+                self._kth_rank = kth[0]
+                u, to = kth[3], kth[4]
+                g = gcd(u, to)
+                raised = (u // g, to // g)
+                if raised != self.threshold:
+                    self.threshold = raised
+                    self.rises += 1
         return True
 
-    def result(self) -> list[Pattern]:
-        return [p for _, p in self._entries]
+    def result(self, period_labels) -> list[Pattern]:
+        """The held entries as ranked Patterns; period_labels[p] is the
+        label of dense period p."""
+        return [
+            Pattern(
+                items=items,
+                utility=utility,
+                periods=frozenset(period_labels[p] for p in periods),
+                period_total=period_total,
+                relative_utility=Fraction(utility, period_total),
+            )
+            for _, _, items, utility, period_total, periods in self._entries
+        ]
 
 
 class _Miner:
@@ -143,7 +188,6 @@ class _Miner:
         self.lu = BoundArray(boundary)
         self.neg = BoundArray(len(working.order))
         self.period_totals = working.period_totals
-        self.period_labels = working.period_labels
         self.ext_id = working.order.sequence
 
     def _cutoffs(self) -> tuple[int, int, int]:
@@ -185,7 +229,6 @@ class _Miner:
         su, lu, neg = self.su, self.lu, self.neg
         collector = self.collector
         period_totals = self.period_totals
-        period_labels = self.period_labels
         ext_id = self.ext_id
         fill_subtree_and_local(root, su, lu, neg, period_totals)
         su_num, _, t_den = self._cutoffs()
@@ -216,15 +259,7 @@ class _Miner:
             if len(ext) > stats.max_depth:
                 stats.max_depth = len(ext)
             if collector.clears_threshold(utility, period_total):
-                collector.offer(
-                    Pattern(
-                        items=tuple(sorted(ext)),
-                        utility=utility,
-                        periods=frozenset(period_labels[p] for p in occupied),
-                        period_total=period_total,
-                        relative_utility=Fraction(utility, period_total),
-                    )
-                )
+                collector.offer(utility, period_total, tuple(sorted(ext)), tuple(occupied))
 
             if later is None and i == len(picks):
                 continue  # the last negative pick has no later one to add
@@ -253,14 +288,15 @@ def mine_top_k(
     Returns the ranked pattern list and the run's counters. The debug knobs
     (su_prune, lu_prune) change work done, never results.
     """
-    if not isinstance(k, int) or k < 1:
-        raise InvalidK(k)
+    _check_k(k)
     if len(db.item_signs) > MAX_DISTINCT_ITEMS:
         raise TooManyItems(len(db.item_signs), MAX_DISTINCT_ITEMS)
 
     start = perf_counter()
     stats = SearchStats(k=k)
-    collector = TopKCollector(k, singleton_threshold(db, k))
+    collector = TopKCollector(
+        k, singleton_threshold(db, k), sum(db.period_totals.values())
+    )
 
     twu = compute_period_twu(db)
     # With the local rule off, threshold zero keeps every positive item
@@ -274,7 +310,7 @@ def mine_top_k(
     miner = _Miner(working, collector, su_prune=su_prune, lu_prune=lu_prune)
     miner.search(root_projection(working), stats)
 
-    patterns = collector.result()
+    patterns = collector.result(working.period_labels)
     stats.patterns = len(patterns)
     stats.threshold_num, stats.threshold_den = collector.threshold
     stats.threshold_rises = collector.rises

@@ -88,7 +88,8 @@ def test_mixed_sign_chain_requires_clipping(running_example):
 
 def _miner_arrays(working):
     """The su, lu and neg arrays a run over this working database uses."""
-    miner = _Miner(working, TopKCollector(1, Fraction(0)), su_prune=True, lu_prune=True)
+    collector = TopKCollector(1, Fraction(0), sum(working.period_totals))
+    miner = _Miner(working, collector, su_prune=True, lu_prune=True)
     return miner.su, miner.lu, miner.neg
 
 
@@ -394,7 +395,7 @@ def test_selection_degrades_to_occurrence_when_disabled():
     assert primary == secondary == [0, 2]
 
     working = pipeline(parse_database("1 2:5:2 3:0\n2:4:4:1\n"))[1]
-    collector = TopKCollector(1, Fraction(3, 7))
+    collector = TopKCollector(1, Fraction(3, 7), sum(working.period_totals))
     for su_prune, lu_prune in itertools.product((True, False), repeat=2):
         miner = _Miner(working, collector, su_prune=su_prune, lu_prune=lu_prune)
         assert miner._cutoffs() == (3 if su_prune else 0, 3 if lu_prune else 0, 7)

@@ -2,7 +2,8 @@
 
 from fractions import Fraction
 
-from topshelf.dataset import parse_database
+from topshelf.dataset import database_from_quantities, parse_database
+from topshelf.oracle import relative_utility
 from topshelf.prepare import (
     build_item_order,
     build_working_database,
@@ -34,6 +35,33 @@ def test_singleton_threshold_uses_kth_nonnegative_ratio(running_example):
     assert singleton_threshold(db, 3) == Fraction(35, 193)
     assert singleton_threshold(db, 4) == 0
     assert singleton_threshold(db, 100) == 0
+
+
+def fraction_singleton_threshold(db, k):
+    """singleton_threshold's definition, ranked in Fractions."""
+    ratios = sorted((relative_utility(db, (i,)) for i in db.item_signs), reverse=True)
+    if sum(r >= 0 for r in ratios) < k:
+        return Fraction(0)
+    return ratios[k - 1]
+
+
+def test_singleton_threshold_ranks_as_fractions(corpus):
+    big = 2**60  # row totals stay inside the format's 64-bit range
+    huge = database_from_quantities(
+        profits={1: big - 1, 2: big + 3, 3: -big, 4: 7, 5: big // 3},
+        rows=[
+            (0, [(1, 3), (2, 1)]),
+            (0, [(1, 1), (3, 1), (5, 2)]),
+            (1, [(2, 2), (4, 5)]),
+            (1, [(5, 6), (1, 1)]),
+            (2, [(4, 1), (2, 1), (3, 1)]),
+        ],
+    )
+    for db in [huge, *corpus[:40]]:
+        for k in range(1, len(db.item_signs) + 2):
+            got = singleton_threshold(db, k)
+            assert type(got) is Fraction
+            assert got == fraction_singleton_threshold(db, k)
 
 
 def test_item_order_puts_positives_first_by_rising_twu(running_example):

@@ -11,7 +11,7 @@ import pytest
 from topshelf import search
 from topshelf.bounds import select_negative_candidates, select_primary_secondary
 from topshelf.dataset import database_from_quantities, parse_database
-from topshelf.domain import Pattern
+from topshelf.domain import Pattern, ratio_rank
 from topshelf.errors import InvalidK, TooManyItems
 from topshelf.generator import GeneratorParams, generate
 from topshelf.oracle import enumerate_patterns, oracle_top_k, relative_utility
@@ -35,62 +35,238 @@ def make_pattern(items, u, to):
     )
 
 
+def offer(col, items, u, to):
+    """Offer an itemset sold in dense period 0 alone."""
+    return col.offer(u, to, tuple(items), (0,))
+
+
+def held(col):
+    """The collector's Patterns, dense period 0 labelled 0."""
+    return col.result([0])
+
+
 def test_collector_keeps_best_k_in_rank_order():
-    col = TopKCollector(3, Fraction(0))
-    offered = [
-        make_pattern((4,), 1, 10),
-        make_pattern((1,), 9, 10),
-        make_pattern((2, 3), 8, 10),
-        make_pattern((5,), 7, 10),
-        make_pattern((6,), 2, 10),
-    ]
-    for p in offered:
-        col.offer(p)
-    assert [p.items for p in col.result()] == [(1,), (2, 3), (5,)]
+    col = TopKCollector(3, Fraction(0), 10)
+    offered = [((4,), 1, 10), ((1,), 9, 10), ((2, 3), 8, 10), ((5,), 7, 10), ((6,), 2, 10)]
+    for items, u, to in offered:
+        offer(col, items, u, to)
+    assert [p.items for p in held(col)] == [(1,), (2, 3), (5,)]
 
 
 def test_collector_rejects_below_threshold_and_ties_against_worst():
-    col = TopKCollector(1, Fraction(0))
-    assert col.offer(make_pattern((2,), 1, 2))
+    col = TopKCollector(1, Fraction(0), 4)
+    assert offer(col, (2,), 1, 2)
     # same ratio, more items: loses the tie against the held worst
-    assert not col.offer(make_pattern((1, 3), 2, 4))
+    assert not offer(col, (1, 3), 2, 4)
     # same ratio, same size, lexicographically smaller: wins
-    assert col.offer(make_pattern((1,), 1, 2))
-    assert [p.items for p in col.result()] == [(1,)]
+    assert offer(col, (1,), 1, 2)
+    assert [p.items for p in held(col)] == [(1,)]
     assert col.threshold == (1, 2)
 
 
 def test_collector_threshold_rises_and_never_falls():
     rng = random.Random(1234)
-    col = TopKCollector(5, Fraction(0))
+    col = TopKCollector(5, Fraction(0), 50)
     last = Fraction(0)
     for i in range(300):
         u = rng.randint(0, 50)
         to = rng.randint(1, 50)
-        col.offer(make_pattern((i + 1,), u, to))
+        offer(col, (i + 1,), u, to)
         current = Fraction(*col.threshold)
         assert current >= last
         last = current
-        held = sorted(
-            (p.relative_utility for p in col.result()), reverse=True
-        )
-        if len(held) >= 5:
-            assert current == held[4]
+        ratios = sorted((p.relative_utility for p in held(col)), reverse=True)
+        if len(ratios) >= 5:
+            assert current == ratios[4]
 
 
 def test_collector_initial_threshold_filters_offers():
-    col = TopKCollector(2, Fraction(1, 2))
-    assert not col.offer(make_pattern((1,), 1, 3))
-    assert col.offer(make_pattern((2,), 2, 3))
+    col = TopKCollector(2, Fraction(1, 2), 3)
+    assert not offer(col, (1,), 1, 3)
+    assert offer(col, (2,), 2, 3)
     assert col.clears_threshold(1, 2)
     assert not col.clears_threshold(1, 3)
+
+
+def reference_offers(k, initial, offers):
+    """The collector's contract restated in Fractions and Pattern.sort_key:
+    per offer, (accepted, held item tuples, threshold, rises)."""
+    kept = []
+    threshold = initial
+    rises = 0
+    steps = []
+    for items, u, to in offers:
+        p = make_pattern(items, u, to)
+        accepted = p.relative_utility >= threshold and (
+            len(kept) < k or p.sort_key() < kept[-1].sort_key()
+        )
+        if accepted:
+            kept = sorted([*kept, p], key=Pattern.sort_key)[:k]
+            if len(kept) == k and kept[-1].relative_utility != threshold:
+                threshold = kept[-1].relative_utility
+                rises += 1
+        steps.append((accepted, [q.items for q in kept], threshold, rises))
+    return steps
+
+
+def assert_ranks_as_fractions(k, initial, bound, offers):
+    """After every offer the collector holds, admits and thresholds
+    exactly what reference_offers does, and its threshold stays reduced."""
+    col = TopKCollector(k, initial, bound)
+    for (items, u, to), want in zip(offers, reference_offers(k, initial, offers)):
+        accepted, items_held, threshold, rises = want
+        assert offer(col, items, u, to) == accepted
+        patterns = held(col)
+        assert [p.items for p in patterns] == items_held
+        assert col.threshold == (threshold.numerator, threshold.denominator)
+        assert col.rises == rises
+        assert all(p.relative_utility == Fraction(p.utility, p.period_total) for p in patterns)
+
+
+def test_rank_separates_farey_neighbours_at_the_bound():
+    # adjacent Farey fractions a/b < c/d (bc - ad = 1) with b, d near the
+    # bound differ by 1/(bd), the least gap two ratios under it can have
+    for bound in (10**6, 2**70):
+        b, d = bound - 1, bound
+        low, high = (b - 1, b), (d - 1, d)
+        assert high[0] * low[1] - low[0] * high[1] == 1
+        scale = bound * bound
+        assert ratio_rank(*high, scale) < ratio_rank(*low, scale)
+        # the higher ratio carries the longer tuple, so a collided rank
+        # would let the size tie-break keep the wrong one
+        offers = [((7,), *low), ((1, 2, 3), *high), ((5,), 1, bound), ((6,), 1, b)]
+        for k in (1, 2, 3):
+            assert_ranks_as_fractions(k, Fraction(0), bound, offers)
+        col = TopKCollector(1, Fraction(0), bound)
+        offer(col, (7,), *low)
+        offer(col, (1, 2, 3), *high)
+        assert [p.items for p in held(col)] == [(1, 2, 3)]
+
+
+def test_rank_is_exact_for_utilities_near_2_63():
+    big = 2**63
+    bound = 3 * big
+    offers = [
+        ((1,), big - 1, big),
+        ((2,), big - 2, big - 1),
+        ((3,), big, big + 1),
+        ((4,), 2 * big - 2, 2 * big),  # (big - 1)/big, unreduced
+        ((5,), big - 1, 2 * big + 1),
+        ((6,), 2 * big + 1, bound),
+        ((7,), 1, bound),
+    ]
+    for k in (1, 2, 4, 6):
+        assert_ranks_as_fractions(k, Fraction(0), bound, offers)
+    col = TopKCollector(2, Fraction(0), bound)
+    for items, u, to in offers:
+        offer(col, items, u, to)
+    assert [p.items for p in held(col)] == [(3,), (1,)]
+    assert col.threshold == (big - 1, big)
+
+
+def test_unreduced_equal_ratios_fall_to_size_then_items():
+    scale = 4 * 4
+    assert ratio_rank(1, 2, scale) == ratio_rank(2, 4, scale)
+    col = TopKCollector(1, Fraction(0), 4)
+    assert offer(col, (3, 4), 2, 4)
+    assert offer(col, (9,), 1, 2)  # equal ratio, fewer items
+    assert not offer(col, (8, 9), 1, 2)  # equal ratio, more items
+    assert offer(col, (5,), 2, 4)  # equal ratio and size, smaller items
+    assert [(p.items, p.utility, p.period_total) for p in held(col)] == [((5,), 2, 4)]
+    assert col.threshold == (1, 2) and col.rises == 1
+    offers = [((3, 4), 2, 4), ((9,), 1, 2), ((8, 9), 1, 2), ((5,), 2, 4), ((1, 2), 3, 6)]
+    for k in (1, 2, 3):
+        assert_ranks_as_fractions(k, Fraction(0), 6, offers)
+
+
+def test_rank_orders_negative_ratios():
+    ratios = [(-1, 3), (-2, 6), (-1, 2), (-5, 7), (0, 4), (1, 7), (-6, 7), (-4, 5)]
+    scale = 7 * 7
+    by_rank = sorted(ratios, key=lambda r: (ratio_rank(*r, scale), r))
+    by_fraction = sorted(ratios, key=lambda r: (-Fraction(*r), r))
+    assert by_rank == by_fraction
+    # a collector whose threshold starts below zero ranks them the same way
+    offers = [((i + 1,), u, to) for i, (u, to) in enumerate(ratios)]
+    for k in (1, 3, 5):
+        assert_ranks_as_fractions(k, Fraction(-3, 4), 7, offers)
+
+
+def test_total_above_the_bound_is_refused():
+    col = TopKCollector(1, Fraction(0), 10)
+    assert offer(col, (1,), 3, 10)
+    with pytest.raises(ValueError):
+        offer(col, (2,), 1, 11)
+    with pytest.raises(ValueError):
+        offer(col, (3,), 0, 11)  # refused even where the threshold would reject it
+    assert [p.items for p in held(col)] == [(1,)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_offers_rank_as_fractions(seed):
+    rng = random.Random(seed)
+    bound = rng.choice([12, 97, 10**9, 2**80])
+    small = [(u, to) for to in range(1, 13) for u in range(-to, to + 1)]
+    offers = []
+    used = set()
+    while len(offers) < 400:
+        items = tuple(sorted(rng.sample(range(1, 16), rng.randint(1, 3))))
+        if items in used:
+            continue
+        used.add(items)
+        u, to = rng.choice(small)
+        m = rng.randint(1, bound // 12)  # unreduced multiples of small ratios
+        if rng.random() < 0.3:
+            to = rng.randint(1, bound)
+            u = rng.randint(-to, 2 * to)
+        else:
+            u, to = u * m, to * m
+        offers.append((items, u, to))
+    initial = rng.choice([Fraction(0), Fraction(1, 3), Fraction(-1, 2)])
+    for k in (1, 5, 40):
+        assert_ranks_as_fractions(k, initial, bound, offers)
 
 
 def test_invalid_k_rejected():
     with pytest.raises(InvalidK):
         mine_top_k(parse_database("1:5:5:0\n"), 0)
     with pytest.raises(InvalidK):
-        TopKCollector(0, Fraction(0))
+        TopKCollector(0, Fraction(0), 1)
+
+
+def test_bool_k_rejected():
+    db = parse_database("1:5:5:0\n")
+    for k in (True, False):
+        with pytest.raises(InvalidK):
+            mine_top_k(db, k)
+        with pytest.raises(InvalidK):
+            TopKCollector(k, Fraction(0), 1)
+
+
+def test_patterns_are_built_for_the_final_k_only(monkeypatch):
+    # k above the item count seeds the threshold at 0, so most of the
+    # search's offers clear it
+    db = parse_database(
+        generate(GeneratorParams(transactions=300, items=12, periods=3, avg_len=5, seed=12))
+    )
+    built = []
+    offers = []
+
+    def counted(**fields):
+        built.append(fields["items"])
+        return Pattern(**fields)
+
+    run_offer = TopKCollector.offer
+
+    def counted_offer(self, *args):
+        offers.append(args)
+        return run_offer(self, *args)
+
+    monkeypatch.setattr(search, "Pattern", counted)
+    monkeypatch.setattr(TopKCollector, "offer", counted_offer)
+    patterns, _ = mine_top_k(db, 15)
+    assert len(patterns) == 15
+    assert len(offers) > 5 * len(patterns)
+    assert built == [p.items for p in patterns]
 
 
 def test_too_many_distinct_items_rejected():
@@ -237,10 +413,10 @@ def test_stats_json_shape(running_example):
 
 def test_threshold_rises_are_counted(running_example, corpus):
     # a rise is an offer that moves the threshold, not one that keeps it
-    col = TopKCollector(1, Fraction(0))
-    col.offer(make_pattern((2,), 1, 2))
-    col.offer(make_pattern((1,), 1, 2))  # wins the tie, same ratio
-    col.offer(make_pattern((3,), 3, 4))
+    col = TopKCollector(1, Fraction(0), 4)
+    offer(col, (2,), 1, 2)
+    offer(col, (1,), 1, 2)  # wins the tie, same ratio
+    offer(col, (3,), 3, 4)
     assert col.rises == 2
 
     # k above the pattern count: the collector never fills, nothing rises
