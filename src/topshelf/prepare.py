@@ -1,71 +1,73 @@
 """Preprocessing: per-period TWU, the initial threshold, the item order,
-and the trimmed working database the search runs on.
+and the working database the search runs on.
 
-The mining order puts every positive-profit item before every negative one,
+One walk over the transactions gives every item its per-period TWU row and
+its utility; the threshold seed and the root TWU test read those. The
+mining order puts every positive-profit item before every negative one,
 each group sorted by ascending total TWU with ties broken by external id.
 Dense indices are positions in that order, so the sign of an item is just a
 comparison against the positive/negative boundary and transaction entries
-sort by plain integer index.
+sort by plain integer index. The working database is built in a walk of
+its own, fusing identical rows as it goes, and it is the root projection
+the search starts from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .dataset import OnShelfDatabase
 from .domain import positive_transaction_utility, ratio_rank
+from .projection import ProjectedDatabase
 
 
-def compute_period_twu(db: OnShelfDatabase) -> dict[int, dict[int, int]]:
-    """TWU(i, h): sum of PTU(T) over transactions in period h containing i.
+def compute_period_twu(db: OnShelfDatabase) -> tuple[dict[int, dict[int, int]], dict[int, int]]:
+    """One walk over the transactions: (twu_table, utility).
 
-    Returned as {item: {period: twu}} with entries only for periods where
-    the item actually occurs, so presence in the outer mapping doubles as an
-    occurrence flag.
+    twu_table[i][h] is TWU(i, h), the sum of PTU(T) over transactions in
+    period h containing i, with entries only for periods where the item
+    actually occurs: a row's keys are the item's periods pi({i}), and
+    presence in the table doubles as an occurrence flag. utility[i] is
+    u({i}) over the whole database.
     """
     table: dict[int, dict[int, int]] = {}
+    utility: dict[int, int] = {}
     for t in db.transactions:
         ptu = positive_transaction_utility(t)
         h = t.period
-        for item in t.items:
+        for item, u in zip(t.items, t.utilities):
             row = table.setdefault(item, {})
             row[h] = row.get(h, 0) + ptu
-    return table
-
-
-def singleton_stats(db: OnShelfDatabase) -> dict[int, tuple[int, frozenset[int]]]:
-    """Per item: (u({i}), pi({i})) over the whole database."""
-    utility: dict[int, int] = {}
-    periods: dict[int, set[int]] = {}
-    for t in db.transactions:
-        for item, u in zip(t.items, t.utilities):
             utility[item] = utility.get(item, 0) + u
-            periods.setdefault(item, set()).add(t.period)
-    return {i: (utility[i], frozenset(periods[i])) for i in utility}
+    return table, utility
 
 
-def singleton_threshold(db: OnShelfDatabase, k: int) -> Fraction:
+def singleton_threshold(
+    db: OnShelfDatabase, twu_table: dict[int, dict[int, int]], utility: dict[int, int], k: int
+) -> Fraction:
     """Initial threshold: the k-th highest single-item relative utility,
     provided at least k of those values are non-negative; otherwise 0.
 
-    Never negative, so the search never emits a negative-ratio pattern.
-    The non-negative ratios are ranked by ratio_rank, scaled by the square
-    of the summed period totals, which bounds every item's total.
+    twu_table and utility are compute_period_twu's walk; an item's periods
+    are the keys of its TWU row. Never negative, so the search never emits
+    a negative-ratio pattern. The non-negative ratios are ranked by
+    ratio_rank, scaled by the square of the summed period totals, which
+    bounds every item's total.
     """
-    stats = singleton_stats(db)
     totals = db.period_totals
     bound = sum(totals.values())
     scale = bound * bound
-    rank = {
-        item: ratio_rank(u, sum(totals[h] for h in pi), scale)
-        for item, (u, pi) in stats.items()
-        if u >= 0
-    }
+
+    def period_total(item: int) -> int:
+        return sum(totals[h] for h in twu_table[item])
+
+    rank = {i: ratio_rank(u, period_total(i), scale) for i, u in utility.items() if u >= 0}
     if len(rank) < k:
         return Fraction(0)
-    u, pi = stats[sorted(rank, key=rank.__getitem__)[k - 1]]
-    return Fraction(u, sum(totals[h] for h in pi))
+    item = sorted(rank, key=rank.__getitem__)[k - 1]
+    return Fraction(utility[item], period_total(item))
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,7 +85,6 @@ class ItemOrder:
 
 def build_item_order(
     twu_table: dict[int, dict[int, int]],
-    signs: dict[int, int],
     retained_positive: set[int],
     retained_negative: set[int],
 ) -> ItemOrder:
@@ -141,37 +142,22 @@ def negative_keep(db: OnShelfDatabase, secondary: set[int]) -> set[int]:
 class WorkingDatabase:
     """Trimmed, reindexed and fused transaction store.
 
-    rows are [items, utilities] lists per period block, items being
-    ascending dense indices. Within a block, rows keep their input order,
-    and rows with identical item lists have been fused into the first of
-    them (unless built with merge off). period_totals keeps the frozen
-    original pto for each dense period index.
+    root is the empty-prefix projection: one view (items, utilities, 0, 0,
+    p) per stored row, in ascending period order, items being ascending
+    dense indices. Within a period, rows keep their input order, and rows
+    with identical item tuples have been fused into the first of them
+    (unless built with merge off). period_totals keeps the frozen original
+    pto for each dense period index.
     """
 
     period_labels: tuple[int, ...]
     period_totals: list[int]
-    blocks: list[list[list]]
+    root: ProjectedDatabase
     order: ItemOrder
 
     @property
     def transaction_count(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
-
-def fuse_identical_rows(rows: list[list]) -> int:
-    """Fuse rows with identical item lists in place, wherever they stand.
-
-    Each group keeps its first row's position; utilities add element-wise.
-    Returns the number of rows eliminated.
-    """
-    fused: dict[tuple[int, ...], list] = {}
-    for row in rows:
-        kept = fused.setdefault(tuple(row[0]), row)
-        if kept is not row:
-            kept[1] = [a + b for a, b in zip(kept[1], row[1])]
-    dropped = len(rows) - len(fused)
-    rows[:] = fused.values()
-    return dropped
+        return len(self.root.views)
 
 
 def build_working_database(
@@ -179,35 +165,47 @@ def build_working_database(
     order: ItemOrder,
     merge: bool = True,
 ) -> tuple[WorkingDatabase, int]:
-    """Project the database onto the retained items and lay it out for search.
+    """Project the database onto the retained items and lay it out as the
+    root projection.
 
-    Transactions lose items outside the order, are re-expressed in dense
-    indices and (when merge is on) fused with earlier rows of the same
-    period that hold the same items. Returns the working database and the
-    number of rows fused away. Period totals are copied from the original
-    database untouched.
+    Transactions lose items outside the order and are re-expressed in dense
+    indices. When merge is on, a row is fused, in the same walk, into the
+    first earlier row of its period that holds the same items: that row
+    keeps its position and the utilities add element-wise. A period whose
+    rows all lost every item holds no view and is left out of the root's
+    periods. Returns the working database and the number of rows fused
+    away. Period totals are copied from the original database untouched.
     """
     labels = tuple(sorted(db.periods))
     label_index = {h: d for d, h in enumerate(labels)}
-    blocks: list[list[list]] = [[] for _ in labels]
+    blocks: list[dict] = [{} for _ in labels]
     position = order.position
+    merged = 0
     for t in db.transactions:
         entries = sorted(
             (position[i], u) for i, u in zip(t.items, t.utilities) if i in position
         )
         if not entries:
             continue
-        blocks[label_index[t.period]].append(
-            [[d for d, _ in entries], [u for _, u in entries]]
-        )
-    merged = 0
-    if merge:
-        for block in blocks:
-            merged += fuse_identical_rows(block)
+        items, utils = zip(*entries)
+        p = label_index[t.period]
+        block = blocks[p]
+        key = items if merge else len(block)  # unmerged, every row is a new key
+        kept = block.get(key)
+        if kept is None:
+            block[key] = (items, utils, 0, 0, p)
+        else:
+            block[key] = (kept[0], tuple(map(add, kept[1], utils)), 0, 0, p)
+            merged += 1
+    root = ProjectedDatabase(
+        periods=[p for p, block in enumerate(blocks) if block],
+        views=[view for block in blocks for view in block.values()],
+        utility=0,
+    )
     working = WorkingDatabase(
         period_labels=labels,
         period_totals=[db.period_totals[h] for h in labels],
-        blocks=blocks,
+        root=root,
         order=order,
     )
     return working, merged

@@ -5,8 +5,10 @@ window into a stored transaction starting just past the projected item,
 the prefix's accumulated utility inside that transaction, and the dense
 index of the transaction's period. Projection never copies transaction
 content: a view's items and utilities are always the stored row's own
-lists. Identical rows are fused once, when the working database is built
-(see prepare.py), and never below the root.
+tuples. The root projection is the working database itself (see
+prepare.py): one view per stored row, at offset 0 with prefix utility 0.
+Identical rows are fused once, as that database is built, and never below
+the root.
 
 A projection is one flat list of views in ascending period order, plus
 the distinct periods those views hold and one prefix utility sum over all
@@ -27,8 +29,6 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-
-from .prepare import WorkingDatabase
 
 # View tuple layout, by index: 0 items, 1 utilities, 2 offset, 3 prefix
 # utility, 4 period.
@@ -58,19 +58,6 @@ class ProjectedDatabase:
     periods: list[int]
     views: list[tuple]
     utility: int
-
-
-def root_projection(working: WorkingDatabase) -> ProjectedDatabase:
-    """The empty-prefix projection: every row, offset 0, prefix utility 0.
-    A period whose rows all lost every item to the order holds no row and
-    is left out."""
-    periods = []
-    views = []
-    for p, block in enumerate(working.blocks):
-        if block:
-            periods.append(p)
-            views.extend((row[0], row[1], 0, 0, p) for row in block)
-    return ProjectedDatabase(periods=periods, views=views, utility=0)
 
 
 def occurrences(pd: ProjectedDatabase, picks: list[int]) -> list[array | None]:

@@ -43,7 +43,7 @@ from .prepare import (
     negative_keep,
     singleton_threshold,
 )
-from .projection import occurrences, project, root_projection
+from .projection import occurrences, project
 
 MAX_DISTINCT_ITEMS = 2**16
 
@@ -294,21 +294,21 @@ def mine_top_k(
 
     start = perf_counter()
     stats = SearchStats(k=k)
+    twu, utility = compute_period_twu(db)
     collector = TopKCollector(
-        k, singleton_threshold(db, k), sum(db.period_totals.values())
+        k, singleton_threshold(db, twu, utility, k), sum(db.period_totals.values())
     )
 
-    twu = compute_period_twu(db)
     # With the local rule off, threshold zero keeps every positive item
     # that occurs: a TWU is never negative.
     t_num, t_den = collector.threshold if lu_prune else (0, 1)
     secondary0 = initial_secondary(db, twu, t_num, t_den)
     kept_negative = negative_keep(db, secondary0)
-    order = build_item_order(twu, db.item_signs, secondary0, kept_negative)
+    order = build_item_order(twu, secondary0, kept_negative)
     working, stats.merges = build_working_database(db, order)
 
     miner = _Miner(working, collector, su_prune=su_prune, lu_prune=lu_prune)
-    miner.search(root_projection(working), stats)
+    miner.search(working.root, stats)
 
     patterns = collector.result(working.period_labels)
     stats.patterns = len(patterns)

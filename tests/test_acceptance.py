@@ -114,8 +114,7 @@ def test_ablations_change_work_not_answers(corpus):
 
 def _full_order(db):
     return build_item_order(
-        compute_period_twu(db),
-        db.item_signs,
+        compute_period_twu(db)[0],
         {i for i, s in db.item_signs.items() if s > 0},
         {i for i, s in db.item_signs.items() if s < 0},
     )
@@ -233,10 +232,11 @@ def test_singleton_seed_below_true_kth_ratio(corpus):
     checked = 0
     for db in corpus:
         ranked = oracle_top_k(db, 10_000)
+        walk = compute_period_twu(db)
         for k in (1, 3, 5, 10):
             if len(ranked) < k:
                 continue
-            assert singleton_threshold(db, k) <= ranked[k - 1].relative_utility
+            assert singleton_threshold(db, *walk, k) <= ranked[k - 1].relative_utility
             checked += 1
     assert checked > 400
 

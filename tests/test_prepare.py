@@ -3,12 +3,12 @@
 from fractions import Fraction
 
 from topshelf.dataset import database_from_quantities, parse_database
-from topshelf.oracle import relative_utility
+from topshelf.oracle import itemset_periods, itemset_utility, relative_utility, twu
 from topshelf.prepare import (
+    ItemOrder,
     build_item_order,
     build_working_database,
     compute_period_twu,
-    fuse_identical_rows,
     initial_secondary,
     negative_keep,
     singleton_threshold,
@@ -18,23 +18,39 @@ A, B, C, D, E = 1, 2, 3, 4, 5
 
 
 def test_period_twu_worked_example(running_example):
-    table = compute_period_twu(running_example)
+    table, utility = compute_period_twu(running_example)
     assert table[A] == {0: 10, 1: 72, 2: 15}
     assert table[B][0] == 36
     assert table[C][2] == 66
     assert table[E] == {1: 27, 2: 81}
     totals = {item: sum(row.values()) for item, row in table.items()}
     assert totals == {A: 97, B: 153, C: 126, D: 178, E: 108}
+    assert utility == {A: 35, B: -18, C: -12, D: 138, E: 50}
+
+
+def test_one_walk_matches_the_oracle(running_example, corpus):
+    """Per item: the TWU row is TWU(i, h) per period, its keys are the
+    item's periods, and the utility is u({i})."""
+    for db in [running_example, *corpus[:40]]:
+        table, utility = compute_period_twu(db)
+        assert set(table) == set(utility) == set(db.item_signs)
+        for i in db.item_signs:
+            row = table[i]
+            assert set(row) == itemset_periods(db, (i,))
+            for h in db.periods:
+                assert row.get(h, 0) == twu(db, (i,), period=h)
+            assert utility[i] == itemset_utility(db, (i,))
 
 
 def test_singleton_threshold_uses_kth_nonnegative_ratio(running_example):
     db = running_example
+    walk = compute_period_twu(db)
     # single-item ratios: d=138/193, e=50/154, a=35/193; b and c are negative
-    assert singleton_threshold(db, 1) == Fraction(138, 193)
-    assert singleton_threshold(db, 2) == Fraction(50, 154)
-    assert singleton_threshold(db, 3) == Fraction(35, 193)
-    assert singleton_threshold(db, 4) == 0
-    assert singleton_threshold(db, 100) == 0
+    assert singleton_threshold(db, *walk, 1) == Fraction(138, 193)
+    assert singleton_threshold(db, *walk, 2) == Fraction(50, 154)
+    assert singleton_threshold(db, *walk, 3) == Fraction(35, 193)
+    assert singleton_threshold(db, *walk, 4) == 0
+    assert singleton_threshold(db, *walk, 100) == 0
 
 
 def fraction_singleton_threshold(db, k):
@@ -58,17 +74,16 @@ def test_singleton_threshold_ranks_as_fractions(corpus):
         ],
     )
     for db in [huge, *corpus[:40]]:
+        walk = compute_period_twu(db)
         for k in range(1, len(db.item_signs) + 2):
-            got = singleton_threshold(db, k)
+            got = singleton_threshold(db, *walk, k)
             assert type(got) is Fraction
             assert got == fraction_singleton_threshold(db, k)
 
 
 def test_item_order_puts_positives_first_by_rising_twu(running_example):
-    table = compute_period_twu(running_example)
-    order = build_item_order(
-        table, running_example.item_signs, {A, D, E}, {B, C}
-    )
+    table, _ = compute_period_twu(running_example)
+    order = build_item_order(table, {A, D, E}, {B, C})
     # positives by total TWU: a(97) < e(108) < d(178); negatives: c(126) < b(153)
     assert order.sequence == (A, E, D, C, B)
     assert order.boundary == 3
@@ -78,15 +93,15 @@ def test_item_order_puts_positives_first_by_rising_twu(running_example):
 
 def test_item_order_breaks_twu_ties_by_id():
     db = parse_database("1 2:10:5 5:0\n")
-    table = compute_period_twu(db)
-    order = build_item_order(table, db.item_signs, {1, 2}, set())
+    table, _ = compute_period_twu(db)
+    order = build_item_order(table, {1, 2}, set())
     assert order.sequence == (1, 2)
 
 
 def test_initial_secondary_keeps_items_clearing_some_period(running_example):
     db = running_example
-    table = compute_period_twu(db)
-    t = singleton_threshold(db, 2)  # 25/77
+    table, utility = compute_period_twu(db)
+    t = singleton_threshold(db, table, utility, 2)  # 25/77
     keep = initial_secondary(db, table, t.numerator, t.denominator)
     assert keep == {A, D, E}  # negative items never enter the root secondary
     # an impossible threshold empties it
@@ -103,16 +118,38 @@ def test_negative_keep_requires_cooccurrence(running_example):
     assert negative_keep(db, {1, 2}) == {3}
 
 
-def test_fuse_identical_rows_fuses_duplicates_anywhere():
+def fused_rows(rows, merge=True):
+    """build_working_database over one period holding rows given in dense
+    terms [items, utilities], dense index d standing for item d + 1, all
+    items positive. Returns the root views as [items, utilities] lists and
+    the number of rows fused away."""
+    text = "".join(
+        f"{' '.join(str(d + 1) for d in items)}:{sum(utils)}:{' '.join(map(str, utils))}:0\n"
+        for items, utils in rows
+    )
+    n = 1 + max(d for items, _ in rows for d in items)
+    order = ItemOrder(
+        sequence=tuple(range(1, n + 1)), position={d + 1: d for d in range(n)}, boundary=n
+    )
+    working, merged = build_working_database(parse_database(text), order, merge=merge)
+    root = working.root
+    assert root.periods == [0] and root.utility == 0
+    for items, utils, off, prefix, p in root.views:
+        assert type(items) is tuple and type(utils) is tuple
+        assert (off, prefix, p) == (0, 0, 0)
+    assert working.transaction_count == len(rows) - merged
+    return [[list(v[0]), list(v[1])] for v in root.views], merged
+
+
+def test_working_database_fuses_duplicates_anywhere():
     rows = [
         [[0, 1], [3, 4]],
         [[0, 1], [6, 8]],
         [[0, 1], [1, 1]],
         [[0, 2], [5, 5]],
     ]
-    dropped = fuse_identical_rows(rows)
-    assert dropped == 2
-    assert rows == [[[0, 1], [10, 13]], [[0, 2], [5, 5]]]
+    assert fused_rows(rows) == ([[[0, 1], [10, 13]], [[0, 2], [5, 5]]], 2)
+    assert fused_rows(rows, merge=False) == (rows, 0)
     # duplicates apart from each other fuse into the first one's position;
     # an item list that is a suffix of another is a different row
     rows = [
@@ -123,47 +160,51 @@ def test_fuse_identical_rows_fuses_duplicates_anywhere():
         [[0, 2], [1, 1]],
         [[1, 2], [100, 200]],
     ]
-    assert fuse_identical_rows(rows) == 3
-    assert rows == [[[1, 2], [111, 222]], [[0, 2], [6, 6]], [[2], [7]]]
+    assert fused_rows(rows) == ([[[1, 2], [111, 222]], [[0, 2], [6, 6]], [[2], [7]]], 3)
+    assert fused_rows(rows, merge=False) == (rows, 0)
 
 
-def test_fuse_identical_rows_leaves_distinct_rows_alone():
+def test_working_database_leaves_distinct_rows_alone():
     rows = [[[0], [3]], [[1], [4]], [[0, 1], [5, 6]]]
-    assert fuse_identical_rows(rows) == 0
-    assert rows == [[[0], [3]], [[1], [4]], [[0, 1], [5, 6]]]
+    assert fused_rows(rows) == (rows, 0)
 
 
 def test_working_database_layout(running_example):
     db = running_example
-    table = compute_period_twu(db)
-    order = build_item_order(table, db.item_signs, {A, D, E}, {B, C})
+    table, _ = compute_period_twu(db)
+    order = build_item_order(table, {A, D, E}, {B, C})
     working, merged = build_working_database(db, order)
     assert merged == 0  # no two transactions share an item set here
     assert working.period_labels == (0, 1, 2)
     assert working.period_totals == [39, 85, 69]
     assert working.transaction_count == 8
-    # every row: ascending dense indices, negatives (>= boundary) at the tail
-    for block in working.blocks:
-        for items, utils in block:
-            assert list(items) == sorted(items)
-            assert len(items) == len(utils)
-            tail = [d for d in items if d >= order.boundary]
-            assert items[len(items) - len(tail):] == tail
+    root = working.root
+    assert root.periods == [0, 1, 2] and root.utility == 0
+    # every row: ascending dense indices, negatives (>= boundary) at the
+    # tail, at offset 0 with prefix utility 0, periods ascending
+    assert [view[4] for view in root.views] == [0, 0, 1, 1, 1, 2, 2, 2]
+    for items, utils, off, prefix, _ in root.views:
+        assert list(items) == sorted(items)
+        assert len(items) == len(utils)
+        tail = tuple(d for d in items if d >= order.boundary)
+        assert items[len(items) - len(tail):] == tail
+        assert off == 0 and prefix == 0
     # rows keep input order: period 1 holds T1 {a,b,d,e}, T3 {a,d} and
-    # T8 {b,c,d}, in dense terms [0,1,2,4], [0,2], [2,3,4]
-    period1 = [row[0] for row in working.blocks[1]]
-    assert period1 == [[0, 1, 2, 4], [0, 2], [2, 3, 4]]
+    # T8 {b,c,d}, in dense terms (0,1,2,4), (0,2), (2,3,4)
+    period1 = [view[0] for view in root.views if view[4] == 1]
+    assert period1 == [(0, 1, 2, 4), (0, 2), (2, 3, 4)]
 
 
 def test_working_database_merges_identical_rows():
     text = "1 2:7:3 4:0\n1 2:14:6 8:0\n1 2:7:3 4:1\n"
     db = parse_database(text)
-    table = compute_period_twu(db)
-    order = build_item_order(table, db.item_signs, {1, 2}, set())
+    table, _ = compute_period_twu(db)
+    order = build_item_order(table, {1, 2}, set())
     working, merged = build_working_database(db, order)
     assert merged == 1
-    assert working.blocks[0] == [[[0, 1], [9, 12]]]
-    assert working.blocks[1] == [[[0, 1], [3, 4]]]
+    # only rows of the same period fuse
+    assert working.root.views == [((0, 1), (9, 12), 0, 0, 0), ((0, 1), (3, 4), 0, 0, 1)]
+    assert working.root.periods == [0, 1]
     unmerged, count = build_working_database(db, order, merge=False)
     assert count == 0
     assert unmerged.transaction_count == 3
@@ -171,13 +212,12 @@ def test_working_database_merges_identical_rows():
 
 def test_working_database_drops_unordered_items(running_example):
     db = running_example
-    table = compute_period_twu(db)
-    order = build_item_order(table, db.item_signs, {D}, set())
+    table, _ = compute_period_twu(db)
+    order = build_item_order(table, {D}, set())
     working, _ = build_working_database(db, order, merge=False)
     # only item d survives; T4 and T6 (no d) disappear entirely
     assert working.transaction_count == 5
-    for block in working.blocks:
-        for items, utils in block:
-            assert items == [0]
+    for items, utils, _, _, _ in working.root.views:
+        assert items == (0,)
     # frozen period totals are kept even though utilities were trimmed
     assert working.period_totals == [39, 85, 69]

@@ -32,22 +32,29 @@ def assert_sparse(pd):
 
 
 def test_root_projection_covers_every_row(running_example):
-    _, working, root = pipeline(running_example)
+    db = running_example
+    order, working, root = pipeline(db)
+    assert root is working.root
     assert_sparse(root)
-    assert len(root.views) == working.transaction_count
     assert root.periods == [0, 1, 2]
     assert root.utility == 0
-    rows = [(row[0], row[1], p) for p, block in enumerate(working.blocks) for row in block]
-    for (items, utils, off, prefix, p), (row_items, row_utils, row_p) in zip(root.views, rows):
-        assert items is row_items and utils is row_utils and p == row_p
-        assert off == 0 and prefix == 0
+    # one view per transaction (none fuse here), periods ascending, input
+    # order within a period, each at offset 0 with prefix utility 0
+    rows = []
+    for p, label in enumerate(working.period_labels):
+        for t in db.transactions:
+            if t.period == label:
+                entries = sorted((order.position[i], u) for i, u in zip(t.items, t.utilities))
+                rows.append((tuple(d for d, _ in entries), tuple(u for _, u in entries), 0, 0, p))
+    assert root.views == rows
+    assert working.transaction_count == len(rows) == 8
 
 
 def test_root_skips_periods_emptied_by_the_order(running_example):
     # period 0 sells only a, b, c and d (T2, T7): with e alone in the order
-    # both its rows lose every item, and the root skips the empty block
+    # both its rows lose every item, and the root skips the empty period
     order, working, root = pipeline(running_example, merge=False, drop={A, B, C, D})
-    assert working.blocks[0] == []
+    assert working.transaction_count == 4
     assert_sparse(root)
     assert root.periods == [1, 2]
     assert view_periods(root) == [1, 2, 2, 2]  # T1; T4, T5, T6
@@ -186,13 +193,11 @@ def test_walk_matches_scan_on_random_databases(merge, walk_every_frame):
             max_qty=rng.randint(1, 3),
             seed=seed,
         )
-        order, working, root = pipeline(parse_database(generate(params)), merge=merge)
+        order, _, root = pipeline(parse_database(generate(params)), merge=merge)
         if len(order) > 1:
             # at the root, every occurrence of every item is recorded once
             rows = occurrences(root, list(range(len(order))))
-            assert sum(map(len, rows)) == sum(
-                len(row[0]) for block in working.blocks for row in block
-            )
+            assert sum(map(len, rows)) == sum(len(view[0]) for view in root.views)
         assert_walks_match_scans(order, root, seed)
 
 
@@ -215,19 +220,18 @@ def round_robin_365(emptied=0):
 
 
 def test_walk_matches_scan_over_365_periods(walk_every_frame):
-    order, working, root = pipeline(round_robin_365())
+    order, _, root = pipeline(round_robin_365())
     assert root.periods == list(range(365))
-    assert view_periods(root) == [p for p, block in enumerate(working.blocks) for _ in block]
+    # row t sells in period t % 365, and no two rows of a period fuse
+    assert view_periods(root) == sorted(t % 365 for t in range(900))
     assert_walks_match_scans(order, root, 365)
 
 
 def test_walk_matches_scan_over_365_periods_with_empty_ones(walk_every_frame):
     db = round_robin_365(emptied=5)
-    order, working, root = pipeline(db, drop={99})
-    empty = [p for p, block in enumerate(working.blocks) if not block]
-    assert empty == list(range(0, 365, 5))
+    order, _, root = pipeline(db, drop={99})
     assert root.periods == [p for p in range(365) if p % 5]
-    assert view_periods(root) == [p for p, block in enumerate(working.blocks) for _ in block]
+    assert view_periods(root) == sorted(t % 365 for t in range(900) if t % 365 % 5)
     assert_walks_match_scans(order, root, 73)
     # below the root the scan walks only the parent's periods
     labels = sorted(db.periods)

@@ -498,8 +498,8 @@ def predicted_merges(db, k):
     fused when an earlier row of its period keeps the same items once the
     items outside the mining order are dropped. The order's items come
     from the same preparation steps the miner takes."""
-    table = compute_period_twu(db)
-    threshold = singleton_threshold(db, k)
+    table, utility = compute_period_twu(db)
+    threshold = singleton_threshold(db, table, utility, k)
     positives = initial_secondary(db, table, threshold.numerator, threshold.denominator)
     retained = positives | negative_keep(db, positives)
     seen = set()
