@@ -41,6 +41,18 @@ fill_negative_subtree fills neg alone. Keeping the negatives apart lets a
 positive node search its negative extensions, which reuse neg, between its
 one fill and its positive selection.
 
+A fill of the root or of a positive node X also takes the cutoff
+t_num/t_den that the negative selection will test, and walks no negative
+tail in a period p where u_p(X), X's own utility in p, is below the cutoff
+times p's total. Every prefix utility of such a node is at least zero, so
+each clipped bracket max(prefix + u(n, T), 0) of a negative n is at most
+its view's prefix, and n's bound in p, a sum over some of p's views, is at
+most u_p(X): no negative can pass in p. A skipped period lists none of its
+negatives, so one that sells only there reads as absent, which fails the
+same cutoff. A negative node is exempt: its prefix utilities can be
+negative, so u_p(X) can sit below a single view's positive bracket. Its
+fills take no cutoff, and t_num zero never skips.
+
 Each fill takes a new stamp, and seen[z] holds the stamp of the last fill
 item z occurred in. So nothing is reset between fills: the ratio of an item
 whose stamp is old is stale, and the selectors never read it. They test a
@@ -52,6 +64,7 @@ that occurred.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import groupby
 from operator import itemgetter
 
@@ -135,7 +148,9 @@ def _fold_positives(su: BoundArray, lu: BoundArray, written: list[int], total: i
             lu_den[z] = total
 
 
-def fill_subtree_and_local(pd, su: BoundArray, lu: BoundArray, neg: BoundArray, totals) -> None:
+def fill_subtree_and_local(
+    pd, su: BoundArray, lu: BoundArray, neg: BoundArray, totals, t_num: int = 0, t_den: int = 1
+) -> None:
     """One backward walk per view of projection pd fills all three bound
     arrays, folding each period into the best ratios against its entry of
     totals.
@@ -147,29 +162,42 @@ def fill_subtree_and_local(pd, su: BoundArray, lu: BoundArray, neg: BoundArray, 
     positive remaining utility after it. At the end of the walk it is the
     local bracket, which does not depend on position, and a short second
     walk adds it for every positive entry.
+
+    In a period whose own utility u_p(pd) is below t_num/t_den times its
+    total, the walk skips the negative tails: it bisects for the last
+    positive entry (positives are the dense items below su's width) and
+    lists and folds nothing into neg for that period. Sound only for the
+    root or a positive node, whose prefix utilities are all at least zero
+    (see the module docstring); t_num zero never skips.
     """
     su.start()
     neg.start()
     su_row = su.row
     lu_row = lu.row
     neg_row = neg.row
-    for p, views in groupby(pd.views, _period):
+    boundary = len(su_row)
+    for (p, views), u_p in zip(groupby(pd.views, _period), pd.utilities):
+        total = totals[p]
+        tails = not t_num or u_p * t_den >= t_num * total
         written = []
         neg_written = []
         for items, utils, off, prefix, _ in views:
-            j = len(items) - 1
-            while j >= off:
-                u = utils[j]
-                if u > 0:
-                    break
-                item = items[j]
-                cell = neg_row[item]
-                if not cell:
-                    neg_written.append(item)
-                bracket = prefix + u
-                if bracket > 0:
-                    neg_row[item] = cell + bracket
-                j -= 1
+            if tails:
+                j = len(items) - 1
+                while j >= off:
+                    u = utils[j]
+                    if u > 0:
+                        break
+                    item = items[j]
+                    cell = neg_row[item]
+                    if not cell:
+                        neg_written.append(item)
+                    bracket = prefix + u
+                    if bracket > 0:
+                        neg_row[item] = cell + bracket
+                    j -= 1
+            else:
+                j = bisect_left(items, boundary, off) - 1
             last = j
             running = prefix
             while j >= off:
@@ -183,19 +211,26 @@ def fill_subtree_and_local(pd, su: BoundArray, lu: BoundArray, neg: BoundArray, 
             if last >= off:
                 for item in items[off : last + 1]:
                     lu_row[item] += running
-        total = totals[p]
         _fold_positives(su, lu, written, total)
-        neg.fold(neg_written, total)
+        if tails:
+            neg.fold(neg_written, total)
 
 
-def fill_negative_subtree(pd, neg: BoundArray, totals) -> None:
+def fill_negative_subtree(pd, neg: BoundArray, totals, t_num: int = 0, t_den: int = 1) -> None:
     """Clipped subtree bounds for negative candidates only: walk the
     negative tail of each view of projection pd, accumulating max(prefix +
     u(n, T), 0), and fold each period into the best ratios against its
-    entry of totals."""
+    entry of totals.
+
+    A period whose own utility u_p(pd) is below t_num/t_den times its total
+    is skipped whole. As in fill_subtree_and_local, that is sound only for
+    the root or a positive node, and t_num zero never skips."""
     neg.start()
     row = neg.row
-    for p, views in groupby(pd.views, _period):
+    for (p, views), u_p in zip(groupby(pd.views, _period), pd.utilities):
+        total = totals[p]
+        if t_num and u_p * t_den < t_num * total:
+            continue
         written = []
         for items, utils, off, prefix, _ in views:
             j = len(items) - 1
@@ -211,7 +246,7 @@ def fill_negative_subtree(pd, neg: BoundArray, totals) -> None:
                 if bracket > 0:
                     row[item] = cell + bracket
                 j -= 1
-        neg.fold(written, totals[p])
+        neg.fold(written, total)
 
 
 def select_primary_secondary(

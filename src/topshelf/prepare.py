@@ -197,10 +197,11 @@ def build_working_database(
         else:
             block[key] = (kept[0], tuple(map(add, kept[1], utils)), 0, 0, p)
             merged += 1
+    periods = [p for p, block in enumerate(blocks) if block]
     root = ProjectedDatabase(
-        periods=[p for p, block in enumerate(blocks) if block],
+        periods=periods,
         views=[view for block in blocks for view in block.values()],
-        utility=0,
+        utilities=[0] * len(periods),
     )
     working = WorkingDatabase(
         period_labels=labels,

@@ -11,10 +11,13 @@ Identical rows are fused once, as that database is built, and never below
 the root.
 
 A projection is one flat list of views in ascending period order, plus
-the distinct periods those views hold and one prefix utility sum over all
-of them, u(X). A node's projection therefore costs what the prefix's sales
-cost, not the length of the shelf calendar; an itemset is only ever judged
-over the periods it sells in.
+the distinct periods those views hold and, for each of them, the sum of
+its views' prefix utilities: u_p(X), the prefix's utility in period p.
+Their sum is u(X). A node's projection therefore costs what the prefix's
+sales cost, not the length of the shelf calendar; an itemset is only ever
+judged over the periods it sells in. The bound fills read u_p(X) to skip
+the negative tails of a period where no negative extension can reach the
+threshold (see bounds.py).
 
 Every node, the root included, is projected the same way. Once a node
 knows its picks (the children it will project), occurrences() walks its
@@ -48,16 +51,18 @@ WALK_MIN_BISECTS = 512
 
 @dataclass(slots=True)
 class ProjectedDatabase:
-    """Views in ascending period order, the periods they hold, and their
-    prefix utility sum.
+    """Views in ascending period order, the periods they hold, and the
+    prefix's utility in each of those periods.
 
-    periods lists the distinct periods of the views, ascending. utility is
-    the sum of every view's prefix utility: the prefix's utility u(X).
+    periods lists the distinct periods of the views, ascending.
+    utilities[i] is the sum of the prefix utilities of the views in
+    periods[i]: the prefix's utility u_p(X) in that period. Their sum is
+    u(X).
     """
 
     periods: list[int]
     views: list[tuple]
-    utility: int
+    utilities: list[int]
 
 
 def occurrences(pd: ProjectedDatabase, picks: list[int]) -> list[array | None]:
@@ -90,13 +95,14 @@ def project(parent: ProjectedDatabase, z: int, rows: array | None = None) -> Pro
 
     rows, the ascending ids of the views to visit (see occurrences()),
     defaults to every view. Each surviving view starts just past z and
-    adds u(z, T) to its prefix utility. The utility sum and the periods
+    adds u(z, T) to its prefix utility. The periods and their utilities
     fall out of the same walk. View order is inherited from the parent.
     """
     parent_views = parent.views
     periods = []
+    utilities = []
     views = []
-    total = 0
+    acc = 0
     last = -1
     for items, utils, off, prefix, p in (
         parent_views if rows is None else map(parent_views.__getitem__, rows)
@@ -105,8 +111,14 @@ def project(parent: ProjectedDatabase, z: int, rows: array | None = None) -> Pro
         if j > off and items[j - 1] == z:
             prefix += utils[j - 1]
             views.append((items, utils, j, prefix, p))
-            total += prefix
             if p != last:
                 periods.append(p)
+                utilities.append(acc)
+                acc = 0
                 last = p
-    return ProjectedDatabase(periods=periods, views=views, utility=total)
+            acc += prefix
+    # each period change appended the sum of the period before it; the
+    # first appended the empty sum before any period
+    utilities.append(acc)
+    del utilities[0]
+    return ProjectedDatabase(periods=periods, views=views, utilities=utilities)

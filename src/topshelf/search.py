@@ -219,7 +219,10 @@ class _Miner:
         Each child is projected from its rows, scored and offered. A
         positive child then fills neg, and su and lu too while later
         secondary items remain; a negative child with later picks fills neg
-        alone. The negatives it picks go on the stack, walked, above a
+        alone. The root and positive children fill at the subtree cutoff,
+        which skips the negative tails of the periods where the node's own
+        utility falls below it; a negative child fills at cutoff zero (see
+        bounds.py). The negatives a child picks go on the stack, walked, above a
         deferred frame (picks None) that selects its positive children from
         su and lu once the negative subtree is done, against the threshold
         of that moment, and then walks its views for them. Negative nodes
@@ -230,8 +233,8 @@ class _Miner:
         collector = self.collector
         period_totals = self.period_totals
         ext_id = self.ext_id
-        fill_subtree_and_local(root, su, lu, neg, period_totals)
         su_num, _, t_den = self._cutoffs()
+        fill_subtree_and_local(root, su, lu, neg, period_totals, su_num, t_den)
         primary, secondary = select_primary_secondary(
             su, lu, range(self.boundary), su_num, 0, t_den
         )
@@ -253,7 +256,7 @@ class _Miner:
 
             ext = prefix + (ext_id[z],)
             occupied = child.periods
-            utility = child.utility
+            utility = sum(child.utilities)
             period_total = sum(period_totals[p] for p in occupied)
             stats.candidates += 1
             if len(ext) > stats.max_depth:
@@ -264,13 +267,16 @@ class _Miner:
             if later is None and i == len(picks):
                 continue  # the last negative pick has no later one to add
             candidates = None if later is None else later[bisect_right(later, z) :]
+            su_num, _, t_den = self._cutoffs()
+            # a negative child's prefix utilities can be negative, so its
+            # own utility bounds none of its brackets: it fills ungated
+            gate = 0 if later is None else su_num
             if candidates:
-                fill_subtree_and_local(child, su, lu, neg, period_totals)
+                fill_subtree_and_local(child, su, lu, neg, period_totals, gate, t_den)
                 stack.append([child, ext, None, candidates, 0, None])
             else:
-                fill_negative_subtree(child, neg, period_totals)
+                fill_negative_subtree(child, neg, period_totals, gate, t_den)
             rest = picks[i:] if later is None else sorted(neg.touched)
-            su_num, _, t_den = self._cutoffs()
             negatives = select_negative_candidates(neg, rest, su_num, t_den)
             if negatives:
                 stack.append([child, ext, negatives, None, 0, occurrences(child, negatives)])

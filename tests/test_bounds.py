@@ -111,15 +111,24 @@ def _best(db, bound):
     return max(Fraction(bound(h), db.period_totals[h]) for h in db.periods)
 
 
-def _assert_filled(views, su, lu, neg):
+def _assert_filled(views, su, lu, neg, tails=None):
     """After a fill every row cell is zero, and the items that occurred
     are exactly those the views hold, each listed once: positives in su's
-    stamps and touched list, negatives in neg's."""
+    stamps and touched list, negatives in neg's. The negatives are those
+    of the views in the periods whose tails the fill walked (tails), or in
+    every period where tails is None."""
     boundary = len(su.row)
     held = {items[j] for items, _, off, _, _ in views for j in range(off, len(items))}
+    negatives = {
+        items[j]
+        for items, _, off, _, p in views
+        if tails is None or p in tails
+        for j in range(off, len(items))
+        if items[j] >= boundary
+    }
     assert not any(su.row) and not any(lu.row) and not any(neg.row)
     assert sorted(su.touched) == sorted(z for z in held if z < boundary)
-    assert sorted(neg.touched) == sorted(z for z in held if z >= boundary)
+    assert sorted(neg.touched) == sorted(negatives)
     assert [z for z in range(boundary) if _occurred(su, z)] == sorted(su.touched)
     assert [z for z in range(len(neg.row)) if _occurred(neg, z)] == sorted(neg.touched)
 
@@ -272,7 +281,7 @@ def _projection(views_by_period):
     return ProjectedDatabase(
         periods=periods,
         views=views,
-        utility=sum(view[3] for view in views),
+        utilities=[sum(view[3] for view in views_by_period[p]) for p in periods],
     )
 
 
@@ -551,20 +560,21 @@ def _per_period_rule(sums, z, t_num, t_den, totals):
 )
 def test_many_periods_select_as_the_per_period_rule(monkeypatch, n_periods, transactions):
     """Every selection of whole mining runs keeps exactly the items the
-    per-period rule keeps, over sums taken from the bracket definitions,
-    and the miner matches the oracle: keeping one best ratio per item
-    decides as the periods x items sums would."""
+    per-period rule keeps, over sums taken from the bracket definitions in
+    every period, and the miner matches the oracle: keeping one best ratio
+    per item decides as the periods x items sums would, and the fills'
+    skipped negative tails change no pick."""
     databases = _many_period_databases(n_periods, transactions, 6, n_periods)
     sums = {}
     tested = []
 
-    def fill_both(pd, su, lu, neg, totals):
-        fill_subtree_and_local(pd, su, lu, neg, totals)
+    def fill_both(pd, su, lu, neg, totals, t_num=0, t_den=1):
+        fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den)
         sums["su"], sums["lu"], sums["neg"] = _period_sums(pd)
         sums["totals"] = totals
 
-    def fill_tail(pd, neg, totals):
-        fill_negative_subtree(pd, neg, totals)
+    def fill_tail(pd, neg, totals, t_num=0, t_den=1):
+        fill_negative_subtree(pd, neg, totals, t_num, t_den)
         sums["neg"] = _period_sums(pd)[2]
 
     def split(su, lu, candidates, su_num, lu_num, t_den):
@@ -606,15 +616,16 @@ def test_every_row_cell_is_zero_after_each_fill(monkeypatch, n_periods, transact
     databases = _many_period_databases(n_periods, transactions, 6, n_periods)
     fills = []
 
-    def fill_both(pd, su, lu, neg, totals):
-        fill_subtree_and_local(pd, su, lu, neg, totals)
-        _assert_filled(pd.views, su, lu, neg)
+    def fill_both(pd, su, lu, neg, totals, t_num=0, t_den=1):
+        fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den)
+        _assert_filled(pd.views, su, lu, neg, _walked_tails(pd, totals, t_num, t_den))
         fills.append(len(su.touched))
 
-    def fill_tail(pd, neg, totals):
-        fill_negative_subtree(pd, neg, totals)
+    def fill_tail(pd, neg, totals, t_num=0, t_den=1):
+        fill_negative_subtree(pd, neg, totals, t_num, t_den)
         assert not any(neg.row)
-        held = {items[j] for items, utils, off, _, _ in pd.views
+        tails = _walked_tails(pd, totals, t_num, t_den)
+        held = {items[j] for items, utils, off, _, p in pd.views if p in tails
                 for j in range(off, len(items)) if utils[j] < 0}
         assert sorted(neg.touched) == sorted(held)
         fills.append(len(neg.touched))
@@ -625,3 +636,174 @@ def test_every_row_cell_is_zero_after_each_fill(monkeypatch, n_periods, transact
         for k in (3, 25):
             mine_top_k(db, k)
     assert len(fills) > 100 and max(fills) > 1
+
+
+def _walked_tails(pd, totals, t_num, t_den):
+    """The periods whose negative tails a fill at cutoff t_num/t_den walks:
+    those where the node's own utility reaches the cutoff, or every period
+    at t_num zero."""
+    return {
+        p
+        for p, u in zip(pd.periods, pd.utilities)
+        if not t_num or u * t_den >= t_num * totals[p]
+    }
+
+
+def _dealt(params, n_periods):
+    """The generated rows dealt into n_periods periods: rows of positive
+    total go round the periods in turn, and every other row joins the
+    period whose total is largest at that moment."""
+    totals = [0] * n_periods
+    lines = []
+    dealt = 0
+    for line in generate(params).splitlines():
+        items, tu, utils, _ = line.split(":")
+        if int(tu) > 0:
+            h = dealt % n_periods
+            dealt += 1
+        else:
+            h = totals.index(max(totals))
+        totals[h] += int(tu)
+        lines.append(f"{items}:{tu}:{utils}:{h}")
+    return parse_database("\n".join(lines) + "\n")
+
+
+def _chain_databases(corpus, n_periods):
+    """Mixed-sign databases over n_periods periods: corpus members merged
+    into one period, or generated rows dealt two to three a period."""
+    if n_periods == 1:
+        return [reassign_periods(db, 1) for db in corpus[:60]]
+    rng = random.Random(n_periods)
+    out = []
+    for seed in range(1, 11):
+        params = GeneratorParams(
+            transactions=rng.randint(2 * n_periods, 3 * n_periods),
+            items=rng.randint(6, 14),
+            periods=1,
+            avg_len=rng.randint(3, 6),
+            neg_frac=(0.2, 0.4)[seed % 2],
+            seed=seed,
+        )
+        try:
+            out.append(_dealt(params, n_periods))
+        except NonPositivePeriodTotal:
+            continue
+    return out
+
+
+def _cutoffs_that_occur(rng, pd, totals, su, lu, neg):
+    """Up to six positive thresholds from ratios that occur at the node:
+    its own utility over each period's total, and the best ratios an
+    ungated fill left in su, lu and neg."""
+    ratios = {Fraction(u, totals[p]) for p, u in zip(pd.periods, pd.utilities)}
+    ratios |= set(_ratios(su).values()) | set(_ratios(lu, su).values())
+    ratios |= set(_ratios(neg).values())
+    ratios.discard(0)
+    return rng.sample(sorted(ratios), min(6, len(ratios)))
+
+
+@pytest.mark.parametrize("n_periods", [1, 30, 365])
+def test_gated_fill_of_a_positive_node_decides_as_the_ungated_one(corpus, n_periods):
+    """Along random chains of positive items, from the root down, a fill
+    that skips the negative tails of the periods where the node's own
+    utility is below the cutoff leaves su and lu exactly as the ungated
+    fill does, selects the same positives and negatives at that cutoff,
+    and leaves every row cell zero; so does the gated negative-only fill.
+    Every negative bracket of a node whose prefix utilities are at least
+    zero is at most that prefix utility, so a skipped period holds no
+    negative that reaches the cutoff."""
+    rng = random.Random(4242 + n_periods)
+    gated = skipped = 0
+    for db in _chain_databases(corpus, n_periods):
+        order, working, root = pipeline(db)
+        totals = working.period_totals
+        n, boundary = len(order), order.boundary
+        arrays = _miner_arrays(working)  # reused: each fill leaves stale ratios
+        ungated = _miner_arrays(working)
+        pd = root
+        for _ in range(4):
+            fill_subtree_and_local(pd, *ungated, totals)
+            for cut in _cutoffs_that_occur(rng, pd, totals, *ungated):
+                t_num, t_den = cut.numerator, cut.denominator
+                su, lu, neg = arrays
+                fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den)
+                assert _live(su, lu, neg)[:2] == _live(*ungated)[:2]
+                assert not any(su.row) and not any(lu.row) and not any(neg.row)
+                picks = (range(boundary), t_num, t_num, t_den)
+                assert select_primary_secondary(su, lu, *picks) == select_primary_secondary(
+                    *ungated[:2], *picks
+                )
+                want = select_negative_candidates(ungated[2], range(boundary, n), t_num, t_den)
+                assert select_negative_candidates(neg, range(boundary, n), t_num, t_den) == want
+                skipped += len(ungated[2].touched) - len(neg.touched)
+                fill_negative_subtree(pd, neg, totals, t_num, t_den)
+                assert not any(neg.row)
+                assert select_negative_candidates(neg, range(boundary, n), t_num, t_den) == want
+                gated += 1
+            # descend to a positive item some view still holds
+            held = sorted(
+                {z for items, _, off, _, _ in pd.views for z in items[off:] if z < boundary}
+            )
+            if not held:
+                break
+            pd = project(pd, rng.choice(held))
+    assert gated > 100 and skipped > 50
+
+
+def test_search_fills_a_negative_node_ungated():
+    """A negative node's prefix utilities can be negative, so its own
+    utility bounds none of its brackets. Here {a, n1} loses 1 in its only
+    period while the row that also holds n2 keeps a bracket of 8, enough
+    for {a, n1, n2} to rank among the best five; a fill of {a, n1} gated
+    on its own utility would skip that row."""
+    a, b, c, n1, n2 = 3, 1, 2, 4, 5
+    profits = {a: 10, b: 1, c: 1, n1: -1, n2: -1}
+    rows = [
+        (0, [(a, 1), (n1, 1), (n2, 1)]),  # {a, n1} 9, {a, n1, n2} 8
+        (0, [(a, 1), (n1, 20)]),          # {a, n1} -10
+        (0, [(b, 1)]),
+        (0, [(c, 1)]),
+        (0, [(b, 1), (c, 1)]),
+        (0, [(b, 10), (n2, 1)]),          # ties n2's TWU with n1's: n1 first
+    ]
+    db = database_from_quantities(profits, rows)
+    order, _, _ = pipeline(db)
+    assert order.position[n1] < order.position[n2]
+    fills = []
+
+    def fill_tail(pd, neg, totals, t_num=0, t_den=1):
+        fills.append((pd.utilities, t_num))
+        fill_negative_subtree(pd, neg, totals, t_num, t_den)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "fill_negative_subtree", fill_tail)
+        mined, _ = mine_top_k(db, 5)
+    assert mined == oracle_top_k(db, 5)
+    assert (a, n1, n2) in [p.items for p in mined]
+    # {a}, a positive node, is filled at the risen cutoff; {a, n1} at zero
+    assert ([20], 2) in fills
+    assert ([-1], 0) in fills
+
+
+def test_gate_tests_each_period_not_the_node_overall():
+    """A positive node worth 7/110 overall, below the cutoff 1/4, is worth
+    6/10 in period 0, where negative 2's bracket of 5/10 reaches the
+    cutoff: only the per-period test keeps it. Period 1 (1/100) is
+    skipped, and negative 3 there goes unlisted."""
+    totals = [10, 100]
+    pd = _projection({0: [([0, 2], [6, -1], 1, 6)], 1: [([1, 3], [2, -1], 0, 1)]})
+    assert pd.utilities == [6, 1]
+    su, lu, neg = _three_arrays(2, 4)
+    fill_subtree_and_local(pd, su, lu, neg, totals, 1, 4)
+    assert _ratios(neg) == {2: Fraction(5, 10)} and neg.touched == [2]
+    assert select_negative_candidates(neg, [2, 3], 1, 4) == [2]
+    _assert_filled(pd.views, su, lu, neg, tails={0})
+    ungated = _three_arrays(2, 4)
+    fill_subtree_and_local(pd, *ungated, totals)
+    assert _live(su, lu, neg)[:2] == _live(*ungated)[:2]
+    assert _ratios(ungated[2]) == {2: Fraction(5, 10), 3: 0}
+
+    neg = BoundArray(4)
+    fill_negative_subtree(pd, neg, totals, 1, 4)
+    assert _ratios(neg) == {2: Fraction(5, 10)}
+    assert select_negative_candidates(neg, [2, 3], 1, 4) == [2]

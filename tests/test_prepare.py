@@ -133,7 +133,7 @@ def fused_rows(rows, merge=True):
     )
     working, merged = build_working_database(parse_database(text), order, merge=merge)
     root = working.root
-    assert root.periods == [0] and root.utility == 0
+    assert root.periods == [0] and root.utilities == [0]
     for items, utils, off, prefix, p in root.views:
         assert type(items) is tuple and type(utils) is tuple
         assert (off, prefix, p) == (0, 0, 0)
@@ -179,7 +179,7 @@ def test_working_database_layout(running_example):
     assert working.period_totals == [39, 85, 69]
     assert working.transaction_count == 8
     root = working.root
-    assert root.periods == [0, 1, 2] and root.utility == 0
+    assert root.periods == [0, 1, 2] and root.utilities == [0, 0, 0]
     # every row: ascending dense indices, negatives (>= boundary) at the
     # tail, at offset 0 with prefix utility 0, periods ascending
     assert [view[4] for view in root.views] == [0, 0, 1, 1, 1, 2, 2, 2]

@@ -22,13 +22,13 @@ def view_periods(pd):
 
 def assert_sparse(pd):
     """The layout contract: 5-tuple views in ascending period order,
-    periods the distinct view periods in that order, and utility the sum
-    of every view's prefix utility."""
+    periods the distinct view periods in that order, and utilities[i] the
+    sum of the prefix utilities of the views in periods[i]."""
     assert all(len(view) == 5 for view in pd.views)
     held = view_periods(pd)
     assert held == sorted(held)
     assert pd.periods == sorted(set(held))
-    assert pd.utility == sum(view[3] for view in pd.views)
+    assert pd.utilities == [sum(v[3] for v in pd.views if v[4] == p) for p in pd.periods]
 
 
 def test_root_projection_covers_every_row(running_example):
@@ -37,7 +37,7 @@ def test_root_projection_covers_every_row(running_example):
     assert root is working.root
     assert_sparse(root)
     assert root.periods == [0, 1, 2]
-    assert root.utility == 0
+    assert root.utilities == [0, 0, 0]
     # one view per transaction (none fuse here), periods ascending, input
     # order within a period, each at offset 0 with prefix utility 0
     rows = []
@@ -61,7 +61,8 @@ def test_root_skips_periods_emptied_by_the_order(running_example):
     assert_walks_match_scans(order, root, 0)
     pd = project(root, order.position[E])
     assert_sparse(pd)
-    assert pd.periods == [1, 2] and pd.utility == 50
+    # e: T1 (period 1) 10; T4, T5, T6 (period 2) 10 + 10 + 20
+    assert pd.periods == [1, 2] and pd.utilities == [10, 40]
 
 
 def test_project_narrows_to_containing_transactions(running_example):
@@ -73,7 +74,8 @@ def test_project_narrows_to_containing_transactions(running_example):
     assert view_periods(pd) == [0, 1, 1, 1, 2]
     # prefix utilities are u(d, T); period-1 views keep input order: T1, T3, T8
     assert [v[3] for v in pd.views if v[4] == 1] == [12, 30, 24]
-    assert pd.utility == 138
+    assert pd.utilities == [36, 66, 36]
+    assert sum(pd.utilities) == 138
     for items, utils, off, prefix, p in pd.views:
         assert items[off - 1] == order.position[D]
 
@@ -84,7 +86,7 @@ def test_project_missing_item_leaves_nothing(running_example):
     sub = project(pd, order.position[B])  # {e, b}: T1, T5, T6
     assert_sparse(sub)
     none = project(sub, order.position[B])  # already consumed
-    assert none.periods == [] and none.views == [] and none.utility == 0
+    assert none.periods == [] and none.views == [] and none.utilities == []
 
 
 def test_projection_chain_matches_definitions(corpus):
@@ -103,7 +105,8 @@ def test_projection_chain_matches_definitions(corpus):
             external = tuple(sorted(order.sequence[z] for z in chain))
             prd = sorted(itemset_periods(db, external))
             assert [labels[p] for p in pd.periods] == prd
-            assert pd.utility == itemset_utility(db, external)
+            assert sum(pd.utilities) == itemset_utility(db, external)
+            assert pd.utilities == [itemset_utility(db, external, period=h) for h in prd]
 
 
 def picks_to_walk(order, root, rng):
