@@ -53,6 +53,25 @@ same cutoff. A negative node is exempt: its prefix utilities can be
 negative, so u_p(X) can sit below a single view's positive bracket. Its
 fills take no cutoff, and t_num zero never skips.
 
+A fill of a positive node X = P + {z} also takes z's TWU row from
+prepare.compute_period_twu, keyed by dense period, and skips whole every
+period p where TWU_p({z}) is below the cutoff times p's total: no positive
+walk, no tails, no fold. Every view of X holds z, and every bracket a view
+adds (prefix + u + positive remaining for su, prefix + positive remaining
+for lu, a clipped negative bracket for neg) is at most that view's PTU; a
+fused or trimmed row only lowers it. So every sum a candidate y gets in
+p, su_p(y) <= lu_p(y) for a positive y and the clipped sum for a negative
+one, is at most TWU_p(X) <= TWU_p({z}), and nothing can pass in a skipped
+period. The subtree and negative tests read the fill's cutoff or a higher
+one, since the threshold only rises. The local test may read zero (the
+local rule off), where secondary means "occurred": an item that sells
+only in skipped periods then drops out of the node's alphabet, but it can
+never be primary anywhere below X, because every descendant's brackets in
+those periods are bounded by the same TWU_p({z}). So the nodes searched,
+the patterns and every counter stay the same. The row is read, never
+copied: the search holds the table anyway. The root has no last item and
+takes no row.
+
 Each fill takes a new stamp, and seen[z] holds the stamp of the last fill
 item z occurred in. So nothing is reset between fills: the ratio of an item
 whose stamp is old is stale, and the selectors never read it. They test a
@@ -149,7 +168,14 @@ def _fold_positives(su: BoundArray, lu: BoundArray, written: list[int], total: i
 
 
 def fill_subtree_and_local(
-    pd, su: BoundArray, lu: BoundArray, neg: BoundArray, totals, t_num: int = 0, t_den: int = 1
+    pd,
+    su: BoundArray,
+    lu: BoundArray,
+    neg: BoundArray,
+    totals,
+    t_num: int = 0,
+    t_den: int = 1,
+    caps=None,
 ) -> None:
     """One backward walk per view of projection pd fills all three bound
     arrays, folding each period into the best ratios against its entry of
@@ -163,12 +189,15 @@ def fill_subtree_and_local(
     local bracket, which does not depend on position, and a short second
     walk adds it for every positive entry.
 
-    In a period whose own utility u_p(pd) is below t_num/t_den times its
-    total, the walk skips the negative tails: it bisects for the last
-    positive entry (positives are the dense items below su's width) and
-    lists and folds nothing into neg for that period. Sound only for the
-    root or a positive node, whose prefix utilities are all at least zero
-    (see the module docstring); t_num zero never skips.
+    Two gates at the cutoff t_num/t_den, sound only for the root or a
+    positive node (see the module docstring); t_num zero never skips. A
+    positive node X = P + {z} passes caps, z's TWU row by dense period: in
+    a period whose cap caps[p] is below the cutoff times its total, the
+    walk skips the period whole, listing and folding nothing. In a period
+    whose own utility u_p(pd) is below it, the walk skips the negative
+    tails: it bisects for the last positive entry (positives are the dense
+    items below su's width) and lists and folds nothing into neg for that
+    period. The root passes no caps.
     """
     su.start()
     neg.start()
@@ -178,7 +207,10 @@ def fill_subtree_and_local(
     boundary = len(su_row)
     for (p, views), u_p in zip(groupby(pd.views, _period), pd.utilities):
         total = totals[p]
-        tails = not t_num or u_p * t_den >= t_num * total
+        cut = t_num * total
+        if caps is not None and caps[p] * t_den < cut:
+            continue
+        tails = not t_num or u_p * t_den >= cut
         written = []
         neg_written = []
         for items, utils, off, prefix, _ in views:

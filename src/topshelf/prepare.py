@@ -1,8 +1,12 @@
 """Preprocessing: per-period TWU, the initial threshold, the item order,
 and the working database the search runs on.
 
-One walk over the transactions gives every item its per-period TWU row and
-its utility; the threshold seed and the root TWU test read those. The
+Every step from here on names a period by its dense index: dense period p
+is the p-th smallest period label, and totals[p] is its frozen total pto
+(dense_periods). One walk over the transactions gives every item its
+per-period TWU row, keyed by dense period, and its utility; the threshold
+seed and the root TWU test read those, and the search reads an item's row
+as the per-period cap on every node the item ends (see bounds.py). The
 mining order puts every positive-profit item before every negative one,
 each group sorted by ascending total TWU with ties broken by external id.
 Dense indices are positions in that order, so the sign of an item is just a
@@ -23,45 +27,56 @@ from .domain import positive_transaction_utility, ratio_rank
 from .projection import ProjectedDatabase
 
 
-def compute_period_twu(db: OnShelfDatabase) -> tuple[dict[int, dict[int, int]], dict[int, int]]:
+def dense_periods(db: OnShelfDatabase) -> tuple[dict[int, int], list[int]]:
+    """(index, totals): index maps each period label to its dense period p,
+    in ascending label order, so tuple(index) lists the labels by dense
+    period; totals[p] is the pto of dense period p. The walks that key by
+    dense period read one index, and so share its int objects."""
+    labels = sorted(db.periods)
+    return {h: p for p, h in enumerate(labels)}, [db.period_totals[h] for h in labels]
+
+
+def compute_period_twu(
+    db: OnShelfDatabase, index: dict[int, int]
+) -> tuple[dict[int, dict[int, int]], dict[int, int]]:
     """One walk over the transactions: (twu_table, utility).
 
-    twu_table[i][h] is TWU(i, h), the sum of PTU(T) over transactions in
-    period h containing i, with entries only for periods where the item
-    actually occurs: a row's keys are the item's periods pi({i}), and
-    presence in the table doubles as an occurrence flag. utility[i] is
-    u({i}) over the whole database.
+    twu_table[i][p] is TWU(i, p), the sum of PTU(T) over transactions in
+    dense period p (index[h] for label h) containing i, with entries only
+    for periods where the item actually occurs: a row's keys are the
+    item's periods pi({i}), and presence in the table doubles as an
+    occurrence flag. utility[i] is u({i}) over the whole database.
     """
     table: dict[int, dict[int, int]] = {}
     utility: dict[int, int] = {}
     for t in db.transactions:
         ptu = positive_transaction_utility(t)
-        h = t.period
+        p = index[t.period]
         for item, u in zip(t.items, t.utilities):
             row = table.setdefault(item, {})
-            row[h] = row.get(h, 0) + ptu
+            row[p] = row.get(p, 0) + ptu
             utility[item] = utility.get(item, 0) + u
     return table, utility
 
 
 def singleton_threshold(
-    db: OnShelfDatabase, twu_table: dict[int, dict[int, int]], utility: dict[int, int], k: int
+    totals: list[int], twu_table: dict[int, dict[int, int]], utility: dict[int, int], k: int
 ) -> Fraction:
     """Initial threshold: the k-th highest single-item relative utility,
     provided at least k of those values are non-negative; otherwise 0.
 
-    twu_table and utility are compute_period_twu's walk; an item's periods
-    are the keys of its TWU row. Never negative, so the search never emits
-    a negative-ratio pattern. The non-negative ratios are ranked by
-    ratio_rank, scaled by the square of the summed period totals, which
-    bounds every item's total.
+    totals are the dense period totals; twu_table and utility are
+    compute_period_twu's walk, and an item's periods are the keys of its
+    TWU row. Never negative, so the search never emits a negative-ratio
+    pattern. The non-negative ratios are ranked by ratio_rank, scaled by
+    the square of the summed period totals, which bounds every item's
+    total.
     """
-    totals = db.period_totals
-    bound = sum(totals.values())
+    bound = sum(totals)
     scale = bound * bound
 
     def period_total(item: int) -> int:
-        return sum(totals[h] for h in twu_table[item])
+        return sum(totals[p] for p in twu_table[item])
 
     rank = {i: ratio_rank(u, period_total(i), scale) for i, u in utility.items() if u >= 0}
     if len(rank) < k:
@@ -103,12 +118,14 @@ def build_item_order(
 
 def initial_secondary(
     db: OnShelfDatabase,
+    totals: list[int],
     twu_table: dict[int, dict[int, int]],
     t_num: int,
     t_den: int,
 ) -> set[int]:
     """Positive items worth keeping at the root: occur somewhere and have at
-    least one period where TWU(i, h) / pto(h) reaches the threshold."""
+    least one dense period p where TWU(i, p) / totals[p] reaches the
+    threshold."""
     keep = set()
     for item, sign in db.item_signs.items():
         if sign < 0:
@@ -116,8 +133,8 @@ def initial_secondary(
         row = twu_table.get(item)
         if not row:
             continue
-        for h, twu in row.items():
-            if twu * t_den >= t_num * db.period_totals[h]:
+        for p, twu in row.items():
+            if twu * t_den >= t_num * totals[p]:
                 keep.add(item)
                 break
     return keep
@@ -163,6 +180,8 @@ class WorkingDatabase:
 def build_working_database(
     db: OnShelfDatabase,
     order: ItemOrder,
+    index: dict[int, int],
+    totals: list[int],
     merge: bool = True,
 ) -> tuple[WorkingDatabase, int]:
     """Project the database onto the retained items and lay it out as the
@@ -174,11 +193,10 @@ def build_working_database(
     keeps its position and the utilities add element-wise. A period whose
     rows all lost every item holds no view and is left out of the root's
     periods. Returns the working database and the number of rows fused
-    away. Period totals are copied from the original database untouched.
+    away. index and totals are dense_periods' layout; the totals are the
+    original database's, untouched by the trimming.
     """
-    labels = tuple(sorted(db.periods))
-    label_index = {h: d for d, h in enumerate(labels)}
-    blocks: list[dict] = [{} for _ in labels]
+    blocks: list[dict] = [{} for _ in totals]
     position = order.position
     merged = 0
     for t in db.transactions:
@@ -188,7 +206,7 @@ def build_working_database(
         if not entries:
             continue
         items, utils = zip(*entries)
-        p = label_index[t.period]
+        p = index[t.period]
         block = blocks[p]
         key = items if merge else len(block)  # unmerged, every row is a new key
         kept = block.get(key)
@@ -204,8 +222,8 @@ def build_working_database(
         utilities=[0] * len(periods),
     )
     working = WorkingDatabase(
-        period_labels=labels,
-        period_totals=[db.period_totals[h] for h in labels],
+        period_labels=tuple(index),
+        period_totals=totals,
         root=root,
         order=order,
     )

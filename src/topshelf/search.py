@@ -39,6 +39,7 @@ from .prepare import (
     build_item_order,
     build_working_database,
     compute_period_twu,
+    dense_periods,
     initial_secondary,
     negative_keep,
     singleton_threshold,
@@ -177,9 +178,11 @@ class _Miner:
     """Search state plus the search loop. su and lu hold the best subtree
     and local ratios of positive candidates, neg the best clipped subtree
     ratios of negative ones; every node reuses these three arrays, each one
-    row as wide as its items (see bounds.py)."""
+    row as wide as its items (see bounds.py). twu is compute_period_twu's
+    table: the row of an item, keyed by dense period, caps every positive
+    node the item ends."""
 
-    def __init__(self, working, collector, *, su_prune, lu_prune):
+    def __init__(self, working, collector, twu, *, su_prune, lu_prune):
         self.collector = collector
         self.su_prune = su_prune
         self.lu_prune = lu_prune
@@ -189,6 +192,7 @@ class _Miner:
         self.neg = BoundArray(len(working.order))
         self.period_totals = working.period_totals
         self.ext_id = working.order.sequence
+        self.twu = twu
 
     def _cutoffs(self) -> tuple[int, int, int]:
         """The subtree and local threshold numerators, and the threshold
@@ -221,11 +225,14 @@ class _Miner:
         secondary items remain; a negative child with later picks fills neg
         alone. The root and positive children fill at the subtree cutoff,
         which skips the negative tails of the periods where the node's own
-        utility falls below it; a negative child fills at cutoff zero (see
-        bounds.py). The negatives a child picks go on the stack, walked, above a
-        deferred frame (picks None) that selects its positive children from
-        su and lu once the negative subtree is done, against the threshold
-        of that moment, and then walks its views for them. Negative nodes
+        utility falls below it. A positive child P + {z} also hands the
+        fill z's TWU row, so it skips whole the periods where z's TWU falls
+        below the cutoff: no extension of the child can reach it there. A
+        negative child fills at cutoff zero (see bounds.py). The negatives
+        a child picks go on the stack, walked, above a deferred frame
+        (picks None) that selects its positive children from su and lu
+        once the negative subtree is done, against the threshold of that
+        moment, and then walks its views for them. Negative nodes
         write only neg, so su and lu still hold the positive child's fill
         when the deferred selection runs.
         """
@@ -233,6 +240,7 @@ class _Miner:
         collector = self.collector
         period_totals = self.period_totals
         ext_id = self.ext_id
+        twu = self.twu
         su_num, _, t_den = self._cutoffs()
         fill_subtree_and_local(root, su, lu, neg, period_totals, su_num, t_den)
         primary, secondary = select_primary_secondary(
@@ -254,7 +262,8 @@ class _Miner:
             rows[i] = None
             frame[4] = i = i + 1
 
-            ext = prefix + (ext_id[z],)
+            item = ext_id[z]
+            ext = prefix + (item,)
             occupied = child.periods
             utility = sum(child.utilities)
             period_total = sum(period_totals[p] for p in occupied)
@@ -272,7 +281,7 @@ class _Miner:
             # own utility bounds none of its brackets: it fills ungated
             gate = 0 if later is None else su_num
             if candidates:
-                fill_subtree_and_local(child, su, lu, neg, period_totals, gate, t_den)
+                fill_subtree_and_local(child, su, lu, neg, period_totals, gate, t_den, twu[item])
                 stack.append([child, ext, None, candidates, 0, None])
             else:
                 fill_negative_subtree(child, neg, period_totals, gate, t_den)
@@ -300,20 +309,19 @@ def mine_top_k(
 
     start = perf_counter()
     stats = SearchStats(k=k)
-    twu, utility = compute_period_twu(db)
-    collector = TopKCollector(
-        k, singleton_threshold(db, twu, utility, k), sum(db.period_totals.values())
-    )
+    index, totals = dense_periods(db)
+    twu, utility = compute_period_twu(db, index)
+    collector = TopKCollector(k, singleton_threshold(totals, twu, utility, k), sum(totals))
 
     # With the local rule off, threshold zero keeps every positive item
     # that occurs: a TWU is never negative.
     t_num, t_den = collector.threshold if lu_prune else (0, 1)
-    secondary0 = initial_secondary(db, twu, t_num, t_den)
+    secondary0 = initial_secondary(db, totals, twu, t_num, t_den)
     kept_negative = negative_keep(db, secondary0)
     order = build_item_order(twu, secondary0, kept_negative)
-    working, stats.merges = build_working_database(db, order)
+    working, stats.merges = build_working_database(db, order, index, totals)
 
-    miner = _Miner(working, collector, su_prune=su_prune, lu_prune=lu_prune)
+    miner = _Miner(working, collector, twu, su_prune=su_prune, lu_prune=lu_prune)
     miner.search(working.root, stats)
 
     patterns = collector.result(working.period_labels)

@@ -8,17 +8,23 @@ import pytest
 from topshelf import parse_database
 from topshelf.errors import InfeasibleParams
 from topshelf.generator import GeneratorParams, generate
-from topshelf.prepare import build_item_order, build_working_database, compute_period_twu
+from topshelf.prepare import (
+    build_item_order,
+    build_working_database,
+    compute_period_twu,
+    dense_periods,
+)
 
 
 def pipeline(db, merge=True, drop=()):
     """Order over every item but those in drop, the working database, and
     its root projection."""
-    table, _ = compute_period_twu(db)
+    index, totals = dense_periods(db)
+    table, _ = compute_period_twu(db, index)
     positives = {i for i, s in db.item_signs.items() if s > 0 and i not in drop}
     negatives = {i for i, s in db.item_signs.items() if s < 0 and i not in drop}
     order = build_item_order(table, positives, negatives)
-    working, _ = build_working_database(db, order, merge=merge)
+    working, _ = build_working_database(db, order, index, totals, merge=merge)
     return order, working, working.root
 
 # Five items a..e mapped to ids 1..5 with unit profits 5, -3, -2, 3, 10.

@@ -28,7 +28,12 @@ from topshelf.oracle import (
     subtree_bound,
     twu,
 )
-from topshelf.prepare import build_item_order, compute_period_twu, singleton_threshold
+from topshelf.prepare import (
+    build_item_order,
+    compute_period_twu,
+    dense_periods,
+    singleton_threshold,
+)
 from topshelf.search import mine_top_k, stats_json
 
 A, B, C, D, E = 1, 2, 3, 4, 5
@@ -114,7 +119,7 @@ def test_ablations_change_work_not_answers(corpus):
 
 def _full_order(db):
     return build_item_order(
-        compute_period_twu(db)[0],
+        compute_period_twu(db, dense_periods(db)[0])[0],
         {i for i, s in db.item_signs.items() if s > 0},
         {i for i, s in db.item_signs.items() if s < 0},
     )
@@ -232,11 +237,12 @@ def test_singleton_seed_below_true_kth_ratio(corpus):
     checked = 0
     for db in corpus:
         ranked = oracle_top_k(db, 10_000)
-        walk = compute_period_twu(db)
+        index, totals = dense_periods(db)
+        walk = compute_period_twu(db, index)
         for k in (1, 3, 5, 10):
             if len(ranked) < k:
                 continue
-            assert singleton_threshold(db, *walk, k) <= ranked[k - 1].relative_utility
+            assert singleton_threshold(totals, *walk, k) <= ranked[k - 1].relative_utility
             checked += 1
     assert checked > 400
 

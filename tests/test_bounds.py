@@ -27,6 +27,7 @@ from topshelf.oracle import (
     subtree_bound,
     twu,
 )
+from topshelf.prepare import compute_period_twu, dense_periods
 from topshelf.projection import ProjectedDatabase, project
 from topshelf.search import TopKCollector, _Miner, mine_top_k
 
@@ -86,10 +87,19 @@ def test_mixed_sign_chain_requires_clipping(running_example):
     assert subtree_bound(db, (B,), C, 2, position, clip=False) == 24  # < 29
 
 
-def _miner_arrays(working):
-    """The su, lu and neg arrays a run over this working database uses."""
-    collector = TopKCollector(1, Fraction(0), sum(working.period_totals))
-    miner = _Miner(working, collector, su_prune=True, lu_prune=True)
+def _twu(db):
+    """db's TWU table, each row keyed by dense period."""
+    return compute_period_twu(db, dense_periods(db)[0])[0]
+
+
+def _miner(db, working, su_prune=True, lu_prune=True, threshold=Fraction(0)):
+    collector = TopKCollector(1, threshold, sum(working.period_totals))
+    return _Miner(working, collector, _twu(db), su_prune=su_prune, lu_prune=lu_prune)
+
+
+def _miner_arrays(db, working):
+    """The su, lu and neg arrays a run over db's working database uses."""
+    miner = _miner(db, working)
     return miner.su, miner.lu, miner.neg
 
 
@@ -111,14 +121,20 @@ def _best(db, bound):
     return max(Fraction(bound(h), db.period_totals[h]) for h in db.periods)
 
 
-def _assert_filled(views, su, lu, neg, tails=None):
+def _assert_filled(views, su, lu, neg, tails=None, walked=None):
     """After a fill every row cell is zero, and the items that occurred
     are exactly those the views hold, each listed once: positives in su's
-    stamps and touched list, negatives in neg's. The negatives are those
-    of the views in the periods whose tails the fill walked (tails), or in
-    every period where tails is None."""
+    stamps and touched list, negatives in neg's. The positives are those
+    of the views in the periods the fill walked (walked), the negatives
+    those in the periods whose tails it walked (tails); None stands for
+    every period."""
     boundary = len(su.row)
-    held = {items[j] for items, _, off, _, _ in views for j in range(off, len(items))}
+    held = {
+        items[j]
+        for items, _, off, _, p in views
+        if walked is None or p in walked
+        for j in range(off, len(items))
+    }
     negatives = {
         items[j]
         for items, _, off, _, p in views
@@ -152,7 +168,7 @@ def _assert_bounds_match_definitions(db, order, prefix, first, su, lu, neg):
 def test_root_bounds_match_definitions(corpus):
     for db in corpus[:30]:
         order, working, root = pipeline(db, merge=False)
-        su, lu, neg = _miner_arrays(working)
+        su, lu, neg = _miner_arrays(db, working)
         assert len(su.row) == len(lu.row) == order.boundary
         assert len(neg.row) == len(order)  # indexed by dense item
         fill_subtree_and_local(root, su, lu, neg, working.period_totals)
@@ -171,7 +187,7 @@ def test_depth_one_bounds_match_definitions(corpus):
             continue
         z0 = rng.randrange(order.boundary)
         pd = project(root, z0)
-        su, lu, neg = _miner_arrays(working)
+        su, lu, neg = _miner_arrays(db, working)
         fill_subtree_and_local(pd, su, lu, neg, working.period_totals)
         _assert_filled(pd.views, su, lu, neg)
         prefix = (order.sequence[z0],)
@@ -193,7 +209,7 @@ def test_merged_views_tighten_but_never_break_the_bound(corpus, narrow_corpus):
             continue
         z0 = rng.randrange(order.boundary)
         pd = project(root, z0)
-        su, lu, neg = _miner_arrays(working)
+        su, lu, neg = _miner_arrays(db, working)
         fill_subtree_and_local(pd, su, lu, neg, working.period_totals)
         ratios = _ratios(su) | _ratios(neg)
         prefix = (order.sequence[z0],)
@@ -217,7 +233,7 @@ def test_merged_views_tighten_but_never_break_the_bound(corpus, narrow_corpus):
             continue
         for z0 in range(order.boundary):
             pd = project(root, z0)
-            su, lu, neg = _miner_arrays(working)
+            su, lu, neg = _miner_arrays(db, working)
             fill_subtree_and_local(pd, su, lu, neg, working.period_totals)
             ratios = _ratios(su) | _ratios(neg)
             prefix = (order.sequence[z0],)
@@ -254,9 +270,9 @@ def test_negative_tail_fill_matches_definitions(corpus):
             continue
         z0 = rng.randrange(order.boundary)
         pd = project(root, z0)
-        _, _, neg = _miner_arrays(working)
+        _, _, neg = _miner_arrays(db, working)
         fill_negative_subtree(pd, neg, working.period_totals)
-        su, lu, walked = _miner_arrays(working)
+        su, lu, walked = _miner_arrays(db, working)
         fill_subtree_and_local(pd, su, lu, walked, working.period_totals)
         _assert_filled(pd.views, su, lu, walked)
         assert _state(neg) == _state(walked)
@@ -403,10 +419,10 @@ def test_selection_degrades_to_occurrence_when_disabled():
     primary, secondary = select_primary_secondary(su, lu, range(3), su_num=0, lu_num=0, t_den=99)
     assert primary == secondary == [0, 2]
 
-    working = pipeline(parse_database("1 2:5:2 3:0\n2:4:4:1\n"))[1]
-    collector = TopKCollector(1, Fraction(3, 7), sum(working.period_totals))
+    db = parse_database("1 2:5:2 3:0\n2:4:4:1\n")
+    working = pipeline(db)[1]
     for su_prune, lu_prune in itertools.product((True, False), repeat=2):
-        miner = _Miner(working, collector, su_prune=su_prune, lu_prune=lu_prune)
+        miner = _miner(db, working, su_prune, lu_prune, Fraction(3, 7))
         assert miner._cutoffs() == (3 if su_prune else 0, 3 if lu_prune else 0, 7)
 
 
@@ -499,9 +515,10 @@ def test_fills_with_only_negatives():
 
 
 def _many_period_databases(n_periods, transactions, count, seed):
-    """Seeded random databases at oracle size, re-dealt round-robin into
-    n_periods periods; draws whose re-dealt periods are not all profitable
-    are skipped."""
+    """Seeded random databases at oracle size, a quarter or more of their
+    items sold at a loss, dealt into n_periods periods as _dealt deals
+    them, so that loss-making rows stay in; draws that leave some period
+    unprofitable are skipped."""
     rng = random.Random(seed)
     out = []
     draw = 0
@@ -510,15 +527,15 @@ def _many_period_databases(n_periods, transactions, count, seed):
         params = GeneratorParams(
             transactions=rng.randint(*transactions),
             items=rng.randint(4, 10),
-            periods=rng.randint(1, 4),
+            periods=1,
             avg_len=rng.randint(2, 5),
-            neg_frac=(0.0, 0.2, 0.4)[draw % 3],
+            neg_frac=(0.25, 0.3, 0.4)[draw % 3],
             max_qty=rng.randint(1, 5),
             max_profit=rng.randint(1, 10),
             seed=seed * 1000 + draw,
         )
         try:
-            db = reassign_periods(parse_database(generate(params)), n_periods)
+            db = _dealt(params, n_periods)
         except (InfeasibleParams, NonPositivePeriodTotal):
             continue
         out.append(db)
@@ -562,14 +579,14 @@ def test_many_periods_select_as_the_per_period_rule(monkeypatch, n_periods, tran
     """Every selection of whole mining runs keeps exactly the items the
     per-period rule keeps, over sums taken from the bracket definitions in
     every period, and the miner matches the oracle: keeping one best ratio
-    per item decides as the periods x items sums would, and the fills'
-    skipped negative tails change no pick."""
+    per item decides as the periods x items sums would, and the periods
+    and negative tails the fills skip change no pick."""
     databases = _many_period_databases(n_periods, transactions, 6, n_periods)
     sums = {}
     tested = []
 
-    def fill_both(pd, su, lu, neg, totals, t_num=0, t_den=1):
-        fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den)
+    def fill_both(pd, su, lu, neg, totals, t_num=0, t_den=1, caps=None):
+        fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
         sums["su"], sums["lu"], sums["neg"] = _period_sums(pd)
         sums["totals"] = totals
 
@@ -615,11 +632,15 @@ def test_every_row_cell_is_zero_after_each_fill(monkeypatch, n_periods, transact
     each fill lists each item it saw once."""
     databases = _many_period_databases(n_periods, transactions, 6, n_periods)
     fills = []
+    capped = []
 
-    def fill_both(pd, su, lu, neg, totals, t_num=0, t_den=1):
-        fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den)
-        _assert_filled(pd.views, su, lu, neg, _walked_tails(pd, totals, t_num, t_den))
+    def fill_both(pd, su, lu, neg, totals, t_num=0, t_den=1, caps=None):
+        fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
+        walked = _walked(pd, totals, t_num, t_den, caps)
+        tails = _walked_tails(pd, totals, t_num, t_den, caps)
+        _assert_filled(pd.views, su, lu, neg, tails, walked)
         fills.append(len(su.touched))
+        capped.append(len(pd.periods) - len(walked))
 
     def fill_tail(pd, neg, totals, t_num=0, t_den=1):
         fill_negative_subtree(pd, neg, totals, t_num, t_den)
@@ -636,16 +657,28 @@ def test_every_row_cell_is_zero_after_each_fill(monkeypatch, n_periods, transact
         for k in (3, 25):
             mine_top_k(db, k)
     assert len(fills) > 100 and max(fills) > 1
+    assert sum(capped) > 0
 
 
-def _walked_tails(pd, totals, t_num, t_den):
+def _walked(pd, totals, t_num, t_den, caps=None):
+    """The periods a fill at cutoff t_num/t_den walks: those where the cap
+    reaches the cutoff, or every period without caps or at t_num zero."""
+    return {
+        p
+        for p in pd.periods
+        if caps is None or not t_num or caps[p] * t_den >= t_num * totals[p]
+    }
+
+
+def _walked_tails(pd, totals, t_num, t_den, caps=None):
     """The periods whose negative tails a fill at cutoff t_num/t_den walks:
-    those where the node's own utility reaches the cutoff, or every period
-    at t_num zero."""
+    those it walks where the node's own utility reaches the cutoff, or
+    every period at t_num zero."""
+    walked = _walked(pd, totals, t_num, t_den, caps)
     return {
         p
         for p, u in zip(pd.periods, pd.utilities)
-        if not t_num or u * t_den >= t_num * totals[p]
+        if p in walked and (not t_num or u * t_den >= t_num * totals[p])
     }
 
 
@@ -718,8 +751,8 @@ def test_gated_fill_of_a_positive_node_decides_as_the_ungated_one(corpus, n_peri
         order, working, root = pipeline(db)
         totals = working.period_totals
         n, boundary = len(order), order.boundary
-        arrays = _miner_arrays(working)  # reused: each fill leaves stale ratios
-        ungated = _miner_arrays(working)
+        arrays = _miner_arrays(db, working)  # reused: each fill leaves stale ratios
+        ungated = _miner_arrays(db, working)
         pd = root
         for _ in range(4):
             fill_subtree_and_local(pd, *ungated, totals)
@@ -807,3 +840,119 @@ def test_gate_tests_each_period_not_the_node_overall():
     fill_negative_subtree(pd, neg, totals, 1, 4)
     assert _ratios(neg) == {2: Fraction(5, 10)}
     assert select_negative_candidates(neg, [2, 3], 1, 4) == [2]
+
+
+def _cap_cutoffs(rng, pd, totals, caps, ungated):
+    """Cutoffs for a capped fill: up to six ratios that occur at the node
+    (_cutoffs_that_occur), up to four of its cap ratios caps[p] / totals[p]
+    (equality keeps a period), and one above every cap ratio, which skips
+    every period."""
+    cuts = _cutoffs_that_occur(rng, pd, totals, *ungated)
+    ratios = sorted({Fraction(caps[p], totals[p]) for p in pd.periods})
+    cuts += rng.sample(ratios, min(4, len(ratios)))
+    cuts.append(ratios[-1] + Fraction(1, max(totals)))
+    return cuts
+
+
+@pytest.mark.parametrize("n_periods", [1, 30, 365])
+def test_capped_fill_decides_as_the_uncapped_one(corpus, n_periods):
+    """Along random chains of positive items, from the root down, a fill of
+    the node X = P + {z} handed z's TWU row skips whole the periods where
+    that row is below the cutoff, and still selects the same primaries,
+    secondaries and negatives as a fill with no gate at all, leaving every
+    row cell zero. Every bracket of X in period p is at most TWU_p(X) <=
+    TWU_p({z}), so nothing in a skipped period reaches the cutoff. With the
+    local rule off (a zero local cutoff) secondary means "occurred": the
+    capped fill may drop an item that occurs only in skipped periods, but
+    its local ratio is below the cutoff, so it can never be primary below
+    X, and the primaries stay the same."""
+    rng = random.Random(5353 + n_periods)
+    capped = tested = dropped = 0
+    for db in _chain_databases(corpus, n_periods):
+        order, working, root = pipeline(db)
+        twu_table = _twu(db)
+        totals = working.period_totals
+        n, boundary = len(order), order.boundary
+        arrays = _miner_arrays(db, working)  # reused: each fill leaves stale ratios
+        ungated = _miner_arrays(db, working)
+        pd = root
+        for _ in range(4):
+            held = sorted(
+                {z for items, _, off, _, _ in pd.views for z in items[off:] if z < boundary}
+            )
+            if not held:
+                break
+            z = rng.choice(held)
+            pd = project(pd, z)
+            caps = twu_table[order.sequence[z]]
+            fill_subtree_and_local(pd, *ungated, totals)
+            for cut in _cap_cutoffs(rng, pd, totals, caps, ungated):
+                t_num, t_den = cut.numerator, cut.denominator
+                su, lu, neg = arrays
+                fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
+                walked = _walked(pd, totals, t_num, t_den, caps)
+                tails = _walked_tails(pd, totals, t_num, t_den, caps)
+                _assert_filled(pd.views, su, lu, neg, tails, walked)
+                for lu_num in (t_num, 0):
+                    picks = (range(boundary), t_num, lu_num, t_den)
+                    got = select_primary_secondary(su, lu, *picks)
+                    want = select_primary_secondary(*ungated[:2], *picks)
+                    assert got[0] == want[0]
+                    if lu_num:
+                        assert got[1] == want[1]
+                    else:
+                        assert set(got[1]) <= set(want[1])
+                        for y in set(want[1]) - set(got[1]):
+                            assert not _occurred(su, y)
+                            assert Fraction(ungated[1].num[y], ungated[1].den[y]) < cut
+                            dropped += 1
+                want = select_negative_candidates(ungated[2], range(boundary, n), t_num, t_den)
+                assert select_negative_candidates(neg, range(boundary, n), t_num, t_den) == want
+                capped += len(pd.periods) - len(walked)
+                tested += 1
+    assert tested > 100 and capped > 50 and dropped > 0
+
+
+def test_cap_skips_a_period_the_tail_gate_would_walk():
+    """Node {0} in periods 0 and 1 (totals 10 and 100), cutoff 1/4, with
+    item 0's TWU row {0: 9, 1: 5}. In period 1 the node's own utility, 2,
+    is below the cutoff (2/100), so the tail gate alone skips only the
+    negative tails there and still walks the positives; the cap, 5/100,
+    skips the period whole. Item 2 sells only in period 1: the capped fill
+    never lists it, yet every selection equals the ungated one."""
+    totals = [10, 100]
+    caps = {0: 9, 1: 5}
+    pd = _projection({
+        0: [([0, 1, 3], [6, 3, -1], 1, 6)],
+        1: [([0, 1, 2], [1, 1, 1], 1, 1), ([0, 2, 3], [1, 1, -1], 1, 1)],
+    })
+    assert pd.utilities == [6, 2]
+    t_num, t_den = 1, 4
+
+    gated = _three_arrays(3, 4)
+    fill_subtree_and_local(pd, *gated, totals, t_num, t_den)
+    assert sorted(gated[0].touched) == [1, 2] and gated[2].touched == [3]
+    _assert_filled(pd.views, *gated, tails={0})
+
+    su, lu, neg = _three_arrays(3, 4)
+    fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
+    assert su.touched == [1] and not _occurred(su, 2)
+    assert _ratios(su) == _ratios(lu, su) == {1: Fraction(9, 10)}
+    assert _ratios(neg) == {3: Fraction(5, 10)}
+    _assert_filled(pd.views, su, lu, neg, tails={0}, walked={0})
+
+    ungated = _three_arrays(3, 4)
+    fill_subtree_and_local(pd, *ungated, totals)
+    assert _ratios(ungated[0]) == {1: Fraction(9, 10), 2: Fraction(4, 100)}
+    for lu_num in (t_num, 0):
+        picks = ([1, 2], t_num, lu_num, t_den)
+        assert select_primary_secondary(su, lu, *picks)[0] == [1]
+        assert select_primary_secondary(*ungated[:2], *picks)[0] == [1]
+    picks = ([1, 2], t_num, t_num, t_den)
+    want = select_primary_secondary(*ungated[:2], *picks)
+    assert select_primary_secondary(su, lu, *picks) == want
+    for negatives in (neg, gated[2], ungated[2]):
+        assert select_negative_candidates(negatives, [3], t_num, t_den) == [3]
+    # at cutoff zero the cap skips nothing
+    fill_subtree_and_local(pd, su, lu, neg, totals, 0, t_den, caps)
+    assert _live(su, lu, neg) == _live(*ungated)

@@ -9,6 +9,7 @@ from topshelf.prepare import (
     build_item_order,
     build_working_database,
     compute_period_twu,
+    dense_periods,
     initial_secondary,
     negative_keep,
     singleton_threshold,
@@ -17,8 +18,15 @@ from topshelf.prepare import (
 A, B, C, D, E = 1, 2, 3, 4, 5
 
 
+def walk(db):
+    """compute_period_twu over db's dense periods."""
+    return compute_period_twu(db, dense_periods(db)[0])
+
+
 def test_period_twu_worked_example(running_example):
-    table, utility = compute_period_twu(running_example)
+    # the labels 0, 1, 2 are their own dense periods
+    assert dense_periods(running_example) == ({0: 0, 1: 1, 2: 2}, [39, 85, 69])
+    table, utility = walk(running_example)
     assert table[A] == {0: 10, 1: 72, 2: 15}
     assert table[B][0] == 36
     assert table[C][2] == 66
@@ -29,13 +37,23 @@ def test_period_twu_worked_example(running_example):
 
 
 def test_one_walk_matches_the_oracle(running_example, corpus):
-    """Per item: the TWU row is TWU(i, h) per period, its keys are the
-    item's periods, and the utility is u({i})."""
-    for db in [running_example, *corpus[:40]]:
-        table, utility = compute_period_twu(db)
+    """Per item: the TWU row is TWU(i, h) per period, keyed by dense
+    period; mapped through the labels, its keys are the item's periods,
+    and the utility is u({i})."""
+    # labels out of input order and with gaps: dense period p is labels[p]
+    gapped = parse_database("1 2:7:3 4:17\n2:5:5:3\n1 3:9:4 5:40\n3:2:2:17\n")
+    assert dense_periods(gapped) == ({3: 0, 17: 1, 40: 2}, [5, 9, 9])
+    assert walk(gapped)[0] == {1: {1: 7, 2: 9}, 2: {0: 5, 1: 7}, 3: {1: 2, 2: 9}}
+    order = build_item_order(walk(gapped)[0], {1, 2, 3}, set())
+    working, _ = build_working_database(gapped, order, *dense_periods(gapped))
+    assert working.period_labels == (3, 17, 40) and working.period_totals == [5, 9, 9]
+    for db in [gapped, running_example, *corpus[:40]]:
+        index, _ = dense_periods(db)
+        period_labels = tuple(index)
+        table, utility = compute_period_twu(db, index)
         assert set(table) == set(utility) == set(db.item_signs)
         for i in db.item_signs:
-            row = table[i]
+            row = {period_labels[p]: value for p, value in table[i].items()}
             assert set(row) == itemset_periods(db, (i,))
             for h in db.periods:
                 assert row.get(h, 0) == twu(db, (i,), period=h)
@@ -44,13 +62,14 @@ def test_one_walk_matches_the_oracle(running_example, corpus):
 
 def test_singleton_threshold_uses_kth_nonnegative_ratio(running_example):
     db = running_example
-    walk = compute_period_twu(db)
+    totals = dense_periods(db)[1]
+    table, utility = walk(db)
     # single-item ratios: d=138/193, e=50/154, a=35/193; b and c are negative
-    assert singleton_threshold(db, *walk, 1) == Fraction(138, 193)
-    assert singleton_threshold(db, *walk, 2) == Fraction(50, 154)
-    assert singleton_threshold(db, *walk, 3) == Fraction(35, 193)
-    assert singleton_threshold(db, *walk, 4) == 0
-    assert singleton_threshold(db, *walk, 100) == 0
+    assert singleton_threshold(totals, table, utility, 1) == Fraction(138, 193)
+    assert singleton_threshold(totals, table, utility, 2) == Fraction(50, 154)
+    assert singleton_threshold(totals, table, utility, 3) == Fraction(35, 193)
+    assert singleton_threshold(totals, table, utility, 4) == 0
+    assert singleton_threshold(totals, table, utility, 100) == 0
 
 
 def fraction_singleton_threshold(db, k):
@@ -74,15 +93,16 @@ def test_singleton_threshold_ranks_as_fractions(corpus):
         ],
     )
     for db in [huge, *corpus[:40]]:
-        walk = compute_period_twu(db)
+        index, totals = dense_periods(db)
+        table, utility = compute_period_twu(db, index)
         for k in range(1, len(db.item_signs) + 2):
-            got = singleton_threshold(db, *walk, k)
+            got = singleton_threshold(totals, table, utility, k)
             assert type(got) is Fraction
             assert got == fraction_singleton_threshold(db, k)
 
 
 def test_item_order_puts_positives_first_by_rising_twu(running_example):
-    table, _ = compute_period_twu(running_example)
+    table, _ = walk(running_example)
     order = build_item_order(table, {A, D, E}, {B, C})
     # positives by total TWU: a(97) < e(108) < d(178); negatives: c(126) < b(153)
     assert order.sequence == (A, E, D, C, B)
@@ -93,21 +113,22 @@ def test_item_order_puts_positives_first_by_rising_twu(running_example):
 
 def test_item_order_breaks_twu_ties_by_id():
     db = parse_database("1 2:10:5 5:0\n")
-    table, _ = compute_period_twu(db)
+    table, _ = walk(db)
     order = build_item_order(table, {1, 2}, set())
     assert order.sequence == (1, 2)
 
 
 def test_initial_secondary_keeps_items_clearing_some_period(running_example):
     db = running_example
-    table, utility = compute_period_twu(db)
-    t = singleton_threshold(db, table, utility, 2)  # 25/77
-    keep = initial_secondary(db, table, t.numerator, t.denominator)
+    totals = dense_periods(db)[1]
+    table, utility = walk(db)
+    t = singleton_threshold(totals, table, utility, 2)  # 25/77
+    keep = initial_secondary(db, totals, table, t.numerator, t.denominator)
     assert keep == {A, D, E}  # negative items never enter the root secondary
     # an impossible threshold empties it
-    assert initial_secondary(db, table, 2, 1) == set()
+    assert initial_secondary(db, totals, table, 2, 1) == set()
     # zero threshold keeps every occurring positive item
-    assert initial_secondary(db, table, 0, 1) == {A, D, E}
+    assert initial_secondary(db, totals, table, 0, 1) == {A, D, E}
 
 
 def test_negative_keep_requires_cooccurrence(running_example):
@@ -131,7 +152,8 @@ def fused_rows(rows, merge=True):
     order = ItemOrder(
         sequence=tuple(range(1, n + 1)), position={d + 1: d for d in range(n)}, boundary=n
     )
-    working, merged = build_working_database(parse_database(text), order, merge=merge)
+    db = parse_database(text)
+    working, merged = build_working_database(db, order, *dense_periods(db), merge=merge)
     root = working.root
     assert root.periods == [0] and root.utilities == [0]
     for items, utils, off, prefix, p in root.views:
@@ -171,9 +193,9 @@ def test_working_database_leaves_distinct_rows_alone():
 
 def test_working_database_layout(running_example):
     db = running_example
-    table, _ = compute_period_twu(db)
+    table, _ = walk(db)
     order = build_item_order(table, {A, D, E}, {B, C})
-    working, merged = build_working_database(db, order)
+    working, merged = build_working_database(db, order, *dense_periods(db))
     assert merged == 0  # no two transactions share an item set here
     assert working.period_labels == (0, 1, 2)
     assert working.period_totals == [39, 85, 69]
@@ -198,23 +220,23 @@ def test_working_database_layout(running_example):
 def test_working_database_merges_identical_rows():
     text = "1 2:7:3 4:0\n1 2:14:6 8:0\n1 2:7:3 4:1\n"
     db = parse_database(text)
-    table, _ = compute_period_twu(db)
+    table, _ = walk(db)
     order = build_item_order(table, {1, 2}, set())
-    working, merged = build_working_database(db, order)
+    working, merged = build_working_database(db, order, *dense_periods(db))
     assert merged == 1
     # only rows of the same period fuse
     assert working.root.views == [((0, 1), (9, 12), 0, 0, 0), ((0, 1), (3, 4), 0, 0, 1)]
     assert working.root.periods == [0, 1]
-    unmerged, count = build_working_database(db, order, merge=False)
+    unmerged, count = build_working_database(db, order, *dense_periods(db), merge=False)
     assert count == 0
     assert unmerged.transaction_count == 3
 
 
 def test_working_database_drops_unordered_items(running_example):
     db = running_example
-    table, _ = compute_period_twu(db)
+    table, _ = walk(db)
     order = build_item_order(table, {D}, set())
-    working, _ = build_working_database(db, order, merge=False)
+    working, _ = build_working_database(db, order, *dense_periods(db), merge=False)
     # only item d survives; T4 and T6 (no d) disappear entirely
     assert working.transaction_count == 5
     for items, utils, _, _, _ in working.root.views:

@@ -9,7 +9,11 @@ from fractions import Fraction
 import pytest
 
 from topshelf import search
-from topshelf.bounds import select_negative_candidates, select_primary_secondary
+from topshelf.bounds import (
+    fill_subtree_and_local,
+    select_negative_candidates,
+    select_primary_secondary,
+)
 from topshelf.dataset import database_from_quantities, parse_database
 from topshelf.domain import Pattern, ratio_rank
 from topshelf.errors import InvalidK, TooManyItems
@@ -17,6 +21,7 @@ from topshelf.generator import GeneratorParams, generate
 from topshelf.oracle import enumerate_patterns, oracle_top_k, relative_utility
 from topshelf.prepare import (
     compute_period_twu,
+    dense_periods,
     initial_secondary,
     negative_keep,
     singleton_threshold,
@@ -493,14 +498,67 @@ def test_search_counters_are_pinned(params, k, counters):
     assert got == counters
 
 
+def _count_capped_periods(monkeypatch, skipped, capped=True):
+    """Route the search's fill through a wrapper that appends, per fill
+    handed a TWU row, the number of periods that row skips. capped=False
+    drops the row before filling: the search as it was without the cap."""
+
+    def fill(pd, su, lu, neg, totals, t_num=0, t_den=1, caps=None):
+        if caps is not None:
+            skipped.append(sum(caps[p] * t_den < t_num * totals[p] for p in pd.periods))
+        fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps if capped else None)
+
+    monkeypatch.setattr(search, "fill_subtree_and_local", fill)
+
+
+def test_pinned_counters_cover_a_capped_search(monkeypatch):
+    """On the 365-period pinned database the cap skips periods of positive
+    nodes, so the pinned counters hold with the cap acting."""
+    params, k, counters = PINNED_COUNTERS[-1]
+    assert params["periods"] == 365
+    skipped = []
+    _count_capped_periods(monkeypatch, skipped)
+    _, stats = mine_top_k(parse_database(generate(GeneratorParams(**params))), k)
+    assert (stats.candidates, stats.threshold_rises, stats.max_depth) == counters
+    assert sum(skipped) > 0
+
+
+def test_local_rule_off_matches_the_uncapped_search(monkeypatch):
+    """With the local rule off, secondary means "occurred", and a capped
+    fill drops the items that occur only in skipped periods. None of them
+    can be primary anywhere below, so the patterns and every counter equal
+    those of the search without the cap, and the recorded stats of the
+    search before the cap existed."""
+    params, k, _ = PINNED_COUNTERS[-1]
+    db = parse_database(generate(GeneratorParams(**params)))
+    runs = []
+    for capped in (True, False):
+        skipped = []
+        with monkeypatch.context() as patched:
+            _count_capped_periods(patched, skipped, capped)
+            mined, stats = mine_top_k(db, k, lu_prune=False)
+        payload = stats_json(stats)
+        del payload["elapsed_ms"]
+        runs.append((mined, payload, sum(skipped)))
+    (mined, payload, skipped), (unmined, unpayload, _) = runs
+    assert skipped > 0
+    assert mined == unmined and payload == unpayload
+    assert payload == {
+        "k": 100, "patterns": 100, "interutil_num": 64, "interutil_den": 27,
+        "candidates": 1181, "merges": 0, "max_depth": 7, "threshold_rises": 445,
+    }
+    assert mined == mine_top_k(db, k)[0]
+
+
 def predicted_merges(db, k):
     """The rows mine_top_k(db, k) fuses away, counted without it: a row is
     fused when an earlier row of its period keeps the same items once the
     items outside the mining order are dropped. The order's items come
     from the same preparation steps the miner takes."""
-    table, utility = compute_period_twu(db)
-    threshold = singleton_threshold(db, table, utility, k)
-    positives = initial_secondary(db, table, threshold.numerator, threshold.denominator)
+    index, totals = dense_periods(db)
+    table, utility = compute_period_twu(db, index)
+    threshold = singleton_threshold(totals, table, utility, k)
+    positives = initial_secondary(db, totals, table, threshold.numerator, threshold.denominator)
     retained = positives | negative_keep(db, positives)
     seen = set()
     fused = 0
