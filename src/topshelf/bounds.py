@@ -36,10 +36,16 @@ every row cell is zero between fills. The fill lists a cell as it first goes
 from zero to non-zero; a negative whose bracket clips to zero is listed too,
 so that its occurrence is recorded. lu is written at exactly the items su
 is, so both fold from one list in one pass, and su's stamps tell for both.
-fill_subtree_and_local fills all three in one walk of a node's projection;
-fill_negative_subtree fills neg alone. Keeping the negatives apart lets a
-positive node search its negative extensions, which reuse neg, between its
-one fill and its positive selection.
+
+Every node, the root, a positive node or a negative one, is filled the same
+way: fill_subtree_and_local fills all three arrays in one walk of its
+projection. The fill starts neg; its caller starts su, since only the
+caller knows whether a later selection will read su and lu. A negative
+node's views hold only negatives (they sort last), so its fill writes no
+su or lu cell and, with su left unstarted, su and lu read as the last
+positive fill left them. That lets a positive node search its negative
+extensions, which reuse neg, between its one fill and its positive
+selection.
 
 A fill of the root or of a positive node X also takes the cutoff
 t_num/t_den that the negative selection will test, and walks no negative
@@ -50,13 +56,13 @@ its view's prefix, and n's bound in p, a sum over some of p's views, is at
 most u_p(X): no negative can pass in p. A skipped period lists none of its
 negatives, so one that sells only there reads as absent, which fails the
 same cutoff. A negative node is exempt: its prefix utilities can be
-negative, so u_p(X) can sit below a single view's positive bracket. Its
-fills take no cutoff, and t_num zero never skips.
+negative, so u_p(X) can sit below a single view's positive bracket. It is
+filled at cutoff zero, and t_num zero never skips.
 
-A fill of a positive node X = P + {z} also takes z's TWU row from
-prepare.compute_period_twu, keyed by dense period, and skips whole every
-period p where TWU_p({z}) is below the cutoff times p's total: no positive
-walk, no tails, no fold. Every view of X holds z, and every bracket a view
+A fill of every positive node X = P + {z}, whether or not X has positive
+children to select, also takes z's TWU row from prepare.compute_period_twu,
+keyed by dense period, and skips whole every period p where TWU_p({z}) is
+below the cutoff times p's total: no positive walk, no tails, no fold. Every view of X holds z, and every bracket a view
 adds (prefix + u + positive remaining for su, prefix + positive remaining
 for lu, a clipped negative bracket for neg) is at most that view's PTU; a
 fused or trimmed row only lowers it. So every sum a candidate y gets in
@@ -69,14 +75,16 @@ only in skipped periods then drops out of the node's alphabet, but it can
 never be primary anywhere below X, because every descendant's brackets in
 those periods are bounded by the same TWU_p({z}). So the nodes searched,
 the patterns and every counter stay the same. The row is read, never
-copied: the search holds the table anyway. The root has no last item and
-takes no row.
+copied: the search holds the table anyway. The root has no last item, and
+a negative node's cutoff of zero would skip nothing, so neither takes a
+row.
 
-Each fill takes a new stamp, and seen[z] holds the stamp of the last fill
-item z occurred in. So nothing is reset between fills: the ratio of an item
-whose stamp is old is stale, and the selectors never read it. They test a
-candidate that occurred once, num * t_den >= t_num * den, against the
-threshold t_num/t_den. A pruning rule that is switched off passes t_num = 0,
+Each fill takes a new stamp in neg, each start of su a new stamp in su,
+and seen[z] holds the stamp of the last fill item z occurred in. So
+nothing is reset between fills: the ratio of an item whose stamp is old is
+stale, and the selectors never read it. They test a candidate that
+occurred once, num * t_den >= t_num * den, against the threshold
+t_num/t_den. A pruning rule that is switched off passes t_num = 0,
 and since every bound here is at least zero, that passes exactly the items
 that occurred.
 """
@@ -96,7 +104,9 @@ class BoundArray:
     walked.
 
     Item z occurred in the last fill when seen[z] equals stamp; num[z] and
-    den[z] hold its ratio only then. touched lists those items.
+    den[z] hold its ratio only then. fold lists those items in touched,
+    which is read for neg only: the positive selection tests su's stamps,
+    and _fold_positives lists nothing.
     """
 
     __slots__ = ("row", "num", "den", "seen", "stamp", "touched")
@@ -139,22 +149,20 @@ class BoundArray:
 
 def _fold_positives(su: BoundArray, lu: BoundArray, written: list[int], total: int) -> None:
     """BoundArray.fold for su and lu in one pass over the items su wrote,
-    which are the items lu wrote. su's stamps and touched list tell for
-    both; lu's stay unused. Folding the two arrays in two passes cost
-    the long-basket perfbench workload a tenth more mining time (CPython
-    3.11 on a 2-core x86-64 VM)."""
+    which are the items lu wrote. su's stamps tell for both; lu's stay
+    unused. Folding the two arrays in two passes cost the long-basket
+    perfbench workload a tenth more mining time (CPython 3.11 on a 2-core
+    x86-64 VM)."""
     su_row, su_num, su_den = su.row, su.num, su.den
     lu_row, lu_num, lu_den = lu.row, lu.num, lu.den
     seen = su.seen
     stamp = su.stamp
-    touched = su.touched
     for z in written:
         cell = su_row[z]
         local = lu_row[z]
         su_row[z] = lu_row[z] = 0
         if seen[z] != stamp:
             seen[z] = stamp
-            touched.append(z)
             su_num[z] = cell
             lu_num[z] = local
             su_den[z] = lu_den[z] = total
@@ -189,6 +197,10 @@ def fill_subtree_and_local(
     local bracket, which does not depend on position, and a short second
     walk adds it for every positive entry.
 
+    The fill starts neg, not su: the caller starts su before the fill of
+    the root or of a positive node. A negative node's views hold no
+    positive entry, so its fill leaves su and lu as they were.
+
     Two gates at the cutoff t_num/t_den, sound only for the root or a
     positive node (see the module docstring); t_num zero never skips. A
     positive node X = P + {z} passes caps, z's TWU row by dense period: in
@@ -199,7 +211,6 @@ def fill_subtree_and_local(
     items below su's width) and lists and folds nothing into neg for that
     period. The root passes no caps.
     """
-    su.start()
     neg.start()
     su_row = su.row
     lu_row = lu.row
@@ -246,39 +257,6 @@ def fill_subtree_and_local(
         _fold_positives(su, lu, written, total)
         if tails:
             neg.fold(neg_written, total)
-
-
-def fill_negative_subtree(pd, neg: BoundArray, totals, t_num: int = 0, t_den: int = 1) -> None:
-    """Clipped subtree bounds for negative candidates only: walk the
-    negative tail of each view of projection pd, accumulating max(prefix +
-    u(n, T), 0), and fold each period into the best ratios against its
-    entry of totals.
-
-    A period whose own utility u_p(pd) is below t_num/t_den times its total
-    is skipped whole. As in fill_subtree_and_local, that is sound only for
-    the root or a positive node, and t_num zero never skips."""
-    neg.start()
-    row = neg.row
-    for (p, views), u_p in zip(groupby(pd.views, _period), pd.utilities):
-        total = totals[p]
-        if t_num and u_p * t_den < t_num * total:
-            continue
-        written = []
-        for items, utils, off, prefix, _ in views:
-            j = len(items) - 1
-            while j >= off:
-                u = utils[j]
-                if u > 0:
-                    break
-                item = items[j]
-                cell = row[item]
-                if not cell:
-                    written.append(item)
-                bracket = prefix + u
-                if bracket > 0:
-                    row[item] = cell + bracket
-                j -= 1
-        neg.fold(written, total)
 
 
 def select_primary_secondary(

@@ -27,7 +27,6 @@ from time import perf_counter
 
 from .bounds import (
     BoundArray,
-    fill_negative_subtree,
     fill_subtree_and_local,
     select_negative_candidates,
     select_primary_secondary,
@@ -121,15 +120,13 @@ class TopKCollector:
         self._kth_rank = None
         self._entries: list[tuple] = []
 
-    def clears_threshold(self, utility: int, period_total: int) -> bool:
-        num, den = self.threshold
-        return utility * den >= num * period_total
-
-    def offer(self, utility: int, period_total: int, items: tuple, periods: tuple) -> bool:
+    def offer(self, utility: int, period_total: int, items, periods) -> bool:
         """Admit the itemset if it ranks among the best k; report acceptance.
 
-        items is its sorted external-id tuple, periods its dense periods;
-        both are kept as they are, so both are tuples."""
+        items holds its external ids in any order, periods its dense
+        periods. The threshold is tested first, and only an itemset that
+        clears it costs the sorted tuple of items and the tuple of periods
+        its entry keeps."""
         if period_total > self.total_bound:
             raise ValueError(
                 f"period total {period_total} exceeds the collector's bound {self.total_bound}"
@@ -137,8 +134,9 @@ class TopKCollector:
         num, den = self.threshold
         if utility * den < num * period_total:
             return False
+        items = tuple(sorted(items))
         rank = ratio_rank(utility, period_total, self._scale)
-        entry = (rank, len(items), items, utility, period_total, periods)
+        entry = (rank, len(items), items, utility, period_total, tuple(periods))
         entries = self._entries
         if len(entries) >= self.k:
             if entry >= entries[-1]:
@@ -220,20 +218,21 @@ class _Miner:
         child scans every view; a pick's ids are dropped once its child is
         projected.
 
-        Each child is projected from its rows, scored and offered. A
-        positive child then fills neg, and su and lu too while later
-        secondary items remain; a negative child with later picks fills neg
-        alone. The root and positive children fill at the subtree cutoff,
-        which skips the negative tails of the periods where the node's own
-        utility falls below it. A positive child P + {z} also hands the
-        fill z's TWU row, so it skips whole the periods where z's TWU falls
-        below the cutoff: no extension of the child can reach it there. A
-        negative child fills at cutoff zero (see bounds.py). The negatives
-        a child picks go on the stack, walked, above a deferred frame
-        (picks None) that selects its positive children from su and lu
-        once the negative subtree is done, against the threshold of that
-        moment, and then walks its views for them. Negative nodes
-        write only neg, so su and lu still hold the positive child's fill
+        Each child is projected from its rows, scored and offered, and then
+        filled through fill_subtree_and_local, unless it is a negative child
+        with no later pick. A positive child starts su first, as the root
+        pass did, and fills at the subtree cutoff, which skips the negative
+        tails of the periods where the node's own utility falls below it. A
+        positive child P + {z} also hands the fill z's TWU row, so it skips
+        whole the periods where z's TWU falls below the cutoff: no extension
+        of the child can reach it there. A negative child fills at cutoff
+        zero with no row, and leaves su unstarted (see bounds.py). The
+        negatives a child picks go on the stack, walked, above a deferred
+        frame (picks None), pushed while later secondary items remain, that
+        selects the positive child's own children from su and lu once the
+        negative subtree is done, against the threshold of that moment, and
+        then walks its views for them. A negative node's views hold no
+        positive entry, so su and lu still hold the positive child's fill
         when the deferred selection runs.
         """
         su, lu, neg = self.su, self.lu, self.neg
@@ -242,6 +241,7 @@ class _Miner:
         ext_id = self.ext_id
         twu = self.twu
         su_num, _, t_den = self._cutoffs()
+        su.start()
         fill_subtree_and_local(root, su, lu, neg, period_totals, su_num, t_den)
         primary, secondary = select_primary_secondary(
             su, lu, range(self.boundary), su_num, 0, t_den
@@ -270,22 +270,23 @@ class _Miner:
             stats.candidates += 1
             if len(ext) > stats.max_depth:
                 stats.max_depth = len(ext)
-            if collector.clears_threshold(utility, period_total):
-                collector.offer(utility, period_total, tuple(sorted(ext)), tuple(occupied))
+            collector.offer(utility, period_total, ext, occupied)
 
             if later is None and i == len(picks):
                 continue  # the last negative pick has no later one to add
-            candidates = None if later is None else later[bisect_right(later, z) :]
             su_num, _, t_den = self._cutoffs()
-            # a negative child's prefix utilities can be negative, so its
-            # own utility bounds none of its brackets: it fills ungated
-            gate = 0 if later is None else su_num
-            if candidates:
-                fill_subtree_and_local(child, su, lu, neg, period_totals, gate, t_den, twu[item])
-                stack.append([child, ext, None, candidates, 0, None])
+            if later is None:
+                # a negative child's prefix utilities can be negative, so its
+                # own utility bounds none of its brackets: it fills ungated
+                fill_subtree_and_local(child, su, lu, neg, period_totals)
+                rest = picks[i:]
             else:
-                fill_negative_subtree(child, neg, period_totals, gate, t_den)
-            rest = picks[i:] if later is None else sorted(neg.touched)
+                su.start()
+                fill_subtree_and_local(child, su, lu, neg, period_totals, su_num, t_den, twu[item])
+                candidates = later[bisect_right(later, z) :]
+                if candidates:
+                    stack.append([child, ext, None, candidates, 0, None])
+                rest = sorted(neg.touched)
             negatives = select_negative_candidates(neg, rest, su_num, t_den)
             if negatives:
                 stack.append([child, ext, negatives, None, 0, occurrences(child, negatives)])

@@ -12,7 +12,6 @@ from topshelf import search
 from topshelf.bench import reassign_periods
 from topshelf.bounds import (
     BoundArray,
-    fill_negative_subtree,
     fill_subtree_and_local,
     select_negative_candidates,
     select_primary_secondary,
@@ -103,8 +102,35 @@ def _miner_arrays(db, working):
     return miner.su, miner.lu, miner.neg
 
 
+def _fill(pd, su, lu, neg, totals, t_num=0, t_den=1, caps=None):
+    """Fill as the search fills the root or a positive node: start su,
+    then fill all three arrays. A BoundArray never started reads every
+    item as occurred, since its stamps and seen are all zero."""
+    su.start()
+    fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
+
+
 def _occurred(arr, z):
     return arr.seen[z] == arr.stamp
+
+
+def _occurred_items(arr):
+    """The items that occurred in arr's last fill, ascending."""
+    return [z for z in range(len(arr.row)) if _occurred(arr, z)]
+
+
+def _last_item(pd):
+    """The dense last item of pd's node, None at the root: every view of a
+    child holds that item just before its offset, and the root's views
+    start at offset zero."""
+    items, _, off, _, _ = pd.views[0]
+    return items[off - 1] if off else None
+
+
+def _positive_state(su, lu):
+    """Everything su and lu hold: rows, ratios, stamps."""
+    return [list(arr.row) + list(arr.num) + list(arr.den) + list(arr.seen) + [arr.stamp]
+            for arr in (su, lu)]
 
 
 def _ratios(arr, owner=None):
@@ -122,19 +148,29 @@ def _best(db, bound):
 
 
 def _assert_filled(views, su, lu, neg, tails=None, walked=None):
-    """After a fill every row cell is zero, and the items that occurred
-    are exactly those the views hold, each listed once: positives in su's
-    stamps and touched list, negatives in neg's. The positives are those
-    of the views in the periods the fill walked (walked), the negatives
-    those in the periods whose tails it walked (tails); None stands for
-    every period."""
+    """After a fill of the root or of a positive node every row cell is
+    zero, and the items that occurred are exactly those the views hold:
+    positives in su's stamps, negatives in neg's, each listed once in
+    neg's touched list. The positives are those of the views in the
+    periods the fill walked (walked), the negatives those in the periods
+    whose tails it walked (tails); None stands for every period."""
     boundary = len(su.row)
     held = {
         items[j]
         for items, _, off, _, p in views
         if walked is None or p in walked
         for j in range(off, len(items))
+        if items[j] < boundary
     }
+    assert _occurred_items(su) == sorted(held)
+    _assert_neg_filled(views, su, lu, neg, tails)
+
+
+def _assert_neg_filled(views, su, lu, neg, tails=None):
+    """After any fill every row cell is zero, and neg's stamps and touched
+    list hold, once each, the negatives the views hold in the periods
+    whose tails the fill walked (tails, None for every period)."""
+    boundary = len(su.row)
     negatives = {
         items[j]
         for items, _, off, _, p in views
@@ -143,10 +179,8 @@ def _assert_filled(views, su, lu, neg, tails=None, walked=None):
         if items[j] >= boundary
     }
     assert not any(su.row) and not any(lu.row) and not any(neg.row)
-    assert sorted(su.touched) == sorted(z for z in held if z < boundary)
     assert sorted(neg.touched) == sorted(negatives)
-    assert [z for z in range(boundary) if _occurred(su, z)] == sorted(su.touched)
-    assert [z for z in range(len(neg.row)) if _occurred(neg, z)] == sorted(neg.touched)
+    assert _occurred_items(neg) == sorted(neg.touched)
 
 
 def _assert_bounds_match_definitions(db, order, prefix, first, su, lu, neg):
@@ -171,9 +205,9 @@ def test_root_bounds_match_definitions(corpus):
         su, lu, neg = _miner_arrays(db, working)
         assert len(su.row) == len(lu.row) == order.boundary
         assert len(neg.row) == len(order)  # indexed by dense item
-        fill_subtree_and_local(root, su, lu, neg, working.period_totals)
+        _fill(root, su, lu, neg, working.period_totals)
         _assert_filled(root.views, su, lu, neg)
-        assert sorted(su.touched + neg.touched) == list(range(len(order)))
+        assert _occurred_items(su) + sorted(neg.touched) == list(range(len(order)))
         _assert_bounds_match_definitions(db, order, (), 0, su, lu, neg)
 
 
@@ -188,7 +222,7 @@ def test_depth_one_bounds_match_definitions(corpus):
         z0 = rng.randrange(order.boundary)
         pd = project(root, z0)
         su, lu, neg = _miner_arrays(db, working)
-        fill_subtree_and_local(pd, su, lu, neg, working.period_totals)
+        _fill(pd, su, lu, neg, working.period_totals)
         _assert_filled(pd.views, su, lu, neg)
         prefix = (order.sequence[z0],)
         _assert_bounds_match_definitions(db, order, prefix, z0 + 1, su, lu, neg)
@@ -210,7 +244,7 @@ def test_merged_views_tighten_but_never_break_the_bound(corpus, narrow_corpus):
         z0 = rng.randrange(order.boundary)
         pd = project(root, z0)
         su, lu, neg = _miner_arrays(db, working)
-        fill_subtree_and_local(pd, su, lu, neg, working.period_totals)
+        _fill(pd, su, lu, neg, working.period_totals)
         ratios = _ratios(su) | _ratios(neg)
         prefix = (order.sequence[z0],)
         for z in range(z0 + 1, n):
@@ -234,7 +268,7 @@ def test_merged_views_tighten_but_never_break_the_bound(corpus, narrow_corpus):
         for z0 in range(order.boundary):
             pd = project(root, z0)
             su, lu, neg = _miner_arrays(db, working)
-            fill_subtree_and_local(pd, su, lu, neg, working.period_totals)
+            _fill(pd, su, lu, neg, working.period_totals)
             ratios = _ratios(su) | _ratios(neg)
             prefix = (order.sequence[z0],)
             for z in range(z0 + 1, n):
@@ -254,38 +288,50 @@ def _occurs_in_period(db, itemset, h):
     return any(t.period == h and need <= set(t.items) for t in db.transactions)
 
 
-def _state(arr):
-    return arr.row, arr.num, arr.den, arr.seen, arr.stamp, arr.touched
+def _assert_neg_matches_definitions(db, order, prefix, first, neg):
+    """Each negative from dense index first on holds, as its best ratio in
+    neg, the best ratio of the clipped definitional sum; one that did not
+    occur has a zero sum in every period. Returns how many occurred."""
+    ratios = _ratios(neg)
+    for z in range(max(first, order.boundary), len(order)):
+        z_ext = order.sequence[z]
+        want = _best(db, lambda h: subtree_bound(db, prefix, z_ext, h, order.position, clip=True))
+        assert ratios.get(z, 0) == want, (prefix, z_ext)
+    return sum(z >= first for z in ratios)
 
 
 def test_negative_tail_fill_matches_definitions(corpus):
-    """fill_negative_subtree alone leaves neg in the same state as the one
-    walk that also fills su and lu, and both hold the best ratios of the
-    clipped definitional sums."""
+    """A positive node's fill holds in neg the best ratios of the clipped
+    definitional sums. So does the fill of a negative child after it, as
+    the search makes it, with su left unstarted; that fill writes neg
+    alone, and leaves su and lu (rows, ratios, stamps) exactly as the
+    positive fill left them for its deferred selection."""
     rng = random.Random(2727)
-    checked = 0
+    checked = negative_nodes = 0
     for db in corpus:
         order, working, root = pipeline(db, merge=False)
         if order.boundary == 0 or order.boundary == len(order):
             continue
         z0 = rng.randrange(order.boundary)
         pd = project(root, z0)
-        _, _, neg = _miner_arrays(db, working)
-        fill_negative_subtree(pd, neg, working.period_totals)
-        su, lu, walked = _miner_arrays(db, working)
-        fill_subtree_and_local(pd, su, lu, walked, working.period_totals)
-        _assert_filled(pd.views, su, lu, walked)
-        assert _state(neg) == _state(walked)
-        ratios = _ratios(neg)
+        su, lu, neg = _miner_arrays(db, working)
+        _fill(pd, su, lu, neg, working.period_totals)
+        _assert_filled(pd.views, su, lu, neg)
         prefix = (order.sequence[z0],)
-        for z in range(order.boundary, len(order)):
-            z_ext = order.sequence[z]
-            want = _best(db, lambda h: subtree_bound(db, prefix, z_ext, h, order.position, clip=True))
-            assert ratios.get(z, 0) == want, (prefix, z_ext)
-            checked += z in ratios
+        checked += _assert_neg_matches_definitions(db, order, prefix, z0 + 1, neg)
+        if neg.touched:
+            n = rng.choice(sorted(neg.touched))
+            child = project(pd, n)
+            positives = _positive_state(su, lu)
+            fill_subtree_and_local(child, su, lu, neg, working.period_totals)
+            assert _positive_state(su, lu) == positives
+            _assert_neg_filled(child.views, su, lu, neg)
+            prefix += (order.sequence[n],)
+            _assert_neg_matches_definitions(db, order, prefix, n + 1, neg)
+            negative_nodes += 1
         if checked > 200:
             break
-    assert checked > 100
+    assert checked > 100 and negative_nodes > 20
 
 
 def _projection(views_by_period):
@@ -311,31 +357,29 @@ def test_fill_folds_each_period_into_the_best_ratio():
     su, lu, neg = _three_arrays(2, 4)
     totals = [10, 7, 3]
     pd = _projection({0: [([0, 1, 3], [4, 5, -2], 0, 6)], 2: [([1, 2], [3, -9], 0, 6)]})
-    fill_subtree_and_local(pd, su, lu, neg, totals)
+    _fill(pd, su, lu, neg, totals)
     # period sums: su 15 and 11 in period 0, item 1's 9 in period 2; lu
     # 15 for both in period 0, 9 in period 2; neg 4 for item 3 in period
     # 0, and item 2's 6 - 9 clipped to 0 in period 2
     assert _ratios(su) == {0: Fraction(15, 10), 1: Fraction(9, 3)}
     assert _ratios(lu, su) == {0: Fraction(15, 10), 1: Fraction(9, 3)}
     assert _ratios(neg) == {2: 0, 3: Fraction(4, 10)}
-    assert su.touched == [1, 0] and neg.touched == [3, 2]
+    assert _occurred_items(su) == [0, 1] and neg.touched == [3, 2]
     _assert_filled(pd.views, su, lu, neg)
 
     # the next fill resets nothing: its new stamp makes the first fill's
     # ratios stale, where they stay
     pd = _projection({1: [([0, 3], [1, -5], 0, 7)]})
-    fill_subtree_and_local(pd, su, lu, neg, totals)
+    _fill(pd, su, lu, neg, totals)
     assert _ratios(su) == _ratios(lu, su) == {0: Fraction(8, 7)}
     assert _ratios(neg) == {3: Fraction(2, 7)}
-    assert su.touched == [0] and neg.touched == [3]
+    assert _occurred_items(su) == [0] and neg.touched == [3]
     assert (su.num[1], su.den[1]) == (9, 3)  # stale, never read
     _assert_filled(pd.views, su, lu, neg)
 
     # a later period that ties the best ratio (4/4 against 8/8) leaves it
-    neg = BoundArray(4)
-    fill_negative_subtree(
-        _projection({0: [([0, 3], [9, -1], 1, 9)], 1: [([3], [-2], 0, 6)]}), neg, [8, 4]
-    )
+    su, lu, neg = _three_arrays(1, 4)
+    _fill(_projection({0: [([0, 3], [9, -1], 1, 9)], 1: [([3], [-2], 0, 6)]}), su, lu, neg, [8, 4])
     assert (neg.num[3], neg.den[3]) == (8, 8)
 
 
@@ -354,10 +398,10 @@ def _random_projection(rng, periods, boundary, n_items):
 
 
 def _live(su, lu, neg):
-    """What a fill leaves for the search to read: the rows, the touched
-    lists and the best ratios of the items that occurred."""
+    """What a fill leaves for the search to read: the rows, neg's touched
+    list and the best ratios of the items that occurred."""
     return (
-        (su.row, su.touched, _ratios(su)),
+        (su.row, _ratios(su)),
         (lu.row, _ratios(lu, su)),
         (neg.row, neg.touched, _ratios(neg)),
     )
@@ -373,16 +417,10 @@ def test_each_fill_clears_what_the_previous_fill_left(boundary, n_items):
     b = _random_projection(rng, [1, 3], boundary, n_items)
     reused = _three_arrays(boundary, n_items)
     fresh = _three_arrays(boundary, n_items)
-    fill_subtree_and_local(a, *reused, totals)
-    fill_subtree_and_local(b, *reused, totals)
-    fill_subtree_and_local(b, *fresh, totals)
+    _fill(a, *reused, totals)
+    _fill(b, *reused, totals)
+    _fill(b, *fresh, totals)
     assert _live(*reused) == _live(*fresh)
-
-    neg, fresh_neg = reused[2], BoundArray(n_items)
-    fill_negative_subtree(a, neg, totals)
-    fill_negative_subtree(b, neg, totals)
-    fill_negative_subtree(b, fresh_neg, totals)
-    assert _live(*reused[:2], neg) == _live(*reused[:2], fresh_neg)
 
 
 def _arrays(su_ratios, lu_ratios):
@@ -434,9 +472,9 @@ def test_selection_boundary_equality_counts():
 
 def test_negative_candidate_selection():
     # negatives are items 3..6 of a neg array indexed by dense item
-    neg = BoundArray(7)
+    su, lu, neg = _three_arrays(3, 7)
     pd = _projection({0: [([1, 4, 5], [10, -3, -7], 1, 10), ([1, 6], [1, -5], 1, 1)]})
-    fill_negative_subtree(pd, neg, [20])
+    _fill(pd, su, lu, neg, [20])
     # item 6: 1 - 5 < 0 is clipped, and still occurred
     assert _ratios(neg) == {4: Fraction(7, 20), 5: Fraction(3, 20), 6: 0}
     touched = sorted(neg.touched)
@@ -454,9 +492,9 @@ def test_selection_reads_only_items_the_last_fill_saw():
     see, is stale: however large, it changes no pick."""
     su, lu, neg = _three_arrays(3, 6)
     totals = [10, 10, 10]
-    fill_subtree_and_local(_projection({2: [([1, 4], [90, -1], 0, 90)]}), su, lu, neg, totals)
+    _fill(_projection({2: [([1, 4], [90, -1], 0, 90)]}), su, lu, neg, totals)
     pd = _projection({0: [([0, 3], [8, -1], 0, 0), ([2], [1], 0, 0)]})
-    fill_subtree_and_local(pd, su, lu, neg, totals)
+    _fill(pd, su, lu, neg, totals)
     assert _ratios(su) == _ratios(lu, su) == {0: Fraction(8, 10), 2: Fraction(1, 10)}
     assert _ratios(neg) == {3: 0}
     assert su.num[1] == lu.num[1] == 180 and neg.num[4] == 89  # stale
@@ -470,7 +508,7 @@ def test_fills_without_kept_negatives():
     selection picks nothing, and mining matches the oracle."""
     su, lu, neg = _three_arrays(3, 3)
     pd = _projection({0: [([0, 2], [2, 3], 0, 0)], 1: [([1], [4], 0, 0)]})
-    fill_subtree_and_local(pd, su, lu, neg, [10, 8])
+    _fill(pd, su, lu, neg, [10, 8])
     assert _ratios(su) == {0: Fraction(5, 10), 1: Fraction(4, 8), 2: Fraction(3, 10)}
     assert _ratios(lu, su) == {0: Fraction(5, 10), 1: Fraction(4, 8), 2: Fraction(5, 10)}
     assert neg.touched == [] and not any(neg.seen)
@@ -492,8 +530,8 @@ def test_fills_with_only_negatives():
     extensions matches the oracle."""
     su, lu, neg = _three_arrays(1, 4)
     pd = _projection({0: [([0, 1, 3], [9, -2, -4], 1, 9), ([0, 2], [9, -1], 1, 9)]})
-    fill_subtree_and_local(pd, su, lu, neg, [16])
-    assert su.touched == [] and _ratios(su) == {}
+    _fill(pd, su, lu, neg, [16])
+    assert _occurred_items(su) == [] and _ratios(su) == {}
     _assert_filled(pd.views, su, lu, neg)
     assert _ratios(neg) == {1: Fraction(7, 16), 2: Fraction(8, 16), 3: Fraction(5, 16)}
     assert neg.touched == [3, 1, 2]
@@ -587,12 +625,12 @@ def test_many_periods_select_as_the_per_period_rule(monkeypatch, n_periods, tran
 
     def fill_both(pd, su, lu, neg, totals, t_num=0, t_den=1, caps=None):
         fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
-        sums["su"], sums["lu"], sums["neg"] = _period_sums(pd)
+        su_sums, lu_sums, sums["neg"] = _period_sums(pd)
+        last = _last_item(pd)
+        if last is None or last < len(su.row):
+            # a negative node's fill leaves su and lu to its positive parent
+            sums["su"], sums["lu"] = su_sums, lu_sums
         sums["totals"] = totals
-
-    def fill_tail(pd, neg, totals, t_num=0, t_den=1):
-        fill_negative_subtree(pd, neg, totals, t_num, t_den)
-        sums["neg"] = _period_sums(pd)[2]
 
     def split(su, lu, candidates, su_num, lu_num, t_den):
         picked = select_primary_secondary(su, lu, candidates, su_num, lu_num, t_den)
@@ -613,7 +651,6 @@ def test_many_periods_select_as_the_per_period_rule(monkeypatch, n_periods, tran
         return picked
 
     monkeypatch.setattr(search, "fill_subtree_and_local", fill_both)
-    monkeypatch.setattr(search, "fill_negative_subtree", fill_tail)
     monkeypatch.setattr(search, "select_primary_secondary", split)
     monkeypatch.setattr(search, "select_negative_candidates", negatives)
     for db in databases:
@@ -629,35 +666,37 @@ def test_many_periods_select_as_the_per_period_rule(monkeypatch, n_periods, tran
 def test_every_row_cell_is_zero_after_each_fill(monkeypatch, n_periods, transactions):
     """Through whole mining runs, every row cell is zero when a fill
     returns, so the next fill starts from a clean row without a reset, and
-    each fill lists each item it saw once."""
+    each fill lists each item it saw once. A negative node's fill writes
+    neg alone and leaves su and lu exactly as they were."""
     databases = _many_period_databases(n_periods, transactions, 6, n_periods)
     fills = []
     capped = []
+    negative_fills = 0
 
     def fill_both(pd, su, lu, neg, totals, t_num=0, t_den=1, caps=None):
+        nonlocal negative_fills
+        last = _last_item(pd)
+        if last is not None and last >= len(su.row):
+            positives = _positive_state(su, lu)
+            fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
+            assert _positive_state(su, lu) == positives
+            _assert_neg_filled(pd.views, su, lu, neg)
+            fills.append(len(neg.touched))
+            negative_fills += 1
+            return
         fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
         walked = _walked(pd, totals, t_num, t_den, caps)
         tails = _walked_tails(pd, totals, t_num, t_den, caps)
         _assert_filled(pd.views, su, lu, neg, tails, walked)
-        fills.append(len(su.touched))
+        fills.append(len(_occurred_items(su)))
         capped.append(len(pd.periods) - len(walked))
 
-    def fill_tail(pd, neg, totals, t_num=0, t_den=1):
-        fill_negative_subtree(pd, neg, totals, t_num, t_den)
-        assert not any(neg.row)
-        tails = _walked_tails(pd, totals, t_num, t_den)
-        held = {items[j] for items, utils, off, _, p in pd.views if p in tails
-                for j in range(off, len(items)) if utils[j] < 0}
-        assert sorted(neg.touched) == sorted(held)
-        fills.append(len(neg.touched))
-
     monkeypatch.setattr(search, "fill_subtree_and_local", fill_both)
-    monkeypatch.setattr(search, "fill_negative_subtree", fill_tail)
     for db in databases:
         for k in (3, 25):
             mine_top_k(db, k)
     assert len(fills) > 100 and max(fills) > 1
-    assert sum(capped) > 0
+    assert sum(capped) > 0 and negative_fills > 0
 
 
 def _walked(pd, totals, t_num, t_den, caps=None):
@@ -741,8 +780,7 @@ def test_gated_fill_of_a_positive_node_decides_as_the_ungated_one(corpus, n_peri
     that skips the negative tails of the periods where the node's own
     utility is below the cutoff leaves su and lu exactly as the ungated
     fill does, selects the same positives and negatives at that cutoff,
-    and leaves every row cell zero; so does the gated negative-only fill.
-    Every negative bracket of a node whose prefix utilities are at least
+    and leaves every row cell zero. Every negative bracket of a node whose prefix utilities are at least
     zero is at most that prefix utility, so a skipped period holds no
     negative that reaches the cutoff."""
     rng = random.Random(4242 + n_periods)
@@ -755,11 +793,11 @@ def test_gated_fill_of_a_positive_node_decides_as_the_ungated_one(corpus, n_peri
         ungated = _miner_arrays(db, working)
         pd = root
         for _ in range(4):
-            fill_subtree_and_local(pd, *ungated, totals)
+            _fill(pd, *ungated, totals)
             for cut in _cutoffs_that_occur(rng, pd, totals, *ungated):
                 t_num, t_den = cut.numerator, cut.denominator
                 su, lu, neg = arrays
-                fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den)
+                _fill(pd, su, lu, neg, totals, t_num, t_den)
                 assert _live(su, lu, neg)[:2] == _live(*ungated)[:2]
                 assert not any(su.row) and not any(lu.row) and not any(neg.row)
                 picks = (range(boundary), t_num, t_num, t_den)
@@ -769,9 +807,6 @@ def test_gated_fill_of_a_positive_node_decides_as_the_ungated_one(corpus, n_peri
                 want = select_negative_candidates(ungated[2], range(boundary, n), t_num, t_den)
                 assert select_negative_candidates(neg, range(boundary, n), t_num, t_den) == want
                 skipped += len(ungated[2].touched) - len(neg.touched)
-                fill_negative_subtree(pd, neg, totals, t_num, t_den)
-                assert not any(neg.row)
-                assert select_negative_candidates(neg, range(boundary, n), t_num, t_den) == want
                 gated += 1
             # descend to a positive item some view still holds
             held = sorted(
@@ -804,12 +839,12 @@ def test_search_fills_a_negative_node_ungated():
     assert order.position[n1] < order.position[n2]
     fills = []
 
-    def fill_tail(pd, neg, totals, t_num=0, t_den=1):
+    def fill(pd, su, lu, neg, totals, t_num=0, t_den=1, caps=None):
         fills.append((pd.utilities, t_num))
-        fill_negative_subtree(pd, neg, totals, t_num, t_den)
+        fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(search, "fill_negative_subtree", fill_tail)
+        mp.setattr(search, "fill_subtree_and_local", fill)
         mined, _ = mine_top_k(db, 5)
     assert mined == oracle_top_k(db, 5)
     assert (a, n1, n2) in [p.items for p in mined]
@@ -827,19 +862,14 @@ def test_gate_tests_each_period_not_the_node_overall():
     pd = _projection({0: [([0, 2], [6, -1], 1, 6)], 1: [([1, 3], [2, -1], 0, 1)]})
     assert pd.utilities == [6, 1]
     su, lu, neg = _three_arrays(2, 4)
-    fill_subtree_and_local(pd, su, lu, neg, totals, 1, 4)
+    _fill(pd, su, lu, neg, totals, 1, 4)
     assert _ratios(neg) == {2: Fraction(5, 10)} and neg.touched == [2]
     assert select_negative_candidates(neg, [2, 3], 1, 4) == [2]
     _assert_filled(pd.views, su, lu, neg, tails={0})
     ungated = _three_arrays(2, 4)
-    fill_subtree_and_local(pd, *ungated, totals)
+    _fill(pd, *ungated, totals)
     assert _live(su, lu, neg)[:2] == _live(*ungated)[:2]
     assert _ratios(ungated[2]) == {2: Fraction(5, 10), 3: 0}
-
-    neg = BoundArray(4)
-    fill_negative_subtree(pd, neg, totals, 1, 4)
-    assert _ratios(neg) == {2: Fraction(5, 10)}
-    assert select_negative_candidates(neg, [2, 3], 1, 4) == [2]
 
 
 def _cap_cutoffs(rng, pd, totals, caps, ungated):
@@ -885,11 +915,11 @@ def test_capped_fill_decides_as_the_uncapped_one(corpus, n_periods):
             z = rng.choice(held)
             pd = project(pd, z)
             caps = twu_table[order.sequence[z]]
-            fill_subtree_and_local(pd, *ungated, totals)
+            _fill(pd, *ungated, totals)
             for cut in _cap_cutoffs(rng, pd, totals, caps, ungated):
                 t_num, t_den = cut.numerator, cut.denominator
                 su, lu, neg = arrays
-                fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
+                _fill(pd, su, lu, neg, totals, t_num, t_den, caps)
                 walked = _walked(pd, totals, t_num, t_den, caps)
                 tails = _walked_tails(pd, totals, t_num, t_den, caps)
                 _assert_filled(pd.views, su, lu, neg, tails, walked)
@@ -930,19 +960,19 @@ def test_cap_skips_a_period_the_tail_gate_would_walk():
     t_num, t_den = 1, 4
 
     gated = _three_arrays(3, 4)
-    fill_subtree_and_local(pd, *gated, totals, t_num, t_den)
-    assert sorted(gated[0].touched) == [1, 2] and gated[2].touched == [3]
+    _fill(pd, *gated, totals, t_num, t_den)
+    assert _occurred_items(gated[0]) == [1, 2] and gated[2].touched == [3]
     _assert_filled(pd.views, *gated, tails={0})
 
     su, lu, neg = _three_arrays(3, 4)
-    fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
-    assert su.touched == [1] and not _occurred(su, 2)
+    _fill(pd, su, lu, neg, totals, t_num, t_den, caps)
+    assert _occurred_items(su) == [1]
     assert _ratios(su) == _ratios(lu, su) == {1: Fraction(9, 10)}
     assert _ratios(neg) == {3: Fraction(5, 10)}
     _assert_filled(pd.views, su, lu, neg, tails={0}, walked={0})
 
     ungated = _three_arrays(3, 4)
-    fill_subtree_and_local(pd, *ungated, totals)
+    _fill(pd, *ungated, totals)
     assert _ratios(ungated[0]) == {1: Fraction(9, 10), 2: Fraction(4, 100)}
     for lu_num in (t_num, 0):
         picks = ([1, 2], t_num, lu_num, t_den)
@@ -954,5 +984,76 @@ def test_cap_skips_a_period_the_tail_gate_would_walk():
     for negatives in (neg, gated[2], ungated[2]):
         assert select_negative_candidates(negatives, [3], t_num, t_den) == [3]
     # at cutoff zero the cap skips nothing
-    fill_subtree_and_local(pd, su, lu, neg, totals, 0, t_den, caps)
+    _fill(pd, su, lu, neg, totals, 0, t_den, caps)
     assert _live(su, lu, neg) == _live(*ungated)
+
+
+def test_cap_applies_to_a_positive_node_with_no_children_to_select():
+    """Node {0} with no later secondary item, in periods 0 and 1 (totals
+    10 and 100), cutoff 1/4, with item 0's TWU row {0: 9, 1: 5}. Its only
+    negative, 3, sells in period 1 alone, beside positive 1, which is not
+    secondary there. The node's own utility there, 4/100, makes the tail
+    gate skip 3's tail but still walk 1; the cap, 5/100, skips period 1
+    whole: neither item is listed, and the negative selection equals the
+    ungated one."""
+    totals = [10, 100]
+    caps = {0: 9, 1: 5}
+    pd = _projection({0: [([0], [6], 1, 6)], 1: [([0, 1, 3], [4, 1, -1], 1, 4)]})
+    t_num, t_den = 1, 4
+    su, lu, neg = _three_arrays(2, 4)
+    _fill(pd, su, lu, neg, totals, t_num, t_den, caps)
+    assert _occurred_items(su) == [] and neg.touched == []
+    _assert_filled(pd.views, su, lu, neg, tails={0}, walked={0})
+
+    gated = _three_arrays(2, 4)
+    _fill(pd, *gated, totals, t_num, t_den)
+    assert _occurred_items(gated[0]) == [1] and gated[2].touched == []
+
+    ungated = _three_arrays(2, 4)
+    _fill(pd, *ungated, totals)
+    assert _ratios(ungated[0]) == {1: Fraction(5, 100)}
+    assert _ratios(ungated[2]) == {3: Fraction(3, 100)}
+    for negatives in (neg, ungated[2]):
+        assert select_negative_candidates(negatives, [3], t_num, t_den) == []
+
+
+def test_search_hands_each_positive_child_its_last_items_row(monkeypatch):
+    """Every fill of a whole mining run gets twu[last item] for a positive
+    child, childless or not, and no row for the root or a negative child,
+    which fills at cutoff zero. Each positive selection but the root's
+    serves one positive child; more positive children are filled, so
+    some childless ones took the row."""
+    databases = _many_period_databases(30, (40, 240), 6, 30)
+    miners = []
+    with_row = splits = 0
+    original = _Miner.search
+
+    def searched(self, root, stats):
+        miners.append(self)
+        return original(self, root, stats)
+
+    def fill(pd, su, lu, neg, totals, t_num=0, t_den=1, caps=None):
+        nonlocal with_row
+        miner = miners[-1]
+        last = _last_item(pd)
+        if last is None or last >= miner.boundary:
+            assert caps is None
+            assert last is None or t_num == 0
+        else:
+            assert caps is miner.twu[miner.ext_id[last]]
+            with_row += 1
+        fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
+
+    def split(*args):
+        nonlocal splits
+        splits += 1
+        return select_primary_secondary(*args)
+
+    monkeypatch.setattr(_Miner, "search", searched)
+    monkeypatch.setattr(search, "fill_subtree_and_local", fill)
+    monkeypatch.setattr(search, "select_primary_secondary", split)
+    for db in databases:
+        for k in (3, 25):
+            mined, _ = mine_top_k(db, k)
+            assert mined == oracle_top_k(db, k)
+    assert with_row > splits - len(miners) > 0

@@ -89,8 +89,16 @@ def test_collector_initial_threshold_filters_offers():
     col = TopKCollector(2, Fraction(1, 2), 3)
     assert not offer(col, (1,), 1, 3)
     assert offer(col, (2,), 2, 3)
-    assert col.clears_threshold(1, 2)
-    assert not col.clears_threshold(1, 3)
+    # an offer below the threshold is refused before its items are sorted
+    # or its periods copied: neither is read
+    assert not col.offer(1, 3, None, None)
+    assert offer(col, (3,), 1, 2)  # equality counts
+    assert col.threshold == (1, 2)
+    assert not col.offer(1, 3, None, None)
+    # an itemset that clears it is kept with its items sorted
+    assert col.offer(2, 3, [9, 4], [2, 0])
+    kept = col.result([0, 1, 2])
+    assert [(p.items, p.periods) for p in kept] == [((2,), {0}), ((4, 9), {0, 2})]
 
 
 def reference_offers(k, initial, offers):
