@@ -6,8 +6,11 @@ The search walks a set-enumeration tree. Two upper bounds cut it down:
 a subtree bound that kills a branch outright, and a local bound that
 stops an item from being offered deeper in the current branch. Both are
 overestimates of anything reachable, so switching them off can only add
-work, never change the answer. This script measures that on a synthetic
-store with two thousand baskets.
+work, never change the answer. The local bound acts at the root, where
+it drops items from the whole search, and below the root only when the
+subtree bound is off: with the subtree bound on, every item it would
+drop fails the subtree bound wherever it could be picked. This script
+measures that on a synthetic store with two thousand baskets.
 """
 
 from topshelf import GeneratorParams, generate, mine_top_k, parse_database

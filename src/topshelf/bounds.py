@@ -19,26 +19,46 @@ Both are >= the true utility of anything they prune (dominance is property
 tested), and remaining sums count positive items only, which is what keeps
 them valid when negative items are present.
 
+While the subtree rule is on, the local bound below the root changes which
+items are listed as secondary, never which are picked. Views are never
+trimmed to a node's secondary items, so remaining sums run over every later
+positive item. Take a positive node X, a positive descendant X' = X + D
+reached through positive items only, and a positive item y after X'. A view
+of X' holding y is a view of X, with prefix_X' = prefix_X + u(D). Its
+subtree bracket, prefix_X + u(D) + u(y) + the positive remaining after y,
+sums X's prefix and distinct positive items after X, so it is at most X's
+local bracket there, prefix_X + the positive remaining after X; fusing rows
+keeps that. Summed over a period's views, su_X'(y) <= lu_X(y) in every
+period, and the threshold only rises from X's selection to that of X'. An
+item that fails X's local test therefore fails the subtree test wherever it
+could be a candidate (at X itself too: su_X <= lu_X). So lu is filled only
+when the local rule is the only positive rule (su_prune off, lu_prune on);
+otherwise the search hands the fills and selections lu None, and secondary
+means "occurred". The root's local test, the TWU test in
+prepare.initial_secondary, always runs: it shrinks the order and the
+working database before any fill.
+
 An item passes a rule if, in some period it sells in, its bound reaches the
 threshold times that period's total. Period totals are positive, so that
 holds exactly when the item's best ratio, the largest bound / total over
 those periods, reaches the threshold. A fill therefore keeps, per item, only
 that best ratio num/den, never a period x item grid.
 
-A run allocates three arrays and every node reuses them: su and lu hold the
-bounds of the positive items (dense items 0..boundary-1), neg the clipped
-subtree bounds of the kept negatives, indexed by dense item. Each array is
-one scratch row of sums plus the best ratio per item. A fill walks the
-projection's views, which come in ascending period order, adding each view
-into the row. At the end of each period it folds the cells that period
-wrote into the best ratios against the period's total and zeroes them, so
-every row cell is zero between fills. The fill lists a cell as it first goes
-from zero to non-zero; a negative whose bracket clips to zero is listed too,
-so that its occurrence is recorded. lu is written at exactly the items su
-is, so both fold from one list in one pass, and su's stamps tell for both.
+A run allocates its arrays once and every node reuses them: su (and lu,
+where filled) hold the bounds of the positive items (dense items
+0..boundary-1), neg the clipped subtree bounds of the kept negatives,
+indexed by dense item. Each array is one scratch row of sums plus the best
+ratio per item. A fill walks the projection's views, which come in
+ascending period order, adding each view into the row. At the end of each
+period it folds the cells that period wrote into the best ratios against
+the period's total and zeroes them, so every row cell is zero between
+fills. The fill lists a cell as it first goes from zero to non-zero; a
+negative whose bracket clips to zero is listed too, so that its occurrence
+is recorded. lu is written at exactly the items su is, so it folds from
+su's list, against su's stamp.
 
 Every node, the root, a positive node or a negative one, is filled the same
-way: fill_subtree_and_local fills all three arrays in one walk of its
+way: fill_subtree_and_local fills the arrays in one walk of its
 projection. The fill starts neg; its caller starts su, since only the
 caller knows whether a later selection will read su and lu. A negative
 node's views hold only negatives (they sort last), so its fill writes no
@@ -62,15 +82,16 @@ filled at cutoff zero, and t_num zero never skips.
 A fill of every positive node X = P + {z}, whether or not X has positive
 children to select, also takes z's TWU row from prepare.compute_period_twu,
 keyed by dense period, and skips whole every period p where TWU_p({z}) is
-below the cutoff times p's total: no positive walk, no tails, no fold. Every view of X holds z, and every bracket a view
+below the cutoff times p's total: no positive walk, no tails, no fold.
+Every view of X holds z, and every bracket a view
 adds (prefix + u + positive remaining for su, prefix + positive remaining
 for lu, a clipped negative bracket for neg) is at most that view's PTU; a
 fused or trimmed row only lowers it. So every sum a candidate y gets in
 p, su_p(y) <= lu_p(y) for a positive y and the clipped sum for a negative
 one, is at most TWU_p(X) <= TWU_p({z}), and nothing can pass in a skipped
 period. The subtree and negative tests read the fill's cutoff or a higher
-one, since the threshold only rises. The local test may read zero (the
-local rule off), where secondary means "occurred": an item that sells
+one, since the threshold only rises. Where no local test runs (lu None,
+or the local rule off), secondary means "occurred": an item that sells
 only in skipped periods then drops out of the node's alphabet, but it can
 never be primary anywhere below X, because every descendant's brackets in
 those periods are bounded by the same TWU_p({z}). So the nodes searched,
@@ -79,14 +100,14 @@ copied: the search holds the table anyway. The root has no last item, and
 a negative node's cutoff of zero would skip nothing, so neither takes a
 row.
 
-Each fill takes a new stamp in neg, each start of su a new stamp in su,
-and seen[z] holds the stamp of the last fill item z occurred in. So
-nothing is reset between fills: the ratio of an item whose stamp is old is
-stale, and the selectors never read it. They test a candidate that
-occurred once, num * t_den >= t_num * den, against the threshold
-t_num/t_den. A pruning rule that is switched off passes t_num = 0,
-and since every bound here is at least zero, that passes exactly the items
-that occurred.
+Each fill takes a new stamp in neg, each start of su a new stamp in su
+(which lu, where filled, takes at its fold), and seen[z] holds the stamp of
+the last fill item z occurred in. So nothing is reset between fills: the
+ratio of an item whose stamp is old is stale, and the selectors never read
+it. They test a candidate that occurred once, num * t_den >= t_num * den,
+against the threshold t_num/t_den. A pruning rule that is switched off
+passes t_num = 0, and since every bound here is at least zero, that passes
+exactly the items that occurred.
 """
 
 from __future__ import annotations
@@ -105,8 +126,8 @@ class BoundArray:
 
     Item z occurred in the last fill when seen[z] equals stamp; num[z] and
     den[z] hold its ratio only then. fold lists those items in touched,
-    which is read for neg only: the positive selection tests su's stamps,
-    and _fold_positives lists nothing.
+    which is read for neg only: su and lu fold through _fold_best, which
+    lists nothing.
     """
 
     __slots__ = ("row", "num", "den", "seen", "stamp", "touched")
@@ -126,8 +147,9 @@ class BoundArray:
 
     def fold(self, written: list[int], total: int) -> None:
         """Fold the row cells at the written items into their best ratios
-        against one period's total, and zero them. An item listed twice
-        reads zero the second time, which moves no ratio."""
+        against one period's total, zero them, and list in touched each
+        item the fill first sees. An item listed twice reads zero the
+        second time, which moves no ratio."""
         row = self.row
         num = self.num
         den = self.den
@@ -147,55 +169,52 @@ class BoundArray:
                 den[z] = total
 
 
-def _fold_positives(su: BoundArray, lu: BoundArray, written: list[int], total: int) -> None:
-    """BoundArray.fold for su and lu in one pass over the items su wrote,
-    which are the items lu wrote. su's stamps tell for both; lu's stay
-    unused. Folding the two arrays in two passes cost the long-basket
-    perfbench workload a tenth more mining time (CPython 3.11 on a 2-core
-    x86-64 VM)."""
-    su_row, su_num, su_den = su.row, su.num, su.den
-    lu_row, lu_num, lu_den = lu.row, lu.num, lu.den
-    seen = su.seen
-    stamp = su.stamp
+def _fold_best(arr: BoundArray, written: list[int], total: int) -> None:
+    """BoundArray.fold without the touched list, for su and lu: the
+    positive selection tests su's stamps instead. Folding su through
+    BoundArray.fold cost the long-basket perfbench workload 5% more mining
+    time (in-process, min of 5 runs, CPython 3.11 on a 2-core x86-64 VM)."""
+    row = arr.row
+    num = arr.num
+    den = arr.den
+    seen = arr.seen
+    stamp = arr.stamp
     for z in written:
-        cell = su_row[z]
-        local = lu_row[z]
-        su_row[z] = lu_row[z] = 0
+        cell = row[z]
+        row[z] = 0
         if seen[z] != stamp:
             seen[z] = stamp
-            su_num[z] = cell
-            lu_num[z] = local
-            su_den[z] = lu_den[z] = total
-            continue
-        if cell * su_den[z] > su_num[z] * total:
-            su_num[z] = cell
-            su_den[z] = total
-        if local * lu_den[z] > lu_num[z] * total:
-            lu_num[z] = local
-            lu_den[z] = total
+            num[z] = cell
+            den[z] = total
+        elif cell * den[z] > num[z] * total:
+            num[z] = cell
+            den[z] = total
 
 
 def fill_subtree_and_local(
     pd,
     su: BoundArray,
-    lu: BoundArray,
+    lu: BoundArray | None,
     neg: BoundArray,
     totals,
     t_num: int = 0,
     t_den: int = 1,
     caps=None,
 ) -> None:
-    """One backward walk per view of projection pd fills all three bound
-    arrays, folding each period into the best ratios against its entry of
-    totals.
+    """One backward walk per view of projection pd fills the bound arrays,
+    folding each period into the best ratios against its entry of totals.
 
     Negatives come first in the walk (they sort last, and only they carry
     negative utilities) and add clipped brackets to their neg cells. Then
     running, the prefix utility plus the positive entries walked so far, is
     at each positive entry exactly its subtree bracket: prefix + u + the
-    positive remaining utility after it. At the end of the walk it is the
-    local bracket, which does not depend on position, and a short second
-    walk adds it for every positive entry.
+    positive remaining utility after it.
+
+    lu is None unless the local rule is the only positive rule (see the
+    module docstring). Given lu, the fill first adds every positive entry's
+    local bracket, prefix + the view's positive sum, which does not depend
+    on position, and folds lu against su's stamp, so su's start starts
+    both.
 
     The fill starts neg, not su: the caller starts su before the fill of
     the root or of a positive node. A negative node's views hold no
@@ -213,7 +232,10 @@ def fill_subtree_and_local(
     """
     neg.start()
     su_row = su.row
-    lu_row = lu.row
+    lu_row = None
+    if lu is not None:
+        lu.stamp = su.stamp
+        lu_row = lu.row
     neg_row = neg.row
     boundary = len(su_row)
     for (p, views), u_p in zip(groupby(pd.views, _period), pd.utilities):
@@ -241,7 +263,10 @@ def fill_subtree_and_local(
                     j -= 1
             else:
                 j = bisect_left(items, boundary, off) - 1
-            last = j
+            if lu_row is not None:
+                local = prefix + sum(utils[off : j + 1])
+                for item in items[off : j + 1]:
+                    lu_row[item] += local
             running = prefix
             while j >= off:
                 item = items[j]
@@ -251,17 +276,16 @@ def fill_subtree_and_local(
                     written.append(item)
                 su_row[item] = cell + running
                 j -= 1
-            if last >= off:
-                for item in items[off : last + 1]:
-                    lu_row[item] += running
-        _fold_positives(su, lu, written, total)
+        if lu_row is not None:
+            _fold_best(lu, written, total)
+        _fold_best(su, written, total)
         if tails:
             neg.fold(neg_written, total)
 
 
 def select_primary_secondary(
     su: BoundArray,
-    lu: BoundArray,
+    lu: BoundArray | None,
     candidates,
     su_num: int,
     lu_num: int,
@@ -270,26 +294,26 @@ def select_primary_secondary(
     """Split positive candidate items into (primary, secondary) per the
     bound tests.
 
-    A candidate is secondary if its best local ratio reaches lu_num/t_den,
-    and primary if its best subtree ratio reaches su_num/t_den (equality
-    counts). A numerator is the threshold's, or zero for a rule that is
-    off. Items that did not occur in the last fill are excluded even at
-    threshold zero (su's stamps tell). Primary is always a subset of
-    secondary (the local bound dominates the subtree bound cell-wise for
-    positive candidates).
+    Items that did not occur in the last fill are excluded even at
+    threshold zero (su's stamps tell). Given lu, a candidate is secondary
+    if its best local ratio reaches lu_num/t_den; with lu None, every
+    candidate that occurred is secondary, as at lu_num zero. A secondary
+    candidate is primary if its best subtree ratio reaches su_num/t_den.
+    Equality counts, and a numerator is the threshold's, or zero for a
+    rule that is off. Primary is always a subset of secondary (the local
+    bound dominates the subtree bound cell-wise for positive candidates).
     """
-    primary: list[int] = []
-    secondary: list[int] = []
     seen = su.seen
     stamp = su.stamp
-    su_num_of, su_den_of = su.num, su.den
-    lu_num_of, lu_den_of = lu.num, lu.den
-    for z in candidates:
-        if seen[z] != stamp or lu_num_of[z] * t_den < lu_num * lu_den_of[z]:
-            continue
-        secondary.append(z)
-        if su_num_of[z] * t_den >= su_num * su_den_of[z]:
-            primary.append(z)
+    if lu is None:
+        secondary = [z for z in candidates if seen[z] == stamp]
+    else:
+        num, den = lu.num, lu.den
+        secondary = [
+            z for z in candidates if seen[z] == stamp and num[z] * t_den >= lu_num * den[z]
+        ]
+    num, den = su.num, su.den
+    primary = [z for z in secondary if num[z] * t_den >= su_num * den[z]]
     return primary, secondary
 
 

@@ -173,12 +173,15 @@ class TopKCollector:
 
 
 class _Miner:
-    """Search state plus the search loop. su and lu hold the best subtree
-    and local ratios of positive candidates, neg the best clipped subtree
-    ratios of negative ones; every node reuses these three arrays, each one
-    row as wide as its items (see bounds.py). twu is compute_period_twu's
-    table: the row of an item, keyed by dense period, caps every positive
-    node the item ends."""
+    """Search state plus the search loop. su holds the best subtree ratios
+    of positive candidates, neg the best clipped subtree ratios of negative
+    ones; every node reuses these arrays, each one row as wide as its items
+    (see bounds.py). lu, the best local ratios, is an array only when the
+    local rule is the only positive rule (su_prune off, lu_prune on), and
+    None otherwise: while the subtree rule is on, an item the local test
+    would drop fails the subtree test wherever it could be picked, so lu
+    changes no pick. twu is compute_period_twu's table: the row of an item,
+    keyed by dense period, caps every positive node the item ends."""
 
     def __init__(self, working, collector, twu, *, su_prune, lu_prune):
         self.collector = collector
@@ -186,7 +189,7 @@ class _Miner:
         self.lu_prune = lu_prune
         self.boundary = boundary = working.order.boundary
         self.su = BoundArray(boundary)
-        self.lu = BoundArray(boundary)
+        self.lu = BoundArray(boundary) if lu_prune and not su_prune else None
         self.neg = BoundArray(len(working.order))
         self.period_totals = working.period_totals
         self.ext_id = working.order.sequence
@@ -204,7 +207,11 @@ class _Miner:
 
         The root pass fills the arrays from root and selects the root's
         children among all positive items, at a zero local cutoff: root
-        secondary came from the TWU test already.
+        secondary came from the TWU test already. Below the root, the
+        fills and selections take lu, which is None unless the subtree
+        rule is off and the local rule on; with lu None, a node's
+        secondary items are those that occurred in its fill (see
+        bounds.py for why no pick changes).
 
         The stack holds one frame per node whose children are still
         pending: [projection, prefix, picks, secondary, next, rows], where
@@ -229,11 +236,11 @@ class _Miner:
         zero with no row, and leaves su unstarted (see bounds.py). The
         negatives a child picks go on the stack, walked, above a deferred
         frame (picks None), pushed while later secondary items remain, that
-        selects the positive child's own children from su and lu once the
-        negative subtree is done, against the threshold of that moment, and
-        then walks its views for them. A negative node's views hold no
-        positive entry, so su and lu still hold the positive child's fill
-        when the deferred selection runs.
+        selects the positive child's own children from su (and lu, where
+        filled) once the negative subtree is done, against the threshold of
+        that moment, and then walks its views for them. A negative node's
+        views hold no positive entry, so su and lu still hold the positive
+        child's fill when the deferred selection runs.
         """
         su, lu, neg = self.su, self.lu, self.neg
         collector = self.collector
@@ -302,7 +309,11 @@ def mine_top_k(
     """Mine the k highest relative-utility itemsets.
 
     Returns the ranked pattern list and the run's counters. The debug knobs
-    (su_prune, lu_prune) change work done, never results.
+    (su_prune, lu_prune) change work done, never results. lu_prune always
+    sets the root's local test, the TWU test that picks the positive items
+    of the order; below the root the local bound is filled and tested only
+    with su_prune off, since with the subtree rule on it changes no pick
+    (see bounds.py).
     """
     _check_k(k)
     if len(db.item_signs) > MAX_DISTINCT_ITEMS:

@@ -97,8 +97,10 @@ def _miner(db, working, su_prune=True, lu_prune=True, threshold=Fraction(0)):
 
 
 def _miner_arrays(db, working):
-    """The su, lu and neg arrays a run over db's working database uses."""
-    miner = _miner(db, working)
+    """The su, lu and neg arrays a run over db's working database uses
+    where it fills lu: only the su_prune=False ablation does, so this is
+    its miner. A default miner holds lu None."""
+    miner = _miner(db, working, su_prune=False)
     return miner.su, miner.lu, miner.neg
 
 
@@ -128,14 +130,15 @@ def _last_item(pd):
 
 
 def _positive_state(su, lu):
-    """Everything su and lu hold: rows, ratios, stamps."""
+    """Everything su and lu (where it is filled) hold: rows, ratios,
+    stamps."""
     return [list(arr.row) + list(arr.num) + list(arr.den) + list(arr.seen) + [arr.stamp]
-            for arr in (su, lu)]
+            for arr in (su, lu) if arr is not None]
 
 
 def _ratios(arr, owner=None):
-    """The best ratio of each item that occurred in the last fill. lu keeps
-    no stamps of its own: su's (owner) tell for both."""
+    """The best ratio of each item that occurred in the last fill. The
+    selection reads su's stamps (owner) for lu too."""
     owner = owner or arr
     return {z: Fraction(arr.num[z], arr.den[z]) for z in range(len(arr.row)) if _occurred(owner, z)}
 
@@ -178,7 +181,7 @@ def _assert_neg_filled(views, su, lu, neg, tails=None):
         for j in range(off, len(items))
         if items[j] >= boundary
     }
-    assert not any(su.row) and not any(lu.row) and not any(neg.row)
+    assert not any(su.row) and (lu is None or not any(lu.row)) and not any(neg.row)
     assert sorted(neg.touched) == sorted(negatives)
     assert _occurred_items(neg) == sorted(neg.touched)
 
@@ -618,10 +621,14 @@ def test_many_periods_select_as_the_per_period_rule(monkeypatch, n_periods, tran
     per-period rule keeps, over sums taken from the bracket definitions in
     every period, and the miner matches the oracle: keeping one best ratio
     per item decides as the periods x items sums would, and the periods
-    and negative tails the fills skip change no pick."""
+    and negative tails the fills skip change no pick. Where lu is filled
+    (the su_prune=False ablation) secondary is the local rule's; where it
+    is not (by default), secondary is every item that occurs in a period
+    the fill walked."""
     databases = _many_period_databases(n_periods, transactions, 6, n_periods)
     sums = {}
     tested = []
+    local_tested = []
 
     def fill_both(pd, su, lu, neg, totals, t_num=0, t_den=1, caps=None):
         fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
@@ -630,12 +637,19 @@ def test_many_periods_select_as_the_per_period_rule(monkeypatch, n_periods, tran
         if last is None or last < len(su.row):
             # a negative node's fill leaves su and lu to its positive parent
             sums["su"], sums["lu"] = su_sums, lu_sums
+            sums["walked"] = _walked(pd, totals, t_num, t_den, caps)
         sums["totals"] = totals
 
     def split(su, lu, candidates, su_num, lu_num, t_den):
         picked = select_primary_secondary(su, lu, candidates, su_num, lu_num, t_den)
         totals = sums["totals"]
-        secondary = [z for z in candidates if _per_period_rule(sums["lu"], z, lu_num, t_den, totals)]
+        if lu is None:
+            walked = sums["walked"]
+            secondary = [z for z in candidates if walked & sums["su"].get(z, {}).keys()]
+        else:
+            rule = sums["lu"]
+            secondary = [z for z in candidates if _per_period_rule(rule, z, lu_num, t_den, totals)]
+            local_tested.append(len(candidates))
         primary = [z for z in secondary if _per_period_rule(sums["su"], z, su_num, t_den, totals)]
         assert picked == (primary, secondary)
         tested.append(len(candidates))
@@ -655,19 +669,21 @@ def test_many_periods_select_as_the_per_period_rule(monkeypatch, n_periods, tran
     monkeypatch.setattr(search, "select_negative_candidates", negatives)
     for db in databases:
         for k in (3, 25):
-            mined, _ = mine_top_k(db, k)
-            assert mined == oracle_top_k(db, k)
-    assert sum(tested) > 1000
+            want = oracle_top_k(db, k)
+            for flags in ({}, {"su_prune": False}):
+                assert mine_top_k(db, k, **flags)[0] == want
+    assert sum(tested) > 1000 and sum(local_tested) > 200
 
 
 @pytest.mark.parametrize(
     "n_periods, transactions", [(30, (40, 240)), (365, (400, 1100))]
 )
 def test_every_row_cell_is_zero_after_each_fill(monkeypatch, n_periods, transactions):
-    """Through whole mining runs, every row cell is zero when a fill
-    returns, so the next fill starts from a clean row without a reset, and
-    each fill lists each item it saw once. A negative node's fill writes
-    neg alone and leaves su and lu exactly as they were."""
+    """Through whole mining runs, by default and under the su_prune=False
+    ablation that fills lu, every row cell is zero when a fill returns, so
+    the next fill starts from a clean row without a reset, and each fill
+    lists each item it saw once. A negative node's fill writes neg alone
+    and leaves su and lu exactly as they were."""
     databases = _many_period_databases(n_periods, transactions, 6, n_periods)
     fills = []
     capped = []
@@ -694,7 +710,8 @@ def test_every_row_cell_is_zero_after_each_fill(monkeypatch, n_periods, transact
     monkeypatch.setattr(search, "fill_subtree_and_local", fill_both)
     for db in databases:
         for k in (3, 25):
-            mine_top_k(db, k)
+            for flags in ({}, {"su_prune": False}):
+                mine_top_k(db, k, **flags)
     assert len(fills) > 100 and max(fills) > 1
     assert sum(capped) > 0 and negative_fills > 0
 
@@ -799,11 +816,14 @@ def test_gated_fill_of_a_positive_node_decides_as_the_ungated_one(corpus, n_peri
                 su, lu, neg = arrays
                 _fill(pd, su, lu, neg, totals, t_num, t_den)
                 assert _live(su, lu, neg)[:2] == _live(*ungated)[:2]
-                assert not any(su.row) and not any(lu.row) and not any(neg.row)
+                _assert_neg_filled(pd.views, su, lu, neg, _walked_tails(pd, totals, t_num, t_den))
                 picks = (range(boundary), t_num, t_num, t_den)
-                assert select_primary_secondary(su, lu, *picks) == select_primary_secondary(
-                    *ungated[:2], *picks
-                )
+                want = select_primary_secondary(*ungated[:2], *picks)
+                assert select_primary_secondary(su, lu, *picks) == want
+                # without lu, secondary is every item that occurred, and
+                # primary is the same: su <= lu cell by cell
+                primary, secondary = select_primary_secondary(su, None, *picks)
+                assert primary == want[0] and secondary == _occurred_items(su)
                 want = select_negative_candidates(ungated[2], range(boundary, n), t_num, t_den)
                 assert select_negative_candidates(neg, range(boundary, n), t_num, t_den) == want
                 skipped += len(ungated[2].touched) - len(neg.touched)
@@ -895,7 +915,8 @@ def test_capped_fill_decides_as_the_uncapped_one(corpus, n_periods):
     local rule off (a zero local cutoff) secondary means "occurred": the
     capped fill may drop an item that occurs only in skipped periods, but
     its local ratio is below the cutoff, so it can never be primary below
-    X, and the primaries stay the same."""
+    X, and the primaries stay the same. A selection handed no lu, as by
+    default, reads as one at a zero local cutoff."""
     rng = random.Random(5353 + n_periods)
     capped = tested = dropped = 0
     for db in _chain_databases(corpus, n_periods):
@@ -928,6 +949,9 @@ def test_capped_fill_decides_as_the_uncapped_one(corpus, n_periods):
                     got = select_primary_secondary(su, lu, *picks)
                     want = select_primary_secondary(*ungated[:2], *picks)
                     assert got[0] == want[0]
+                    if not lu_num:
+                        # without lu, the selection reads as at a zero local cutoff
+                        assert select_primary_secondary(su, None, *picks) == got
                     if lu_num:
                         assert got[1] == want[1]
                     else:
@@ -1057,3 +1081,38 @@ def test_search_hands_each_positive_child_its_last_items_row(monkeypatch):
             mined, _ = mine_top_k(db, k)
             assert mined == oracle_top_k(db, k)
     assert with_row > splits - len(miners) > 0
+
+
+def test_default_search_fills_no_local_bound(monkeypatch, corpus):
+    """Every fill and positive selection of a whole run is handed lu None,
+    by default, with the local rule off and with both rules off; only the
+    su_prune=False ablation, where the local rule is the only positive
+    rule, hands them an lu array. Wherever the subtree rule is on, lu
+    changes no pick, so filling it is wasted."""
+    handed = []
+
+    def fill(pd, su, lu, neg, totals, t_num=0, t_den=1, caps=None):
+        handed.append(lu)
+        fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
+
+    def split(su, lu, *args):
+        handed.append(lu)
+        return select_primary_secondary(su, lu, *args)
+
+    monkeypatch.setattr(search, "fill_subtree_and_local", fill)
+    monkeypatch.setattr(search, "select_primary_secondary", split)
+    for flags, filled in (
+        ({}, False),
+        ({"lu_prune": False}, False),
+        ({"su_prune": False, "lu_prune": False}, False),
+        ({"su_prune": False}, True),
+    ):
+        handed.clear()
+        for db in corpus[:20]:
+            mine_top_k(db, 5, **flags)
+        assert len(handed) > 40, flags
+        if filled:
+            assert all(isinstance(lu, BoundArray) for lu in handed), flags
+            assert len({id(lu) for lu in handed}) == 20  # one array per run
+        else:
+            assert all(lu is None for lu in handed), flags

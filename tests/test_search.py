@@ -10,6 +10,7 @@ import pytest
 
 from topshelf import search
 from topshelf.bounds import (
+    BoundArray,
     fill_subtree_and_local,
     select_negative_candidates,
     select_primary_secondary,
@@ -556,6 +557,62 @@ def test_local_rule_off_matches_the_uncapped_search(monkeypatch):
         "candidates": 1181, "merges": 0, "max_depth": 7, "threshold_rises": 445,
     }
     assert mined == mine_top_k(db, k)[0]
+
+
+def _run_with_picks(monkeypatch, db, k, local):
+    """Mine db at k and record, in order, the primary picks of every
+    positive selection that picks something, and the count of positive
+    selections. local=True forces the local fill on: the miner holds an
+    lu array, as the su_prune=False ablation's does, so every fill fills
+    it and every selection applies the local test at the threshold."""
+    picks = []
+    selections = 0
+
+    def split(*args):
+        nonlocal selections
+        selections += 1
+        primary, secondary = select_primary_secondary(*args)
+        if primary:
+            picks.append(primary)
+        return primary, secondary
+
+    def init(self, *args, **kwargs):
+        build(self, *args, **kwargs)
+        self.lu = BoundArray(self.boundary)
+
+    build = _Miner.__init__
+    with monkeypatch.context() as patched:
+        patched.setattr(search, "select_primary_secondary", split)
+        if local:
+            patched.setattr(_Miner, "__init__", init)
+        mined, stats = mine_top_k(db, k)
+    payload = stats_json(stats)
+    del payload["elapsed_ms"]
+    return mined, payload, picks, selections
+
+
+def test_local_bound_changes_no_pick(monkeypatch, corpus):
+    """While the subtree rule is on, an item the local test at a node X
+    drops fails the subtree test at every positive node below X, since
+    su_X'(y) <= lu_X(y) in every period and the threshold only rises. So
+    forcing the local fill on changes no primary pick, no pattern and no
+    counter, on the oracle corpus and on the pinned databases. It only
+    shortens the secondary lists: a node whose list it empties is never
+    selected from, where by default it is, and picks nothing."""
+    databases = [(db, k) for db in corpus for k in (1, 5, 10_000)]
+    databases += [
+        (parse_database(generate(GeneratorParams(**params))), k)
+        for params, k, _ in PINNED_COUNTERS
+    ]
+    picked = emptied = 0
+    for db, k in databases:
+        *local, local_selections = _run_with_picks(monkeypatch, db, k, local=True)
+        *default, selections = _run_with_picks(monkeypatch, db, k, local=False)
+        assert local == default
+        assert selections >= local_selections
+        picked += len(default[2])
+        emptied += selections - local_selections
+    assert picked > 5000 and emptied > 0
 
 
 def predicted_merges(db, k):
