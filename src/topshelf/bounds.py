@@ -79,26 +79,36 @@ same cutoff. A negative node is exempt: its prefix utilities can be
 negative, so u_p(X) can sit below a single view's positive bracket. It is
 filled at cutoff zero, and t_num zero never skips.
 
-A fill of every positive node X = P + {z}, whether or not X has positive
-children to select, also takes z's TWU row from prepare.compute_period_twu,
-keyed by dense period, and skips whole every period p where TWU_p({z}) is
-below the cutoff times p's total: no positive walk, no tails, no fold.
-Every view of X holds z, and every bracket a view
-adds (prefix + u + positive remaining for su, prefix + positive remaining
-for lu, a clipped negative bracket for neg) is at most that view's PTU; a
-fused or trimmed row only lowers it. So every sum a candidate y gets in
-p, su_p(y) <= lu_p(y) for a positive y and the clipped sum for a negative
-one, is at most TWU_p(X) <= TWU_p({z}), and nothing can pass in a skipped
-period. The subtree and negative tests read the fill's cutoff or a higher
-one, since the threshold only rises. Where no local test runs (lu None,
-or the local rule off), secondary means "occurred": an item that sells
-only in skipped periods then drops out of the node's alphabet, but it can
-never be primary anywhere below X, because every descendant's brackets in
-those periods are bounded by the same TWU_p({z}). So the nodes searched,
-the patterns and every counter stay the same. The row is read, never
-copied: the search holds the table anyway. The root has no last item, and
-a negative node's cutoff of zero would skip nothing, so neither takes a
-row.
+A fill of the root or of a positive node P at a nonzero cutoff also
+returns a record, item -> {dense period: su cell}: for each positive item
+z and each period p it walks, z's subtree sum su_P,p(z) where that reaches
+the cutoff times p's total. The search hands the fill of each positive
+child X = P + {z} P's cells for z as caps, and the fill skips whole every
+period that caps leaves out or holds below X's cutoff times the total: no
+positive walk, no tails, no fold. Every view of X is a view of P that
+holds z, with prefix_X = prefix_P + u(z) >= 0. Each bracket such a view
+adds in X's fill, prefix_X + u(y) + the positive remaining after y for a
+positive y's su, prefix_X + the positive remaining after z for lu, and
+max(prefix_X + u(n), 0) <= prefix_X for a negative n, is at most prefix_X
++ the positive remaining after z, which is what the view added to z's cell
+in P's fill. So every sum a candidate gets in p is at most su_P,p(z). A
+cell P left out was below P's cutoff, which is at most X's, since the
+threshold only rises; a kept cell is tested again at X's cutoff. Nothing
+can pass in a skipped period. Where no local test runs (lu None, or the
+local rule off), secondary means "occurred": an item that sells only in
+skipped periods then drops out of X's alphabet, but it can never be
+primary anywhere below X, because every view of a descendant is a view of
+X and its brackets in those periods are bounded by the same su_P,p(z). So
+the nodes searched, the patterns and every counter stay the same. Each
+bracket is also at most its view's PTU, so su_P,p(z) <= TWU_p({z}): the
+record skips every period z's TWU row would, and the search keeps no TWU
+table. Only cells at or above the cutoff can decide a selection, which
+tests at the fill's cutoff or a higher one, so a fill that records
+compares ratios only for them; a lower cell just marks its item occurred.
+A fill at cutoff zero records nothing: that of a negative node, every fill
+with the subtree rule off, and one that runs before the threshold leaves
+zero, whose children then fill without caps. The root has no parent and
+takes no caps either.
 
 Each fill takes a new stamp in neg, each start of su a new stamp in su
 (which lu, where filled, takes at its fold), and seen[z] holds the stamp of
@@ -191,6 +201,42 @@ def _fold_best(arr: BoundArray, written: list[int], total: int) -> None:
             den[z] = total
 
 
+def _fold_record(
+    arr: BoundArray, written: list[int], total: int, need: int, record: dict, p: int
+) -> None:
+    """_fold_best for su in a fill that records: each cell that reaches
+    need, the fill's cutoff times period p's total rounded up, goes into
+    record[z][p]. Only those cells can decide a selection, which tests at
+    the fill's cutoff or a higher one, so only they compare ratios; a cell
+    below need sets the ratio of an item first seen and is otherwise
+    dropped."""
+    row = arr.row
+    num = arr.num
+    den = arr.den
+    seen = arr.seen
+    stamp = arr.stamp
+    for z in written:
+        cell = row[z]
+        row[z] = 0
+        if cell >= need:
+            cells = record.get(z)
+            if cells is None:
+                record[z] = {p: cell}
+            else:
+                cells[p] = cell
+            if seen[z] != stamp:
+                seen[z] = stamp
+                num[z] = cell
+                den[z] = total
+            elif cell * den[z] > num[z] * total:
+                num[z] = cell
+                den[z] = total
+        elif seen[z] != stamp:
+            seen[z] = stamp
+            num[z] = cell
+            den[z] = total
+
+
 def fill_subtree_and_local(
     pd,
     su: BoundArray,
@@ -200,7 +246,7 @@ def fill_subtree_and_local(
     t_num: int = 0,
     t_den: int = 1,
     caps=None,
-) -> None:
+) -> dict[int, dict[int, int]] | None:
     """One backward walk per view of projection pd fills the bound arrays,
     folding each period into the best ratios against its entry of totals.
 
@@ -220,14 +266,19 @@ def fill_subtree_and_local(
     the root or of a positive node. A negative node's views hold no
     positive entry, so its fill leaves su and lu as they were.
 
-    Two gates at the cutoff t_num/t_den, sound only for the root or a
-    positive node (see the module docstring); t_num zero never skips. A
-    positive node X = P + {z} passes caps, z's TWU row by dense period: in
-    a period whose cap caps[p] is below the cutoff times its total, the
-    walk skips the period whole, listing and folding nothing. In a period
-    whose own utility u_p(pd) is below it, the walk skips the negative
-    tails: it bisects for the last positive entry (positives are the dense
-    items below su's width) and lists and folds nothing into neg for that
+    At a nonzero cutoff t_num/t_den the fill returns its record: for each
+    positive item, {dense period: su cell} over the periods it walked
+    where the cell reaches the cutoff times the period's total. At t_num
+    zero it records nothing and returns None.
+
+    Two gates at the cutoff, sound only for the root or a positive node
+    (see the module docstring); t_num zero never skips. A positive node
+    X = P + {z} passes caps, the record of P's fill for z: the walk skips
+    whole, listing and folding nothing, every period absent from caps or
+    whose cell there is below the cutoff times its total. In a period whose
+    own utility u_p(pd) is below it, the walk skips the negative tails: it
+    bisects for the last positive entry (positives are the dense items
+    below su's width) and lists and folds nothing into neg for that
     period. The root passes no caps.
     """
     neg.start()
@@ -238,12 +289,13 @@ def fill_subtree_and_local(
         lu_row = lu.row
     neg_row = neg.row
     boundary = len(su_row)
+    record = {} if t_num else None
     for (p, views), u_p in zip(groupby(pd.views, _period), pd.utilities):
         total = totals[p]
-        cut = t_num * total
-        if caps is not None and caps[p] * t_den < cut:
+        need = -(-t_num * total // t_den)
+        if caps is not None and caps.get(p, 0) < need:
             continue
-        tails = not t_num or u_p * t_den >= cut
+        tails = not t_num or u_p >= need
         written = []
         neg_written = []
         for items, utils, off, prefix, _ in views:
@@ -278,9 +330,13 @@ def fill_subtree_and_local(
                 j -= 1
         if lu_row is not None:
             _fold_best(lu, written, total)
-        _fold_best(su, written, total)
+        if record is None:
+            _fold_best(su, written, total)
+        else:
+            _fold_record(su, written, total, need, record, p)
         if tails:
             neg.fold(neg_written, total)
+    return record
 
 
 def select_primary_secondary(

@@ -5,15 +5,16 @@ Every step from here on names a period by its dense index: dense period p
 is the p-th smallest period label, and totals[p] is its frozen total pto
 (dense_periods). One walk over the transactions gives every item its
 per-period TWU row, keyed by dense period, and its utility; the threshold
-seed and the root TWU test read those, and the search reads an item's row
-as the per-period cap on every node the item ends (see bounds.py). The
-mining order puts every positive-profit item before every negative one,
-each group sorted by ascending total TWU with ties broken by external id.
-Dense indices are positions in that order, so the sign of an item is just a
-comparison against the positive/negative boundary and transaction entries
-sort by plain integer index. The working database is built in a walk of
-its own, fusing identical rows as it goes, and it is the root projection
-the search starts from.
+seed, the root TWU test and the item order read those, and nothing after:
+the miner drops both once the order is built, before the working database,
+since the search caps each node by its parent's fill instead (see
+bounds.py). The mining order puts every positive-profit item before every
+negative one, each group sorted by ascending total TWU with ties broken by
+external id. Dense indices are positions in that order, so the sign of an
+item is just a comparison against the positive/negative boundary and
+transaction entries sort by plain integer index. The working database is
+built in a walk of its own, fusing identical rows as it goes, and it is
+the root projection the search starts from.
 """
 
 from __future__ import annotations
@@ -45,7 +46,9 @@ def compute_period_twu(
     dense period p (index[h] for label h) containing i, with entries only
     for periods where the item actually occurs: a row's keys are the
     item's periods pi({i}), and presence in the table doubles as an
-    occurrence flag. utility[i] is u({i}) over the whole database.
+    occurrence flag. utility[i] is u({i}) over the whole database. Items
+    and periods keep the order of their first occurrence. Both maps serve
+    the preparation only; the search reads neither.
     """
     table: dict[int, dict[int, int]] = {}
     utility: dict[int, int] = {}
@@ -53,8 +56,11 @@ def compute_period_twu(
         ptu = positive_transaction_utility(t)
         p = index[t.period]
         for item, u in zip(t.items, t.utilities):
-            row = table.setdefault(item, {})
-            row[p] = row.get(p, 0) + ptu
+            row = table.get(item)
+            if row is None:
+                table[item] = {p: ptu}
+            else:
+                row[p] = row.get(p, 0) + ptu
             utility[item] = utility.get(item, 0) + u
     return table, utility
 
@@ -146,13 +152,12 @@ def negative_keep(db: OnShelfDatabase, secondary: set[int]) -> set[int]:
     A negative item can only ever be reached as an extension of a positive
     prefix, so one with no such co-occurrence is dead weight.
     """
-    keep = set()
+    held = set()
     for t in db.transactions:
-        if any(i in secondary for i in t.items):
-            for i, u in zip(t.items, t.utilities):
-                if u < 0:
-                    keep.add(i)
-    return keep
+        if not secondary.isdisjoint(t.items):
+            held.update(t.items)
+    signs = db.item_signs
+    return {i for i in held if signs[i] < 0}
 
 
 @dataclass(slots=True)

@@ -180,10 +180,10 @@ class _Miner:
     local rule is the only positive rule (su_prune off, lu_prune on), and
     None otherwise: while the subtree rule is on, an item the local test
     would drop fails the subtree test wherever it could be picked, so lu
-    changes no pick. twu is compute_period_twu's table: the row of an item,
-    keyed by dense period, caps every positive node the item ends."""
+    changes no pick. The search keeps no TWU table: each positive child is
+    capped by the record of its parent's fill (see bounds.py)."""
 
-    def __init__(self, working, collector, twu, *, su_prune, lu_prune):
+    def __init__(self, working, collector, *, su_prune, lu_prune):
         self.collector = collector
         self.su_prune = su_prune
         self.lu_prune = lu_prune
@@ -193,7 +193,6 @@ class _Miner:
         self.neg = BoundArray(len(working.order))
         self.period_totals = working.period_totals
         self.ext_id = working.order.sequence
-        self.twu = twu
 
     def _cutoffs(self) -> tuple[int, int, int]:
         """The subtree and local threshold numerators, and the threshold
@@ -213,50 +212,54 @@ class _Miner:
         secondary items are those that occurred in its fill (see
         bounds.py for why no pick changes).
 
-        The stack holds one frame per node whose children are still
-        pending: [projection, prefix, picks, secondary, next, rows], where
-        picks are the node's selected children in order and next indexes
-        the first one not yet searched. A positive frame's secondary is the
-        alphabet its children extend from; a negative frame's is None, and
-        each of its children extends from the picks after it. A child's
-        depth is the length of its prefix. rows holds, per pick, the ids of
-        the views that hold it, from one walk of the node's views once its
-        picks are known (see projection.occurrences), or None where the
-        child scans every view; a pick's ids are dropped once its child is
-        projected.
+        The stack holds one frame per node whose children are still pending:
+        [projection, prefix, picks, secondary, next, rows, record], where picks
+        are the node's selected children in order and next indexes the first
+        one not yet searched. A positive frame's secondary is the alphabet its
+        children extend from; a negative frame's is None, and each of its
+        children extends from the picks after it. A child's depth is the length
+        of its prefix. rows holds, per pick, the ids of the views that hold it,
+        from one walk of the node's views once its picks are known (see
+        projection.occurrences), or None where the child scans every view; a
+        pick's ids are dropped once its child is projected. record is the
+        node's fill record (see bounds.fill_subtree_and_local), kept by the
+        root's frame and by each deferred positive frame, None where that fill
+        ran at cutoff zero and in a negative frame; a pick's cells leave it as
+        its child is filled.
 
         Each child is projected from its rows, scored and offered, and then
         filled through fill_subtree_and_local, unless it is a negative child
-        with no later pick. A positive child starts su first, as the root
-        pass did, and fills at the subtree cutoff, which skips the negative
-        tails of the periods where the node's own utility falls below it. A
-        positive child P + {z} also hands the fill z's TWU row, so it skips
-        whole the periods where z's TWU falls below the cutoff: no extension
-        of the child can reach it there. A negative child fills at cutoff
-        zero with no row, and leaves su unstarted (see bounds.py). The
-        negatives a child picks go on the stack, walked, above a deferred
-        frame (picks None), pushed while later secondary items remain, that
-        selects the positive child's own children from su (and lu, where
-        filled) once the negative subtree is done, against the threshold of
-        that moment, and then walks its views for them. A negative node's
-        views hold no positive entry, so su and lu still hold the positive
-        child's fill when the deferred selection runs.
+        with no later pick. A positive child starts su first, as the root pass
+        did, and fills at the subtree cutoff, which skips the negative tails of
+        the periods where the node's own utility falls below it. A positive
+        child P + {z} also hands the fill P's recorded cells for z, so it skips
+        whole the periods where su_P,p(z) falls below the cutoff: no extension
+        of the child can reach it there; a child whose parent filled at
+        cutoff zero has no record to take and fills without caps. A negative
+        child fills at cutoff zero with no caps, records nothing, and leaves
+        su unstarted (see bounds.py). The negatives a child
+        picks go on the stack, walked, above a deferred frame (picks None),
+        pushed while later secondary items remain, that selects the positive
+        child's own children from su (and lu, where filled) once the negative
+        subtree is done, against the threshold of that moment, and then walks
+        its views for them. A negative node's views hold no positive entry, so
+        su and lu still hold the positive child's fill when the deferred
+        selection runs.
         """
         su, lu, neg = self.su, self.lu, self.neg
         collector = self.collector
         period_totals = self.period_totals
         ext_id = self.ext_id
-        twu = self.twu
         su_num, _, t_den = self._cutoffs()
         su.start()
-        fill_subtree_and_local(root, su, lu, neg, period_totals, su_num, t_den)
+        record = fill_subtree_and_local(root, su, lu, neg, period_totals, su_num, t_den)
         primary, secondary = select_primary_secondary(
             su, lu, range(self.boundary), su_num, 0, t_den
         )
-        stack = [[root, (), primary, secondary, 0, occurrences(root, primary)]]
+        stack = [[root, (), primary, secondary, 0, occurrences(root, primary), record]]
         while stack:
             frame = stack[-1]
-            pd, prefix, picks, later, i, rows = frame
+            pd, prefix, picks, later, i, rows, record = frame
             if picks is None:
                 picks, later = select_primary_secondary(su, lu, later, *self._cutoffs())
                 rows = occurrences(pd, picks)
@@ -269,8 +272,7 @@ class _Miner:
             rows[i] = None
             frame[4] = i = i + 1
 
-            item = ext_id[z]
-            ext = prefix + (item,)
+            ext = prefix + (ext_id[z],)
             occupied = child.periods
             utility = sum(child.utilities)
             period_total = sum(period_totals[p] for p in occupied)
@@ -289,14 +291,19 @@ class _Miner:
                 rest = picks[i:]
             else:
                 su.start()
-                fill_subtree_and_local(child, su, lu, neg, period_totals, su_num, t_den, twu[item])
+                caps = None if record is None else record.pop(z)
+                kept = fill_subtree_and_local(
+                    child, su, lu, neg, period_totals, su_num, t_den, caps
+                )
                 candidates = later[bisect_right(later, z) :]
                 if candidates:
-                    stack.append([child, ext, None, candidates, 0, None])
+                    stack.append([child, ext, None, candidates, 0, None, kept])
                 rest = sorted(neg.touched)
             negatives = select_negative_candidates(neg, rest, su_num, t_den)
             if negatives:
-                stack.append([child, ext, negatives, None, 0, occurrences(child, negatives)])
+                stack.append(
+                    [child, ext, negatives, None, 0, occurrences(child, negatives), None]
+                )
 
 
 def mine_top_k(
@@ -331,9 +338,12 @@ def mine_top_k(
     secondary0 = initial_secondary(db, totals, twu, t_num, t_den)
     kept_negative = negative_keep(db, secondary0)
     order = build_item_order(twu, secondary0, kept_negative)
+    # Nothing after the item order reads the TWU table or the utilities;
+    # freed here, they are gone before the working database is built.
+    del twu, utility
     working, stats.merges = build_working_database(db, order, index, totals)
 
-    miner = _Miner(working, collector, twu, su_prune=su_prune, lu_prune=lu_prune)
+    miner = _Miner(working, collector, su_prune=su_prune, lu_prune=lu_prune)
     miner.search(working.root, stats)
 
     patterns = collector.result(working.period_labels)

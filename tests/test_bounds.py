@@ -93,7 +93,7 @@ def _twu(db):
 
 def _miner(db, working, su_prune=True, lu_prune=True, threshold=Fraction(0)):
     collector = TopKCollector(1, threshold, sum(working.period_totals))
-    return _Miner(working, collector, _twu(db), su_prune=su_prune, lu_prune=lu_prune)
+    return _Miner(working, collector, su_prune=su_prune, lu_prune=lu_prune)
 
 
 def _miner_arrays(db, working):
@@ -109,7 +109,7 @@ def _fill(pd, su, lu, neg, totals, t_num=0, t_den=1, caps=None):
     then fill all three arrays. A BoundArray never started reads every
     item as occurred, since its stamps and seen are all zero."""
     su.start()
-    fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
+    return fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
 
 
 def _occurred(arr, z):
@@ -400,11 +400,14 @@ def _random_projection(rng, periods, boundary, n_items):
     return _projection(views)
 
 
-def _live(su, lu, neg):
+def _live(su, lu, neg, cut=0):
     """What a fill leaves for the search to read: the rows, neg's touched
-    list and the best ratios of the items that occurred."""
+    list and the best ratios of the items that occurred. su's ratios below
+    cut read None: a fill at a nonzero cutoff keeps them exact only from
+    the cutoff up, and every selection tests at that cutoff or a higher
+    one."""
     return (
-        (su.row, _ratios(su)),
+        (su.row, {z: r if r >= cut else None for z, r in _ratios(su).items()}),
         (lu.row, _ratios(lu, su)),
         (neg.row, neg.touched, _ratios(neg)),
     )
@@ -631,7 +634,7 @@ def test_many_periods_select_as_the_per_period_rule(monkeypatch, n_periods, tran
     local_tested = []
 
     def fill_both(pd, su, lu, neg, totals, t_num=0, t_den=1, caps=None):
-        fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
+        kept = fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
         su_sums, lu_sums, sums["neg"] = _period_sums(pd)
         last = _last_item(pd)
         if last is None or last < len(su.row):
@@ -639,6 +642,7 @@ def test_many_periods_select_as_the_per_period_rule(monkeypatch, n_periods, tran
             sums["su"], sums["lu"] = su_sums, lu_sums
             sums["walked"] = _walked(pd, totals, t_num, t_den, caps)
         sums["totals"] = totals
+        return kept
 
     def split(su, lu, candidates, su_num, lu_num, t_den):
         picked = select_primary_secondary(su, lu, candidates, su_num, lu_num, t_den)
@@ -694,18 +698,19 @@ def test_every_row_cell_is_zero_after_each_fill(monkeypatch, n_periods, transact
         last = _last_item(pd)
         if last is not None and last >= len(su.row):
             positives = _positive_state(su, lu)
-            fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
+            kept = fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
             assert _positive_state(su, lu) == positives
             _assert_neg_filled(pd.views, su, lu, neg)
             fills.append(len(neg.touched))
             negative_fills += 1
-            return
-        fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
+            return kept
+        kept = fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
         walked = _walked(pd, totals, t_num, t_den, caps)
         tails = _walked_tails(pd, totals, t_num, t_den, caps)
         _assert_filled(pd.views, su, lu, neg, tails, walked)
         fills.append(len(_occurred_items(su)))
         capped.append(len(pd.periods) - len(walked))
+        return kept
 
     monkeypatch.setattr(search, "fill_subtree_and_local", fill_both)
     for db in databases:
@@ -717,12 +722,13 @@ def test_every_row_cell_is_zero_after_each_fill(monkeypatch, n_periods, transact
 
 
 def _walked(pd, totals, t_num, t_den, caps=None):
-    """The periods a fill at cutoff t_num/t_den walks: those where the cap
-    reaches the cutoff, or every period without caps or at t_num zero."""
+    """The periods a fill at cutoff t_num/t_den walks: those whose cell in
+    caps reaches the cutoff (a period absent from caps reads 0), or every
+    period without caps or at t_num zero."""
     return {
         p
         for p in pd.periods
-        if caps is None or not t_num or caps[p] * t_den >= t_num * totals[p]
+        if caps is None or not t_num or caps.get(p, 0) * t_den >= t_num * totals[p]
     }
 
 
@@ -795,11 +801,12 @@ def _cutoffs_that_occur(rng, pd, totals, su, lu, neg):
 def test_gated_fill_of_a_positive_node_decides_as_the_ungated_one(corpus, n_periods):
     """Along random chains of positive items, from the root down, a fill
     that skips the negative tails of the periods where the node's own
-    utility is below the cutoff leaves su and lu exactly as the ungated
-    fill does, selects the same positives and negatives at that cutoff,
-    and leaves every row cell zero. Every negative bracket of a node whose prefix utilities are at least
-    zero is at most that prefix utility, so a skipped period holds no
-    negative that reaches the cutoff."""
+    utility is below the cutoff leaves su and lu as the ungated fill does
+    (su's ratios exact from the cutoff up), selects the same positives and
+    negatives at that cutoff, and leaves every row cell zero. Every
+    negative bracket of a node whose prefix utilities are at least zero is
+    at most that prefix utility, so a skipped period holds no negative
+    that reaches the cutoff."""
     rng = random.Random(4242 + n_periods)
     gated = skipped = 0
     for db in _chain_databases(corpus, n_periods):
@@ -815,7 +822,7 @@ def test_gated_fill_of_a_positive_node_decides_as_the_ungated_one(corpus, n_peri
                 t_num, t_den = cut.numerator, cut.denominator
                 su, lu, neg = arrays
                 _fill(pd, su, lu, neg, totals, t_num, t_den)
-                assert _live(su, lu, neg)[:2] == _live(*ungated)[:2]
+                assert _live(su, lu, neg, cut)[:2] == _live(*ungated, cut)[:2]
                 _assert_neg_filled(pd.views, su, lu, neg, _walked_tails(pd, totals, t_num, t_den))
                 picks = (range(boundary), t_num, t_num, t_den)
                 want = select_primary_secondary(*ungated[:2], *picks)
@@ -861,7 +868,7 @@ def test_search_fills_a_negative_node_ungated():
 
     def fill(pd, su, lu, neg, totals, t_num=0, t_den=1, caps=None):
         fills.append((pd.utilities, t_num))
-        fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
+        return fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "fill_subtree_and_local", fill)
@@ -892,52 +899,64 @@ def test_gate_tests_each_period_not_the_node_overall():
     assert _ratios(ungated[2]) == {2: Fraction(5, 10), 3: 0}
 
 
-def _cap_cutoffs(rng, pd, totals, caps, ungated):
-    """Cutoffs for a capped fill: up to six ratios that occur at the node
-    (_cutoffs_that_occur), up to four of its cap ratios caps[p] / totals[p]
-    (equality keeps a period), and one above every cap ratio, which skips
-    every period."""
+def _cap_cutoffs(rng, pd, totals, caps, ungated, floor):
+    """Cutoffs for a capped fill, none below floor, the cutoff of the
+    parent's fill that recorded caps: up to six ratios that occur at the
+    node (_cutoffs_that_occur), up to four of its cap ratios caps[p] /
+    totals[p] (equality keeps a period), and one above every cap ratio,
+    which skips every period."""
     cuts = _cutoffs_that_occur(rng, pd, totals, *ungated)
-    ratios = sorted({Fraction(caps[p], totals[p]) for p in pd.periods})
+    ratios = sorted({Fraction(cell, totals[p]) for p, cell in caps.items()})
     cuts += rng.sample(ratios, min(4, len(ratios)))
-    cuts.append(ratios[-1] + Fraction(1, max(totals)))
-    return cuts
+    cuts.append(max(ratios, default=floor) + Fraction(1, max(totals)))
+    return [cut for cut in cuts if cut >= floor]
 
 
 @pytest.mark.parametrize("n_periods", [1, 30, 365])
 def test_capped_fill_decides_as_the_uncapped_one(corpus, n_periods):
-    """Along random chains of positive items, from the root down, a fill of
-    the node X = P + {z} handed z's TWU row skips whole the periods where
-    that row is below the cutoff, and still selects the same primaries,
-    secondaries and negatives as a fill with no gate at all, leaving every
-    row cell zero. Every bracket of X in period p is at most TWU_p(X) <=
-    TWU_p({z}), so nothing in a skipped period reaches the cutoff. With the
-    local rule off (a zero local cutoff) secondary means "occurred": the
-    capped fill may drop an item that occurs only in skipped periods, but
-    its local ratio is below the cutoff, so it can never be primary below
-    X, and the primaries stay the same. A selection handed no lu, as by
-    default, reads as one at a zero local cutoff."""
+    """Along random chains of positive items, from the root down, each node
+    P is filled at a cutoff no lower than its parent's, handed its
+    parent's record as caps, and its own record caps the child X = P + {z}
+    (an empty dict where z's cell reached the cutoff in no period). At
+    every cutoff from P's up, X's capped fill skips whole the periods its
+    caps leave out or hold below the cutoff, and still selects the same
+    primaries, secondaries and negatives as a fill with no gate at all,
+    leaving every row cell zero. Every bracket of X in period p is at most
+    prefix_X + the positive remaining after z in its view, and those sum
+    to su_P,p(z), P's cell: a left-out cell was below P's cutoff, which is
+    at most X's. With the local rule off (a zero local cutoff) secondary
+    means "occurred": the capped fill may drop an item that occurs only in
+    skipped periods, but its local ratio is below the cutoff, so it can
+    never be primary below X, and the primaries stay the same. A selection
+    handed no lu, as by default, reads as one at a zero local cutoff."""
     rng = random.Random(5353 + n_periods)
     capped = tested = dropped = 0
     for db in _chain_databases(corpus, n_periods):
         order, working, root = pipeline(db)
-        twu_table = _twu(db)
         totals = working.period_totals
         n, boundary = len(order), order.boundary
         arrays = _miner_arrays(db, working)  # reused: each fill leaves stale ratios
         ungated = _miner_arrays(db, working)
-        pd = root
+        pd, caps, floor = root, None, Fraction(0)
         for _ in range(4):
             held = sorted(
                 {z for items, _, off, _, _ in pd.views for z in items[off:] if z < boundary}
             )
             if not held:
                 break
+            # P's cutoff: a subtree cell ratio of P from the lower half of
+            # those at or above its parent's cutoff
+            cells = sorted(
+                {Fraction(s, totals[p]) for by in _period_sums(pd)[0].values()
+                 for p, s in by.items() if s > 0 and Fraction(s, totals[p]) >= floor}
+            )
+            floor = rng.choice(cells[: len(cells) // 2 + 1]) if cells else floor
+            kept = _fill(pd, *arrays, totals, floor.numerator, floor.denominator, caps)
             z = rng.choice(held)
             pd = project(pd, z)
-            caps = twu_table[order.sequence[z]]
+            caps = kept.get(z, {})
             _fill(pd, *ungated, totals)
-            for cut in _cap_cutoffs(rng, pd, totals, caps, ungated):
+            for cut in _cap_cutoffs(rng, pd, totals, caps, ungated, floor):
                 t_num, t_den = cut.numerator, cut.denominator
                 su, lu, neg = arrays
                 _fill(pd, su, lu, neg, totals, t_num, t_den, caps)
@@ -968,18 +987,20 @@ def test_capped_fill_decides_as_the_uncapped_one(corpus, n_periods):
 
 
 def test_cap_skips_a_period_the_tail_gate_would_walk():
-    """Node {0} in periods 0 and 1 (totals 10 and 100), cutoff 1/4, with
-    item 0's TWU row {0: 9, 1: 5}. In period 1 the node's own utility, 2,
-    is below the cutoff (2/100), so the tail gate alone skips only the
-    negative tails there and still walks the positives; the cap, 5/100,
-    skips the period whole. Item 2 sells only in period 1: the capped fill
-    never lists it, yet every selection equals the ungated one."""
+    """Node {0} in periods 0 and 1 (totals 10 and 100), cutoff 1/4, capped
+    by the root's cells for item 0, {0: 9, 1: 5}. In period 1 the node's
+    own utility, 2, is below the cutoff (2/100), so the tail gate alone
+    skips only the negative tails there and still walks the positives; the
+    cap, 5/100, skips the period whole, as it does where the root left
+    period 1 out of its record. Item 2 sells only in period 1: the capped
+    fill never lists it, yet every selection equals the ungated one."""
     totals = [10, 100]
     caps = {0: 9, 1: 5}
     pd = _projection({
         0: [([0, 1, 3], [6, 3, -1], 1, 6)],
         1: [([0, 1, 2], [1, 1, 1], 1, 1), ([0, 2, 3], [1, 1, -1], 1, 1)],
     })
+    assert _parent_cells(pd) == caps
     assert pd.utilities == [6, 2]
     t_num, t_den = 1, 4
 
@@ -1007,6 +1028,9 @@ def test_cap_skips_a_period_the_tail_gate_would_walk():
     assert select_primary_secondary(su, lu, *picks) == want
     for negatives in (neg, gated[2], ungated[2]):
         assert select_negative_candidates(negatives, [3], t_num, t_den) == [3]
+    absent = _three_arrays(3, 4)
+    _fill(pd, *absent, totals, t_num, t_den, {0: 9})
+    assert _live(*absent) == _live(su, lu, neg)
     # at cutoff zero the cap skips nothing
     _fill(pd, su, lu, neg, totals, 0, t_den, caps)
     assert _live(su, lu, neg) == _live(*ungated)
@@ -1014,15 +1038,16 @@ def test_cap_skips_a_period_the_tail_gate_would_walk():
 
 def test_cap_applies_to_a_positive_node_with_no_children_to_select():
     """Node {0} with no later secondary item, in periods 0 and 1 (totals
-    10 and 100), cutoff 1/4, with item 0's TWU row {0: 9, 1: 5}. Its only
-    negative, 3, sells in period 1 alone, beside positive 1, which is not
-    secondary there. The node's own utility there, 4/100, makes the tail
+    10 and 100), cutoff 1/4, capped by the root's cells for item 0,
+    {0: 6, 1: 5}. Its only negative, 3, sells in period 1 alone, beside
+    positive 1, which is not secondary there. The node's own utility there, 4/100, makes the tail
     gate skip 3's tail but still walk 1; the cap, 5/100, skips period 1
     whole: neither item is listed, and the negative selection equals the
     ungated one."""
     totals = [10, 100]
-    caps = {0: 9, 1: 5}
+    caps = {0: 6, 1: 5}
     pd = _projection({0: [([0], [6], 1, 6)], 1: [([0, 1, 3], [4, 1, -1], 1, 4)]})
+    assert _parent_cells(pd) == caps
     t_num, t_den = 1, 4
     su, lu, neg = _three_arrays(2, 4)
     _fill(pd, su, lu, neg, totals, t_num, t_den, caps)
@@ -1041,15 +1066,31 @@ def test_cap_applies_to_a_positive_node_with_no_children_to_select():
         assert select_negative_candidates(negatives, [3], t_num, t_den) == []
 
 
-def test_search_hands_each_positive_child_its_last_items_row(monkeypatch):
-    """Every fill of a whole mining run gets twu[last item] for a positive
-    child, childless or not, and no row for the root or a negative child,
-    which fills at cutoff zero. Each positive selection but the root's
-    serves one positive child; more positive children are filled, so
-    some childless ones took the row."""
+def _parent_cells(pd):
+    """Per period, the subtree sum su_P,p(z) of the node X = P + {z} in its
+    parent P, from X's own views, which are P's views holding z: each adds
+    prefix_X = prefix_P + u(z), plus the positive utility after z."""
+    cells = {}
+    for items, utils, off, prefix, p in pd.views:
+        cells[p] = cells.get(p, 0) + prefix + sum(u for u in utils[off:] if u > 0)
+    return cells
+
+
+def test_search_caps_each_positive_child_by_its_parents_record(monkeypatch):
+    """Through whole mining runs, every fill at a nonzero cutoff returns its
+    record: for each positive item z, in each period p the fill walked
+    where z's subtree sum reaches the cutoff, that sum su_P,p(z) from the
+    bracket definitions, and nothing else. Each recorded cell is at most
+    z's period TWU, TWU_p({z}), so the record skips at least what z's TWU
+    row would. A fill at cutoff zero records nothing. Every positive child
+    X = P + {z} of a recording fill is handed P's cells for z, checked
+    against X's own views, with every period left out below X's cutoff;
+    the root and negative children are handed none. With the subtree rule
+    off every cutoff is zero, so nothing is recorded or handed."""
     databases = _many_period_databases(30, (40, 240), 6, 30)
     miners = []
-    with_row = splits = 0
+    current = {}
+    handed = recorded = 0
     original = _Miner.search
 
     def searched(self, root, stats):
@@ -1057,30 +1098,48 @@ def test_search_hands_each_positive_child_its_last_items_row(monkeypatch):
         return original(self, root, stats)
 
     def fill(pd, su, lu, neg, totals, t_num=0, t_den=1, caps=None):
-        nonlocal with_row
+        nonlocal handed, recorded
         miner = miners[-1]
         last = _last_item(pd)
-        if last is None or last >= miner.boundary:
+        if last is None or last >= miner.boundary or not miner.su_prune:
             assert caps is None
-            assert last is None or t_num == 0
-        else:
-            assert caps is miner.twu[miner.ext_id[last]]
-            with_row += 1
-        fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
-
-    def split(*args):
-        nonlocal splits
-        splits += 1
-        return select_primary_secondary(*args)
+        elif caps is not None:
+            cells = _parent_cells(pd)
+            assert caps.keys() <= cells.keys()
+            assert all(caps[p] == cells[p] for p in caps)
+            assert all(cells[p] * t_den < t_num * totals[p] for p in cells.keys() - caps.keys())
+            handed += 1
+        kept = fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
+        if not t_num:
+            assert kept is None
+            return kept
+        walked = _walked(pd, totals, t_num, t_den, caps)
+        want = {}
+        for z, by_period in _period_sums(pd)[0].items():
+            cells = {
+                p: s
+                for p, s in by_period.items()
+                if p in walked and s * t_den >= t_num * totals[p]
+            }
+            if cells:
+                want[z] = cells
+        assert kept == want
+        for z, cells in kept.items():
+            row = current["twu"][miner.ext_id[z]]
+            assert all(cell <= row[p] for p, cell in cells.items())
+        recorded += len(kept)
+        return kept
 
     monkeypatch.setattr(_Miner, "search", searched)
     monkeypatch.setattr(search, "fill_subtree_and_local", fill)
-    monkeypatch.setattr(search, "select_primary_secondary", split)
     for db in databases:
+        current["twu"] = _twu(db)
         for k in (3, 25):
-            mined, _ = mine_top_k(db, k)
-            assert mined == oracle_top_k(db, k)
-    assert with_row > splits - len(miners) > 0
+            for flags in ({}, {"su_prune": False}):
+                mined, _ = mine_top_k(db, k, **flags)
+                assert mined == oracle_top_k(db, k)
+    # each capped child's cells come from one record
+    assert handed > 200 and recorded >= handed
 
 
 def test_default_search_fills_no_local_bound(monkeypatch, corpus):
@@ -1093,7 +1152,7 @@ def test_default_search_fills_no_local_bound(monkeypatch, corpus):
 
     def fill(pd, su, lu, neg, totals, t_num=0, t_den=1, caps=None):
         handed.append(lu)
-        fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
+        return fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
 
     def split(su, lu, *args):
         handed.append(lu)

@@ -21,6 +21,7 @@ from topshelf.errors import InvalidK, TooManyItems
 from topshelf.generator import GeneratorParams, generate
 from topshelf.oracle import enumerate_patterns, oracle_top_k, relative_utility
 from topshelf.prepare import (
+    build_working_database,
     compute_period_twu,
     dense_periods,
     initial_secondary,
@@ -329,6 +330,40 @@ def test_hourly_calendar_mines_in_the_memory_of_four_periods():
     assert hourly - four < 4 * 2**20, (four, hourly)
 
 
+def test_twu_table_is_dead_before_the_working_database_is_built(monkeypatch):
+    """The search caps each child by its parent's fill, not by TWU rows, so
+    the per-period TWU table, every row of it, and the utility map are
+    freed once the item order is built: none is alive when the working
+    database is built."""
+
+    class Table(dict):
+        """A dict that takes weak references."""
+
+    refs = []
+    built = 0
+
+    def walk(db, index):
+        table, utility = compute_period_twu(db, index)
+        table = Table((item, Table(row)) for item, row in table.items())
+        utility = Table(utility)
+        refs.extend(weakref.ref(part) for part in (table, utility, *table.values()))
+        return table, utility
+
+    def build(*args, **kwargs):
+        nonlocal built
+        assert refs and all(ref() is None for ref in refs)
+        built += 1
+        return build_working_database(*args, **kwargs)
+
+    monkeypatch.setattr(search, "compute_period_twu", walk)
+    monkeypatch.setattr(search, "build_working_database", build)
+    for params, k, _ in PINNED_COUNTERS[-2:]:
+        refs.clear()
+        mined, _ = mine_top_k(parse_database(generate(GeneratorParams(**params))), k)
+        assert len(mined) == k and len(refs) > 50
+    assert built == 2
+
+
 def test_each_picks_ids_die_once_its_child_is_built(monkeypatch):
     """A frame drops a pick's view ids as soon as the pick's child is
     projected: every id array occurrences() returned is dead by the next
@@ -507,64 +542,61 @@ def test_search_counters_are_pinned(params, k, counters):
     assert got == counters
 
 
-def _count_capped_periods(monkeypatch, skipped, capped=True):
-    """Route the search's fill through a wrapper that appends, per fill
-    handed a TWU row, the number of periods that row skips. capped=False
-    drops the row before filling: the search as it was without the cap."""
-
-    def fill(pd, su, lu, neg, totals, t_num=0, t_den=1, caps=None):
-        if caps is not None:
-            skipped.append(sum(caps[p] * t_den < t_num * totals[p] for p in pd.periods))
-        fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps if capped else None)
-
-    monkeypatch.setattr(search, "fill_subtree_and_local", fill)
-
-
-def test_pinned_counters_cover_a_capped_search(monkeypatch):
-    """On the 365-period pinned database the cap skips periods of positive
-    nodes, so the pinned counters hold with the cap acting."""
+def test_parents_record_skips_more_periods_than_the_twu_row(monkeypatch):
+    """On the 365-period pinned database the pinned counters hold with each
+    positive child X = P + {z} of a fill at a nonzero cutoff capped by P's
+    record. Every recorded cell su_P,p(z) is at most TWU_p({z}), so such a
+    child skips every period z's TWU row would skip at the same cutoff,
+    and over the run strictly more. The threshold seed is zero here, so
+    the root records nothing and its children fill without caps."""
     params, k, counters = PINNED_COUNTERS[-1]
     assert params["periods"] == 365
-    skipped = []
-    _count_capped_periods(monkeypatch, skipped)
-    _, stats = mine_top_k(parse_database(generate(GeneratorParams(**params))), k)
-    assert (stats.candidates, stats.threshold_rises, stats.max_depth) == counters
-    assert sum(skipped) > 0
-
-
-def test_local_rule_off_matches_the_uncapped_search(monkeypatch):
-    """With the local rule off, secondary means "occurred", and a capped
-    fill drops the items that occur only in skipped periods. None of them
-    can be primary anywhere below, so the patterns and every counter equal
-    those of the search without the cap, and the recorded stats of the
-    search before the cap existed."""
-    params, k, _ = PINNED_COUNTERS[-1]
     db = parse_database(generate(GeneratorParams(**params)))
-    runs = []
-    for capped in (True, False):
-        skipped = []
-        with monkeypatch.context() as patched:
-            _count_capped_periods(patched, skipped, capped)
-            mined, stats = mine_top_k(db, k, lu_prune=False)
-        payload = stats_json(stats)
-        del payload["elapsed_ms"]
-        runs.append((mined, payload, sum(skipped)))
-    (mined, payload, skipped), (unmined, unpayload, _) = runs
-    assert skipped > 0
-    assert mined == unmined and payload == unpayload
-    assert payload == {
-        "k": 100, "patterns": 100, "interutil_num": 64, "interutil_den": 27,
-        "candidates": 1181, "merges": 0, "max_depth": 7, "threshold_rises": 445,
-    }
-    assert mined == mine_top_k(db, k)[0]
+    index, totals = dense_periods(db)
+    table, utility = compute_period_twu(db, index)
+    assert singleton_threshold(totals, table, utility, k) == 0
+    miners = []
+    skipped = {"record": 0, "row": 0}
+    uncapped = 0
+    run = _Miner.search
+
+    def searched(self, root, stats):
+        miners.append(self)
+        run(self, root, stats)
+
+    def fill(pd, su, lu, neg, totals, t_num=0, t_den=1, caps=None):
+        nonlocal uncapped
+        miner = miners[-1]
+        items, _, off, _, _ = pd.views[0]
+        if off and items[off - 1] < miner.boundary:
+            if caps is None:
+                uncapped += 1
+            else:
+                row = table[miner.ext_id[items[off - 1]]]
+                by_row = {p for p in pd.periods if row[p] * t_den < t_num * totals[p]}
+                by_record = {
+                    p for p in pd.periods if caps.get(p, 0) * t_den < t_num * totals[p]
+                }
+                assert by_row <= by_record
+                skipped["row"] += len(by_row)
+                skipped["record"] += len(by_record)
+        return fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
+
+    monkeypatch.setattr(_Miner, "search", searched)
+    monkeypatch.setattr(search, "fill_subtree_and_local", fill)
+    _, stats = mine_top_k(db, k)
+    assert (stats.candidates, stats.threshold_rises, stats.max_depth) == counters
+    assert skipped["record"] > skipped["row"] > 0 and uncapped > 0
 
 
-def _run_with_picks(monkeypatch, db, k, local):
-    """Mine db at k and record, in order, the primary picks of every
-    positive selection that picks something, and the count of positive
-    selections. local=True forces the local fill on: the miner holds an
-    lu array, as the su_prune=False ablation's does, so every fill fills
-    it and every selection applies the local test at the threshold."""
+def _run_with_picks(monkeypatch, db, k, local=False, capped=True, **flags):
+    """Mine db at k under flags and record, in order, the primary picks of
+    every positive selection that picks something, and the count of
+    positive selections. local=True forces the local fill on: the miner
+    holds an lu array, as the su_prune=False ablation's does, so every
+    fill fills it and every selection applies the local test at the
+    threshold. capped=False hands every fill no caps: the search without
+    the parent's record."""
     picks = []
     selections = 0
 
@@ -580,12 +612,17 @@ def _run_with_picks(monkeypatch, db, k, local):
         build(self, *args, **kwargs)
         self.lu = BoundArray(self.boundary)
 
+    def uncapped(pd, su, lu, neg, totals, t_num=0, t_den=1, caps=None):
+        return fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den)
+
     build = _Miner.__init__
     with monkeypatch.context() as patched:
         patched.setattr(search, "select_primary_secondary", split)
         if local:
             patched.setattr(_Miner, "__init__", init)
-        mined, stats = mine_top_k(db, k)
+        if not capped:
+            patched.setattr(search, "fill_subtree_and_local", uncapped)
+        mined, stats = mine_top_k(db, k, **flags)
     payload = stats_json(stats)
     del payload["elapsed_ms"]
     return mined, payload, picks, selections
@@ -613,6 +650,37 @@ def test_local_bound_changes_no_pick(monkeypatch, corpus):
         picked += len(default[2])
         emptied += selections - local_selections
     assert picked > 5000 and emptied > 0
+
+
+def test_parents_record_changes_no_pick(monkeypatch, corpus):
+    """Capping each positive child X = P + {z} by P's record skips only
+    periods where every bracket of X sums below the cutoff, and every
+    descendant's brackets there are bounded by the same cell. So on the
+    oracle corpus at k 1, 5 and 10,000, and on the pinned databases by
+    default and with the local rule off, the capped search gives the same
+    patterns, the same stats and the same sequence of non-empty primary
+    picks as the search that hands no fill caps. It can only shorten the
+    secondary lists ("occurred" reads only the walked periods), so it
+    makes no more selections. With the local rule off, the 365-period
+    pinned database still gives the stats recorded before any cap
+    existed."""
+    databases = [(db, k, {}) for db in corpus for k in (1, 5, 10_000)]
+    for params, k, _ in PINNED_COUNTERS:
+        db = parse_database(generate(GeneratorParams(**params)))
+        databases += [(db, k, {}), (db, k, {"lu_prune": False})]
+    picked = fewer = 0
+    for db, k, flags in databases:
+        *capped, capped_selections = _run_with_picks(monkeypatch, db, k, **flags)
+        *uncapped, selections = _run_with_picks(monkeypatch, db, k, capped=False, **flags)
+        assert capped == uncapped
+        assert capped_selections <= selections
+        picked += len(capped[2])
+        fewer += selections - capped_selections
+    assert picked > 5000 and fewer > 0
+    assert capped[1] == {
+        "k": 100, "patterns": 100, "interutil_num": 64, "interutil_den": 27,
+        "candidates": 1181, "merges": 0, "max_depth": 7, "threshold_rises": 445,
+    }
 
 
 def predicted_merges(db, k):
