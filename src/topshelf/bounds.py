@@ -19,8 +19,8 @@ Both are >= the true utility of anything they prune (dominance is property
 tested), and remaining sums count positive items only, which is what keeps
 them valid when negative items are present.
 
-While the subtree rule is on, the local bound below the root changes which
-items are listed as secondary, never which are picked. Views are never
+While the subtree rule is on, the local bound below the root would change
+which items are listed as secondary, never which are picked. Views are never
 trimmed to a node's secondary items, so remaining sums run over every later
 positive item. Take a positive node X, a positive descendant X' = X + D
 reached through positive items only, and a positive item y after X'. A view
@@ -33,10 +33,10 @@ period, and the threshold only rises from X's selection to that of X'. An
 item that fails X's local test therefore fails the subtree test wherever it
 could be a candidate (at X itself too: su_X <= lu_X). So lu is filled only
 when the local rule is the only positive rule (su_prune off, lu_prune on);
-otherwise the search hands the fills and selections lu None, and secondary
-means "occurred". The root's local test, the TWU test in
-prepare.initial_secondary, always runs: it shrinks the order and the
-working database before any fill.
+otherwise the search hands the fills and selections lu None, and a
+selection builds no secondary list: it tests su alone. The root's local
+test, the TWU test in prepare.initial_secondary, always runs: it shrinks
+the order and the working database before any fill.
 
 An item passes a rule if, in some period it sells in, its bound reaches the
 threshold times that period's total. Period totals are positive, so that
@@ -94,21 +94,41 @@ max(prefix_X + u(n), 0) <= prefix_X for a negative n, is at most prefix_X
 in P's fill. So every sum a candidate gets in p is at most su_P,p(z). A
 cell P left out was below P's cutoff, which is at most X's, since the
 threshold only rises; a kept cell is tested again at X's cutoff. Nothing
-can pass in a skipped period. Where no local test runs (lu None, or the
-local rule off), secondary means "occurred": an item that sells only in
-skipped periods then drops out of X's alphabet, but it can never be
-primary anywhere below X, because every view of a descendant is a view of
-X and its brackets in those periods are bounded by the same su_P,p(z). So
-the nodes searched, the patterns and every counter stay the same. Each
-bracket is also at most its view's PTU, so su_P,p(z) <= TWU_p({z}): the
-record skips every period z's TWU row would, and the search keeps no TWU
-table. Only cells at or above the cutoff can decide a selection, which
+can pass in a skipped period. An item that sells only in skipped periods
+is then listed nowhere in X's fill, so it is not among X's candidates
+(below), but it can never be primary anywhere below X, because every view
+of a descendant is a view of X and its brackets in those periods are
+bounded by the same su_P,p(z). So the nodes searched, the patterns and
+every counter stay the same. Each bracket is also at most its view's
+PTU, so su_P,p(z) <= TWU_p({z}): the record skips every period z's TWU
+row would, and the search keeps no TWU table. Only cells at or above the
+cutoff can decide a selection, which
 tests at the fill's cutoff or a higher one, so a fill that records
 compares ratios only for them; a lower cell just marks its item occurred.
 A fill at cutoff zero records nothing: that of a negative node, every fill
 with the subtree rule off, and one that runs before the threshold leaves
 zero, whose children then fill without caps. The root has no parent and
 takes no caps either.
+
+A positive node below the root selects its children from its own fill: the
+candidates are the keys of its record, or, at cutoff zero, the positives
+that occurred, which only a fill at cutoff zero lists, in su.touched. A
+selection tests at its fill's cutoff or a higher one, so a pick has a cell
+at or above the fill's cutoff in some walked period, and so is a recorded
+key; an empty list picks nothing, and the search makes no selection for it.
+Every item recorded or listed comes after the node's last item, since its
+views start there. Each list is what the parent's candidates after that
+last item hold of the items that occurred: a child walks a subset of its
+parent's periods and its views are among its parent's, so, by induction
+from the root, whose candidates are every positive item, anything that
+occurs in a node's fill was a candidate of its parent. The parent's local
+test needs no repeating either. lu is filled only under su_prune off, where
+every fill runs at cutoff zero, and there X = P + {z} tests lu at its own
+selection: every view of X that holds a later item y is a view of P holding
+y, and its local bracket, prefix_P + u(z) + the positive remaining after z,
+is at most prefix_P + the positive remaining after P's last item. So
+lu_X,p(y) <= lu_P,p(y) in every period, and the threshold only rises: an
+item that passes X's local test passed P's.
 
 Each fill takes a new stamp in neg, each start of su a new stamp in su
 (which lu, where filled, takes at its fold), and seen[z] holds the stamp of
@@ -135,9 +155,12 @@ class BoundArray:
     walked.
 
     Item z occurred in the last fill when seen[z] equals stamp; num[z] and
-    den[z] hold its ratio only then. fold lists those items in touched,
-    which is read for neg only: su and lu fold through _fold_best, which
-    lists nothing.
+    den[z] hold its ratio only then. fold lists those items in touched.
+    The search reads neg's list, and su's after a fill at cutoff zero,
+    where it is the node's candidate list. lu folds against su's stamp,
+    and its list is dropped at each fill. A fill that records folds su
+    through _fold_record, which lists nothing: the record's keys are the
+    candidates there.
     """
 
     __slots__ = ("row", "num", "den", "seen", "stamp", "touched")
@@ -179,37 +202,15 @@ class BoundArray:
                 den[z] = total
 
 
-def _fold_best(arr: BoundArray, written: list[int], total: int) -> None:
-    """BoundArray.fold without the touched list, for su and lu: the
-    positive selection tests su's stamps instead. Folding su through
-    BoundArray.fold cost the long-basket perfbench workload 5% more mining
-    time (in-process, min of 5 runs, CPython 3.11 on a 2-core x86-64 VM)."""
-    row = arr.row
-    num = arr.num
-    den = arr.den
-    seen = arr.seen
-    stamp = arr.stamp
-    for z in written:
-        cell = row[z]
-        row[z] = 0
-        if seen[z] != stamp:
-            seen[z] = stamp
-            num[z] = cell
-            den[z] = total
-        elif cell * den[z] > num[z] * total:
-            num[z] = cell
-            den[z] = total
-
-
 def _fold_record(
     arr: BoundArray, written: list[int], total: int, need: int, record: dict, p: int
 ) -> None:
-    """_fold_best for su in a fill that records: each cell that reaches
-    need, the fill's cutoff times period p's total rounded up, goes into
-    record[z][p]. Only those cells can decide a selection, which tests at
-    the fill's cutoff or a higher one, so only they compare ratios; a cell
-    below need sets the ratio of an item first seen and is otherwise
-    dropped."""
+    """BoundArray.fold for su in a fill that records, without the touched
+    list: each cell that reaches need, the fill's cutoff times period p's
+    total rounded up, goes into record[z][p]. Only those cells can decide
+    a selection, which tests at the fill's cutoff or a higher one, so only
+    they compare ratios; a cell below need sets the ratio of an item first
+    seen and is otherwise dropped."""
     row = arr.row
     num = arr.num
     den = arr.den
@@ -260,7 +261,8 @@ def fill_subtree_and_local(
     module docstring). Given lu, the fill first adds every positive entry's
     local bracket, prefix + the view's positive sum, which does not depend
     on position, and folds lu against su's stamp, so su's start starts
-    both.
+    both; lu's touched list is dropped at each fill, since nothing reads
+    it.
 
     The fill starts neg, not su: the caller starts su before the fill of
     the root or of a positive node. A negative node's views hold no
@@ -269,7 +271,10 @@ def fill_subtree_and_local(
     At a nonzero cutoff t_num/t_den the fill returns its record: for each
     positive item, {dense period: su cell} over the periods it walked
     where the cell reaches the cutoff times the period's total. At t_num
-    zero it records nothing and returns None.
+    zero it records nothing, folds su through BoundArray.fold, which lists
+    in su.touched each positive item that occurred, and returns None. The
+    record's keys, or su.touched at t_num zero, are the node's candidates
+    (see the module docstring).
 
     Two gates at the cutoff, sound only for the root or a positive node
     (see the module docstring); t_num zero never skips. A positive node
@@ -286,6 +291,7 @@ def fill_subtree_and_local(
     lu_row = None
     if lu is not None:
         lu.stamp = su.stamp
+        lu.touched = []
         lu_row = lu.row
     neg_row = neg.row
     boundary = len(su_row)
@@ -329,9 +335,9 @@ def fill_subtree_and_local(
                 su_row[item] = cell + running
                 j -= 1
         if lu_row is not None:
-            _fold_best(lu, written, total)
+            lu.fold(written, total)
         if record is None:
-            _fold_best(su, written, total)
+            su.fold(written, total)
         else:
             _fold_record(su, written, total, need, record, p)
         if tails:
@@ -346,31 +352,31 @@ def select_primary_secondary(
     su_num: int,
     lu_num: int,
     t_den: int,
-) -> tuple[list[int], list[int]]:
+) -> tuple[list[int], list[int] | None]:
     """Split positive candidate items into (primary, secondary) per the
     bound tests.
 
     Items that did not occur in the last fill are excluded even at
     threshold zero (su's stamps tell). Given lu, a candidate is secondary
-    if its best local ratio reaches lu_num/t_den; with lu None, every
-    candidate that occurred is secondary, as at lu_num zero. A secondary
-    candidate is primary if its best subtree ratio reaches su_num/t_den.
-    Equality counts, and a numerator is the threshold's, or zero for a
-    rule that is off. Primary is always a subset of secondary (the local
-    bound dominates the subtree bound cell-wise for positive candidates).
+    if its best local ratio reaches lu_num/t_den. A candidate is primary
+    if it is secondary and its best subtree ratio reaches su_num/t_den.
+    With lu None no local test runs and no secondary list is built: the
+    result is (primary, None), primary picked as at lu_num zero. Equality
+    counts, and a numerator is the threshold's, or zero for a rule that is
+    off. Primary is always a subset of secondary (the local bound
+    dominates the subtree bound cell-wise for positive candidates).
     """
     seen = su.seen
     stamp = su.stamp
-    if lu is None:
-        secondary = [z for z in candidates if seen[z] == stamp]
-    else:
-        num, den = lu.num, lu.den
-        secondary = [
-            z for z in candidates if seen[z] == stamp and num[z] * t_den >= lu_num * den[z]
-        ]
     num, den = su.num, su.den
-    primary = [z for z in secondary if num[z] * t_den >= su_num * den[z]]
-    return primary, secondary
+    if lu is None:
+        primary = [z for z in candidates if seen[z] == stamp and num[z] * t_den >= su_num * den[z]]
+        return primary, None
+    local, local_den = lu.num, lu.den
+    secondary = [
+        z for z in candidates if seen[z] == stamp and local[z] * t_den >= lu_num * local_den[z]
+    ]
+    return [z for z in secondary if num[z] * t_den >= su_num * den[z]], secondary
 
 
 def select_negative_candidates(

@@ -19,7 +19,7 @@ period labels, are built once the search ends, for the k survivors.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -208,24 +208,23 @@ class _Miner:
         children among all positive items, at a zero local cutoff: root
         secondary came from the TWU test already. Below the root, the
         fills and selections take lu, which is None unless the subtree
-        rule is off and the local rule on; with lu None, a node's
-        secondary items are those that occurred in its fill (see
-        bounds.py for why no pick changes).
+        rule is off and the local rule on; with lu None, a selection
+        builds no secondary list (see bounds.py for why no pick changes).
 
         The stack holds one frame per node whose children are still pending:
-        [projection, prefix, picks, secondary, next, rows, record], where picks
-        are the node's selected children in order and next indexes the first
-        one not yet searched. A positive frame's secondary is the alphabet its
-        children extend from; a negative frame's is None, and each of its
-        children extends from the picks after it. A child's depth is the length
-        of its prefix. rows holds, per pick, the ids of the views that hold it,
-        from one walk of the node's views once its picks are known (see
-        projection.occurrences), or None where the child scans every view; a
-        pick's ids are dropped once its child is projected. record is the
-        node's fill record (see bounds.fill_subtree_and_local), kept by the
-        root's frame and by each deferred positive frame, None where that fill
-        ran at cutoff zero and in a negative frame; a pick's cells leave it as
-        its child is filled.
+        [projection, prefix, picks, next, rows, record], where picks are the
+        node's selected children in order and next indexes the first one not
+        yet searched. Negatives are the dense items from the order's boundary
+        up, so a child at or above it is negative, and each child of a
+        negative frame extends from the picks after it. A child's depth is
+        the length of its prefix. rows holds, per pick, the ids of the views
+        that hold it, from one walk of the node's views once its picks are
+        known (see projection.occurrences), or None where the child scans
+        every view; a pick's ids are dropped once its child is projected.
+        record is the node's fill record (see bounds.fill_subtree_and_local),
+        kept by the root's frame and by each deferred positive frame, None
+        where that fill ran at cutoff zero and in a negative frame; a pick's
+        cells leave it as its child is filled.
 
         Each child is projected from its rows, scored and offered, and then
         filled through fill_subtree_and_local, unless it is a negative child
@@ -237,40 +236,42 @@ class _Miner:
         of the child can reach it there; a child whose parent filled at
         cutoff zero has no record to take and fills without caps. A negative
         child fills at cutoff zero with no caps, records nothing, and leaves
-        su unstarted (see bounds.py). The negatives a child
-        picks go on the stack, walked, above a deferred frame (picks None),
-        pushed while later secondary items remain, that selects the positive
-        child's own children from su (and lu, where filled) once the negative
-        subtree is done, against the threshold of that moment, and then walks
-        its views for them. A negative node's views hold no positive entry, so
-        su and lu still hold the positive child's fill when the deferred
-        selection runs.
+        su unstarted (see bounds.py). The negatives a child picks go on the
+        stack, walked, above a deferred frame (rows None), whose picks slot
+        holds the child's candidates until it selects: the keys of the
+        child's record, or at cutoff zero the positives that occurred in its
+        fill (su.touched), ascending. A fill that gives no candidate pushes no
+        deferred frame. Once the negative subtree is done, the deferred frame
+        selects the child's own children from su (and lu, where filled)
+        against the threshold of that moment, and then walks its views for
+        them. A negative node's views hold no positive entry, so su and lu
+        still hold the positive child's fill when the deferred selection
+        runs.
         """
         su, lu, neg = self.su, self.lu, self.neg
         collector = self.collector
         period_totals = self.period_totals
         ext_id = self.ext_id
+        boundary = self.boundary
         su_num, _, t_den = self._cutoffs()
         su.start()
         record = fill_subtree_and_local(root, su, lu, neg, period_totals, su_num, t_den)
-        primary, secondary = select_primary_secondary(
-            su, lu, range(self.boundary), su_num, 0, t_den
-        )
-        stack = [[root, (), primary, secondary, 0, occurrences(root, primary), record]]
+        primary = select_primary_secondary(su, lu, range(boundary), su_num, 0, t_den)[0]
+        stack = [[root, (), primary, 0, occurrences(root, primary), record]]
         while stack:
             frame = stack[-1]
-            pd, prefix, picks, later, i, rows, record = frame
-            if picks is None:
-                picks, later = select_primary_secondary(su, lu, later, *self._cutoffs())
+            pd, prefix, picks, i, rows, record = frame
+            if rows is None:
+                picks = select_primary_secondary(su, lu, picks, *self._cutoffs())[0]
                 rows = occurrences(pd, picks)
-                frame[2], frame[3], frame[5] = picks, later, rows
+                frame[2], frame[4] = picks, rows
             if i == len(picks):
                 stack.pop()
                 continue
             z = picks[i]
             child = project(pd, z, rows[i])
             rows[i] = None
-            frame[4] = i = i + 1
+            frame[3] = i = i + 1
 
             ext = prefix + (ext_id[z],)
             occupied = child.periods
@@ -281,10 +282,11 @@ class _Miner:
                 stats.max_depth = len(ext)
             collector.offer(utility, period_total, ext, occupied)
 
-            if later is None and i == len(picks):
+            negative = z >= boundary
+            if negative and i == len(picks):
                 continue  # the last negative pick has no later one to add
             su_num, _, t_den = self._cutoffs()
-            if later is None:
+            if negative:
                 # a negative child's prefix utilities can be negative, so its
                 # own utility bounds none of its brackets: it fills ungated
                 fill_subtree_and_local(child, su, lu, neg, period_totals)
@@ -295,15 +297,13 @@ class _Miner:
                 kept = fill_subtree_and_local(
                     child, su, lu, neg, period_totals, su_num, t_den, caps
                 )
-                candidates = later[bisect_right(later, z) :]
+                candidates = sorted(su.touched if kept is None else kept)
                 if candidates:
-                    stack.append([child, ext, None, candidates, 0, None, kept])
+                    stack.append([child, ext, candidates, 0, None, kept])
                 rest = sorted(neg.touched)
             negatives = select_negative_candidates(neg, rest, su_num, t_den)
             if negatives:
-                stack.append(
-                    [child, ext, negatives, None, 0, occurrences(child, negatives), None]
-                )
+                stack.append([child, ext, negatives, 0, occurrences(child, negatives), None])
 
 
 def mine_top_k(

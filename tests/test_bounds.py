@@ -626,8 +626,8 @@ def test_many_periods_select_as_the_per_period_rule(monkeypatch, n_periods, tran
     per item decides as the periods x items sums would, and the periods
     and negative tails the fills skip change no pick. Where lu is filled
     (the su_prune=False ablation) secondary is the local rule's; where it
-    is not (by default), secondary is every item that occurs in a period
-    the fill walked."""
+    is not (by default), no secondary list is built, and primary is drawn
+    from the items that occur in a period the fill walked."""
     databases = _many_period_databases(n_periods, transactions, 6, n_periods)
     sums = {}
     tested = []
@@ -655,7 +655,8 @@ def test_many_periods_select_as_the_per_period_rule(monkeypatch, n_periods, tran
             secondary = [z for z in candidates if _per_period_rule(rule, z, lu_num, t_den, totals)]
             local_tested.append(len(candidates))
         primary = [z for z in secondary if _per_period_rule(sums["su"], z, su_num, t_den, totals)]
-        assert picked == (primary, secondary)
+        # with lu None no local test runs and no secondary list is built
+        assert picked == (primary, None if lu is None else secondary)
         tested.append(len(candidates))
         return picked
 
@@ -827,10 +828,9 @@ def test_gated_fill_of_a_positive_node_decides_as_the_ungated_one(corpus, n_peri
                 picks = (range(boundary), t_num, t_num, t_den)
                 want = select_primary_secondary(*ungated[:2], *picks)
                 assert select_primary_secondary(su, lu, *picks) == want
-                # without lu, secondary is every item that occurred, and
-                # primary is the same: su <= lu cell by cell
-                primary, secondary = select_primary_secondary(su, None, *picks)
-                assert primary == want[0] and secondary == _occurred_items(su)
+                # without lu, no secondary list is built, and primary is the
+                # same: su <= lu cell by cell
+                assert select_primary_secondary(su, None, *picks) == (want[0], None)
                 want = select_negative_candidates(ungated[2], range(boundary, n), t_num, t_den)
                 assert select_negative_candidates(neg, range(boundary, n), t_num, t_den) == want
                 skipped += len(ungated[2].touched) - len(neg.touched)
@@ -928,7 +928,8 @@ def test_capped_fill_decides_as_the_uncapped_one(corpus, n_periods):
     means "occurred": the capped fill may drop an item that occurs only in
     skipped periods, but its local ratio is below the cutoff, so it can
     never be primary below X, and the primaries stay the same. A selection
-    handed no lu, as by default, reads as one at a zero local cutoff."""
+    handed no lu, as by default, builds no secondary list and picks as one
+    at a zero local cutoff."""
     rng = random.Random(5353 + n_periods)
     capped = tested = dropped = 0
     for db in _chain_databases(corpus, n_periods):
@@ -969,8 +970,8 @@ def test_capped_fill_decides_as_the_uncapped_one(corpus, n_periods):
                     want = select_primary_secondary(*ungated[:2], *picks)
                     assert got[0] == want[0]
                     if not lu_num:
-                        # without lu, the selection reads as at a zero local cutoff
-                        assert select_primary_secondary(su, None, *picks) == got
+                        # without lu, the selection picks as at a zero local cutoff
+                        assert select_primary_secondary(su, None, *picks) == (got[0], None)
                     if lu_num:
                         assert got[1] == want[1]
                     else:

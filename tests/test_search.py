@@ -591,41 +591,53 @@ def test_parents_record_skips_more_periods_than_the_twu_row(monkeypatch):
 
 def _run_with_picks(monkeypatch, db, k, local=False, capped=True, **flags):
     """Mine db at k under flags and record, in order, the primary picks of
-    every positive selection that picks something, and the count of
-    positive selections. local=True forces the local fill on: the miner
-    holds an lu array, as the su_prune=False ablation's does, so every
-    fill fills it and every selection applies the local test at the
-    threshold. capped=False hands every fill no caps: the search without
-    the parent's record."""
+    every positive selection that picks something, and counts: the
+    positive selections, the candidates that occurred in the node's fill
+    and the local test dropped, the periods the caps handed to the fills
+    skip, and the positives those fills list as occurred. local=True
+    forces the local fill on: the miner holds an lu array, as the
+    su_prune=False ablation's does, so every fill fills it and every
+    selection applies the local test at the threshold. capped=False hands
+    every fill no caps: the search without the parent's record."""
     picks = []
-    selections = 0
+    counts = dict.fromkeys(("selections", "dropped", "skipped", "listed"), 0)
 
-    def split(*args):
-        nonlocal selections
-        selections += 1
-        primary, secondary = select_primary_secondary(*args)
+    def split(su, lu, candidates, *cutoffs):
+        counts["selections"] += 1
+        primary, secondary = select_primary_secondary(su, lu, candidates, *cutoffs)
         if primary:
             picks.append(primary)
+        if lu is not None:
+            occurred = [z for z in candidates if su.seen[z] == su.stamp]
+            counts["dropped"] += len(occurred) - len(secondary)
         return primary, secondary
 
     def init(self, *args, **kwargs):
         build(self, *args, **kwargs)
         self.lu = BoundArray(self.boundary)
 
-    def uncapped(pd, su, lu, neg, totals, t_num=0, t_den=1, caps=None):
-        return fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den)
+    def fill(pd, su, lu, neg, totals, t_num=0, t_den=1, caps=None):
+        if not capped:
+            caps = None
+        elif caps is not None:
+            counts["skipped"] += sum(
+                caps.get(p, 0) * t_den < t_num * totals[p] for p in pd.periods
+            )
+        kept = fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
+        if t_num:
+            counts["listed"] += su.seen.count(su.stamp)
+        return kept
 
     build = _Miner.__init__
     with monkeypatch.context() as patched:
         patched.setattr(search, "select_primary_secondary", split)
+        patched.setattr(search, "fill_subtree_and_local", fill)
         if local:
             patched.setattr(_Miner, "__init__", init)
-        if not capped:
-            patched.setattr(search, "fill_subtree_and_local", uncapped)
         mined, stats = mine_top_k(db, k, **flags)
     payload = stats_json(stats)
     del payload["elapsed_ms"]
-    return mined, payload, picks, selections
+    return mined, payload, picks, counts
 
 
 def test_local_bound_changes_no_pick(monkeypatch, corpus):
@@ -634,22 +646,25 @@ def test_local_bound_changes_no_pick(monkeypatch, corpus):
     su_X'(y) <= lu_X(y) in every period and the threshold only rises. So
     forcing the local fill on changes no primary pick, no pattern and no
     counter, on the oracle corpus and on the pinned databases. It only
-    shortens the secondary lists: a node whose list it empties is never
-    selected from, where by default it is, and picks nothing."""
+    shortens the secondary lists: it drops candidates, which the subtree
+    test drops too. Each node's candidates come from its own fill, which
+    the local bound does not change, so both runs make the same
+    selections."""
     databases = [(db, k) for db in corpus for k in (1, 5, 10_000)]
     databases += [
         (parse_database(generate(GeneratorParams(**params))), k)
         for params, k, _ in PINNED_COUNTERS
     ]
-    picked = emptied = 0
+    picked = dropped = 0
     for db, k in databases:
-        *local, local_selections = _run_with_picks(monkeypatch, db, k, local=True)
-        *default, selections = _run_with_picks(monkeypatch, db, k, local=False)
+        *local, local_counts = _run_with_picks(monkeypatch, db, k, local=True)
+        *default, counts = _run_with_picks(monkeypatch, db, k, local=False)
         assert local == default
-        assert selections >= local_selections
+        assert counts["selections"] == local_counts["selections"]
+        assert counts["dropped"] == 0
         picked += len(default[2])
-        emptied += selections - local_selections
-    assert picked > 5000 and emptied > 0
+        dropped += local_counts["dropped"]
+    assert picked > 5000 and dropped > 0
 
 
 def test_parents_record_changes_no_pick(monkeypatch, corpus):
@@ -659,28 +674,81 @@ def test_parents_record_changes_no_pick(monkeypatch, corpus):
     oracle corpus at k 1, 5 and 10,000, and on the pinned databases by
     default and with the local rule off, the capped search gives the same
     patterns, the same stats and the same sequence of non-empty primary
-    picks as the search that hands no fill caps. It can only shorten the
-    secondary lists ("occurred" reads only the walked periods), so it
-    makes no more selections. With the local rule off, the 365-period
-    pinned database still gives the stats recorded before any cap
-    existed."""
+    picks as the search that hands no fill caps, while its fills skip
+    periods and list fewer positives as occurred. It makes no more
+    selections. With the local rule off, the 365-period pinned database
+    still gives the stats recorded before any cap existed."""
     databases = [(db, k, {}) for db in corpus for k in (1, 5, 10_000)]
     for params, k, _ in PINNED_COUNTERS:
         db = parse_database(generate(GeneratorParams(**params)))
         databases += [(db, k, {}), (db, k, {"lu_prune": False})]
-    picked = fewer = 0
+    picked = skipped = 0
+    listed = {True: 0, False: 0}
     for db, k, flags in databases:
-        *capped, capped_selections = _run_with_picks(monkeypatch, db, k, **flags)
-        *uncapped, selections = _run_with_picks(monkeypatch, db, k, capped=False, **flags)
+        *capped, capped_counts = _run_with_picks(monkeypatch, db, k, **flags)
+        *uncapped, counts = _run_with_picks(monkeypatch, db, k, capped=False, **flags)
         assert capped == uncapped
-        assert capped_selections <= selections
+        assert capped_counts["selections"] <= counts["selections"]
+        assert counts["skipped"] == 0
         picked += len(capped[2])
-        fewer += selections - capped_selections
-    assert picked > 5000 and fewer > 0
+        skipped += capped_counts["skipped"]
+        listed[True] += capped_counts["listed"]
+        listed[False] += counts["listed"]
+    assert picked > 5000 and skipped > 0 and listed[True] < listed[False]
     assert capped[1] == {
         "k": 100, "patterns": 100, "interutil_num": 64, "interutil_den": 27,
         "candidates": 1181, "merges": 0, "max_depth": 7, "threshold_rises": 445,
     }
+
+
+def test_each_node_selects_from_its_own_fill(monkeypatch, corpus):
+    """Every positive selection below the root tests a non-empty, strictly
+    ascending list of candidates, each after the node's last item and
+    each occurred in the node's su fill: at a nonzero cutoff exactly the
+    keys of the fill's record, and at cutoff zero exactly the items that
+    occurred. A deferred selection tests at its fill's cutoff or a higher
+    one, so only a recorded item can pass, and a fill that recorded or
+    listed nothing pushes no selection at all. Checked on the oracle
+    corpus, by default and under the su_prune=False ablation, and on the
+    365-period pinned database, whose threshold seed is zero, so that
+    fills at cutoff zero select too."""
+    fills = []
+    checked = {True: 0, False: 0}
+
+    def fill(pd, su, lu, neg, totals, t_num=0, t_den=1, caps=None):
+        kept = fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
+        items, _, off, _, _ = pd.views[0]
+        last = items[off - 1] if off else None
+        if last is None or last < len(su.row):
+            occurred = [z for z in range(len(su.row)) if su.seen[z] == su.stamp]
+            fills.append((last, t_num, None if kept is None else sorted(kept), occurred))
+        return kept
+
+    def split(su, lu, candidates, *cutoffs):
+        last, t_num, recorded, occurred = fills[-1]
+        if last is not None:
+            assert candidates
+            assert all(y < z for y, z in zip(candidates, candidates[1:]))
+            assert candidates[0] > last
+            assert set(candidates) <= set(occurred)
+            assert candidates == (occurred if recorded is None else recorded)
+            checked[bool(t_num)] += 1
+        return select_primary_secondary(su, lu, candidates, *cutoffs)
+
+    monkeypatch.setattr(search, "fill_subtree_and_local", fill)
+    monkeypatch.setattr(search, "select_primary_secondary", split)
+    for db in corpus:
+        for k in (1, 5, 10_000):
+            for flags in ({}, {"su_prune": False}):
+                assert mine_top_k(db, k, **flags)[0] == oracle_top_k(db, k)
+    params, k, counters = PINNED_COUNTERS[-1]
+    db = parse_database(generate(GeneratorParams(**params)))
+    index, totals = dense_periods(db)
+    assert singleton_threshold(totals, *compute_period_twu(db, index), k) == 0
+    zero_cutoff = checked[False]
+    _, stats = mine_top_k(db, k)
+    assert (stats.candidates, stats.threshold_rises, stats.max_depth) == counters
+    assert checked[False] > zero_cutoff and checked[True] > 1000
 
 
 def predicted_merges(db, k):
