@@ -39,33 +39,36 @@ test, the TWU test in prepare.initial_secondary, always runs: it shrinks
 the order and the working database before any fill.
 
 An item passes a rule if, in some period it sells in, its bound reaches the
-threshold times that period's total. Period totals are positive, so that
-holds exactly when the item's best ratio, the largest bound / total over
-those periods, reaches the threshold. A fill therefore keeps, per item, only
-that best ratio num/den, never a period x item grid.
+threshold times that period's total. The subtree bound of the positive
+items is tested that way, cell by cell, against the fill's record (below).
+For the local bound and the negatives' bound, period totals are positive,
+so the rule holds exactly when the item's best ratio, the largest bound /
+total over those periods, reaches the threshold, and those fills keep per
+item only that best ratio num/den, never a period x item grid.
 
 A run allocates its arrays once and every node reuses them: su (and lu,
 where filled) hold the bounds of the positive items (dense items
 0..boundary-1), neg the clipped subtree bounds of the kept negatives,
-indexed by dense item. Each array is one scratch row of sums plus the best
-ratio per item. A fill walks the projection's views, which come in
-ascending period order, adding each view into the row. At the end of each
-period it folds the cells that period wrote into the best ratios against
-the period's total and zeroes them, so every row cell is zero between
-fills. The fill lists a cell as it first goes from zero to non-zero; a
-negative whose bracket clips to zero is listed too, so that its occurrence
-is recorded. lu is written at exactly the items su is, so it folds from
-su's list, against su's stamp.
+indexed by dense item. su is one scratch row of sums; lu and neg are
+BoundArrays, a scratch row plus the best ratio per item. A fill walks the
+projection's views, which come in ascending period order, adding each view
+into the rows. At the end of each period it moves the cells that period
+wrote out of the rows, into the record for su where they reach the
+cutoff and into the best ratios against the period's total for lu and
+neg, and zeroes them, so every row cell is zero between fills. The fill
+lists a cell as it first goes from zero to non-zero; a negative whose
+bracket clips to zero is listed too, so that its occurrence is recorded.
+lu is written at exactly the items su is, so it folds from the list of su
+cells the period wrote.
 
 Every node, the root, a positive node or a negative one, is filled the same
-way: fill_subtree_and_local fills the arrays in one walk of its
-projection. The fill starts neg; its caller starts su, since only the
-caller knows whether a later selection will read su and lu. A negative
-node's views hold only negatives (they sort last), so its fill writes no
-su or lu cell and, with su left unstarted, su and lu read as the last
-positive fill left them. That lets a positive node search its negative
-extensions, which reuse neg, between its one fill and its positive
-selection.
+way: fill_subtree_and_local fills the arrays in one walk of its projection,
+and starts each BoundArray it is handed. A negative node's views hold only
+negatives (they sort last), so its fill writes no su or lu cell, and the
+search hands it lu None: lu then reads as the last positive fill left it,
+and that fill's record is untouched. That lets a positive node search its
+negative extensions, which reuse neg, between its one fill and its
+positive selection.
 
 A fill of the root or of a positive node X also takes the cutoff
 t_num/t_den that the negative selection will test, and walks no negative
@@ -79,65 +82,57 @@ same cutoff. A negative node is exempt: its prefix utilities can be
 negative, so u_p(X) can sit below a single view's positive bracket. It is
 filled at cutoff zero, and t_num zero never skips.
 
-A fill of the root or of a positive node P at a nonzero cutoff also
-returns a record, item -> {dense period: su cell}: for each positive item
-z and each period p it walks, z's subtree sum su_P,p(z) where that reaches
-the cutoff times p's total. The search hands the fill of each positive
-child X = P + {z} P's cells for z as caps, and the fill skips whole every
-period that caps leaves out or holds below X's cutoff times the total: no
-positive walk, no tails, no fold. Every view of X is a view of P that
-holds z, with prefix_X = prefix_P + u(z) >= 0. Each bracket such a view
-adds in X's fill, prefix_X + u(y) + the positive remaining after y for a
-positive y's su, prefix_X + the positive remaining after z for lu, and
-max(prefix_X + u(n), 0) <= prefix_X for a negative n, is at most prefix_X
-+ the positive remaining after z, which is what the view added to z's cell
-in P's fill. So every sum a candidate gets in p is at most su_P,p(z). A
-cell P left out was below P's cutoff, which is at most X's, since the
-threshold only rises; a kept cell is tested again at X's cutoff. Nothing
-can pass in a skipped period. An item that sells only in skipped periods
-is then listed nowhere in X's fill, so it is not among X's candidates
-(below), but it can never be primary anywhere below X, because every view
-of a descendant is a view of X and its brackets in those periods are
-bounded by the same su_P,p(z). So the nodes searched, the patterns and
-every counter stay the same. Each bracket is also at most its view's
-PTU, so su_P,p(z) <= TWU_p({z}): the record skips every period z's TWU
-row would, and the search keeps no TWU table. Only cells at or above the
-cutoff can decide a selection, which
-tests at the fill's cutoff or a higher one, so a fill that records
-compares ratios only for them; a lower cell just marks its item occurred.
-A fill at cutoff zero records nothing: that of a negative node, every fill
-with the subtree rule off, and one that runs before the threshold leaves
-zero, whose children then fill without caps. The root has no parent and
-takes no caps either.
+Every fill returns its record, item -> {dense period: su cell}: for each
+positive item z and each period p it walks, z's subtree sum su_P,p(z)
+where that reaches need, the cutoff times p's total rounded up. At cutoff
+zero need is zero, so the record holds every positive item that occurred,
+in every period it occurred in; a negative node's record is empty. The
+search hands the fill of each positive child X = P + {z} P's cells for z
+as caps, and the fill skips whole every period that caps leaves out or
+holds below X's cutoff times the total: no positive walk, no tails, no
+fold. Every view of X is a view of P that holds z, with prefix_X =
+prefix_P + u(z) >= 0. Each bracket such a view adds in X's fill, prefix_X +
+u(y) + the positive remaining after y for a positive y's su, prefix_X + the
+positive remaining after z for lu, and max(prefix_X + u(n), 0) <= prefix_X
+for a negative n, is at most prefix_X + the positive remaining after z,
+which is what the view added to z's cell in P's fill. So every sum a
+candidate gets in p is at most su_P,p(z). A cell P left out was below P's
+cutoff, which is at most X's, since the threshold only rises; a kept cell
+is tested again at X's cutoff. Nothing can pass in a skipped period. An
+item that sells only in skipped periods is then listed nowhere in X's
+fill, so it is not among X's candidates (below), but it can never be
+primary anywhere below X, because every view of a descendant is a view of
+X and its brackets in those periods are bounded by the same su_P,p(z). So
+the nodes searched, the patterns and every counter stay the same. Each
+bracket is also at most its view's PTU, so su_P,p(z) <= TWU_p({z}): the
+record skips every period z's TWU row would, and the search keeps no TWU
+table. The root has no parent and takes no caps.
 
-A positive node below the root selects its children from its own fill: the
-candidates are the keys of its record, or, at cutoff zero, the positives
-that occurred, which only a fill at cutoff zero lists, in su.touched. A
-selection tests at its fill's cutoff or a higher one, so a pick has a cell
-at or above the fill's cutoff in some walked period, and so is a recorded
-key; an empty list picks nothing, and the search makes no selection for it.
-Every item recorded or listed comes after the node's last item, since its
-views start there. Each list is what the parent's candidates after that
-last item hold of the items that occurred: a child walks a subset of its
-parent's periods and its views are among its parent's, so, by induction
-from the root, whose candidates are every positive item, anything that
-occurs in a node's fill was a candidate of its parent. The parent's local
-test needs no repeating either. lu is filled only under su_prune off, where
-every fill runs at cutoff zero, and there X = P + {z} tests lu at its own
-selection: every view of X that holds a later item y is a view of P holding
-y, and its local bracket, prefix_P + u(z) + the positive remaining after z,
-is at most prefix_P + the positive remaining after P's last item. So
-lu_X,p(y) <= lu_P,p(y) in every period, and the threshold only rises: an
-item that passes X's local test passed P's.
+The root and each positive node select their children from their own fill:
+the candidates are the keys of its record, and a candidate passes the
+subtree rule when one of its recorded cells reaches the selection's cutoff
+times that period's total. A selection tests at its fill's cutoff or a
+higher one, so every cell that can pass is recorded: a cell left out was
+below the fill's cutoff, and a skipped period holds none that can reach
+it. So a pick is a recorded key, and an empty record picks nothing; the
+search makes no selection for it. Every recorded item comes after the
+node's last item, since its views start there. lu is filled only under
+su_prune off, where every fill runs at cutoff zero and so records every
+positive item that occurred, and there X = P + {z} tests lu at its own
+selection: every view of X that holds a later item y is a view of P
+holding y, and its local bracket, prefix_P + u(z) + the positive remaining
+after z, is at most prefix_P + the positive remaining after P's last item.
+So lu_X,p(y) <= lu_P,p(y) in every period, and the threshold only rises:
+an item that passes X's local test passed P's, and P's test needs no
+repeating.
 
-Each fill takes a new stamp in neg, each start of su a new stamp in su
-(which lu, where filled, takes at its fold), and seen[z] holds the stamp of
-the last fill item z occurred in. So nothing is reset between fills: the
-ratio of an item whose stamp is old is stale, and the selectors never read
-it. They test a candidate that occurred once, num * t_den >= t_num * den,
-against the threshold t_num/t_den. A pruning rule that is switched off
-passes t_num = 0, and since every bound here is at least zero, that passes
-exactly the items that occurred.
+Each start of a BoundArray takes a new stamp, and seen[z] holds the stamp
+of the last fill item z occurred in. So nothing is reset between fills:
+the ratio of an item whose stamp is old is stale, and the selectors never
+read it. They test a candidate that occurred once, num * t_den >= t_num *
+den, against the threshold t_num/t_den. A pruning rule that is switched
+off passes t_num = 0, and since every bound here is at least zero, that
+passes exactly the items that occurred.
 """
 
 from __future__ import annotations
@@ -152,15 +147,12 @@ _period = itemgetter(4)
 class BoundArray:
     """One scratch row of per-item sums and, per item, the best ratio
     num/den of a sum to its period's total over the periods the last fill
-    walked.
+    walked. It holds lu and neg; su keeps no ratio (see the module
+    docstring).
 
     Item z occurred in the last fill when seen[z] equals stamp; num[z] and
-    den[z] hold its ratio only then. fold lists those items in touched.
-    The search reads neg's list, and su's after a fill at cutoff zero,
-    where it is the node's candidate list. lu folds against su's stamp,
-    and its list is dropped at each fill. A fill that records folds su
-    through _fold_record, which lists nothing: the record's keys are the
-    candidates there.
+    den[z] hold its ratio only then. fold lists those items in touched,
+    which the search reads for neg.
     """
 
     __slots__ = ("row", "num", "den", "seen", "stamp", "touched")
@@ -202,100 +194,56 @@ class BoundArray:
                 den[z] = total
 
 
-def _fold_record(
-    arr: BoundArray, written: list[int], total: int, need: int, record: dict, p: int
-) -> None:
-    """BoundArray.fold for su in a fill that records, without the touched
-    list: each cell that reaches need, the fill's cutoff times period p's
-    total rounded up, goes into record[z][p]. Only those cells can decide
-    a selection, which tests at the fill's cutoff or a higher one, so only
-    they compare ratios; a cell below need sets the ratio of an item first
-    seen and is otherwise dropped."""
-    row = arr.row
-    num = arr.num
-    den = arr.den
-    seen = arr.seen
-    stamp = arr.stamp
-    for z in written:
-        cell = row[z]
-        row[z] = 0
-        if cell >= need:
-            cells = record.get(z)
-            if cells is None:
-                record[z] = {p: cell}
-            else:
-                cells[p] = cell
-            if seen[z] != stamp:
-                seen[z] = stamp
-                num[z] = cell
-                den[z] = total
-            elif cell * den[z] > num[z] * total:
-                num[z] = cell
-                den[z] = total
-        elif seen[z] != stamp:
-            seen[z] = stamp
-            num[z] = cell
-            den[z] = total
-
-
 def fill_subtree_and_local(
     pd,
-    su: BoundArray,
+    su: list[int],
     lu: BoundArray | None,
     neg: BoundArray,
     totals,
     t_num: int = 0,
     t_den: int = 1,
     caps=None,
-) -> dict[int, dict[int, int]] | None:
-    """One backward walk per view of projection pd fills the bound arrays,
-    folding each period into the best ratios against its entry of totals.
+) -> dict[int, dict[int, int]]:
+    """One backward walk per view of projection pd fills the bound arrays
+    and returns the fill's record, item -> {dense period: su cell}.
 
     Negatives come first in the walk (they sort last, and only they carry
     negative utilities) and add clipped brackets to their neg cells. Then
     running, the prefix utility plus the positive entries walked so far, is
     at each positive entry exactly its subtree bracket: prefix + u + the
-    positive remaining utility after it.
-
-    lu is None unless the local rule is the only positive rule (see the
-    module docstring). Given lu, the fill first adds every positive entry's
-    local bracket, prefix + the view's positive sum, which does not depend
-    on position, and folds lu against su's stamp, so su's start starts
-    both; lu's touched list is dropped at each fill, since nothing reads
-    it.
-
-    The fill starts neg, not su: the caller starts su before the fill of
-    the root or of a positive node. A negative node's views hold no
-    positive entry, so its fill leaves su and lu as they were.
-
-    At a nonzero cutoff t_num/t_den the fill returns its record: for each
-    positive item, {dense period: su cell} over the periods it walked
-    where the cell reaches the cutoff times the period's total. At t_num
-    zero it records nothing, folds su through BoundArray.fold, which lists
-    in su.touched each positive item that occurred, and returns None. The
-    record's keys, or su.touched at t_num zero, are the node's candidates
+    positive remaining utility after it. su is a scratch row as wide as the
+    positive items; at the end of each period each su cell it wrote goes
+    into the record where it reaches need, the cutoff t_num/t_den times the
+    period's total rounded up, and is zeroed. At t_num zero the record holds
+    every positive item that occurred. Its keys are the node's candidates
     (see the module docstring).
+
+    The fill starts neg, and lu where given. lu is None unless the local
+    rule is the only positive rule (see the module docstring); given lu,
+    the fill first adds every positive entry's local bracket, prefix + the
+    view's positive sum, which does not depend on position, and folds lu
+    from the list of su cells written. A negative node's views hold no
+    positive entry, so its fill, handed lu None, leaves lu as it was and
+    records nothing.
 
     Two gates at the cutoff, sound only for the root or a positive node
     (see the module docstring); t_num zero never skips. A positive node
     X = P + {z} passes caps, the record of P's fill for z: the walk skips
     whole, listing and folding nothing, every period absent from caps or
-    whose cell there is below the cutoff times its total. In a period whose
-    own utility u_p(pd) is below it, the walk skips the negative tails: it
-    bisects for the last positive entry (positives are the dense items
-    below su's width) and lists and folds nothing into neg for that
-    period. The root passes no caps.
+    whose cell there is below need. In a period whose own utility u_p(pd)
+    is below need, the walk skips the negative tails: it bisects for the
+    last positive entry (positives are the dense items below su's width)
+    and lists and folds nothing into neg for that period. The root passes
+    no caps.
     """
     neg.start()
-    su_row = su.row
     lu_row = None
     if lu is not None:
-        lu.stamp = su.stamp
-        lu.touched = []
+        lu.start()
         lu_row = lu.row
     neg_row = neg.row
-    boundary = len(su_row)
-    record = {} if t_num else None
+    boundary = len(su)
+    record = {}
     for (p, views), u_p in zip(groupby(pd.views, _period), pd.utilities):
         total = totals[p]
         need = -(-t_num * total // t_den)
@@ -329,54 +277,59 @@ def fill_subtree_and_local(
             while j >= off:
                 item = items[j]
                 running += utils[j]
-                cell = su_row[item]
+                cell = su[item]
                 if not cell:
                     written.append(item)
-                su_row[item] = cell + running
+                su[item] = cell + running
                 j -= 1
         if lu_row is not None:
             lu.fold(written, total)
-        if record is None:
-            su.fold(written, total)
-        else:
-            _fold_record(su, written, total, need, record, p)
+        for z in written:
+            cell = su[z]
+            su[z] = 0
+            if cell >= need:
+                cells = record.get(z)
+                if cells is None:
+                    record[z] = {p: cell}
+                else:
+                    cells[p] = cell
         if tails:
             neg.fold(neg_written, total)
     return record
 
 
 def select_primary_secondary(
-    su: BoundArray,
+    record: dict[int, dict[int, int]],
     lu: BoundArray | None,
     candidates,
     su_num: int,
     lu_num: int,
     t_den: int,
+    totals,
 ) -> tuple[list[int], list[int] | None]:
-    """Split positive candidate items into (primary, secondary) per the
-    bound tests.
+    """Split positive candidate items, keys of the fill's record, into
+    (primary, secondary) per the bound tests.
 
-    Items that did not occur in the last fill are excluded even at
-    threshold zero (su's stamps tell). Given lu, a candidate is secondary
-    if its best local ratio reaches lu_num/t_den. A candidate is primary
-    if it is secondary and its best subtree ratio reaches su_num/t_den.
-    With lu None no local test runs and no secondary list is built: the
-    result is (primary, None), primary picked as at lu_num zero. Equality
-    counts, and a numerator is the threshold's, or zero for a rule that is
-    off. Primary is always a subset of secondary (the local bound
+    Given lu, a candidate is secondary if its best local ratio reaches
+    lu_num/t_den. A candidate is primary if it is secondary and one of its
+    recorded su cells reaches su_num/t_den times that period's entry of
+    totals. With lu None no local test runs and no secondary list is built:
+    the result is (primary, None), primary picked as at lu_num zero.
+    Equality counts, and a numerator is the threshold's, or zero for a rule
+    that is off. Primary is always a subset of secondary (the local bound
     dominates the subtree bound cell-wise for positive candidates).
     """
-    seen = su.seen
-    stamp = su.stamp
-    num, den = su.num, su.den
-    if lu is None:
-        primary = [z for z in candidates if seen[z] == stamp and num[z] * t_den >= su_num * den[z]]
-        return primary, None
-    local, local_den = lu.num, lu.den
-    secondary = [
-        z for z in candidates if seen[z] == stamp and local[z] * t_den >= lu_num * local_den[z]
-    ]
-    return [z for z in secondary if num[z] * t_den >= su_num * den[z]], secondary
+    secondary = candidates
+    if lu is not None:
+        local, local_den = lu.num, lu.den
+        secondary = [z for z in candidates if local[z] * t_den >= lu_num * local_den[z]]
+    primary = []
+    for z in secondary:
+        for p, cell in record[z].items():
+            if cell * t_den >= su_num * totals[p]:
+                primary.append(z)
+                break
+    return primary, None if lu is None else secondary
 
 
 def select_negative_candidates(

@@ -173,22 +173,23 @@ class TopKCollector:
 
 
 class _Miner:
-    """Search state plus the search loop. su holds the best subtree ratios
-    of positive candidates, neg the best clipped subtree ratios of negative
-    ones; every node reuses these arrays, each one row as wide as its items
-    (see bounds.py). lu, the best local ratios, is an array only when the
-    local rule is the only positive rule (su_prune off, lu_prune on), and
-    None otherwise: while the subtree rule is on, an item the local test
-    would drop fails the subtree test wherever it could be picked, so lu
-    changes no pick. The search keeps no TWU table: each positive child is
-    capped by the record of its parent's fill (see bounds.py)."""
+    """Search state plus the search loop. su is the scratch row of the
+    positive candidates' subtree sums, whose cells each fill moves into its
+    record; neg holds the best clipped subtree ratios of negative ones;
+    every node reuses these arrays, each one row as wide as its items (see
+    bounds.py). lu, the best local ratios, is an array only when the local
+    rule is the only positive rule (su_prune off, lu_prune on), and None
+    otherwise: while the subtree rule is on, an item the local test would
+    drop fails the subtree test wherever it could be picked, so lu changes
+    no pick. The search keeps no TWU table: each positive child is capped
+    by the record of its parent's fill (see bounds.py)."""
 
     def __init__(self, working, collector, *, su_prune, lu_prune):
         self.collector = collector
         self.su_prune = su_prune
         self.lu_prune = lu_prune
         self.boundary = boundary = working.order.boundary
-        self.su = BoundArray(boundary)
+        self.su = [0] * boundary
         self.lu = BoundArray(boundary) if lu_prune and not su_prune else None
         self.neg = BoundArray(len(working.order))
         self.period_totals = working.period_totals
@@ -205,11 +206,12 @@ class _Miner:
         """Walk the set-enumeration tree below root depth first.
 
         The root pass fills the arrays from root and selects the root's
-        children among all positive items, at a zero local cutoff: root
-        secondary came from the TWU test already. Below the root, the
-        fills and selections take lu, which is None unless the subtree
-        rule is off and the local rule on; with lu None, a selection
-        builds no secondary list (see bounds.py for why no pick changes).
+        children from the keys of its fill's record, at a zero local
+        cutoff: root secondary came from the TWU test already. Below the
+        root, the positive fills and selections take lu, which is None
+        unless the subtree rule is off and the local rule on; with lu None,
+        a selection builds no secondary list (see bounds.py for why no pick
+        changes).
 
         The stack holds one frame per node whose children are still pending:
         [projection, prefix, picks, next, rows, record], where picks are the
@@ -222,30 +224,26 @@ class _Miner:
         known (see projection.occurrences), or None where the child scans
         every view; a pick's ids are dropped once its child is projected.
         record is the node's fill record (see bounds.fill_subtree_and_local),
-        kept by the root's frame and by each deferred positive frame, None
-        where that fill ran at cutoff zero and in a negative frame; a pick's
-        cells leave it as its child is filled.
+        kept by the root's frame and by each deferred positive frame, None in
+        a negative frame; a pick's cells leave it as its child is filled.
 
         Each child is projected from its rows, scored and offered, and then
         filled through fill_subtree_and_local, unless it is a negative child
-        with no later pick. A positive child starts su first, as the root pass
-        did, and fills at the subtree cutoff, which skips the negative tails of
-        the periods where the node's own utility falls below it. A positive
-        child P + {z} also hands the fill P's recorded cells for z, so it skips
-        whole the periods where su_P,p(z) falls below the cutoff: no extension
-        of the child can reach it there; a child whose parent filled at
-        cutoff zero has no record to take and fills without caps. A negative
-        child fills at cutoff zero with no caps, records nothing, and leaves
-        su unstarted (see bounds.py). The negatives a child picks go on the
-        stack, walked, above a deferred frame (rows None), whose picks slot
-        holds the child's candidates until it selects: the keys of the
-        child's record, or at cutoff zero the positives that occurred in its
-        fill (su.touched), ascending. A fill that gives no candidate pushes no
-        deferred frame. Once the negative subtree is done, the deferred frame
-        selects the child's own children from su (and lu, where filled)
-        against the threshold of that moment, and then walks its views for
-        them. A negative node's views hold no positive entry, so su and lu
-        still hold the positive child's fill when the deferred selection
+        with no later pick. A positive child P + {z} fills at the subtree
+        cutoff, which skips the negative tails of the periods where the
+        node's own utility falls below it, and is handed P's recorded cells
+        for z as caps, so it skips whole the periods where su_P,p(z) falls
+        below the cutoff: no extension of the child can reach it there. A
+        negative child fills at cutoff zero with no caps and lu None, and
+        records nothing (see bounds.py). The negatives a child picks go on
+        the stack, walked, above a deferred frame (rows None), whose picks
+        slot holds the child's candidates until it selects: the keys of the
+        child's record, ascending. A fill that records nothing pushes no
+        deferred frame. Once the negative subtree is done, the deferred
+        frame selects the child's own children from its record (and lu,
+        where filled) against the threshold of that moment, and then walks
+        its views for them. A negative node's fill is handed no lu, so lu
+        still holds the positive child's fill when the deferred selection
         runs.
         """
         su, lu, neg = self.su, self.lu, self.neg
@@ -254,15 +252,18 @@ class _Miner:
         ext_id = self.ext_id
         boundary = self.boundary
         su_num, _, t_den = self._cutoffs()
-        su.start()
         record = fill_subtree_and_local(root, su, lu, neg, period_totals, su_num, t_den)
-        primary = select_primary_secondary(su, lu, range(boundary), su_num, 0, t_den)[0]
+        primary = select_primary_secondary(
+            record, lu, sorted(record), su_num, 0, t_den, period_totals
+        )[0]
         stack = [[root, (), primary, 0, occurrences(root, primary), record]]
         while stack:
             frame = stack[-1]
             pd, prefix, picks, i, rows, record = frame
             if rows is None:
-                picks = select_primary_secondary(su, lu, picks, *self._cutoffs())[0]
+                picks = select_primary_secondary(
+                    record, lu, picks, *self._cutoffs(), period_totals
+                )[0]
                 rows = occurrences(pd, picks)
                 frame[2], frame[4] = picks, rows
             if i == len(picks):
@@ -289,17 +290,14 @@ class _Miner:
             if negative:
                 # a negative child's prefix utilities can be negative, so its
                 # own utility bounds none of its brackets: it fills ungated
-                fill_subtree_and_local(child, su, lu, neg, period_totals)
+                fill_subtree_and_local(child, su, None, neg, period_totals)
                 rest = picks[i:]
             else:
-                su.start()
-                caps = None if record is None else record.pop(z)
                 kept = fill_subtree_and_local(
-                    child, su, lu, neg, period_totals, su_num, t_den, caps
+                    child, su, lu, neg, period_totals, su_num, t_den, record.pop(z)
                 )
-                candidates = sorted(su.touched if kept is None else kept)
-                if candidates:
-                    stack.append([child, ext, candidates, 0, None, kept])
+                if kept:
+                    stack.append([child, ext, sorted(kept), 0, None, kept])
                 rest = sorted(neg.touched)
             negatives = select_negative_candidates(neg, rest, su_num, t_den)
             if negatives:

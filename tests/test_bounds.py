@@ -97,19 +97,11 @@ def _miner(db, working, su_prune=True, lu_prune=True, threshold=Fraction(0)):
 
 
 def _miner_arrays(db, working):
-    """The su, lu and neg arrays a run over db's working database uses
-    where it fills lu: only the su_prune=False ablation does, so this is
-    its miner. A default miner holds lu None."""
+    """The su row and the lu and neg arrays a run over db's working
+    database uses where it fills lu: only the su_prune=False ablation does,
+    so this is its miner. A default miner holds lu None."""
     miner = _miner(db, working, su_prune=False)
     return miner.su, miner.lu, miner.neg
-
-
-def _fill(pd, su, lu, neg, totals, t_num=0, t_den=1, caps=None):
-    """Fill as the search fills the root or a positive node: start su,
-    then fill all three arrays. A BoundArray never started reads every
-    item as occurred, since its stamps and seen are all zero."""
-    su.start()
-    return fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
 
 
 def _occurred(arr, z):
@@ -130,17 +122,54 @@ def _last_item(pd):
 
 
 def _positive_state(su, lu):
-    """Everything su and lu (where it is filled) hold: rows, ratios,
-    stamps."""
-    return [list(arr.row) + list(arr.num) + list(arr.den) + list(arr.seen) + [arr.stamp]
-            for arr in (su, lu) if arr is not None]
+    """Everything su and lu (where it is handed) hold: the su row, and lu's
+    row, ratios and stamps."""
+    state = [list(su)]
+    if lu is not None:
+        state.append(list(lu.row) + list(lu.num) + list(lu.den) + list(lu.seen) + [lu.stamp])
+    return state
 
 
-def _ratios(arr, owner=None):
-    """The best ratio of each item that occurred in the last fill. The
-    selection reads su's stamps (owner) for lu too."""
-    owner = owner or arr
-    return {z: Fraction(arr.num[z], arr.den[z]) for z in range(len(arr.row)) if _occurred(owner, z)}
+def _ratios(arr):
+    """The best ratio of each item that occurred in arr's last fill."""
+    return {z: Fraction(arr.num[z], arr.den[z]) for z in range(len(arr.row)) if _occurred(arr, z)}
+
+
+def _record_ratios(record, totals):
+    """The best ratio of each recorded item over its recorded cells: after
+    a fill at cutoff zero, the best subtree ratio of every positive item
+    that occurred."""
+    return {
+        z: max(Fraction(cell, totals[p]) for p, cell in cells.items())
+        for z, cells in record.items()
+    }
+
+
+def _at_cutoff(record, totals, cut):
+    """The cells of record that reach cut times their period's total, by
+    item, dropping an item left with none: what a fill at cutoff cut records
+    of the same sums."""
+    kept = {}
+    for z, cells in record.items():
+        high = {p: cell for p, cell in cells.items() if Fraction(cell, totals[p]) >= cut}
+        if high:
+            kept[z] = high
+    return kept
+
+
+def _recorded(pd, totals, t_num=0, t_den=1, walked=None):
+    """The record a fill of pd at cutoff t_num/t_den must return, from the
+    bracket definitions: each positive item's subtree sums that reach the
+    cutoff times their period's total, in the periods the fill walked
+    (walked, None for every period)."""
+    return _at_cutoff(
+        {
+            z: {p: s for p, s in by_period.items() if walked is None or p in walked}
+            for z, by_period in _period_sums(pd)[0].items()
+        },
+        totals,
+        Fraction(t_num, t_den),
+    )
 
 
 def _best(db, bound):
@@ -150,30 +179,32 @@ def _best(db, bound):
     return max(Fraction(bound(h), db.period_totals[h]) for h in db.periods)
 
 
-def _assert_filled(views, su, lu, neg, tails=None, walked=None):
-    """After a fill of the root or of a positive node every row cell is
-    zero, and the items that occurred are exactly those the views hold:
-    positives in su's stamps, negatives in neg's, each listed once in
-    neg's touched list. The positives are those of the views in the
-    periods the fill walked (walked), the negatives those in the periods
-    whose tails it walked (tails); None stands for every period."""
-    boundary = len(su.row)
-    held = {
-        items[j]
-        for items, _, off, _, p in views
-        if walked is None or p in walked
-        for j in range(off, len(items))
-        if items[j] < boundary
-    }
-    assert _occurred_items(su) == sorted(held)
-    _assert_neg_filled(views, su, lu, neg, tails)
+def _assert_filled(pd, record, su, lu, neg, totals, cut=(0, 1), tails=None, walked=None):
+    """After a fill of the root or of a positive node at cutoff cut every
+    row cell is zero, the record holds exactly the subtree sums that reach
+    the cutoff in the periods the fill walked (walked), and lu, where
+    handed, occurred at exactly the positives of those periods. neg
+    occurred at the negatives of the periods whose tails the fill walked
+    (tails), each listed once in neg's touched list; None stands for every
+    period."""
+    assert record == _recorded(pd, totals, *cut, walked)
+    if lu is not None:
+        held = {
+            items[j]
+            for items, _, off, _, p in pd.views
+            if walked is None or p in walked
+            for j in range(off, len(items))
+            if items[j] < len(su)
+        }
+        assert _occurred_items(lu) == sorted(held)
+    _assert_neg_filled(pd.views, su, lu, neg, tails)
 
 
 def _assert_neg_filled(views, su, lu, neg, tails=None):
     """After any fill every row cell is zero, and neg's stamps and touched
     list hold, once each, the negatives the views hold in the periods
     whose tails the fill walked (tails, None for every period)."""
-    boundary = len(su.row)
+    boundary = len(su)
     negatives = {
         items[j]
         for items, _, off, _, p in views
@@ -181,17 +212,19 @@ def _assert_neg_filled(views, su, lu, neg, tails=None):
         for j in range(off, len(items))
         if items[j] >= boundary
     }
-    assert not any(su.row) and (lu is None or not any(lu.row)) and not any(neg.row)
+    assert not any(su) and (lu is None or not any(lu.row)) and not any(neg.row)
     assert sorted(neg.touched) == sorted(negatives)
     assert _occurred_items(neg) == sorted(neg.touched)
 
 
-def _assert_bounds_match_definitions(db, order, prefix, first, su, lu, neg):
-    """Each item from dense index first on holds, as its best ratio, the
-    best ratio of the definitional per-period bound (clipped for
-    negatives, local too for positives); an item that did not occur has a
-    zero bound in every period."""
-    su_ratios, lu_ratios, neg_ratios = _ratios(su), _ratios(lu, su), _ratios(neg)
+def _assert_bounds_match_definitions(db, order, prefix, first, record, lu, neg, totals):
+    """Each item from dense index first on holds, as its best ratio (over
+    its recorded cells for a positive, in neg for a negative), the best
+    ratio of the definitional per-period bound (clipped for negatives,
+    local too for positives, in lu); an item that did not occur has a zero
+    bound in every period. record comes from a fill at cutoff zero."""
+    su_ratios, lu_ratios, neg_ratios = _record_ratios(record, totals), _ratios(lu), _ratios(neg)
+    assert lu_ratios.keys() == su_ratios.keys()
     for z in range(first, len(order)):
         z_ext = order.sequence[z]
         ratios = su_ratios if z < order.boundary else neg_ratios
@@ -206,12 +239,13 @@ def test_root_bounds_match_definitions(corpus):
     for db in corpus[:30]:
         order, working, root = pipeline(db, merge=False)
         su, lu, neg = _miner_arrays(db, working)
-        assert len(su.row) == len(lu.row) == order.boundary
+        totals = working.period_totals
+        assert len(su) == len(lu.row) == order.boundary
         assert len(neg.row) == len(order)  # indexed by dense item
-        _fill(root, su, lu, neg, working.period_totals)
-        _assert_filled(root.views, su, lu, neg)
-        assert _occurred_items(su) + sorted(neg.touched) == list(range(len(order)))
-        _assert_bounds_match_definitions(db, order, (), 0, su, lu, neg)
+        record = fill_subtree_and_local(root, su, lu, neg, totals)
+        _assert_filled(root, record, su, lu, neg, totals)
+        assert sorted(record) + sorted(neg.touched) == list(range(len(order)))
+        _assert_bounds_match_definitions(db, order, (), 0, record, lu, neg, totals)
 
 
 def test_depth_one_bounds_match_definitions(corpus):
@@ -225,10 +259,11 @@ def test_depth_one_bounds_match_definitions(corpus):
         z0 = rng.randrange(order.boundary)
         pd = project(root, z0)
         su, lu, neg = _miner_arrays(db, working)
-        _fill(pd, su, lu, neg, working.period_totals)
-        _assert_filled(pd.views, su, lu, neg)
+        totals = working.period_totals
+        record = fill_subtree_and_local(pd, su, lu, neg, totals)
+        _assert_filled(pd, record, su, lu, neg, totals)
         prefix = (order.sequence[z0],)
-        _assert_bounds_match_definitions(db, order, prefix, z0 + 1, su, lu, neg)
+        _assert_bounds_match_definitions(db, order, prefix, z0 + 1, record, lu, neg, totals)
 
 
 def test_merged_views_tighten_but_never_break_the_bound(corpus, narrow_corpus):
@@ -247,8 +282,8 @@ def test_merged_views_tighten_but_never_break_the_bound(corpus, narrow_corpus):
         z0 = rng.randrange(order.boundary)
         pd = project(root, z0)
         su, lu, neg = _miner_arrays(db, working)
-        _fill(pd, su, lu, neg, working.period_totals)
-        ratios = _ratios(su) | _ratios(neg)
+        record = fill_subtree_and_local(pd, su, lu, neg, working.period_totals)
+        ratios = _record_ratios(record, working.period_totals) | _ratios(neg)
         prefix = (order.sequence[z0],)
         for z in range(z0 + 1, n):
             z_ext = order.sequence[z]
@@ -271,8 +306,8 @@ def test_merged_views_tighten_but_never_break_the_bound(corpus, narrow_corpus):
         for z0 in range(order.boundary):
             pd = project(root, z0)
             su, lu, neg = _miner_arrays(db, working)
-            _fill(pd, su, lu, neg, working.period_totals)
-            ratios = _ratios(su) | _ratios(neg)
+            record = fill_subtree_and_local(pd, su, lu, neg, working.period_totals)
+            ratios = _record_ratios(record, working.period_totals) | _ratios(neg)
             prefix = (order.sequence[z0],)
             for z in range(z0 + 1, n):
                 z_ext = order.sequence[z]
@@ -306,9 +341,9 @@ def _assert_neg_matches_definitions(db, order, prefix, first, neg):
 def test_negative_tail_fill_matches_definitions(corpus):
     """A positive node's fill holds in neg the best ratios of the clipped
     definitional sums. So does the fill of a negative child after it, as
-    the search makes it, with su left unstarted; that fill writes neg
-    alone, and leaves su and lu (rows, ratios, stamps) exactly as the
-    positive fill left them for its deferred selection."""
+    the search makes it, handed lu None; that fill writes neg alone,
+    records nothing, and leaves the su row and lu (row, ratios, stamps)
+    exactly as the positive fill left them for its deferred selection."""
     rng = random.Random(2727)
     checked = negative_nodes = 0
     for db in corpus:
@@ -318,15 +353,16 @@ def test_negative_tail_fill_matches_definitions(corpus):
         z0 = rng.randrange(order.boundary)
         pd = project(root, z0)
         su, lu, neg = _miner_arrays(db, working)
-        _fill(pd, su, lu, neg, working.period_totals)
-        _assert_filled(pd.views, su, lu, neg)
+        totals = working.period_totals
+        record = fill_subtree_and_local(pd, su, lu, neg, totals)
+        _assert_filled(pd, record, su, lu, neg, totals)
         prefix = (order.sequence[z0],)
         checked += _assert_neg_matches_definitions(db, order, prefix, z0 + 1, neg)
         if neg.touched:
             n = rng.choice(sorted(neg.touched))
             child = project(pd, n)
             positives = _positive_state(su, lu)
-            fill_subtree_and_local(child, su, lu, neg, working.period_totals)
+            assert fill_subtree_and_local(child, su, None, neg, totals) == {}
             assert _positive_state(su, lu) == positives
             _assert_neg_filled(child.views, su, lu, neg)
             prefix += (order.sequence[n],)
@@ -351,7 +387,7 @@ def _projection(views_by_period):
 
 
 def _three_arrays(boundary, n_items):
-    return BoundArray(boundary), BoundArray(boundary), BoundArray(n_items)
+    return [0] * boundary, BoundArray(boundary), BoundArray(n_items)
 
 
 def test_fill_folds_each_period_into_the_best_ratio():
@@ -360,29 +396,32 @@ def test_fill_folds_each_period_into_the_best_ratio():
     su, lu, neg = _three_arrays(2, 4)
     totals = [10, 7, 3]
     pd = _projection({0: [([0, 1, 3], [4, 5, -2], 0, 6)], 2: [([1, 2], [3, -9], 0, 6)]})
-    _fill(pd, su, lu, neg, totals)
-    # period sums: su 15 and 11 in period 0, item 1's 9 in period 2; lu
-    # 15 for both in period 0, 9 in period 2; neg 4 for item 3 in period
-    # 0, and item 2's 6 - 9 clipped to 0 in period 2
-    assert _ratios(su) == {0: Fraction(15, 10), 1: Fraction(9, 3)}
-    assert _ratios(lu, su) == {0: Fraction(15, 10), 1: Fraction(9, 3)}
+    record = fill_subtree_and_local(pd, su, lu, neg, totals)
+    # period sums: su 15 and 11 in period 0, item 1's 9 in period 2, all
+    # recorded at cutoff zero; lu 15 for both in period 0, 9 in period 2;
+    # neg 4 for item 3 in period 0, and item 2's 6 - 9 clipped to 0 in
+    # period 2
+    assert record == {0: {0: 15}, 1: {0: 11, 2: 9}}
+    assert _record_ratios(record, totals) == {0: Fraction(15, 10), 1: Fraction(9, 3)}
+    assert _ratios(lu) == {0: Fraction(15, 10), 1: Fraction(9, 3)}
     assert _ratios(neg) == {2: 0, 3: Fraction(4, 10)}
-    assert _occurred_items(su) == [0, 1] and neg.touched == [3, 2]
-    _assert_filled(pd.views, su, lu, neg)
+    assert _occurred_items(lu) == [0, 1] and neg.touched == [3, 2]
+    _assert_filled(pd, record, su, lu, neg, totals)
 
-    # the next fill resets nothing: its new stamp makes the first fill's
-    # ratios stale, where they stay
+    # the next fill resets nothing: its new stamps make the first fill's
+    # ratios stale, where they stay, and it returns a record of its own
     pd = _projection({1: [([0, 3], [1, -5], 0, 7)]})
-    _fill(pd, su, lu, neg, totals)
-    assert _ratios(su) == _ratios(lu, su) == {0: Fraction(8, 7)}
+    assert fill_subtree_and_local(pd, su, lu, neg, totals) == {0: {1: 8}}
+    assert _ratios(lu) == {0: Fraction(8, 7)}
     assert _ratios(neg) == {3: Fraction(2, 7)}
-    assert _occurred_items(su) == [0] and neg.touched == [3]
-    assert (su.num[1], su.den[1]) == (9, 3)  # stale, never read
-    _assert_filled(pd.views, su, lu, neg)
+    assert _occurred_items(lu) == [0] and neg.touched == [3]
+    assert (lu.num[1], lu.den[1]) == (9, 3)  # stale, never read
+    _assert_filled(pd, {0: {1: 8}}, su, lu, neg, totals)
 
     # a later period that ties the best ratio (4/4 against 8/8) leaves it
     su, lu, neg = _three_arrays(1, 4)
-    _fill(_projection({0: [([0, 3], [9, -1], 1, 9)], 1: [([3], [-2], 0, 6)]}), su, lu, neg, [8, 4])
+    pd = _projection({0: [([0, 3], [9, -1], 1, 9)], 1: [([3], [-2], 0, 6)]})
+    fill_subtree_and_local(pd, su, lu, neg, [8, 4])
     assert (neg.num[3], neg.den[3]) == (8, 8)
 
 
@@ -400,15 +439,13 @@ def _random_projection(rng, periods, boundary, n_items):
     return _projection(views)
 
 
-def _live(su, lu, neg, cut=0):
-    """What a fill leaves for the search to read: the rows, neg's touched
-    list and the best ratios of the items that occurred. su's ratios below
-    cut read None: a fill at a nonzero cutoff keeps them exact only from
-    the cutoff up, and every selection tests at that cutoff or a higher
-    one."""
+def _live(record, su, lu, neg):
+    """What a fill leaves for the search to read: its record, the rows,
+    neg's touched list and the best ratios of the items that occurred in
+    lu and neg."""
     return (
-        (su.row, {z: r if r >= cut else None for z, r in _ratios(su).items()}),
-        (lu.row, _ratios(lu, su)),
+        (record, su),
+        (lu.row, _ratios(lu)),
         (neg.row, neg.touched, _ratios(neg)),
     )
 
@@ -423,44 +460,49 @@ def test_each_fill_clears_what_the_previous_fill_left(boundary, n_items):
     b = _random_projection(rng, [1, 3], boundary, n_items)
     reused = _three_arrays(boundary, n_items)
     fresh = _three_arrays(boundary, n_items)
-    _fill(a, *reused, totals)
-    _fill(b, *reused, totals)
-    _fill(b, *fresh, totals)
-    assert _live(*reused) == _live(*fresh)
+    fill_subtree_and_local(a, *reused, totals)
+    after_b = fill_subtree_and_local(b, *reused, totals)
+    assert _live(after_b, *reused) == _live(fill_subtree_and_local(b, *fresh, totals), *fresh)
 
 
-def _arrays(su_ratios, lu_ratios):
-    """su and lu as a fill would leave them: the given best ratios (num,
-    den) per item, None for an item that did not occur."""
-    su, lu = BoundArray(len(su_ratios)), BoundArray(len(su_ratios))
-    su.start()
-    for z, (s, l) in enumerate(zip(su_ratios, lu_ratios)):
-        if s is not None:
-            su.seen[z] = su.stamp
-            su.num[z], su.den[z] = s
-            lu.num[z], lu.den[z] = l
-    return su, lu
+def _local(lu_ratios):
+    """lu as a fill would leave it: the given best ratios (num, den) per
+    item."""
+    lu = BoundArray(len(lu_ratios))
+    lu.start()
+    for z, (num, den) in enumerate(lu_ratios):
+        lu.seen[z] = lu.stamp
+        lu.num[z], lu.den[z] = num, den
+    return lu
 
 
 def test_selection_applies_both_bound_tests():
-    # one period of total 10, threshold 1/4
-    su, lu = _arrays([(10, 10), (2, 10), None], [(10, 10), (4, 10), None])
-    primary, secondary = select_primary_secondary(su, lu, range(3), su_num=1, lu_num=1, t_den=4)
+    # one period of total 10, threshold 1/4; item 2 never occurred, so the
+    # record, whose keys are the candidates, holds no cell for it
+    totals = [10]
+    record = {0: {0: 10}, 1: {0: 2}}
+    lu = _local([(10, 10), (4, 10), (0, 1)])
+    candidates = sorted(record)
+    primary, secondary = select_primary_secondary(record, lu, candidates, 1, 1, 4, totals)
     assert primary == [0]        # item 1 fails the subtree test (2/10 < 1/4)
     assert secondary == [0, 1]
-    # at threshold zero every ratio passes, but item 2 never occurred
-    primary, secondary = select_primary_secondary(su, lu, range(3), su_num=0, lu_num=0, t_den=1)
+    # at threshold zero every recorded item passes
+    primary, secondary = select_primary_secondary(record, lu, candidates, 0, 0, 1, totals)
     assert primary == secondary == [0, 1]
     # each rule has its own numerator: a zero subtree numerator passes item 1
-    primary, secondary = select_primary_secondary(su, lu, range(3), su_num=0, lu_num=1, t_den=4)
+    primary, secondary = select_primary_secondary(record, lu, candidates, 0, 1, 4, totals)
     assert primary == secondary == [0, 1]
+    # with lu None no local test runs and no secondary list is built
+    assert select_primary_secondary(record, None, candidates, 1, 1, 4, totals) == ([0], None)
 
 
 def test_selection_degrades_to_occurrence_when_disabled():
     """A rule that is off tests at numerator zero, which every item that
-    occurred passes, since every best ratio is at least zero."""
-    su, lu = _arrays([(0, 5), None, (0, 9)], [(0, 5), None, (0, 9)])
-    primary, secondary = select_primary_secondary(su, lu, range(3), su_num=0, lu_num=0, t_den=99)
+    occurred passes, since every bound is at least zero."""
+    totals = [5, 9]
+    record = {0: {0: 0}, 2: {1: 0}}
+    lu = _local([(0, 5), (0, 1), (0, 9)])
+    primary, secondary = select_primary_secondary(record, lu, sorted(record), 0, 0, 99, totals)
     assert primary == secondary == [0, 2]
 
     db = parse_database("1 2:5:2 3:0\n2:4:4:1\n")
@@ -471,16 +513,21 @@ def test_selection_degrades_to_occurrence_when_disabled():
 
 
 def test_selection_boundary_equality_counts():
-    su, lu = _arrays([(5, 10)], [(5, 10)])
-    primary, secondary = select_primary_secondary(su, lu, [0], su_num=1, lu_num=1, t_den=2)
-    assert primary == [0] and secondary == [0]
+    record = {0: {0: 5}}
+    picked = select_primary_secondary(record, _local([(5, 10)]), [0], 1, 1, 2, [10])
+    assert picked == ([0], [0])
+    # each cell is tested against its own period's total: 1/10 fails the
+    # threshold 1/4, and 5/20 reaches it in the other period
+    record = {0: {0: 1, 1: 5}}
+    assert select_primary_secondary(record, None, [0], 1, 0, 4, [10, 20]) == ([0], None)
+    assert select_primary_secondary(record, None, [0], 1, 0, 4, [10, 21]) == ([], None)
 
 
 def test_negative_candidate_selection():
     # negatives are items 3..6 of a neg array indexed by dense item
     su, lu, neg = _three_arrays(3, 7)
     pd = _projection({0: [([1, 4, 5], [10, -3, -7], 1, 10), ([1, 6], [1, -5], 1, 1)]})
-    _fill(pd, su, lu, neg, [20])
+    assert fill_subtree_and_local(pd, su, lu, neg, [20]) == {}
     # item 6: 1 - 5 < 0 is clipped, and still occurred
     assert _ratios(neg) == {4: Fraction(7, 20), 5: Fraction(3, 20), 6: 0}
     touched = sorted(neg.touched)
@@ -495,16 +542,20 @@ def test_negative_candidate_selection():
 
 def test_selection_reads_only_items_the_last_fill_saw():
     """A ratio an earlier fill left, for an item the last fill did not
-    see, is stale: however large, it changes no pick."""
+    see, is stale, and the earlier fill's cells are in its own record:
+    however large, they change no pick. The last fill's record holds only
+    the items it saw, and those are the candidates."""
     su, lu, neg = _three_arrays(3, 6)
     totals = [10, 10, 10]
-    _fill(_projection({2: [([1, 4], [90, -1], 0, 90)]}), su, lu, neg, totals)
+    earlier = _projection({2: [([1, 4], [90, -1], 0, 90)]})
+    assert fill_subtree_and_local(earlier, su, lu, neg, totals) == {1: {2: 180}}
     pd = _projection({0: [([0, 3], [8, -1], 0, 0), ([2], [1], 0, 0)]})
-    _fill(pd, su, lu, neg, totals)
-    assert _ratios(su) == _ratios(lu, su) == {0: Fraction(8, 10), 2: Fraction(1, 10)}
+    record = fill_subtree_and_local(pd, su, lu, neg, totals)
+    assert record == {0: {0: 8}, 2: {0: 1}}
+    assert _ratios(lu) == {0: Fraction(8, 10), 2: Fraction(1, 10)}
     assert _ratios(neg) == {3: 0}
-    assert su.num[1] == lu.num[1] == 180 and neg.num[4] == 89  # stale
-    primary, secondary = select_primary_secondary(su, lu, range(3), su_num=1, lu_num=1, t_den=2)
+    assert lu.num[1] == 180 and neg.num[4] == 89  # stale
+    primary, secondary = select_primary_secondary(record, lu, sorted(record), 1, 1, 2, totals)
     assert primary == secondary == [0]
     assert select_negative_candidates(neg, [3, 4], t_num=1, t_den=2) == []
 
@@ -513,13 +564,14 @@ def test_fills_without_kept_negatives():
     """With no kept negatives the fill writes no neg slot, the negative
     selection picks nothing, and mining matches the oracle."""
     su, lu, neg = _three_arrays(3, 3)
+    totals = [10, 8]
     pd = _projection({0: [([0, 2], [2, 3], 0, 0)], 1: [([1], [4], 0, 0)]})
-    _fill(pd, su, lu, neg, [10, 8])
-    assert _ratios(su) == {0: Fraction(5, 10), 1: Fraction(4, 8), 2: Fraction(3, 10)}
-    assert _ratios(lu, su) == {0: Fraction(5, 10), 1: Fraction(4, 8), 2: Fraction(5, 10)}
+    record = fill_subtree_and_local(pd, su, lu, neg, totals)
+    assert record == {0: {0: 5}, 1: {1: 4}, 2: {0: 3}}
+    assert _ratios(lu) == {0: Fraction(5, 10), 1: Fraction(4, 8), 2: Fraction(5, 10)}
     assert neg.touched == [] and not any(neg.seen)
     assert select_negative_candidates(neg, sorted(neg.touched), 0, 1) == []
-    _assert_filled(pd.views, su, lu, neg)
+    _assert_filled(pd, record, su, lu, neg, totals)
 
     profits = {1: 4, 2: 3, 3: 1}
     rows = [(0, [(1, 1), (2, 2)]), (0, [(2, 1), (3, 3)]), (1, [(1, 2), (3, 1)])]
@@ -531,14 +583,14 @@ def test_fills_without_kept_negatives():
 
 
 def test_fills_with_only_negatives():
-    """Views that hold only negatives leave su and lu untouched and fill
-    neg alone; a database whose one profitable item heads only negative
-    extensions matches the oracle."""
+    """Views that hold only negatives leave su and lu untouched, record
+    nothing and fill neg alone; a database whose one profitable item heads
+    only negative extensions matches the oracle."""
     su, lu, neg = _three_arrays(1, 4)
     pd = _projection({0: [([0, 1, 3], [9, -2, -4], 1, 9), ([0, 2], [9, -1], 1, 9)]})
-    _fill(pd, su, lu, neg, [16])
-    assert _occurred_items(su) == [] and _ratios(su) == {}
-    _assert_filled(pd.views, su, lu, neg)
+    record = fill_subtree_and_local(pd, su, lu, neg, [16])
+    assert record == {} and _occurred_items(lu) == []
+    _assert_filled(pd, record, su, lu, neg, [16])
     assert _ratios(neg) == {1: Fraction(7, 16), 2: Fraction(8, 16), 3: Fraction(5, 16)}
     assert neg.touched == [3, 1, 2]
     picked = select_negative_candidates(neg, sorted(neg.touched), 7, 16)
@@ -623,11 +675,12 @@ def test_many_periods_select_as_the_per_period_rule(monkeypatch, n_periods, tran
     """Every selection of whole mining runs keeps exactly the items the
     per-period rule keeps, over sums taken from the bracket definitions in
     every period, and the miner matches the oracle: keeping one best ratio
-    per item decides as the periods x items sums would, and the periods
-    and negative tails the fills skip change no pick. Where lu is filled
-    (the su_prune=False ablation) secondary is the local rule's; where it
-    is not (by default), no secondary list is built, and primary is drawn
-    from the items that occur in a period the fill walked."""
+    per item for lu and neg, and recording only the su cells at or above
+    the fill's cutoff, decides as the periods x items sums would, and the
+    periods and negative tails the fills skip change no pick. Where lu is
+    filled (the su_prune=False ablation) secondary is the local rule's;
+    where it is not (by default), no secondary list is built, and primary
+    is drawn from the items that occur in a period the fill walked."""
     databases = _many_period_databases(n_periods, transactions, 6, n_periods)
     sums = {}
     tested = []
@@ -637,16 +690,16 @@ def test_many_periods_select_as_the_per_period_rule(monkeypatch, n_periods, tran
         kept = fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
         su_sums, lu_sums, sums["neg"] = _period_sums(pd)
         last = _last_item(pd)
-        if last is None or last < len(su.row):
+        if last is None or last < len(su):
             # a negative node's fill leaves su and lu to its positive parent
             sums["su"], sums["lu"] = su_sums, lu_sums
             sums["walked"] = _walked(pd, totals, t_num, t_den, caps)
         sums["totals"] = totals
         return kept
 
-    def split(su, lu, candidates, su_num, lu_num, t_den):
-        picked = select_primary_secondary(su, lu, candidates, su_num, lu_num, t_den)
-        totals = sums["totals"]
+    def split(record, lu, candidates, su_num, lu_num, t_den, totals):
+        picked = select_primary_secondary(record, lu, candidates, su_num, lu_num, t_den, totals)
+        assert totals is sums["totals"]
         if lu is None:
             walked = sums["walked"]
             secondary = [z for z in candidates if walked & sums["su"].get(z, {}).keys()]
@@ -686,9 +739,11 @@ def test_many_periods_select_as_the_per_period_rule(monkeypatch, n_periods, tran
 def test_every_row_cell_is_zero_after_each_fill(monkeypatch, n_periods, transactions):
     """Through whole mining runs, by default and under the su_prune=False
     ablation that fills lu, every row cell is zero when a fill returns, so
-    the next fill starts from a clean row without a reset, and each fill
-    lists each item it saw once. A negative node's fill writes neg alone
-    and leaves su and lu exactly as they were."""
+    the next fill starts from a clean row without a reset; each fill lists
+    each item it saw once, and its record holds exactly the subtree sums
+    from the bracket definitions that reach its cutoff in the periods it
+    walked. A negative node's fill, handed lu None, writes neg alone,
+    records nothing and leaves the su row as it was."""
     databases = _many_period_databases(n_periods, transactions, 6, n_periods)
     fills = []
     capped = []
@@ -697,10 +752,11 @@ def test_every_row_cell_is_zero_after_each_fill(monkeypatch, n_periods, transact
     def fill_both(pd, su, lu, neg, totals, t_num=0, t_den=1, caps=None):
         nonlocal negative_fills
         last = _last_item(pd)
-        if last is not None and last >= len(su.row):
+        if last is not None and last >= len(su):
+            assert lu is None
             positives = _positive_state(su, lu)
             kept = fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
-            assert _positive_state(su, lu) == positives
+            assert kept == {} and _positive_state(su, lu) == positives
             _assert_neg_filled(pd.views, su, lu, neg)
             fills.append(len(neg.touched))
             negative_fills += 1
@@ -708,8 +764,8 @@ def test_every_row_cell_is_zero_after_each_fill(monkeypatch, n_periods, transact
         kept = fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
         walked = _walked(pd, totals, t_num, t_den, caps)
         tails = _walked_tails(pd, totals, t_num, t_den, caps)
-        _assert_filled(pd.views, su, lu, neg, tails, walked)
-        fills.append(len(_occurred_items(su)))
+        _assert_filled(pd, kept, su, lu, neg, totals, (t_num, t_den), tails, walked)
+        fills.append(len(kept))
         capped.append(len(pd.periods) - len(walked))
         return kept
 
@@ -787,12 +843,12 @@ def _chain_databases(corpus, n_periods):
     return out
 
 
-def _cutoffs_that_occur(rng, pd, totals, su, lu, neg):
+def _cutoffs_that_occur(rng, pd, totals, record, lu, neg):
     """Up to six positive thresholds from ratios that occur at the node:
     its own utility over each period's total, and the best ratios an
-    ungated fill left in su, lu and neg."""
+    ungated fill left in its record, lu and neg."""
     ratios = {Fraction(u, totals[p]) for p, u in zip(pd.periods, pd.utilities)}
-    ratios |= set(_ratios(su).values()) | set(_ratios(lu, su).values())
+    ratios |= set(_record_ratios(record, totals).values()) | set(_ratios(lu).values())
     ratios |= set(_ratios(neg).values())
     ratios.discard(0)
     return rng.sample(sorted(ratios), min(6, len(ratios)))
@@ -802,12 +858,12 @@ def _cutoffs_that_occur(rng, pd, totals, su, lu, neg):
 def test_gated_fill_of_a_positive_node_decides_as_the_ungated_one(corpus, n_periods):
     """Along random chains of positive items, from the root down, a fill
     that skips the negative tails of the periods where the node's own
-    utility is below the cutoff leaves su and lu as the ungated fill does
-    (su's ratios exact from the cutoff up), selects the same positives and
-    negatives at that cutoff, and leaves every row cell zero. Every
-    negative bracket of a node whose prefix utilities are at least zero is
-    at most that prefix utility, so a skipped period holds no negative
-    that reaches the cutoff."""
+    utility is below the cutoff records the ungated fill's cells from the
+    cutoff up, leaves lu as the ungated fill does, selects the same
+    positives and negatives at that cutoff, and leaves every row cell
+    zero. Every negative bracket of a node whose prefix utilities are at
+    least zero is at most that prefix utility, so a skipped period holds
+    no negative that reaches the cutoff."""
     rng = random.Random(4242 + n_periods)
     gated = skipped = 0
     for db in _chain_databases(corpus, n_periods):
@@ -818,19 +874,25 @@ def test_gated_fill_of_a_positive_node_decides_as_the_ungated_one(corpus, n_peri
         ungated = _miner_arrays(db, working)
         pd = root
         for _ in range(4):
-            _fill(pd, *ungated, totals)
-            for cut in _cutoffs_that_occur(rng, pd, totals, *ungated):
+            full = fill_subtree_and_local(pd, *ungated, totals)
+            for cut in _cutoffs_that_occur(rng, pd, totals, full, *ungated[1:]):
                 t_num, t_den = cut.numerator, cut.denominator
                 su, lu, neg = arrays
-                _fill(pd, su, lu, neg, totals, t_num, t_den)
-                assert _live(su, lu, neg, cut)[:2] == _live(*ungated, cut)[:2]
+                record = fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den)
+                assert record == _at_cutoff(full, totals, cut)
+                assert _live(record, su, lu, neg)[1] == _live(full, *ungated)[1]
                 _assert_neg_filled(pd.views, su, lu, neg, _walked_tails(pd, totals, t_num, t_den))
-                picks = (range(boundary), t_num, t_num, t_den)
-                want = select_primary_secondary(*ungated[:2], *picks)
-                assert select_primary_secondary(su, lu, *picks) == want
+                cutoffs = (t_num, t_num, t_den, totals)
+                want = select_primary_secondary(full, ungated[1], sorted(full), *cutoffs)
+                got = select_primary_secondary(record, lu, sorted(record), *cutoffs)
+                # the gated record holds the items with a cell at the cutoff;
+                # the ungated one lists every item that occurred
+                assert got == (want[0], [z for z in want[1] if z in record])
                 # without lu, no secondary list is built, and primary is the
                 # same: su <= lu cell by cell
-                assert select_primary_secondary(su, None, *picks) == (want[0], None)
+                assert select_primary_secondary(record, None, sorted(record), *cutoffs) == (
+                    want[0], None
+                )
                 want = select_negative_candidates(ungated[2], range(boundary, n), t_num, t_den)
                 assert select_negative_candidates(neg, range(boundary, n), t_num, t_den) == want
                 skipped += len(ungated[2].touched) - len(neg.touched)
@@ -889,23 +951,26 @@ def test_gate_tests_each_period_not_the_node_overall():
     pd = _projection({0: [([0, 2], [6, -1], 1, 6)], 1: [([1, 3], [2, -1], 0, 1)]})
     assert pd.utilities == [6, 1]
     su, lu, neg = _three_arrays(2, 4)
-    _fill(pd, su, lu, neg, totals, 1, 4)
+    record = fill_subtree_and_local(pd, su, lu, neg, totals, 1, 4)
     assert _ratios(neg) == {2: Fraction(5, 10)} and neg.touched == [2]
     assert select_negative_candidates(neg, [2, 3], 1, 4) == [2]
-    _assert_filled(pd.views, su, lu, neg, tails={0})
+    _assert_filled(pd, record, su, lu, neg, totals, (1, 4), tails={0})
     ungated = _three_arrays(2, 4)
-    _fill(pd, *ungated, totals)
-    assert _live(su, lu, neg)[:2] == _live(*ungated)[:2]
+    full = fill_subtree_and_local(pd, *ungated, totals)
+    assert full == {1: {1: 3}}  # 3/100, below the cutoff
+    assert record == _at_cutoff(full, totals, Fraction(1, 4)) == {}
+    assert _live(record, su, lu, neg)[1] == _live(full, *ungated)[1]
     assert _ratios(ungated[2]) == {2: Fraction(5, 10), 3: 0}
 
 
-def _cap_cutoffs(rng, pd, totals, caps, ungated, floor):
+def _cap_cutoffs(rng, pd, totals, caps, full, ungated, floor):
     """Cutoffs for a capped fill, none below floor, the cutoff of the
     parent's fill that recorded caps: up to six ratios that occur at the
-    node (_cutoffs_that_occur), up to four of its cap ratios caps[p] /
-    totals[p] (equality keeps a period), and one above every cap ratio,
-    which skips every period."""
-    cuts = _cutoffs_that_occur(rng, pd, totals, *ungated)
+    node (_cutoffs_that_occur, from the ungated fill's record full and
+    arrays), up to four of its cap ratios caps[p] / totals[p] (equality
+    keeps a period), and one above every cap ratio, which skips every
+    period."""
+    cuts = _cutoffs_that_occur(rng, pd, totals, full, *ungated[1:])
     ratios = sorted({Fraction(cell, totals[p]) for p, cell in caps.items()})
     cuts += rng.sample(ratios, min(4, len(ratios)))
     cuts.append(max(ratios, default=floor) + Fraction(1, max(totals)))
@@ -920,16 +985,17 @@ def test_capped_fill_decides_as_the_uncapped_one(corpus, n_periods):
     (an empty dict where z's cell reached the cutoff in no period). At
     every cutoff from P's up, X's capped fill skips whole the periods its
     caps leave out or hold below the cutoff, and still selects the same
-    primaries, secondaries and negatives as a fill with no gate at all,
-    leaving every row cell zero. Every bracket of X in period p is at most
-    prefix_X + the positive remaining after z in its view, and those sum
-    to su_P,p(z), P's cell: a left-out cell was below P's cutoff, which is
-    at most X's. With the local rule off (a zero local cutoff) secondary
-    means "occurred": the capped fill may drop an item that occurs only in
-    skipped periods, but its local ratio is below the cutoff, so it can
-    never be primary below X, and the primaries stay the same. A selection
-    handed no lu, as by default, builds no secondary list and picks as one
-    at a zero local cutoff."""
+    primaries and negatives as a fill with no gate at all, leaving every
+    row cell zero. Every bracket of X in period p is at most prefix_X + the
+    positive remaining after z in its view, and those sum to su_P,p(z),
+    P's cell: a left-out cell was below P's cutoff, which is at most X's.
+    So no subtree cell of the ungated fill reaches the cutoff in a skipped
+    period, and the capped record holds exactly the ungated cells at the
+    cutoff in the periods it walked; an item the capped record leaves out
+    has no ungated cell at the cutoff, and is never primary. The local
+    test agrees on every item both records hold. A selection handed no lu,
+    as by default, builds no secondary list and picks as one at a zero
+    local cutoff."""
     rng = random.Random(5353 + n_periods)
     capped = tested = dropped = 0
     for db in _chain_databases(corpus, n_periods):
@@ -952,34 +1018,39 @@ def test_capped_fill_decides_as_the_uncapped_one(corpus, n_periods):
                  for p, s in by.items() if s > 0 and Fraction(s, totals[p]) >= floor}
             )
             floor = rng.choice(cells[: len(cells) // 2 + 1]) if cells else floor
-            kept = _fill(pd, *arrays, totals, floor.numerator, floor.denominator, caps)
+            kept = fill_subtree_and_local(
+                pd, *arrays, totals, floor.numerator, floor.denominator, caps
+            )
             z = rng.choice(held)
             pd = project(pd, z)
             caps = kept.get(z, {})
-            _fill(pd, *ungated, totals)
-            for cut in _cap_cutoffs(rng, pd, totals, caps, ungated, floor):
+            full = fill_subtree_and_local(pd, *ungated, totals)
+            for cut in _cap_cutoffs(rng, pd, totals, caps, full, ungated, floor):
                 t_num, t_den = cut.numerator, cut.denominator
                 su, lu, neg = arrays
-                _fill(pd, su, lu, neg, totals, t_num, t_den, caps)
+                record = fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
                 walked = _walked(pd, totals, t_num, t_den, caps)
                 tails = _walked_tails(pd, totals, t_num, t_den, caps)
-                _assert_filled(pd.views, su, lu, neg, tails, walked)
+                _assert_filled(pd, record, su, lu, neg, totals, (t_num, t_den), tails, walked)
+                assert not any(
+                    p not in walked and Fraction(cell, totals[p]) >= cut
+                    for cells in full.values()
+                    for p, cell in cells.items()
+                )
                 for lu_num in (t_num, 0):
-                    picks = (range(boundary), t_num, lu_num, t_den)
-                    got = select_primary_secondary(su, lu, *picks)
-                    want = select_primary_secondary(*ungated[:2], *picks)
+                    cutoffs = (t_num, lu_num, t_den, totals)
+                    got = select_primary_secondary(record, lu, sorted(record), *cutoffs)
+                    want = select_primary_secondary(full, ungated[1], sorted(full), *cutoffs)
                     assert got[0] == want[0]
+                    assert got[1] == [y for y in want[1] if y in record]
                     if not lu_num:
                         # without lu, the selection picks as at a zero local cutoff
-                        assert select_primary_secondary(su, None, *picks) == (got[0], None)
-                    if lu_num:
-                        assert got[1] == want[1]
-                    else:
-                        assert set(got[1]) <= set(want[1])
-                        for y in set(want[1]) - set(got[1]):
-                            assert not _occurred(su, y)
-                            assert Fraction(ungated[1].num[y], ungated[1].den[y]) < cut
-                            dropped += 1
+                        assert select_primary_secondary(record, None, sorted(record), *cutoffs) == (
+                            got[0], None
+                        )
+                for y in full.keys() - record.keys():
+                    assert _at_cutoff({y: full[y]}, totals, cut) == {}
+                    dropped += 1
                 want = select_negative_candidates(ungated[2], range(boundary, n), t_num, t_den)
                 assert select_negative_candidates(neg, range(boundary, n), t_num, t_den) == want
                 capped += len(pd.periods) - len(walked)
@@ -1006,35 +1077,37 @@ def test_cap_skips_a_period_the_tail_gate_would_walk():
     t_num, t_den = 1, 4
 
     gated = _three_arrays(3, 4)
-    _fill(pd, *gated, totals, t_num, t_den)
-    assert _occurred_items(gated[0]) == [1, 2] and gated[2].touched == [3]
-    _assert_filled(pd.views, *gated, tails={0})
+    gated_record = fill_subtree_and_local(pd, *gated, totals, t_num, t_den)
+    assert gated_record == {1: {0: 9}}
+    assert _occurred_items(gated[1]) == [1, 2] and gated[2].touched == [3]
+    _assert_filled(pd, gated_record, *gated, totals, (t_num, t_den), tails={0})
 
     su, lu, neg = _three_arrays(3, 4)
-    _fill(pd, su, lu, neg, totals, t_num, t_den, caps)
-    assert _occurred_items(su) == [1]
-    assert _ratios(su) == _ratios(lu, su) == {1: Fraction(9, 10)}
+    record = fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
+    assert record == {1: {0: 9}} and _occurred_items(lu) == [1]
+    assert _ratios(lu) == {1: Fraction(9, 10)}
     assert _ratios(neg) == {3: Fraction(5, 10)}
-    _assert_filled(pd.views, su, lu, neg, tails={0}, walked={0})
+    _assert_filled(pd, record, su, lu, neg, totals, (t_num, t_den), tails={0}, walked={0})
 
     ungated = _three_arrays(3, 4)
-    _fill(pd, *ungated, totals)
-    assert _ratios(ungated[0]) == {1: Fraction(9, 10), 2: Fraction(4, 100)}
+    full = fill_subtree_and_local(pd, *ungated, totals)
+    assert full == {1: {0: 9, 1: 3}, 2: {1: 4}}
+    assert _record_ratios(full, totals) == {1: Fraction(9, 10), 2: Fraction(4, 100)}
     for lu_num in (t_num, 0):
-        picks = ([1, 2], t_num, lu_num, t_den)
-        assert select_primary_secondary(su, lu, *picks)[0] == [1]
-        assert select_primary_secondary(*ungated[:2], *picks)[0] == [1]
-    picks = ([1, 2], t_num, t_num, t_den)
-    want = select_primary_secondary(*ungated[:2], *picks)
-    assert select_primary_secondary(su, lu, *picks) == want
+        cutoffs = (t_num, lu_num, t_den, totals)
+        assert select_primary_secondary(record, lu, sorted(record), *cutoffs)[0] == [1]
+        assert select_primary_secondary(full, ungated[1], sorted(full), *cutoffs)[0] == [1]
+    cutoffs = (t_num, t_num, t_den, totals)
+    want = select_primary_secondary(full, ungated[1], sorted(full), *cutoffs)
+    assert select_primary_secondary(record, lu, sorted(record), *cutoffs) == want
     for negatives in (neg, gated[2], ungated[2]):
         assert select_negative_candidates(negatives, [3], t_num, t_den) == [3]
     absent = _three_arrays(3, 4)
-    _fill(pd, *absent, totals, t_num, t_den, {0: 9})
-    assert _live(*absent) == _live(su, lu, neg)
+    absent_record = fill_subtree_and_local(pd, *absent, totals, t_num, t_den, {0: 9})
+    assert _live(absent_record, *absent) == _live(record, su, lu, neg)
     # at cutoff zero the cap skips nothing
-    _fill(pd, su, lu, neg, totals, 0, t_den, caps)
-    assert _live(su, lu, neg) == _live(*ungated)
+    record = fill_subtree_and_local(pd, su, lu, neg, totals, 0, t_den, caps)
+    assert _live(record, su, lu, neg) == _live(full, *ungated)
 
 
 def test_cap_applies_to_a_positive_node_with_no_children_to_select():
@@ -1051,17 +1124,17 @@ def test_cap_applies_to_a_positive_node_with_no_children_to_select():
     assert _parent_cells(pd) == caps
     t_num, t_den = 1, 4
     su, lu, neg = _three_arrays(2, 4)
-    _fill(pd, su, lu, neg, totals, t_num, t_den, caps)
-    assert _occurred_items(su) == [] and neg.touched == []
-    _assert_filled(pd.views, su, lu, neg, tails={0}, walked={0})
+    record = fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
+    assert record == {} and _occurred_items(lu) == [] and neg.touched == []
+    _assert_filled(pd, record, su, lu, neg, totals, (t_num, t_den), tails={0}, walked={0})
 
     gated = _three_arrays(2, 4)
-    _fill(pd, *gated, totals, t_num, t_den)
-    assert _occurred_items(gated[0]) == [1] and gated[2].touched == []
+    assert fill_subtree_and_local(pd, *gated, totals, t_num, t_den) == {}
+    assert _occurred_items(gated[1]) == [1] and gated[2].touched == []
 
     ungated = _three_arrays(2, 4)
-    _fill(pd, *ungated, totals)
-    assert _ratios(ungated[0]) == {1: Fraction(5, 100)}
+    full = fill_subtree_and_local(pd, *ungated, totals)
+    assert _record_ratios(full, totals) == {1: Fraction(5, 100)}
     assert _ratios(ungated[2]) == {3: Fraction(3, 100)}
     for negatives in (neg, ungated[2]):
         assert select_negative_candidates(negatives, [3], t_num, t_den) == []
@@ -1078,20 +1151,21 @@ def _parent_cells(pd):
 
 
 def test_search_caps_each_positive_child_by_its_parents_record(monkeypatch):
-    """Through whole mining runs, every fill at a nonzero cutoff returns its
-    record: for each positive item z, in each period p the fill walked
-    where z's subtree sum reaches the cutoff, that sum su_P,p(z) from the
-    bracket definitions, and nothing else. Each recorded cell is at most
-    z's period TWU, TWU_p({z}), so the record skips at least what z's TWU
-    row would. A fill at cutoff zero records nothing. Every positive child
-    X = P + {z} of a recording fill is handed P's cells for z, checked
-    against X's own views, with every period left out below X's cutoff;
-    the root and negative children are handed none. With the subtree rule
-    off every cutoff is zero, so nothing is recorded or handed."""
+    """Through whole mining runs, every fill returns its record: for each
+    positive item z, in each period p the fill walked where z's subtree sum
+    reaches the cutoff, that sum su_P,p(z) from the bracket definitions,
+    and nothing else. At cutoff zero that is every sum, and a negative
+    node's record is empty. Each recorded cell is at most z's period TWU,
+    TWU_p({z}), so the record skips at least what z's TWU row would. Every
+    positive child X = P + {z} is handed P's cells for z, checked against
+    X's own views, with every period left out below X's cutoff; the root
+    and negative children are handed none. With the subtree rule off every
+    cutoff is zero, and the caps hold every period the child sells in."""
     databases = _many_period_databases(30, (40, 240), 6, 30)
     miners = []
     current = {}
-    handed = recorded = 0
+    handed = {True: 0, False: 0}
+    recorded = 0
     original = _Miner.search
 
     def searched(self, root, stats):
@@ -1099,32 +1173,19 @@ def test_search_caps_each_positive_child_by_its_parents_record(monkeypatch):
         return original(self, root, stats)
 
     def fill(pd, su, lu, neg, totals, t_num=0, t_den=1, caps=None):
-        nonlocal handed, recorded
+        nonlocal recorded
         miner = miners[-1]
         last = _last_item(pd)
-        if last is None or last >= miner.boundary or not miner.su_prune:
+        if last is None or last >= miner.boundary:
             assert caps is None
-        elif caps is not None:
+        else:
             cells = _parent_cells(pd)
             assert caps.keys() <= cells.keys()
             assert all(caps[p] == cells[p] for p in caps)
             assert all(cells[p] * t_den < t_num * totals[p] for p in cells.keys() - caps.keys())
-            handed += 1
+            handed[miner.su_prune] += 1
         kept = fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
-        if not t_num:
-            assert kept is None
-            return kept
-        walked = _walked(pd, totals, t_num, t_den, caps)
-        want = {}
-        for z, by_period in _period_sums(pd)[0].items():
-            cells = {
-                p: s
-                for p, s in by_period.items()
-                if p in walked and s * t_den >= t_num * totals[p]
-            }
-            if cells:
-                want[z] = cells
-        assert kept == want
+        assert kept == _recorded(pd, totals, t_num, t_den, _walked(pd, totals, t_num, t_den, caps))
         for z, cells in kept.items():
             row = current["twu"][miner.ext_id[z]]
             assert all(cell <= row[p] for p, cell in cells.items())
@@ -1140,24 +1201,29 @@ def test_search_caps_each_positive_child_by_its_parents_record(monkeypatch):
                 mined, _ = mine_top_k(db, k, **flags)
                 assert mined == oracle_top_k(db, k)
     # each capped child's cells come from one record
-    assert handed > 200 and recorded >= handed
+    assert handed[True] > 200 and handed[False] > 200
+    assert recorded >= handed[True] + handed[False]
 
 
 def test_default_search_fills_no_local_bound(monkeypatch, corpus):
     """Every fill and positive selection of a whole run is handed lu None,
     by default, with the local rule off and with both rules off; only the
     su_prune=False ablation, where the local rule is the only positive
-    rule, hands them an lu array. Wherever the subtree rule is on, lu
-    changes no pick, so filling it is wasted."""
+    rule, hands the fills of the root and of positive nodes, and the
+    positive selections, an lu array. A negative node's fill is always
+    handed None, since every fill starts the lu it is handed and the
+    deferred selection of the positive parent still reads lu. Wherever the
+    subtree rule is on, lu changes no pick, so filling it is wasted."""
     handed = []
 
     def fill(pd, su, lu, neg, totals, t_num=0, t_den=1, caps=None):
-        handed.append(lu)
+        last = _last_item(pd)
+        handed.append((last is not None and last >= len(su), lu))
         return fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
 
-    def split(su, lu, *args):
-        handed.append(lu)
-        return select_primary_secondary(su, lu, *args)
+    def split(record, lu, *args):
+        handed.append((False, lu))
+        return select_primary_secondary(record, lu, *args)
 
     monkeypatch.setattr(search, "fill_subtree_and_local", fill)
     monkeypatch.setattr(search, "select_primary_secondary", split)
@@ -1171,8 +1237,12 @@ def test_default_search_fills_no_local_bound(monkeypatch, corpus):
         for db in corpus[:20]:
             mine_top_k(db, 5, **flags)
         assert len(handed) > 40, flags
+        assert any(negative for negative, _ in handed), flags
         if filled:
-            assert all(isinstance(lu, BoundArray) for lu in handed), flags
-            assert len({id(lu) for lu in handed}) == 20  # one array per run
+            assert all(
+                (lu is None) if negative else isinstance(lu, BoundArray)
+                for negative, lu in handed
+            ), flags
+            assert len({id(lu) for _, lu in handed if lu is not None}) == 20  # one array per run
         else:
-            assert all(lu is None for lu in handed), flags
+            assert all(lu is None for _, lu in handed), flags

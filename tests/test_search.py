@@ -492,11 +492,11 @@ def test_selections_read_the_threshold_of_their_moment(monkeypatch, corpus):
         miners.append(self)
         run(self, root, stats)
 
-    def split(su, lu, candidates, su_num, lu_num, t_den):
+    def split(record, lu, candidates, su_num, lu_num, t_den, totals):
         t_num, want_den = miners[-1].collector.threshold
         assert (su_num, t_den) == (t_num, want_den) and lu_num in (0, t_num)
         thresholds.add(Fraction(t_num, t_den))
-        return select_primary_secondary(su, lu, candidates, su_num, lu_num, t_den)
+        return select_primary_secondary(record, lu, candidates, su_num, lu_num, t_den, totals)
 
     def negatives(neg, candidates, t_num, t_den):
         assert (t_num, t_den) == miners[-1].collector.threshold
@@ -542,22 +542,31 @@ def test_search_counters_are_pinned(params, k, counters):
     assert got == counters
 
 
-def test_parents_record_skips_more_periods_than_the_twu_row(monkeypatch):
-    """On the 365-period pinned database the pinned counters hold with each
-    positive child X = P + {z} of a fill at a nonzero cutoff capped by P's
-    record. Every recorded cell su_P,p(z) is at most TWU_p({z}), so such a
-    child skips every period z's TWU row would skip at the same cutoff,
-    and over the run strictly more. The threshold seed is zero here, so
-    the root records nothing and its children fill without caps."""
+def _watch_the_zero_seed_run(monkeypatch):
+    """Mine the 365-period pinned database, whose threshold seed is zero,
+    watching every fill and selection, and return the run's counters and
+    what was seen:
+    - row_skips, record_skips: per capped fill of a positive child
+      X = P + {z}, the periods z's TWU row and the caps hold below X's
+      cutoff;
+    - uncapped: the positive fills below the root handed no caps;
+    - zero: per fill at cutoff zero of the root or a positive node, its
+      record's keys and the positive items its views hold;
+    - zero_children: per positive child of such a fill, the periods its
+      caps hold, the periods it sells in, and how many of them the caps
+      skip at its own cutoff;
+    - root: the root fill's record keys, and the candidates the root
+      selection tested."""
     params, k, counters = PINNED_COUNTERS[-1]
     assert params["periods"] == 365
     db = parse_database(generate(GeneratorParams(**params)))
     index, totals = dense_periods(db)
     table, utility = compute_period_twu(db, index)
     assert singleton_threshold(totals, table, utility, k) == 0
+    seen = {key: [] for key in ("row_skips", "record_skips", "zero", "zero_children", "root")}
+    seen["uncapped"] = 0
     miners = []
-    skipped = {"record": 0, "row": 0}
-    uncapped = 0
+    cutoff_of = {}  # id of a record's cells -> the cutoff of the fill that recorded them
     run = _Miner.search
 
     def searched(self, root, stats):
@@ -565,56 +574,120 @@ def test_parents_record_skips_more_periods_than_the_twu_row(monkeypatch):
         run(self, root, stats)
 
     def fill(pd, su, lu, neg, totals, t_num=0, t_den=1, caps=None):
-        nonlocal uncapped
         miner = miners[-1]
         items, _, off, _, _ = pd.views[0]
-        if off and items[off - 1] < miner.boundary:
+        last = items[off - 1] if off else None
+        if last is not None and last < miner.boundary:
             if caps is None:
-                uncapped += 1
+                seen["uncapped"] += 1
             else:
-                row = table[miner.ext_id[items[off - 1]]]
+                row = table[miner.ext_id[last]]
                 by_row = {p for p in pd.periods if row[p] * t_den < t_num * totals[p]}
                 by_record = {
                     p for p in pd.periods if caps.get(p, 0) * t_den < t_num * totals[p]
                 }
-                assert by_row <= by_record
-                skipped["row"] += len(by_row)
-                skipped["record"] += len(by_record)
-        return fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
+                seen["row_skips"].append(by_row)
+                seen["record_skips"].append(by_record)
+                if cutoff_of[id(caps)] == 0:
+                    seen["zero_children"].append((set(caps), set(pd.periods), len(by_record)))
+        kept = fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
+        for cells in kept.values():
+            cutoff_of[id(cells)] = t_num
+        if not t_num and (last is None or last < miner.boundary):
+            held = {z for items, _, off, _, _ in pd.views for z in items[off:] if z < len(su)}
+            seen["zero"].append((set(kept), held))
+        if last is None:
+            seen["root"].append(sorted(kept))
+        return kept
+
+    def split(record, lu, candidates, *cutoffs):
+        if len(seen["root"]) == 1:
+            seen["root"].append(candidates)
+        return select_primary_secondary(record, lu, candidates, *cutoffs)
 
     monkeypatch.setattr(_Miner, "search", searched)
     monkeypatch.setattr(search, "fill_subtree_and_local", fill)
+    monkeypatch.setattr(search, "select_primary_secondary", split)
     _, stats = mine_top_k(db, k)
-    assert (stats.candidates, stats.threshold_rises, stats.max_depth) == counters
-    assert skipped["record"] > skipped["row"] > 0 and uncapped > 0
+    return (stats.candidates, stats.threshold_rises, stats.max_depth), counters, seen
+
+
+def test_parents_record_skips_more_periods_than_the_twu_row(monkeypatch):
+    """On the 365-period pinned database the pinned counters hold with each
+    positive child X = P + {z} capped by P's record. Every recorded cell
+    su_P,p(z) is at most TWU_p({z}), so such a child skips every period z's
+    TWU row would skip at the same cutoff, and over the run strictly more.
+    The threshold seed is zero here, so the root and the first fills below
+    it record at cutoff zero; their children are capped too, and no
+    positive fill below the root goes uncapped."""
+    got, counters, seen = _watch_the_zero_seed_run(monkeypatch)
+    assert got == counters
+    assert all(row <= record for row, record in zip(seen["row_skips"], seen["record_skips"]))
+    by_row = sum(map(len, seen["row_skips"]))
+    by_record = sum(map(len, seen["record_skips"]))
+    assert by_record > by_row > 0 and seen["uncapped"] == 0
+
+
+def test_zero_cutoff_fills_record_and_cap_their_children(monkeypatch):
+    """A fill at cutoff zero records every positive item that occurred, so
+    the root selects from its record's keys, and every positive child of a
+    zero-cutoff fill is capped by its parent's cells, which hold every
+    period the child sells in. Once the threshold has risen, those caps
+    skip periods at the child's own cutoff. On the 365-period pinned
+    database, whose threshold seed is zero, with its pinned counters."""
+    got, counters, seen = _watch_the_zero_seed_run(monkeypatch)
+    assert got == counters == (1181, 445, 7)
+    assert seen["uncapped"] == 0
+    assert seen["zero"] and all(kept == held for kept, held in seen["zero"])
+    recorded, tested = seen["root"]
+    assert tested == recorded and recorded == sorted(seen["zero"][0][1])
+    assert seen["zero_children"]
+    assert all(capped == sells for capped, sells, _ in seen["zero_children"])
+    assert sum(skips for _, _, skips in seen["zero_children"]) > 0
+
+
+class _CountingRow(list):
+    """A scratch row that counts the cells set to a non-zero value: the
+    bound sums a fill adds, not the zeroing of its fold."""
+
+    def __init__(self, width):
+        super().__init__([0] * width)
+        self.writes = 0
+
+    def __setitem__(self, z, value):
+        if value:
+            self.writes += 1
+        super().__setitem__(z, value)
 
 
 def _run_with_picks(monkeypatch, db, k, local=False, capped=True, **flags):
     """Mine db at k under flags and record, in order, the primary picks of
     every positive selection that picks something, and counts: the
-    positive selections, the candidates that occurred in the node's fill
-    and the local test dropped, the periods the caps handed to the fills
-    skip, and the positives those fills list as occurred. local=True
-    forces the local fill on: the miner holds an lu array, as the
-    su_prune=False ablation's does, so every fill fills it and every
-    selection applies the local test at the threshold. capped=False hands
-    every fill no caps: the search without the parent's record."""
+    positive selections, the candidates the local test dropped, the
+    periods the caps handed to the fills skip, and the su cells the fills
+    write. local=True forces the local fill on: the miner holds an lu
+    array, as the su_prune=False ablation's does, so every positive fill
+    fills it and every selection applies the local test at the threshold.
+    capped=False hands every fill no caps: the search without the parent's
+    record."""
     picks = []
-    counts = dict.fromkeys(("selections", "dropped", "skipped", "listed"), 0)
+    counts = dict.fromkeys(("selections", "dropped", "skipped", "written"), 0)
 
-    def split(su, lu, candidates, *cutoffs):
+    def split(record, lu, candidates, *cutoffs):
         counts["selections"] += 1
-        primary, secondary = select_primary_secondary(su, lu, candidates, *cutoffs)
+        primary, secondary = select_primary_secondary(record, lu, candidates, *cutoffs)
         if primary:
             picks.append(primary)
         if lu is not None:
-            occurred = [z for z in candidates if su.seen[z] == su.stamp]
-            counts["dropped"] += len(occurred) - len(secondary)
+            counts["dropped"] += len(candidates) - len(secondary)
         return primary, secondary
 
     def init(self, *args, **kwargs):
         build(self, *args, **kwargs)
-        self.lu = BoundArray(self.boundary)
+        miners.append(self)
+        self.su = _CountingRow(self.boundary)
+        if local:
+            self.lu = BoundArray(self.boundary)
 
     def fill(pd, su, lu, neg, totals, t_num=0, t_den=1, caps=None):
         if not capped:
@@ -623,21 +696,47 @@ def _run_with_picks(monkeypatch, db, k, local=False, capped=True, **flags):
             counts["skipped"] += sum(
                 caps.get(p, 0) * t_den < t_num * totals[p] for p in pd.periods
             )
-        kept = fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
-        if t_num:
-            counts["listed"] += su.seen.count(su.stamp)
-        return kept
+        return fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
 
     build = _Miner.__init__
+    miners = []
     with monkeypatch.context() as patched:
         patched.setattr(search, "select_primary_secondary", split)
         patched.setattr(search, "fill_subtree_and_local", fill)
-        if local:
-            patched.setattr(_Miner, "__init__", init)
+        patched.setattr(_Miner, "__init__", init)
         mined, stats = mine_top_k(db, k, **flags)
+    counts["written"] = miners[-1].su.writes
     payload = stats_json(stats)
     del payload["elapsed_ms"]
     return mined, payload, picks, counts
+
+
+def _rises_in_negative_subtrees():
+    """One period where the threshold rises inside the negative subtree of
+    each of three profitable heads, past every later candidate the head's
+    fill recorded. Head h sells with a chain of 20 loss-making items in
+    rows worth more as h grows, so each head's negative extensions outrank
+    the last head's and, past the first, fill the collector; it also sells
+    once with each of its own 8 rare items, at a low utility. Each rare
+    item sells heavily alone, so it comes after the heads in the order, and
+    there are fewer profitable items than k, so the threshold seed is 0.
+    Returns the database and its k."""
+    n_neg, n_rare = 20, 8
+    profits, rows = {}, []
+    for h, (qty, rare_qty) in enumerate([(5, 1), (10, 6), (20, 15)]):
+        head = 1 + h
+        profits[head] = 2
+        chain = [1000 + h * n_neg + i for i in range(n_neg)]
+        for i, n in enumerate(chain):
+            profits[n] = -1
+            rows.append((0, [(head, qty), (n, 1)]))
+            if i + 1 < n_neg:
+                rows.append((0, [(head, qty), (n, 1), (n + 1, 1)]))
+        for r in range(500 + h * n_rare, 500 + (h + 1) * n_rare):
+            profits[r] = 1
+            rows.append((0, [(head, rare_qty), (r, 1)]))
+            rows += [(0, [(r, 3000)])] * 3
+    return database_from_quantities(profits, rows), 3 * n_rare + 8
 
 
 def test_local_bound_changes_no_pick(monkeypatch, corpus):
@@ -649,12 +748,19 @@ def test_local_bound_changes_no_pick(monkeypatch, corpus):
     shortens the secondary lists: it drops candidates, which the subtree
     test drops too. Each node's candidates come from its own fill, which
     the local bound does not change, so both runs make the same
-    selections."""
+    selections. A candidate is dropped only where the threshold rose between
+    the node's fill and its selection, inside its negative subtree, so the
+    databases include one built to make that happen at three nodes."""
+    rising = _rises_in_negative_subtrees()
+    db, k = rising
+    index, totals = dense_periods(db)
+    assert singleton_threshold(totals, *compute_period_twu(db, index), k) == 0
     databases = [(db, k) for db in corpus for k in (1, 5, 10_000)]
     databases += [
         (parse_database(generate(GeneratorParams(**params))), k)
         for params, k, _ in PINNED_COUNTERS
     ]
+    databases.append(rising)
     picked = dropped = 0
     for db, k in databases:
         *local, local_counts = _run_with_picks(monkeypatch, db, k, local=True)
@@ -665,6 +771,7 @@ def test_local_bound_changes_no_pick(monkeypatch, corpus):
         picked += len(default[2])
         dropped += local_counts["dropped"]
     assert picked > 5000 and dropped > 0
+    assert local_counts["dropped"] >= 20  # the last database, the rising one
 
 
 def test_parents_record_changes_no_pick(monkeypatch, corpus):
@@ -675,7 +782,7 @@ def test_parents_record_changes_no_pick(monkeypatch, corpus):
     default and with the local rule off, the capped search gives the same
     patterns, the same stats and the same sequence of non-empty primary
     picks as the search that hands no fill caps, while its fills skip
-    periods and list fewer positives as occurred. It makes no more
+    periods and write fewer su cells. It makes no more
     selections. With the local rule off, the 365-period pinned database
     still gives the stats recorded before any cap existed."""
     databases = [(db, k, {}) for db in corpus for k in (1, 5, 10_000)]
@@ -683,7 +790,7 @@ def test_parents_record_changes_no_pick(monkeypatch, corpus):
         db = parse_database(generate(GeneratorParams(**params)))
         databases += [(db, k, {}), (db, k, {"lu_prune": False})]
     picked = skipped = 0
-    listed = {True: 0, False: 0}
+    written = {True: 0, False: 0}
     for db, k, flags in databases:
         *capped, capped_counts = _run_with_picks(monkeypatch, db, k, **flags)
         *uncapped, counts = _run_with_picks(monkeypatch, db, k, capped=False, **flags)
@@ -692,9 +799,9 @@ def test_parents_record_changes_no_pick(monkeypatch, corpus):
         assert counts["skipped"] == 0
         picked += len(capped[2])
         skipped += capped_counts["skipped"]
-        listed[True] += capped_counts["listed"]
-        listed[False] += counts["listed"]
-    assert picked > 5000 and skipped > 0 and listed[True] < listed[False]
+        written[True] += capped_counts["written"]
+        written[False] += counts["written"]
+    assert picked > 5000 and skipped > 0 and written[True] < written[False]
     assert capped[1] == {
         "k": 100, "patterns": 100, "interutil_num": 64, "interutil_den": 27,
         "candidates": 1181, "merges": 0, "max_depth": 7, "threshold_rises": 445,
@@ -702,15 +809,15 @@ def test_parents_record_changes_no_pick(monkeypatch, corpus):
 
 
 def test_each_node_selects_from_its_own_fill(monkeypatch, corpus):
-    """Every positive selection below the root tests a non-empty, strictly
-    ascending list of candidates, each after the node's last item and
-    each occurred in the node's su fill: at a nonzero cutoff exactly the
-    keys of the fill's record, and at cutoff zero exactly the items that
-    occurred. A deferred selection tests at its fill's cutoff or a higher
-    one, so only a recorded item can pass, and a fill that recorded or
-    listed nothing pushes no selection at all. Checked on the oracle
-    corpus, by default and under the su_prune=False ablation, and on the
-    365-period pinned database, whose threshold seed is zero, so that
+    """Every positive selection tests exactly the keys of its node's fill
+    record, ascending, each one a positive item the node's views hold
+    after its last item; below the root the list is never empty. This
+    holds at a nonzero cutoff and at cutoff zero, where the record holds
+    every positive item that occurred. A deferred selection tests at its
+    fill's cutoff or a higher one, so only a recorded item can pass, and a
+    fill that recorded nothing pushes no selection at all. Checked on the
+    oracle corpus, by default and under the su_prune=False ablation, and on
+    the 365-period pinned database, whose threshold seed is zero, so that
     fills at cutoff zero select too."""
     fills = []
     checked = {True: 0, False: 0}
@@ -719,21 +826,20 @@ def test_each_node_selects_from_its_own_fill(monkeypatch, corpus):
         kept = fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
         items, _, off, _, _ = pd.views[0]
         last = items[off - 1] if off else None
-        if last is None or last < len(su.row):
-            occurred = [z for z in range(len(su.row)) if su.seen[z] == su.stamp]
-            fills.append((last, t_num, None if kept is None else sorted(kept), occurred))
+        if last is None or last < len(su):
+            held = {
+                z for items, _, off, _, _ in pd.views for z in items[off:] if z < len(su)
+            }
+            fills.append((last, t_num, sorted(kept), held))
         return kept
 
-    def split(su, lu, candidates, *cutoffs):
-        last, t_num, recorded, occurred = fills[-1]
+    def split(record, lu, candidates, *cutoffs):
+        last, t_num, recorded, held = fills[-1]
+        assert candidates == recorded and set(candidates) <= held
         if last is not None:
-            assert candidates
-            assert all(y < z for y, z in zip(candidates, candidates[1:]))
-            assert candidates[0] > last
-            assert set(candidates) <= set(occurred)
-            assert candidates == (occurred if recorded is None else recorded)
-            checked[bool(t_num)] += 1
-        return select_primary_secondary(su, lu, candidates, *cutoffs)
+            assert candidates and candidates[0] > last
+        checked[bool(t_num)] += 1
+        return select_primary_secondary(record, lu, candidates, *cutoffs)
 
     monkeypatch.setattr(search, "fill_subtree_and_local", fill)
     monkeypatch.setattr(search, "select_primary_secondary", split)
