@@ -33,106 +33,101 @@ period, and the threshold only rises from X's selection to that of X'. An
 item that fails X's local test therefore fails the subtree test wherever it
 could be a candidate (at X itself too: su_X <= lu_X). So lu is filled only
 when the local rule is the only positive rule (su_prune off, lu_prune on);
-otherwise the search hands the fills and selections lu None, and a
-selection builds no secondary list: it tests su alone. The root's local
+otherwise the search hands the fills lu None, they return no lu record, and
+a selection builds no secondary list: it tests su alone. The root's local
 test, the TWU test in prepare.initial_secondary, always runs: it shrinks
 the order and the working database before any fill.
 
 An item passes a rule if, in some period it sells in, its bound reaches the
-threshold times that period's total. The subtree bound of the positive
-items is tested that way, cell by cell, against the fill's record (below).
-For the local bound and the negatives' bound, period totals are positive,
-so the rule holds exactly when the item's best ratio, the largest bound /
-total over those periods, reaches the threshold, and those fills keep per
-item only that best ratio num/den, never a period x item grid.
+threshold times that period's total. Every bound is tested that way, cell
+by cell, against a fill's record (below): no bound keeps a best ratio, and
+none is kept as a period x item grid.
 
-A run allocates its arrays once and every node reuses them: su (and lu,
-where filled) hold the bounds of the positive items (dense items
-0..boundary-1), neg the clipped subtree bounds of the kept negatives,
-indexed by dense item. su is one scratch row of sums; lu and neg are
-BoundArrays, a scratch row plus the best ratio per item. A fill walks the
-projection's views, which come in ascending period order, adding each view
-into the rows. At the end of each period it moves the cells that period
-wrote out of the rows, into the record for su where they reach the
-cutoff and into the best ratios against the period's total for lu and
-neg, and zeroes them, so every row cell is zero between fills. The fill
-lists a cell as it first goes from zero to non-zero; a negative whose
-bracket clips to zero is listed too, so that its occurrence is recorded.
-lu is written at exactly the items su is, so it folds from the list of su
-cells the period wrote.
+A run allocates three scratch rows once and every node reuses them: su
+(and lu, where filled) hold the sums of the positive items (dense items
+0..boundary-1), neg the clipped subtree sums of the kept negatives, indexed
+by dense item. A fill walks the projection's views, which come in ascending
+period order, adding each view into the rows. At the end of each period one
+fold moves the cells that period wrote out of a row, into that bound's
+record where they reach the fold's need, and zeroes them, so every row cell
+is zero between fills and nothing is reset. The fill lists a cell as it
+first goes from zero to non-zero. A negative whose bracket clips to zero is
+listed too, so that its occurrence is recorded, and while its cell stays
+zero it is listed again at its next occurrence in the period; that listing
+reads zero once the first has been folded, and the fold keeps the cell the
+first listing recorded. lu is written at exactly the items su is, so it
+folds from the list of su cells the period wrote.
 
-Every node, the root, a positive node or a negative one, is filled the same
-way: fill_subtree_and_local fills the arrays in one walk of its projection,
-and starts each BoundArray it is handed. A negative node's views hold only
-negatives (they sort last), so its fill writes no su or lu cell, and the
-search hands it lu None: lu then reads as the last positive fill left it,
-and that fill's record is untouched. That lets a positive node search its
-negative extensions, which reuse neg, between its one fill and its
-positive selection.
+Every fill returns three records, each item -> {dense period: cell}: su's
+and neg's at need, the cutoff t_num/t_den times the period's total rounded
+up, and lu's, where filled, at zero. Every node, the root, a positive node
+or a negative one, is filled the same way, in one walk of its projection. A
+negative node's views hold only negatives (they sort last), so its su
+record is empty, and the search hands it no lu row. Each fill's records are
+its own, so a positive node can search its negative extensions, which reuse
+the rows, between its one fill and its positive selection.
 
-A fill of the root or of a positive node X also takes the cutoff
-t_num/t_den that the negative selection will test, and walks no negative
+A fill of the root or of a positive node X takes the cutoff t_num/t_den
+that its negative selection tests right after it, and walks no negative
 tail in a period p where u_p(X), X's own utility in p, is below the cutoff
 times p's total. Every prefix utility of such a node is at least zero, so
 each clipped bracket max(prefix + u(n, T), 0) of a negative n is at most
 its view's prefix, and n's bound in p, a sum over some of p's views, is at
-most u_p(X): no negative can pass in p. A skipped period lists none of its
-negatives, so one that sells only there reads as absent, which fails the
-same cutoff. A negative node is exempt: its prefix utilities can be
-negative, so u_p(X) can sit below a single view's positive bracket. It is
-filled at cutoff zero, and t_num zero never skips.
+most u_p(X): no negative can pass in p. A skipped period records none of
+its negatives, and none of them could pass there. A negative node is
+exempt: its prefix utilities can be negative, so u_p(X) can sit below a
+single view's positive bracket. It is filled at cutoff zero, where t_num
+zero never skips and need is zero, so its neg record holds every negative
+that occurred, clipped zeros included.
 
-Every fill returns its record, item -> {dense period: su cell}: for each
-positive item z and each period p it walks, z's subtree sum su_P,p(z)
-where that reaches need, the cutoff times p's total rounded up. At cutoff
-zero need is zero, so the record holds every positive item that occurred,
-in every period it occurred in; a negative node's record is empty. The
-search hands the fill of each positive child X = P + {z} P's cells for z
-as caps, and the fill skips whole every period that caps leaves out or
-holds below X's cutoff times the total: no positive walk, no tails, no
-fold. Every view of X is a view of P that holds z, with prefix_X =
-prefix_P + u(z) >= 0. Each bracket such a view adds in X's fill, prefix_X +
-u(y) + the positive remaining after y for a positive y's su, prefix_X + the
-positive remaining after z for lu, and max(prefix_X + u(n), 0) <= prefix_X
-for a negative n, is at most prefix_X + the positive remaining after z,
-which is what the view added to z's cell in P's fill. So every sum a
-candidate gets in p is at most su_P,p(z). A cell P left out was below P's
-cutoff, which is at most X's, since the threshold only rises; a kept cell
-is tested again at X's cutoff. Nothing can pass in a skipped period. An
-item that sells only in skipped periods is then listed nowhere in X's
-fill, so it is not among X's candidates (below), but it can never be
-primary anywhere below X, because every view of a descendant is a view of
-X and its brackets in those periods are bounded by the same su_P,p(z). So
-the nodes searched, the patterns and every counter stay the same. Each
-bracket is also at most its view's PTU, so su_P,p(z) <= TWU_p({z}): the
-record skips every period z's TWU row would, and the search keeps no TWU
-table. The root has no parent and takes no caps.
+The su record holds, for each positive item z and each period p the fill
+walks, z's subtree sum su_P,p(z) where that reaches need. At cutoff zero
+need is zero, so the record holds every positive item that occurred, in
+every period it occurred in. The search hands the fill of each positive
+child X = P + {z} P's cells for z as caps, and the fill skips whole every
+period that caps leaves out or holds below X's cutoff times the total: no
+positive walk, no tails, no fold. Every view of X is a view of P that holds
+z, with prefix_X = prefix_P + u(z) >= 0. Each bracket such a view adds in
+X's fill, prefix_X + u(y) + the positive remaining after y for a positive
+y's su, prefix_X + the positive remaining after z for lu, and max(prefix_X
++ u(n), 0) <= prefix_X for a negative n, is at most prefix_X + the positive
+remaining after z, which is what the view added to z's cell in P's fill. So
+every sum a candidate gets in p is at most su_P,p(z). A cell P left out was
+below P's cutoff, which is at most X's, since the threshold only rises; a
+kept cell is tested again at X's cutoff. Nothing can pass in a skipped
+period. An item that sells only in skipped periods is then recorded nowhere
+in X's fill, so it is not among X's candidates (below), but it can never be
+primary anywhere below X, because every view of a descendant is a view of X
+and its brackets in those periods are bounded by the same su_P,p(z). So the
+nodes searched, the patterns and every counter stay the same. Each bracket
+is also at most its view's PTU, so su_P,p(z) <= TWU_p({z}): the record skips
+every period z's TWU row would, and the search keeps no TWU table. The root
+has no parent and takes no caps.
 
 The root and each positive node select their children from their own fill:
-the candidates are the keys of its record, and a candidate passes the
-subtree rule when one of its recorded cells reaches the selection's cutoff
-times that period's total. A selection tests at its fill's cutoff or a
-higher one, so every cell that can pass is recorded: a cell left out was
-below the fill's cutoff, and a skipped period holds none that can reach
-it. So a pick is a recorded key, and an empty record picks nothing; the
-search makes no selection for it. Every recorded item comes after the
-node's last item, since its views start there. lu is filled only under
-su_prune off, where every fill runs at cutoff zero and so records every
-positive item that occurred, and there X = P + {z} tests lu at its own
-selection: every view of X that holds a later item y is a view of P
-holding y, and its local bracket, prefix_P + u(z) + the positive remaining
-after z, is at most prefix_P + the positive remaining after P's last item.
-So lu_X,p(y) <= lu_P,p(y) in every period, and the threshold only rises:
-an item that passes X's local test passed P's, and P's test needs no
-repeating.
+the positive candidates are the keys of its su record, the negative ones
+the keys of its neg record, and a candidate passes when one of its recorded
+cells reaches the selection's cutoff times that period's total. A selection
+tests at its fill's cutoff or a higher one, so every cell that can pass is
+recorded: a cell left out was below the fill's cutoff, and a skipped period
+holds none that can reach it. So a pick is a recorded key, and an empty
+record picks nothing; the search makes no positive selection for it. Every
+recorded item comes after the node's last item, since its views start
+there. A negative node tests the picks after its own item in its parent
+against its neg record; one that did not occur is not recorded and fails.
+lu is filled only under su_prune off, where every fill runs at cutoff zero
+and so records every positive item that occurred, and there X = P + {z}
+tests its own lu record at its selection: every view of X that holds a
+later item y is a view of P holding y, and its local bracket, prefix_P +
+u(z) + the positive remaining after z, is at most prefix_P + the positive
+remaining after P's last item. So lu_X,p(y) <= lu_P,p(y) in every period,
+and the threshold only rises: an item that passes X's local test passed
+P's, and P's test needs no repeating.
 
-Each start of a BoundArray takes a new stamp, and seen[z] holds the stamp
-of the last fill item z occurred in. So nothing is reset between fills:
-the ratio of an item whose stamp is old is stale, and the selectors never
-read it. They test a candidate that occurred once, num * t_den >= t_num *
-den, against the threshold t_num/t_den. A pruning rule that is switched
-off passes t_num = 0, and since every bound here is at least zero, that
-passes exactly the items that occurred.
+A selection tests a cell against the threshold t_num/t_den as cell * t_den
+>= t_num * total. A pruning rule that is switched off passes t_num = 0, and
+since every bound here is at least zero, that passes every recorded item:
+at need zero, every item that occurred.
 """
 
 from __future__ import annotations
@@ -143,88 +138,55 @@ from operator import itemgetter
 
 _period = itemgetter(4)
 
+# A fill's record of one bound: item -> {dense period: cell}.
+Record = dict[int, dict[int, int]]
 
-class BoundArray:
-    """One scratch row of per-item sums and, per item, the best ratio
-    num/den of a sum to its period's total over the periods the last fill
-    walked. It holds lu and neg; su keeps no ratio (see the module
-    docstring).
 
-    Item z occurred in the last fill when seen[z] equals stamp; num[z] and
-    den[z] hold its ratio only then. fold lists those items in touched,
-    which the search reads for neg.
-    """
-
-    __slots__ = ("row", "num", "den", "seen", "stamp", "touched")
-
-    def __init__(self, width: int):
-        self.row = [0] * width
-        self.num = [0] * width
-        self.den = [1] * width
-        self.seen = [0] * width
-        self.stamp = 0
-        self.touched: list[int] = []
-
-    def start(self) -> None:
-        """Begin a fill: the new stamp makes every earlier ratio stale."""
-        self.stamp += 1
-        self.touched = []
-
-    def fold(self, written: list[int], total: int) -> None:
-        """Fold the row cells at the written items into their best ratios
-        against one period's total, zero them, and list in touched each
-        item the fill first sees. An item listed twice reads zero the
-        second time, which moves no ratio."""
-        row = self.row
-        num = self.num
-        den = self.den
-        seen = self.seen
-        stamp = self.stamp
-        touched = self.touched
-        for z in written:
-            cell = row[z]
-            row[z] = 0
-            if seen[z] != stamp:
-                seen[z] = stamp
-                touched.append(z)
-                num[z] = cell
-                den[z] = total
-            elif cell * den[z] > num[z] * total:
-                num[z] = cell
-                den[z] = total
+def _fold(row: list[int], written: list[int], record: Record, p: int, need: int) -> None:
+    """Move the row cells at the written items into record at period p,
+    where they reach need, and zero them. An item listed again reads zero
+    and keeps the cell its first listing recorded."""
+    for z in written:
+        cell = row[z]
+        row[z] = 0
+        if cell >= need:
+            cells = record.get(z)
+            if cells is None:
+                record[z] = {p: cell}
+            elif cell or p not in cells:
+                cells[p] = cell
 
 
 def fill_subtree_and_local(
     pd,
     su: list[int],
-    lu: BoundArray | None,
-    neg: BoundArray,
+    lu: list[int] | None,
+    neg: list[int],
     totals,
     t_num: int = 0,
     t_den: int = 1,
     caps=None,
-) -> dict[int, dict[int, int]]:
-    """One backward walk per view of projection pd fills the bound arrays
-    and returns the fill's record, item -> {dense period: su cell}.
+) -> tuple[Record, Record | None, Record]:
+    """One backward walk per view of projection pd fills the scratch rows
+    and returns the fill's records (record, lu_record, negatives), each
+    item -> {dense period: cell}.
 
     Negatives come first in the walk (they sort last, and only they carry
     negative utilities) and add clipped brackets to their neg cells. Then
     running, the prefix utility plus the positive entries walked so far, is
     at each positive entry exactly its subtree bracket: prefix + u + the
-    positive remaining utility after it. su is a scratch row as wide as the
-    positive items; at the end of each period each su cell it wrote goes
-    into the record where it reaches need, the cutoff t_num/t_den times the
-    period's total rounded up, and is zeroed. At t_num zero the record holds
-    every positive item that occurred. Its keys are the node's candidates
-    (see the module docstring).
+    positive remaining utility after it. At the end of each period the su
+    and neg cells it wrote are folded into record and negatives where they
+    reach need, the cutoff t_num/t_den times the period's total rounded up.
+    At t_num zero the records hold every item that occurred. Their keys are
+    the node's candidates (see the module docstring).
 
-    The fill starts neg, and lu where given. lu is None unless the local
-    rule is the only positive rule (see the module docstring); given lu,
-    the fill first adds every positive entry's local bracket, prefix + the
-    view's positive sum, which does not depend on position, and folds lu
+    lu is None unless the local rule is the only positive rule (see the
+    module docstring), and lu_record is then None too; given lu, the fill
+    first adds every positive entry's local bracket, prefix + the view's
+    positive sum, which does not depend on position, and folds lu at zero
     from the list of su cells written. A negative node's views hold no
-    positive entry, so its fill, handed lu None, leaves lu as it was and
-    records nothing.
+    positive entry, so its fill records no su cell.
 
     Two gates at the cutoff, sound only for the root or a positive node
     (see the module docstring); t_num zero never skips. A positive node
@@ -236,14 +198,10 @@ def fill_subtree_and_local(
     and lists and folds nothing into neg for that period. The root passes
     no caps.
     """
-    neg.start()
-    lu_row = None
-    if lu is not None:
-        lu.start()
-        lu_row = lu.row
-    neg_row = neg.row
     boundary = len(su)
     record = {}
+    lu_record = None if lu is None else {}
+    negatives = {}
     for (p, views), u_p in zip(groupby(pd.views, _period), pd.utilities):
         total = totals[p]
         need = -(-t_num * total // t_den)
@@ -260,19 +218,19 @@ def fill_subtree_and_local(
                     if u > 0:
                         break
                     item = items[j]
-                    cell = neg_row[item]
+                    cell = neg[item]
                     if not cell:
                         neg_written.append(item)
                     bracket = prefix + u
                     if bracket > 0:
-                        neg_row[item] = cell + bracket
+                        neg[item] = cell + bracket
                     j -= 1
             else:
                 j = bisect_left(items, boundary, off) - 1
-            if lu_row is not None:
+            if lu is not None:
                 local = prefix + sum(utils[off : j + 1])
                 for item in items[off : j + 1]:
-                    lu_row[item] += local
+                    lu[item] += local
             running = prefix
             while j >= off:
                 item = items[j]
@@ -282,25 +240,32 @@ def fill_subtree_and_local(
                     written.append(item)
                 su[item] = cell + running
                 j -= 1
-        if lu_row is not None:
-            lu.fold(written, total)
-        for z in written:
-            cell = su[z]
-            su[z] = 0
-            if cell >= need:
-                cells = record.get(z)
-                if cells is None:
-                    record[z] = {p: cell}
-                else:
-                    cells[p] = cell
-        if tails:
-            neg.fold(neg_written, total)
-    return record
+        if written:
+            _fold(su, written, record, p, need)
+            if lu is not None:
+                _fold(lu, written, lu_record, p, 0)
+        if neg_written:
+            _fold(neg, neg_written, negatives, p, need)
+    return record, lu_record, negatives
+
+
+def _passing(record: Record, candidates, t_num: int, t_den: int, totals) -> list[int]:
+    """The candidates, in order, with a cell in record that reaches
+    t_num/t_den times that period's entry of totals (equality counts)."""
+    passing = []
+    for z in candidates:
+        cells = record.get(z)
+        if cells:
+            for p, cell in cells.items():
+                if cell * t_den >= t_num * totals[p]:
+                    passing.append(z)
+                    break
+    return passing
 
 
 def select_primary_secondary(
-    record: dict[int, dict[int, int]],
-    lu: BoundArray | None,
+    record: Record,
+    lu_record: Record | None,
     candidates,
     su_num: int,
     lu_num: int,
@@ -310,39 +275,29 @@ def select_primary_secondary(
     """Split positive candidate items, keys of the fill's record, into
     (primary, secondary) per the bound tests.
 
-    Given lu, a candidate is secondary if its best local ratio reaches
-    lu_num/t_den. A candidate is primary if it is secondary and one of its
-    recorded su cells reaches su_num/t_den times that period's entry of
-    totals. With lu None no local test runs and no secondary list is built:
-    the result is (primary, None), primary picked as at lu_num zero.
-    Equality counts, and a numerator is the threshold's, or zero for a rule
-    that is off. Primary is always a subset of secondary (the local bound
-    dominates the subtree bound cell-wise for positive candidates).
+    Given lu_record, a candidate is secondary if one of its local cells
+    there reaches lu_num/t_den times its period's total. A candidate is
+    primary if it is secondary and one of its su cells in record reaches
+    su_num/t_den the same way. With lu_record None no local test runs and
+    no secondary list is built: the result is (primary, None), primary
+    picked as at lu_num zero. A numerator is the threshold's, or zero for a
+    rule that is off. Primary is always a subset of secondary (the local
+    bound dominates the subtree bound cell-wise for positive candidates).
     """
-    secondary = candidates
-    if lu is not None:
-        local, local_den = lu.num, lu.den
-        secondary = [z for z in candidates if local[z] * t_den >= lu_num * local_den[z]]
-    primary = []
-    for z in secondary:
-        for p, cell in record[z].items():
-            if cell * t_den >= su_num * totals[p]:
-                primary.append(z)
-                break
-    return primary, None if lu is None else secondary
+    if lu_record is None:
+        return _passing(record, candidates, su_num, t_den, totals), None
+    secondary = _passing(lu_record, candidates, lu_num, t_den, totals)
+    return _passing(record, secondary, su_num, t_den, totals), secondary
 
 
 def select_negative_candidates(
-    neg: BoundArray,
+    negatives: Record,
     candidates,
     t_num: int,
     t_den: int,
+    totals,
 ) -> list[int]:
-    """Negative items that occurred in neg's last fill and whose best
-    clipped subtree ratio reaches t_num/t_den (equality counts). t_num zero
-    passes every item that occurred."""
-    seen = neg.seen
-    stamp = neg.stamp
-    num = neg.num
-    den = neg.den
-    return [z for z in candidates if seen[z] == stamp and num[z] * t_den >= t_num * den[z]]
+    """The candidates with a clipped subtree cell in the fill's negative
+    record that reaches t_num/t_den times its period's total (equality
+    counts). t_num zero passes every recorded candidate."""
+    return _passing(negatives, candidates, t_num, t_den, totals)

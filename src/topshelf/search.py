@@ -6,7 +6,7 @@ extensions. The walk is one loop over an explicit stack, so the depth of the
 tree (up to the longest transaction) never meets the interpreter's recursion
 limit. A positive node's negative subtree is searched before its positive
 children are selected, against the threshold of that moment; this is sound
-because negative nodes write only the negative bound array. The collector's
+because each fill keeps its bounds in records of its own. The collector's
 threshold only ever rises, and it can never exceed the true k-th best ratio,
 so bound-based pruning (see bounds.py) never discards a member of the true
 top-k: the result is exactly what brute force would return.
@@ -26,7 +26,6 @@ from math import gcd
 from time import perf_counter
 
 from .bounds import (
-    BoundArray,
     fill_subtree_and_local,
     select_negative_candidates,
     select_primary_secondary,
@@ -173,16 +172,16 @@ class TopKCollector:
 
 
 class _Miner:
-    """Search state plus the search loop. su is the scratch row of the
-    positive candidates' subtree sums, whose cells each fill moves into its
-    record; neg holds the best clipped subtree ratios of negative ones;
-    every node reuses these arrays, each one row as wide as its items (see
-    bounds.py). lu, the best local ratios, is an array only when the local
-    rule is the only positive rule (su_prune off, lu_prune on), and None
-    otherwise: while the subtree rule is on, an item the local test would
-    drop fails the subtree test wherever it could be picked, so lu changes
-    no pick. The search keeps no TWU table: each positive child is capped
-    by the record of its parent's fill (see bounds.py)."""
+    """Search state plus the search loop. su, lu and neg are the scratch
+    rows of the positive candidates' subtree and local sums and of the
+    negative ones' clipped subtree sums; every node reuses them, and each
+    fill moves their cells into records of its own (see bounds.py). lu is a
+    row only when the local rule is the only positive rule (su_prune off,
+    lu_prune on), and None otherwise: while the subtree rule is on, an item
+    the local test would drop fails the subtree test wherever it could be
+    picked, so lu changes no pick. The search keeps no TWU table: each
+    positive child is capped by the record of its parent's fill (see
+    bounds.py)."""
 
     def __init__(self, working, collector, *, su_prune, lu_prune):
         self.collector = collector
@@ -190,8 +189,8 @@ class _Miner:
         self.lu_prune = lu_prune
         self.boundary = boundary = working.order.boundary
         self.su = [0] * boundary
-        self.lu = BoundArray(boundary) if lu_prune and not su_prune else None
-        self.neg = BoundArray(len(working.order))
+        self.lu = [0] * boundary if lu_prune and not su_prune else None
+        self.neg = [0] * len(working.order)
         self.period_totals = working.period_totals
         self.ext_id = working.order.sequence
 
@@ -205,27 +204,30 @@ class _Miner:
     def search(self, root, stats) -> None:
         """Walk the set-enumeration tree below root depth first.
 
-        The root pass fills the arrays from root and selects the root's
+        The root pass fills the rows from root and selects the root's
         children from the keys of its fill's record, at a zero local
         cutoff: root secondary came from the TWU test already. Below the
-        root, the positive fills and selections take lu, which is None
-        unless the subtree rule is off and the local rule on; with lu None,
-        a selection builds no secondary list (see bounds.py for why no pick
+        root, the positive fills take lu, which is None unless the subtree
+        rule is off and the local rule on, and the selections their fills'
+        lu records; with lu None a fill records no local cells and a
+        selection builds no secondary list (see bounds.py for why no pick
         changes).
 
         The stack holds one frame per node whose children are still pending:
-        [projection, prefix, picks, next, rows, record], where picks are the
-        node's selected children in order and next indexes the first one not
-        yet searched. Negatives are the dense items from the order's boundary
-        up, so a child at or above it is negative, and each child of a
-        negative frame extends from the picks after it. A child's depth is
-        the length of its prefix. rows holds, per pick, the ids of the views
-        that hold it, from one walk of the node's views once its picks are
-        known (see projection.occurrences), or None where the child scans
-        every view; a pick's ids are dropped once its child is projected.
-        record is the node's fill record (see bounds.fill_subtree_and_local),
-        kept by the root's frame and by each deferred positive frame, None in
-        a negative frame; a pick's cells leave it as its child is filled.
+        [projection, prefix, picks, next, rows, record, lu_record], where
+        picks are the node's selected children in order and next indexes the
+        first one not yet searched. Negatives are the dense items from the
+        order's boundary up, so a child at or above it is negative, and each
+        child of a negative frame extends from the picks after it. A child's
+        depth is the length of its prefix. rows holds, per pick, the ids of
+        the views that hold it, from one walk of the node's views once its
+        picks are known (see projection.occurrences), or None where the
+        child scans every view; a pick's ids are dropped once its child is
+        projected.
+        record and lu_record are the node's su and lu fill records (see
+        bounds.fill_subtree_and_local), kept by the root's frame and by each
+        deferred positive frame, None in a negative frame, and lu_record None
+        wherever lu is; a pick's cells leave record as its child is filled.
 
         Each child is projected from its rows, scored and offered, and then
         filled through fill_subtree_and_local, unless it is a negative child
@@ -235,16 +237,17 @@ class _Miner:
         for z as caps, so it skips whole the periods where su_P,p(z) falls
         below the cutoff: no extension of the child can reach it there. A
         negative child fills at cutoff zero with no caps and lu None, and
-        records nothing (see bounds.py). The negatives a child picks go on
-        the stack, walked, above a deferred frame (rows None), whose picks
-        slot holds the child's candidates until it selects: the keys of the
-        child's record, ascending. A fill that records nothing pushes no
-        deferred frame. Once the negative subtree is done, the deferred
-        frame selects the child's own children from its record (and lu,
-        where filled) against the threshold of that moment, and then walks
-        its views for them. A negative node's fill is handed no lu, so lu
-        still holds the positive child's fill when the deferred selection
-        runs.
+        records no positive cell (see bounds.py). Each child's negative
+        candidates are tested right after its fill, at the cutoff it filled
+        at: a positive child's are the keys of its fill's negative record,
+        ascending, a negative child's the picks after it. The negatives a
+        child picks go on the stack, walked, above a deferred frame (rows
+        None), whose picks slot holds the child's candidates until it
+        selects: the keys of the child's record, ascending. A fill that
+        records nothing pushes no deferred frame. Once the negative subtree
+        is done, the deferred frame selects the child's own children from
+        its records against the threshold of that moment, and then walks its
+        views for them.
         """
         su, lu, neg = self.su, self.lu, self.neg
         collector = self.collector
@@ -252,17 +255,19 @@ class _Miner:
         ext_id = self.ext_id
         boundary = self.boundary
         su_num, _, t_den = self._cutoffs()
-        record = fill_subtree_and_local(root, su, lu, neg, period_totals, su_num, t_den)
+        record, lu_record, _ = fill_subtree_and_local(
+            root, su, lu, neg, period_totals, su_num, t_den
+        )
         primary = select_primary_secondary(
-            record, lu, sorted(record), su_num, 0, t_den, period_totals
+            record, lu_record, sorted(record), su_num, 0, t_den, period_totals
         )[0]
-        stack = [[root, (), primary, 0, occurrences(root, primary), record]]
+        stack = [[root, (), primary, 0, occurrences(root, primary), record, lu_record]]
         while stack:
             frame = stack[-1]
-            pd, prefix, picks, i, rows, record = frame
+            pd, prefix, picks, i, rows, record, lu_record = frame
             if rows is None:
                 picks = select_primary_secondary(
-                    record, lu, picks, *self._cutoffs(), period_totals
+                    record, lu_record, picks, *self._cutoffs(), period_totals
                 )[0]
                 rows = occurrences(pd, picks)
                 frame[2], frame[4] = picks, rows
@@ -290,18 +295,18 @@ class _Miner:
             if negative:
                 # a negative child's prefix utilities can be negative, so its
                 # own utility bounds none of its brackets: it fills ungated
-                fill_subtree_and_local(child, su, None, neg, period_totals)
+                negatives = fill_subtree_and_local(child, su, None, neg, period_totals)[2]
                 rest = picks[i:]
             else:
-                kept = fill_subtree_and_local(
+                kept, lu_kept, negatives = fill_subtree_and_local(
                     child, su, lu, neg, period_totals, su_num, t_den, record.pop(z)
                 )
                 if kept:
-                    stack.append([child, ext, sorted(kept), 0, None, kept])
-                rest = sorted(neg.touched)
-            negatives = select_negative_candidates(neg, rest, su_num, t_den)
-            if negatives:
-                stack.append([child, ext, negatives, 0, occurrences(child, negatives), None])
+                    stack.append([child, ext, sorted(kept), 0, None, kept, lu_kept])
+                rest = sorted(negatives)
+            picked = select_negative_candidates(negatives, rest, su_num, t_den, period_totals)
+            if picked:
+                stack.append([child, ext, picked, 0, occurrences(child, picked), None, None])
 
 
 def mine_top_k(

@@ -1,6 +1,7 @@
 """Pruning bounds: equivalence with the definitional forms, soundness of the
 clipped negative bracket, and candidate selection."""
 
+import copy
 import itertools
 import random
 from fractions import Fraction
@@ -11,7 +12,6 @@ from conftest import pipeline
 from topshelf import search
 from topshelf.bench import reassign_periods
 from topshelf.bounds import (
-    BoundArray,
     fill_subtree_and_local,
     select_negative_candidates,
     select_primary_secondary,
@@ -96,21 +96,12 @@ def _miner(db, working, su_prune=True, lu_prune=True, threshold=Fraction(0)):
     return _Miner(working, collector, su_prune=su_prune, lu_prune=lu_prune)
 
 
-def _miner_arrays(db, working):
-    """The su row and the lu and neg arrays a run over db's working
-    database uses where it fills lu: only the su_prune=False ablation does,
-    so this is its miner. A default miner holds lu None."""
+def _miner_rows(db, working):
+    """The su, lu and neg scratch rows a run over db's working database
+    uses where it fills lu: only the su_prune=False ablation does, so this
+    is its miner. A default miner holds lu None."""
     miner = _miner(db, working, su_prune=False)
     return miner.su, miner.lu, miner.neg
-
-
-def _occurred(arr, z):
-    return arr.seen[z] == arr.stamp
-
-
-def _occurred_items(arr):
-    """The items that occurred in arr's last fill, ascending."""
-    return [z for z in range(len(arr.row)) if _occurred(arr, z)]
 
 
 def _last_item(pd):
@@ -121,24 +112,9 @@ def _last_item(pd):
     return items[off - 1] if off else None
 
 
-def _positive_state(su, lu):
-    """Everything su and lu (where it is handed) hold: the su row, and lu's
-    row, ratios and stamps."""
-    state = [list(su)]
-    if lu is not None:
-        state.append(list(lu.row) + list(lu.num) + list(lu.den) + list(lu.seen) + [lu.stamp])
-    return state
-
-
-def _ratios(arr):
-    """The best ratio of each item that occurred in arr's last fill."""
-    return {z: Fraction(arr.num[z], arr.den[z]) for z in range(len(arr.row)) if _occurred(arr, z)}
-
-
 def _record_ratios(record, totals):
     """The best ratio of each recorded item over its recorded cells: after
-    a fill at cutoff zero, the best subtree ratio of every positive item
-    that occurred."""
+    a fill at cutoff zero, the best ratio of every item that occurred."""
     return {
         z: max(Fraction(cell, totals[p]) for p, cell in cells.items())
         for z, cells in record.items()
@@ -157,15 +133,18 @@ def _at_cutoff(record, totals, cut):
     return kept
 
 
-def _recorded(pd, totals, t_num=0, t_den=1, walked=None):
-    """The record a fill of pd at cutoff t_num/t_den must return, from the
-    bracket definitions: each positive item's subtree sums that reach the
-    cutoff times their period's total, in the periods the fill walked
-    (walked, None for every period)."""
+SU, LU, NEG = range(3)
+
+
+def _recorded(pd, totals, t_num=0, t_den=1, walked=None, bound=SU):
+    """The record of one bound (SU, LU or NEG) a fill of pd at cutoff
+    t_num/t_den must return, from the bracket definitions: each item's sums
+    that reach the cutoff times their period's total, in the periods the
+    fill walked (walked, None for every period)."""
     return _at_cutoff(
         {
             z: {p: s for p, s in by_period.items() if walked is None or p in walked}
-            for z, by_period in _period_sums(pd)[0].items()
+            for z, by_period in _period_sums(pd)[bound].items()
         },
         totals,
         Fraction(t_num, t_den),
@@ -174,56 +153,41 @@ def _recorded(pd, totals, t_num=0, t_den=1, walked=None):
 
 def _best(db, bound):
     """max over the database's periods h of Fraction(bound(h), total_h):
-    the best ratio a fill must keep, from a definitional per-period
-    bound."""
+    the best ratio a fill's cells must reach, from a definitional
+    per-period bound."""
     return max(Fraction(bound(h), db.period_totals[h]) for h in db.periods)
 
 
-def _assert_filled(pd, record, su, lu, neg, totals, cut=(0, 1), tails=None, walked=None):
+def _assert_filled(pd, records, su, lu, neg, totals, cut=(0, 1), tails=None, walked=None):
     """After a fill of the root or of a positive node at cutoff cut every
-    row cell is zero, the record holds exactly the subtree sums that reach
-    the cutoff in the periods the fill walked (walked), and lu, where
-    handed, occurred at exactly the positives of those periods. neg
-    occurred at the negatives of the periods whose tails the fill walked
-    (tails), each listed once in neg's touched list; None stands for every
-    period."""
+    row cell is zero, the su record holds exactly the subtree sums that
+    reach the cutoff in the periods the fill walked (walked), the lu record,
+    where lu is handed, every local sum of those periods, and the neg record
+    the clipped sums that reach the cutoff in the periods whose tails the
+    fill walked (tails); None stands for every period."""
+    record, lu_record, _ = records
     assert record == _recorded(pd, totals, *cut, walked)
-    if lu is not None:
-        held = {
-            items[j]
-            for items, _, off, _, p in pd.views
-            if walked is None or p in walked
-            for j in range(off, len(items))
-            if items[j] < len(su)
-        }
-        assert _occurred_items(lu) == sorted(held)
-    _assert_neg_filled(pd.views, su, lu, neg, tails)
+    assert lu_record == (None if lu is None else _recorded(pd, totals, 0, 1, walked, LU))
+    _assert_neg_filled(pd, records, su, lu, neg, totals, cut, tails)
 
 
-def _assert_neg_filled(views, su, lu, neg, tails=None):
-    """After any fill every row cell is zero, and neg's stamps and touched
-    list hold, once each, the negatives the views hold in the periods
-    whose tails the fill walked (tails, None for every period)."""
-    boundary = len(su)
-    negatives = {
-        items[j]
-        for items, _, off, _, p in views
-        if tails is None or p in tails
-        for j in range(off, len(items))
-        if items[j] >= boundary
-    }
-    assert not any(su) and (lu is None or not any(lu.row)) and not any(neg.row)
-    assert sorted(neg.touched) == sorted(negatives)
-    assert _occurred_items(neg) == sorted(neg.touched)
+def _assert_neg_filled(pd, records, su, lu, neg, totals, cut=(0, 1), tails=None):
+    """After any fill every row cell is zero, and the neg record holds, from
+    the bracket definitions, the clipped sums that reach the cutoff cut in
+    the periods whose tails the fill walked (tails, None for every period),
+    clipped zeros included at cutoff zero."""
+    assert not any(su) and (lu is None or not any(lu)) and not any(neg)
+    assert records[NEG] == _recorded(pd, totals, *cut, tails, NEG)
 
 
-def _assert_bounds_match_definitions(db, order, prefix, first, record, lu, neg, totals):
-    """Each item from dense index first on holds, as its best ratio (over
-    its recorded cells for a positive, in neg for a negative), the best
-    ratio of the definitional per-period bound (clipped for negatives,
-    local too for positives, in lu); an item that did not occur has a zero
-    bound in every period. record comes from a fill at cutoff zero."""
-    su_ratios, lu_ratios, neg_ratios = _record_ratios(record, totals), _ratios(lu), _ratios(neg)
+def _assert_bounds_match_definitions(db, order, prefix, first, records, totals):
+    """Each item from dense index first on holds, as its best recorded cell
+    ratio (in the su record for a positive, the neg record for a negative),
+    the best ratio of the definitional per-period bound (clipped for
+    negatives, local too for positives, in the lu record); an item that did
+    not occur has a zero bound in every period. records come from a fill at
+    cutoff zero."""
+    su_ratios, lu_ratios, neg_ratios = (_record_ratios(record, totals) for record in records)
     assert lu_ratios.keys() == su_ratios.keys()
     for z in range(first, len(order)):
         z_ext = order.sequence[z]
@@ -238,14 +202,14 @@ def _assert_bounds_match_definitions(db, order, prefix, first, record, lu, neg, 
 def test_root_bounds_match_definitions(corpus):
     for db in corpus[:30]:
         order, working, root = pipeline(db, merge=False)
-        su, lu, neg = _miner_arrays(db, working)
+        su, lu, neg = _miner_rows(db, working)
         totals = working.period_totals
-        assert len(su) == len(lu.row) == order.boundary
-        assert len(neg.row) == len(order)  # indexed by dense item
-        record = fill_subtree_and_local(root, su, lu, neg, totals)
-        _assert_filled(root, record, su, lu, neg, totals)
-        assert sorted(record) + sorted(neg.touched) == list(range(len(order)))
-        _assert_bounds_match_definitions(db, order, (), 0, record, lu, neg, totals)
+        assert len(su) == len(lu) == order.boundary
+        assert len(neg) == len(order)  # indexed by dense item
+        records = fill_subtree_and_local(root, su, lu, neg, totals)
+        _assert_filled(root, records, su, lu, neg, totals)
+        assert sorted(records[SU]) + sorted(records[NEG]) == list(range(len(order)))
+        _assert_bounds_match_definitions(db, order, (), 0, records, totals)
 
 
 def test_depth_one_bounds_match_definitions(corpus):
@@ -258,12 +222,18 @@ def test_depth_one_bounds_match_definitions(corpus):
             continue
         z0 = rng.randrange(order.boundary)
         pd = project(root, z0)
-        su, lu, neg = _miner_arrays(db, working)
+        su, lu, neg = _miner_rows(db, working)
         totals = working.period_totals
-        record = fill_subtree_and_local(pd, su, lu, neg, totals)
-        _assert_filled(pd, record, su, lu, neg, totals)
+        records = fill_subtree_and_local(pd, su, lu, neg, totals)
+        _assert_filled(pd, records, su, lu, neg, totals)
         prefix = (order.sequence[z0],)
-        _assert_bounds_match_definitions(db, order, prefix, z0 + 1, record, lu, neg, totals)
+        _assert_bounds_match_definitions(db, order, prefix, z0 + 1, records, totals)
+
+
+def _subtree_ratios(records, totals):
+    """The best recorded cell ratio of each item in a fill's su and neg
+    records: its best subtree ratio, clipped for a negative."""
+    return _record_ratios(records[SU], totals) | _record_ratios(records[NEG], totals)
 
 
 def test_merged_views_tighten_but_never_break_the_bound(corpus, narrow_corpus):
@@ -281,9 +251,8 @@ def test_merged_views_tighten_but_never_break_the_bound(corpus, narrow_corpus):
             continue
         z0 = rng.randrange(order.boundary)
         pd = project(root, z0)
-        su, lu, neg = _miner_arrays(db, working)
-        record = fill_subtree_and_local(pd, su, lu, neg, working.period_totals)
-        ratios = _record_ratios(record, working.period_totals) | _ratios(neg)
+        records = fill_subtree_and_local(pd, *_miner_rows(db, working), working.period_totals)
+        ratios = _subtree_ratios(records, working.period_totals)
         prefix = (order.sequence[z0],)
         for z in range(z0 + 1, n):
             z_ext = order.sequence[z]
@@ -305,9 +274,8 @@ def test_merged_views_tighten_but_never_break_the_bound(corpus, narrow_corpus):
             continue
         for z0 in range(order.boundary):
             pd = project(root, z0)
-            su, lu, neg = _miner_arrays(db, working)
-            record = fill_subtree_and_local(pd, su, lu, neg, working.period_totals)
-            ratios = _record_ratios(record, working.period_totals) | _ratios(neg)
+            records = fill_subtree_and_local(pd, *_miner_rows(db, working), working.period_totals)
+            ratios = _subtree_ratios(records, working.period_totals)
             prefix = (order.sequence[z0],)
             for z in range(z0 + 1, n):
                 z_ext = order.sequence[z]
@@ -326,11 +294,12 @@ def _occurs_in_period(db, itemset, h):
     return any(t.period == h and need <= set(t.items) for t in db.transactions)
 
 
-def _assert_neg_matches_definitions(db, order, prefix, first, neg):
-    """Each negative from dense index first on holds, as its best ratio in
-    neg, the best ratio of the clipped definitional sum; one that did not
-    occur has a zero sum in every period. Returns how many occurred."""
-    ratios = _ratios(neg)
+def _assert_neg_matches_definitions(db, order, prefix, first, negatives, totals):
+    """Each negative from dense index first on holds, as its best cell
+    ratio in the neg record, the best ratio of the clipped definitional sum;
+    one that did not occur has a zero sum in every period. Returns how many
+    occurred."""
+    ratios = _record_ratios(negatives, totals)
     for z in range(max(first, order.boundary), len(order)):
         z_ext = order.sequence[z]
         want = _best(db, lambda h: subtree_bound(db, prefix, z_ext, h, order.position, clip=True))
@@ -339,11 +308,11 @@ def _assert_neg_matches_definitions(db, order, prefix, first, neg):
 
 
 def test_negative_tail_fill_matches_definitions(corpus):
-    """A positive node's fill holds in neg the best ratios of the clipped
-    definitional sums. So does the fill of a negative child after it, as
-    the search makes it, handed lu None; that fill writes neg alone,
-    records nothing, and leaves the su row and lu (row, ratios, stamps)
-    exactly as the positive fill left them for its deferred selection."""
+    """A positive node's fill records the clipped definitional sums of its
+    negatives. So does the fill of a negative child after it, as the search
+    makes it, handed lu None; that fill records no positive cell and no lu
+    record, leaves every row cell zero, and leaves the positive fill's
+    records exactly as they were for its deferred selection."""
     rng = random.Random(2727)
     checked = negative_nodes = 0
     for db in corpus:
@@ -352,21 +321,21 @@ def test_negative_tail_fill_matches_definitions(corpus):
             continue
         z0 = rng.randrange(order.boundary)
         pd = project(root, z0)
-        su, lu, neg = _miner_arrays(db, working)
+        su, lu, neg = _miner_rows(db, working)
         totals = working.period_totals
-        record = fill_subtree_and_local(pd, su, lu, neg, totals)
-        _assert_filled(pd, record, su, lu, neg, totals)
+        records = fill_subtree_and_local(pd, su, lu, neg, totals)
+        _assert_filled(pd, records, su, lu, neg, totals)
         prefix = (order.sequence[z0],)
-        checked += _assert_neg_matches_definitions(db, order, prefix, z0 + 1, neg)
-        if neg.touched:
-            n = rng.choice(sorted(neg.touched))
+        checked += _assert_neg_matches_definitions(db, order, prefix, z0 + 1, records[NEG], totals)
+        if records[NEG]:
+            n = rng.choice(sorted(records[NEG]))
             child = project(pd, n)
-            positives = _positive_state(su, lu)
-            assert fill_subtree_and_local(child, su, None, neg, totals) == {}
-            assert _positive_state(su, lu) == positives
-            _assert_neg_filled(child.views, su, lu, neg)
+            positives = copy.deepcopy(records[:2])
+            below = fill_subtree_and_local(child, su, None, neg, totals)
+            assert below[:2] == ({}, None) and records[:2] == positives
+            _assert_neg_filled(child, below, su, lu, neg, totals)
             prefix += (order.sequence[n],)
-            _assert_neg_matches_definitions(db, order, prefix, n + 1, neg)
+            _assert_neg_matches_definitions(db, order, prefix, n + 1, below[NEG], totals)
             negative_nodes += 1
         if checked > 200:
             break
@@ -386,43 +355,47 @@ def _projection(views_by_period):
     )
 
 
-def _three_arrays(boundary, n_items):
-    return [0] * boundary, BoundArray(boundary), BoundArray(n_items)
+def _three_rows(boundary, n_items):
+    """Fresh su, lu and neg scratch rows."""
+    return [0] * boundary, [0] * boundary, [0] * n_items
 
 
-def test_fill_folds_each_period_into_the_best_ratio():
+def test_fill_folds_each_period_into_the_records():
     # Positives 0 and 1, negatives 2 and 3; views (items, utilities,
     # offset, prefix utility) in periods 0 and 2 of three.
-    su, lu, neg = _three_arrays(2, 4)
+    su, lu, neg = _three_rows(2, 4)
     totals = [10, 7, 3]
     pd = _projection({0: [([0, 1, 3], [4, 5, -2], 0, 6)], 2: [([1, 2], [3, -9], 0, 6)]})
-    record = fill_subtree_and_local(pd, su, lu, neg, totals)
-    # period sums: su 15 and 11 in period 0, item 1's 9 in period 2, all
-    # recorded at cutoff zero; lu 15 for both in period 0, 9 in period 2;
+    records = fill_subtree_and_local(pd, su, lu, neg, totals)
+    # period sums, all recorded at cutoff zero: su 15 and 11 in period 0,
+    # item 1's 9 in period 2; lu 15 for both in period 0, 9 in period 2;
     # neg 4 for item 3 in period 0, and item 2's 6 - 9 clipped to 0 in
-    # period 2
-    assert record == {0: {0: 15}, 1: {0: 11, 2: 9}}
-    assert _record_ratios(record, totals) == {0: Fraction(15, 10), 1: Fraction(9, 3)}
-    assert _ratios(lu) == {0: Fraction(15, 10), 1: Fraction(9, 3)}
-    assert _ratios(neg) == {2: 0, 3: Fraction(4, 10)}
-    assert _occurred_items(lu) == [0, 1] and neg.touched == [3, 2]
-    _assert_filled(pd, record, su, lu, neg, totals)
+    # period 2, recorded since it occurred
+    first = (
+        {0: {0: 15}, 1: {0: 11, 2: 9}},
+        {0: {0: 15}, 1: {0: 15, 2: 9}},
+        {3: {0: 4}, 2: {2: 0}},
+    )
+    assert records == first
+    _assert_filled(pd, records, su, lu, neg, totals)
 
-    # the next fill resets nothing: its new stamps make the first fill's
-    # ratios stale, where they stay, and it returns a record of its own
+    # the next fill resets nothing and returns records of its own; the first
+    # fill's records stay as they were
     pd = _projection({1: [([0, 3], [1, -5], 0, 7)]})
-    assert fill_subtree_and_local(pd, su, lu, neg, totals) == {0: {1: 8}}
-    assert _ratios(lu) == {0: Fraction(8, 7)}
-    assert _ratios(neg) == {3: Fraction(2, 7)}
-    assert _occurred_items(lu) == [0] and neg.touched == [3]
-    assert (lu.num[1], lu.den[1]) == (9, 3)  # stale, never read
-    _assert_filled(pd, {0: {1: 8}}, su, lu, neg, totals)
+    second = fill_subtree_and_local(pd, su, lu, neg, totals)
+    assert second == ({0: {1: 8}}, {0: {1: 8}}, {3: {1: 2}})
+    assert records == first
+    _assert_filled(pd, second, su, lu, neg, totals)
 
-    # a later period that ties the best ratio (4/4 against 8/8) leaves it
-    su, lu, neg = _three_arrays(1, 4)
+    # each period keeps its own cell, tested against its own total: 8/8
+    # reaches the threshold 1 and 4/4 ties it, 8/8 alone passes 1 at
+    # equality and nothing passes 9/8
+    su, lu, neg = _three_rows(1, 4)
     pd = _projection({0: [([0, 3], [9, -1], 1, 9)], 1: [([3], [-2], 0, 6)]})
-    fill_subtree_and_local(pd, su, lu, neg, [8, 4])
-    assert (neg.num[3], neg.den[3]) == (8, 8)
+    negatives = fill_subtree_and_local(pd, su, lu, neg, [8, 4])[NEG]
+    assert negatives == {3: {0: 8, 1: 4}}
+    assert select_negative_candidates(negatives, [3], 1, 1, [8, 4]) == [3]
+    assert select_negative_candidates(negatives, [3], 9, 8, [8, 4]) == []
 
 
 def _random_projection(rng, periods, boundary, n_items):
@@ -439,71 +412,62 @@ def _random_projection(rng, periods, boundary, n_items):
     return _projection(views)
 
 
-def _live(record, su, lu, neg):
-    """What a fill leaves for the search to read: its record, the rows,
-    neg's touched list and the best ratios of the items that occurred in
-    lu and neg."""
-    return (
-        (record, su),
-        (lu.row, _ratios(lu)),
-        (neg.row, neg.touched, _ratios(neg)),
-    )
+def _live(records, su, lu, neg):
+    """What a fill leaves for the search to read, per bound: its record
+    and its scratch row."""
+    return tuple(zip(records, (su, lu, neg)))
 
 
 @pytest.mark.parametrize("boundary, n_items", [(3, 6), (100, 200)])
 def test_each_fill_clears_what_the_previous_fill_left(boundary, n_items):
-    """Filling projection A and then B leaves the arrays reading as fresh
-    arrays filled with B alone, although A occupies periods B does not."""
+    """Filling projection A and then B leaves the rows and records reading
+    as fresh rows filled with B alone, although A occupies periods B does
+    not."""
     rng = random.Random(boundary)
     totals = [rng.randint(1, 60) for _ in range(4)]
     a = _random_projection(rng, [0, 2, 3], boundary, n_items)
     b = _random_projection(rng, [1, 3], boundary, n_items)
-    reused = _three_arrays(boundary, n_items)
-    fresh = _three_arrays(boundary, n_items)
+    reused = _three_rows(boundary, n_items)
+    fresh = _three_rows(boundary, n_items)
     fill_subtree_and_local(a, *reused, totals)
     after_b = fill_subtree_and_local(b, *reused, totals)
     assert _live(after_b, *reused) == _live(fill_subtree_and_local(b, *fresh, totals), *fresh)
 
 
-def _local(lu_ratios):
-    """lu as a fill would leave it: the given best ratios (num, den) per
-    item."""
-    lu = BoundArray(len(lu_ratios))
-    lu.start()
-    for z, (num, den) in enumerate(lu_ratios):
-        lu.seen[z] = lu.stamp
-        lu.num[z], lu.den[z] = num, den
-    return lu
-
-
 def test_selection_applies_both_bound_tests():
     # one period of total 10, threshold 1/4; item 2 never occurred, so the
-    # record, whose keys are the candidates, holds no cell for it
+    # records, whose su keys are the candidates, hold no cell for it
     totals = [10]
     record = {0: {0: 10}, 1: {0: 2}}
-    lu = _local([(10, 10), (4, 10), (0, 1)])
+    lu_record = {0: {0: 10}, 1: {0: 4}}
     candidates = sorted(record)
-    primary, secondary = select_primary_secondary(record, lu, candidates, 1, 1, 4, totals)
+    primary, secondary = select_primary_secondary(record, lu_record, candidates, 1, 1, 4, totals)
     assert primary == [0]        # item 1 fails the subtree test (2/10 < 1/4)
     assert secondary == [0, 1]
     # at threshold zero every recorded item passes
-    primary, secondary = select_primary_secondary(record, lu, candidates, 0, 0, 1, totals)
+    primary, secondary = select_primary_secondary(record, lu_record, candidates, 0, 0, 1, totals)
     assert primary == secondary == [0, 1]
     # each rule has its own numerator: a zero subtree numerator passes item 1
-    primary, secondary = select_primary_secondary(record, lu, candidates, 0, 1, 4, totals)
+    primary, secondary = select_primary_secondary(record, lu_record, candidates, 0, 1, 4, totals)
     assert primary == secondary == [0, 1]
-    # with lu None no local test runs and no secondary list is built
+    # a local cell below the cutoff drops the item from both lists
+    lu_record = {0: {0: 2}, 1: {0: 4}}
+    assert select_primary_secondary(record, lu_record, candidates, 1, 1, 4, totals) == ([], [1])
+    # with lu_record None no local test runs and no secondary list is built
     assert select_primary_secondary(record, None, candidates, 1, 1, 4, totals) == ([0], None)
 
 
 def test_selection_degrades_to_occurrence_when_disabled():
-    """A rule that is off tests at numerator zero, which every item that
-    occurred passes, since every bound is at least zero."""
+    """A rule that is off tests at numerator zero, which every recorded
+    item passes, since every bound is at least zero."""
     totals = [5, 9]
     record = {0: {0: 0}, 2: {1: 0}}
-    lu = _local([(0, 5), (0, 1), (0, 9)])
-    primary, secondary = select_primary_secondary(record, lu, sorted(record), 0, 0, 99, totals)
+    lu_record = {0: {0: 0}, 2: {1: 0}}
+    primary, secondary = select_primary_secondary(
+        record, lu_record, sorted(record), 0, 0, 99, totals
+    )
     assert primary == secondary == [0, 2]
+    assert select_negative_candidates(record, [0, 1, 2], 0, 99, totals) == [0, 2]
 
     db = parse_database("1 2:5:2 3:0\n2:4:4:1\n")
     working = pipeline(db)[1]
@@ -514,64 +478,89 @@ def test_selection_degrades_to_occurrence_when_disabled():
 
 def test_selection_boundary_equality_counts():
     record = {0: {0: 5}}
-    picked = select_primary_secondary(record, _local([(5, 10)]), [0], 1, 1, 2, [10])
+    picked = select_primary_secondary(record, {0: {0: 5}}, [0], 1, 1, 2, [10])
     assert picked == ([0], [0])
+    assert select_negative_candidates(record, [0], 1, 2, [10]) == [0]
     # each cell is tested against its own period's total: 1/10 fails the
     # threshold 1/4, and 5/20 reaches it in the other period
     record = {0: {0: 1, 1: 5}}
     assert select_primary_secondary(record, None, [0], 1, 0, 4, [10, 20]) == ([0], None)
     assert select_primary_secondary(record, None, [0], 1, 0, 4, [10, 21]) == ([], None)
+    assert select_negative_candidates(record, [0], 1, 4, [10, 20]) == [0]
+    assert select_negative_candidates(record, [0], 1, 4, [10, 21]) == []
 
 
 def test_negative_candidate_selection():
-    # negatives are items 3..6 of a neg array indexed by dense item
-    su, lu, neg = _three_arrays(3, 7)
+    # negatives are items 3..6 of a neg row indexed by dense item
+    su, lu, neg = _three_rows(3, 7)
     pd = _projection({0: [([1, 4, 5], [10, -3, -7], 1, 10), ([1, 6], [1, -5], 1, 1)]})
-    assert fill_subtree_and_local(pd, su, lu, neg, [20]) == {}
+    record, lu_record, negatives = fill_subtree_and_local(pd, su, lu, neg, [20])
+    assert record == lu_record == {}
     # item 6: 1 - 5 < 0 is clipped, and still occurred
-    assert _ratios(neg) == {4: Fraction(7, 20), 5: Fraction(3, 20), 6: 0}
-    touched = sorted(neg.touched)
-    assert touched == [4, 5, 6]
-    for candidates in (touched, range(3, 7)):
-        picked = select_negative_candidates(neg, candidates, t_num=1, t_den=4)
+    assert negatives == {5: {0: 3}, 4: {0: 7}, 6: {0: 0}}
+    for candidates in (sorted(negatives), range(3, 7)):
+        picked = select_negative_candidates(negatives, candidates, 1, 4, [20])
         assert picked == [4]  # 7/20 >= 1/4 > 3/20; item 3 never occurred
         # threshold zero, or the rule off, passes what occurred
-        at_zero = select_negative_candidates(neg, candidates, t_num=0, t_den=4)
+        at_zero = select_negative_candidates(negatives, candidates, 0, 4, [20])
         assert at_zero == [4, 5, 6]
 
 
+def test_negative_listed_again_in_a_period_keeps_its_first_fold():
+    """A negative whose first bracket in a period clips to zero keeps cell
+    zero, so the fill lists it again at its next view of that period; here
+    the later view's bracket is positive. The fold reads the whole period's
+    sum at the first listing and zero at the second, and keeps the first:
+    a fill at cutoff zero, as of a negative node, records the positive
+    cell, and a selection at a positive cutoff picks the item.
+
+    Node {a, m}, a positive and m and n negative, in one period of total
+    20: in the first view the prefix is 3 - 8 = -5, so n's bracket -6 clips
+    to 0; in the second it is 12 - 2 = 10, and n's bracket is 9."""
+    a, m, n = 0, 1, 2
+    pd = _projection({0: [([a, m, n], [3, -8, -1], 2, -5), ([a, m, n], [12, -2, -1], 2, 10)]})
+    su, lu, neg = _three_rows(1, 3)
+    records = fill_subtree_and_local(pd, su, None, neg, [20])
+    assert records == ({}, None, {n: {0: 9}})
+    _assert_neg_filled(pd, records, su, lu, neg, [20])
+    assert select_negative_candidates(records[NEG], [n], 1, 4, [20]) == [n]
+
+
 def test_selection_reads_only_items_the_last_fill_saw():
-    """A ratio an earlier fill left, for an item the last fill did not
-    see, is stale, and the earlier fill's cells are in its own record:
-    however large, they change no pick. The last fill's record holds only
-    the items it saw, and those are the candidates."""
-    su, lu, neg = _three_arrays(3, 6)
+    """An earlier fill's cells are in its own records: however large, they
+    change no pick of a selection over the last fill's records, which hold
+    only the items that fill saw, and those are the candidates."""
+    su, lu, neg = _three_rows(3, 6)
     totals = [10, 10, 10]
     earlier = _projection({2: [([1, 4], [90, -1], 0, 90)]})
-    assert fill_subtree_and_local(earlier, su, lu, neg, totals) == {1: {2: 180}}
+    assert fill_subtree_and_local(earlier, su, lu, neg, totals) == (
+        {1: {2: 180}}, {1: {2: 180}}, {4: {2: 89}}
+    )
     pd = _projection({0: [([0, 3], [8, -1], 0, 0), ([2], [1], 0, 0)]})
-    record = fill_subtree_and_local(pd, su, lu, neg, totals)
-    assert record == {0: {0: 8}, 2: {0: 1}}
-    assert _ratios(lu) == {0: Fraction(8, 10), 2: Fraction(1, 10)}
-    assert _ratios(neg) == {3: 0}
-    assert lu.num[1] == 180 and neg.num[4] == 89  # stale
-    primary, secondary = select_primary_secondary(record, lu, sorted(record), 1, 1, 2, totals)
+    record, lu_record, negatives = fill_subtree_and_local(pd, su, lu, neg, totals)
+    assert record == lu_record == {0: {0: 8}, 2: {0: 1}}
+    assert negatives == {3: {0: 0}}
+    primary, secondary = select_primary_secondary(
+        record, lu_record, sorted(record), 1, 1, 2, totals
+    )
     assert primary == secondary == [0]
-    assert select_negative_candidates(neg, [3, 4], t_num=1, t_den=2) == []
+    assert select_negative_candidates(negatives, [3, 4], 1, 2, totals) == []
 
 
 def test_fills_without_kept_negatives():
-    """With no kept negatives the fill writes no neg slot, the negative
+    """With no kept negatives the fill records no negative, the negative
     selection picks nothing, and mining matches the oracle."""
-    su, lu, neg = _three_arrays(3, 3)
+    su, lu, neg = _three_rows(3, 3)
     totals = [10, 8]
     pd = _projection({0: [([0, 2], [2, 3], 0, 0)], 1: [([1], [4], 0, 0)]})
-    record = fill_subtree_and_local(pd, su, lu, neg, totals)
-    assert record == {0: {0: 5}, 1: {1: 4}, 2: {0: 3}}
-    assert _ratios(lu) == {0: Fraction(5, 10), 1: Fraction(4, 8), 2: Fraction(5, 10)}
-    assert neg.touched == [] and not any(neg.seen)
-    assert select_negative_candidates(neg, sorted(neg.touched), 0, 1) == []
-    _assert_filled(pd, record, su, lu, neg, totals)
+    records = fill_subtree_and_local(pd, su, lu, neg, totals)
+    assert records == (
+        {0: {0: 5}, 1: {1: 4}, 2: {0: 3}},
+        {0: {0: 5}, 1: {1: 4}, 2: {0: 5}},
+        {},
+    )
+    assert select_negative_candidates(records[NEG], sorted(records[NEG]), 0, 1, totals) == []
+    _assert_filled(pd, records, su, lu, neg, totals)
 
     profits = {1: 4, 2: 3, 3: 1}
     rows = [(0, [(1, 1), (2, 2)]), (0, [(2, 1), (3, 3)]), (1, [(1, 2), (3, 1)])]
@@ -583,17 +572,15 @@ def test_fills_without_kept_negatives():
 
 
 def test_fills_with_only_negatives():
-    """Views that hold only negatives leave su and lu untouched, record
-    nothing and fill neg alone; a database whose one profitable item heads
-    only negative extensions matches the oracle."""
-    su, lu, neg = _three_arrays(1, 4)
+    """Views that hold only negatives record no su or lu cell and write
+    only neg cells; a database whose one profitable item heads only
+    negative extensions matches the oracle."""
+    su, lu, neg = _three_rows(1, 4)
     pd = _projection({0: [([0, 1, 3], [9, -2, -4], 1, 9), ([0, 2], [9, -1], 1, 9)]})
-    record = fill_subtree_and_local(pd, su, lu, neg, [16])
-    assert record == {} and _occurred_items(lu) == []
-    _assert_filled(pd, record, su, lu, neg, [16])
-    assert _ratios(neg) == {1: Fraction(7, 16), 2: Fraction(8, 16), 3: Fraction(5, 16)}
-    assert neg.touched == [3, 1, 2]
-    picked = select_negative_candidates(neg, sorted(neg.touched), 7, 16)
+    records = fill_subtree_and_local(pd, su, lu, neg, [16])
+    assert records == ({}, {}, {3: {0: 5}, 1: {0: 7}, 2: {0: 8}})
+    _assert_filled(pd, records, su, lu, neg, [16])
+    picked = select_negative_candidates(records[NEG], sorted(records[NEG]), 7, 16, [16])
     assert picked == [1, 2]  # 7/16 counts at equality; 8/16 passes; 5/16 does not
 
     profits = {1: 10, 2: -1, 3: -2, 4: -3}
@@ -674,20 +661,20 @@ def _per_period_rule(sums, z, t_num, t_den, totals):
 def test_many_periods_select_as_the_per_period_rule(monkeypatch, n_periods, transactions):
     """Every selection of whole mining runs keeps exactly the items the
     per-period rule keeps, over sums taken from the bracket definitions in
-    every period, and the miner matches the oracle: keeping one best ratio
-    per item for lu and neg, and recording only the su cells at or above
-    the fill's cutoff, decides as the periods x items sums would, and the
-    periods and negative tails the fills skip change no pick. Where lu is
-    filled (the su_prune=False ablation) secondary is the local rule's;
-    where it is not (by default), no secondary list is built, and primary
-    is drawn from the items that occur in a period the fill walked."""
+    every period, and the miner matches the oracle: recording only the su
+    and neg cells at or above the fill's cutoff decides as the periods x
+    items sums would, and the periods and negative tails the fills skip
+    change no pick. Where lu is filled (the su_prune=False ablation)
+    secondary is the local rule's; where it is not (by default), no
+    secondary list is built, and primary is drawn from the items that occur
+    in a period the fill walked."""
     databases = _many_period_databases(n_periods, transactions, 6, n_periods)
     sums = {}
     tested = []
     local_tested = []
 
     def fill_both(pd, su, lu, neg, totals, t_num=0, t_den=1, caps=None):
-        kept = fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
+        records = fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
         su_sums, lu_sums, sums["neg"] = _period_sums(pd)
         last = _last_item(pd)
         if last is None or last < len(su):
@@ -695,12 +682,14 @@ def test_many_periods_select_as_the_per_period_rule(monkeypatch, n_periods, tran
             sums["su"], sums["lu"] = su_sums, lu_sums
             sums["walked"] = _walked(pd, totals, t_num, t_den, caps)
         sums["totals"] = totals
-        return kept
+        return records
 
-    def split(record, lu, candidates, su_num, lu_num, t_den, totals):
-        picked = select_primary_secondary(record, lu, candidates, su_num, lu_num, t_den, totals)
+    def split(record, lu_record, candidates, su_num, lu_num, t_den, totals):
+        picked = select_primary_secondary(
+            record, lu_record, candidates, su_num, lu_num, t_den, totals
+        )
         assert totals is sums["totals"]
-        if lu is None:
+        if lu_record is None:
             walked = sums["walked"]
             secondary = [z for z in candidates if walked & sums["su"].get(z, {}).keys()]
         else:
@@ -709,13 +698,13 @@ def test_many_periods_select_as_the_per_period_rule(monkeypatch, n_periods, tran
             local_tested.append(len(candidates))
         primary = [z for z in secondary if _per_period_rule(sums["su"], z, su_num, t_den, totals)]
         # with lu None no local test runs and no secondary list is built
-        assert picked == (primary, None if lu is None else secondary)
+        assert picked == (primary, None if lu_record is None else secondary)
         tested.append(len(candidates))
         return picked
 
-    def negatives(neg, candidates, t_num, t_den):
-        picked = select_negative_candidates(neg, candidates, t_num, t_den)
-        totals = sums["totals"]
+    def negatives(negative_record, candidates, t_num, t_den, totals):
+        picked = select_negative_candidates(negative_record, candidates, t_num, t_den, totals)
+        assert totals is sums["totals"]
         assert picked == [
             z for z in candidates if _per_period_rule(sums["neg"], z, t_num, t_den, totals)
         ]
@@ -739,11 +728,11 @@ def test_many_periods_select_as_the_per_period_rule(monkeypatch, n_periods, tran
 def test_every_row_cell_is_zero_after_each_fill(monkeypatch, n_periods, transactions):
     """Through whole mining runs, by default and under the su_prune=False
     ablation that fills lu, every row cell is zero when a fill returns, so
-    the next fill starts from a clean row without a reset; each fill lists
-    each item it saw once, and its record holds exactly the subtree sums
-    from the bracket definitions that reach its cutoff in the periods it
-    walked. A negative node's fill, handed lu None, writes neg alone,
-    records nothing and leaves the su row as it was."""
+    the next fill starts from a clean row without a reset, and each record
+    holds exactly the sums from the bracket definitions that reach its
+    cutoff in the periods it walked (see _assert_filled). A negative node's
+    fill, handed lu None at cutoff zero and without caps, records no su
+    cell and no lu record, and every negative that occurred."""
     databases = _many_period_databases(n_periods, transactions, 6, n_periods)
     fills = []
     capped = []
@@ -752,22 +741,20 @@ def test_every_row_cell_is_zero_after_each_fill(monkeypatch, n_periods, transact
     def fill_both(pd, su, lu, neg, totals, t_num=0, t_den=1, caps=None):
         nonlocal negative_fills
         last = _last_item(pd)
+        records = fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
         if last is not None and last >= len(su):
-            assert lu is None
-            positives = _positive_state(su, lu)
-            kept = fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
-            assert kept == {} and _positive_state(su, lu) == positives
-            _assert_neg_filled(pd.views, su, lu, neg)
-            fills.append(len(neg.touched))
+            assert lu is None and t_num == 0 and caps is None
+            assert records[:2] == ({}, None)
+            _assert_neg_filled(pd, records, su, lu, neg, totals)
+            fills.append(len(records[NEG]))
             negative_fills += 1
-            return kept
-        kept = fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
+            return records
         walked = _walked(pd, totals, t_num, t_den, caps)
         tails = _walked_tails(pd, totals, t_num, t_den, caps)
-        _assert_filled(pd, kept, su, lu, neg, totals, (t_num, t_den), tails, walked)
-        fills.append(len(kept))
+        _assert_filled(pd, records, su, lu, neg, totals, (t_num, t_den), tails, walked)
+        fills.append(len(records[SU]))
         capped.append(len(pd.periods) - len(walked))
-        return kept
+        return records
 
     monkeypatch.setattr(search, "fill_subtree_and_local", fill_both)
     for db in databases:
@@ -843,13 +830,13 @@ def _chain_databases(corpus, n_periods):
     return out
 
 
-def _cutoffs_that_occur(rng, pd, totals, record, lu, neg):
+def _cutoffs_that_occur(rng, pd, totals, records):
     """Up to six positive thresholds from ratios that occur at the node:
-    its own utility over each period's total, and the best ratios an
-    ungated fill left in its record, lu and neg."""
+    its own utility over each period's total, and the best cell ratios an
+    ungated fill left in its records."""
     ratios = {Fraction(u, totals[p]) for p, u in zip(pd.periods, pd.utilities)}
-    ratios |= set(_record_ratios(record, totals).values()) | set(_ratios(lu).values())
-    ratios |= set(_ratios(neg).values())
+    for record in records:
+        ratios |= set(_record_ratios(record, totals).values())
     ratios.discard(0)
     return rng.sample(sorted(ratios), min(6, len(ratios)))
 
@@ -858,8 +845,8 @@ def _cutoffs_that_occur(rng, pd, totals, record, lu, neg):
 def test_gated_fill_of_a_positive_node_decides_as_the_ungated_one(corpus, n_periods):
     """Along random chains of positive items, from the root down, a fill
     that skips the negative tails of the periods where the node's own
-    utility is below the cutoff records the ungated fill's cells from the
-    cutoff up, leaves lu as the ungated fill does, selects the same
+    utility is below the cutoff records the ungated fill's su and neg
+    cells from the cutoff up and the same lu record, selects the same
     positives and negatives at that cutoff, and leaves every row cell
     zero. Every negative bracket of a node whose prefix utilities are at
     least zero is at most that prefix utility, so a skipped period holds
@@ -870,21 +857,24 @@ def test_gated_fill_of_a_positive_node_decides_as_the_ungated_one(corpus, n_peri
         order, working, root = pipeline(db)
         totals = working.period_totals
         n, boundary = len(order), order.boundary
-        arrays = _miner_arrays(db, working)  # reused: each fill leaves stale ratios
-        ungated = _miner_arrays(db, working)
+        rows = _miner_rows(db, working)
+        ungated = _miner_rows(db, working)
         pd = root
         for _ in range(4):
             full = fill_subtree_and_local(pd, *ungated, totals)
-            for cut in _cutoffs_that_occur(rng, pd, totals, full, *ungated[1:]):
+            for cut in _cutoffs_that_occur(rng, pd, totals, full):
                 t_num, t_den = cut.numerator, cut.denominator
-                su, lu, neg = arrays
-                record = fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den)
-                assert record == _at_cutoff(full, totals, cut)
-                assert _live(record, su, lu, neg)[1] == _live(full, *ungated)[1]
-                _assert_neg_filled(pd.views, su, lu, neg, _walked_tails(pd, totals, t_num, t_den))
+                su, lu, neg = rows
+                records = fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den)
+                record, lu_record, negatives = records
+                assert record == _at_cutoff(full[SU], totals, cut)
+                assert lu_record == full[LU]
+                assert negatives == _at_cutoff(full[NEG], totals, cut)
+                tails = _walked_tails(pd, totals, t_num, t_den)
+                _assert_neg_filled(pd, records, su, lu, neg, totals, (t_num, t_den), tails)
                 cutoffs = (t_num, t_num, t_den, totals)
-                want = select_primary_secondary(full, ungated[1], sorted(full), *cutoffs)
-                got = select_primary_secondary(record, lu, sorted(record), *cutoffs)
+                want = select_primary_secondary(full[SU], full[LU], sorted(full[SU]), *cutoffs)
+                got = select_primary_secondary(record, lu_record, sorted(record), *cutoffs)
                 # the gated record holds the items with a cell at the cutoff;
                 # the ungated one lists every item that occurred
                 assert got == (want[0], [z for z in want[1] if z in record])
@@ -893,9 +883,10 @@ def test_gated_fill_of_a_positive_node_decides_as_the_ungated_one(corpus, n_peri
                 assert select_primary_secondary(record, None, sorted(record), *cutoffs) == (
                     want[0], None
                 )
-                want = select_negative_candidates(ungated[2], range(boundary, n), t_num, t_den)
-                assert select_negative_candidates(neg, range(boundary, n), t_num, t_den) == want
-                skipped += len(ungated[2].touched) - len(neg.touched)
+                cutoffs = (t_num, t_den, totals)
+                want = select_negative_candidates(full[NEG], range(boundary, n), *cutoffs)
+                assert select_negative_candidates(negatives, sorted(negatives), *cutoffs) == want
+                skipped += sum(p not in tails for cells in full[NEG].values() for p in cells)
                 gated += 1
             # descend to a positive item some view still holds
             held = sorted(
@@ -950,27 +941,25 @@ def test_gate_tests_each_period_not_the_node_overall():
     totals = [10, 100]
     pd = _projection({0: [([0, 2], [6, -1], 1, 6)], 1: [([1, 3], [2, -1], 0, 1)]})
     assert pd.utilities == [6, 1]
-    su, lu, neg = _three_arrays(2, 4)
-    record = fill_subtree_and_local(pd, su, lu, neg, totals, 1, 4)
-    assert _ratios(neg) == {2: Fraction(5, 10)} and neg.touched == [2]
-    assert select_negative_candidates(neg, [2, 3], 1, 4) == [2]
-    _assert_filled(pd, record, su, lu, neg, totals, (1, 4), tails={0})
-    ungated = _three_arrays(2, 4)
-    full = fill_subtree_and_local(pd, *ungated, totals)
-    assert full == {1: {1: 3}}  # 3/100, below the cutoff
-    assert record == _at_cutoff(full, totals, Fraction(1, 4)) == {}
-    assert _live(record, su, lu, neg)[1] == _live(full, *ungated)[1]
-    assert _ratios(ungated[2]) == {2: Fraction(5, 10), 3: 0}
+    su, lu, neg = _three_rows(2, 4)
+    records = fill_subtree_and_local(pd, su, lu, neg, totals, 1, 4)
+    assert records[NEG] == {2: {0: 5}}
+    assert select_negative_candidates(records[NEG], [2, 3], 1, 4, totals) == [2]
+    _assert_filled(pd, records, su, lu, neg, totals, (1, 4), tails={0})
+    full = fill_subtree_and_local(pd, *_three_rows(2, 4), totals)
+    assert full[SU] == {1: {1: 3}}  # 3/100, below the cutoff
+    assert records[SU] == _at_cutoff(full[SU], totals, Fraction(1, 4)) == {}
+    assert records[LU] == full[LU] == {1: {1: 3}}
+    assert full[NEG] == {2: {0: 5}, 3: {1: 0}}
 
 
-def _cap_cutoffs(rng, pd, totals, caps, full, ungated, floor):
+def _cap_cutoffs(rng, pd, totals, caps, full, floor):
     """Cutoffs for a capped fill, none below floor, the cutoff of the
     parent's fill that recorded caps: up to six ratios that occur at the
-    node (_cutoffs_that_occur, from the ungated fill's record full and
-    arrays), up to four of its cap ratios caps[p] / totals[p] (equality
-    keeps a period), and one above every cap ratio, which skips every
-    period."""
-    cuts = _cutoffs_that_occur(rng, pd, totals, full, *ungated[1:])
+    node (_cutoffs_that_occur, from the ungated fill's records full), up to
+    four of its cap ratios caps[p] / totals[p] (equality keeps a period),
+    and one above every cap ratio, which skips every period."""
+    cuts = _cutoffs_that_occur(rng, pd, totals, full)
     ratios = sorted({Fraction(cell, totals[p]) for p, cell in caps.items()})
     cuts += rng.sample(ratios, min(4, len(ratios)))
     cuts.append(max(ratios, default=floor) + Fraction(1, max(totals)))
@@ -990,20 +979,20 @@ def test_capped_fill_decides_as_the_uncapped_one(corpus, n_periods):
     positive remaining after z in its view, and those sum to su_P,p(z),
     P's cell: a left-out cell was below P's cutoff, which is at most X's.
     So no subtree cell of the ungated fill reaches the cutoff in a skipped
-    period, and the capped record holds exactly the ungated cells at the
-    cutoff in the periods it walked; an item the capped record leaves out
-    has no ungated cell at the cutoff, and is never primary. The local
-    test agrees on every item both records hold. A selection handed no lu,
-    as by default, builds no secondary list and picks as one at a zero
-    local cutoff."""
+    period, and the capped su and neg records hold exactly the ungated
+    cells at the cutoff in the periods it walked; an item the capped record
+    leaves out has no ungated cell at the cutoff, and is never primary. The
+    local test agrees on every item both records hold. A selection handed
+    no lu record, as by default, builds no secondary list and picks as one
+    at a zero local cutoff."""
     rng = random.Random(5353 + n_periods)
     capped = tested = dropped = 0
     for db in _chain_databases(corpus, n_periods):
         order, working, root = pipeline(db)
         totals = working.period_totals
         n, boundary = len(order), order.boundary
-        arrays = _miner_arrays(db, working)  # reused: each fill leaves stale ratios
-        ungated = _miner_arrays(db, working)
+        rows = _miner_rows(db, working)
+        ungated = _miner_rows(db, working)
         pd, caps, floor = root, None, Fraction(0)
         for _ in range(4):
             held = sorted(
@@ -1019,28 +1008,28 @@ def test_capped_fill_decides_as_the_uncapped_one(corpus, n_periods):
             )
             floor = rng.choice(cells[: len(cells) // 2 + 1]) if cells else floor
             kept = fill_subtree_and_local(
-                pd, *arrays, totals, floor.numerator, floor.denominator, caps
-            )
+                pd, *rows, totals, floor.numerator, floor.denominator, caps
+            )[SU]
             z = rng.choice(held)
             pd = project(pd, z)
             caps = kept.get(z, {})
             full = fill_subtree_and_local(pd, *ungated, totals)
-            for cut in _cap_cutoffs(rng, pd, totals, caps, full, ungated, floor):
+            for cut in _cap_cutoffs(rng, pd, totals, caps, full, floor):
                 t_num, t_den = cut.numerator, cut.denominator
-                su, lu, neg = arrays
-                record = fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
+                su, lu, neg = rows
+                records = fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
+                record, lu_record, negatives = records
                 walked = _walked(pd, totals, t_num, t_den, caps)
                 tails = _walked_tails(pd, totals, t_num, t_den, caps)
-                _assert_filled(pd, record, su, lu, neg, totals, (t_num, t_den), tails, walked)
-                assert not any(
-                    p not in walked and Fraction(cell, totals[p]) >= cut
-                    for cells in full.values()
-                    for p, cell in cells.items()
-                )
+                _assert_filled(pd, records, su, lu, neg, totals, (t_num, t_den), tails, walked)
+                assert record == _at_cutoff(full[SU], totals, cut)
+                assert negatives == _at_cutoff(full[NEG], totals, cut)
                 for lu_num in (t_num, 0):
                     cutoffs = (t_num, lu_num, t_den, totals)
-                    got = select_primary_secondary(record, lu, sorted(record), *cutoffs)
-                    want = select_primary_secondary(full, ungated[1], sorted(full), *cutoffs)
+                    got = select_primary_secondary(record, lu_record, sorted(record), *cutoffs)
+                    want = select_primary_secondary(
+                        full[SU], full[LU], sorted(full[SU]), *cutoffs
+                    )
                     assert got[0] == want[0]
                     assert got[1] == [y for y in want[1] if y in record]
                     if not lu_num:
@@ -1048,11 +1037,12 @@ def test_capped_fill_decides_as_the_uncapped_one(corpus, n_periods):
                         assert select_primary_secondary(record, None, sorted(record), *cutoffs) == (
                             got[0], None
                         )
-                for y in full.keys() - record.keys():
-                    assert _at_cutoff({y: full[y]}, totals, cut) == {}
+                for y in full[SU].keys() - record.keys():
+                    assert _at_cutoff({y: full[SU][y]}, totals, cut) == {}
                     dropped += 1
-                want = select_negative_candidates(ungated[2], range(boundary, n), t_num, t_den)
-                assert select_negative_candidates(neg, range(boundary, n), t_num, t_den) == want
+                cutoffs = (t_num, t_den, totals)
+                want = select_negative_candidates(full[NEG], range(boundary, n), *cutoffs)
+                assert select_negative_candidates(negatives, sorted(negatives), *cutoffs) == want
                 capped += len(pd.periods) - len(walked)
                 tested += 1
     assert tested > 100 and capped > 50 and dropped > 0
@@ -1065,7 +1055,7 @@ def test_cap_skips_a_period_the_tail_gate_would_walk():
     skips only the negative tails there and still walks the positives; the
     cap, 5/100, skips the period whole, as it does where the root left
     period 1 out of its record. Item 2 sells only in period 1: the capped
-    fill never lists it, yet every selection equals the ungated one."""
+    fill never records it, yet every selection equals the ungated one."""
     totals = [10, 100]
     caps = {0: 9, 1: 5}
     pd = _projection({
@@ -1076,68 +1066,65 @@ def test_cap_skips_a_period_the_tail_gate_would_walk():
     assert pd.utilities == [6, 2]
     t_num, t_den = 1, 4
 
-    gated = _three_arrays(3, 4)
-    gated_record = fill_subtree_and_local(pd, *gated, totals, t_num, t_den)
-    assert gated_record == {1: {0: 9}}
-    assert _occurred_items(gated[1]) == [1, 2] and gated[2].touched == [3]
-    _assert_filled(pd, gated_record, *gated, totals, (t_num, t_den), tails={0})
+    gated = _three_rows(3, 4)
+    gated_records = fill_subtree_and_local(pd, *gated, totals, t_num, t_den)
+    assert gated_records == ({1: {0: 9}}, {1: {0: 9, 1: 3}, 2: {1: 5}}, {3: {0: 5}})
+    _assert_filled(pd, gated_records, *gated, totals, (t_num, t_den), tails={0})
 
-    su, lu, neg = _three_arrays(3, 4)
-    record = fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
-    assert record == {1: {0: 9}} and _occurred_items(lu) == [1]
-    assert _ratios(lu) == {1: Fraction(9, 10)}
-    assert _ratios(neg) == {3: Fraction(5, 10)}
-    _assert_filled(pd, record, su, lu, neg, totals, (t_num, t_den), tails={0}, walked={0})
+    su, lu, neg = _three_rows(3, 4)
+    records = fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
+    assert records == ({1: {0: 9}}, {1: {0: 9}}, {3: {0: 5}})
+    _assert_filled(pd, records, su, lu, neg, totals, (t_num, t_den), tails={0}, walked={0})
 
-    ungated = _three_arrays(3, 4)
+    ungated = _three_rows(3, 4)
     full = fill_subtree_and_local(pd, *ungated, totals)
-    assert full == {1: {0: 9, 1: 3}, 2: {1: 4}}
-    assert _record_ratios(full, totals) == {1: Fraction(9, 10), 2: Fraction(4, 100)}
+    assert full == (
+        {1: {0: 9, 1: 3}, 2: {1: 4}},
+        {1: {0: 9, 1: 3}, 2: {1: 5}},
+        {3: {0: 5, 1: 0}},
+    )
     for lu_num in (t_num, 0):
         cutoffs = (t_num, lu_num, t_den, totals)
-        assert select_primary_secondary(record, lu, sorted(record), *cutoffs)[0] == [1]
-        assert select_primary_secondary(full, ungated[1], sorted(full), *cutoffs)[0] == [1]
+        assert select_primary_secondary(records[SU], records[LU], [1], *cutoffs)[0] == [1]
+        assert select_primary_secondary(full[SU], full[LU], [1, 2], *cutoffs)[0] == [1]
     cutoffs = (t_num, t_num, t_den, totals)
-    want = select_primary_secondary(full, ungated[1], sorted(full), *cutoffs)
-    assert select_primary_secondary(record, lu, sorted(record), *cutoffs) == want
-    for negatives in (neg, gated[2], ungated[2]):
-        assert select_negative_candidates(negatives, [3], t_num, t_den) == [3]
-    absent = _three_arrays(3, 4)
-    absent_record = fill_subtree_and_local(pd, *absent, totals, t_num, t_den, {0: 9})
-    assert _live(absent_record, *absent) == _live(record, su, lu, neg)
+    want = select_primary_secondary(full[SU], full[LU], [1, 2], *cutoffs)
+    assert select_primary_secondary(records[SU], records[LU], [1], *cutoffs) == want
+    for negatives in (records[NEG], gated_records[NEG], full[NEG]):
+        assert select_negative_candidates(negatives, [3], t_num, t_den, totals) == [3]
+    absent = _three_rows(3, 4)
+    absent_records = fill_subtree_and_local(pd, *absent, totals, t_num, t_den, {0: 9})
+    assert _live(absent_records, *absent) == _live(records, su, lu, neg)
     # at cutoff zero the cap skips nothing
-    record = fill_subtree_and_local(pd, su, lu, neg, totals, 0, t_den, caps)
-    assert _live(record, su, lu, neg) == _live(full, *ungated)
+    records = fill_subtree_and_local(pd, su, lu, neg, totals, 0, t_den, caps)
+    assert _live(records, su, lu, neg) == _live(full, *ungated)
 
 
 def test_cap_applies_to_a_positive_node_with_no_children_to_select():
     """Node {0} with no later secondary item, in periods 0 and 1 (totals
     10 and 100), cutoff 1/4, capped by the root's cells for item 0,
     {0: 6, 1: 5}. Its only negative, 3, sells in period 1 alone, beside
-    positive 1, which is not secondary there. The node's own utility there, 4/100, makes the tail
-    gate skip 3's tail but still walk 1; the cap, 5/100, skips period 1
-    whole: neither item is listed, and the negative selection equals the
-    ungated one."""
+    positive 1, which is not secondary there. The node's own utility there,
+    4/100, makes the tail gate skip 3's tail but still walk 1; the cap,
+    5/100, skips period 1 whole: neither item is recorded, and the negative
+    selection equals the ungated one."""
     totals = [10, 100]
     caps = {0: 6, 1: 5}
     pd = _projection({0: [([0], [6], 1, 6)], 1: [([0, 1, 3], [4, 1, -1], 1, 4)]})
     assert _parent_cells(pd) == caps
     t_num, t_den = 1, 4
-    su, lu, neg = _three_arrays(2, 4)
-    record = fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
-    assert record == {} and _occurred_items(lu) == [] and neg.touched == []
-    _assert_filled(pd, record, su, lu, neg, totals, (t_num, t_den), tails={0}, walked={0})
+    su, lu, neg = _three_rows(2, 4)
+    records = fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
+    assert records == ({}, {}, {})
+    _assert_filled(pd, records, su, lu, neg, totals, (t_num, t_den), tails={0}, walked={0})
 
-    gated = _three_arrays(2, 4)
-    assert fill_subtree_and_local(pd, *gated, totals, t_num, t_den) == {}
-    assert _occurred_items(gated[1]) == [1] and gated[2].touched == []
+    gated = fill_subtree_and_local(pd, *_three_rows(2, 4), totals, t_num, t_den)
+    assert gated == ({}, {1: {1: 5}}, {})
 
-    ungated = _three_arrays(2, 4)
-    full = fill_subtree_and_local(pd, *ungated, totals)
-    assert _record_ratios(full, totals) == {1: Fraction(5, 100)}
-    assert _ratios(ungated[2]) == {3: Fraction(3, 100)}
-    for negatives in (neg, ungated[2]):
-        assert select_negative_candidates(negatives, [3], t_num, t_den) == []
+    full = fill_subtree_and_local(pd, *_three_rows(2, 4), totals)
+    assert full == ({1: {1: 5}}, {1: {1: 5}}, {3: {1: 3}})
+    for negatives in (records[NEG], full[NEG]):
+        assert select_negative_candidates(negatives, [3], t_num, t_den, totals) == []
 
 
 def _parent_cells(pd):
@@ -1184,13 +1171,14 @@ def test_search_caps_each_positive_child_by_its_parents_record(monkeypatch):
             assert all(caps[p] == cells[p] for p in caps)
             assert all(cells[p] * t_den < t_num * totals[p] for p in cells.keys() - caps.keys())
             handed[miner.su_prune] += 1
-        kept = fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
+        records = fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
+        kept = records[SU]
         assert kept == _recorded(pd, totals, t_num, t_den, _walked(pd, totals, t_num, t_den, caps))
         for z, cells in kept.items():
             row = current["twu"][miner.ext_id[z]]
             assert all(cell <= row[p] for p, cell in cells.items())
         recorded += len(kept)
-        return kept
+        return records
 
     monkeypatch.setattr(_Miner, "search", searched)
     monkeypatch.setattr(search, "fill_subtree_and_local", fill)
@@ -1206,24 +1194,30 @@ def test_search_caps_each_positive_child_by_its_parents_record(monkeypatch):
 
 
 def test_default_search_fills_no_local_bound(monkeypatch, corpus):
-    """Every fill and positive selection of a whole run is handed lu None,
-    by default, with the local rule off and with both rules off; only the
-    su_prune=False ablation, where the local rule is the only positive
-    rule, hands the fills of the root and of positive nodes, and the
-    positive selections, an lu array. A negative node's fill is always
-    handed None, since every fill starts the lu it is handed and the
-    deferred selection of the positive parent still reads lu. Wherever the
-    subtree rule is on, lu changes no pick, so filling it is wasted."""
+    """Every fill of a whole run is handed lu None, and returns no lu
+    record, by default, with the local rule off and with both rules off;
+    only the su_prune=False ablation, where the local rule is the only
+    positive rule, hands the fills of the root and of positive nodes an lu
+    row, one per run, and each positive selection the lu record of the
+    fill that returned its su record. A negative node's fill is always
+    handed None: its views hold no positive item. Wherever the subtree rule
+    is on, lu changes no pick, so filling it is wasted."""
     handed = []
+    lu_of = {}  # id of a fill's su record -> its lu record
 
     def fill(pd, su, lu, neg, totals, t_num=0, t_den=1, caps=None):
         last = _last_item(pd)
-        handed.append((last is not None and last >= len(su), lu))
-        return fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
+        records = fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
+        assert (records[LU] is None) == (lu is None)
+        kind = "negative fill" if last is not None and last >= len(su) else "fill"
+        handed.append((kind, lu))
+        lu_of[id(records[SU])] = records[LU]
+        return records
 
-    def split(record, lu, *args):
-        handed.append((False, lu))
-        return select_primary_secondary(record, lu, *args)
+    def split(record, lu_record, *args):
+        assert lu_record is lu_of[id(record)]
+        handed.append(("selection", lu_record))
+        return select_primary_secondary(record, lu_record, *args)
 
     monkeypatch.setattr(search, "fill_subtree_and_local", fill)
     monkeypatch.setattr(search, "select_primary_secondary", split)
@@ -1236,13 +1230,12 @@ def test_default_search_fills_no_local_bound(monkeypatch, corpus):
         handed.clear()
         for db in corpus[:20]:
             mine_top_k(db, 5, **flags)
-        assert len(handed) > 40, flags
-        assert any(negative for negative, _ in handed), flags
+        kinds = {kind for kind, _ in handed}
+        assert len(handed) > 40 and kinds == {"negative fill", "fill", "selection"}, flags
         if filled:
-            assert all(
-                (lu is None) if negative else isinstance(lu, BoundArray)
-                for negative, lu in handed
-            ), flags
-            assert len({id(lu) for _, lu in handed if lu is not None}) == 20  # one array per run
+            want = {"negative fill": type(None), "fill": list, "selection": dict}
+            assert all(isinstance(lu, want[kind]) for kind, lu in handed), flags
+            rows = {id(lu) for kind, lu in handed if kind == "fill"}
+            assert len(rows) == 20  # one row per run
         else:
             assert all(lu is None for _, lu in handed), flags

@@ -10,7 +10,6 @@ import pytest
 
 from topshelf import search
 from topshelf.bounds import (
-    BoundArray,
     fill_subtree_and_local,
     select_negative_candidates,
     select_primary_secondary,
@@ -492,16 +491,18 @@ def test_selections_read_the_threshold_of_their_moment(monkeypatch, corpus):
         miners.append(self)
         run(self, root, stats)
 
-    def split(record, lu, candidates, su_num, lu_num, t_den, totals):
+    def split(record, lu_record, candidates, su_num, lu_num, t_den, totals):
         t_num, want_den = miners[-1].collector.threshold
         assert (su_num, t_den) == (t_num, want_den) and lu_num in (0, t_num)
         thresholds.add(Fraction(t_num, t_den))
-        return select_primary_secondary(record, lu, candidates, su_num, lu_num, t_den, totals)
+        return select_primary_secondary(
+            record, lu_record, candidates, su_num, lu_num, t_den, totals
+        )
 
-    def negatives(neg, candidates, t_num, t_den):
+    def negatives(negative_record, candidates, t_num, t_den, totals):
         assert (t_num, t_den) == miners[-1].collector.threshold
         thresholds.add(Fraction(t_num, t_den))
-        return select_negative_candidates(neg, candidates, t_num, t_den)
+        return select_negative_candidates(negative_record, candidates, t_num, t_den, totals)
 
     monkeypatch.setattr(_Miner, "search", searched)
     monkeypatch.setattr(search, "select_primary_secondary", split)
@@ -590,7 +591,8 @@ def _watch_the_zero_seed_run(monkeypatch):
                 seen["record_skips"].append(by_record)
                 if cutoff_of[id(caps)] == 0:
                     seen["zero_children"].append((set(caps), set(pd.periods), len(by_record)))
-        kept = fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
+        records = fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
+        kept = records[0]
         for cells in kept.values():
             cutoff_of[id(cells)] = t_num
         if not t_num and (last is None or last < miner.boundary):
@@ -598,12 +600,12 @@ def _watch_the_zero_seed_run(monkeypatch):
             seen["zero"].append((set(kept), held))
         if last is None:
             seen["root"].append(sorted(kept))
-        return kept
+        return records
 
-    def split(record, lu, candidates, *cutoffs):
+    def split(record, lu_record, candidates, *cutoffs):
         if len(seen["root"]) == 1:
             seen["root"].append(candidates)
-        return select_primary_secondary(record, lu, candidates, *cutoffs)
+        return select_primary_secondary(record, lu_record, candidates, *cutoffs)
 
     monkeypatch.setattr(_Miner, "search", searched)
     monkeypatch.setattr(search, "fill_subtree_and_local", fill)
@@ -666,19 +668,20 @@ def _run_with_picks(monkeypatch, db, k, local=False, capped=True, **flags):
     positive selections, the candidates the local test dropped, the
     periods the caps handed to the fills skip, and the su cells the fills
     write. local=True forces the local fill on: the miner holds an lu
-    array, as the su_prune=False ablation's does, so every positive fill
-    fills it and every selection applies the local test at the threshold.
+    row, as the su_prune=False ablation's does, so every positive fill
+    records local cells and every selection applies the local test at the
+    threshold.
     capped=False hands every fill no caps: the search without the parent's
     record."""
     picks = []
     counts = dict.fromkeys(("selections", "dropped", "skipped", "written"), 0)
 
-    def split(record, lu, candidates, *cutoffs):
+    def split(record, lu_record, candidates, *cutoffs):
         counts["selections"] += 1
-        primary, secondary = select_primary_secondary(record, lu, candidates, *cutoffs)
+        primary, secondary = select_primary_secondary(record, lu_record, candidates, *cutoffs)
         if primary:
             picks.append(primary)
-        if lu is not None:
+        if lu_record is not None:
             counts["dropped"] += len(candidates) - len(secondary)
         return primary, secondary
 
@@ -687,7 +690,7 @@ def _run_with_picks(monkeypatch, db, k, local=False, capped=True, **flags):
         miners.append(self)
         self.su = _CountingRow(self.boundary)
         if local:
-            self.lu = BoundArray(self.boundary)
+            self.lu = [0] * self.boundary
 
     def fill(pd, su, lu, neg, totals, t_num=0, t_den=1, caps=None):
         if not capped:
@@ -823,23 +826,23 @@ def test_each_node_selects_from_its_own_fill(monkeypatch, corpus):
     checked = {True: 0, False: 0}
 
     def fill(pd, su, lu, neg, totals, t_num=0, t_den=1, caps=None):
-        kept = fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
+        records = fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
         items, _, off, _, _ = pd.views[0]
         last = items[off - 1] if off else None
         if last is None or last < len(su):
             held = {
                 z for items, _, off, _, _ in pd.views for z in items[off:] if z < len(su)
             }
-            fills.append((last, t_num, sorted(kept), held))
-        return kept
+            fills.append((last, t_num, sorted(records[0]), held))
+        return records
 
-    def split(record, lu, candidates, *cutoffs):
+    def split(record, lu_record, candidates, *cutoffs):
         last, t_num, recorded, held = fills[-1]
         assert candidates == recorded and set(candidates) <= held
         if last is not None:
             assert candidates and candidates[0] > last
         checked[bool(t_num)] += 1
-        return select_primary_secondary(record, lu, candidates, *cutoffs)
+        return select_primary_secondary(record, lu_record, candidates, *cutoffs)
 
     monkeypatch.setattr(search, "fill_subtree_and_local", fill)
     monkeypatch.setattr(search, "select_primary_secondary", split)
