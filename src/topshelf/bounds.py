@@ -31,20 +31,20 @@ local bracket there, prefix_X + the positive remaining after X; fusing rows
 keeps that. Summed over a period's views, su_X'(y) <= lu_X(y) in every
 period, and the threshold only rises from X's selection to that of X'. An
 item that fails X's local test therefore fails the subtree test wherever it
-could be a candidate (at X itself too: su_X <= lu_X). So lu is filled only
-when the local rule is the only positive rule (su_prune off, lu_prune on);
-otherwise the search hands the fills lu None, they return no lu record, and
-a selection builds no secondary list: it tests su alone. The root's local
-test, the TWU test in prepare.initial_secondary, always runs: it shrinks
-the order and the working database before any fill.
+could be a candidate (at X itself too: su_X <= lu_X). So a fill sums one
+positive bound, the one the run's positive rule tests: the subtree bound,
+or the local bound where the local rule is the only positive rule (su_prune
+off, lu_prune on; the search passes local then). The root's local test, the
+TWU test in prepare.initial_secondary, always runs: it shrinks the order
+and the working database before any fill.
 
 An item passes a rule if, in some period it sells in, its bound reaches the
 threshold times that period's total. Every bound is tested that way, cell
 by cell, against a fill's record (below): no bound keeps a best ratio, and
 none is kept as a period x item grid.
 
-A run allocates three scratch rows once and every node reuses them: su
-(and lu, where filled) hold the sums of the positive items (dense items
+A run allocates two scratch rows once and every node reuses them: su holds
+the positive bound's sums of the positive items (dense items
 0..boundary-1), neg the clipped subtree sums of the kept negatives, indexed
 by dense item. A fill walks the projection's views, which come in ascending
 period order, adding each view into the rows. At the end of each period one
@@ -55,17 +55,15 @@ first goes from zero to non-zero. A negative whose bracket clips to zero is
 listed too, so that its occurrence is recorded, and while its cell stays
 zero it is listed again at its next occurrence in the period; that listing
 reads zero once the first has been folded, and the fold keeps the cell the
-first listing recorded. lu is written at exactly the items su is, so it
-folds from the list of su cells the period wrote.
+first listing recorded.
 
-Every fill returns three records, each item -> {dense period: cell}: su's
-and neg's at need, the cutoff t_num/t_den times the period's total rounded
-up, and lu's, where filled, at zero. Every node, the root, a positive node
-or a negative one, is filled the same way, in one walk of its projection. A
-negative node's views hold only negatives (they sort last), so its su
-record is empty, and the search hands it no lu row. Each fill's records are
-its own, so a positive node can search its negative extensions, which reuse
-the rows, between its one fill and its positive selection.
+Every fill returns two records, each item -> {dense period: cell}: su's
+and neg's, at need, the cutoff t_num/t_den times the period's total rounded
+up. Every node, the root, a positive node or a negative one, is filled the
+same way, in one walk of its projection. A negative node's views hold only
+negatives (they sort last), so its su record is empty. Each fill's records
+are its own, so a positive node can search its negative extensions, which
+reuse the rows, between its one fill and its positive selection.
 
 A fill of the root or of a positive node X takes the cutoff t_num/t_den
 that its negative selection tests right after it, and walks no negative
@@ -78,7 +76,8 @@ its negatives, and none of them could pass there. A negative node is
 exempt: its prefix utilities can be negative, so u_p(X) can sit below a
 single view's positive bracket. It is filled at cutoff zero, where t_num
 zero never skips and need is zero, so its neg record holds every negative
-that occurred, clipped zeros included.
+that occurred, clipped zeros included. The local bound is summed only
+where the subtree rule is off, and every fill then runs at cutoff zero.
 
 The su record holds, for each positive item z and each period p the fill
 walks, z's subtree sum su_P,p(z) where that reaches need. At cutoff zero
@@ -89,20 +88,21 @@ period that caps leaves out or holds below X's cutoff times the total: no
 positive walk, no tails, no fold. Every view of X is a view of P that holds
 z, with prefix_X = prefix_P + u(z) >= 0. Each bracket such a view adds in
 X's fill, prefix_X + u(y) + the positive remaining after y for a positive
-y's su, prefix_X + the positive remaining after z for lu, and max(prefix_X
-+ u(n), 0) <= prefix_X for a negative n, is at most prefix_X + the positive
-remaining after z, which is what the view added to z's cell in P's fill. So
-every sum a candidate gets in p is at most su_P,p(z). A cell P left out was
-below P's cutoff, which is at most X's, since the threshold only rises; a
-kept cell is tested again at X's cutoff. Nothing can pass in a skipped
-period. An item that sells only in skipped periods is then recorded nowhere
-in X's fill, so it is not among X's candidates (below), but it can never be
-primary anywhere below X, because every view of a descendant is a view of X
-and its brackets in those periods are bounded by the same su_P,p(z). So the
-nodes searched, the patterns and every counter stay the same. Each bracket
-is also at most its view's PTU, so su_P,p(z) <= TWU_p({z}): the record skips
-every period z's TWU row would, and the search keeps no TWU table. The root
-has no parent and takes no caps.
+y, and max(prefix_X + u(n), 0) <= prefix_X for a negative n, is at most
+prefix_X + the positive remaining after z, which is what the view added to
+z's cell in P's fill. So every sum a candidate gets in p is at most
+su_P,p(z). A cell P left out was below P's cutoff, which is at most X's,
+since the threshold only rises; a kept cell is tested again at X's cutoff.
+Nothing can pass in a skipped period. An item that sells only in skipped
+periods is then recorded nowhere in X's fill, so it is not among X's
+candidates (below), but it can never be primary anywhere below X, because
+every view of a descendant is a view of X and its brackets in those periods
+are bounded by the same su_P,p(z). So the nodes searched, the patterns and
+every counter stay the same. Each bracket is also at most its view's PTU,
+so su_P,p(z) <= TWU_p({z}): the record skips every period z's TWU row
+would, and the search keeps no TWU table. The root has no parent and takes
+no caps. Where the record holds local cells, the fill runs at cutoff zero,
+where caps skip nothing.
 
 The root and each positive node select their children from their own fill:
 the positive candidates are the keys of its su record, the negative ones
@@ -111,23 +111,24 @@ cells reaches the selection's cutoff times that period's total. A selection
 tests at its fill's cutoff or a higher one, so every cell that can pass is
 recorded: a cell left out was below the fill's cutoff, and a skipped period
 holds none that can reach it. So a pick is a recorded key, and an empty
-record picks nothing; the search makes no positive selection for it. Every
-recorded item comes after the node's last item, since its views start
-there. A negative node tests the picks after its own item in its parent
-against its neg record; one that did not occur is not recorded and fails.
-lu is filled only under su_prune off, where every fill runs at cutoff zero
-and so records every positive item that occurred, and there X = P + {z}
-tests its own lu record at its selection: every view of X that holds a
-later item y is a view of P holding y, and its local bracket, prefix_P +
-u(z) + the positive remaining after z, is at most prefix_P + the positive
-remaining after P's last item. So lu_X,p(y) <= lu_P,p(y) in every period,
-and the threshold only rises: an item that passes X's local test passed
-P's, and P's test needs no repeating.
+record picks nothing; the search makes no positive selection for it. The
+root selects right after its fill, at the fill's cutoff, so it picks every
+key of its record. Every recorded item comes after the node's last item,
+since its views start there. A negative node tests the picks after its own
+item in its parent against its neg record; one that did not occur is not
+recorded and fails. Where the record holds local cells, X = P + {z} tests
+its own at its selection: every view of X that holds a later item y is a
+view of P holding y, and its local bracket, prefix_P + u(z) + the positive
+remaining after z, is at most prefix_P + the positive remaining after P's
+last item. So lu_X,p(y) <= lu_P,p(y) in every period, and the threshold
+only rises: an item that passes X's local test passed P's, and P's test
+needs no repeating.
 
 A selection tests a cell against the threshold t_num/t_den as cell * t_den
->= t_num * total. A pruning rule that is switched off passes t_num = 0, and
-since every bound here is at least zero, that passes every recorded item:
-at need zero, every item that occurred.
+>= t_num * total. Where both positive rules are off the positive selection
+passes t_num = 0, and where the subtree rule is off the fills and the
+negative selection do; since every bound here is at least zero, that passes
+every recorded item: at need zero, every item that occurred.
 """
 
 from __future__ import annotations
@@ -160,33 +161,31 @@ def _fold(row: list[int], written: list[int], record: Record, p: int, need: int)
 def fill_subtree_and_local(
     pd,
     su: list[int],
-    lu: list[int] | None,
     neg: list[int],
     totals,
     t_num: int = 0,
     t_den: int = 1,
     caps=None,
-) -> tuple[Record, Record | None, Record]:
+    local: bool = False,
+) -> tuple[Record, Record]:
     """One backward walk per view of projection pd fills the scratch rows
-    and returns the fill's records (record, lu_record, negatives), each
-    item -> {dense period: cell}.
+    and returns the fill's records (record, negatives), each item ->
+    {dense period: cell}.
 
     Negatives come first in the walk (they sort last, and only they carry
     negative utilities) and add clipped brackets to their neg cells. Then
     running, the prefix utility plus the positive entries walked so far, is
     at each positive entry exactly its subtree bracket: prefix + u + the
-    positive remaining utility after it. At the end of each period the su
-    and neg cells it wrote are folded into record and negatives where they
-    reach need, the cutoff t_num/t_den times the period's total rounded up.
-    At t_num zero the records hold every item that occurred. Their keys are
-    the node's candidates (see the module docstring).
-
-    lu is None unless the local rule is the only positive rule (see the
-    module docstring), and lu_record is then None too; given lu, the fill
-    first adds every positive entry's local bracket, prefix + the view's
-    positive sum, which does not depend on position, and folds lu at zero
-    from the list of su cells written. A negative node's views hold no
-    positive entry, so its fill records no su cell.
+    positive remaining utility after it. With local set, where the local
+    rule is the only positive rule (see the module docstring), every
+    positive entry adds its local bracket instead, prefix + the view's
+    positive sum, which does not depend on position. At the end of each
+    period the su and neg cells it wrote are folded into record and
+    negatives where they reach need, the cutoff t_num/t_den times the
+    period's total rounded up. At t_num zero the records hold every item
+    that occurred. Their keys are the node's candidates (see the module
+    docstring). A negative node's views hold no positive entry, so its
+    fill records no su cell.
 
     Two gates at the cutoff, sound only for the root or a positive node
     (see the module docstring); t_num zero never skips. A positive node
@@ -200,7 +199,6 @@ def fill_subtree_and_local(
     """
     boundary = len(su)
     record = {}
-    lu_record = None if lu is None else {}
     negatives = {}
     for (p, views), u_p in zip(groupby(pd.views, _period), pd.utilities):
         total = totals[p]
@@ -227,10 +225,14 @@ def fill_subtree_and_local(
                     j -= 1
             else:
                 j = bisect_left(items, boundary, off) - 1
-            if lu is not None:
-                local = prefix + sum(utils[off : j + 1])
+            if local:
+                bracket = prefix + sum(utils[off : j + 1])
                 for item in items[off : j + 1]:
-                    lu[item] += local
+                    cell = su[item]
+                    if not cell:
+                        written.append(item)
+                    su[item] = cell + bracket
+                continue
             running = prefix
             while j >= off:
                 item = items[j]
@@ -242,11 +244,9 @@ def fill_subtree_and_local(
                 j -= 1
         if written:
             _fold(su, written, record, p, need)
-            if lu is not None:
-                _fold(lu, written, lu_record, p, 0)
         if neg_written:
             _fold(neg, neg_written, negatives, p, need)
-    return record, lu_record, negatives
+    return record, negatives
 
 
 def _passing(record: Record, candidates, t_num: int, t_den: int, totals) -> list[int]:
@@ -264,30 +264,17 @@ def _passing(record: Record, candidates, t_num: int, t_den: int, totals) -> list
 
 
 def select_primary_secondary(
-    record: Record,
-    lu_record: Record | None,
-    candidates,
-    su_num: int,
-    lu_num: int,
-    t_den: int,
-    totals,
-) -> tuple[list[int], list[int] | None]:
-    """Split positive candidate items, keys of the fill's record, into
-    (primary, secondary) per the bound tests.
-
-    Given lu_record, a candidate is secondary if one of its local cells
-    there reaches lu_num/t_den times its period's total. A candidate is
-    primary if it is secondary and one of its su cells in record reaches
-    su_num/t_den the same way. With lu_record None no local test runs and
-    no secondary list is built: the result is (primary, None), primary
-    picked as at lu_num zero. A numerator is the threshold's, or zero for a
-    rule that is off. Primary is always a subset of secondary (the local
-    bound dominates the subtree bound cell-wise for positive candidates).
+    record: Record, totals, candidates, t_num: int, t_den: int
+) -> tuple[list[int], None]:
+    """The positive candidate items, keys of the fill's record, with a cell
+    there that reaches t_num/t_den times its period's total, as (primary,
+    None). t_num is the threshold's, or zero where both positive rules are
+    off. The record holds the one positive bound the run's positive rule
+    tests (see the module docstring), so no secondary list is built; the
+    second element and the argument order keep the shape that
+    perfbench/tracer.py reads: the candidates third, the picks first.
     """
-    if lu_record is None:
-        return _passing(record, candidates, su_num, t_den, totals), None
-    secondary = _passing(lu_record, candidates, lu_num, t_den, totals)
-    return _passing(record, secondary, su_num, t_den, totals), secondary
+    return _passing(record, candidates, t_num, t_den, totals), None
 
 
 def select_negative_candidates(

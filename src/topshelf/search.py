@@ -172,62 +172,55 @@ class TopKCollector:
 
 
 class _Miner:
-    """Search state plus the search loop. su, lu and neg are the scratch
-    rows of the positive candidates' subtree and local sums and of the
-    negative ones' clipped subtree sums; every node reuses them, and each
-    fill moves their cells into records of its own (see bounds.py). lu is a
-    row only when the local rule is the only positive rule (su_prune off,
-    lu_prune on), and None otherwise: while the subtree rule is on, an item
-    the local test would drop fails the subtree test wherever it could be
-    picked, so lu changes no pick. The search keeps no TWU table: each
-    positive child is capped by the record of its parent's fill (see
-    bounds.py)."""
+    """Search state plus the search loop. su and neg are the scratch rows
+    of the positive candidates' one positive bound and of the negative
+    ones' clipped subtree sums; every node reuses them, and each fill moves
+    their cells into records of its own (see bounds.py). local is set once
+    per run where the local rule is the only positive rule (su_prune off,
+    lu_prune on): the fills then sum the local bound into su, in place of
+    the subtree bound. While the subtree rule is on, an item the local test
+    would drop fails the subtree test wherever it could be picked, so the
+    local bound changes no pick and is not summed. The search keeps no TWU
+    table: each positive child is capped by the record of its parent's fill
+    (see bounds.py)."""
 
     def __init__(self, working, collector, *, su_prune, lu_prune):
         self.collector = collector
         self.su_prune = su_prune
         self.lu_prune = lu_prune
+        self.local = lu_prune and not su_prune
         self.boundary = boundary = working.order.boundary
         self.su = [0] * boundary
-        self.lu = [0] * boundary if lu_prune and not su_prune else None
         self.neg = [0] * len(working.order)
         self.period_totals = working.period_totals
         self.ext_id = working.order.sequence
 
-    def _cutoffs(self) -> tuple[int, int, int]:
-        """The subtree and local threshold numerators, and the threshold
-        denominator. A rule that is off cuts at numerator zero, which every
-        item that occurred passes."""
-        t_num, t_den = self.collector.threshold
-        return t_num if self.su_prune else 0, t_num if self.lu_prune else 0, t_den
-
     def search(self, root, stats) -> None:
         """Walk the set-enumeration tree below root depth first.
 
-        The root pass fills the rows from root and selects the root's
-        children from the keys of its fill's record, at a zero local
-        cutoff: root secondary came from the TWU test already. Below the
-        root, the positive fills take lu, which is None unless the subtree
-        rule is off and the local rule on, and the selections their fills'
-        lu records; with lu None a fill records no local cells and a
-        selection builds no secondary list (see bounds.py for why no pick
-        changes).
+        The root pass fills the rows from root and picks, as the root's
+        children, every key of its fill's record: the root selects at the
+        cutoff its fill recorded at, and root secondary came from the TWU
+        test already. The fills of the root and of positive nodes run at
+        the threshold where the subtree rule is on and at zero where it is
+        off, and sum the local bound where it is the only positive rule (see
+        bounds.py). A deferred selection tests its record at the threshold
+        where either positive rule is on, and at zero otherwise.
 
         The stack holds one frame per node whose children are still pending:
-        [projection, prefix, picks, next, rows, record, lu_record], where
-        picks are the node's selected children in order and next indexes the
-        first one not yet searched. Negatives are the dense items from the
-        order's boundary up, so a child at or above it is negative, and each
-        child of a negative frame extends from the picks after it. A child's
-        depth is the length of its prefix. rows holds, per pick, the ids of
-        the views that hold it, from one walk of the node's views once its
-        picks are known (see projection.occurrences), or None where the
-        child scans every view; a pick's ids are dropped once its child is
-        projected.
-        record and lu_record are the node's su and lu fill records (see
+        [projection, prefix, picks, next, rows, record], where picks are the
+        node's selected children in order and next indexes the first one not
+        yet searched. Negatives are the dense items from the order's
+        boundary up, so a child at or above it is negative, and each child
+        of a negative frame extends from the picks after it. A child's depth
+        is the length of its prefix. rows holds, per pick, the ids of the
+        views that hold it, from one walk of the node's views once its picks
+        are known (see projection.occurrences), or None where the child
+        scans every view; a pick's ids are dropped once its child is
+        projected. record is the node's positive fill record (see
         bounds.fill_subtree_and_local), kept by the root's frame and by each
-        deferred positive frame, None in a negative frame, and lu_record None
-        wherever lu is; a pick's cells leave record as its child is filled.
+        deferred positive frame, None in a negative frame; a pick's cells
+        leave record as its child is filled.
 
         Each child is projected from its rows, scored and offered, and then
         filled through fill_subtree_and_local, unless it is a negative child
@@ -236,38 +229,36 @@ class _Miner:
         node's own utility falls below it, and is handed P's recorded cells
         for z as caps, so it skips whole the periods where su_P,p(z) falls
         below the cutoff: no extension of the child can reach it there. A
-        negative child fills at cutoff zero with no caps and lu None, and
-        records no positive cell (see bounds.py). Each child's negative
-        candidates are tested right after its fill, at the cutoff it filled
-        at: a positive child's are the keys of its fill's negative record,
-        ascending, a negative child's the picks after it. The negatives a
-        child picks go on the stack, walked, above a deferred frame (rows
-        None), whose picks slot holds the child's candidates until it
-        selects: the keys of the child's record, ascending. A fill that
-        records nothing pushes no deferred frame. Once the negative subtree
-        is done, the deferred frame selects the child's own children from
-        its records against the threshold of that moment, and then walks its
-        views for them.
+        negative child fills at cutoff zero with no caps, and records no
+        positive cell (see bounds.py). Each child's negative candidates are
+        tested right after its fill, at the cutoff it filled at: a positive
+        child's are the keys of its fill's negative record, ascending, a
+        negative child's the picks after it. The negatives a child picks go
+        on the stack, walked, above a deferred frame (rows None), whose
+        picks slot holds the child's candidates until it selects: the keys
+        of the child's record, ascending. A fill that records nothing pushes
+        no deferred frame. Once the negative subtree is done, the deferred
+        frame selects the child's own children from its record against the
+        threshold of that moment, and then walks its views for them.
         """
-        su, lu, neg = self.su, self.lu, self.neg
+        su, neg, local = self.su, self.neg, self.local
+        su_prune, prune = self.su_prune, self.su_prune or self.lu_prune
         collector = self.collector
         period_totals = self.period_totals
         ext_id = self.ext_id
         boundary = self.boundary
-        su_num, _, t_den = self._cutoffs()
-        record, lu_record, _ = fill_subtree_and_local(
-            root, su, lu, neg, period_totals, su_num, t_den
-        )
-        primary = select_primary_secondary(
-            record, lu_record, sorted(record), su_num, 0, t_den, period_totals
-        )[0]
-        stack = [[root, (), primary, 0, occurrences(root, primary), record, lu_record]]
+        t_num, t_den = collector.threshold
+        cut = t_num if su_prune else 0
+        record = fill_subtree_and_local(root, su, neg, period_totals, cut, t_den, local=local)[0]
+        primary = sorted(record)
+        stack = [[root, (), primary, 0, occurrences(root, primary), record]]
         while stack:
             frame = stack[-1]
-            pd, prefix, picks, i, rows, record, lu_record = frame
+            pd, prefix, picks, i, rows, record = frame
             if rows is None:
+                t_num, t_den = collector.threshold
                 picks = select_primary_secondary(
-                    record, lu_record, picks, *self._cutoffs(), period_totals
+                    record, period_totals, picks, t_num if prune else 0, t_den
                 )[0]
                 rows = occurrences(pd, picks)
                 frame[2], frame[4] = picks, rows
@@ -291,22 +282,23 @@ class _Miner:
             negative = z >= boundary
             if negative and i == len(picks):
                 continue  # the last negative pick has no later one to add
-            su_num, _, t_den = self._cutoffs()
+            t_num, t_den = collector.threshold
+            cut = t_num if su_prune else 0
             if negative:
                 # a negative child's prefix utilities can be negative, so its
                 # own utility bounds none of its brackets: it fills ungated
-                negatives = fill_subtree_and_local(child, su, None, neg, period_totals)[2]
+                negatives = fill_subtree_and_local(child, su, neg, period_totals)[1]
                 rest = picks[i:]
             else:
-                kept, lu_kept, negatives = fill_subtree_and_local(
-                    child, su, lu, neg, period_totals, su_num, t_den, record.pop(z)
+                kept, negatives = fill_subtree_and_local(
+                    child, su, neg, period_totals, cut, t_den, record.pop(z), local
                 )
                 if kept:
-                    stack.append([child, ext, sorted(kept), 0, None, kept, lu_kept])
+                    stack.append([child, ext, sorted(kept), 0, None, kept])
                 rest = sorted(negatives)
-            picked = select_negative_candidates(negatives, rest, su_num, t_den, period_totals)
+            picked = select_negative_candidates(negatives, rest, cut, t_den, period_totals)
             if picked:
-                stack.append([child, ext, picked, 0, occurrences(child, picked), None, None])
+                stack.append([child, ext, picked, 0, occurrences(child, picked), None])
 
 
 def mine_top_k(
@@ -321,9 +313,9 @@ def mine_top_k(
     Returns the ranked pattern list and the run's counters. The debug knobs
     (su_prune, lu_prune) change work done, never results. lu_prune always
     sets the root's local test, the TWU test that picks the positive items
-    of the order; below the root the local bound is filled and tested only
-    with su_prune off, since with the subtree rule on it changes no pick
-    (see bounds.py).
+    of the order; below the root the local bound is summed and tested only
+    with su_prune off, in place of the subtree bound, since with the
+    subtree rule on it changes no pick (see bounds.py).
     """
     _check_k(k)
     if len(db.item_signs) > MAX_DISTINCT_ITEMS:

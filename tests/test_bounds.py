@@ -97,11 +97,9 @@ def _miner(db, working, su_prune=True, lu_prune=True, threshold=Fraction(0)):
 
 
 def _miner_rows(db, working):
-    """The su, lu and neg scratch rows a run over db's working database
-    uses where it fills lu: only the su_prune=False ablation does, so this
-    is its miner. A default miner holds lu None."""
-    miner = _miner(db, working, su_prune=False)
-    return miner.su, miner.lu, miner.neg
+    """The su and neg scratch rows a run over db's working database uses."""
+    miner = _miner(db, working)
+    return miner.su, miner.neg
 
 
 def _last_item(pd):
@@ -133,11 +131,13 @@ def _at_cutoff(record, totals, cut):
     return kept
 
 
-SU, LU, NEG = range(3)
+# A fill returns (record, negatives): the positive record, of subtree sums
+# or, where the fill is local, of local sums, and the negative record.
+SU, NEG = range(2)
 
 
-def _recorded(pd, totals, t_num=0, t_den=1, walked=None, bound=SU):
-    """The record of one bound (SU, LU or NEG) a fill of pd at cutoff
+def _recorded(pd, totals, t_num=0, t_den=1, walked=None, bound="su"):
+    """The record of one bound ("su", "lu" or "neg") a fill of pd at cutoff
     t_num/t_den must return, from the bracket definitions: each item's sums
     that reach the cutoff times their period's total, in the periods the
     fill walked (walked, None for every period)."""
@@ -158,63 +158,72 @@ def _best(db, bound):
     return max(Fraction(bound(h), db.period_totals[h]) for h in db.periods)
 
 
-def _assert_filled(pd, records, su, lu, neg, totals, cut=(0, 1), tails=None, walked=None):
+def _assert_filled(
+    pd, records, su, neg, totals, cut=(0, 1), tails=None, walked=None, local=False
+):
     """After a fill of the root or of a positive node at cutoff cut every
-    row cell is zero, the su record holds exactly the subtree sums that
-    reach the cutoff in the periods the fill walked (walked), the lu record,
-    where lu is handed, every local sum of those periods, and the neg record
-    the clipped sums that reach the cutoff in the periods whose tails the
-    fill walked (tails); None stands for every period."""
-    record, lu_record, _ = records
-    assert record == _recorded(pd, totals, *cut, walked)
-    assert lu_record == (None if lu is None else _recorded(pd, totals, 0, 1, walked, LU))
-    _assert_neg_filled(pd, records, su, lu, neg, totals, cut, tails)
+    row cell is zero, the positive record holds exactly the subtree sums,
+    or where the fill is local the local sums, that reach the cutoff in the
+    periods the fill walked (walked), and the neg record the clipped sums
+    that reach the cutoff in the periods whose tails the fill walked
+    (tails); None stands for every period."""
+    assert records[SU] == _recorded(pd, totals, *cut, walked, "lu" if local else "su")
+    _assert_neg_filled(pd, records, su, neg, totals, cut, tails)
 
 
-def _assert_neg_filled(pd, records, su, lu, neg, totals, cut=(0, 1), tails=None):
+def _assert_neg_filled(pd, records, su, neg, totals, cut=(0, 1), tails=None):
     """After any fill every row cell is zero, and the neg record holds, from
     the bracket definitions, the clipped sums that reach the cutoff cut in
     the periods whose tails the fill walked (tails, None for every period),
     clipped zeros included at cutoff zero."""
-    assert not any(su) and (lu is None or not any(lu)) and not any(neg)
-    assert records[NEG] == _recorded(pd, totals, *cut, tails, NEG)
+    assert not any(su) and not any(neg)
+    assert records[NEG] == _recorded(pd, totals, *cut, tails, "neg")
 
 
-def _assert_bounds_match_definitions(db, order, prefix, first, records, totals):
+def _assert_bounds_match_definitions(db, order, prefix, first, records, totals, local=False):
     """Each item from dense index first on holds, as its best recorded cell
-    ratio (in the su record for a positive, the neg record for a negative),
-    the best ratio of the definitional per-period bound (clipped for
-    negatives, local too for positives, in the lu record); an item that did
-    not occur has a zero bound in every period. records come from a fill at
-    cutoff zero."""
-    su_ratios, lu_ratios, neg_ratios = (_record_ratios(record, totals) for record in records)
-    assert lu_ratios.keys() == su_ratios.keys()
+    ratio (in the positive record for a positive, the neg record for a
+    negative), the best ratio of the definitional per-period bound: the
+    local bound for a positive where the fill is local, the subtree bound
+    otherwise, clipped for negatives; an item that did not occur has a zero
+    bound in every period. records come from a fill at cutoff zero."""
+    su_ratios, neg_ratios = (_record_ratios(record, totals) for record in records)
     for z in range(first, len(order)):
         z_ext = order.sequence[z]
         ratios = su_ratios if z < order.boundary else neg_ratios
-        want = _best(db, lambda h: subtree_bound(db, prefix, z_ext, h, order.position, clip=True))
-        assert ratios.get(z, 0) == want, (prefix, z_ext)
-        if z in su_ratios:
-            want_lu = _best(db, lambda h: local_bound(db, prefix, z_ext, h, order.position))
-            assert lu_ratios[z] == want_lu, (prefix, z_ext)
+        if local and z < order.boundary:
+            want = _best(db, lambda h: local_bound(db, prefix, z_ext, h, order.position))
+        else:
+            want = _best(
+                db, lambda h: subtree_bound(db, prefix, z_ext, h, order.position, clip=True)
+            )
+        assert ratios.get(z, 0) == want, (prefix, z_ext, local)
 
 
 def test_root_bounds_match_definitions(corpus):
+    """The root's fill at cutoff zero records every item, its subtree sums
+    by default and its local sums where the fill is local, over the same
+    keys."""
     for db in corpus[:30]:
         order, working, root = pipeline(db, merge=False)
-        su, lu, neg = _miner_rows(db, working)
+        su, neg = _miner_rows(db, working)
         totals = working.period_totals
-        assert len(su) == len(lu) == order.boundary
+        assert len(su) == order.boundary
         assert len(neg) == len(order)  # indexed by dense item
-        records = fill_subtree_and_local(root, su, lu, neg, totals)
-        _assert_filled(root, records, su, lu, neg, totals)
-        assert sorted(records[SU]) + sorted(records[NEG]) == list(range(len(order)))
-        _assert_bounds_match_definitions(db, order, (), 0, records, totals)
+        keys = []
+        for local in (False, True):
+            records = fill_subtree_and_local(root, su, neg, totals, local=local)
+            _assert_filled(root, records, su, neg, totals, local=local)
+            assert sorted(records[SU]) + sorted(records[NEG]) == list(range(len(order)))
+            _assert_bounds_match_definitions(db, order, (), 0, records, totals, local)
+            keys.append(records[SU].keys())
+        assert keys[0] == keys[1]
 
 
 def test_depth_one_bounds_match_definitions(corpus):
     # unmerged views are the original transactions, so the per-view clipped
-    # fill must equal the per-transaction definitional form exactly
+    # fill must equal the per-transaction definitional form exactly; the
+    # local fill records the local sums of the same items
     rng = random.Random(8181)
     for db in corpus[:30]:
         order, working, root = pipeline(db, merge=False)
@@ -222,12 +231,16 @@ def test_depth_one_bounds_match_definitions(corpus):
             continue
         z0 = rng.randrange(order.boundary)
         pd = project(root, z0)
-        su, lu, neg = _miner_rows(db, working)
+        su, neg = _miner_rows(db, working)
         totals = working.period_totals
-        records = fill_subtree_and_local(pd, su, lu, neg, totals)
-        _assert_filled(pd, records, su, lu, neg, totals)
         prefix = (order.sequence[z0],)
-        _assert_bounds_match_definitions(db, order, prefix, z0 + 1, records, totals)
+        keys = []
+        for local in (False, True):
+            records = fill_subtree_and_local(pd, su, neg, totals, local=local)
+            _assert_filled(pd, records, su, neg, totals, local=local)
+            _assert_bounds_match_definitions(db, order, prefix, z0 + 1, records, totals, local)
+            keys.append(records[SU].keys())
+        assert keys[0] == keys[1]
 
 
 def _subtree_ratios(records, totals):
@@ -310,9 +323,9 @@ def _assert_neg_matches_definitions(db, order, prefix, first, negatives, totals)
 def test_negative_tail_fill_matches_definitions(corpus):
     """A positive node's fill records the clipped definitional sums of its
     negatives. So does the fill of a negative child after it, as the search
-    makes it, handed lu None; that fill records no positive cell and no lu
-    record, leaves every row cell zero, and leaves the positive fill's
-    records exactly as they were for its deferred selection."""
+    makes it; that fill records no positive cell, leaves every row cell
+    zero, and leaves the positive fill's records exactly as they were for
+    its deferred selection."""
     rng = random.Random(2727)
     checked = negative_nodes = 0
     for db in corpus:
@@ -321,19 +334,19 @@ def test_negative_tail_fill_matches_definitions(corpus):
             continue
         z0 = rng.randrange(order.boundary)
         pd = project(root, z0)
-        su, lu, neg = _miner_rows(db, working)
+        su, neg = _miner_rows(db, working)
         totals = working.period_totals
-        records = fill_subtree_and_local(pd, su, lu, neg, totals)
-        _assert_filled(pd, records, su, lu, neg, totals)
+        records = fill_subtree_and_local(pd, su, neg, totals)
+        _assert_filled(pd, records, su, neg, totals)
         prefix = (order.sequence[z0],)
         checked += _assert_neg_matches_definitions(db, order, prefix, z0 + 1, records[NEG], totals)
         if records[NEG]:
             n = rng.choice(sorted(records[NEG]))
             child = project(pd, n)
-            positives = copy.deepcopy(records[:2])
-            below = fill_subtree_and_local(child, su, None, neg, totals)
-            assert below[:2] == ({}, None) and records[:2] == positives
-            _assert_neg_filled(child, below, su, lu, neg, totals)
+            positives = copy.deepcopy(records[SU])
+            below = fill_subtree_and_local(child, su, neg, totals)
+            assert below[SU] == {} and records[SU] == positives
+            _assert_neg_filled(child, below, su, neg, totals)
             prefix += (order.sequence[n],)
             _assert_neg_matches_definitions(db, order, prefix, n + 1, below[NEG], totals)
             negative_nodes += 1
@@ -355,44 +368,44 @@ def _projection(views_by_period):
     )
 
 
-def _three_rows(boundary, n_items):
-    """Fresh su, lu and neg scratch rows."""
-    return [0] * boundary, [0] * boundary, [0] * n_items
+def _two_rows(boundary, n_items):
+    """Fresh su and neg scratch rows."""
+    return [0] * boundary, [0] * n_items
 
 
 def test_fill_folds_each_period_into_the_records():
     # Positives 0 and 1, negatives 2 and 3; views (items, utilities,
     # offset, prefix utility) in periods 0 and 2 of three.
-    su, lu, neg = _three_rows(2, 4)
+    su, neg = _two_rows(2, 4)
     totals = [10, 7, 3]
     pd = _projection({0: [([0, 1, 3], [4, 5, -2], 0, 6)], 2: [([1, 2], [3, -9], 0, 6)]})
-    records = fill_subtree_and_local(pd, su, lu, neg, totals)
+    records = fill_subtree_and_local(pd, su, neg, totals)
     # period sums, all recorded at cutoff zero: su 15 and 11 in period 0,
-    # item 1's 9 in period 2; lu 15 for both in period 0, 9 in period 2;
-    # neg 4 for item 3 in period 0, and item 2's 6 - 9 clipped to 0 in
-    # period 2, recorded since it occurred
-    first = (
-        {0: {0: 15}, 1: {0: 11, 2: 9}},
-        {0: {0: 15}, 1: {0: 15, 2: 9}},
-        {3: {0: 4}, 2: {2: 0}},
-    )
+    # item 1's 9 in period 2; neg 4 for item 3 in period 0, and item 2's
+    # 6 - 9 clipped to 0 in period 2, recorded since it occurred
+    first = ({0: {0: 15}, 1: {0: 11, 2: 9}}, {3: {0: 4}, 2: {2: 0}})
     assert records == first
-    _assert_filled(pd, records, su, lu, neg, totals)
+    _assert_filled(pd, records, su, neg, totals)
+    # a local fill records the local sums in place of the subtree ones, 15
+    # for both items in period 0 and 9 in period 2, and the same negatives
+    local = fill_subtree_and_local(pd, su, neg, totals, local=True)
+    assert local == ({0: {0: 15}, 1: {0: 15, 2: 9}}, first[NEG])
+    _assert_filled(pd, local, su, neg, totals, local=True)
 
     # the next fill resets nothing and returns records of its own; the first
     # fill's records stay as they were
     pd = _projection({1: [([0, 3], [1, -5], 0, 7)]})
-    second = fill_subtree_and_local(pd, su, lu, neg, totals)
-    assert second == ({0: {1: 8}}, {0: {1: 8}}, {3: {1: 2}})
+    second = fill_subtree_and_local(pd, su, neg, totals)
+    assert second == ({0: {1: 8}}, {3: {1: 2}})
     assert records == first
-    _assert_filled(pd, second, su, lu, neg, totals)
+    _assert_filled(pd, second, su, neg, totals)
 
     # each period keeps its own cell, tested against its own total: 8/8
     # reaches the threshold 1 and 4/4 ties it, 8/8 alone passes 1 at
     # equality and nothing passes 9/8
-    su, lu, neg = _three_rows(1, 4)
+    su, neg = _two_rows(1, 4)
     pd = _projection({0: [([0, 3], [9, -1], 1, 9)], 1: [([3], [-2], 0, 6)]})
-    negatives = fill_subtree_and_local(pd, su, lu, neg, [8, 4])[NEG]
+    negatives = fill_subtree_and_local(pd, su, neg, [8, 4])[NEG]
     assert negatives == {3: {0: 8, 1: 4}}
     assert select_negative_candidates(negatives, [3], 1, 1, [8, 4]) == [3]
     assert select_negative_candidates(negatives, [3], 9, 8, [8, 4]) == []
@@ -412,90 +425,85 @@ def _random_projection(rng, periods, boundary, n_items):
     return _projection(views)
 
 
-def _live(records, su, lu, neg):
+def _live(records, su, neg):
     """What a fill leaves for the search to read, per bound: its record
     and its scratch row."""
-    return tuple(zip(records, (su, lu, neg)))
+    return tuple(zip(records, (su, neg)))
 
 
 @pytest.mark.parametrize("boundary, n_items", [(3, 6), (100, 200)])
 def test_each_fill_clears_what_the_previous_fill_left(boundary, n_items):
     """Filling projection A and then B leaves the rows and records reading
     as fresh rows filled with B alone, although A occupies periods B does
-    not."""
+    not; so do local fills."""
     rng = random.Random(boundary)
     totals = [rng.randint(1, 60) for _ in range(4)]
     a = _random_projection(rng, [0, 2, 3], boundary, n_items)
     b = _random_projection(rng, [1, 3], boundary, n_items)
-    reused = _three_rows(boundary, n_items)
-    fresh = _three_rows(boundary, n_items)
-    fill_subtree_and_local(a, *reused, totals)
-    after_b = fill_subtree_and_local(b, *reused, totals)
-    assert _live(after_b, *reused) == _live(fill_subtree_and_local(b, *fresh, totals), *fresh)
+    for local in (False, True):
+        reused = _two_rows(boundary, n_items)
+        fresh = _two_rows(boundary, n_items)
+        fill_subtree_and_local(a, *reused, totals, local=local)
+        after_b = fill_subtree_and_local(b, *reused, totals, local=local)
+        want = fill_subtree_and_local(b, *fresh, totals, local=local)
+        assert _live(after_b, *reused) == _live(want, *fresh)
 
 
 def test_selection_applies_both_bound_tests():
+    """The one positive selection tests whichever bound the fill recorded:
+    the subtree cells by default, the local cells where the fill is
+    local."""
     # one period of total 10, threshold 1/4; item 2 never occurred, so the
-    # records, whose su keys are the candidates, hold no cell for it
+    # records, whose keys are the candidates, hold no cell for it
     totals = [10]
     record = {0: {0: 10}, 1: {0: 2}}
-    lu_record = {0: {0: 10}, 1: {0: 4}}
+    local_record = {0: {0: 10}, 1: {0: 4}}
     candidates = sorted(record)
-    primary, secondary = select_primary_secondary(record, lu_record, candidates, 1, 1, 4, totals)
-    assert primary == [0]        # item 1 fails the subtree test (2/10 < 1/4)
-    assert secondary == [0, 1]
+    # item 1 fails the subtree test (2/10 < 1/4) and passes the local one
+    assert select_primary_secondary(record, totals, candidates, 1, 4) == ([0], None)
+    assert select_primary_secondary(local_record, totals, candidates, 1, 4) == ([0, 1], None)
     # at threshold zero every recorded item passes
-    primary, secondary = select_primary_secondary(record, lu_record, candidates, 0, 0, 1, totals)
-    assert primary == secondary == [0, 1]
-    # each rule has its own numerator: a zero subtree numerator passes item 1
-    primary, secondary = select_primary_secondary(record, lu_record, candidates, 0, 1, 4, totals)
-    assert primary == secondary == [0, 1]
-    # a local cell below the cutoff drops the item from both lists
-    lu_record = {0: {0: 2}, 1: {0: 4}}
-    assert select_primary_secondary(record, lu_record, candidates, 1, 1, 4, totals) == ([], [1])
-    # with lu_record None no local test runs and no secondary list is built
-    assert select_primary_secondary(record, None, candidates, 1, 1, 4, totals) == ([0], None)
+    assert select_primary_secondary(record, totals, candidates, 0, 1) == ([0, 1], None)
+    # a local cell below the cutoff drops the item
+    local_record = {0: {0: 2}, 1: {0: 4}}
+    assert select_primary_secondary(local_record, totals, candidates, 1, 4) == ([1], None)
 
 
 def test_selection_degrades_to_occurrence_when_disabled():
     """A rule that is off tests at numerator zero, which every recorded
-    item passes, since every bound is at least zero."""
+    item passes, since every bound is at least zero. The fills sum the
+    local bound only where it is the only positive rule."""
     totals = [5, 9]
     record = {0: {0: 0}, 2: {1: 0}}
-    lu_record = {0: {0: 0}, 2: {1: 0}}
-    primary, secondary = select_primary_secondary(
-        record, lu_record, sorted(record), 0, 0, 99, totals
-    )
-    assert primary == secondary == [0, 2]
+    assert select_primary_secondary(record, totals, sorted(record), 0, 99) == ([0, 2], None)
     assert select_negative_candidates(record, [0, 1, 2], 0, 99, totals) == [0, 2]
 
     db = parse_database("1 2:5:2 3:0\n2:4:4:1\n")
     working = pipeline(db)[1]
     for su_prune, lu_prune in itertools.product((True, False), repeat=2):
         miner = _miner(db, working, su_prune, lu_prune, Fraction(3, 7))
-        assert miner._cutoffs() == (3 if su_prune else 0, 3 if lu_prune else 0, 7)
+        assert miner.local == (lu_prune and not su_prune)
 
 
 def test_selection_boundary_equality_counts():
     record = {0: {0: 5}}
-    picked = select_primary_secondary(record, {0: {0: 5}}, [0], 1, 1, 2, [10])
-    assert picked == ([0], [0])
+    assert select_primary_secondary(record, [10], [0], 1, 2) == ([0], None)
     assert select_negative_candidates(record, [0], 1, 2, [10]) == [0]
     # each cell is tested against its own period's total: 1/10 fails the
     # threshold 1/4, and 5/20 reaches it in the other period
     record = {0: {0: 1, 1: 5}}
-    assert select_primary_secondary(record, None, [0], 1, 0, 4, [10, 20]) == ([0], None)
-    assert select_primary_secondary(record, None, [0], 1, 0, 4, [10, 21]) == ([], None)
+    assert select_primary_secondary(record, [10, 20], [0], 1, 4) == ([0], None)
+    assert select_primary_secondary(record, [10, 21], [0], 1, 4) == ([], None)
     assert select_negative_candidates(record, [0], 1, 4, [10, 20]) == [0]
     assert select_negative_candidates(record, [0], 1, 4, [10, 21]) == []
 
 
 def test_negative_candidate_selection():
     # negatives are items 3..6 of a neg row indexed by dense item
-    su, lu, neg = _three_rows(3, 7)
+    su, neg = _two_rows(3, 7)
     pd = _projection({0: [([1, 4, 5], [10, -3, -7], 1, 10), ([1, 6], [1, -5], 1, 1)]})
-    record, lu_record, negatives = fill_subtree_and_local(pd, su, lu, neg, [20])
-    assert record == lu_record == {}
+    record, negatives = fill_subtree_and_local(pd, su, neg, [20])
+    assert record == {}
     # item 6: 1 - 5 < 0 is clipped, and still occurred
     assert negatives == {5: {0: 3}, 4: {0: 7}, 6: {0: 0}}
     for candidates in (sorted(negatives), range(3, 7)):
@@ -519,10 +527,10 @@ def test_negative_listed_again_in_a_period_keeps_its_first_fold():
     to 0; in the second it is 12 - 2 = 10, and n's bracket is 9."""
     a, m, n = 0, 1, 2
     pd = _projection({0: [([a, m, n], [3, -8, -1], 2, -5), ([a, m, n], [12, -2, -1], 2, 10)]})
-    su, lu, neg = _three_rows(1, 3)
-    records = fill_subtree_and_local(pd, su, None, neg, [20])
-    assert records == ({}, None, {n: {0: 9}})
-    _assert_neg_filled(pd, records, su, lu, neg, [20])
+    su, neg = _two_rows(1, 3)
+    records = fill_subtree_and_local(pd, su, neg, [20])
+    assert records == ({}, {n: {0: 9}})
+    _assert_neg_filled(pd, records, su, neg, [20])
     assert select_negative_candidates(records[NEG], [n], 1, 4, [20]) == [n]
 
 
@@ -530,37 +538,33 @@ def test_selection_reads_only_items_the_last_fill_saw():
     """An earlier fill's cells are in its own records: however large, they
     change no pick of a selection over the last fill's records, which hold
     only the items that fill saw, and those are the candidates."""
-    su, lu, neg = _three_rows(3, 6)
+    su, neg = _two_rows(3, 6)
     totals = [10, 10, 10]
     earlier = _projection({2: [([1, 4], [90, -1], 0, 90)]})
-    assert fill_subtree_and_local(earlier, su, lu, neg, totals) == (
-        {1: {2: 180}}, {1: {2: 180}}, {4: {2: 89}}
-    )
+    assert fill_subtree_and_local(earlier, su, neg, totals) == ({1: {2: 180}}, {4: {2: 89}})
     pd = _projection({0: [([0, 3], [8, -1], 0, 0), ([2], [1], 0, 0)]})
-    record, lu_record, negatives = fill_subtree_and_local(pd, su, lu, neg, totals)
-    assert record == lu_record == {0: {0: 8}, 2: {0: 1}}
+    record, negatives = fill_subtree_and_local(pd, su, neg, totals)
+    assert record == {0: {0: 8}, 2: {0: 1}}
     assert negatives == {3: {0: 0}}
-    primary, secondary = select_primary_secondary(
-        record, lu_record, sorted(record), 1, 1, 2, totals
-    )
-    assert primary == secondary == [0]
+    # here each local bracket equals the subtree one
+    assert fill_subtree_and_local(pd, su, neg, totals, local=True) == (record, negatives)
+    assert select_primary_secondary(record, totals, sorted(record), 1, 2) == ([0], None)
     assert select_negative_candidates(negatives, [3, 4], 1, 2, totals) == []
 
 
 def test_fills_without_kept_negatives():
     """With no kept negatives the fill records no negative, the negative
     selection picks nothing, and mining matches the oracle."""
-    su, lu, neg = _three_rows(3, 3)
+    su, neg = _two_rows(3, 3)
     totals = [10, 8]
     pd = _projection({0: [([0, 2], [2, 3], 0, 0)], 1: [([1], [4], 0, 0)]})
-    records = fill_subtree_and_local(pd, su, lu, neg, totals)
-    assert records == (
-        {0: {0: 5}, 1: {1: 4}, 2: {0: 3}},
-        {0: {0: 5}, 1: {1: 4}, 2: {0: 5}},
-        {},
-    )
+    records = fill_subtree_and_local(pd, su, neg, totals)
+    assert records == ({0: {0: 5}, 1: {1: 4}, 2: {0: 3}}, {})
     assert select_negative_candidates(records[NEG], sorted(records[NEG]), 0, 1, totals) == []
-    _assert_filled(pd, records, su, lu, neg, totals)
+    _assert_filled(pd, records, su, neg, totals)
+    local = fill_subtree_and_local(pd, su, neg, totals, local=True)
+    assert local == ({0: {0: 5}, 1: {1: 4}, 2: {0: 5}}, {})
+    _assert_filled(pd, local, su, neg, totals, local=True)
 
     profits = {1: 4, 2: 3, 3: 1}
     rows = [(0, [(1, 1), (2, 2)]), (0, [(2, 1), (3, 3)]), (1, [(1, 2), (3, 1)])]
@@ -572,14 +576,15 @@ def test_fills_without_kept_negatives():
 
 
 def test_fills_with_only_negatives():
-    """Views that hold only negatives record no su or lu cell and write
-    only neg cells; a database whose one profitable item heads only
+    """Views that hold only negatives record no positive cell, subtree or
+    local, and write only neg cells; a database whose one profitable item heads only
     negative extensions matches the oracle."""
-    su, lu, neg = _three_rows(1, 4)
+    su, neg = _two_rows(1, 4)
     pd = _projection({0: [([0, 1, 3], [9, -2, -4], 1, 9), ([0, 2], [9, -1], 1, 9)]})
-    records = fill_subtree_and_local(pd, su, lu, neg, [16])
-    assert records == ({}, {}, {3: {0: 5}, 1: {0: 7}, 2: {0: 8}})
-    _assert_filled(pd, records, su, lu, neg, [16])
+    records = fill_subtree_and_local(pd, su, neg, [16])
+    assert records == ({}, {3: {0: 5}, 1: {0: 7}, 2: {0: 8}})
+    assert fill_subtree_and_local(pd, su, neg, [16], local=True) == records
+    _assert_filled(pd, records, su, neg, [16])
     picked = select_negative_candidates(records[NEG], sorted(records[NEG]), 7, 16, [16])
     assert picked == [1, 2]  # 7/16 counts at equality; 8/16 passes; 5/16 does not
 
@@ -628,7 +633,7 @@ def _many_period_databases(n_periods, transactions, count, seed):
 def _period_sums(pd):
     """Per item, per period, the subtree, local and clipped negative sums
     of projection pd, from the bracket definitions: three dicts item ->
-    {period: sum}."""
+    {period: sum}, under "su", "lu" and "neg"."""
     su, lu, neg = {}, {}, {}
     for items, utils, off, prefix, p in pd.views:
         tail = list(zip(items[off:], utils[off:]))
@@ -641,7 +646,7 @@ def _period_sums(pd):
                 _add(lu, item, p, local)
             else:
                 _add(neg, item, p, max(prefix + u, 0))
-    return su, lu, neg
+    return {"su": su, "lu": lu, "neg": neg}
 
 
 def _add(sums, item, p, value):
@@ -661,45 +666,44 @@ def _per_period_rule(sums, z, t_num, t_den, totals):
 def test_many_periods_select_as_the_per_period_rule(monkeypatch, n_periods, transactions):
     """Every selection of whole mining runs keeps exactly the items the
     per-period rule keeps, over sums taken from the bracket definitions in
-    every period, and the miner matches the oracle: recording only the su
-    and neg cells at or above the fill's cutoff decides as the periods x
-    items sums would, and the periods and negative tails the fills skip
-    change no pick. Where lu is filled (the su_prune=False ablation)
-    secondary is the local rule's; where it is not (by default), no
-    secondary list is built, and primary is drawn from the items that occur
-    in a period the fill walked."""
+    every period, and the miner matches the oracle: recording only the
+    positive and neg cells at or above the fill's cutoff decides as the
+    periods x items sums would, and the periods and negative tails the
+    fills skip change no pick. The positive rule is the subtree rule by
+    default and the local rule under the su_prune=False ablation, where the
+    fills are local; either way no secondary list is built, and primary is
+    drawn from the items that occur in a period the fill walked."""
     databases = _many_period_databases(n_periods, transactions, 6, n_periods)
     sums = {}
     tested = []
     local_tested = []
 
-    def fill_both(pd, su, lu, neg, totals, t_num=0, t_den=1, caps=None):
-        records = fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
-        su_sums, lu_sums, sums["neg"] = _period_sums(pd)
+    def fill_both(pd, su, neg, totals, t_num=0, t_den=1, caps=None, local=False):
+        records = fill_subtree_and_local(pd, su, neg, totals, t_num, t_den, caps, local)
+        bounds = _period_sums(pd)
+        sums["neg"] = bounds["neg"]
         last = _last_item(pd)
         if last is None or last < len(su):
-            # a negative node's fill leaves su and lu to its positive parent
-            sums["su"], sums["lu"] = su_sums, lu_sums
+            # a negative node's fill leaves the positive sums to its
+            # positive parent
+            sums["positive"] = bounds["lu" if local else "su"]
+            sums["local"] = local
             sums["walked"] = _walked(pd, totals, t_num, t_den, caps)
         sums["totals"] = totals
         return records
 
-    def split(record, lu_record, candidates, su_num, lu_num, t_den, totals):
-        picked = select_primary_secondary(
-            record, lu_record, candidates, su_num, lu_num, t_den, totals
-        )
+    def split(record, totals, candidates, t_num, t_den):
+        picked = select_primary_secondary(record, totals, candidates, t_num, t_den)
         assert totals is sums["totals"]
-        if lu_record is None:
-            walked = sums["walked"]
-            secondary = [z for z in candidates if walked & sums["su"].get(z, {}).keys()]
-        else:
-            rule = sums["lu"]
-            secondary = [z for z in candidates if _per_period_rule(rule, z, lu_num, t_den, totals)]
-            local_tested.append(len(candidates))
-        primary = [z for z in secondary if _per_period_rule(sums["su"], z, su_num, t_den, totals)]
-        # with lu None no local test runs and no secondary list is built
-        assert picked == (primary, None if lu_record is None else secondary)
+        walked, rule = sums["walked"], sums["positive"]
+        primary = [
+            z for z in candidates
+            if walked & rule.get(z, {}).keys() and _per_period_rule(rule, z, t_num, t_den, totals)
+        ]
+        assert picked == (primary, None)
         tested.append(len(candidates))
+        if sums["local"]:
+            local_tested.append(len(candidates))
         return picked
 
     def negatives(negative_record, candidates, t_num, t_den, totals):
@@ -727,33 +731,35 @@ def test_many_periods_select_as_the_per_period_rule(monkeypatch, n_periods, tran
 )
 def test_every_row_cell_is_zero_after_each_fill(monkeypatch, n_periods, transactions):
     """Through whole mining runs, by default and under the su_prune=False
-    ablation that fills lu, every row cell is zero when a fill returns, so
-    the next fill starts from a clean row without a reset, and each record
-    holds exactly the sums from the bracket definitions that reach its
-    cutoff in the periods it walked (see _assert_filled). A negative node's
-    fill, handed lu None at cutoff zero and without caps, records no su
-    cell and no lu record, and every negative that occurred."""
+    ablation whose fills are local, every row cell is zero when a fill
+    returns, so the next fill starts from a clean row without a reset, and
+    each record holds exactly the sums from the bracket definitions that
+    reach its cutoff in the periods it walked (see _assert_filled): the
+    subtree sums by default, the local sums under the ablation. A negative
+    node's fill, not local, at cutoff zero and without caps, records no
+    positive cell, and every negative that occurred."""
     databases = _many_period_databases(n_periods, transactions, 6, n_periods)
     fills = []
     capped = []
-    negative_fills = 0
+    negative_fills = local_fills = 0
 
-    def fill_both(pd, su, lu, neg, totals, t_num=0, t_den=1, caps=None):
-        nonlocal negative_fills
+    def fill_both(pd, su, neg, totals, t_num=0, t_den=1, caps=None, local=False):
+        nonlocal negative_fills, local_fills
         last = _last_item(pd)
-        records = fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
+        records = fill_subtree_and_local(pd, su, neg, totals, t_num, t_den, caps, local)
         if last is not None and last >= len(su):
-            assert lu is None and t_num == 0 and caps is None
-            assert records[:2] == ({}, None)
-            _assert_neg_filled(pd, records, su, lu, neg, totals)
+            assert not local and t_num == 0 and caps is None
+            assert records[SU] == {}
+            _assert_neg_filled(pd, records, su, neg, totals)
             fills.append(len(records[NEG]))
             negative_fills += 1
             return records
         walked = _walked(pd, totals, t_num, t_den, caps)
         tails = _walked_tails(pd, totals, t_num, t_den, caps)
-        _assert_filled(pd, records, su, lu, neg, totals, (t_num, t_den), tails, walked)
+        _assert_filled(pd, records, su, neg, totals, (t_num, t_den), tails, walked, local)
         fills.append(len(records[SU]))
         capped.append(len(pd.periods) - len(walked))
+        local_fills += local
         return records
 
     monkeypatch.setattr(search, "fill_subtree_and_local", fill_both)
@@ -762,7 +768,7 @@ def test_every_row_cell_is_zero_after_each_fill(monkeypatch, n_periods, transact
             for flags in ({}, {"su_prune": False}):
                 mine_top_k(db, k, **flags)
     assert len(fills) > 100 and max(fills) > 1
-    assert sum(capped) > 0 and negative_fills > 0
+    assert sum(capped) > 0 and negative_fills > 0 and local_fills > 100
 
 
 def _walked(pd, totals, t_num, t_den, caps=None):
@@ -845,12 +851,12 @@ def _cutoffs_that_occur(rng, pd, totals, records):
 def test_gated_fill_of_a_positive_node_decides_as_the_ungated_one(corpus, n_periods):
     """Along random chains of positive items, from the root down, a fill
     that skips the negative tails of the periods where the node's own
-    utility is below the cutoff records the ungated fill's su and neg
-    cells from the cutoff up and the same lu record, selects the same
-    positives and negatives at that cutoff, and leaves every row cell
-    zero. Every negative bracket of a node whose prefix utilities are at
-    least zero is at most that prefix utility, so a skipped period holds
-    no negative that reaches the cutoff."""
+    utility is below the cutoff records the ungated fill's positive and neg
+    cells from the cutoff up, subtree cells by default and local cells where
+    both fills are local, selects the same positives and negatives at that
+    cutoff, and leaves every row cell zero. Every negative bracket of a node
+    whose prefix utilities are at least zero is at most that prefix utility,
+    so a skipped period holds no negative that reaches the cutoff."""
     rng = random.Random(4242 + n_periods)
     gated = skipped = 0
     for db in _chain_databases(corpus, n_periods):
@@ -862,27 +868,23 @@ def test_gated_fill_of_a_positive_node_decides_as_the_ungated_one(corpus, n_peri
         pd = root
         for _ in range(4):
             full = fill_subtree_and_local(pd, *ungated, totals)
+            local_full = fill_subtree_and_local(pd, *ungated, totals, local=True)[SU]
             for cut in _cutoffs_that_occur(rng, pd, totals, full):
                 t_num, t_den = cut.numerator, cut.denominator
-                su, lu, neg = rows
-                records = fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den)
-                record, lu_record, negatives = records
-                assert record == _at_cutoff(full[SU], totals, cut)
-                assert lu_record == full[LU]
-                assert negatives == _at_cutoff(full[NEG], totals, cut)
-                tails = _walked_tails(pd, totals, t_num, t_den)
-                _assert_neg_filled(pd, records, su, lu, neg, totals, (t_num, t_den), tails)
-                cutoffs = (t_num, t_num, t_den, totals)
-                want = select_primary_secondary(full[SU], full[LU], sorted(full[SU]), *cutoffs)
-                got = select_primary_secondary(record, lu_record, sorted(record), *cutoffs)
-                # the gated record holds the items with a cell at the cutoff;
-                # the ungated one lists every item that occurred
-                assert got == (want[0], [z for z in want[1] if z in record])
-                # without lu, no secondary list is built, and primary is the
-                # same: su <= lu cell by cell
-                assert select_primary_secondary(record, None, sorted(record), *cutoffs) == (
-                    want[0], None
-                )
+                su, neg = rows
+                for local, positives in ((True, local_full), (False, full[SU])):
+                    records = fill_subtree_and_local(pd, su, neg, totals, t_num, t_den, None, local)
+                    record, negatives = records
+                    assert record == _at_cutoff(positives, totals, cut)
+                    assert negatives == _at_cutoff(full[NEG], totals, cut)
+                    tails = _walked_tails(pd, totals, t_num, t_den)
+                    _assert_neg_filled(pd, records, su, neg, totals, (t_num, t_den), tails)
+                    # the gated record holds the items with a cell at the
+                    # cutoff; the ungated one lists every item that occurred
+                    cutoffs = (t_num, t_den)
+                    want = select_primary_secondary(positives, totals, sorted(positives), *cutoffs)
+                    got = select_primary_secondary(record, totals, sorted(record), *cutoffs)
+                    assert got == want
                 cutoffs = (t_num, t_den, totals)
                 want = select_negative_candidates(full[NEG], range(boundary, n), *cutoffs)
                 assert select_negative_candidates(negatives, sorted(negatives), *cutoffs) == want
@@ -919,9 +921,9 @@ def test_search_fills_a_negative_node_ungated():
     assert order.position[n1] < order.position[n2]
     fills = []
 
-    def fill(pd, su, lu, neg, totals, t_num=0, t_den=1, caps=None):
+    def fill(pd, su, neg, totals, t_num=0, t_den=1, caps=None, local=False):
         fills.append((pd.utilities, t_num))
-        return fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
+        return fill_subtree_and_local(pd, su, neg, totals, t_num, t_den, caps, local)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "fill_subtree_and_local", fill)
@@ -941,16 +943,18 @@ def test_gate_tests_each_period_not_the_node_overall():
     totals = [10, 100]
     pd = _projection({0: [([0, 2], [6, -1], 1, 6)], 1: [([1, 3], [2, -1], 0, 1)]})
     assert pd.utilities == [6, 1]
-    su, lu, neg = _three_rows(2, 4)
-    records = fill_subtree_and_local(pd, su, lu, neg, totals, 1, 4)
+    su, neg = _two_rows(2, 4)
+    records = fill_subtree_and_local(pd, su, neg, totals, 1, 4)
     assert records[NEG] == {2: {0: 5}}
     assert select_negative_candidates(records[NEG], [2, 3], 1, 4, totals) == [2]
-    _assert_filled(pd, records, su, lu, neg, totals, (1, 4), tails={0})
-    full = fill_subtree_and_local(pd, *_three_rows(2, 4), totals)
+    _assert_filled(pd, records, su, neg, totals, (1, 4), tails={0})
+    full = fill_subtree_and_local(pd, *_two_rows(2, 4), totals)
     assert full[SU] == {1: {1: 3}}  # 3/100, below the cutoff
     assert records[SU] == _at_cutoff(full[SU], totals, Fraction(1, 4)) == {}
-    assert records[LU] == full[LU] == {1: {1: 3}}
     assert full[NEG] == {2: {0: 5}, 3: {1: 0}}
+    # item 1's local sum is 3/100 too: a local fill records it at zero only
+    assert fill_subtree_and_local(pd, su, neg, totals, local=True)[SU] == {1: {1: 3}}
+    assert fill_subtree_and_local(pd, su, neg, totals, 1, 4, local=True) == records
 
 
 def _cap_cutoffs(rng, pd, totals, caps, full, floor):
@@ -982,9 +986,8 @@ def test_capped_fill_decides_as_the_uncapped_one(corpus, n_periods):
     period, and the capped su and neg records hold exactly the ungated
     cells at the cutoff in the periods it walked; an item the capped record
     leaves out has no ungated cell at the cutoff, and is never primary. The
-    local test agrees on every item both records hold. A selection handed
-    no lu record, as by default, builds no secondary list and picks as one
-    at a zero local cutoff."""
+    search makes local fills at cutoff zero only, where caps skip
+    nothing."""
     rng = random.Random(5353 + n_periods)
     capped = tested = dropped = 0
     for db in _chain_databases(corpus, n_periods):
@@ -1003,7 +1006,7 @@ def test_capped_fill_decides_as_the_uncapped_one(corpus, n_periods):
             # P's cutoff: a subtree cell ratio of P from the lower half of
             # those at or above its parent's cutoff
             cells = sorted(
-                {Fraction(s, totals[p]) for by in _period_sums(pd)[0].values()
+                {Fraction(s, totals[p]) for by in _period_sums(pd)["su"].values()
                  for p, s in by.items() if s > 0 and Fraction(s, totals[p]) >= floor}
             )
             floor = rng.choice(cells[: len(cells) // 2 + 1]) if cells else floor
@@ -1016,27 +1019,17 @@ def test_capped_fill_decides_as_the_uncapped_one(corpus, n_periods):
             full = fill_subtree_and_local(pd, *ungated, totals)
             for cut in _cap_cutoffs(rng, pd, totals, caps, full, floor):
                 t_num, t_den = cut.numerator, cut.denominator
-                su, lu, neg = rows
-                records = fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
-                record, lu_record, negatives = records
+                su, neg = rows
+                records = fill_subtree_and_local(pd, su, neg, totals, t_num, t_den, caps)
+                record, negatives = records
                 walked = _walked(pd, totals, t_num, t_den, caps)
                 tails = _walked_tails(pd, totals, t_num, t_den, caps)
-                _assert_filled(pd, records, su, lu, neg, totals, (t_num, t_den), tails, walked)
+                _assert_filled(pd, records, su, neg, totals, (t_num, t_den), tails, walked)
                 assert record == _at_cutoff(full[SU], totals, cut)
                 assert negatives == _at_cutoff(full[NEG], totals, cut)
-                for lu_num in (t_num, 0):
-                    cutoffs = (t_num, lu_num, t_den, totals)
-                    got = select_primary_secondary(record, lu_record, sorted(record), *cutoffs)
-                    want = select_primary_secondary(
-                        full[SU], full[LU], sorted(full[SU]), *cutoffs
-                    )
-                    assert got[0] == want[0]
-                    assert got[1] == [y for y in want[1] if y in record]
-                    if not lu_num:
-                        # without lu, the selection picks as at a zero local cutoff
-                        assert select_primary_secondary(record, None, sorted(record), *cutoffs) == (
-                            got[0], None
-                        )
+                got = select_primary_secondary(record, totals, sorted(record), t_num, t_den)
+                want = select_primary_secondary(full[SU], totals, sorted(full[SU]), t_num, t_den)
+                assert got == want
                 for y in full[SU].keys() - record.keys():
                     assert _at_cutoff({y: full[SU][y]}, totals, cut) == {}
                     dropped += 1
@@ -1066,38 +1059,34 @@ def test_cap_skips_a_period_the_tail_gate_would_walk():
     assert pd.utilities == [6, 2]
     t_num, t_den = 1, 4
 
-    gated = _three_rows(3, 4)
+    gated = _two_rows(3, 4)
     gated_records = fill_subtree_and_local(pd, *gated, totals, t_num, t_den)
-    assert gated_records == ({1: {0: 9}}, {1: {0: 9, 1: 3}, 2: {1: 5}}, {3: {0: 5}})
+    assert gated_records == ({1: {0: 9}}, {3: {0: 5}})
     _assert_filled(pd, gated_records, *gated, totals, (t_num, t_den), tails={0})
 
-    su, lu, neg = _three_rows(3, 4)
-    records = fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
-    assert records == ({1: {0: 9}}, {1: {0: 9}}, {3: {0: 5}})
-    _assert_filled(pd, records, su, lu, neg, totals, (t_num, t_den), tails={0}, walked={0})
+    su, neg = _two_rows(3, 4)
+    records = fill_subtree_and_local(pd, su, neg, totals, t_num, t_den, caps)
+    assert records == ({1: {0: 9}}, {3: {0: 5}})
+    _assert_filled(pd, records, su, neg, totals, (t_num, t_den), tails={0}, walked={0})
 
-    ungated = _three_rows(3, 4)
+    ungated = _two_rows(3, 4)
     full = fill_subtree_and_local(pd, *ungated, totals)
-    assert full == (
-        {1: {0: 9, 1: 3}, 2: {1: 4}},
-        {1: {0: 9, 1: 3}, 2: {1: 5}},
-        {3: {0: 5, 1: 0}},
-    )
-    for lu_num in (t_num, 0):
-        cutoffs = (t_num, lu_num, t_den, totals)
-        assert select_primary_secondary(records[SU], records[LU], [1], *cutoffs)[0] == [1]
-        assert select_primary_secondary(full[SU], full[LU], [1, 2], *cutoffs)[0] == [1]
-    cutoffs = (t_num, t_num, t_den, totals)
-    want = select_primary_secondary(full[SU], full[LU], [1, 2], *cutoffs)
-    assert select_primary_secondary(records[SU], records[LU], [1], *cutoffs) == want
+    assert full == ({1: {0: 9, 1: 3}, 2: {1: 4}}, {3: {0: 5, 1: 0}})
+    want = select_primary_secondary(full[SU], totals, [1, 2], t_num, t_den)
+    assert want == ([1], None)
+    assert select_primary_secondary(records[SU], totals, [1], t_num, t_den) == want
     for negatives in (records[NEG], gated_records[NEG], full[NEG]):
         assert select_negative_candidates(negatives, [3], t_num, t_den, totals) == [3]
-    absent = _three_rows(3, 4)
+    absent = _two_rows(3, 4)
     absent_records = fill_subtree_and_local(pd, *absent, totals, t_num, t_den, {0: 9})
-    assert _live(absent_records, *absent) == _live(records, su, lu, neg)
-    # at cutoff zero the cap skips nothing
-    records = fill_subtree_and_local(pd, su, lu, neg, totals, 0, t_den, caps)
-    assert _live(records, su, lu, neg) == _live(full, *ungated)
+    assert _live(absent_records, *absent) == _live(records, su, neg)
+    # at cutoff zero the cap skips nothing, for a local fill too
+    records = fill_subtree_and_local(pd, su, neg, totals, 0, t_den, caps)
+    assert _live(records, su, neg) == _live(full, *ungated)
+    local = fill_subtree_and_local(pd, *ungated, totals, local=True)
+    assert local == ({1: {0: 9, 1: 3}, 2: {1: 5}}, full[NEG])
+    records = fill_subtree_and_local(pd, su, neg, totals, 0, t_den, caps, True)
+    assert _live(records, su, neg) == _live(local, *ungated)
 
 
 def test_cap_applies_to_a_positive_node_with_no_children_to_select():
@@ -1113,16 +1102,16 @@ def test_cap_applies_to_a_positive_node_with_no_children_to_select():
     pd = _projection({0: [([0], [6], 1, 6)], 1: [([0, 1, 3], [4, 1, -1], 1, 4)]})
     assert _parent_cells(pd) == caps
     t_num, t_den = 1, 4
-    su, lu, neg = _three_rows(2, 4)
-    records = fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
-    assert records == ({}, {}, {})
-    _assert_filled(pd, records, su, lu, neg, totals, (t_num, t_den), tails={0}, walked={0})
+    su, neg = _two_rows(2, 4)
+    records = fill_subtree_and_local(pd, su, neg, totals, t_num, t_den, caps)
+    assert records == ({}, {})
+    _assert_filled(pd, records, su, neg, totals, (t_num, t_den), tails={0}, walked={0})
 
-    gated = fill_subtree_and_local(pd, *_three_rows(2, 4), totals, t_num, t_den)
-    assert gated == ({}, {1: {1: 5}}, {})
+    gated = fill_subtree_and_local(pd, *_two_rows(2, 4), totals, t_num, t_den)
+    assert gated == ({}, {})
 
-    full = fill_subtree_and_local(pd, *_three_rows(2, 4), totals)
-    assert full == ({1: {1: 5}}, {1: {1: 5}}, {3: {1: 3}})
+    full = fill_subtree_and_local(pd, *_two_rows(2, 4), totals)
+    assert full == ({1: {1: 5}}, {3: {1: 3}})
     for negatives in (records[NEG], full[NEG]):
         assert select_negative_candidates(negatives, [3], t_num, t_den, totals) == []
 
@@ -1147,7 +1136,10 @@ def test_search_caps_each_positive_child_by_its_parents_record(monkeypatch):
     positive child X = P + {z} is handed P's cells for z, checked against
     X's own views, with every period left out below X's cutoff; the root
     and negative children are handed none. With the subtree rule off every
-    cutoff is zero, and the caps hold every period the child sells in."""
+    cutoff is zero and the fills are local: each record holds the local
+    sums, also at most TWU_p({z}), and the caps, P's local cells for z,
+    hold every period the child sells in, each at least the child's
+    subtree cell there."""
     databases = _many_period_databases(30, (40, 240), 6, 30)
     miners = []
     current = {}
@@ -1159,21 +1151,28 @@ def test_search_caps_each_positive_child_by_its_parents_record(monkeypatch):
         miners.append(self)
         return original(self, root, stats)
 
-    def fill(pd, su, lu, neg, totals, t_num=0, t_den=1, caps=None):
+    def fill(pd, su, neg, totals, t_num=0, t_den=1, caps=None, local=False):
         nonlocal recorded
         miner = miners[-1]
         last = _last_item(pd)
+        positive = last is None or last < miner.boundary
+        assert local == (positive and not miner.su_prune)
         if last is None or last >= miner.boundary:
             assert caps is None
         else:
             cells = _parent_cells(pd)
             assert caps.keys() <= cells.keys()
-            assert all(caps[p] == cells[p] for p in caps)
+            if local:
+                assert t_num == 0 and caps.keys() == cells.keys()
+                assert all(caps[p] >= cells[p] for p in caps)
+            else:
+                assert all(caps[p] == cells[p] for p in caps)
             assert all(cells[p] * t_den < t_num * totals[p] for p in cells.keys() - caps.keys())
             handed[miner.su_prune] += 1
-        records = fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
+        records = fill_subtree_and_local(pd, su, neg, totals, t_num, t_den, caps, local)
         kept = records[SU]
-        assert kept == _recorded(pd, totals, t_num, t_den, _walked(pd, totals, t_num, t_den, caps))
+        walked = _walked(pd, totals, t_num, t_den, caps)
+        assert kept == _recorded(pd, totals, t_num, t_den, walked, "lu" if local else "su")
         for z, cells in kept.items():
             row = current["twu"][miner.ext_id[z]]
             assert all(cell <= row[p] for p, cell in cells.items())
@@ -1194,30 +1193,28 @@ def test_search_caps_each_positive_child_by_its_parents_record(monkeypatch):
 
 
 def test_default_search_fills_no_local_bound(monkeypatch, corpus):
-    """Every fill of a whole run is handed lu None, and returns no lu
-    record, by default, with the local rule off and with both rules off;
-    only the su_prune=False ablation, where the local rule is the only
-    positive rule, hands the fills of the root and of positive nodes an lu
-    row, one per run, and each positive selection the lu record of the
-    fill that returned its su record. A negative node's fill is always
-    handed None: its views hold no positive item. Wherever the subtree rule
-    is on, lu changes no pick, so filling it is wasted."""
+    """No fill of a whole run is local by default, with the local rule off
+    or with both rules off; only the su_prune=False ablation, where the
+    local rule is the only positive rule, makes the fills of the root and
+    of positive nodes local, and each positive selection then tests the
+    local record of the fill that returned it. A negative node's fill is
+    never local: its views hold no positive item. Each run fills one su
+    row. Wherever the subtree rule is on, the local bound changes no pick,
+    so summing it would be wasted."""
     handed = []
-    lu_of = {}  # id of a fill's su record -> its lu record
+    local_of = {}  # id of a fill's positive record -> whether the fill was local
 
-    def fill(pd, su, lu, neg, totals, t_num=0, t_den=1, caps=None):
+    def fill(pd, su, neg, totals, t_num=0, t_den=1, caps=None, local=False):
         last = _last_item(pd)
-        records = fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
-        assert (records[LU] is None) == (lu is None)
+        records = fill_subtree_and_local(pd, su, neg, totals, t_num, t_den, caps, local)
         kind = "negative fill" if last is not None and last >= len(su) else "fill"
-        handed.append((kind, lu))
-        lu_of[id(records[SU])] = records[LU]
+        handed.append((kind, local, su))
+        local_of[id(records[SU])] = local
         return records
 
-    def split(record, lu_record, *args):
-        assert lu_record is lu_of[id(record)]
-        handed.append(("selection", lu_record))
-        return select_primary_secondary(record, lu_record, *args)
+    def split(record, *args):
+        handed.append(("selection", local_of[id(record)], None))
+        return select_primary_secondary(record, *args)
 
     monkeypatch.setattr(search, "fill_subtree_and_local", fill)
     monkeypatch.setattr(search, "select_primary_secondary", split)
@@ -1230,12 +1227,9 @@ def test_default_search_fills_no_local_bound(monkeypatch, corpus):
         handed.clear()
         for db in corpus[:20]:
             mine_top_k(db, 5, **flags)
-        kinds = {kind for kind, _ in handed}
+        kinds = {kind for kind, _, _ in handed}
         assert len(handed) > 40 and kinds == {"negative fill", "fill", "selection"}, flags
-        if filled:
-            want = {"negative fill": type(None), "fill": list, "selection": dict}
-            assert all(isinstance(lu, want[kind]) for kind, lu in handed), flags
-            rows = {id(lu) for kind, lu in handed if kind == "fill"}
-            assert len(rows) == 20  # one row per run
-        else:
-            assert all(lu is None for _, lu in handed), flags
+        want = {"negative fill": False, "fill": filled, "selection": filled}
+        assert all(local == want[kind] for kind, local, _ in handed), flags
+        rows = {id(row) for kind, _, row in handed if kind == "fill"}
+        assert len(rows) == 20  # one row per run

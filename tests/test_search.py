@@ -479,10 +479,12 @@ def test_threshold_rises_are_counted(running_example, corpus):
 
 
 def test_selections_read_the_threshold_of_their_moment(monkeypatch, corpus):
-    """Every selection tests against the collector's threshold as it
-    stands when the selection runs, which rises as the search goes; only
-    the root's local test runs at zero (root secondary came from the TWU
-    test)."""
+    """Every selection and every fill of the root or a positive node tests
+    against the collector's threshold as it stands when it runs, which
+    rises as the search goes. A rule that is off tests at numerator zero:
+    the fills and the negative selections where the subtree rule is off,
+    the positive selections where both positive rules are. A negative
+    node's fill always runs at zero."""
     miners = []
     thresholds = set()
     run = _Miner.search
@@ -491,24 +493,38 @@ def test_selections_read_the_threshold_of_their_moment(monkeypatch, corpus):
         miners.append(self)
         run(self, root, stats)
 
-    def split(record, lu_record, candidates, su_num, lu_num, t_den, totals):
-        t_num, want_den = miners[-1].collector.threshold
-        assert (su_num, t_den) == (t_num, want_den) and lu_num in (0, t_num)
+    def cutoff(rule_on):
+        t_num, t_den = miners[-1].collector.threshold
+        return (t_num if rule_on else 0), t_den
+
+    def fill(pd, su, neg, totals, t_num=0, t_den=1, caps=None, local=False):
+        items, _, off, _, _ = pd.views[0]
+        if off and items[off - 1] >= miners[-1].boundary:
+            assert t_num == 0
+        else:
+            assert (t_num, t_den) == cutoff(miners[-1].su_prune)
+        return fill_subtree_and_local(pd, su, neg, totals, t_num, t_den, caps, local)
+
+    def split(record, totals, candidates, t_num, t_den):
+        miner = miners[-1]
+        assert (t_num, t_den) == cutoff(miner.su_prune or miner.lu_prune)
         thresholds.add(Fraction(t_num, t_den))
-        return select_primary_secondary(
-            record, lu_record, candidates, su_num, lu_num, t_den, totals
-        )
+        return select_primary_secondary(record, totals, candidates, t_num, t_den)
 
     def negatives(negative_record, candidates, t_num, t_den, totals):
-        assert (t_num, t_den) == miners[-1].collector.threshold
+        assert (t_num, t_den) == cutoff(miners[-1].su_prune)
         thresholds.add(Fraction(t_num, t_den))
         return select_negative_candidates(negative_record, candidates, t_num, t_den, totals)
 
     monkeypatch.setattr(_Miner, "search", searched)
+    monkeypatch.setattr(search, "fill_subtree_and_local", fill)
     monkeypatch.setattr(search, "select_primary_secondary", split)
     monkeypatch.setattr(search, "select_negative_candidates", negatives)
-    for db in corpus[:20]:
-        mine_top_k(db, 3)
+    for flags in (
+        {}, {"su_prune": False}, {"lu_prune": False}, {"su_prune": False, "lu_prune": False}
+    ):
+        for db in corpus[:20]:
+            mine_top_k(db, 3, **flags)
     assert len(thresholds) > 1
 
 
@@ -543,6 +559,39 @@ def test_search_counters_are_pinned(params, k, counters):
     assert got == counters
 
 
+# Recorded (candidates, threshold_rises, max_depth) of the pinned databases
+# under the ablations: the subtree rule off on all six, where the local rule
+# is the only positive rule, and both rules off on three. The answer never
+# moves, but how much each rule prunes does, so a fill that sums another
+# bound, or a selection that tests at another numerator, shows here.
+ABLATION_COUNTERS = [
+    (11, {"su_prune": False}, (4528, 174, 7)),
+    (12, {"su_prune": False}, (11192, 330, 8)),
+    (13, {"su_prune": False}, (11108, 385, 7)),
+    (14, {"su_prune": False}, (78846, 508, 11)),
+    (15, {"su_prune": False}, (49864, 535, 8)),
+    (16, {"su_prune": False}, (6883, 445, 7)),
+    (11, {"su_prune": False, "lu_prune": False}, (8172, 174, 7)),
+    (13, {"su_prune": False, "lu_prune": False}, (29621, 385, 7)),
+    (16, {"su_prune": False, "lu_prune": False}, (59359, 445, 7)),
+]
+
+
+@pytest.mark.parametrize(
+    "seed, flags, counters",
+    ABLATION_COUNTERS,
+    ids=[f"seed{seed}-{'-'.join(flags)}" for seed, flags, _ in ABLATION_COUNTERS],
+)
+def test_ablation_counters_are_pinned(seed, flags, counters):
+    params, k, pinned = next(entry for entry in PINNED_COUNTERS if entry[0]["seed"] == seed)
+    db = parse_database(generate(GeneratorParams(**params)))
+    _, stats = mine_top_k(db, k, **flags)
+    assert (stats.candidates, stats.threshold_rises, stats.max_depth) == counters
+    # a node a rule prunes ranks below the threshold of its moment, so
+    # offering it raises nothing: the threshold rises at the same offers
+    assert counters[1] == pinned[1]
+
+
 def _watch_the_zero_seed_run(monkeypatch):
     """Mine the 365-period pinned database, whose threshold seed is zero,
     watching every fill and selection, and return the run's counters and
@@ -556,8 +605,7 @@ def _watch_the_zero_seed_run(monkeypatch):
     - zero_children: per positive child of such a fill, the periods its
       caps hold, the periods it sells in, and how many of them the caps
       skip at its own cutoff;
-    - root: the root fill's record keys, and the candidates the root
-      selection tested."""
+    - root: the root fill's record keys, and the root's picks."""
     params, k, counters = PINNED_COUNTERS[-1]
     assert params["periods"] == 365
     db = parse_database(generate(GeneratorParams(**params)))
@@ -574,7 +622,7 @@ def _watch_the_zero_seed_run(monkeypatch):
         miners.append(self)
         run(self, root, stats)
 
-    def fill(pd, su, lu, neg, totals, t_num=0, t_den=1, caps=None):
+    def fill(pd, su, neg, totals, t_num=0, t_den=1, caps=None, local=False):
         miner = miners[-1]
         items, _, off, _, _ = pd.views[0]
         last = items[off - 1] if off else None
@@ -591,7 +639,7 @@ def _watch_the_zero_seed_run(monkeypatch):
                 seen["record_skips"].append(by_record)
                 if cutoff_of[id(caps)] == 0:
                     seen["zero_children"].append((set(caps), set(pd.periods), len(by_record)))
-        records = fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
+        records = fill_subtree_and_local(pd, su, neg, totals, t_num, t_den, caps, local)
         kept = records[0]
         for cells in kept.values():
             cutoff_of[id(cells)] = t_num
@@ -602,14 +650,14 @@ def _watch_the_zero_seed_run(monkeypatch):
             seen["root"].append(sorted(kept))
         return records
 
-    def split(record, lu_record, candidates, *cutoffs):
+    def walk(pd, picks):
         if len(seen["root"]) == 1:
-            seen["root"].append(candidates)
-        return select_primary_secondary(record, lu_record, candidates, *cutoffs)
+            seen["root"].append(picks)
+        return occurrences(pd, picks)
 
     monkeypatch.setattr(_Miner, "search", searched)
     monkeypatch.setattr(search, "fill_subtree_and_local", fill)
-    monkeypatch.setattr(search, "select_primary_secondary", split)
+    monkeypatch.setattr(search, "occurrences", walk)
     _, stats = mine_top_k(db, k)
     return (stats.candidates, stats.threshold_rises, stats.max_depth), counters, seen
 
@@ -632,7 +680,7 @@ def test_parents_record_skips_more_periods_than_the_twu_row(monkeypatch):
 
 def test_zero_cutoff_fills_record_and_cap_their_children(monkeypatch):
     """A fill at cutoff zero records every positive item that occurred, so
-    the root selects from its record's keys, and every positive child of a
+    the root picks its record's keys, and every positive child of a
     zero-cutoff fill is capped by its parent's cells, which hold every
     period the child sells in. Once the threshold has risen, those caps
     skip periods at the child's own cutoff. On the 365-period pinned
@@ -641,8 +689,8 @@ def test_zero_cutoff_fills_record_and_cap_their_children(monkeypatch):
     assert got == counters == (1181, 445, 7)
     assert seen["uncapped"] == 0
     assert seen["zero"] and all(kept == held for kept, held in seen["zero"])
-    recorded, tested = seen["root"]
-    assert tested == recorded and recorded == sorted(seen["zero"][0][1])
+    recorded, picked = seen["root"]
+    assert picked == recorded and recorded == sorted(seen["zero"][0][1])
     assert seen["zero_children"]
     assert all(capped == sells for capped, sells, _ in seen["zero_children"])
     assert sum(skips for _, _, skips in seen["zero_children"]) > 0
@@ -662,44 +710,51 @@ class _CountingRow(list):
         super().__setitem__(z, value)
 
 
-def _run_with_picks(monkeypatch, db, k, local=False, capped=True, **flags):
+def _run_with_picks(monkeypatch, db, k, local_test=False, capped=True, **flags):
     """Mine db at k under flags and record, in order, the primary picks of
     every positive selection that picks something, and counts: the
     positive selections, the candidates the local test dropped, the
     periods the caps handed to the fills skip, and the su cells the fills
-    write. local=True forces the local fill on: the miner holds an lu
-    row, as the su_prune=False ablation's does, so every positive fill
-    records local cells and every selection applies the local test at the
-    threshold.
+    write. local_test=True applies the local test too: each positive fill
+    also sums its node's local bound, at cutoff zero into rows of its own,
+    and each selection keeps only the candidates whose local cells pass
+    the threshold before it applies its own test.
     capped=False hands every fill no caps: the search without the parent's
     record."""
     picks = []
     counts = dict.fromkeys(("selections", "dropped", "skipped", "written"), 0)
+    local_records = {}  # id of a fill's positive record -> (record, local record)
 
-    def split(record, lu_record, candidates, *cutoffs):
+    def split(record, totals, candidates, t_num, t_den):
         counts["selections"] += 1
-        primary, secondary = select_primary_secondary(record, lu_record, candidates, *cutoffs)
+        if local_test:
+            local_record = local_records[id(record)][1]
+            passed = select_primary_secondary(local_record, totals, candidates, t_num, t_den)[0]
+            counts["dropped"] += len(candidates) - len(passed)
+            candidates = passed
+        primary = select_primary_secondary(record, totals, candidates, t_num, t_den)[0]
         if primary:
             picks.append(primary)
-        if lu_record is not None:
-            counts["dropped"] += len(candidates) - len(secondary)
-        return primary, secondary
+        return primary, None
 
     def init(self, *args, **kwargs):
         build(self, *args, **kwargs)
         miners.append(self)
         self.su = _CountingRow(self.boundary)
-        if local:
-            self.lu = [0] * self.boundary
 
-    def fill(pd, su, lu, neg, totals, t_num=0, t_den=1, caps=None):
+    def fill(pd, su, neg, totals, t_num=0, t_den=1, caps=None, local=False):
         if not capped:
             caps = None
         elif caps is not None:
             counts["skipped"] += sum(
                 caps.get(p, 0) * t_den < t_num * totals[p] for p in pd.periods
             )
-        return fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
+        records = fill_subtree_and_local(pd, su, neg, totals, t_num, t_den, caps, local)
+        if local_test:
+            rows = [0] * len(su), [0] * len(neg)
+            sums = fill_subtree_and_local(pd, *rows, totals, local=True)[0]
+            local_records[id(records[0])] = records[0], sums
+        return records
 
     build = _Miner.__init__
     miners = []
@@ -746,14 +801,14 @@ def test_local_bound_changes_no_pick(monkeypatch, corpus):
     """While the subtree rule is on, an item the local test at a node X
     drops fails the subtree test at every positive node below X, since
     su_X'(y) <= lu_X(y) in every period and the threshold only rises. So
-    forcing the local fill on changes no primary pick, no pattern and no
-    counter, on the oracle corpus and on the pinned databases. It only
-    shortens the secondary lists: it drops candidates, which the subtree
-    test drops too. Each node's candidates come from its own fill, which
-    the local bound does not change, so both runs make the same
-    selections. A candidate is dropped only where the threshold rose between
-    the node's fill and its selection, inside its negative subtree, so the
-    databases include one built to make that happen at three nodes."""
+    applying the local test as well, from each node's local sums, changes no
+    primary pick, no pattern and no counter, on the oracle corpus and on the
+    pinned databases. It drops candidates, which the subtree test drops too.
+    Each node's candidates come from its own fill, which the local test does
+    not change, so both runs make the same selections. A candidate is
+    dropped only where the threshold rose between the node's fill and its
+    selection, inside its negative subtree, so the databases include one
+    built to make that happen at three nodes."""
     rising = _rises_in_negative_subtrees()
     db, k = rising
     index, totals = dense_periods(db)
@@ -766,8 +821,8 @@ def test_local_bound_changes_no_pick(monkeypatch, corpus):
     databases.append(rising)
     picked = dropped = 0
     for db, k in databases:
-        *local, local_counts = _run_with_picks(monkeypatch, db, k, local=True)
-        *default, counts = _run_with_picks(monkeypatch, db, k, local=False)
+        *local, local_counts = _run_with_picks(monkeypatch, db, k, local_test=True)
+        *default, counts = _run_with_picks(monkeypatch, db, k)
         assert local == default
         assert counts["selections"] == local_counts["selections"]
         assert counts["dropped"] == 0
@@ -825,8 +880,8 @@ def test_each_node_selects_from_its_own_fill(monkeypatch, corpus):
     fills = []
     checked = {True: 0, False: 0}
 
-    def fill(pd, su, lu, neg, totals, t_num=0, t_den=1, caps=None):
-        records = fill_subtree_and_local(pd, su, lu, neg, totals, t_num, t_den, caps)
+    def fill(pd, su, neg, totals, t_num=0, t_den=1, caps=None, local=False):
+        records = fill_subtree_and_local(pd, su, neg, totals, t_num, t_den, caps, local)
         items, _, off, _, _ = pd.views[0]
         last = items[off - 1] if off else None
         if last is None or last < len(su):
@@ -836,13 +891,13 @@ def test_each_node_selects_from_its_own_fill(monkeypatch, corpus):
             fills.append((last, t_num, sorted(records[0]), held))
         return records
 
-    def split(record, lu_record, candidates, *cutoffs):
+    def split(record, totals, candidates, *cutoffs):
         last, t_num, recorded, held = fills[-1]
         assert candidates == recorded and set(candidates) <= held
         if last is not None:
             assert candidates and candidates[0] > last
         checked[bool(t_num)] += 1
-        return select_primary_secondary(record, lu_record, candidates, *cutoffs)
+        return select_primary_secondary(record, totals, candidates, *cutoffs)
 
     monkeypatch.setattr(search, "fill_subtree_and_local", fill)
     monkeypatch.setattr(search, "select_primary_secondary", split)

@@ -402,3 +402,33 @@ def test_module_entry_point(tmp_path, running_text):
     )
     assert proc.returncode == 0
     assert proc.stdout.count("#RU:") == 2
+
+
+def test_benchmark_tracer_reaches_the_bound_layers(tmp_path):
+    """perfbench/tracer.py wraps the bound functions by name and reads
+    their arguments and results: the positive selection's third argument
+    and the first element of its result, the negative selection's second
+    argument and its list. A traced run of perfbench/child.py on a
+    database with loss-making items must reach all three functions and
+    count the candidates they test; a signature the tracer no longer reads
+    fails the run or leaves a figure at 0."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    text = generate(
+        GeneratorParams(transactions=300, items=30, periods=3, avg_len=5, neg_frac=0.3, seed=11)
+    )
+    db = tmp_path / "neg.db"
+    db.write_text(text, encoding="utf-8")
+    proc = subprocess.run(
+        [
+            sys.executable, os.path.join(root, "perfbench", "child.py"),
+            os.path.join(root, "src"), str(db), "40", str(tmp_path / "out.patterns"), "1",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    trace = json.loads(proc.stdout.splitlines()[-1])["trace"]
+    for name in ("fill_subtree_and_local", "select_primary_secondary",
+                 "select_negative_candidates"):
+        assert trace["calls"].get(f"bounds.{name}", 0) > 0, name
+    assert trace["counts"].get("bounds.candidates_tested", 0) > 0
