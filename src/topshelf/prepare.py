@@ -5,16 +5,18 @@ Every step from here on names a period by its dense index: dense period p
 is the p-th smallest period label, and totals[p] is its frozen total pto
 (dense_periods). One walk over the transactions gives every item its
 per-period TWU row, keyed by dense period, and its utility; the threshold
-seed, the root TWU test and the item order read those, and nothing after:
-the miner drops both once the order is built, before the working database,
-since the search caps each node by its parent's fill instead (see
-bounds.py). The mining order puts every positive-profit item before every
-negative one, each group sorted by ascending total TWU with ties broken by
-external id. Dense indices are positions in that order, so the sign of an
-item is just a comparison against the positive/negative boundary and
-transaction entries sort by plain integer index. The working database is
-built in a walk of its own, fusing identical rows as it goes, and it is
-the root projection the search starts from.
+seed, the singleton entries the miner seeds the collector with (a row's
+keys are the item's periods), the root TWU test and the item order read
+those, and nothing after: the miner drops both once the order is built,
+before the working database, since the search caps each node by its
+parent's fill instead (see bounds.py). The mining order puts every
+positive-profit item before every negative one, each group sorted by
+ascending total TWU with ties broken by external id. Dense indices are
+positions in that order, so the sign of an item is just a comparison
+against the positive/negative boundary and transaction entries sort by
+plain integer index. The working database is built in a walk of its own,
+fusing identical rows as it goes, and it is the root projection the search
+starts from.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ def compute_period_twu(
     item's periods pi({i}), and presence in the table doubles as an
     occurrence flag. utility[i] is u({i}) over the whole database. Items
     and periods keep the order of their first occurrence. Both maps serve
-    the preparation only; the search reads neither.
+    the preparation and the collector's singleton entries only; the search
+    reads neither.
     """
     table: dict[int, dict[int, int]] = {}
     utility: dict[int, int] = {}

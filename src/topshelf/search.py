@@ -6,9 +6,13 @@ extensions. The walk is one loop over an explicit stack, so the depth of the
 tree (up to the longest transaction) never meets the interpreter's recursion
 limit. A positive node's negative subtree is searched before its positive
 children are selected, against the threshold of that moment; this is sound
-because each fill keeps its bounds in records of its own. The collector's
-threshold only ever rises, and it can never exceed the true k-th best ratio,
-so bound-based pruning (see bounds.py) never discards a member of the true
+because each fill keeps its bounds in records of its own. The collector
+starts holding the best k non-negative singletons, at their k-th best ratio
+(at zero where fewer than k are non-negative), so the threshold can rise
+from the search's first offer; the search offers no one-item node again.
+The threshold only ever rises, and since every entry is a real itemset with
+its exact value, it can never exceed the true k-th best ratio, so
+bound-based pruning (see bounds.py) never discards a member of the true
 top-k: the result is exactly what brute force would return.
 
 The collector ranks raw entries (utility, period total, items, dense
@@ -49,11 +53,13 @@ MAX_DISTINCT_ITEMS = 2**16
 
 @dataclass
 class SearchStats:
-    """Counters for one mining run. candidates counts the nodes projected
-    and scored, merges counts the rows fused away when the working
-    database was built, max_depth is the longest prefix reached. patterns
-    is the final result size. threshold_rises counts the offers that
-    raised the admission threshold."""
+    """Counters for one mining run. candidates counts the nodes projected,
+    merges counts the rows fused away when the working database was built,
+    max_depth is the longest prefix reached. patterns is the final result
+    size. threshold_rises counts the offers that raised the admission
+    threshold. A depth-1 node is projected, counted and filled like any
+    other, but its offer is made before the search, from the preparation's
+    walk, and raises nothing."""
 
     k: int = 0
     patterns: int = 0
@@ -95,7 +101,8 @@ class TopKCollector:
     periods), where rank is ratio_rank(utility, period total) at the scale
     total_bound squared. So entries sort as Pattern.sort_key does, by
     comparing plain integers and item tuples, and result() builds Patterns
-    for the k survivors only. Each itemset is offered at most once.
+    for the k survivors only. Each itemset is offered at most once: the
+    miner offers the singletons first, then the search's larger itemsets.
     total_bound must bound every period total offered; offer raises
     ValueError on one above it rather than risk a wrong rank.
 
@@ -104,7 +111,9 @@ class TopKCollector:
     non-decreasing. It is stored as a reduced (num, den) tuple, reduced
     again only when the k-th entry's rank changes. Ties at the threshold
     are resolved by the full ranking key against the current worst entry.
-    rises counts the offers that raised the threshold.
+    rises counts the offers that raised the threshold: an offer that leaves
+    the k-th best ratio at the threshold raises nothing, as the miner's
+    singletons, whose k-th best ratio is the initial value, do.
     """
 
     __slots__ = ("k", "threshold", "rises", "total_bound", "_scale", "_kth_rank", "_entries")
@@ -271,13 +280,13 @@ class _Miner:
             frame[3] = i = i + 1
 
             ext = prefix + (ext_id[z],)
-            occupied = child.periods
-            utility = sum(child.utilities)
-            period_total = sum(period_totals[p] for p in occupied)
             stats.candidates += 1
             if len(ext) > stats.max_depth:
                 stats.max_depth = len(ext)
-            collector.offer(utility, period_total, ext, occupied)
+            if prefix:  # mine_top_k offered every singleton before the search
+                occupied = child.periods
+                period_total = sum(period_totals[p] for p in occupied)
+                collector.offer(sum(child.utilities), period_total, ext, occupied)
 
             negative = z >= boundary
             if negative and i == len(picks):
@@ -316,6 +325,15 @@ def mine_top_k(
     of the order; below the root the local bound is summed and tested only
     with su_prune off, in place of the subtree bound, since with the
     subtree rule on it changes no pick (see bounds.py).
+
+    Every item of non-negative utility is offered as a singleton before the
+    search, with its utility and periods from the TWU walk, so the best
+    min(k, n) of the n offered are held from the start, at the seed
+    threshold, and the search's own offers raise it sooner. The search
+    projects and fills each one-item node but does not offer it again: its
+    entry would be the same, since trimming never drops a row that holds
+    the item. An offered item outside the order failed the TWU test, so it
+    ranks below the seed and is not held.
     """
     _check_k(k)
     if len(db.item_signs) > MAX_DISTINCT_ITEMS:
@@ -326,6 +344,11 @@ def mine_top_k(
     index, totals = dense_periods(db)
     twu, utility = compute_period_twu(db, index)
     collector = TopKCollector(k, singleton_threshold(totals, twu, utility, k), sum(totals))
+    # u({i}), and as its periods the keys of its TWU row: the exact entry
+    # of each singleton, which raises nothing, as the seed is their k-th best
+    for item, u in utility.items():
+        if u >= 0:
+            collector.offer(u, sum(map(totals.__getitem__, twu[item])), (item,), twu[item])
 
     # With the local rule off, threshold zero keeps every positive item
     # that occurs: a TWU is never negative.

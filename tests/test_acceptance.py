@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from topshelf import search
 from topshelf.bench import run_bench, write_records
 from topshelf.dataset import parse_database, write_patterns
 from topshelf.domain import positive_transaction_utility
@@ -245,6 +246,44 @@ def test_singleton_seed_below_true_kth_ratio(corpus):
             assert singleton_threshold(totals, *walk, k) <= ranked[k - 1].relative_utility
             checked += 1
     assert checked > 400
+
+
+@pytest.mark.criterion(6, "seed threshold soundness")
+def test_collector_starts_with_the_best_singletons(corpus, monkeypatch):
+    """Right before the search's first projection the collector holds
+    exactly the oracle's best min(k, n) of the n non-negative singletons,
+    with their utilities, period totals and periods, at the seed threshold,
+    which none of them has raised."""
+    runs = []
+    miners = []
+
+    def searched(self, root, stats):
+        miners.append(self)
+        run(self, root, stats)
+
+    def narrow(*args):
+        if len(runs) < len(miners):
+            collector = miners[-1].collector
+            runs.append((collector.result(labels), collector.threshold, collector.rises))
+        return project(*args)
+
+    run, project = search._Miner.search, search.project
+    monkeypatch.setattr(search._Miner, "search", searched)
+    monkeypatch.setattr(search, "project", narrow)
+    for db in corpus:
+        singletons = [p for p in oracle_top_k(db, 10_000) if len(p.items) == 1]
+        labels = tuple(sorted(db.periods))
+        index, totals = dense_periods(db)
+        walk = compute_period_twu(db, index)
+        for k in (1, 3, 5, 10, 10_000):
+            mine_top_k(db, k)
+            assert len(runs) == len(miners)
+            held, threshold, rises = runs[-1]
+            seed = singleton_threshold(totals, *walk, k)
+            assert held == singletons[:k]
+            assert threshold == (seed.numerator, seed.denominator)
+            assert rises == 0
+    assert len(runs) > 900
 
 
 # -- 7: scale and resource budget ----------------------------------------------

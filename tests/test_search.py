@@ -18,7 +18,12 @@ from topshelf.dataset import database_from_quantities, parse_database
 from topshelf.domain import Pattern, ratio_rank
 from topshelf.errors import InvalidK, TooManyItems
 from topshelf.generator import GeneratorParams, generate
-from topshelf.oracle import enumerate_patterns, oracle_top_k, relative_utility
+from topshelf.oracle import (
+    enumerate_patterns,
+    itemset_utility,
+    oracle_top_k,
+    relative_utility,
+)
 from topshelf.prepare import (
     build_working_database,
     compute_period_twu,
@@ -535,17 +540,17 @@ def test_selections_read_the_threshold_of_their_moment(monkeypatch, corpus):
 # changes these counts even where the result stays the same.
 PINNED_COUNTERS = [
     (dict(transactions=300, items=30, periods=3, avg_len=5, neg_frac=0.3, seed=11), 40,
-     (693, 174, 7)),
+     (583, 129, 7)),
     (dict(transactions=500, items=60, periods=4, avg_len=6, neg_frac=0.2, seed=12), 80,
-     (1732, 330, 8)),
+     (1389, 246, 8)),
     (dict(transactions=1200, items=40, periods=30, avg_len=5, neg_frac=0.25, seed=13), 60,
-     (1368, 385, 7)),
+     (1249, 341, 7)),
     (dict(transactions=300, items=24, periods=2, avg_len=9, neg_frac=0.4, seed=14), 100,
-     (2115, 508, 11)),
+     (1989, 476, 11)),
     (dict(transactions=2000, items=150, periods=4, avg_len=6, neg_frac=0.3, seed=15), 200,
-     (4488, 535, 8)),
+     (3452, 460, 8)),
     (dict(transactions=2400, items=50, periods=365, avg_len=5, neg_frac=0.2, seed=16), 100,
-     (1181, 445, 7)),
+     (1175, 476, 7)),
 ]
 
 
@@ -565,15 +570,15 @@ def test_search_counters_are_pinned(params, k, counters):
 # moves, but how much each rule prunes does, so a fill that sums another
 # bound, or a selection that tests at another numerator, shows here.
 ABLATION_COUNTERS = [
-    (11, {"su_prune": False}, (4528, 174, 7)),
-    (12, {"su_prune": False}, (11192, 330, 8)),
-    (13, {"su_prune": False}, (11108, 385, 7)),
-    (14, {"su_prune": False}, (78846, 508, 11)),
-    (15, {"su_prune": False}, (49864, 535, 8)),
-    (16, {"su_prune": False}, (6883, 445, 7)),
-    (11, {"su_prune": False, "lu_prune": False}, (8172, 174, 7)),
-    (13, {"su_prune": False, "lu_prune": False}, (29621, 385, 7)),
-    (16, {"su_prune": False, "lu_prune": False}, (59359, 445, 7)),
+    (11, {"su_prune": False}, (4268, 129, 7)),
+    (12, {"su_prune": False}, (10259, 246, 8)),
+    (13, {"su_prune": False}, (10898, 341, 7)),
+    (14, {"su_prune": False}, (77565, 476, 11)),
+    (15, {"su_prune": False}, (46499, 460, 8)),
+    (16, {"su_prune": False}, (6875, 476, 7)),
+    (11, {"su_prune": False, "lu_prune": False}, (8172, 129, 7)),
+    (13, {"su_prune": False, "lu_prune": False}, (29621, 341, 7)),
+    (16, {"su_prune": False, "lu_prune": False}, (59359, 476, 7)),
 ]
 
 
@@ -686,7 +691,7 @@ def test_zero_cutoff_fills_record_and_cap_their_children(monkeypatch):
     skip periods at the child's own cutoff. On the 365-period pinned
     database, whose threshold seed is zero, with its pinned counters."""
     got, counters, seen = _watch_the_zero_seed_run(monkeypatch)
-    assert got == counters == (1181, 445, 7)
+    assert got == counters == (1175, 476, 7)
     assert seen["uncapped"] == 0
     assert seen["zero"] and all(kept == held for kept, held in seen["zero"])
     recorded, picked = seen["root"]
@@ -778,7 +783,11 @@ def _rises_in_negative_subtrees():
     once with each of its own 8 rare items, at a low utility. Each rare
     item sells heavily alone, so it comes after the heads in the order, and
     there are fewer profitable items than k, so the threshold seed is 0.
-    Returns the database and its k."""
+    The collector holds the 27 profitable singletons from the start, and k
+    leaves 32 slots beside them for the search's offers: with only 5, the
+    threshold has risen past the later heads' rare cells before their fills,
+    and only the first head's selection drops any. Returns the database
+    and its k."""
     n_neg, n_rare = 20, 8
     profits, rows = {}, []
     for h, (qty, rare_qty) in enumerate([(5, 1), (10, 6), (20, 15)]):
@@ -794,7 +803,8 @@ def _rises_in_negative_subtrees():
             profits[r] = 1
             rows.append((0, [(head, rare_qty), (r, 1)]))
             rows += [(0, [(r, 3000)])] * 3
-    return database_from_quantities(profits, rows), 3 * n_rare + 8
+    n_profitable = 3 * (1 + n_rare)
+    return database_from_quantities(profits, rows), n_profitable + 3 * n_rare + 8
 
 
 def test_local_bound_changes_no_pick(monkeypatch, corpus):
@@ -842,7 +852,7 @@ def test_parents_record_changes_no_pick(monkeypatch, corpus):
     picks as the search that hands no fill caps, while its fills skip
     periods and write fewer su cells. It makes no more
     selections. With the local rule off, the 365-period pinned database
-    still gives the stats recorded before any cap existed."""
+    still gives its recorded stats."""
     databases = [(db, k, {}) for db in corpus for k in (1, 5, 10_000)]
     for params, k, _ in PINNED_COUNTERS:
         db = parse_database(generate(GeneratorParams(**params)))
@@ -862,7 +872,7 @@ def test_parents_record_changes_no_pick(monkeypatch, corpus):
     assert picked > 5000 and skipped > 0 and written[True] < written[False]
     assert capped[1] == {
         "k": 100, "patterns": 100, "interutil_num": 64, "interutil_den": 27,
-        "candidates": 1181, "merges": 0, "max_depth": 7, "threshold_rises": 445,
+        "candidates": 1175, "merges": 0, "max_depth": 7, "threshold_rises": 476,
     }
 
 
@@ -913,6 +923,41 @@ def test_each_node_selects_from_its_own_fill(monkeypatch, corpus):
     _, stats = mine_top_k(db, k)
     assert (stats.candidates, stats.threshold_rises, stats.max_depth) == counters
     assert checked[False] > zero_cutoff and checked[True] > 1000
+
+
+def test_each_itemset_is_offered_once(monkeypatch, corpus):
+    """mine_top_k offers every item of non-negative utility as a singleton
+    before the search projects anything, and the search offers no depth-1
+    node, so no itemset reaches the collector twice. On the oracle corpus
+    at k 1, 5 and 10,000, by default and under both ablations."""
+    offered = []
+    projected = False
+
+    def record(self, utility, period_total, items, periods):
+        offered.append((tuple(sorted(items)), projected))
+        return accept(self, utility, period_total, items, periods)
+
+    def narrow(*args):
+        nonlocal projected
+        projected = True
+        return project(*args)
+
+    accept = TopKCollector.offer
+    monkeypatch.setattr(TopKCollector, "offer", record)
+    monkeypatch.setattr(search, "project", narrow)
+    seeded = 0
+    for db in corpus:
+        profitable = {(i,) for i in db.item_signs if itemset_utility(db, (i,)) >= 0}
+        for k in (1, 5, 10_000):
+            for flags in ({}, {"su_prune": False}, {"lu_prune": False}):
+                offered.clear()
+                projected = False
+                mine_top_k(db, k, **flags)
+                items = [items for items, _ in offered]
+                assert len(items) == len(set(items))
+                assert profitable <= {items for items, late in offered if not late}
+                seeded += len(profitable)
+    assert seeded > 5000
 
 
 def predicted_merges(db, k):
