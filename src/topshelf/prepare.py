@@ -1,32 +1,33 @@
-"""Preprocessing: per-period TWU, the initial threshold, the item order,
-and the working database the search runs on.
+"""Preprocessing: per-period TWU, the item order, and the working database
+the search runs on.
 
 Every step from here on names a period by its dense index: dense period p
 is the p-th smallest period label, and totals[p] is its frozen total pto
-(dense_periods). One walk over the transactions gives every item its
-per-period TWU row, keyed by dense period, and its utility; the threshold
-seed, the singleton entries the miner seeds the collector with (a row's
-keys are the item's periods), the root TWU test and the item order read
-those, and nothing after: the miner drops both once the order is built,
-before the working database, since the search caps each node by its
-parent's fill instead (see bounds.py). The mining order puts every
-positive-profit item before every negative one, each group sorted by
-ascending total TWU with ties broken by external id. Dense indices are
-positions in that order, so the sign of an item is just a comparison
-against the positive/negative boundary and transaction entries sort by
-plain integer index. The working database is built in a walk of its own,
-fusing identical rows as it goes, and it is the root projection the search
-starts from.
+(dense_periods). The preparation makes two walks over the transactions.
+The first gives every item its per-period TWU row, keyed by dense period,
+and its utility. The miner seeds the collector with the singleton entries
+they give (a row's keys are the item's periods), and so the threshold; the
+root TWU test and the item order read them too, and nothing after: the
+miner drops both once the order is built, before the working database,
+since the search caps each node by its parent's fill instead (see
+bounds.py).
+The mining order puts every positive-profit item that passed the TWU test
+before every negative one, each group sorted by ascending total TWU with
+ties broken by external id. Dense indices are positions in that order, so
+the sign of an item is just a comparison against the positive/negative
+boundary and transaction entries sort by plain integer index. The second
+walk builds the working database, the root projection the search starts
+from: it drops every row left with no positive item, fusing identical
+rows as it goes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add
 
 from .dataset import OnShelfDatabase
-from .domain import positive_transaction_utility, ratio_rank
+from .domain import positive_transaction_utility
 from .projection import ProjectedDatabase
 
 
@@ -50,8 +51,9 @@ def compute_period_twu(
     item's periods pi({i}), and presence in the table doubles as an
     occurrence flag. utility[i] is u({i}) over the whole database. Items
     and periods keep the order of their first occurrence. Both maps serve
-    the preparation and the collector's singleton entries only; the search
-    reads neither.
+    the root TWU test, the item order and the collector's singleton
+    entries, whose k-th best ratio seeds the threshold; the search reads
+    neither.
     """
     table: dict[int, dict[int, int]] = {}
     utility: dict[int, int] = {}
@@ -66,32 +68,6 @@ def compute_period_twu(
                 row[p] = row.get(p, 0) + ptu
             utility[item] = utility.get(item, 0) + u
     return table, utility
-
-
-def singleton_threshold(
-    totals: list[int], twu_table: dict[int, dict[int, int]], utility: dict[int, int], k: int
-) -> Fraction:
-    """Initial threshold: the k-th highest single-item relative utility,
-    provided at least k of those values are non-negative; otherwise 0.
-
-    totals are the dense period totals; twu_table and utility are
-    compute_period_twu's walk, and an item's periods are the keys of its
-    TWU row. Never negative, so the search never emits a negative-ratio
-    pattern. The non-negative ratios are ranked by ratio_rank, scaled by
-    the square of the summed period totals, which bounds every item's
-    total.
-    """
-    bound = sum(totals)
-    scale = bound * bound
-
-    def period_total(item: int) -> int:
-        return sum(totals[p] for p in twu_table[item])
-
-    rank = {i: ratio_rank(u, period_total(i), scale) for i, u in utility.items() if u >= 0}
-    if len(rank) < k:
-        return Fraction(0)
-    item = sorted(rank, key=rank.__getitem__)[k - 1]
-    return Fraction(utility[item], period_total(item))
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,29 +125,16 @@ def initial_secondary(
     return keep
 
 
-def negative_keep(db: OnShelfDatabase, secondary: set[int]) -> set[int]:
-    """Negative items that co-occur with at least one retained positive item.
-
-    A negative item can only ever be reached as an extension of a positive
-    prefix, so one with no such co-occurrence is dead weight.
-    """
-    held = set()
-    for t in db.transactions:
-        if not secondary.isdisjoint(t.items):
-            held.update(t.items)
-    signs = db.item_signs
-    return {i for i in held if signs[i] < 0}
-
-
 @dataclass(slots=True)
 class WorkingDatabase:
     """Trimmed, reindexed and fused transaction store.
 
     root is the empty-prefix projection: one view (items, utilities, 0, 0,
     p) per stored row, in ascending period order, items being ascending
-    dense indices. Within a period, rows keep their input order, and rows
-    with identical item tuples have been fused into the first of them
-    (unless built with merge off). period_totals keeps the frozen original
+    dense indices; every stored row holds a positive item. Within a
+    period, rows keep their input order, and rows with identical item
+    tuples have been fused into the first of them (unless built with merge
+    off). period_totals keeps the frozen original
     pto for each dense period index.
     """
 
@@ -196,22 +159,25 @@ def build_working_database(
     root projection.
 
     Transactions lose items outside the order and are re-expressed in dense
-    indices. When merge is on, a row is fused, in the same walk, into the
-    first earlier row of its period that holds the same items: that row
-    keeps its position and the utilities add element-wise. A period whose
-    rows all lost every item holds no view and is left out of the root's
-    periods. Returns the working database and the number of rows fused
+    indices. A row left with no positive item is dropped: a negative item
+    heads no node, so no node below the root reaches such a row, and it
+    adds nothing to the root's positive bounds. When merge is on, a row is
+    fused, in the same walk, into the first earlier row of its period that
+    holds the same items: that row keeps its position and the utilities add
+    element-wise; a dropped row fuses with nothing. A period whose rows
+    were all dropped holds no view and is left out of the root's periods.
+    Returns the working database and the number of rows fused
     away. index and totals are dense_periods' layout; the totals are the
     original database's, untouched by the trimming.
     """
     blocks: list[dict] = [{} for _ in totals]
-    position = order.position
+    position, boundary = order.position, order.boundary
     merged = 0
     for t in db.transactions:
         entries = sorted(
             (position[i], u) for i, u in zip(t.items, t.utilities) if i in position
         )
-        if not entries:
+        if not entries or entries[0][0] >= boundary:
             continue
         items, utils = zip(*entries)
         p = index[t.period]

@@ -7,9 +7,11 @@ tree (up to the longest transaction) never meets the interpreter's recursion
 limit. A positive node's negative subtree is searched before its positive
 children are selected, against the threshold of that moment; this is sound
 because each fill keeps its bounds in records of its own. The collector
-starts holding the best k non-negative singletons, at their k-th best ratio
-(at zero where fewer than k are non-negative), so the threshold can rise
-from the search's first offer; the search offers no one-item node again.
+starts at zero and is seeded with every non-negative singleton before the
+search, so it holds the best k of them and its threshold starts at their
+k-th best ratio (at zero where fewer than k are non-negative); the
+threshold can then rise from the search's first offer, and the search
+offers no one-item node again.
 The threshold only ever rises, and since every entry is a real itemset with
 its exact value, it can never exceed the true k-th best ratio, so
 bound-based pruning (see bounds.py) never discards a member of the true
@@ -43,8 +45,6 @@ from .prepare import (
     compute_period_twu,
     dense_periods,
     initial_secondary,
-    negative_keep,
-    singleton_threshold,
 )
 from .projection import occurrences, project
 
@@ -54,12 +54,13 @@ MAX_DISTINCT_ITEMS = 2**16
 @dataclass
 class SearchStats:
     """Counters for one mining run. candidates counts the nodes projected,
-    merges counts the rows fused away when the working database was built,
+    merges counts the rows fused away when the working database was built
+    (a row with no positive item of the order is dropped, not fused),
     max_depth is the longest prefix reached. patterns is the final result
     size. threshold_rises counts the offers that raised the admission
-    threshold. A depth-1 node is projected, counted and filled like any
-    other, but its offer is made before the search, from the preparation's
-    walk, and raises nothing."""
+    threshold during the search. A depth-1 node is projected, counted and
+    filled like any other, but its offer is made before the search, from
+    the preparation's walk, and counts no rise."""
 
     k: int = 0
     patterns: int = 0
@@ -106,22 +107,21 @@ class TopKCollector:
     total_bound must bound every period total offered; offer raises
     ValueError on one above it rather than risk a wrong rank.
 
-    The threshold starts at the initial value (never negative), becomes the
-    k-th best ratio once k entries are held, and is monotonically
-    non-decreasing. It is stored as a reduced (num, den) tuple, reduced
-    again only when the k-th entry's rank changes. Ties at the threshold
+    The threshold starts at zero, becomes the k-th best ratio once k
+    entries are held, and is monotonically non-decreasing. It is stored as
+    a reduced (num, den) tuple, reduced again only when the k-th entry's
+    rank changes. Ties at the threshold
     are resolved by the full ranking key against the current worst entry.
     rises counts the offers that raised the threshold: an offer that leaves
-    the k-th best ratio at the threshold raises nothing, as the miner's
-    singletons, whose k-th best ratio is the initial value, do.
+    the k-th best ratio at the threshold raises nothing.
     """
 
     __slots__ = ("k", "threshold", "rises", "total_bound", "_scale", "_kth_rank", "_entries")
 
-    def __init__(self, k: int, initial: Fraction, total_bound: int):
+    def __init__(self, k: int, total_bound: int):
         _check_k(k)
         self.k = k
-        self.threshold = (initial.numerator, initial.denominator)
+        self.threshold = (0, 1)
         self.rises = 0
         self.total_bound = total_bound
         self._scale = total_bound * total_bound
@@ -327,13 +327,16 @@ def mine_top_k(
     subtree rule on it changes no pick (see bounds.py).
 
     Every item of non-negative utility is offered as a singleton before the
-    search, with its utility and periods from the TWU walk, so the best
-    min(k, n) of the n offered are held from the start, at the seed
-    threshold, and the search's own offers raise it sooner. The search
-    projects and fills each one-item node but does not offer it again: its
-    entry would be the same, since trimming never drops a row that holds
-    the item. An offered item outside the order failed the TWU test, so it
-    ranks below the seed and is not held.
+    search, with its utility and periods from the TWU walk, to a collector
+    that starts at zero. The best min(k, n) of the n offered are then held
+    from the start, and their k-th best ratio is the seed threshold (zero
+    where n < k), which the search's own offers raise sooner. The seeding's
+    rises are not counted. The search projects and fills each one-item node
+    but does not offer it again: its entry would be the same, since
+    trimming never drops a row that holds a positive item of the order. An
+    offered item outside the order failed the TWU test, so it ranks below
+    the seed and is not held. The order holds every negative item; the
+    working database drops each row with no positive item of the order.
     """
     _check_k(k)
     if len(db.item_signs) > MAX_DISTINCT_ITEMS:
@@ -343,19 +346,20 @@ def mine_top_k(
     stats = SearchStats(k=k)
     index, totals = dense_periods(db)
     twu, utility = compute_period_twu(db, index)
-    collector = TopKCollector(k, singleton_threshold(totals, twu, utility, k), sum(totals))
+    collector = TopKCollector(k, sum(totals))
     # u({i}), and as its periods the keys of its TWU row: the exact entry
-    # of each singleton, which raises nothing, as the seed is their k-th best
+    # of each singleton, whose k-th best ratio is the seed threshold
     for item, u in utility.items():
         if u >= 0:
             collector.offer(u, sum(map(totals.__getitem__, twu[item])), (item,), twu[item])
+    collector.rises = 0  # the seeding's rises are not the search's
 
     # With the local rule off, threshold zero keeps every positive item
     # that occurs: a TWU is never negative.
     t_num, t_den = collector.threshold if lu_prune else (0, 1)
     secondary0 = initial_secondary(db, totals, twu, t_num, t_den)
-    kept_negative = negative_keep(db, secondary0)
-    order = build_item_order(twu, secondary0, kept_negative)
+    negatives = {i for i, sign in db.item_signs.items() if sign < 0}
+    order = build_item_order(twu, secondary0, negatives)
     # Nothing after the item order reads the TWU table or the utilities;
     # freed here, they are gone before the working database is built.
     del twu, utility

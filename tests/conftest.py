@@ -2,12 +2,15 @@
 and the acceptance summary hook (one PASS/FAIL line per criterion)."""
 
 import random
+from fractions import Fraction
+from unittest import mock
 
 import pytest
 
-from topshelf import parse_database
+from topshelf import parse_database, search
 from topshelf.errors import InfeasibleParams
 from topshelf.generator import GeneratorParams, generate
+from topshelf.oracle import relative_utility
 from topshelf.prepare import (
     build_item_order,
     build_working_database,
@@ -26,6 +29,36 @@ def pipeline(db, merge=True, drop=()):
     order = build_item_order(table, positives, negatives)
     working, _ = build_working_database(db, order, index, totals, merge=merge)
     return order, working, working.root
+
+
+class _SearchStarts(Exception):
+    """Carries the miner and its root out of mine_top_k."""
+
+
+def search_start(db, k, **flags):
+    """(collector, miner, root) as mine_top_k(db, k, **flags) hands them to
+    its search, which is not run: the collector seeded with the singletons,
+    holding the seed threshold, and the root of the working database."""
+
+    def start(self, root, stats):
+        raise _SearchStarts(self, root)
+
+    with mock.patch.object(search._Miner, "search", start):
+        try:
+            search.mine_top_k(db, k, **flags)
+        except _SearchStarts as started:
+            miner, root = started.args
+            return miner.collector, miner, root
+    raise AssertionError("mine_top_k started no search")
+
+
+def fraction_singleton_threshold(db, k):
+    """The seed threshold's definition, ranked in Fractions: the k-th best
+    single-item ratio where at least k of them are non-negative, else 0."""
+    ratios = sorted((relative_utility(db, (i,)) for i in db.item_signs), reverse=True)
+    if sum(r >= 0 for r in ratios) < k:
+        return Fraction(0)
+    return ratios[k - 1]
 
 # Five items a..e mapped to ids 1..5 with unit profits 5, -3, -2, 3, 10.
 # Eight transactions across periods {0, 1, 2}; utilities are profit * qty.

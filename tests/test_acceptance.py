@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import search_start
 from topshelf import search
 from topshelf.bench import run_bench, write_records
 from topshelf.dataset import parse_database, write_patterns
@@ -33,7 +34,6 @@ from topshelf.prepare import (
     build_item_order,
     compute_period_twu,
     dense_periods,
-    singleton_threshold,
 )
 from topshelf.search import mine_top_k, stats_json
 
@@ -235,15 +235,16 @@ def test_merging_is_invisible_in_output(corpus):
 
 @pytest.mark.criterion(6, "seed threshold soundness")
 def test_singleton_seed_below_true_kth_ratio(corpus):
+    """The threshold the collector holds once seeded with the singletons,
+    as the search starts, is at most the true k-th best ratio."""
     checked = 0
     for db in corpus:
         ranked = oracle_top_k(db, 10_000)
-        index, totals = dense_periods(db)
-        walk = compute_period_twu(db, index)
         for k in (1, 3, 5, 10):
             if len(ranked) < k:
                 continue
-            assert singleton_threshold(totals, *walk, k) <= ranked[k - 1].relative_utility
+            seed = Fraction(*search_start(db, k)[0].threshold)
+            assert seed <= ranked[k - 1].relative_utility
             checked += 1
     assert checked > 400
 
@@ -252,8 +253,8 @@ def test_singleton_seed_below_true_kth_ratio(corpus):
 def test_collector_starts_with_the_best_singletons(corpus, monkeypatch):
     """Right before the search's first projection the collector holds
     exactly the oracle's best min(k, n) of the n non-negative singletons,
-    with their utilities, period totals and periods, at the seed threshold,
-    which none of them has raised."""
+    with their utilities, period totals and periods. Its threshold is the
+    k-th best of them (zero where n < k), and no rise is counted."""
     runs = []
     miners = []
 
@@ -273,13 +274,11 @@ def test_collector_starts_with_the_best_singletons(corpus, monkeypatch):
     for db in corpus:
         singletons = [p for p in oracle_top_k(db, 10_000) if len(p.items) == 1]
         labels = tuple(sorted(db.periods))
-        index, totals = dense_periods(db)
-        walk = compute_period_twu(db, index)
         for k in (1, 3, 5, 10, 10_000):
             mine_top_k(db, k)
             assert len(runs) == len(miners)
             held, threshold, rises = runs[-1]
-            seed = singleton_threshold(totals, *walk, k)
+            seed = held[k - 1].relative_utility if len(held) == k else Fraction(0)
             assert held == singletons[:k]
             assert threshold == (seed.numerator, seed.denominator)
             assert rises == 0

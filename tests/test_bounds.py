@@ -92,7 +92,8 @@ def _twu(db):
 
 
 def _miner(db, working, su_prune=True, lu_prune=True, threshold=Fraction(0)):
-    collector = TopKCollector(1, threshold, sum(working.period_totals))
+    collector = TopKCollector(1, sum(working.period_totals))
+    collector.threshold = (threshold.numerator, threshold.denominator)
     return _Miner(working, collector, su_prune=su_prune, lu_prune=lu_prune)
 
 

@@ -1,9 +1,10 @@
-"""Preprocessing: TWU tables, threshold seeding, item order, working layout."""
+"""Preprocessing: TWU tables, the seeded threshold, item order, working layout."""
 
 from fractions import Fraction
 
+from conftest import fraction_singleton_threshold, search_start
 from topshelf.dataset import database_from_quantities, parse_database
-from topshelf.oracle import itemset_periods, itemset_utility, relative_utility, twu
+from topshelf.oracle import itemset_periods, itemset_utility, twu
 from topshelf.prepare import (
     ItemOrder,
     build_item_order,
@@ -11,8 +12,6 @@ from topshelf.prepare import (
     compute_period_twu,
     dense_periods,
     initial_secondary,
-    negative_keep,
-    singleton_threshold,
 )
 
 A, B, C, D, E = 1, 2, 3, 4, 5
@@ -60,24 +59,20 @@ def test_one_walk_matches_the_oracle(running_example, corpus):
             assert utility[i] == itemset_utility(db, (i,))
 
 
+def seed(db, k):
+    """The threshold of mine_top_k(db, k)'s collector once seeded with the
+    singletons, as a Fraction."""
+    return Fraction(*search_start(db, k)[0].threshold)
+
+
 def test_singleton_threshold_uses_kth_nonnegative_ratio(running_example):
     db = running_example
-    totals = dense_periods(db)[1]
-    table, utility = walk(db)
     # single-item ratios: d=138/193, e=50/154, a=35/193; b and c are negative
-    assert singleton_threshold(totals, table, utility, 1) == Fraction(138, 193)
-    assert singleton_threshold(totals, table, utility, 2) == Fraction(50, 154)
-    assert singleton_threshold(totals, table, utility, 3) == Fraction(35, 193)
-    assert singleton_threshold(totals, table, utility, 4) == 0
-    assert singleton_threshold(totals, table, utility, 100) == 0
-
-
-def fraction_singleton_threshold(db, k):
-    """singleton_threshold's definition, ranked in Fractions."""
-    ratios = sorted((relative_utility(db, (i,)) for i in db.item_signs), reverse=True)
-    if sum(r >= 0 for r in ratios) < k:
-        return Fraction(0)
-    return ratios[k - 1]
+    assert seed(db, 1) == Fraction(138, 193)
+    assert seed(db, 2) == Fraction(50, 154)
+    assert seed(db, 3) == Fraction(35, 193)
+    assert seed(db, 4) == 0
+    assert seed(db, 100) == 0
 
 
 def test_singleton_threshold_ranks_as_fractions(corpus):
@@ -93,12 +88,10 @@ def test_singleton_threshold_ranks_as_fractions(corpus):
         ],
     )
     for db in [huge, *corpus[:40]]:
-        index, totals = dense_periods(db)
-        table, utility = compute_period_twu(db, index)
         for k in range(1, len(db.item_signs) + 2):
-            got = singleton_threshold(totals, table, utility, k)
-            assert type(got) is Fraction
-            assert got == fraction_singleton_threshold(db, k)
+            want = fraction_singleton_threshold(db, k)
+            # the collector keeps its threshold reduced
+            assert search_start(db, k)[0].threshold == (want.numerator, want.denominator)
 
 
 def test_item_order_puts_positives_first_by_rising_twu(running_example):
@@ -121,8 +114,8 @@ def test_item_order_breaks_twu_ties_by_id():
 def test_initial_secondary_keeps_items_clearing_some_period(running_example):
     db = running_example
     totals = dense_periods(db)[1]
-    table, utility = walk(db)
-    t = singleton_threshold(totals, table, utility, 2)  # 25/77
+    table, _ = walk(db)
+    t = Fraction(50, 154)  # the seed at k 2
     keep = initial_secondary(db, totals, table, t.numerator, t.denominator)
     assert keep == {A, D, E}  # negative items never enter the root secondary
     # an impossible threshold empties it
@@ -131,12 +124,43 @@ def test_initial_secondary_keeps_items_clearing_some_period(running_example):
     assert initial_secondary(db, totals, table, 0, 1) == {A, D, E}
 
 
-def test_negative_keep_requires_cooccurrence(running_example):
-    assert negative_keep(running_example, {A, D, E}) == {B, C}
-    # item 3 sells at a loss but never alongside a retained positive
+def held_negatives(db, k, **flags):
+    """The negatives the root views of mine_top_k(db, k, **flags) hold,
+    after checking that each view holds a positive item of the order; and
+    by definition, the negatives that share a row with one."""
+    _, miner, root = search_start(db, k, **flags)
+    boundary, ext_id = miner.boundary, miner.ext_id
+    assert all(items[0] < boundary for items, _, _, _, _ in root.views)
+    held = {ext_id[d] for items, _, _, _, _ in root.views for d in items if d >= boundary}
+    positives = set(ext_id[:boundary])
+    cooccur = {
+        i
+        for t in db.transactions
+        if not positives.isdisjoint(t.items)
+        for i in t.items
+        if db.item_signs[i] < 0
+    }
+    return held, cooccur
+
+
+def test_negative_keep_requires_cooccurrence(running_example, corpus):
+    """The root views hold only rows with a positive item of the order, so
+    the negatives they hold are exactly those that share a row with one."""
+    held, cooccur = held_negatives(running_example, 2)
+    assert held == cooccur == {B, C}
+    # item 3 sells at a loss, alongside item 2 only: 2 fails the TWU test
+    # at k 1 (4/9 below the seed 5/9), and passes it at k 2
     db = parse_database("1:5:5:0\n2 3:1:4 -3:0\n")
-    assert negative_keep(db, {1}) == set()
-    assert negative_keep(db, {1, 2}) == {3}
+    assert held_negatives(db, 1) == (set(), set())
+    assert held_negatives(db, 2) == ({3}, {3})
+    checked = 0
+    for db in corpus[:60]:
+        for k in (1, 5):
+            for flags in ({}, {"lu_prune": False}):
+                held, cooccur = held_negatives(db, k, **flags)
+                assert held == cooccur
+                checked += len(held)
+    assert checked > 100
 
 
 def fused_rows(rows, merge=True):

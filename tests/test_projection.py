@@ -90,14 +90,18 @@ def test_project_missing_item_leaves_nothing(running_example):
 
 
 def test_projection_chain_matches_definitions(corpus):
+    """Chains as the search forms them, headed by a positive item: the root
+    holds every row with a positive item, so it reaches every row such a
+    chain's itemset sells in."""
     rng = random.Random(5150)
     for db in corpus[:40]:
         order, _, root = pipeline(db)
         n = len(order)
         labels = sorted(db.periods)
         for _ in range(6):
-            size = rng.randint(1, min(3, n))
-            chain = sorted(rng.sample(range(n), size))
+            head = rng.randrange(order.boundary)
+            later = range(head + 1, n)
+            chain = [head, *sorted(rng.sample(later, rng.randint(0, min(2, len(later)))))]
             pd = root
             for z in chain:
                 pd = project(pd, z)

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import fraction_singleton_threshold, search_start
 from topshelf import search
 from topshelf.bounds import (
     fill_subtree_and_local,
@@ -29,8 +30,6 @@ from topshelf.prepare import (
     compute_period_twu,
     dense_periods,
     initial_secondary,
-    negative_keep,
-    singleton_threshold,
 )
 from topshelf.projection import occurrences, project
 from topshelf.search import TopKCollector, _Miner, mine_top_k, stats_json
@@ -57,7 +56,7 @@ def held(col):
 
 
 def test_collector_keeps_best_k_in_rank_order():
-    col = TopKCollector(3, Fraction(0), 10)
+    col = TopKCollector(3, 10)
     offered = [((4,), 1, 10), ((1,), 9, 10), ((2, 3), 8, 10), ((5,), 7, 10), ((6,), 2, 10)]
     for items, u, to in offered:
         offer(col, items, u, to)
@@ -65,7 +64,7 @@ def test_collector_keeps_best_k_in_rank_order():
 
 
 def test_collector_rejects_below_threshold_and_ties_against_worst():
-    col = TopKCollector(1, Fraction(0), 4)
+    col = TopKCollector(1, 4)
     assert offer(col, (2,), 1, 2)
     # same ratio, more items: loses the tie against the held worst
     assert not offer(col, (1, 3), 2, 4)
@@ -77,7 +76,7 @@ def test_collector_rejects_below_threshold_and_ties_against_worst():
 
 def test_collector_threshold_rises_and_never_falls():
     rng = random.Random(1234)
-    col = TopKCollector(5, Fraction(0), 50)
+    col = TopKCollector(5, 50)
     last = Fraction(0)
     for i in range(300):
         u = rng.randint(0, 50)
@@ -92,7 +91,8 @@ def test_collector_threshold_rises_and_never_falls():
 
 
 def test_collector_initial_threshold_filters_offers():
-    col = TopKCollector(2, Fraction(1, 2), 3)
+    col = TopKCollector(2, 3)
+    col.threshold = (1, 2)
     assert not offer(col, (1,), 1, 3)
     assert offer(col, (2,), 2, 3)
     # an offer below the threshold is refused before its items are sorted
@@ -131,7 +131,8 @@ def reference_offers(k, initial, offers):
 def assert_ranks_as_fractions(k, initial, bound, offers):
     """After every offer the collector holds, admits and thresholds
     exactly what reference_offers does, and its threshold stays reduced."""
-    col = TopKCollector(k, initial, bound)
+    col = TopKCollector(k, bound)
+    col.threshold = (initial.numerator, initial.denominator)
     for (items, u, to), want in zip(offers, reference_offers(k, initial, offers)):
         accepted, items_held, threshold, rises = want
         assert offer(col, items, u, to) == accepted
@@ -156,7 +157,7 @@ def test_rank_separates_farey_neighbours_at_the_bound():
         offers = [((7,), *low), ((1, 2, 3), *high), ((5,), 1, bound), ((6,), 1, b)]
         for k in (1, 2, 3):
             assert_ranks_as_fractions(k, Fraction(0), bound, offers)
-        col = TopKCollector(1, Fraction(0), bound)
+        col = TopKCollector(1, bound)
         offer(col, (7,), *low)
         offer(col, (1, 2, 3), *high)
         assert [p.items for p in held(col)] == [(1, 2, 3)]
@@ -176,7 +177,7 @@ def test_rank_is_exact_for_utilities_near_2_63():
     ]
     for k in (1, 2, 4, 6):
         assert_ranks_as_fractions(k, Fraction(0), bound, offers)
-    col = TopKCollector(2, Fraction(0), bound)
+    col = TopKCollector(2, bound)
     for items, u, to in offers:
         offer(col, items, u, to)
     assert [p.items for p in held(col)] == [(3,), (1,)]
@@ -186,7 +187,7 @@ def test_rank_is_exact_for_utilities_near_2_63():
 def test_unreduced_equal_ratios_fall_to_size_then_items():
     scale = 4 * 4
     assert ratio_rank(1, 2, scale) == ratio_rank(2, 4, scale)
-    col = TopKCollector(1, Fraction(0), 4)
+    col = TopKCollector(1, 4)
     assert offer(col, (3, 4), 2, 4)
     assert offer(col, (9,), 1, 2)  # equal ratio, fewer items
     assert not offer(col, (8, 9), 1, 2)  # equal ratio, more items
@@ -211,7 +212,7 @@ def test_rank_orders_negative_ratios():
 
 
 def test_total_above_the_bound_is_refused():
-    col = TopKCollector(1, Fraction(0), 10)
+    col = TopKCollector(1, 10)
     assert offer(col, (1,), 3, 10)
     with pytest.raises(ValueError):
         offer(col, (2,), 1, 11)
@@ -249,7 +250,7 @@ def test_invalid_k_rejected():
     with pytest.raises(InvalidK):
         mine_top_k(parse_database("1:5:5:0\n"), 0)
     with pytest.raises(InvalidK):
-        TopKCollector(0, Fraction(0), 1)
+        TopKCollector(0, 1)
 
 
 def test_bool_k_rejected():
@@ -258,7 +259,7 @@ def test_bool_k_rejected():
         with pytest.raises(InvalidK):
             mine_top_k(db, k)
         with pytest.raises(InvalidK):
-            TopKCollector(k, Fraction(0), 1)
+            TopKCollector(k, 1)
 
 
 def test_patterns_are_built_for_the_final_k_only(monkeypatch):
@@ -466,7 +467,7 @@ def test_stats_json_shape(running_example):
 
 def test_threshold_rises_are_counted(running_example, corpus):
     # a rise is an offer that moves the threshold, not one that keeps it
-    col = TopKCollector(1, Fraction(0), 4)
+    col = TopKCollector(1, 4)
     offer(col, (2,), 1, 2)
     offer(col, (1,), 1, 2)  # wins the tie, same ratio
     offer(col, (3,), 3, 4)
@@ -615,8 +616,8 @@ def _watch_the_zero_seed_run(monkeypatch):
     assert params["periods"] == 365
     db = parse_database(generate(GeneratorParams(**params)))
     index, totals = dense_periods(db)
-    table, utility = compute_period_twu(db, index)
-    assert singleton_threshold(totals, table, utility, k) == 0
+    table, _ = compute_period_twu(db, index)
+    assert search_start(db, k)[0].threshold == (0, 1)
     seen = {key: [] for key in ("row_skips", "record_skips", "zero", "zero_children", "root")}
     seen["uncapped"] = 0
     miners = []
@@ -821,8 +822,7 @@ def test_local_bound_changes_no_pick(monkeypatch, corpus):
     built to make that happen at three nodes."""
     rising = _rises_in_negative_subtrees()
     db, k = rising
-    index, totals = dense_periods(db)
-    assert singleton_threshold(totals, *compute_period_twu(db, index), k) == 0
+    assert search_start(db, k)[0].threshold == (0, 1)
     databases = [(db, k) for db in corpus for k in (1, 5, 10_000)]
     databases += [
         (parse_database(generate(GeneratorParams(**params))), k)
@@ -917,8 +917,7 @@ def test_each_node_selects_from_its_own_fill(monkeypatch, corpus):
                 assert mine_top_k(db, k, **flags)[0] == oracle_top_k(db, k)
     params, k, counters = PINNED_COUNTERS[-1]
     db = parse_database(generate(GeneratorParams(**params)))
-    index, totals = dense_periods(db)
-    assert singleton_threshold(totals, *compute_period_twu(db, index), k) == 0
+    assert search_start(db, k)[0].threshold == (0, 1)
     zero_cutoff = checked[False]
     _, stats = mine_top_k(db, k)
     assert (stats.candidates, stats.threshold_rises, stats.max_depth) == counters
@@ -961,21 +960,23 @@ def test_each_itemset_is_offered_once(monkeypatch, corpus):
 
 
 def predicted_merges(db, k):
-    """The rows mine_top_k(db, k) fuses away, counted without it: a row is
-    fused when an earlier row of its period keeps the same items once the
-    items outside the mining order are dropped. The order's items come
-    from the same preparation steps the miner takes."""
+    """The rows mine_top_k(db, k) fuses away, counted without it: a row
+    that holds a positive item of the mining order is fused when an
+    earlier such row of its period keeps the same items once the items
+    outside the order are dropped; a row with none is dropped, not fused.
+    The order holds the positive items that pass the root TWU test at the
+    seed threshold, and every negative item."""
     index, totals = dense_periods(db)
-    table, utility = compute_period_twu(db, index)
-    threshold = singleton_threshold(totals, table, utility, k)
+    table, _ = compute_period_twu(db, index)
+    threshold = fraction_singleton_threshold(db, k)
     positives = initial_secondary(db, totals, table, threshold.numerator, threshold.denominator)
-    retained = positives | negative_keep(db, positives)
+    retained = positives | {i for i, sign in db.item_signs.items() if sign < 0}
     seen = set()
     fused = 0
     for t in db.transactions:
-        kept = frozenset(i for i in t.items if i in retained)
-        if not kept:
+        if positives.isdisjoint(t.items):
             continue
+        kept = frozenset(i for i in t.items if i in retained)
         if (t.period, kept) in seen:
             fused += 1
         else:
@@ -1000,6 +1001,35 @@ def test_merges_match_the_prediction(corpus):
     for k in (1, 7, 50):
         assert predicted_merges(db, k) == 4 * 5
         assert mine_top_k(db, k)[1].merges == 4 * 5
+
+
+def test_rows_without_a_positive_item_are_dropped_not_fused():
+    """At k 1 item 2 fails the root TWU test, so rows 3 and 4 of period 0
+    keep the loss-making item 3 alone, and item 4 shares a row with no
+    retained positive. The working database drops those rows rather than
+    fusing them: every root view holds a positive item, no view holds 4,
+    and merges counts only the fused copy of the row {1, 3}."""
+    profits = {1: 9, 2: 1, 3: -1, 4: -2}
+    rows = [
+        (0, [(1, 2), (3, 1)]),
+        (0, [(1, 2), (3, 1)]),
+        (0, [(3, 1), (2, 1)]),
+        (0, [(3, 2), (2, 1)]),
+        (0, [(2, 3), (4, 1)]),
+        (1, [(1, 1)]),
+        (1, [(2, 1), (4, 1)]),
+        (1, [(2, 1), (4, 1)]),
+    ]
+    db = database_from_quantities(profits, rows)
+    for k in (1, 2, 3, 10):
+        assert mine_top_k(db, k)[0] == oracle_top_k(db, k)
+    assert predicted_merges(db, 1) == mine_top_k(db, 1)[1].merges == 1
+    _, miner, root = search_start(db, 1)
+    assert miner.ext_id[: miner.boundary] == (1,)
+    assert set(miner.ext_id[miner.boundary :]) == {3, 4}
+    ext_id = miner.ext_id
+    held = [(tuple(ext_id[d] for d in items), p) for items, _, _, _, p in root.views]
+    assert held == [((1, 3), 0), ((1,), 1)]
 
 
 def test_flag_combinations_agree(running_example):
