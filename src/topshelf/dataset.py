@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NoReturn, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from .domain import Money, Pattern, Transaction
 from .errors import (
@@ -85,52 +85,56 @@ def parse_database(source: str | TextIO | Iterable[str]) -> OnShelfDatabase:
     Raises DatasetError subclasses on the first violation: malformed lines,
     duplicated items, zero utilities, TU checksum mismatches, profit-sign
     flips, empty input, or a period whose total utility is not positive.
-
-    A row is checked whole: min/max over its ids and utilities, a set of its
-    ids and a membership test for a zero utility. Only a row that fails one
-    of these is walked value by value, by _reject_line, which raises the
-    first violation in the line's own order. A line whose fields do not
-    parse as integers is skipped if it is blank or a comment.
     """
     transactions: list[Transaction] = []
-    append = transactions.append
     signs: dict[int, int] = {}
     period_totals: dict[int, Money] = {}
     # one int object per distinct item id and period (see OnShelfDatabase)
     share = {}.setdefault
-    limit = _INT_LIMIT
 
     for lineno, raw in enumerate(_lines_of(source), start=1):
-        parts = raw.split(":")
+        line = raw.strip()
+        if not line or line.startswith(_COMMENT_PREFIXES):
+            continue
+        parts = line.split(":")
+        if len(parts) != 4:
+            raise MalformedLine(lineno, f"expected 4 ':'-separated fields, got {len(parts)}")
+        id_field, tu_field, util_field, period_field = (p.strip() for p in parts)
         try:
-            id_field, tu_field, util_field, period_field = parts
-            ids = list(map(int, id_field.split()))
+            ids = [int(tok) for tok in id_field.split()]
             declared_tu = int(tu_field)
-            utils = tuple(map(int, util_field.split()))
+            utils = [int(tok) for tok in util_field.split()]
             period = int(period_field)
-        except ValueError:
-            line = raw.strip()
-            if not line or line.startswith(_COMMENT_PREFIXES):
-                continue
-            _reject_line(lineno, line.split(":"), signs)
-        if (
-            not ids
-            or len(ids) != len(utils)
-            or not 0 <= period <= limit
-            or abs(declared_tu) > limit
-            or min(ids) <= 0
-            or max(ids) > limit
-            or min(utils) < -limit
-            or max(utils) > limit
-            or len(set(ids)) != len(ids)
-            or 0 in utils
-        ):
-            _reject_line(lineno, parts, signs)
+        except ValueError as exc:
+            raise MalformedLine(lineno, f"non-integer field ({exc})") from None
+
+        if not ids:
+            raise MalformedLine(lineno, "transaction has no items")
+        if len(ids) != len(utils):
+            raise MalformedLine(
+                lineno, f"{len(ids)} items but {len(utils)} utilities"
+            )
+        if period < 0:
+            raise MalformedLine(lineno, f"negative period {period}")
+        for value in (*ids, declared_tu, *utils, period):
+            if abs(value) > _INT_LIMIT:
+                raise MalformedLine(lineno, f"value {value} out of 64-bit range")
 
         items = tuple(map(share, ids, ids))
+        seen_here = set()
         for item, util in zip(items, utils):
+            if item <= 0:
+                raise MalformedLine(lineno, f"item ids must be positive, got {item}")
+            if item in seen_here:
+                raise DuplicateItemInTransaction(lineno, item)
+            seen_here.add(item)
+            if util == 0:
+                raise ZeroUtilityItem(lineno, item)
             sign = 1 if util > 0 else -1
-            if signs.setdefault(item, sign) != sign:
+            prior = signs.get(item)
+            if prior is None:
+                signs[item] = sign
+            elif prior != sign:
                 raise InconsistentProfitSign(lineno, item)
 
         actual_tu = sum(utils)
@@ -138,7 +142,9 @@ def parse_database(source: str | TextIO | Iterable[str]) -> OnShelfDatabase:
             raise TUChecksumMismatch(lineno, declared_tu, actual_tu)
 
         period = share(period, period)
-        append(Transaction(period, items, utils))
+        transactions.append(
+            Transaction(period=period, items=items, utilities=tuple(utils))
+        )
         period_totals[period] = period_totals.get(period, 0) + actual_tu
 
     if not transactions:
@@ -153,48 +159,6 @@ def parse_database(source: str | TextIO | Iterable[str]) -> OnShelfDatabase:
         periods=frozenset(period_totals),
         period_totals=period_totals,
     )
-
-
-def _reject_line(lineno: int, parts: list[str], signs: dict[int, int]) -> NoReturn:
-    """Raise the first violation of a line that failed a whole-row check.
-
-    Checks the field count, the tokens, then the values, then the items one
-    by one, so the error names the first bad token, value or item.
-    """
-    if len(parts) != 4:
-        raise MalformedLine(lineno, f"expected 4 ':'-separated fields, got {len(parts)}")
-    id_field, tu_field, util_field, period_field = (p.strip() for p in parts)
-    try:
-        ids = [int(tok) for tok in id_field.split()]
-        declared_tu = int(tu_field)
-        utils = [int(tok) for tok in util_field.split()]
-        period = int(period_field)
-    except ValueError as exc:
-        raise MalformedLine(lineno, f"non-integer field ({exc})") from None
-
-    if not ids:
-        raise MalformedLine(lineno, "transaction has no items")
-    if len(ids) != len(utils):
-        raise MalformedLine(lineno, f"{len(ids)} items but {len(utils)} utilities")
-    if period < 0:
-        raise MalformedLine(lineno, f"negative period {period}")
-    for value in (*ids, declared_tu, *utils, period):
-        if abs(value) > _INT_LIMIT:
-            raise MalformedLine(lineno, f"value {value} out of 64-bit range")
-
-    seen_here = set()
-    for item, util in zip(ids, utils):
-        if item <= 0:
-            raise MalformedLine(lineno, f"item ids must be positive, got {item}")
-        if item in seen_here:
-            raise DuplicateItemInTransaction(lineno, item)
-        seen_here.add(item)
-        if util == 0:
-            raise ZeroUtilityItem(lineno, item)
-        sign = 1 if util > 0 else -1
-        if signs.get(item, sign) != sign:
-            raise InconsistentProfitSign(lineno, item)
-    raise AssertionError(f"line {lineno} failed a whole-row check but no value check")
 
 
 def write_database(db: OnShelfDatabase, sink: TextIO) -> None:
