@@ -35,8 +35,9 @@ could be a candidate (at X itself too: su_X <= lu_X). So a fill sums one
 positive bound, the one the run's positive rule tests: the subtree bound,
 or the local bound where the local rule is the only positive rule (su_prune
 off, lu_prune on; the search passes local then). The root's local test, the
-TWU test in prepare.initial_secondary, always runs: it shrinks the order
-and the working database before any fill.
+TWU test by which prepare.build_item_order picks the order's positive
+items, always runs: it shrinks the order and the working database before
+any fill.
 
 An item passes a rule if, in some period it sells in, its bound reaches the
 threshold times that period's total. Every bound is tested that way, cell
@@ -50,12 +51,11 @@ by dense item. A fill walks the projection's views, which come in ascending
 period order, adding each view into the rows. At the end of each period one
 fold moves the cells that period wrote out of a row, into that bound's
 record where they reach the fold's need, and zeroes them, so every row cell
-is zero between fills and nothing is reset. The fill lists a cell as it
-first goes from zero to non-zero. A negative whose bracket clips to zero is
-listed too, so that its occurrence is recorded, and while its cell stays
-zero it is listed again at its next occurrence in the period; that listing
-reads zero once the first has been folded, and the fold keeps the cell the
-first listing recorded.
+is zero between fills and nothing is reset. The fill lists a positive cell
+as it first goes from zero to non-zero. It lists a negative at every
+occurrence into a dict, so each negative it walks in a period is listed
+once, in order of first occurrence, even where its bracket clips to zero:
+its occurrence is recorded, with a zero cell if every bracket clipped.
 
 Every fill returns two records, each item -> {dense period: cell}: su's
 and neg's, at need, the cutoff t_num/t_den times the period's total rounded
@@ -143,10 +143,9 @@ _period = itemgetter(4)
 Record = dict[int, dict[int, int]]
 
 
-def _fold(row: list[int], written: list[int], record: Record, p: int, need: int) -> None:
-    """Move the row cells at the written items into record at period p,
-    where they reach need, and zero them. An item listed again reads zero
-    and keeps the cell its first listing recorded."""
+def _fold(row: list[int], written, record: Record, p: int, need: int) -> None:
+    """Move the row cells at the written items, each listed once, into
+    record at period p, where they reach need, and zero them."""
     for z in written:
         cell = row[z]
         row[z] = 0
@@ -154,7 +153,7 @@ def _fold(row: list[int], written: list[int], record: Record, p: int, need: int)
             cells = record.get(z)
             if cells is None:
                 record[z] = {p: cell}
-            elif cell or p not in cells:
+            else:
                 cells[p] = cell
 
 
@@ -207,7 +206,7 @@ def fill_subtree_and_local(
             continue
         tails = not t_num or u_p >= need
         written = []
-        neg_written = []
+        neg_written = {}
         for items, utils, off, prefix, _ in views:
             if tails:
                 j = len(items) - 1
@@ -216,12 +215,10 @@ def fill_subtree_and_local(
                     if u > 0:
                         break
                     item = items[j]
-                    cell = neg[item]
-                    if not cell:
-                        neg_written.append(item)
+                    neg_written[item] = None
                     bracket = prefix + u
                     if bracket > 0:
-                        neg[item] = cell + bracket
+                        neg[item] += bracket
                     j -= 1
             else:
                 j = bisect_left(items, boundary, off) - 1

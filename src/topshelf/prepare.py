@@ -5,20 +5,21 @@ Every step from here on names a period by its dense index: dense period p
 is the p-th smallest period label, and totals[p] is its frozen total pto
 (dense_periods). The preparation makes two walks over the transactions.
 The first gives every item its per-period TWU row, keyed by dense period,
-and its utility. The miner seeds the collector with the singleton entries
-they give (a row's keys are the item's periods), and so the threshold; the
-root TWU test and the item order read them too, and nothing after: the
-miner drops both once the order is built, before the working database,
-since the search caps each node by its parent's fill instead (see
-bounds.py).
-The mining order puts every positive-profit item that passed the TWU test
-before every negative one, each group sorted by ascending total TWU with
-ties broken by external id. Dense indices are positions in that order, so
-the sign of an item is just a comparison against the positive/negative
-boundary and transaction entries sort by plain integer index. The second
-walk builds the working database, the root projection the search starts
-from: it drops every row left with no positive item, fusing identical
-rows as it goes.
+and its utility. mine_top_k seeds the collector with the singleton entries
+they give (a row's keys are the item's periods), and so the threshold;
+build_item_order reads them at that threshold, and nothing after:
+mine_top_k drops both once the order is built, before the working
+database, since the search caps each node by its parent's fill instead
+(see bounds.py).
+build_item_order alone decides the mining order, in one pass over the TWU
+rows: every negative item, and the positive items that pass the root's
+local test, the TWU test, positives first, each group sorted by ascending
+total TWU with ties broken by external id. Dense indices are positions in
+that order, so the sign of an item is just a comparison against the
+positive/negative boundary and transaction entries sort by plain integer
+index. The second walk builds the working database, the root projection
+the search starts from: it drops every row left with no positive item,
+fusing identical rows as it goes.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def compute_period_twu(
     item's periods pi({i}), and presence in the table doubles as an
     occurrence flag. utility[i] is u({i}) over the whole database. Items
     and periods keep the order of their first occurrence. Both maps serve
-    the root TWU test, the item order and the collector's singleton
+    the item order, with its root TWU test, and the collector's singleton
     entries, whose k-th best ratio seeds the threshold; the search reads
     neither.
     """
@@ -85,44 +86,33 @@ class ItemOrder:
 
 def build_item_order(
     twu_table: dict[int, dict[int, int]],
-    retained_positive: set[int],
-    retained_negative: set[int],
+    utility: dict[int, int],
+    totals: list[int],
+    t_num: int,
+    t_den: int,
 ) -> ItemOrder:
-    def total(item: int) -> int:
-        return sum(twu_table.get(item, {}).values())
+    """The mining order, decided in one pass over the TWU rows.
 
-    positives = sorted(retained_positive, key=lambda i: (total(i), i))
-    negatives = sorted(retained_negative, key=lambda i: (total(i), i))
-    sequence = tuple(positives + negatives)
+    A negative item (utility[i] < 0: an item keeps one sign) always enters.
+    A positive item enters when it passes the root's local test, the TWU
+    test: in some dense period p, TWU(i, p) reaches t_num/t_den times
+    totals[p] (equality counts; t_num zero keeps every item that occurs).
+    Each group is sorted by (total TWU, id), the positives first."""
+    positives = []
+    negatives = []
+    for item, row in twu_table.items():
+        if utility[item] < 0:
+            negatives.append((sum(row.values()), item))
+        elif any(twu * t_den >= t_num * totals[p] for p, twu in row.items()):
+            positives.append((sum(row.values()), item))
+    positives.sort()
+    negatives.sort()
+    sequence = tuple(item for _, item in positives + negatives)
     return ItemOrder(
         sequence=sequence,
         position={item: d for d, item in enumerate(sequence)},
         boundary=len(positives),
     )
-
-
-def initial_secondary(
-    db: OnShelfDatabase,
-    totals: list[int],
-    twu_table: dict[int, dict[int, int]],
-    t_num: int,
-    t_den: int,
-) -> set[int]:
-    """Positive items worth keeping at the root: occur somewhere and have at
-    least one dense period p where TWU(i, p) / totals[p] reaches the
-    threshold."""
-    keep = set()
-    for item, sign in db.item_signs.items():
-        if sign < 0:
-            continue
-        row = twu_table.get(item)
-        if not row:
-            continue
-        for p, twu in row.items():
-            if twu * t_den >= t_num * totals[p]:
-                keep.add(item)
-                break
-    return keep
 
 
 @dataclass(slots=True)

@@ -1,5 +1,10 @@
 """The depth-first top-k search.
 
+mine_top_k runs the stages in turn, each a plain call: the TWU walk, the
+collector's seeding, the item order (which picks its own members, see
+prepare.build_item_order), the working database, and _search, the walk
+below the working database's root.
+
 Positive items are explored first (only they can head a worthwhile prefix),
 and each positive prefix additionally sprouts a chain of negative-item
 extensions. The walk is one loop over an explicit stack, so the depth of the
@@ -44,7 +49,6 @@ from .prepare import (
     build_working_database,
     compute_period_twu,
     dense_periods,
-    initial_secondary,
 )
 from .projection import occurrences, project
 
@@ -180,134 +184,123 @@ class TopKCollector:
         ]
 
 
-class _Miner:
-    """Search state plus the search loop. su and neg are the scratch rows
-    of the positive candidates' one positive bound and of the negative
-    ones' clipped subtree sums; every node reuses them, and each fill moves
-    their cells into records of its own (see bounds.py). local is set once
-    per run where the local rule is the only positive rule (su_prune off,
-    lu_prune on): the fills then sum the local bound into su, in place of
-    the subtree bound. While the subtree rule is on, an item the local test
-    would drop fails the subtree test wherever it could be picked, so the
-    local bound changes no pick and is not summed. The search keeps no TWU
-    table: each positive child is capped by the record of its parent's fill
-    (see bounds.py)."""
+def _search(working, collector, stats, *, su_prune, lu_prune) -> None:
+    """Walk the set-enumeration tree below working.root depth first,
+    offering each node of two or more items to collector and counting into
+    stats.
 
-    def __init__(self, working, collector, *, su_prune, lu_prune):
-        self.collector = collector
-        self.su_prune = su_prune
-        self.lu_prune = lu_prune
-        self.local = lu_prune and not su_prune
-        self.boundary = boundary = working.order.boundary
-        self.su = [0] * boundary
-        self.neg = [0] * len(working.order)
-        self.period_totals = working.period_totals
-        self.ext_id = working.order.sequence
+    su and neg are the scratch rows of the positive candidates' one
+    positive bound and of the negative ones' clipped subtree sums; every
+    node reuses them, and each fill moves their cells into records of its
+    own (see bounds.py). local is set where the local rule is the only
+    positive rule (su_prune off, lu_prune on): the fills then sum the local
+    bound into su, in place of the subtree bound. While the subtree rule is
+    on, an item the local test would drop fails the subtree test wherever it
+    could be picked, so the local bound changes no pick and is not summed.
+    The search keeps no TWU table: each positive child is capped by the
+    record of its parent's fill (see bounds.py).
 
-    def search(self, root, stats) -> None:
-        """Walk the set-enumeration tree below root depth first.
+    The root pass fills the rows from the root and picks, as the root's
+    children, every key of its fill's record: the root selects at the
+    cutoff its fill recorded at, and the item order's TWU test already made
+    the root's local test. The fills of the root and of positive nodes run
+    at the threshold where the subtree rule is on and at zero where it is
+    off, and sum the local bound where it is the only positive rule (see
+    bounds.py). A deferred selection tests its record at the threshold
+    where either positive rule is on, and at zero otherwise.
 
-        The root pass fills the rows from root and picks, as the root's
-        children, every key of its fill's record: the root selects at the
-        cutoff its fill recorded at, and root secondary came from the TWU
-        test already. The fills of the root and of positive nodes run at
-        the threshold where the subtree rule is on and at zero where it is
-        off, and sum the local bound where it is the only positive rule (see
-        bounds.py). A deferred selection tests its record at the threshold
-        where either positive rule is on, and at zero otherwise.
+    The stack holds one frame per node whose children are still pending:
+    [projection, prefix, picks, next, rows, record], where picks are the
+    node's selected children in order and next indexes the first one not
+    yet searched. Negatives are the dense items from the order's boundary
+    up, so a child at or above it is negative, and each child of a negative
+    frame extends from the picks after it. A child's depth is the length of
+    its prefix. rows holds, per pick, the ids of the views that hold it,
+    from one walk of the node's views once its picks are known (see
+    projection.occurrences), or None where the child scans every view; a
+    pick's ids are dropped once its child is projected. record is the
+    node's positive fill record (see bounds.fill_subtree_and_local), kept
+    by the root's frame and by each deferred positive frame, None in a
+    negative frame; a pick's cells leave record as its child is filled.
 
-        The stack holds one frame per node whose children are still pending:
-        [projection, prefix, picks, next, rows, record], where picks are the
-        node's selected children in order and next indexes the first one not
-        yet searched. Negatives are the dense items from the order's
-        boundary up, so a child at or above it is negative, and each child
-        of a negative frame extends from the picks after it. A child's depth
-        is the length of its prefix. rows holds, per pick, the ids of the
-        views that hold it, from one walk of the node's views once its picks
-        are known (see projection.occurrences), or None where the child
-        scans every view; a pick's ids are dropped once its child is
-        projected. record is the node's positive fill record (see
-        bounds.fill_subtree_and_local), kept by the root's frame and by each
-        deferred positive frame, None in a negative frame; a pick's cells
-        leave record as its child is filled.
+    Each child is projected from its rows, scored and offered, and then
+    filled through fill_subtree_and_local, unless it is a negative child
+    with no later pick. A positive child P + {z} fills at the subtree
+    cutoff, which skips the negative tails of the periods where the node's
+    own utility falls below it, and is handed P's recorded cells for z as
+    caps, so it skips whole the periods where su_P,p(z) falls below the
+    cutoff: no extension of the child can reach it there. A negative child
+    fills at cutoff zero with no caps, and records no positive cell (see
+    bounds.py). Each child's negative candidates are tested right after its
+    fill, at the cutoff it filled at: a positive child's are the keys of its
+    fill's negative record, ascending, a negative child's the picks after
+    it. The negatives a child picks go on the stack, walked, above a
+    deferred frame (rows None), whose picks slot holds the child's
+    candidates until it selects: the keys of the child's record, ascending.
+    A fill that records nothing pushes no deferred frame. Once the negative
+    subtree is done, the deferred frame selects the child's own children
+    from its record against the threshold of that moment, and then walks
+    its views for them.
+    """
+    order, root = working.order, working.root
+    boundary, ext_id = order.boundary, order.sequence
+    su = [0] * boundary
+    neg = [0] * len(order)
+    local = lu_prune and not su_prune
+    prune = su_prune or lu_prune
+    period_totals = working.period_totals
+    t_num, t_den = collector.threshold
+    cut = t_num if su_prune else 0
+    record = fill_subtree_and_local(root, su, neg, period_totals, cut, t_den, local=local)[0]
+    primary = sorted(record)
+    stack = [[root, (), primary, 0, occurrences(root, primary), record]]
+    while stack:
+        frame = stack[-1]
+        pd, prefix, picks, i, rows, record = frame
+        if rows is None:
+            t_num, t_den = collector.threshold
+            picks = select_primary_secondary(
+                record, period_totals, picks, t_num if prune else 0, t_den
+            )[0]
+            rows = occurrences(pd, picks)
+            frame[2], frame[4] = picks, rows
+        if i == len(picks):
+            stack.pop()
+            continue
+        z = picks[i]
+        child = project(pd, z, rows[i])
+        rows[i] = None
+        frame[3] = i = i + 1
 
-        Each child is projected from its rows, scored and offered, and then
-        filled through fill_subtree_and_local, unless it is a negative child
-        with no later pick. A positive child P + {z} fills at the subtree
-        cutoff, which skips the negative tails of the periods where the
-        node's own utility falls below it, and is handed P's recorded cells
-        for z as caps, so it skips whole the periods where su_P,p(z) falls
-        below the cutoff: no extension of the child can reach it there. A
-        negative child fills at cutoff zero with no caps, and records no
-        positive cell (see bounds.py). Each child's negative candidates are
-        tested right after its fill, at the cutoff it filled at: a positive
-        child's are the keys of its fill's negative record, ascending, a
-        negative child's the picks after it. The negatives a child picks go
-        on the stack, walked, above a deferred frame (rows None), whose
-        picks slot holds the child's candidates until it selects: the keys
-        of the child's record, ascending. A fill that records nothing pushes
-        no deferred frame. Once the negative subtree is done, the deferred
-        frame selects the child's own children from its record against the
-        threshold of that moment, and then walks its views for them.
-        """
-        su, neg, local = self.su, self.neg, self.local
-        su_prune, prune = self.su_prune, self.su_prune or self.lu_prune
-        collector = self.collector
-        period_totals = self.period_totals
-        ext_id = self.ext_id
-        boundary = self.boundary
+        ext = prefix + (ext_id[z],)
+        stats.candidates += 1
+        if len(ext) > stats.max_depth:
+            stats.max_depth = len(ext)
+        if prefix:  # mine_top_k offered every singleton before the search
+            occupied = child.periods
+            period_total = sum(period_totals[p] for p in occupied)
+            collector.offer(sum(child.utilities), period_total, ext, occupied)
+
+        negative = z >= boundary
+        if negative and i == len(picks):
+            continue  # the last negative pick has no later one to add
         t_num, t_den = collector.threshold
         cut = t_num if su_prune else 0
-        record = fill_subtree_and_local(root, su, neg, period_totals, cut, t_den, local=local)[0]
-        primary = sorted(record)
-        stack = [[root, (), primary, 0, occurrences(root, primary), record]]
-        while stack:
-            frame = stack[-1]
-            pd, prefix, picks, i, rows, record = frame
-            if rows is None:
-                t_num, t_den = collector.threshold
-                picks = select_primary_secondary(
-                    record, period_totals, picks, t_num if prune else 0, t_den
-                )[0]
-                rows = occurrences(pd, picks)
-                frame[2], frame[4] = picks, rows
-            if i == len(picks):
-                stack.pop()
-                continue
-            z = picks[i]
-            child = project(pd, z, rows[i])
-            rows[i] = None
-            frame[3] = i = i + 1
-
-            ext = prefix + (ext_id[z],)
-            stats.candidates += 1
-            if len(ext) > stats.max_depth:
-                stats.max_depth = len(ext)
-            if prefix:  # mine_top_k offered every singleton before the search
-                occupied = child.periods
-                period_total = sum(period_totals[p] for p in occupied)
-                collector.offer(sum(child.utilities), period_total, ext, occupied)
-
-            negative = z >= boundary
-            if negative and i == len(picks):
-                continue  # the last negative pick has no later one to add
-            t_num, t_den = collector.threshold
-            cut = t_num if su_prune else 0
-            if negative:
-                # a negative child's prefix utilities can be negative, so its
-                # own utility bounds none of its brackets: it fills ungated
-                negatives = fill_subtree_and_local(child, su, neg, period_totals)[1]
-                rest = picks[i:]
-            else:
-                kept, negatives = fill_subtree_and_local(
-                    child, su, neg, period_totals, cut, t_den, record.pop(z), local
-                )
-                if kept:
-                    stack.append([child, ext, sorted(kept), 0, None, kept])
-                rest = sorted(negatives)
-            picked = select_negative_candidates(negatives, rest, cut, t_den, period_totals)
-            if picked:
-                stack.append([child, ext, picked, 0, occurrences(child, picked), None])
+        if negative:
+            # a negative child's prefix utilities can be negative, so its
+            # own utility bounds none of its brackets: it fills ungated
+            negatives = fill_subtree_and_local(child, su, neg, period_totals)[1]
+            rest = picks[i:]
+        else:
+            kept, negatives = fill_subtree_and_local(
+                child, su, neg, period_totals, cut, t_den, record.pop(z), local
+            )
+            if kept:
+                stack.append([child, ext, sorted(kept), 0, None, kept])
+            rest = sorted(negatives)
+        picked = select_negative_candidates(negatives, rest, cut, t_den, period_totals)
+        if picked:
+            stack.append([child, ext, picked, 0, occurrences(child, picked), None])
 
 
 def mine_top_k(
@@ -321,8 +314,9 @@ def mine_top_k(
 
     Returns the ranked pattern list and the run's counters. The debug knobs
     (su_prune, lu_prune) change work done, never results. lu_prune always
-    sets the root's local test, the TWU test that picks the positive items
-    of the order; below the root the local bound is summed and tested only
+    sets the root's local test, the TWU test by which build_item_order picks
+    the positive items of the order (at the seed threshold, at zero with
+    lu_prune off); below the root the local bound is summed and tested only
     with su_prune off, in place of the subtree bound, since with the
     subtree rule on it changes no pick (see bounds.py).
 
@@ -337,6 +331,8 @@ def mine_top_k(
     offered item outside the order failed the TWU test, so it ranks below
     the seed and is not held. The order holds every negative item; the
     working database drops each row with no positive item of the order.
+    mine_top_k builds no item set of its own: it hands the TWU walk's maps
+    to build_item_order, and the working database to _search.
     """
     _check_k(k)
     if len(db.item_signs) > MAX_DISTINCT_ITEMS:
@@ -357,16 +353,12 @@ def mine_top_k(
     # With the local rule off, threshold zero keeps every positive item
     # that occurs: a TWU is never negative.
     t_num, t_den = collector.threshold if lu_prune else (0, 1)
-    secondary0 = initial_secondary(db, totals, twu, t_num, t_den)
-    negatives = {i for i, sign in db.item_signs.items() if sign < 0}
-    order = build_item_order(twu, secondary0, negatives)
+    order = build_item_order(twu, utility, totals, t_num, t_den)
     # Nothing after the item order reads the TWU table or the utilities;
     # freed here, they are gone before the working database is built.
     del twu, utility
     working, stats.merges = build_working_database(db, order, index, totals)
-
-    miner = _Miner(working, collector, su_prune=su_prune, lu_prune=lu_prune)
-    miner.search(working.root, stats)
+    _search(working, collector, stats, su_prune=su_prune, lu_prune=lu_prune)
 
     patterns = collector.result(working.period_labels)
     stats.patterns = len(patterns)

@@ -3,6 +3,7 @@ and the acceptance summary hook (one PASS/FAIL line per criterion)."""
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -12,6 +13,7 @@ from topshelf.errors import InfeasibleParams
 from topshelf.generator import GeneratorParams, generate
 from topshelf.oracle import relative_utility
 from topshelf.prepare import (
+    ItemOrder,
     build_item_order,
     build_working_database,
     compute_period_twu,
@@ -21,35 +23,57 @@ from topshelf.prepare import (
 
 def pipeline(db, merge=True, drop=()):
     """Order over every item but those in drop, the working database, and
-    its root projection."""
+    its root projection. The order is build_item_order's at threshold zero,
+    which keeps every item, with the items of drop taken out."""
     index, totals = dense_periods(db)
-    table, _ = compute_period_twu(db, index)
-    positives = {i for i, s in db.item_signs.items() if s > 0 and i not in drop}
-    negatives = {i for i, s in db.item_signs.items() if s < 0 and i not in drop}
-    order = build_item_order(table, positives, negatives)
+    table, utility = compute_period_twu(db, index)
+    order = build_item_order(table, utility, totals, 0, 1)
+    if drop:
+        kept = [i for i in order.sequence if i not in drop]
+        order = ItemOrder(
+            sequence=tuple(kept),
+            position={i: d for d, i in enumerate(kept)},
+            boundary=sum(utility[i] > 0 for i in kept),
+        )
     working, _ = build_working_database(db, order, index, totals, merge=merge)
     return order, working, working.root
 
 
 class _SearchStarts(Exception):
-    """Carries the miner and its root out of mine_top_k."""
+    """Carries what the search is handed out of mine_top_k."""
 
 
 def search_start(db, k, **flags):
-    """(collector, miner, root) as mine_top_k(db, k, **flags) hands them to
-    its search, which is not run: the collector seeded with the singletons,
-    holding the seed threshold, and the root of the working database."""
+    """(collector, working) as mine_top_k(db, k, **flags) hands them to
+    _search, which is not run: the collector seeded with the singletons,
+    holding the seed threshold, and the working database, whose order gives
+    the boundary, the external ids and the widths of the search's rows, and
+    whose root the search starts from."""
 
-    def start(self, root, stats):
-        raise _SearchStarts(self, root)
+    def start(working, collector, stats, **flags):
+        raise _SearchStarts(collector, working)
 
-    with mock.patch.object(search._Miner, "search", start):
+    with mock.patch.object(search, "_search", start):
         try:
             search.mine_top_k(db, k, **flags)
         except _SearchStarts as started:
-            miner, root = started.args
-            return miner.collector, miner, root
+            return started.args
     raise AssertionError("mine_top_k started no search")
+
+
+def watch_searches(monkeypatch):
+    """A list to which each mining run, from now on in the test, appends
+    what its search is handed, before the search runs: a namespace of the
+    working database's order, the collector, su_prune and lu_prune."""
+    runs = []
+    run = search._search
+
+    def searched(working, collector, stats, **flags):
+        runs.append(SimpleNamespace(order=working.order, collector=collector, **flags))
+        run(working, collector, stats, **flags)
+
+    monkeypatch.setattr(search, "_search", searched)
+    return runs
 
 
 def fraction_singleton_threshold(db, k):

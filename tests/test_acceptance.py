@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import search_start
+from conftest import pipeline, search_start, watch_searches
 from topshelf import search
 from topshelf.bench import run_bench, write_records
 from topshelf.dataset import parse_database, write_patterns
@@ -29,11 +29,6 @@ from topshelf.oracle import (
     remaining_utility,
     subtree_bound,
     twu,
-)
-from topshelf.prepare import (
-    build_item_order,
-    compute_period_twu,
-    dense_periods,
 )
 from topshelf.search import mine_top_k, stats_json
 
@@ -118,14 +113,6 @@ def test_ablations_change_work_not_answers(corpus):
 # -- 4: the bound chain dominates everything reachable -------------------------
 
 
-def _full_order(db):
-    return build_item_order(
-        compute_period_twu(db, dense_periods(db)[0])[0],
-        {i for i, s in db.item_signs.items() if s > 0},
-        {i for i, s in db.item_signs.items() if s < 0},
-    )
-
-
 def _period_utility_table(db, position):
     """(item-bitmask, period) -> utility, for every supported combination."""
     util: dict[tuple[int, int], int] = {}
@@ -166,7 +153,7 @@ def test_bound_chain_dominates_every_occupied_cell(narrow_corpus, running_exampl
     checked_positive = 0
     checked_negative = 0
     for db in [running_example, *narrow_corpus]:
-        order = _full_order(db)
+        order = pipeline(db)[0]
         position = order.position
         all_mask = (1 << len(order.sequence)) - 1
         util = _period_utility_table(db, position)
@@ -256,27 +243,22 @@ def test_collector_starts_with_the_best_singletons(corpus, monkeypatch):
     with their utilities, period totals and periods. Its threshold is the
     k-th best of them (zero where n < k), and no rise is counted."""
     runs = []
-    miners = []
-
-    def searched(self, root, stats):
-        miners.append(self)
-        run(self, root, stats)
+    searches = watch_searches(monkeypatch)
 
     def narrow(*args):
-        if len(runs) < len(miners):
-            collector = miners[-1].collector
+        if len(runs) < len(searches):
+            collector = searches[-1].collector
             runs.append((collector.result(labels), collector.threshold, collector.rises))
         return project(*args)
 
-    run, project = search._Miner.search, search.project
-    monkeypatch.setattr(search._Miner, "search", searched)
+    project = search.project
     monkeypatch.setattr(search, "project", narrow)
     for db in corpus:
         singletons = [p for p in oracle_top_k(db, 10_000) if len(p.items) == 1]
         labels = tuple(sorted(db.periods))
         for k in (1, 3, 5, 10, 10_000):
             mine_top_k(db, k)
-            assert len(runs) == len(miners)
+            assert len(runs) == len(searches)
             held, threshold, rises = runs[-1]
             seed = held[k - 1].relative_utility if len(held) == k else Fraction(0)
             assert held == singletons[:k]

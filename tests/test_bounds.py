@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import pipeline
+from conftest import pipeline, watch_searches
 
 from topshelf import search
 from topshelf.bench import reassign_periods
@@ -28,7 +28,7 @@ from topshelf.oracle import (
 )
 from topshelf.prepare import compute_period_twu, dense_periods
 from topshelf.projection import ProjectedDatabase, project
-from topshelf.search import TopKCollector, _Miner, mine_top_k
+from topshelf.search import mine_top_k
 
 A, B, C, D, E = 1, 2, 3, 4, 5
 
@@ -91,16 +91,11 @@ def _twu(db):
     return compute_period_twu(db, dense_periods(db)[0])[0]
 
 
-def _miner(db, working, su_prune=True, lu_prune=True, threshold=Fraction(0)):
-    collector = TopKCollector(1, sum(working.period_totals))
-    collector.threshold = (threshold.numerator, threshold.denominator)
-    return _Miner(working, collector, su_prune=su_prune, lu_prune=lu_prune)
-
-
-def _miner_rows(db, working):
-    """The su and neg scratch rows a run over db's working database uses."""
-    miner = _miner(db, working)
-    return miner.su, miner.neg
+def _rows(order):
+    """Fresh su and neg scratch rows as a search over order allocates them:
+    su one cell per positive item, neg one per dense item (see
+    test_selection_degrades_to_occurrence_when_disabled)."""
+    return _two_rows(order.boundary, len(order))
 
 
 def _last_item(pd):
@@ -207,10 +202,8 @@ def test_root_bounds_match_definitions(corpus):
     keys."""
     for db in corpus[:30]:
         order, working, root = pipeline(db, merge=False)
-        su, neg = _miner_rows(db, working)
+        su, neg = _rows(order)
         totals = working.period_totals
-        assert len(su) == order.boundary
-        assert len(neg) == len(order)  # indexed by dense item
         keys = []
         for local in (False, True):
             records = fill_subtree_and_local(root, su, neg, totals, local=local)
@@ -232,7 +225,7 @@ def test_depth_one_bounds_match_definitions(corpus):
             continue
         z0 = rng.randrange(order.boundary)
         pd = project(root, z0)
-        su, neg = _miner_rows(db, working)
+        su, neg = _rows(order)
         totals = working.period_totals
         prefix = (order.sequence[z0],)
         keys = []
@@ -265,7 +258,7 @@ def test_merged_views_tighten_but_never_break_the_bound(corpus, narrow_corpus):
             continue
         z0 = rng.randrange(order.boundary)
         pd = project(root, z0)
-        records = fill_subtree_and_local(pd, *_miner_rows(db, working), working.period_totals)
+        records = fill_subtree_and_local(pd, *_rows(order), working.period_totals)
         ratios = _subtree_ratios(records, working.period_totals)
         prefix = (order.sequence[z0],)
         for z in range(z0 + 1, n):
@@ -288,7 +281,7 @@ def test_merged_views_tighten_but_never_break_the_bound(corpus, narrow_corpus):
             continue
         for z0 in range(order.boundary):
             pd = project(root, z0)
-            records = fill_subtree_and_local(pd, *_miner_rows(db, working), working.period_totals)
+            records = fill_subtree_and_local(pd, *_rows(order), working.period_totals)
             ratios = _subtree_ratios(records, working.period_totals)
             prefix = (order.sequence[z0],)
             for z in range(z0 + 1, n):
@@ -335,7 +328,7 @@ def test_negative_tail_fill_matches_definitions(corpus):
             continue
         z0 = rng.randrange(order.boundary)
         pd = project(root, z0)
-        su, neg = _miner_rows(db, working)
+        su, neg = _rows(order)
         totals = working.period_totals
         records = fill_subtree_and_local(pd, su, neg, totals)
         _assert_filled(pd, records, su, neg, totals)
@@ -470,20 +463,32 @@ def test_selection_applies_both_bound_tests():
     assert select_primary_secondary(local_record, totals, candidates, 1, 4) == ([1], None)
 
 
-def test_selection_degrades_to_occurrence_when_disabled():
+def test_selection_degrades_to_occurrence_when_disabled(monkeypatch):
     """A rule that is off tests at numerator zero, which every recorded
     item passes, since every bound is at least zero. The fills sum the
-    local bound only where it is the only positive rule."""
+    local bound only where it is the only positive rule: the root's fill is
+    local exactly then. Every fill is handed the run's scratch rows, su one
+    cell per positive item of the order, neg one per dense item."""
     totals = [5, 9]
     record = {0: {0: 0}, 2: {1: 0}}
     assert select_primary_secondary(record, totals, sorted(record), 0, 99) == ([0, 2], None)
     assert select_negative_candidates(record, [0, 1, 2], 0, 99, totals) == [0, 2]
 
     db = parse_database("1 2:5:2 3:0\n2:4:4:1\n")
-    working = pipeline(db)[1]
+    runs = watch_searches(monkeypatch)
+    handed = []
+
+    def fill(pd, su, neg, totals, t_num=0, t_den=1, caps=None, local=False):
+        order = runs[-1].order
+        assert len(su) == order.boundary and len(neg) == len(order)
+        handed.append(local)
+        return fill_subtree_and_local(pd, su, neg, totals, t_num, t_den, caps, local)
+
+    monkeypatch.setattr(search, "fill_subtree_and_local", fill)
     for su_prune, lu_prune in itertools.product((True, False), repeat=2):
-        miner = _miner(db, working, su_prune, lu_prune, Fraction(3, 7))
-        assert miner.local == (lu_prune and not su_prune)
+        handed.clear()
+        mine_top_k(db, 1, su_prune=su_prune, lu_prune=lu_prune)
+        assert handed[0] == (lu_prune and not su_prune)
 
 
 def test_selection_boundary_equality_counts():
@@ -515,13 +520,13 @@ def test_negative_candidate_selection():
         assert at_zero == [4, 5, 6]
 
 
-def test_negative_listed_again_in_a_period_keeps_its_first_fold():
+def test_negative_clipped_first_in_a_period_records_the_whole_sum():
     """A negative whose first bracket in a period clips to zero keeps cell
-    zero, so the fill lists it again at its next view of that period; here
-    the later view's bracket is positive. The fold reads the whole period's
-    sum at the first listing and zero at the second, and keeps the first:
-    a fill at cutoff zero, as of a negative node, records the positive
-    cell, and a selection at a positive cutoff picks the item.
+    zero there; here the later view's bracket is positive. The fill lists
+    the negative once per period however its brackets clip, so the fold
+    reads the whole period's sum, not the zero of its first view: a fill at
+    cutoff zero, as of a negative node, records the positive cell, and a
+    selection at a positive cutoff picks the item.
 
     Node {a, m}, a positive and m and n negative, in one period of total
     20: in the first view the prefix is 3 - 8 = -5, so n's bracket -6 clips
@@ -864,8 +869,8 @@ def test_gated_fill_of_a_positive_node_decides_as_the_ungated_one(corpus, n_peri
         order, working, root = pipeline(db)
         totals = working.period_totals
         n, boundary = len(order), order.boundary
-        rows = _miner_rows(db, working)
-        ungated = _miner_rows(db, working)
+        rows = _rows(order)
+        ungated = _rows(order)
         pd = root
         for _ in range(4):
             full = fill_subtree_and_local(pd, *ungated, totals)
@@ -995,8 +1000,8 @@ def test_capped_fill_decides_as_the_uncapped_one(corpus, n_periods):
         order, working, root = pipeline(db)
         totals = working.period_totals
         n, boundary = len(order), order.boundary
-        rows = _miner_rows(db, working)
-        ungated = _miner_rows(db, working)
+        rows = _rows(order)
+        ungated = _rows(order)
         pd, caps, floor = root, None, Fraction(0)
         for _ in range(4):
             held = sorted(
@@ -1142,23 +1147,18 @@ def test_search_caps_each_positive_child_by_its_parents_record(monkeypatch):
     hold every period the child sells in, each at least the child's
     subtree cell there."""
     databases = _many_period_databases(30, (40, 240), 6, 30)
-    miners = []
+    runs = watch_searches(monkeypatch)
     current = {}
     handed = {True: 0, False: 0}
     recorded = 0
-    original = _Miner.search
-
-    def searched(self, root, stats):
-        miners.append(self)
-        return original(self, root, stats)
 
     def fill(pd, su, neg, totals, t_num=0, t_den=1, caps=None, local=False):
         nonlocal recorded
-        miner = miners[-1]
+        run = runs[-1]
         last = _last_item(pd)
-        positive = last is None or last < miner.boundary
-        assert local == (positive and not miner.su_prune)
-        if last is None or last >= miner.boundary:
+        positive = last is None or last < run.order.boundary
+        assert local == (positive and not run.su_prune)
+        if last is None or last >= run.order.boundary:
             assert caps is None
         else:
             cells = _parent_cells(pd)
@@ -1169,18 +1169,17 @@ def test_search_caps_each_positive_child_by_its_parents_record(monkeypatch):
             else:
                 assert all(caps[p] == cells[p] for p in caps)
             assert all(cells[p] * t_den < t_num * totals[p] for p in cells.keys() - caps.keys())
-            handed[miner.su_prune] += 1
+            handed[run.su_prune] += 1
         records = fill_subtree_and_local(pd, su, neg, totals, t_num, t_den, caps, local)
         kept = records[SU]
         walked = _walked(pd, totals, t_num, t_den, caps)
         assert kept == _recorded(pd, totals, t_num, t_den, walked, "lu" if local else "su")
         for z, cells in kept.items():
-            row = current["twu"][miner.ext_id[z]]
+            row = current["twu"][run.order.sequence[z]]
             assert all(cell <= row[p] for p, cell in cells.items())
         recorded += len(kept)
         return records
 
-    monkeypatch.setattr(_Miner, "search", searched)
     monkeypatch.setattr(search, "fill_subtree_and_local", fill)
     for db in databases:
         current["twu"] = _twu(db)

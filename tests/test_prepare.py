@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from conftest import fraction_singleton_threshold, search_start
+from conftest import fraction_singleton_threshold, pipeline, search_start
 from topshelf.dataset import database_from_quantities, parse_database
 from topshelf.oracle import itemset_periods, itemset_utility, twu
 from topshelf.prepare import (
@@ -11,7 +11,6 @@ from topshelf.prepare import (
     build_working_database,
     compute_period_twu,
     dense_periods,
-    initial_secondary,
 )
 
 A, B, C, D, E = 1, 2, 3, 4, 5
@@ -20,6 +19,11 @@ A, B, C, D, E = 1, 2, 3, 4, 5
 def walk(db):
     """compute_period_twu over db's dense periods."""
     return compute_period_twu(db, dense_periods(db)[0])
+
+
+def order_at(db, t_num, t_den):
+    """build_item_order over db's TWU walk at threshold t_num/t_den."""
+    return build_item_order(*walk(db), dense_periods(db)[1], t_num, t_den)
 
 
 def test_period_twu_worked_example(running_example):
@@ -43,8 +47,7 @@ def test_one_walk_matches_the_oracle(running_example, corpus):
     gapped = parse_database("1 2:7:3 4:17\n2:5:5:3\n1 3:9:4 5:40\n3:2:2:17\n")
     assert dense_periods(gapped) == ({3: 0, 17: 1, 40: 2}, [5, 9, 9])
     assert walk(gapped)[0] == {1: {1: 7, 2: 9}, 2: {0: 5, 1: 7}, 3: {1: 2, 2: 9}}
-    order = build_item_order(walk(gapped)[0], {1, 2, 3}, set())
-    working, _ = build_working_database(gapped, order, *dense_periods(gapped))
+    _, working, _ = pipeline(gapped)
     assert working.period_labels == (3, 17, 40) and working.period_totals == [5, 9, 9]
     for db in [gapped, running_example, *corpus[:40]]:
         index, _ = dense_periods(db)
@@ -95,8 +98,7 @@ def test_singleton_threshold_ranks_as_fractions(corpus):
 
 
 def test_item_order_puts_positives_first_by_rising_twu(running_example):
-    table, _ = walk(running_example)
-    order = build_item_order(table, {A, D, E}, {B, C})
+    order = order_at(running_example, 0, 1)
     # positives by total TWU: a(97) < e(108) < d(178); negatives: c(126) < b(153)
     assert order.sequence == (A, E, D, C, B)
     assert order.boundary == 3
@@ -106,30 +108,53 @@ def test_item_order_puts_positives_first_by_rising_twu(running_example):
 
 def test_item_order_breaks_twu_ties_by_id():
     db = parse_database("1 2:10:5 5:0\n")
-    table, _ = walk(db)
-    order = build_item_order(table, {1, 2}, set())
-    assert order.sequence == (1, 2)
+    assert order_at(db, 0, 1).sequence == (1, 2)
 
 
-def test_initial_secondary_keeps_items_clearing_some_period(running_example):
+def test_item_order_keeps_negatives_and_items_passing_the_twu_test(running_example, corpus):
+    """The order holds every negative item, and each positive item with a
+    period h where TWU({i}, h) reaches the threshold times pto(h), equality
+    counting; the positives come first, each group sorted by (total TWU,
+    id). Checked from the definitions at threshold zero, at the seed of the
+    worked example at k 2, at an impossible threshold, and at the best
+    period ratio of the first positive item, which that item ties."""
     db = running_example
-    totals = dense_periods(db)[1]
-    table, _ = walk(db)
-    t = Fraction(50, 154)  # the seed at k 2
-    keep = initial_secondary(db, totals, table, t.numerator, t.denominator)
-    assert keep == {A, D, E}  # negative items never enter the root secondary
-    # an impossible threshold empties it
-    assert initial_secondary(db, totals, table, 2, 1) == set()
+    # at the seed of k 2, a, d and e each clear some period; b and c, both
+    # negative, enter whatever the threshold
+    assert order_at(db, 50, 154).sequence == (A, E, D, C, B)
+    # an impossible threshold keeps no positive item
+    assert order_at(db, 2, 1).sequence == (C, B)
     # zero threshold keeps every occurring positive item
-    assert initial_secondary(db, totals, table, 0, 1) == {A, D, E}
+    assert order_at(db, 0, 1).sequence == (A, E, D, C, B)
+    tested = dropped = 0
+    for db in [running_example, *corpus]:
+        best = {
+            i: max(Fraction(twu(db, (i,), period=h), db.period_totals[h]) for h in db.periods)
+            for i in db.item_signs
+        }
+        negative = {i for i, sign in db.item_signs.items() if sign < 0}
+        tie = best[min(best.keys() - negative)]
+        for t in (Fraction(0), Fraction(50, 154), Fraction(2), tie):
+            order = order_at(db, t.numerator, t.denominator)
+            passing = {i for i, ratio in best.items() if ratio >= t}
+            members = negative | passing
+            assert set(order.sequence) == members
+            assert len(order.sequence) == len(members)
+            positives = order.sequence[: order.boundary]
+            assert set(positives) == members - negative
+            for group in (positives, order.sequence[order.boundary :]):
+                assert list(group) == sorted(group, key=lambda i: (twu(db, (i,)), i))
+            tested += len(members)
+            dropped += len(db.item_signs) - len(members)
+    assert tested > 1000 and dropped > 100
 
 
 def held_negatives(db, k, **flags):
     """The negatives the root views of mine_top_k(db, k, **flags) hold,
     after checking that each view holds a positive item of the order; and
     by definition, the negatives that share a row with one."""
-    _, miner, root = search_start(db, k, **flags)
-    boundary, ext_id = miner.boundary, miner.ext_id
+    _, working = search_start(db, k, **flags)
+    root, boundary, ext_id = working.root, working.order.boundary, working.order.sequence
     assert all(items[0] < boundary for items, _, _, _, _ in root.views)
     held = {ext_id[d] for items, _, _, _, _ in root.views for d in items if d >= boundary}
     positives = set(ext_id[:boundary])
@@ -217,8 +242,7 @@ def test_working_database_leaves_distinct_rows_alone():
 
 def test_working_database_layout(running_example):
     db = running_example
-    table, _ = walk(db)
-    order = build_item_order(table, {A, D, E}, {B, C})
+    order = order_at(db, 0, 1)
     working, merged = build_working_database(db, order, *dense_periods(db))
     assert merged == 0  # no two transactions share an item set here
     assert working.period_labels == (0, 1, 2)
@@ -244,8 +268,7 @@ def test_working_database_layout(running_example):
 def test_working_database_merges_identical_rows():
     text = "1 2:7:3 4:0\n1 2:14:6 8:0\n1 2:7:3 4:1\n"
     db = parse_database(text)
-    table, _ = walk(db)
-    order = build_item_order(table, {1, 2}, set())
+    order = order_at(db, 0, 1)
     working, merged = build_working_database(db, order, *dense_periods(db))
     assert merged == 1
     # only rows of the same period fuse
@@ -258,8 +281,7 @@ def test_working_database_merges_identical_rows():
 
 def test_working_database_drops_unordered_items(running_example):
     db = running_example
-    table, _ = walk(db)
-    order = build_item_order(table, {D}, set())
+    order = ItemOrder(sequence=(D,), position={D: 0}, boundary=1)
     working, _ = build_working_database(db, order, *dense_periods(db), merge=False)
     # only item d survives; T4 and T6 (no d) disappear entirely
     assert working.transaction_count == 5

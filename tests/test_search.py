@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import fraction_singleton_threshold, search_start
+from conftest import fraction_singleton_threshold, search_start, watch_searches
 from topshelf import search
 from topshelf.bounds import (
     fill_subtree_and_local,
@@ -29,10 +29,9 @@ from topshelf.prepare import (
     build_working_database,
     compute_period_twu,
     dense_periods,
-    initial_secondary,
 )
 from topshelf.projection import occurrences, project
-from topshelf.search import TopKCollector, _Miner, mine_top_k, stats_json
+from topshelf.search import TopKCollector, mine_top_k, stats_json
 
 
 def make_pattern(items, u, to):
@@ -491,38 +490,32 @@ def test_selections_read_the_threshold_of_their_moment(monkeypatch, corpus):
     the fills and the negative selections where the subtree rule is off,
     the positive selections where both positive rules are. A negative
     node's fill always runs at zero."""
-    miners = []
+    runs = watch_searches(monkeypatch)
     thresholds = set()
-    run = _Miner.search
-
-    def searched(self, root, stats):
-        miners.append(self)
-        run(self, root, stats)
 
     def cutoff(rule_on):
-        t_num, t_den = miners[-1].collector.threshold
+        t_num, t_den = runs[-1].collector.threshold
         return (t_num if rule_on else 0), t_den
 
     def fill(pd, su, neg, totals, t_num=0, t_den=1, caps=None, local=False):
         items, _, off, _, _ = pd.views[0]
-        if off and items[off - 1] >= miners[-1].boundary:
+        if off and items[off - 1] >= runs[-1].order.boundary:
             assert t_num == 0
         else:
-            assert (t_num, t_den) == cutoff(miners[-1].su_prune)
+            assert (t_num, t_den) == cutoff(runs[-1].su_prune)
         return fill_subtree_and_local(pd, su, neg, totals, t_num, t_den, caps, local)
 
     def split(record, totals, candidates, t_num, t_den):
-        miner = miners[-1]
-        assert (t_num, t_den) == cutoff(miner.su_prune or miner.lu_prune)
+        run = runs[-1]
+        assert (t_num, t_den) == cutoff(run.su_prune or run.lu_prune)
         thresholds.add(Fraction(t_num, t_den))
         return select_primary_secondary(record, totals, candidates, t_num, t_den)
 
     def negatives(negative_record, candidates, t_num, t_den, totals):
-        assert (t_num, t_den) == cutoff(miners[-1].su_prune)
+        assert (t_num, t_den) == cutoff(runs[-1].su_prune)
         thresholds.add(Fraction(t_num, t_den))
         return select_negative_candidates(negative_record, candidates, t_num, t_den, totals)
 
-    monkeypatch.setattr(_Miner, "search", searched)
     monkeypatch.setattr(search, "fill_subtree_and_local", fill)
     monkeypatch.setattr(search, "select_primary_secondary", split)
     monkeypatch.setattr(search, "select_negative_candidates", negatives)
@@ -620,23 +613,18 @@ def _watch_the_zero_seed_run(monkeypatch):
     assert search_start(db, k)[0].threshold == (0, 1)
     seen = {key: [] for key in ("row_skips", "record_skips", "zero", "zero_children", "root")}
     seen["uncapped"] = 0
-    miners = []
+    runs = watch_searches(monkeypatch)
     cutoff_of = {}  # id of a record's cells -> the cutoff of the fill that recorded them
-    run = _Miner.search
-
-    def searched(self, root, stats):
-        miners.append(self)
-        run(self, root, stats)
 
     def fill(pd, su, neg, totals, t_num=0, t_den=1, caps=None, local=False):
-        miner = miners[-1]
+        order = runs[-1].order
         items, _, off, _, _ = pd.views[0]
         last = items[off - 1] if off else None
-        if last is not None and last < miner.boundary:
+        if last is not None and last < order.boundary:
             if caps is None:
                 seen["uncapped"] += 1
             else:
-                row = table[miner.ext_id[last]]
+                row = table[order.sequence[last]]
                 by_row = {p for p in pd.periods if row[p] * t_den < t_num * totals[p]}
                 by_record = {
                     p for p in pd.periods if caps.get(p, 0) * t_den < t_num * totals[p]
@@ -649,7 +637,7 @@ def _watch_the_zero_seed_run(monkeypatch):
         kept = records[0]
         for cells in kept.values():
             cutoff_of[id(cells)] = t_num
-        if not t_num and (last is None or last < miner.boundary):
+        if not t_num and (last is None or last < order.boundary):
             held = {z for items, _, off, _, _ in pd.views for z in items[off:] if z < len(su)}
             seen["zero"].append((set(kept), held))
         if last is None:
@@ -661,7 +649,6 @@ def _watch_the_zero_seed_run(monkeypatch):
             seen["root"].append(picks)
         return occurrences(pd, picks)
 
-    monkeypatch.setattr(_Miner, "search", searched)
     monkeypatch.setattr(search, "fill_subtree_and_local", fill)
     monkeypatch.setattr(search, "occurrences", walk)
     _, stats = mine_top_k(db, k)
@@ -743,11 +730,6 @@ def _run_with_picks(monkeypatch, db, k, local_test=False, capped=True, **flags):
             picks.append(primary)
         return primary, None
 
-    def init(self, *args, **kwargs):
-        build(self, *args, **kwargs)
-        miners.append(self)
-        self.su = _CountingRow(self.boundary)
-
     def fill(pd, su, neg, totals, t_num=0, t_den=1, caps=None, local=False):
         if not capped:
             caps = None
@@ -755,21 +737,21 @@ def _run_with_picks(monkeypatch, db, k, local_test=False, capped=True, **flags):
             counts["skipped"] += sum(
                 caps.get(p, 0) * t_den < t_num * totals[p] for p in pd.periods
             )
-        records = fill_subtree_and_local(pd, su, neg, totals, t_num, t_den, caps, local)
+        # every row cell is zero between fills, so a fresh counting row in
+        # place of the search's su fills the same
+        counting = _CountingRow(len(su))
+        records = fill_subtree_and_local(pd, counting, neg, totals, t_num, t_den, caps, local)
+        counts["written"] += counting.writes
         if local_test:
             rows = [0] * len(su), [0] * len(neg)
             sums = fill_subtree_and_local(pd, *rows, totals, local=True)[0]
             local_records[id(records[0])] = records[0], sums
         return records
 
-    build = _Miner.__init__
-    miners = []
     with monkeypatch.context() as patched:
         patched.setattr(search, "select_primary_secondary", split)
         patched.setattr(search, "fill_subtree_and_local", fill)
-        patched.setattr(_Miner, "__init__", init)
         mined, stats = mine_top_k(db, k, **flags)
-    counts["written"] = miners[-1].su.writes
     payload = stats_json(stats)
     del payload["elapsed_ms"]
     return mined, payload, picks, counts
@@ -967,9 +949,13 @@ def predicted_merges(db, k):
     The order holds the positive items that pass the root TWU test at the
     seed threshold, and every negative item."""
     index, totals = dense_periods(db)
-    table, _ = compute_period_twu(db, index)
+    table, utility = compute_period_twu(db, index)
     threshold = fraction_singleton_threshold(db, k)
-    positives = initial_secondary(db, totals, table, threshold.numerator, threshold.denominator)
+    positives = {
+        i
+        for i, row in table.items()
+        if utility[i] > 0 and any(twu >= threshold * totals[p] for p, twu in row.items())
+    }
     retained = positives | {i for i, sign in db.item_signs.items() if sign < 0}
     seen = set()
     fused = 0
@@ -1024,11 +1010,11 @@ def test_rows_without_a_positive_item_are_dropped_not_fused():
     for k in (1, 2, 3, 10):
         assert mine_top_k(db, k)[0] == oracle_top_k(db, k)
     assert predicted_merges(db, 1) == mine_top_k(db, 1)[1].merges == 1
-    _, miner, root = search_start(db, 1)
-    assert miner.ext_id[: miner.boundary] == (1,)
-    assert set(miner.ext_id[miner.boundary :]) == {3, 4}
-    ext_id = miner.ext_id
-    held = [(tuple(ext_id[d] for d in items), p) for items, _, _, _, p in root.views]
+    _, working = search_start(db, 1)
+    ext_id, boundary = working.order.sequence, working.order.boundary
+    assert ext_id[:boundary] == (1,)
+    assert set(ext_id[boundary:]) == {3, 4}
+    held = [(tuple(ext_id[d] for d in items), p) for items, _, _, _, p in working.root.views]
     assert held == [((1, 3), 0), ((1,), 1)]
 
 
