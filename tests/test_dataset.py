@@ -111,6 +111,83 @@ def test_parse_peak_stays_near_the_database(distinct):
     assert peak < PARSE_PEAK_LIMIT * resident
 
 
+def test_parse_parks_no_memory_in_free_lists():
+    # A container discarded per row can be parked on a CPython free list,
+    # where it holds memory that the database does not use and that the peak
+    # test above counts as resident. A full collection empties the free lists.
+    lines = []
+    for row in range(3000):
+        ids = [6 * row + j for j in range(1, 7)]
+        utils = [1, 2, 3, 4, 5, 6]
+        lines.append(
+            f"{' '.join(map(str, ids))}:{sum(utils)}:{' '.join(map(str, utils))}:{row % 4}\n"
+        )
+    gc.collect()
+    tracemalloc.start()
+    try:
+        db = parse_database(lines)
+        resident = tracemalloc.get_traced_memory()[0]
+        gc.collect()
+        collected = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(db) == 3000
+    assert resident <= 1.05 * collected
+
+
+def _same_database(a, b):
+    assert a == b
+    assert list(a.item_signs) == list(b.item_signs)
+    assert list(a.period_totals) == list(b.period_totals)
+
+
+def test_crlf_and_padded_fields_parse_as_their_plain_twins(running_text):
+    # str sources go through StringIO, which leaves '\r\n' as it is
+    plain = parse_database(running_text)
+    crlf = running_text.replace("\n", "\r\n")
+    _same_database(parse_database(crlf), plain)
+    for pad in (" ", "\t", " \t "):
+        padded = "".join(
+            pad
+            + f"{pad}:{pad}".join(pad.join(field.split()) for field in line.split(":"))
+            + pad
+            + "\n"
+            for line in running_text.splitlines()
+        )
+        assert padded.count(f"{pad}:{pad}") == 3 * len(plain)
+        _same_database(parse_database(padded), plain)
+        _same_database(parse_database(padded.replace("\n", "\r\n")), plain)
+
+
+@pytest.mark.parametrize(
+    "comment",
+    ["#1 2:3:1 2:0", "%1 2:3:4:5", "@7 8:1:1 1:0", " \t%5:5:5:0\r", "#:1:1:0"],
+)
+def test_four_field_comments_are_skipped(comment):
+    # each splits into four fields and fails the integer parse on its first token
+    for text in (f"{comment}\n1 2:7:3 4:0\n", f"1 2:7:3 4:0\r\n{comment}\r\n"):
+        db = parse_database(text)
+        assert len(db) == 1
+        assert db.transactions[0].items == (1, 2)
+
+
+@pytest.mark.parametrize(
+    "text, token",
+    [
+        ("  x1 2:3:1 2:0", "x1"),
+        ("\t1 2 :\t3y :1 2:0\r", "3y"),
+        (" 1 2 : 3 : 1 2 :\t0x \r", "0x"),
+        ("1 2:3:1 2:0\r\n 1 $:3:1 2:0\r", "$"),
+    ],
+)
+def test_padded_non_comment_line_quotes_the_stripped_token(text, token):
+    with pytest.raises(MalformedLine) as info:
+        parse_database(text + "\n")
+    lineno = text.count("\n") + 1
+    assert info.value.lineno == lineno
+    assert str(info.value) == f"line {lineno}: {_NOT_INT.format(token)}"
+
+
 def test_parse_accepts_file_objects(running_text):
     db = parse_database(io.StringIO(running_text))
     assert len(db) == 8
