@@ -57,7 +57,7 @@ occurrence into a dict, so each negative it walks in a period is listed
 once, in order of first occurrence, even where its bracket clips to zero:
 its occurrence is recorded, with a zero cell if every bracket clipped.
 
-Every fill returns two records, each item -> {dense period: cell}: su's
+Every fill returns two records, each item -> {period: cell}: su's
 and neg's, at need, the cutoff t_num/t_den times the period's total rounded
 up. Every node, the root, a positive node or a negative one, is filled the
 same way, in one walk of its projection. A negative node's views hold only
@@ -139,7 +139,7 @@ from operator import itemgetter
 
 _period = itemgetter(4)
 
-# A fill's record of one bound: item -> {dense period: cell}.
+# A fill's record of one bound: item -> {period: cell}, keyed by period label.
 Record = dict[int, dict[int, int]]
 
 
@@ -169,7 +169,7 @@ def fill_subtree_and_local(
 ) -> tuple[Record, Record]:
     """One backward walk per view of projection pd fills the scratch rows
     and returns the fill's records (record, negatives), each item ->
-    {dense period: cell}.
+    {period: cell}.
 
     Negatives come first in the walk (they sort last, and only they carry
     negative utilities) and add clipped brackets to their neg cells. Then

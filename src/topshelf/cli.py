@@ -146,8 +146,7 @@ def _cmd_bench(args) -> int:
     try:
         k_list = [int(part) for part in args.k_list.split(",") if part.strip()]
     except ValueError:
-        print(f"error: bad k list {args.k_list!r}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise InvalidBenchParams(f"bad k list {args.k_list!r}") from None
     records, any_timeout = run_bench(
         args.input,
         k_list,
@@ -175,16 +174,18 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return handler(args)
     except (
-        DatasetError, InvalidK, InfeasibleParams, InvalidBenchParams, UnicodeDecodeError
+        DatasetError,
+        InvalidK,
+        InfeasibleParams,
+        InvalidBenchParams,
+        UnicodeDecodeError,
+        OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except TooLargeForOracle as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ORACLE_REFUSED
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

@@ -58,6 +58,8 @@ class OnShelfDatabase:
 
     period_totals holds pto(h), the summed transaction utilities per period,
     frozen at parse time; it is never recomputed after items are trimmed.
+    The preparation and the search read this dict as given, keyed by
+    period label, and keep no copy of it, so nothing may mutate it.
     item_signs maps each item id to +1 or -1 (the profit sign it showed
     consistently across all its occurrences).
 

@@ -95,5 +95,6 @@ class InfeasibleParams(TopshelfError, ValueError):
 
 
 class InvalidBenchParams(TopshelfError, ValueError):
-    """Benchmark arguments out of range: no k values, a k below 1, or a
-    repeat count, period count or time budget below 1."""
+    """Benchmark arguments out of range: a k list that is not integers, no
+    k values, a k below 1, or a repeat count, period count or time budget
+    below 1."""

@@ -1,13 +1,13 @@
 """Preprocessing: per-period TWU, the item order, and the working database
 the search runs on.
 
-Every step from here on names a period by its dense index: dense period p
-is the p-th smallest period label, and totals[p] is its frozen total pto
-(dense_periods). The preparation makes two walks over the transactions.
-The first gives every item its per-period TWU row, keyed by dense period,
-and its utility. mine_top_k seeds the collector with the singleton entries
-they give (a row's keys are the item's periods), and so the threshold;
-build_item_order reads them at that threshold, and nothing after:
+Every step from here on names a period by its parsed label, and reads its
+frozen total pto(h) from db.period_totals, which the parse built and no
+step copies or changes. The preparation makes two walks over the
+transactions. The first gives every item its per-period TWU row, keyed by
+period, and its utility. mine_top_k seeds the collector with the singleton
+entries they give (a row's keys are the item's periods), and so the
+threshold; build_item_order reads them at that threshold, and nothing after:
 mine_top_k drops both once the order is built, before the working
 database, since the search caps each node by its parent's fill instead
 (see bounds.py).
@@ -32,41 +32,29 @@ from .domain import positive_transaction_utility
 from .projection import ProjectedDatabase
 
 
-def dense_periods(db: OnShelfDatabase) -> tuple[dict[int, int], list[int]]:
-    """(index, totals): index maps each period label to its dense period p,
-    in ascending label order, so tuple(index) lists the labels by dense
-    period; totals[p] is the pto of dense period p. The walks that key by
-    dense period read one index, and so share its int objects."""
-    labels = sorted(db.periods)
-    return {h: p for p, h in enumerate(labels)}, [db.period_totals[h] for h in labels]
-
-
-def compute_period_twu(
-    db: OnShelfDatabase, index: dict[int, int]
-) -> tuple[dict[int, dict[int, int]], dict[int, int]]:
+def compute_period_twu(db: OnShelfDatabase) -> tuple[dict[int, dict[int, int]], dict[int, int]]:
     """One walk over the transactions: (twu_table, utility).
 
-    twu_table[i][p] is TWU(i, p), the sum of PTU(T) over transactions in
-    dense period p (index[h] for label h) containing i, with entries only
-    for periods where the item actually occurs: a row's keys are the
-    item's periods pi({i}), and presence in the table doubles as an
-    occurrence flag. utility[i] is u({i}) over the whole database. Items
-    and periods keep the order of their first occurrence. Both maps serve
-    the item order, with its root TWU test, and the collector's singleton
-    entries, whose k-th best ratio seeds the threshold; the search reads
-    neither.
+    twu_table[i][h] is TWU(i, h), the sum of PTU(T) over transactions in
+    period h containing i, with entries only for periods where the item
+    actually occurs: a row's keys are the item's periods pi({i}), and
+    presence in the table doubles as an occurrence flag. utility[i] is
+    u({i}) over the whole database. Items and periods keep the order of
+    their first occurrence. Both maps serve the item order, with its root
+    TWU test, and the collector's singleton entries, whose k-th best ratio
+    seeds the threshold; the search reads neither.
     """
     table: dict[int, dict[int, int]] = {}
     utility: dict[int, int] = {}
     for t in db.transactions:
         ptu = positive_transaction_utility(t)
-        p = index[t.period]
+        h = t.period
         for item, u in zip(t.items, t.utilities):
             row = table.get(item)
             if row is None:
-                table[item] = {p: ptu}
+                table[item] = {h: ptu}
             else:
-                row[p] = row.get(p, 0) + ptu
+                row[h] = row.get(h, 0) + ptu
             utility[item] = utility.get(item, 0) + u
     return table, utility
 
@@ -87,7 +75,7 @@ class ItemOrder:
 def build_item_order(
     twu_table: dict[int, dict[int, int]],
     utility: dict[int, int],
-    totals: list[int],
+    totals: dict[int, int],
     t_num: int,
     t_den: int,
 ) -> ItemOrder:
@@ -95,15 +83,15 @@ def build_item_order(
 
     A negative item (utility[i] < 0: an item keeps one sign) always enters.
     A positive item enters when it passes the root's local test, the TWU
-    test: in some dense period p, TWU(i, p) reaches t_num/t_den times
-    totals[p] (equality counts; t_num zero keeps every item that occurs).
+    test: in some period h, TWU(i, h) reaches t_num/t_den times
+    totals[h] (equality counts; t_num zero keeps every item that occurs).
     Each group is sorted by (total TWU, id), the positives first."""
     positives = []
     negatives = []
     for item, row in twu_table.items():
         if utility[item] < 0:
             negatives.append((sum(row.values()), item))
-        elif any(twu * t_den >= t_num * totals[p] for p, twu in row.items()):
+        elif any(twu * t_den >= t_num * totals[h] for h, twu in row.items()):
             positives.append((sum(row.values()), item))
     positives.sort()
     negatives.sort()
@@ -120,16 +108,15 @@ class WorkingDatabase:
     """Trimmed, reindexed and fused transaction store.
 
     root is the empty-prefix projection: one view (items, utilities, 0, 0,
-    p) per stored row, in ascending period order, items being ascending
+    h) per stored row, in ascending period order, items being ascending
     dense indices; every stored row holds a positive item. Within a
     period, rows keep their input order, and rows with identical item
     tuples have been fused into the first of them (unless built with merge
-    off). period_totals keeps the frozen original
-    pto for each dense period index.
+    off). period_totals is the database's own, the frozen original pto of
+    each period label.
     """
 
-    period_labels: tuple[int, ...]
-    period_totals: list[int]
+    period_totals: dict[int, int]
     root: ProjectedDatabase
     order: ItemOrder
 
@@ -141,8 +128,6 @@ class WorkingDatabase:
 def build_working_database(
     db: OnShelfDatabase,
     order: ItemOrder,
-    index: dict[int, int],
-    totals: list[int],
     merge: bool = True,
 ) -> tuple[WorkingDatabase, int]:
     """Project the database onto the retained items and lay it out as the
@@ -157,10 +142,10 @@ def build_working_database(
     element-wise; a dropped row fuses with nothing. A period whose rows
     were all dropped holds no view and is left out of the root's periods.
     Returns the working database and the number of rows fused
-    away. index and totals are dense_periods' layout; the totals are the
-    original database's, untouched by the trimming.
+    away. The totals are the original database's, untouched by the
+    trimming.
     """
-    blocks: list[dict] = [{} for _ in totals]
+    blocks = {h: {} for h in sorted(db.period_totals)}
     position, boundary = order.position, order.boundary
     merged = 0
     for t in db.transactions:
@@ -170,24 +155,23 @@ def build_working_database(
         if not entries or entries[0][0] >= boundary:
             continue
         items, utils = zip(*entries)
-        p = index[t.period]
-        block = blocks[p]
+        h = t.period
+        block = blocks[h]
         key = items if merge else len(block)  # unmerged, every row is a new key
         kept = block.get(key)
         if kept is None:
-            block[key] = (items, utils, 0, 0, p)
+            block[key] = (items, utils, 0, 0, h)
         else:
-            block[key] = (kept[0], tuple(map(add, kept[1], utils)), 0, 0, p)
+            block[key] = (kept[0], tuple(map(add, kept[1], utils)), 0, 0, h)
             merged += 1
-    periods = [p for p, block in enumerate(blocks) if block]
+    periods = [h for h, block in blocks.items() if block]
     root = ProjectedDatabase(
         periods=periods,
-        views=[view for block in blocks for view in block.values()],
+        views=[view for block in blocks.values() for view in block.values()],
         utilities=[0] * len(periods),
     )
     working = WorkingDatabase(
-        period_labels=tuple(index),
-        period_totals=totals,
+        period_totals=db.period_totals,
         root=root,
         order=order,
     )

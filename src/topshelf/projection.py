@@ -2,8 +2,8 @@
 
 A view is a tuple (items, utilities, offset, prefix_utility, period): a
 window into a stored transaction starting just past the projected item,
-the prefix's accumulated utility inside that transaction, and the dense
-index of the transaction's period. Projection never copies transaction
+the prefix's accumulated utility inside that transaction, and the label
+of the transaction's period. Projection never copies transaction
 content: a view's items and utilities are always the stored row's own
 tuples. The root projection is the working database itself (see
 prepare.py): one view per stored row, at offset 0 with prefix utility 0.

@@ -22,10 +22,10 @@ its exact value, it can never exceed the true k-th best ratio, so
 bound-based pruning (see bounds.py) never discards a member of the true
 top-k: the result is exactly what brute force would return.
 
-The collector ranks raw entries (utility, period total, items, dense
-periods) by an exact integer key (domain.ratio_rank), so each offer costs
-integer and tuple comparisons only; Patterns, with their Fraction and
-period labels, are built once the search ends, for the k survivors.
+The collector ranks raw entries (utility, period total, items, periods) by
+an exact integer key (domain.ratio_rank), so each offer costs integer and
+tuple comparisons only; Patterns, with their Fraction and period set, are
+built once the search ends, for the k survivors.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .prepare import (
     build_item_order,
     build_working_database,
     compute_period_twu,
-    dense_periods,
 )
 from .projection import occurrences, project
 
@@ -102,12 +101,14 @@ class TopKCollector:
     """Keeps the best k itemsets offered so far under the ranking order and
     exposes the current admission threshold.
 
-    An entry is raw: (rank, size, items, utility, period total, dense
-    periods), where rank is ratio_rank(utility, period total) at the scale
-    total_bound squared. So entries sort as Pattern.sort_key does, by
-    comparing plain integers and item tuples, and result() builds Patterns
-    for the k survivors only. Each itemset is offered at most once: the
-    miner offers the singletons first, then the search's larger itemsets.
+    An entry is raw: (rank, size, items, utility, period total, periods),
+    where periods is a tuple of period labels and rank is
+    ratio_rank(utility, period total) at the scale total_bound squared.
+    So entries sort as Pattern.sort_key does, by comparing plain integers
+    and item tuples, and result() builds Patterns, each with the frozenset
+    of its entry's labels, for the k survivors only. Each itemset is
+    offered at most once: the miner offers the singletons first, then the
+    search's larger itemsets.
     total_bound must bound every period total offered; offer raises
     ValueError on one above it rather than risk a wrong rank.
 
@@ -135,8 +136,8 @@ class TopKCollector:
     def offer(self, utility: int, period_total: int, items, periods) -> bool:
         """Admit the itemset if it ranks among the best k; report acceptance.
 
-        items holds its external ids in any order, periods its dense
-        periods. The threshold is tested first, and only an itemset that
+        items holds its external ids in any order, periods its period
+        labels. The threshold is tested first, and only an itemset that
         clears it costs the sorted tuple of items and the tuple of periods
         its entry keeps."""
         if period_total > self.total_bound:
@@ -169,14 +170,13 @@ class TopKCollector:
                     self.rises += 1
         return True
 
-    def result(self, period_labels) -> list[Pattern]:
-        """The held entries as ranked Patterns; period_labels[p] is the
-        label of dense period p."""
+    def result(self) -> list[Pattern]:
+        """The held entries as ranked Patterns."""
         return [
             Pattern(
                 items=items,
                 utility=utility,
-                periods=frozenset(period_labels[p] for p in periods),
+                periods=frozenset(periods),
                 period_total=period_total,
                 relative_utility=Fraction(utility, period_total),
             )
@@ -340,9 +340,9 @@ def mine_top_k(
 
     start = perf_counter()
     stats = SearchStats(k=k)
-    index, totals = dense_periods(db)
-    twu, utility = compute_period_twu(db, index)
-    collector = TopKCollector(k, sum(totals))
+    totals = db.period_totals
+    twu, utility = compute_period_twu(db)
+    collector = TopKCollector(k, sum(totals.values()))
     # u({i}), and as its periods the keys of its TWU row: the exact entry
     # of each singleton, whose k-th best ratio is the seed threshold
     for item, u in utility.items():
@@ -357,10 +357,10 @@ def mine_top_k(
     # Nothing after the item order reads the TWU table or the utilities;
     # freed here, they are gone before the working database is built.
     del twu, utility
-    working, stats.merges = build_working_database(db, order, index, totals)
+    working, stats.merges = build_working_database(db, order)
     _search(working, collector, stats, su_prune=su_prune, lu_prune=lu_prune)
 
-    patterns = collector.result(working.period_labels)
+    patterns = collector.result()
     stats.patterns = len(patterns)
     stats.threshold_num, stats.threshold_den = collector.threshold
     stats.threshold_rises = collector.rises

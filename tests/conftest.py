@@ -17,7 +17,6 @@ from topshelf.prepare import (
     build_item_order,
     build_working_database,
     compute_period_twu,
-    dense_periods,
 )
 
 
@@ -25,9 +24,8 @@ def pipeline(db, merge=True, drop=()):
     """Order over every item but those in drop, the working database, and
     its root projection. The order is build_item_order's at threshold zero,
     which keeps every item, with the items of drop taken out."""
-    index, totals = dense_periods(db)
-    table, utility = compute_period_twu(db, index)
-    order = build_item_order(table, utility, totals, 0, 1)
+    table, utility = compute_period_twu(db)
+    order = build_item_order(table, utility, db.period_totals, 0, 1)
     if drop:
         kept = [i for i in order.sequence if i not in drop]
         order = ItemOrder(
@@ -35,7 +33,7 @@ def pipeline(db, merge=True, drop=()):
             position={i: d for d, i in enumerate(kept)},
             boundary=sum(utility[i] > 0 for i in kept),
         )
-    working, _ = build_working_database(db, order, index, totals, merge=merge)
+    working, _ = build_working_database(db, order, merge=merge)
     return order, working, working.root
 
 

@@ -82,6 +82,16 @@ def test_golden_last_item_weight_in_final_period(running_example):
 # -- 2: equivalence with brute force ------------------------------------------
 
 
+def _far_labels():
+    """A generated mixed-sign database whose four periods are relabelled
+    2**63 - 1, 7, 2**40 and 2: gapped, far from their count, up to the
+    format's 64-bit limit, and first seen out of ascending order."""
+    labels = {0: 2**63 - 1, 1: 7, 2: 2**40, 3: 2}
+    params = GeneratorParams(transactions=24, items=9, periods=4, avg_len=4, neg_frac=0.3, seed=3)
+    rows = [line.rsplit(":", 1) for line in generate(params).splitlines()]
+    return parse_database("".join(f"{head}:{labels[int(h)]}\n" for head, h in rows))
+
+
 @pytest.mark.criterion(2, "equivalence with brute force")
 def test_miner_matches_oracle_across_corpus(corpus):
     assert len(corpus) >= 200
@@ -90,6 +100,26 @@ def test_miner_matches_oracle_across_corpus(corpus):
             mined, _ = mine_top_k(db, k)
             expected = oracle_top_k(db, k)
             assert mined == expected, f"db {idx} k {k}"
+    # periods are keyed by their labels from parse to pattern, so no label
+    # may be read as a position, by default or under any ablation
+    db = _far_labels()
+    assert sorted(db.periods) == [2, 7, 2**40, 2**63 - 1]
+    assert list(db.period_totals) != sorted(db.periods)  # first seen out of order
+    assert min(db.item_signs.values()) == -1
+    for k in (1, 3, 10, 40, 10_000):
+        expected = oracle_top_k(db, k)
+        for flags in (
+            {},
+            {"su_prune": False},
+            {"lu_prune": False},
+            {"su_prune": False, "lu_prune": False},
+        ):
+            mined, _ = mine_top_k(db, k, **flags)
+            assert mined == expected, f"far labels k {k} {flags}"
+            assert [p.periods for p in mined] == [p.periods for p in expected]
+    # the full result sells in every label, some patterns in several
+    assert set().union(*(p.periods for p in mined)) == db.periods
+    assert max(len(p.periods) for p in mined) == 4
 
 
 # -- 3: pruning is lossless ----------------------------------------------------
@@ -248,14 +278,13 @@ def test_collector_starts_with_the_best_singletons(corpus, monkeypatch):
     def narrow(*args):
         if len(runs) < len(searches):
             collector = searches[-1].collector
-            runs.append((collector.result(labels), collector.threshold, collector.rises))
+            runs.append((collector.result(), collector.threshold, collector.rises))
         return project(*args)
 
     project = search.project
     monkeypatch.setattr(search, "project", narrow)
     for db in corpus:
         singletons = [p for p in oracle_top_k(db, 10_000) if len(p.items) == 1]
-        labels = tuple(sorted(db.periods))
         for k in (1, 3, 5, 10, 10_000):
             mine_top_k(db, k)
             assert len(runs) == len(searches)

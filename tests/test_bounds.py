@@ -26,7 +26,7 @@ from topshelf.oracle import (
     subtree_bound,
     twu,
 )
-from topshelf.prepare import compute_period_twu, dense_periods
+from topshelf.prepare import compute_period_twu
 from topshelf.projection import ProjectedDatabase, project
 from topshelf.search import mine_top_k
 
@@ -87,8 +87,8 @@ def test_mixed_sign_chain_requires_clipping(running_example):
 
 
 def _twu(db):
-    """db's TWU table, each row keyed by dense period."""
-    return compute_period_twu(db, dense_periods(db)[0])[0]
+    """db's TWU table, each row keyed by period label."""
+    return compute_period_twu(db)[0]
 
 
 def _rows(order):
@@ -371,7 +371,7 @@ def test_fill_folds_each_period_into_the_records():
     # Positives 0 and 1, negatives 2 and 3; views (items, utilities,
     # offset, prefix utility) in periods 0 and 2 of three.
     su, neg = _two_rows(2, 4)
-    totals = [10, 7, 3]
+    totals = {0: 10, 1: 7, 2: 3}
     pd = _projection({0: [([0, 1, 3], [4, 5, -2], 0, 6)], 2: [([1, 2], [3, -9], 0, 6)]})
     records = fill_subtree_and_local(pd, su, neg, totals)
     # period sums, all recorded at cutoff zero: su 15 and 11 in period 0,
@@ -431,7 +431,7 @@ def test_each_fill_clears_what_the_previous_fill_left(boundary, n_items):
     as fresh rows filled with B alone, although A occupies periods B does
     not; so do local fills."""
     rng = random.Random(boundary)
-    totals = [rng.randint(1, 60) for _ in range(4)]
+    totals = {p: rng.randint(1, 60) for p in range(4)}
     a = _random_projection(rng, [0, 2, 3], boundary, n_items)
     b = _random_projection(rng, [1, 3], boundary, n_items)
     for local in (False, True):
@@ -449,7 +449,7 @@ def test_selection_applies_both_bound_tests():
     local."""
     # one period of total 10, threshold 1/4; item 2 never occurred, so the
     # records, whose keys are the candidates, hold no cell for it
-    totals = [10]
+    totals = {0: 10}
     record = {0: {0: 10}, 1: {0: 2}}
     local_record = {0: {0: 10}, 1: {0: 4}}
     candidates = sorted(record)
@@ -469,7 +469,7 @@ def test_selection_degrades_to_occurrence_when_disabled(monkeypatch):
     local bound only where it is the only positive rule: the root's fill is
     local exactly then. Every fill is handed the run's scratch rows, su one
     cell per positive item of the order, neg one per dense item."""
-    totals = [5, 9]
+    totals = {0: 5, 1: 9}
     record = {0: {0: 0}, 2: {1: 0}}
     assert select_primary_secondary(record, totals, sorted(record), 0, 99) == ([0, 2], None)
     assert select_negative_candidates(record, [0, 1, 2], 0, 99, totals) == [0, 2]
@@ -545,7 +545,7 @@ def test_selection_reads_only_items_the_last_fill_saw():
     change no pick of a selection over the last fill's records, which hold
     only the items that fill saw, and those are the candidates."""
     su, neg = _two_rows(3, 6)
-    totals = [10, 10, 10]
+    totals = {0: 10, 1: 10, 2: 10}
     earlier = _projection({2: [([1, 4], [90, -1], 0, 90)]})
     assert fill_subtree_and_local(earlier, su, neg, totals) == ({1: {2: 180}}, {4: {2: 89}})
     pd = _projection({0: [([0, 3], [8, -1], 0, 0), ([2], [1], 0, 0)]})
@@ -562,7 +562,7 @@ def test_fills_without_kept_negatives():
     """With no kept negatives the fill records no negative, the negative
     selection picks nothing, and mining matches the oracle."""
     su, neg = _two_rows(3, 3)
-    totals = [10, 8]
+    totals = {0: 10, 1: 8}
     pd = _projection({0: [([0, 2], [2, 3], 0, 0)], 1: [([1], [4], 0, 0)]})
     records = fill_subtree_and_local(pd, su, neg, totals)
     assert records == ({0: {0: 5}, 1: {1: 4}, 2: {0: 3}}, {})
@@ -946,7 +946,7 @@ def test_gate_tests_each_period_not_the_node_overall():
     6/10 in period 0, where negative 2's bracket of 5/10 reaches the
     cutoff: only the per-period test keeps it. Period 1 (1/100) is
     skipped, and negative 3 there goes unlisted."""
-    totals = [10, 100]
+    totals = {0: 10, 1: 100}
     pd = _projection({0: [([0, 2], [6, -1], 1, 6)], 1: [([1, 3], [2, -1], 0, 1)]})
     assert pd.utilities == [6, 1]
     su, neg = _two_rows(2, 4)
@@ -972,7 +972,7 @@ def _cap_cutoffs(rng, pd, totals, caps, full, floor):
     cuts = _cutoffs_that_occur(rng, pd, totals, full)
     ratios = sorted({Fraction(cell, totals[p]) for p, cell in caps.items()})
     cuts += rng.sample(ratios, min(4, len(ratios)))
-    cuts.append(max(ratios, default=floor) + Fraction(1, max(totals)))
+    cuts.append(max(ratios, default=floor) + Fraction(1, max(totals.values())))
     return [cut for cut in cuts if cut >= floor]
 
 
@@ -1055,7 +1055,7 @@ def test_cap_skips_a_period_the_tail_gate_would_walk():
     cap, 5/100, skips the period whole, as it does where the root left
     period 1 out of its record. Item 2 sells only in period 1: the capped
     fill never records it, yet every selection equals the ungated one."""
-    totals = [10, 100]
+    totals = {0: 10, 1: 100}
     caps = {0: 9, 1: 5}
     pd = _projection({
         0: [([0, 1, 3], [6, 3, -1], 1, 6)],
@@ -1103,7 +1103,7 @@ def test_cap_applies_to_a_positive_node_with_no_children_to_select():
     4/100, makes the tail gate skip 3's tail but still walk 1; the cap,
     5/100, skips period 1 whole: neither item is recorded, and the negative
     selection equals the ungated one."""
-    totals = [10, 100]
+    totals = {0: 10, 1: 100}
     caps = {0: 6, 1: 5}
     pd = _projection({0: [([0], [6], 1, 6)], 1: [([0, 1, 3], [4, 1, -1], 1, 4)]})
     assert _parent_cells(pd) == caps

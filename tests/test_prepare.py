@@ -10,26 +10,18 @@ from topshelf.prepare import (
     build_item_order,
     build_working_database,
     compute_period_twu,
-    dense_periods,
 )
 
 A, B, C, D, E = 1, 2, 3, 4, 5
 
 
-def walk(db):
-    """compute_period_twu over db's dense periods."""
-    return compute_period_twu(db, dense_periods(db)[0])
-
-
 def order_at(db, t_num, t_den):
     """build_item_order over db's TWU walk at threshold t_num/t_den."""
-    return build_item_order(*walk(db), dense_periods(db)[1], t_num, t_den)
+    return build_item_order(*compute_period_twu(db), db.period_totals, t_num, t_den)
 
 
 def test_period_twu_worked_example(running_example):
-    # the labels 0, 1, 2 are their own dense periods
-    assert dense_periods(running_example) == ({0: 0, 1: 1, 2: 2}, [39, 85, 69])
-    table, utility = walk(running_example)
+    table, utility = compute_period_twu(running_example)
     assert table[A] == {0: 10, 1: 72, 2: 15}
     assert table[B][0] == 36
     assert table[C][2] == 66
@@ -40,22 +32,26 @@ def test_period_twu_worked_example(running_example):
 
 
 def test_one_walk_matches_the_oracle(running_example, corpus):
-    """Per item: the TWU row is TWU(i, h) per period, keyed by dense
-    period; mapped through the labels, its keys are the item's periods,
-    and the utility is u({i})."""
-    # labels out of input order and with gaps: dense period p is labels[p]
+    """Per item: the TWU row is TWU(i, h) per period label h, its keys are
+    the item's periods, and the utility is u({i})."""
+    # labels out of input order and with gaps
     gapped = parse_database("1 2:7:3 4:17\n2:5:5:3\n1 3:9:4 5:40\n3:2:2:17\n")
-    assert dense_periods(gapped) == ({3: 0, 17: 1, 40: 2}, [5, 9, 9])
-    assert walk(gapped)[0] == {1: {1: 7, 2: 9}, 2: {0: 5, 1: 7}, 3: {1: 2, 2: 9}}
-    _, working, _ = pipeline(gapped)
-    assert working.period_labels == (3, 17, 40) and working.period_totals == [5, 9, 9]
+    assert compute_period_twu(gapped)[0] == {
+        1: {17: 7, 40: 9},
+        2: {17: 7, 3: 5},
+        3: {17: 2, 40: 9},
+    }
+    _, working, root = pipeline(gapped)
+    assert working.period_totals is gapped.period_totals
+    assert working.period_totals == {17: 9, 3: 5, 40: 9}
+    # the working database's views come in ascending label order
+    assert root.periods == [3, 17, 40]
+    assert [view[4] for view in root.views] == [3, 17, 17, 40]
     for db in [gapped, running_example, *corpus[:40]]:
-        index, _ = dense_periods(db)
-        period_labels = tuple(index)
-        table, utility = compute_period_twu(db, index)
+        table, utility = compute_period_twu(db)
         assert set(table) == set(utility) == set(db.item_signs)
         for i in db.item_signs:
-            row = {period_labels[p]: value for p, value in table[i].items()}
+            row = table[i]
             assert set(row) == itemset_periods(db, (i,))
             for h in db.periods:
                 assert row.get(h, 0) == twu(db, (i,), period=h)
@@ -202,7 +198,7 @@ def fused_rows(rows, merge=True):
         sequence=tuple(range(1, n + 1)), position={d + 1: d for d in range(n)}, boundary=n
     )
     db = parse_database(text)
-    working, merged = build_working_database(db, order, *dense_periods(db), merge=merge)
+    working, merged = build_working_database(db, order, merge=merge)
     root = working.root
     assert root.periods == [0] and root.utilities == [0]
     for items, utils, off, prefix, p in root.views:
@@ -243,10 +239,10 @@ def test_working_database_leaves_distinct_rows_alone():
 def test_working_database_layout(running_example):
     db = running_example
     order = order_at(db, 0, 1)
-    working, merged = build_working_database(db, order, *dense_periods(db))
+    working, merged = build_working_database(db, order)
     assert merged == 0  # no two transactions share an item set here
-    assert working.period_labels == (0, 1, 2)
-    assert working.period_totals == [39, 85, 69]
+    assert working.period_totals is db.period_totals
+    assert working.period_totals == {0: 39, 1: 85, 2: 69}
     assert working.transaction_count == 8
     root = working.root
     assert root.periods == [0, 1, 2] and root.utilities == [0, 0, 0]
@@ -269,12 +265,12 @@ def test_working_database_merges_identical_rows():
     text = "1 2:7:3 4:0\n1 2:14:6 8:0\n1 2:7:3 4:1\n"
     db = parse_database(text)
     order = order_at(db, 0, 1)
-    working, merged = build_working_database(db, order, *dense_periods(db))
+    working, merged = build_working_database(db, order)
     assert merged == 1
     # only rows of the same period fuse
     assert working.root.views == [((0, 1), (9, 12), 0, 0, 0), ((0, 1), (3, 4), 0, 0, 1)]
     assert working.root.periods == [0, 1]
-    unmerged, count = build_working_database(db, order, *dense_periods(db), merge=False)
+    unmerged, count = build_working_database(db, order, merge=False)
     assert count == 0
     assert unmerged.transaction_count == 3
 
@@ -282,10 +278,10 @@ def test_working_database_merges_identical_rows():
 def test_working_database_drops_unordered_items(running_example):
     db = running_example
     order = ItemOrder(sequence=(D,), position={D: 0}, boundary=1)
-    working, _ = build_working_database(db, order, *dense_periods(db), merge=False)
+    working, _ = build_working_database(db, order, merge=False)
     # only item d survives; T4 and T6 (no d) disappear entirely
     assert working.transaction_count == 5
     for items, utils, _, _, _ in working.root.views:
         assert items == (0,)
     # frozen period totals are kept even though utilities were trimmed
-    assert working.period_totals == [39, 85, 69]
+    assert working.period_totals == {0: 39, 1: 85, 2: 69}

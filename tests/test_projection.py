@@ -41,11 +41,11 @@ def test_root_projection_covers_every_row(running_example):
     # one view per transaction (none fuse here), periods ascending, input
     # order within a period, each at offset 0 with prefix utility 0
     rows = []
-    for p, label in enumerate(working.period_labels):
+    for h in sorted(db.periods):
         for t in db.transactions:
-            if t.period == label:
+            if t.period == h:
                 entries = sorted((order.position[i], u) for i, u in zip(t.items, t.utilities))
-                rows.append((tuple(d for d, _ in entries), tuple(u for _, u in entries), 0, 0, p))
+                rows.append((tuple(d for d, _ in entries), tuple(u for _, u in entries), 0, 0, h))
     assert root.views == rows
     assert working.transaction_count == len(rows) == 8
 
@@ -97,7 +97,6 @@ def test_projection_chain_matches_definitions(corpus):
     for db in corpus[:40]:
         order, _, root = pipeline(db)
         n = len(order)
-        labels = sorted(db.periods)
         for _ in range(6):
             head = rng.randrange(order.boundary)
             later = range(head + 1, n)
@@ -108,7 +107,7 @@ def test_projection_chain_matches_definitions(corpus):
                 assert_sparse(pd)
             external = tuple(sorted(order.sequence[z] for z in chain))
             prd = sorted(itemset_periods(db, external))
-            assert [labels[p] for p in pd.periods] == prd
+            assert pd.periods == prd
             assert sum(pd.utilities) == itemset_utility(db, external)
             assert pd.utilities == [itemset_utility(db, external, period=h) for h in prd]
 
@@ -241,14 +240,13 @@ def test_walk_matches_scan_over_365_periods_with_empty_ones(walk_every_frame):
     assert view_periods(root) == sorted(t % 365 for t in range(900) if t % 365 % 5)
     assert_walks_match_scans(order, root, 73)
     # below the root the scan walks only the parent's periods
-    labels = sorted(db.periods)
     rng = random.Random(365)
     for _ in range(20):
         chain = sorted(rng.sample(range(len(order)), 2))
         pd = project(project(root, chain[0]), chain[1])
         assert_sparse(pd)
         external = tuple(sorted(order.sequence[z] for z in chain))
-        assert [labels[p] for p in pd.periods] == sorted(itemset_periods(db, external))
+        assert pd.periods == sorted(itemset_periods(db, external))
 
 
 def test_root_walk_costs_four_bytes_per_occurrence():

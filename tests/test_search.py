@@ -28,7 +28,6 @@ from topshelf.oracle import (
 from topshelf.prepare import (
     build_working_database,
     compute_period_twu,
-    dense_periods,
 )
 from topshelf.projection import occurrences, project
 from topshelf.search import TopKCollector, mine_top_k, stats_json
@@ -45,13 +44,13 @@ def make_pattern(items, u, to):
 
 
 def offer(col, items, u, to):
-    """Offer an itemset sold in dense period 0 alone."""
+    """Offer an itemset sold in period 0 alone."""
     return col.offer(u, to, tuple(items), (0,))
 
 
 def held(col):
-    """The collector's Patterns, dense period 0 labelled 0."""
-    return col.result([0])
+    """The collector's Patterns."""
+    return col.result()
 
 
 def test_collector_keeps_best_k_in_rank_order():
@@ -102,7 +101,7 @@ def test_collector_initial_threshold_filters_offers():
     assert not col.offer(1, 3, None, None)
     # an itemset that clears it is kept with its items sorted
     assert col.offer(2, 3, [9, 4], [2, 0])
-    kept = col.result([0, 1, 2])
+    kept = col.result()
     assert [(p.items, p.periods) for p in kept] == [((2,), {0}), ((4, 9), {0, 2})]
 
 
@@ -328,7 +327,7 @@ def test_hourly_calendar_mines_in_the_memory_of_four_periods():
     """The same 8,760 rows dealt into 4 periods and into an hourly year of
     8,760 periods mine within 4 MB of each other (about 4 and 6 MB on
     CPython 3.11). Bound memory follows the items, not periods x items:
-    dense period x item bound grids peak at about 84 MB on this input."""
+    full period x item bound grids peak at about 84 MB on this input."""
     four = _peak_bytes(_dealt(4), 50)
     hourly = _peak_bytes(_dealt(8760), 50)
     assert hourly - four < 4 * 2**20, (four, hourly)
@@ -346,8 +345,8 @@ def test_twu_table_is_dead_before_the_working_database_is_built(monkeypatch):
     refs = []
     built = 0
 
-    def walk(db, index):
-        table, utility = compute_period_twu(db, index)
+    def walk(db):
+        table, utility = compute_period_twu(db)
         table = Table((item, Table(row)) for item, row in table.items())
         utility = Table(utility)
         refs.extend(weakref.ref(part) for part in (table, utility, *table.values()))
@@ -608,8 +607,7 @@ def _watch_the_zero_seed_run(monkeypatch):
     params, k, counters = PINNED_COUNTERS[-1]
     assert params["periods"] == 365
     db = parse_database(generate(GeneratorParams(**params)))
-    index, totals = dense_periods(db)
-    table, _ = compute_period_twu(db, index)
+    table, _ = compute_period_twu(db)
     assert search_start(db, k)[0].threshold == (0, 1)
     seen = {key: [] for key in ("row_skips", "record_skips", "zero", "zero_children", "root")}
     seen["uncapped"] = 0
@@ -948,13 +946,13 @@ def predicted_merges(db, k):
     outside the order are dropped; a row with none is dropped, not fused.
     The order holds the positive items that pass the root TWU test at the
     seed threshold, and every negative item."""
-    index, totals = dense_periods(db)
-    table, utility = compute_period_twu(db, index)
+    table, utility = compute_period_twu(db)
     threshold = fraction_singleton_threshold(db, k)
+    totals = db.period_totals
     positives = {
         i
         for i, row in table.items()
-        if utility[i] > 0 and any(twu >= threshold * totals[p] for p, twu in row.items())
+        if utility[i] > 0 and any(twu >= threshold * totals[h] for h, twu in row.items())
     }
     retained = positives | {i for i, sign in db.item_signs.items() if sign < 0}
     seen = set()

@@ -343,13 +343,18 @@ def test_cli_bad_inputs_exit_2(tmp_path, running_text, argv, capsys):
     not_utf8.write_bytes(b"1 2:5:2 3:0\n\xff:1:1:0\n")
     paths = {"SELF": str(db), "NOT_UTF8": str(not_utf8)}
     argv = [paths.get(a, a) for a in argv]
-    # argparse rejects unknown options by exiting with code 2
+    # argparse rejects unknown options by exiting with code 2, after its
+    # usage line; every other bad input is main's one "error: " line
     try:
         code = run_cli(*argv)
+        prefix = "error: "
     except SystemExit as exc:
         code = exc.code
+        prefix = "usage: "
     assert code == 2
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and "error" in err
+    assert "Traceback" not in err
 
 
 def test_cli_mine_rejects_malformed_database(tmp_path, capsys):
